@@ -62,7 +62,10 @@ fn wire_cluster(ep: &Path) -> Arc<SinfoniaCluster> {
             capacity_per_node: CAPACITY,
             ..ClusterConfig::with_memnodes(1)
         }
-        .with_wire_transport(vec![Endpoint::Unix(ep.to_path_buf())], WireConfig::default()),
+        .with_wire_transport(
+            vec![Endpoint::Unix(ep.to_path_buf())],
+            WireConfig::default(),
+        ),
     )
 }
 

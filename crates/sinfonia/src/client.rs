@@ -27,8 +27,8 @@ use crate::recovery::NodeMeta;
 use crate::rpc::{BatchItem, NodeRpc, NodeStats};
 use crate::transport::Transport;
 use crate::wire::{
-    encode_traced_request, read_frame, split_reply_flags, Endpoint, NodeFlags, Request, Response,
-    WireBatchItem, WireShard, PROTO_VERSION,
+    encode_traced_request, split_reply_flags, Endpoint, FrameReader, NodeFlags, Request, Response,
+    Stream, WireBatchItem, WireShard, PROTO_VERSION,
 };
 use minuet_faults as faults;
 use minuet_obs::{absorb_spans, current_ctx, span, span_tagged, HistHandle, ObsSnapshot, SpanKind};
@@ -99,13 +99,16 @@ struct RpcHists {
     bytes_in: HistHandle,
 }
 
+/// A pooled connection: the socket plus its inbound frame buffer.
+type Conn = FrameReader<Stream>;
+
 /// A wire-backed memnode handle (see module docs).
 pub struct RemoteNode {
     id: MemNodeId,
     endpoint: Endpoint,
     cfg: WireConfig,
     transport: Arc<Transport>,
-    idle: Mutex<Vec<crate::wire::Stream>>,
+    idle: Mutex<Vec<Conn>>,
     backoff: Mutex<Backoff>,
     /// Server capacity learned from the `Hello` handshake.
     capacity: AtomicU64,
@@ -206,10 +209,10 @@ impl RemoteNode {
             .min(cfg.backoff_cap)
     }
 
-    fn dial(&self) -> io::Result<crate::wire::Stream> {
+    fn dial(&self) -> io::Result<Conn> {
         let s = self.endpoint.dial(self.cfg.connect_timeout)?;
         s.set_timeouts(Some(self.cfg.request_timeout))?;
-        Ok(s)
+        Ok(FrameReader::new(s))
     }
 
     /// Bumps one of the `wire.breaker.*` transition counters in the
@@ -225,7 +228,7 @@ impl RemoteNode {
 
     /// Pops an idle connection or dials. Fails fast (without dialing)
     /// while inside the backoff window.
-    fn get_conn(&self) -> io::Result<(crate::wire::Stream, bool)> {
+    fn get_conn(&self) -> io::Result<(Conn, bool)> {
         if let Some(s) = self.idle.lock().pop() {
             return Ok((s, true));
         }
@@ -252,7 +255,7 @@ impl RemoteNode {
         Ok((self.dial()?, false))
     }
 
-    fn put_conn(&self, s: crate::wire::Stream) {
+    fn put_conn(&self, s: Conn) {
         let mut idle = self.idle.lock();
         if idle.len() < self.cfg.max_idle_conns {
             idle.push(s);
@@ -331,7 +334,7 @@ impl RemoteNode {
     /// CRC and closes), `SeverAfter(n)` writes only the first `n` bytes
     /// then reports the cut, `Drop`/`Err` discard the frame and surface a
     /// transport error. `Delay` has already been slept by `check_delay`.
-    fn send_frame(conn: &mut crate::wire::Stream, frame: &[u8]) -> io::Result<()> {
+    fn send_frame(conn: &mut Stream, frame: &[u8]) -> io::Result<()> {
         match faults::check_delay(faults::Site::WireClientSend) {
             None => {}
             Some(faults::Action::Panic) => panic!("injected panic at wire.client.send"),
@@ -360,22 +363,17 @@ impl RemoteNode {
 
     /// Writes `frame`, reads the reply frame, decodes it. Returns the
     /// response and the inbound frame size (header included).
-    fn exchange(
-        &self,
-        conn: &mut crate::wire::Stream,
-        frame: &[u8],
-        req_tag: u8,
-    ) -> io::Result<(Response, u64)> {
+    fn exchange(&self, conn: &mut Conn, frame: &[u8], req_tag: u8) -> io::Result<(Response, u64)> {
         let payload = {
             let _rtt = span_tagged(SpanKind::Rtt, req_tag);
-            Self::send_frame(conn, frame)?;
+            Self::send_frame(conn.get_mut(), frame)?;
             if let Some(a) = faults::check_delay(faults::Site::WireClientRecv) {
                 match a {
                     faults::Action::Panic => panic!("injected panic at wire.client.recv"),
                     a => return Err(faults::io_error(faults::Site::WireClientRecv, a)),
                 }
             }
-            read_frame(conn)?
+            conn.read_frame()?
         };
         let bytes_in = (payload.len() + crate::wire::FRAME_HDR) as u64;
         self.transport
@@ -438,14 +436,14 @@ impl RemoteNode {
                 let t = op
                     .cap(self.cfg.request_timeout)
                     .max(Duration::from_millis(1));
-                let _ = conn.set_timeouts(Some(t));
+                let _ = conn.get_ref().set_timeouts(Some(t));
             }
             match self.exchange(&mut conn, &frame, req_tag) {
                 Ok((resp, bytes_in)) => {
                     if capped {
                         // Restore the default before pooling so later
                         // uncapped requests keep their full timeout.
-                        let _ = conn.set_timeouts(Some(self.cfg.request_timeout));
+                        let _ = conn.get_ref().set_timeouts(Some(self.cfg.request_timeout));
                     }
                     self.put_conn(conn);
                     self.note_success();

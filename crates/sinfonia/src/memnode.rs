@@ -11,7 +11,8 @@
 //! additionally **logs before applying**: one-phase commits, prepares
 //! (with participant lists), and 2PC decisions all hit a per-node redo log
 //! first, checkpoints bound the log, and a crashed node recovers its state
-//! from disk instead of from the in-memory mirror.
+//! from disk instead of from the in-memory mirror — which a durable node
+//! therefore does not keep: its second copy is the log and the image.
 
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
@@ -170,8 +171,9 @@ struct Durable {
     capacity: u64,
 }
 
-/// A Sinfonia memnode (primary plus synchronous backup mirror, plus an
-/// optional on-disk redo log and checkpoint image).
+/// A Sinfonia memnode: the primary space plus its second copy — a
+/// synchronous in-memory backup mirror, or, when durable, an on-disk redo
+/// log and checkpoint image.
 pub struct MemNode {
     /// This node's id.
     pub id: MemNodeId,
@@ -179,7 +181,10 @@ pub struct MemNode {
     space: RwLock<PagedSpace>,
     /// Synchronous backup of the space; conceptually lives on another
     /// server. Committed writes are applied here before the primary.
-    backup: Mutex<PagedSpace>,
+    /// `None` on a durable node, which recovers from disk and would only
+    /// pay for the mirror: a second resident copy of every page and a
+    /// second pass over every written image.
+    backup: Option<Mutex<PagedSpace>>,
     /// Prepared transactions, mirrored to the backup as Sinfonia's
     /// in-memory redo state.
     prepared: Mutex<HashMap<TxId, PreparedTx>>,
@@ -328,7 +333,7 @@ impl MemNode {
             let got = locks.try_lock(&tx.spans, *txid);
             debug_assert_eq!(got, LockAcquire::Granted, "recovery lock conflict");
         }
-        let backup = space.snapshot_clone();
+        let backup = dur.is_none().then(|| Mutex::new(space.snapshot_clone()));
         let obs = ObsPlane::disabled();
         let stats = MemNodeStats::default();
         stats.register(&obs);
@@ -339,7 +344,7 @@ impl MemNode {
             id,
             locks,
             space: RwLock::new(space),
-            backup: Mutex::new(backup),
+            backup,
             prepared: Mutex::new(staged),
             decided: Mutex::new(decided),
             crashed: AtomicBool::new(false),
@@ -497,11 +502,11 @@ impl MemNode {
         Ok(reads)
     }
 
-    /// Applies writes to the backup mirror first, then the primary
-    /// (synchronous primary-backup replication).
+    /// Applies writes to the backup mirror first (when there is one), then
+    /// the primary (synchronous primary-backup replication).
     fn apply(&self, writes: &[(u64, Bytes)]) {
-        {
-            let mut b = self.backup.lock();
+        if let Some(b) = &self.backup {
+            let mut b = b.lock();
             for (off, data) in writes {
                 b.write(*off, data)
                     .unwrap_or_else(|e| panic!("write item out of bounds: {e}"));
@@ -664,7 +669,7 @@ impl MemNode {
         // Guard order matches the locked path (`commit`, `log_and_apply`):
         // WAL appender, then backup, then primary space.
         let mut wal_g = self.dur.as_ref().map(|d| d.wal.lock());
-        let mut backup = self.backup.lock();
+        let mut backup = self.backup.as_ref().map(|b| b.lock());
         let mut space = self.space.write();
         // A lock acquired (or acquired-and-released) since the first probe
         // means a conflicting transaction may have evaluated before we
@@ -706,10 +711,12 @@ impl MemNode {
                     None => None,
                 };
                 // Backup before primary, as `apply` does.
-                for (off, data) in &writes {
-                    backup
-                        .write(*off, data)
-                        .unwrap_or_else(|e| panic!("write item out of bounds: {e}"));
+                if let Some(backup) = backup.as_mut() {
+                    for (off, data) in &writes {
+                        backup
+                            .write(*off, data)
+                            .unwrap_or_else(|e| panic!("write item out of bounds: {e}"));
+                    }
                 }
                 for (off, data) in &writes {
                     space
@@ -907,7 +914,6 @@ impl MemNode {
             let _g = d.wal.lock();
             self.crashed.store(true, Ordering::Release);
             self.locks.clear();
-            *self.backup.lock() = PagedSpace::new(d.capacity);
             *self.space.write() = PagedSpace::new(d.capacity);
             self.prepared.lock().clear();
             self.decided.lock().clear();
@@ -933,7 +939,6 @@ impl MemNode {
             d.wal.clear_failed();
             let rec =
                 recovery::recover_node(&d.dir, self.id, d.capacity).expect("disk recovery failed");
-            *self.backup.lock() = rec.space.snapshot_clone();
             *self.space.write() = rec.space;
             {
                 let mut p = self.prepared.lock();
@@ -950,8 +955,8 @@ impl MemNode {
                 .store(rec.max_txid, Ordering::Release);
         } else {
             {
-                let backup = self.backup.lock();
-                *self.space.write() = backup.snapshot_clone();
+                let backup = self.backup.as_ref().expect("in-memory node keeps a mirror");
+                *self.space.write() = backup.lock().snapshot_clone();
             }
             let prepared = self.prepared.lock();
             for (txid, tx) in prepared.iter() {
@@ -1015,7 +1020,7 @@ impl MemNode {
     }
 
     /// Raw write used only for cluster bootstrap (before any concurrent
-    /// access exists). Applied to both primary and backup, and logged
+    /// access exists). Applied to primary and backup mirror, or logged
     /// (unforced) when durable so bootstrap images survive a restart.
     pub fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
         self.check_writable()?;
@@ -1044,10 +1049,14 @@ impl MemNode {
     }
 
     /// Checks that primary and backup images are byte-identical (test
-    /// support; only meaningful while quiescent).
+    /// support; only meaningful while quiescent). Trivially true on a
+    /// durable node, which keeps no mirror to diverge from.
     pub fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
+        let Some(b) = &self.backup else {
+            return true;
+        };
         let s = self.space.read();
-        let b = self.backup.lock();
+        let b = b.lock();
         probe
             .iter()
             .all(|&(off, len)| s.read(off, len).unwrap() == b.read(off, len).unwrap())
@@ -1203,7 +1212,7 @@ impl MemNode {
 
     /// Applies the in-memory effect of one incorporated primary record,
     /// mirroring what the primary's own execution did: one-phase writes
-    /// apply through the backup then the primary space, prepares stage
+    /// apply through [`MemNode::apply`], prepares stage
     /// with their locks held, and decisions finish or discard the staged
     /// transaction.
     fn apply_repl_effect(&self, rec: OwnedRecord) {

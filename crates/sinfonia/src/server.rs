@@ -21,7 +21,7 @@ use crate::memnode::MemNode;
 use crate::minitx::{CompareItem, ReadItem, Shard, WriteItem};
 use crate::rpc::NodeRpc;
 use crate::wire::{
-    encode_response_payload, read_frame, seal_reply, seal_traced_reply, Endpoint, Listener,
+    encode_response_payload, seal_reply, seal_traced_reply, Endpoint, FrameReader, Listener,
     NodeFlags, Request, Response, Stream, WireShard, PROTO_VERSION,
 };
 use minuet_faults as faults;
@@ -218,16 +218,17 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
     }
 }
 
-fn serve_conn(mut conn: Stream, shared: Arc<Shared>) {
+fn serve_conn(conn: Stream, shared: Arc<Shared>) {
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = conn.try_clone() {
         shared.conns.lock().push((conn_id, clone));
     }
+    let mut conn = FrameReader::new(conn);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let payload = match read_frame(&mut conn) {
+        let payload = match conn.read_frame() {
             Ok(p) => p,
             Err(_) => break, // EOF, reset, or a corrupt frame: drop the conn.
         };
@@ -244,7 +245,7 @@ fn serve_conn(mut conn: Stream, shared: Arc<Shared>) {
             Ok(r) => r,
             Err(e) => {
                 let _ = write_response(
-                    &mut conn,
+                    conn.get_mut(),
                     &Response::Error(format!("bad request: {e}")),
                     node_flags(&shared.node),
                 );
@@ -289,7 +290,7 @@ fn serve_conn(mut conn: Stream, shared: Arc<Shared>) {
                 .unwrap_or_else(|_| Response::Error("request handler panicked".to_string()));
             seal_reply(&resp, node_flags(&shared.node))
         };
-        if write_frame(&mut conn, &frame).is_err() {
+        if write_frame(conn.get_mut(), &frame).is_err() {
             break;
         }
         if is_shutdown {

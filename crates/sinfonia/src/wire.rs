@@ -8,12 +8,15 @@
 //!
 //! Decoding is **total**: every malformed input (torn frame, truncated
 //! length, bit flip, bad tag) surfaces as a [`WireError`], never a panic,
-//! and never an unbounded allocation (frames are capped at [`MAX_FRAME`]).
-//! Decoding is also **zero-copy** on the payload plane: a frame is read
-//! into one buffer and write/read payloads are [`Bytes`] slices of it, so
-//! a received minitransaction flows into the memnode's staging area and
-//! redo log without being copied again (the PR 5 data plane, now over a
-//! socket).
+//! and never an allocation sized by an unverified field: frames are capped
+//! at [`MAX_FRAME`], and below that cap a length prefix reserves at most
+//! the 64 KiB of a connection's read buffer until the bytes it promises
+//! have arrived. Decoding is also **zero-copy** on the payload plane: a
+//! [`FrameReader`] hands each frame out as one owned buffer and write/read
+//! payloads are [`Bytes`] slices of it, so a received minitransaction
+//! flows into the memnode's staging area and redo log without being
+//! copied again (the PR 5 data plane, now over a socket). A frame that has
+//! fully arrived costs its connection one `read`.
 //!
 //! The module is std-only: plain blocking TCP / Unix-domain sockets, no
 //! async runtime. [`Endpoint`] names a listening address in either family.
@@ -44,7 +47,8 @@ use std::time::Duration;
 pub const PROTO_VERSION: u16 = 4;
 
 /// Largest admissible frame payload. Frames claiming more are rejected
-/// before any allocation, bounding what a corrupt length prefix can cost.
+/// outright; what a smaller, still-untrue length prefix can cost is
+/// bounded by [`FrameReader`]'s reserve cap.
 pub const MAX_FRAME: u32 = 64 << 20;
 
 /// Size of the frame header (length + CRC), in bytes.
@@ -305,50 +309,135 @@ fn seal(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     buf
 }
 
-/// Reads one frame off a stream, validating length and CRC. The payload
-/// is returned as [`Bytes`] so message decoding can alias it zero-copy.
-///
-/// Protocol-level failures arrive as `io::ErrorKind::InvalidData` wrapping
-/// a [`WireError`]; short reads surface as `UnexpectedEof`. Either way the
-/// connection is unusable afterwards.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Bytes> {
-    let mut hdr = [0u8; FRAME_HDR];
-    r.read_exact(&mut hdr)?;
-    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-    let want = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(WireError::FrameTooLarge(len).into());
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let got = crc32(&payload);
-    if got != want {
-        return Err(WireError::BadCrc { want, got }.into());
-    }
-    Ok(Bytes::from(payload))
-}
-
-/// In-memory variant of [`read_frame`] for tests and fuzzing: decodes one
-/// frame from the front of `buf`, returning the payload and the total
-/// frame size consumed.
-pub fn decode_frame(buf: &[u8]) -> Result<(Bytes, usize), WireError> {
-    if buf.len() < FRAME_HDR {
+/// Parses a frame header — the one place a length prefix is validated —
+/// returning the payload length and the announced CRC.
+fn parse_header(buf: &[u8]) -> Result<(usize, u32), WireError> {
+    let Some(hdr) = buf.first_chunk::<FRAME_HDR>() else {
         return Err(WireError::Truncated);
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    let want = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+    };
+    let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
     if len > MAX_FRAME {
         return Err(WireError::FrameTooLarge(len));
     }
-    let total = FRAME_HDR + len as usize;
-    if buf.len() < total {
-        return Err(WireError::Truncated);
-    }
-    let payload = &buf[FRAME_HDR..total];
+    let want = u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]);
+    Ok((len as usize, want))
+}
+
+fn check_crc(payload: &[u8], want: u32) -> Result<(), WireError> {
     let got = crc32(payload);
-    if got != want {
-        return Err(WireError::BadCrc { want, got });
+    if got == want {
+        Ok(())
+    } else {
+        Err(WireError::BadCrc { want, got })
     }
+}
+
+/// Size of a connection's read buffer, and the most a frame's length
+/// prefix may reserve before its payload bytes have actually arrived.
+const READ_BUF: usize = 64 << 10;
+
+/// A connection with a buffered frame reader: a frame that has fully
+/// arrived costs one `read` (header and payload together), and bytes read
+/// past it stay with the connection for the next call.
+pub struct FrameReader<R> {
+    inner: R,
+    buf: Box<[u8]>,
+    /// `buf[pos..end]` holds bytes received but not yet handed out.
+    pos: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps a connection; nothing is read until the first frame is asked for.
+    pub fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            buf: vec![0u8; READ_BUF].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+        }
+    }
+
+    /// The underlying connection (for timeouts and handle clones).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// The underlying connection, for writing: replies and requests go
+    /// straight to it, only the inbound direction is buffered.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Reads one frame, validating length and CRC. The payload is one
+    /// owned buffer, returned as [`Bytes`] so message decoding can alias
+    /// it zero-copy.
+    ///
+    /// Protocol-level failures arrive as `io::ErrorKind::InvalidData`
+    /// wrapping a [`WireError`]; an early end of stream surfaces as
+    /// `UnexpectedEof`. Either way the connection is unusable afterwards.
+    pub fn read_frame(&mut self) -> io::Result<Bytes> {
+        while self.end - self.pos < FRAME_HDR {
+            // Fewer than eight bytes are pending; move them to the front
+            // so the read below has the whole buffer to fill.
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let (len, want) = parse_header(&self.buf[self.pos..self.end])?;
+        self.pos += FRAME_HDR;
+        let buffered = len.min(self.end - self.pos);
+        let mut payload = Vec::new();
+        read_payload(
+            &self.buf[self.pos..self.pos + buffered],
+            &mut self.inner,
+            len,
+            &mut payload,
+        )?;
+        self.pos += buffered;
+        check_crc(&payload, want)?;
+        Ok(Bytes::from(payload))
+    }
+}
+
+/// Assembles a `len`-byte payload in `out` from the bytes already
+/// `buffered` and, for the remainder, straight from `r`. The untrusted
+/// `len` is believed only as far as bytes have arrived to back it: `out`
+/// never holds more than [`READ_BUF`] or twice what has been received,
+/// whichever is larger, ends at exactly `len`, and is never zero-filled
+/// to the announced length.
+fn read_payload(
+    buffered: &[u8],
+    r: &mut impl Read,
+    len: usize,
+    out: &mut Vec<u8>,
+) -> io::Result<()> {
+    out.reserve_exact(len.min(READ_BUF));
+    out.extend_from_slice(buffered);
+    while out.len() < len {
+        let step = len.min((2 * out.len()).max(READ_BUF)) - out.len();
+        out.reserve_exact(step);
+        if r.by_ref().take(step as u64).read_to_end(out)? < step {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+    }
+    Ok(())
+}
+
+/// In-memory frame decoding for tests and fuzzing: decodes one frame from
+/// the front of `buf`, returning the payload and the total frame size
+/// consumed.
+pub fn decode_frame(buf: &[u8]) -> Result<(Bytes, usize), WireError> {
+    let (len, want) = parse_header(buf)?;
+    let total = FRAME_HDR + len;
+    let payload = buf.get(FRAME_HDR..total).ok_or(WireError::Truncated)?;
+    check_crc(payload, want)?;
     Ok((Bytes::copy_from_slice(payload), total))
 }
 
@@ -1010,7 +1099,7 @@ impl Request {
     }
 
     /// Decodes a request from a frame payload (as returned by
-    /// [`read_frame`]). Write payloads alias the frame buffer.
+    /// [`FrameReader::read_frame`]). Write payloads alias the frame buffer.
     pub fn decode(payload: &Bytes) -> Result<Request, WireError> {
         let mut c = Cur::new(payload);
         let req = Self::decode_payload(&mut c, 0)?;
@@ -1681,7 +1770,7 @@ mod tests {
 
     fn roundtrip_req(req: Request) {
         let frame = req.encode();
-        let payload = read_frame(&mut Cursor::new(&frame)).unwrap();
+        let payload = FrameReader::new(Cursor::new(&frame)).read_frame().unwrap();
         assert_eq!(Request::decode(&payload).unwrap(), req);
     }
 
@@ -1871,6 +1960,30 @@ mod tests {
             decode_frame(&frame),
             Err(WireError::FrameTooLarge(u32::MAX))
         );
+        let err = FrameReader::new(Cursor::new(&frame)).read_frame();
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Eight bytes announcing a `MAX_FRAME` payload, then a trickle, then
+    /// EOF: the reader reports the short stream and never reserved more
+    /// than its fixed cap on the header's say-so.
+    #[test]
+    fn untrusted_length_reserves_at_most_the_cap() {
+        let mut stream = MAX_FRAME.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0xAB; 4 + 100]);
+        let err = FrameReader::new(Cursor::new(&stream)).read_frame();
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+
+        let mut out = Vec::new();
+        let err = read_payload(
+            &stream[FRAME_HDR..],
+            &mut io::empty(),
+            MAX_FRAME as usize,
+            &mut out,
+        );
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(out, vec![0xAB; 100], "holds what arrived and no more");
+        assert!(out.capacity() <= READ_BUF, "reserved {}", out.capacity());
     }
 
     /// Frame-size conformance: the modeled byte accounting in the minitx
@@ -2022,7 +2135,7 @@ mod tests {
             data: payload,
         };
         let frame = req.encode();
-        let buf = read_frame(&mut Cursor::new(&frame)).unwrap();
+        let buf = FrameReader::new(Cursor::new(&frame)).read_frame().unwrap();
         match Request::decode(&buf).unwrap() {
             Request::RawWrite { data, .. } => {
                 assert!(Bytes::same_buffer(&data, &buf), "decode must not copy");

@@ -2,16 +2,19 @@
 //! an encode → frame → decode round trip unchanged, and any corruption of
 //! a frame — truncation at an arbitrary point, a bit flip at an arbitrary
 //! position, a mangled length field — must fail *cleanly* with a protocol
-//! error: no panic, no hang, no partial decode.
+//! error: no panic, no hang, no partial decode. The buffered
+//! [`FrameReader`] must hand out the same payloads however the byte
+//! stream is fragmented or coalesced, at one `read` per arrived frame.
 
 use minuet::sinfonia::memnode::{SingleResult, Vote};
 use minuet::sinfonia::recovery::NodeMeta;
 use minuet::sinfonia::wire::{
-    decode_frame, NodeFlags, Request, Response, WireBatchItem, WireShard,
+    decode_frame, FrameReader, NodeFlags, Request, Response, WireBatchItem, WireShard,
 };
 use minuet::sinfonia::{Bytes, LockPolicy, MemNodeId, NodeStats};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::{self, Read};
 use std::time::Duration;
 
 fn arb_bytes() -> impl Strategy<Value = Bytes> {
@@ -283,8 +286,126 @@ fn assert_fails_cleanly(frame: &[u8], what: &str) {
     assert!(result.is_ok(), "decode panicked on {what}");
 }
 
+/// A connection that delivers a scripted sequence of chunks — one chunk
+/// (or what fits of it) per `read` call, then EOF — and counts the calls.
+struct Scripted {
+    chunks: VecDeque<Vec<u8>>,
+    reads: usize,
+}
+
+impl Scripted {
+    /// `stream` cut at the given offsets.
+    fn new(stream: &[u8], cuts: &[usize]) -> Scripted {
+        let mut chunks = VecDeque::new();
+        let mut at = 0;
+        for &cut in cuts.iter().chain([&stream.len()]) {
+            let cut = cut.clamp(at, stream.len());
+            if cut > at {
+                chunks.push_back(stream[at..cut].to_vec());
+            }
+            at = cut;
+        }
+        Scripted { chunks, reads: 0 }
+    }
+}
+
+impl Read for Scripted {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads += 1;
+        let Some(mut chunk) = self.chunks.pop_front() else {
+            return Ok(0);
+        };
+        let n = chunk.len().min(buf.len());
+        buf[..n].copy_from_slice(&chunk[..n]);
+        if n < chunk.len() {
+            self.chunks.push_front(chunk.split_off(n));
+        }
+        Ok(n)
+    }
+}
+
+/// A request whose frame is `21 + n` bytes (header 8, tag 1, offset 8,
+/// length 4).
+fn raw_write(n: usize, salt: u8) -> Request {
+    Request::RawWrite {
+        off: 4096,
+        data: Bytes::from((0..n).map(|i| (i as u8) ^ salt).collect::<Vec<_>>()),
+    }
+}
+
+/// Reads `frames.len()` frames off `stream` cut at `cuts`, checks each
+/// payload against the frame it came from and that the stream then ends
+/// cleanly, and returns the `read` calls each frame cost.
+fn read_frames_back(frames: &[Vec<u8>], cuts: &[usize]) -> Vec<usize> {
+    let stream = frames.concat();
+    let mut r = FrameReader::new(Scripted::new(&stream, cuts));
+    let mut costs = Vec::new();
+    for frame in frames {
+        let before = r.get_ref().reads;
+        let payload = r.read_frame().expect("whole frame was delivered");
+        assert_eq!(
+            &payload[..],
+            &frame[8..],
+            "payload differs from what was sent"
+        );
+        costs.push(r.get_ref().reads - before);
+    }
+    let eof = r.read_frame().expect_err("stream is exhausted");
+    assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+    costs
+}
+
+#[test]
+fn frame_reader_survives_fragmentation_and_coalescing() {
+    let both = [
+        raw_write(300, 0x11).encode(),
+        raw_write(4096, 0x22).encode(),
+    ];
+    let [a, b] = &both;
+    let total = a.len() + b.len();
+
+    // One byte per call.
+    let every_byte: Vec<usize> = (1..total).collect();
+    read_frames_back(&both, &every_byte);
+    // Header split 3 + 5, payload in a third chunk.
+    assert_eq!(read_frames_back(&both[..1], &[3, 8]), [3]);
+    // Two frames in one chunk: the second costs no read at all.
+    assert_eq!(read_frames_back(&both, &[]), [1, 0]);
+    // A frame plus half the next, then the rest.
+    assert_eq!(read_frames_back(&both, &[a.len() + b.len() / 2]), [1, 1]);
+    // A frame plus three bytes of the next header.
+    assert_eq!(read_frames_back(&both, &[a.len() + 3]), [1, 1]);
+}
+
+#[test]
+fn arrived_frame_costs_exactly_one_read() {
+    for n in [0, 7, 78, 4096, 8192 - 21] {
+        let frame = raw_write(n, 0x33).encode();
+        assert_eq!(frame.len(), 21 + n);
+        assert_eq!(read_frames_back(&[frame], &[]), [1], "{n}-byte payload");
+    }
+    // Larger than the reader's buffer: the tail goes straight into the
+    // payload, still without losing or duplicating a byte.
+    let big = raw_write(200_000, 0x44).encode();
+    let small = raw_write(5, 0x55).encode();
+    read_frames_back(&[big.clone(), small.clone()], &[]);
+    read_frames_back(&[small, big], &[100_000]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn frame_reader_is_chunking_invariant(
+        reqs in proptest::collection::vec(arb_request(), 1..5),
+        cuts in proptest::collection::vec(any::<u16>(), 0..12),
+    ) {
+        let frames: Vec<Vec<u8>> = reqs.iter().map(Request::encode).collect();
+        let total: usize = frames.iter().map(Vec::len).sum();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c as usize % total).collect();
+        cuts.sort_unstable();
+        read_frames_back(&frames, &cuts);
+    }
 
     #[test]
     fn request_roundtrip(req in arb_request()) {
