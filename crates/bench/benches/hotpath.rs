@@ -163,7 +163,7 @@ fn main() {
         .sinfonia
         .nodes_snapshot()
         .iter()
-        .map(|nd| nd.node_stats().read_fastpath)
+        .map(|nd| nd.node_stats().expect("in-process node").read_fastpath)
         .sum();
     mc.sinfonia.transport.set_inject(Some(SCALING_RTT));
     let mut table: Vec<Vec<String>> = Vec::new();
@@ -184,7 +184,7 @@ fn main() {
         .sinfonia
         .nodes_snapshot()
         .iter()
-        .map(|nd| nd.node_stats().read_fastpath)
+        .map(|nd| nd.node_stats().expect("in-process node").read_fastpath)
         .sum();
 
     let headers: Vec<String> = std::iter::once("clients".to_string())

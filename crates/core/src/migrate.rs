@@ -607,7 +607,9 @@ impl Proxy {
     pub fn drain(&mut self, tree: u32, mem: MemNodeId) -> Result<u64, Error> {
         let mc = self.mc.clone();
         let layout = *mc.layout(tree);
-        mc.sinfonia.set_retiring(mem, true);
+        mc.sinfonia
+            .set_retiring(mem, true)
+            .map_err(|u| Error::Unavailable(u.0))?;
         let mut moved = 0u64;
         for _pass in 0..64 {
             let victims: Vec<NodePtr> = live_slots(&mc, tree, mem)?

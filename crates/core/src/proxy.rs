@@ -21,7 +21,6 @@ use minuet_obs::{event, span, SpanKind};
 use minuet_sinfonia::MemNodeId;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tags identifying the proxy operation at the root of a trace
 /// ([`minuet_obs::Trace::op_tag`]).
@@ -131,22 +130,11 @@ pub struct Proxy {
     pub stats: ProxyStats,
 }
 
+/// One retry backoff, as a `Backoff` span around the stack's single
+/// jittered policy ([`minuet_sinfonia::backoff`]).
 pub(crate) fn backoff(attempt: usize) {
-    use std::cell::Cell;
-    thread_local! {
-        static SEED: Cell<u64> = const { Cell::new(0x9E3779B97F4A7C15) };
-    }
-    let ceil = 1u64 << attempt.min(8);
-    let j = SEED.with(|s| {
-        let mut x = s.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        s.set(x);
-        x % ceil
-    });
     let _backoff = span(SpanKind::Backoff);
-    std::thread::sleep(Duration::from_micros(1 + j));
+    minuet_sinfonia::backoff(attempt.min(u32::MAX as usize) as u32);
 }
 
 impl Proxy {

@@ -447,7 +447,9 @@ impl MinuetCluster {
         for t in 0..self.trees.len() as u32 {
             seed_tree_replicas(&self.sinfonia, self.layout(t), src, id)?;
         }
-        self.sinfonia.finish_join(id);
+        self.sinfonia
+            .finish_join(id)
+            .map_err(|u| Error::Unavailable(u.0))?;
         Ok(id)
     }
 

@@ -14,8 +14,7 @@
 //! * per-object sequence numbers with globally-unique ids (ABA-safe),
 //! * piggy-backed validation (read-only transactions can commit for free),
 //! * dirty reads that bypass the read set, with promotion-on-write,
-//! * replicated objects (read-any / write-all) for hot metadata,
-//! * a non-coherent per-proxy object cache.
+//! * replicated objects (read-any / write-all) for hot metadata.
 //!
 //! ```
 //! use minuet_sinfonia::{ClusterConfig, SinfoniaCluster, MemNodeId};
@@ -33,12 +32,10 @@
 //! tx.commit().unwrap();
 //! ```
 
-pub mod cache;
 pub mod epoch;
 pub mod object;
 pub mod txn;
 
-pub use cache::{CachedObj, ObjectCache};
 pub use epoch::{EpochConfig, EpochService};
 pub use object::{
     decode_obj, decode_obj_shared, encode_obj, ObjRef, ObjVal, ReplRef, SeqNo, OBJ_HEADER,

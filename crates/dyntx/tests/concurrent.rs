@@ -238,7 +238,7 @@ fn all_nodes_joining_fails_commit_with_no_ready_replica() {
         t.commit().unwrap();
     }
     for id in c.memnode_ids().collect::<Vec<_>>() {
-        c.node(id).set_joining(true);
+        c.node(id).set_joining(true).unwrap();
     }
 
     // The joining fence gates placement, not service: reads still work.
@@ -255,7 +255,7 @@ fn all_nodes_joining_fails_commit_with_no_ready_replica() {
         .expect("write-only repl transactions bind no compare replica");
 
     // One node finishing its join reopens the commit path.
-    c.node(MemNodeId(0)).set_joining(false);
+    c.node(MemNodeId(0)).set_joining(false).unwrap();
     let mut t = DynTx::new(&c);
     let v = u64::from_le_bytes(t.read_repl(r, MemNodeId(0)).unwrap().try_into().unwrap());
     assert_eq!(v, 3);

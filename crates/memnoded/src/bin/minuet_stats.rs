@@ -2,9 +2,11 @@
 //! dashboard of their observability plane.
 //!
 //! Each endpoint is polled over the ordinary wire protocol with three
-//! admin RPCs: `Stats` (the fixed `NodeStats` counters), `ObsSnapshot`
-//! (every registered counter and histogram), and `TraceDump` (recent or
-//! slow request traces recorded server-side).
+//! admin operations, all through the one `NodeRpc::admin` call: `Stats`
+//! (the fixed `NodeStats` counters), `ObsSnapshot` (every registered
+//! counter and histogram), and `TraceDump` (recent or slow request traces
+//! recorded server-side). A node that stops answering mid-poll is reported
+//! as unreachable, never rendered as a row of zeros.
 //!
 //! ```text
 //! minuet-stats tcp:127.0.0.1:7400 1@tcp:127.0.0.1:7401
@@ -134,7 +136,13 @@ fn poll(t: &Target, traces: u32, slow: bool) {
         println!("  unreachable: {e}");
         return;
     }
-    let s = t.node.node_stats();
+    let s = match t.node.node_stats() {
+        Ok(s) => s,
+        Err(e) => {
+            println!("  unreachable: {e}");
+            return;
+        }
+    };
     println!(
         "  ops: single_commits={} prepares={} commits={} aborts={} busy={} \
          fastpath={}/{} in_doubt={}",

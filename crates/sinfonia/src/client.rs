@@ -23,15 +23,14 @@ use crate::deadline::OpDeadline;
 use crate::lock::TxId;
 use crate::memnode::{ReplStatus, SingleResult, Unavailable, Vote};
 use crate::minitx::{LockPolicy, Shard};
-use crate::recovery::NodeMeta;
-use crate::rpc::{BatchItem, NodeRpc, NodeStats};
+use crate::rpc::{BatchItem, NodeRpc};
 use crate::transport::Transport;
 use crate::wire::{
-    encode_traced_request, split_reply_flags, Endpoint, FrameReader, NodeFlags, Request, Response,
-    Stream, WireBatchItem, WireShard, PROTO_VERSION,
+    encode_traced_request, split_reply_flags, AdminOp, AdminReply, Endpoint, FrameReader,
+    NodeFlags, Request, Response, Stream, WireBatchItem, WireShard, PROTO_VERSION,
 };
 use minuet_faults as faults;
-use minuet_obs::{absorb_spans, current_ctx, span, span_tagged, HistHandle, ObsSnapshot, SpanKind};
+use minuet_obs::{absorb_spans, current_ctx, span, span_tagged, HistHandle, SpanKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -473,48 +472,21 @@ impl RemoteNode {
         unreachable!("request retries exhausted without returning")
     }
 
-    /// Maps a response to `Result<T, Unavailable>`, treating server-side
-    /// errors (bounds violations, I/O failures) as unavailability after
-    /// logging them.
-    fn expect<T>(
-        &self,
-        resp: Result<Response, Unavailable>,
-        f: impl FnOnce(Response) -> Option<T>,
-    ) -> Result<T, Unavailable> {
+    /// What a reply this call cannot use comes to: the server's own
+    /// `Unavailable`, or — after being logged — unavailability as well, for
+    /// a server-side error (bounds violation, I/O failure) and for a reply
+    /// of the wrong kind.
+    fn unusable(&self, resp: &Response) -> Unavailable {
         match resp {
-            Ok(Response::Unavailable(id)) => Err(Unavailable(MemNodeId(id))),
-            Ok(Response::Error(msg)) => {
-                eprintln!("memnode {} RPC error: {msg}", self.id);
-                Err(Unavailable(self.id))
-            }
-            Ok(other) => f(other).ok_or_else(|| {
-                eprintln!("memnode {} sent a mismatched response type", self.id);
-                Unavailable(self.id)
-            }),
-            Err(u) => Err(u),
+            Response::Unavailable(id) => return Unavailable(MemNodeId(*id)),
+            Response::Error(msg) => eprintln!("memnode {} RPC error: {msg}", self.id),
+            other => eprintln!(
+                "memnode {} sent a mismatched response: {}",
+                self.id,
+                other.kind_name()
+            ),
         }
-    }
-
-    /// Admin: applies a fault-injection spec inside the server process
-    /// (`minuet_faults::apply_spec` grammar; `"clear"` disarms all).
-    /// Returns the number of failpoints armed on the server afterwards.
-    pub fn apply_faults(&self, spec: &str) -> Result<u32, Unavailable> {
-        let req = Request::Faults {
-            spec: spec.to_string(),
-        };
-        self.expect(self.request(&req), |r| match r {
-            Response::Faults { armed } => Some(armed),
-            _ => None,
-        })
-    }
-
-    /// Asks the server process to exit cleanly (used by orchestration and
-    /// the CI smoke test).
-    pub fn shutdown_server(&self) -> Result<(), Unavailable> {
-        self.expect(self.request(&Request::Shutdown), |r| match r {
-            Response::Unit => Some(()),
-            _ => None,
-        })
+        Unavailable(self.id)
     }
 
     /// Current flags, cache-first: a value refreshed during the current
@@ -532,13 +504,17 @@ impl RemoteNode {
             _ => self.last_known_flags(),
         }
     }
+}
 
-    fn stats_rpc(&self) -> Option<NodeStats> {
-        match self.request(&Request::Stats) {
-            Ok(Response::Stats(s)) => Some(s),
-            _ => None,
+/// One exchange whose reply must be the given [`Response`] variant.
+macro_rules! call {
+    ($node:ident, $req:expr, $reply:pat $(if $guard:expr)? => $out:expr) => {
+        match $node.request(&$req) {
+            Ok($reply) $(if $guard)? => Ok($out),
+            Ok(other) => Err($node.unusable(&other)),
+            Err(u) => Err(u),
         }
-    }
+    };
 }
 
 impl NodeRpc for RemoteNode {
@@ -568,10 +544,7 @@ impl NodeRpc for RemoteNode {
             policy,
             shard: WireShard::from_shard(shard),
         };
-        self.expect(self.request(&req), |r| match r {
-            Response::Single(s) => Some(s),
-            _ => None,
-        })
+        call!(self, req, Response::Single(s) => s)
     }
 
     fn exec_batch(
@@ -589,20 +562,13 @@ impl NodeRpc for RemoteNode {
                 })
                 .collect(),
         };
-        let fail = || vec![Err(Unavailable(self.id)); items.len()];
-        match self.request(&req) {
-            Ok(Response::Batch(members)) if members.len() == items.len() => members
+        let members = call!(self, req, Response::Batch(m) if m.len() == items.len() => m);
+        match members {
+            Ok(members) => members
                 .into_iter()
                 .map(|m| m.map_err(|id| Unavailable(MemNodeId(id))))
                 .collect(),
-            Ok(Response::Unavailable(id)) => {
-                vec![Err(Unavailable(MemNodeId(id))); items.len()]
-            }
-            Ok(Response::Error(msg)) => {
-                eprintln!("memnode {} batch RPC error: {msg}", self.id);
-                fail()
-            }
-            _ => fail(),
+            Err(u) => vec![Err(u); items.len()],
         }
     }
 
@@ -619,42 +585,50 @@ impl NodeRpc for RemoteNode {
             participants: participants.iter().map(|m| m.0).collect(),
             shard: WireShard::from_shard(shard),
         };
-        self.expect(self.request(&req), |r| match r {
-            Response::Vote(v) => Some(v),
-            _ => None,
-        })
+        call!(self, req, Response::Vote(v) => v)
     }
 
     fn commit(&self, txid: TxId) -> Result<(), Unavailable> {
-        self.expect(self.request(&Request::Commit { txid }), |r| match r {
-            Response::Unit => Some(()),
-            _ => None,
-        })
+        call!(self, Request::Commit { txid }, Response::Unit => ())
     }
 
     fn abort(&self, txid: TxId) -> Result<(), Unavailable> {
-        self.expect(self.request(&Request::Abort { txid }), |r| match r {
-            Response::Unit => Some(()),
-            _ => None,
-        })
+        call!(self, Request::Abort { txid }, Response::Unit => ())
     }
 
     fn raw_read(&self, off: u64, len: u32) -> Result<Bytes, Unavailable> {
-        self.expect(self.request(&Request::RawRead { off, len }), |r| match r {
-            Response::Data(b) => Some(b),
-            _ => None,
-        })
+        call!(self, Request::RawRead { off, len }, Response::Data(b) => b)
     }
 
     fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
-        let req = Request::RawWrite {
-            off,
-            data: Bytes::copy_from_slice(data),
-        };
-        self.expect(self.request(&req), |r| match r {
-            Response::Unit => Some(()),
-            _ => None,
-        })
+        let data = Bytes::copy_from_slice(data);
+        call!(self, Request::RawWrite { off, data }, Response::Unit => ())
+    }
+
+    fn epoch_mark(&self, epoch: u64, closing: bool) -> Result<u64, Unavailable> {
+        call!(self, Request::EpochMark { epoch, closing }, Response::Epoch(prev) => prev)
+    }
+
+    fn wal_fetch(&self, from: u64, max: u32) -> Result<crate::wal::WalSegment, Unavailable> {
+        call!(
+            self,
+            Request::ReplFetch { from, max },
+            Response::Frames { from, base, tail, bytes } => crate::wal::WalSegment {
+                from,
+                base,
+                tail,
+                bytes: bytes.to_vec(),
+            }
+        )
+    }
+
+    fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
+        let frames = Bytes::copy_from_slice(frames);
+        call!(self, Request::ReplApply { from, frames }, Response::ReplStatus(s) => s)
+    }
+
+    fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
+        call!(self, Request::ReplStatus, Response::ReplStatus(s) => s)
     }
 
     fn is_crashed(&self) -> bool {
@@ -680,29 +654,8 @@ impl NodeRpc for RemoteNode {
         self.flags().is_none_or(|f| f.joining)
     }
 
-    fn set_joining(&self, joining: bool) {
-        let _ = self.request(&Request::SetJoining(joining));
-    }
-
     fn is_retiring(&self) -> bool {
         self.flags().is_none_or(|f| f.retiring)
-    }
-
-    fn set_retiring(&self, retiring: bool) {
-        let _ = self.request(&Request::SetRetiring(retiring));
-    }
-
-    fn invalidate_cached_flags(&self) {
-        let mut c = self.flags_cache.lock();
-        c.epoch = c.epoch.wrapping_add(1);
-    }
-
-    fn crash(&self) {
-        let _ = self.request(&Request::Crash);
-    }
-
-    fn recover(&self) {
-        let _ = self.request(&Request::Recover);
     }
 
     fn occupy(&self, _d: Duration) {
@@ -710,111 +663,13 @@ impl NodeRpc for RemoteNode {
         // in-process instrument.
     }
 
-    fn in_doubt(&self) -> usize {
-        self.stats_rpc().map_or(0, |s| s.in_doubt as usize)
+    fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable> {
+        let resp = self.request(&Request::Admin(op))?;
+        resp.into_admin().map_err(|other| self.unusable(&other))
     }
 
-    fn node_meta(&self) -> NodeMeta {
-        match self.request(&Request::Meta) {
-            Ok(Response::Meta(m)) => m,
-            _ => NodeMeta::default(),
-        }
-    }
-
-    fn checkpoint(&self) -> io::Result<bool> {
-        match self.request(&Request::Checkpoint) {
-            Ok(Response::Bool(b)) => Ok(b),
-            Ok(Response::Error(msg)) => Err(io::Error::other(msg)),
-            _ => Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                format!("memnode {} unreachable", self.id),
-            )),
-        }
-    }
-
-    fn wal_retained_bytes(&self) -> u64 {
-        self.stats_rpc().map_or(0, |s| s.wal_retained_bytes)
-    }
-
-    fn node_stats(&self) -> NodeStats {
-        self.stats_rpc().unwrap_or_default()
-    }
-
-    fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
-        let req = Request::MirrorConsistent {
-            probe: probe.to_vec(),
-        };
-        matches!(self.request(&req), Ok(Response::Bool(true)))
-    }
-
-    fn obs_snapshot(&self) -> ObsSnapshot {
-        match self.request(&Request::ObsSnapshot) {
-            Ok(Response::Obs(b)) => ObsSnapshot::decode(&b).unwrap_or_default(),
-            _ => ObsSnapshot::default(),
-        }
-    }
-
-    fn trace_dump(&self, max: u32, slow: bool) -> Vec<minuet_obs::Trace> {
-        match self.request(&Request::TraceDump { max, slow }) {
-            Ok(Response::Traces(b)) => minuet_obs::Trace::decode_many(&b).unwrap_or_default(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn epoch_mark(&self, epoch: u64, closing: bool) -> Result<u64, Unavailable> {
-        let req = Request::EpochMark { epoch, closing };
-        self.expect(self.request(&req), |r| match r {
-            Response::Epoch(prev) => Some(prev),
-            _ => None,
-        })
-    }
-
-    fn wal_fetch(&self, from: u64, max: u32) -> Result<crate::wal::WalSegment, Unavailable> {
-        let req = Request::ReplFetch { from, max };
-        self.expect(self.request(&req), |r| match r {
-            Response::Frames {
-                from,
-                base,
-                tail,
-                bytes,
-            } => Some(crate::wal::WalSegment {
-                from,
-                base,
-                tail,
-                bytes: bytes.to_vec(),
-            }),
-            _ => None,
-        })
-    }
-
-    fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
-        let req = Request::ReplApply {
-            from,
-            frames: Bytes::copy_from_slice(frames),
-        };
-        self.expect(self.request(&req), wire_repl_status)
-    }
-
-    fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
-        self.expect(self.request(&Request::ReplStatus), wire_repl_status)
-    }
-}
-
-fn wire_repl_status(r: Response) -> Option<ReplStatus> {
-    match r {
-        Response::ReplStatus {
-            watermark,
-            applied_txid,
-            tail,
-            applies,
-            dup_skips,
-        } => Some(ReplStatus {
-            watermark,
-            applied_txid,
-            tail,
-            applies,
-            dup_skips,
-        }),
-        _ => None,
+    fn invalidate_cached_flags(&self) {
+        let mut c = self.flags_cache.lock();
+        c.epoch = c.epoch.wrapping_add(1);
     }
 }

@@ -3,9 +3,9 @@
 use crate::addr::MemNodeId;
 use crate::client::{RemoteNode, WireConfig};
 use crate::error::SinfoniaError;
-use crate::memnode::MemNode;
+use crate::memnode::{MemNode, Unavailable};
 use crate::minitx::{Minitransaction, Outcome};
-use crate::recovery::{self, NodeMeta, Resolution};
+use crate::recovery::{self, Resolution};
 use crate::rpc::{NodeHandle, NodeRpc};
 use crate::transport::Transport;
 use crate::wal::DurabilityConfig;
@@ -277,7 +277,7 @@ impl SinfoniaCluster {
         // count, or data migrated onto added nodes would be lost.
         let n = cfg.memnodes.max(recovery::discover_memnodes(&dir)?);
         let mut nodes = Vec::with_capacity(n);
-        let mut metas: Vec<NodeMeta> = Vec::with_capacity(n);
+        let mut metas = Vec::with_capacity(n);
         let mut max_txid = 0;
         for i in 0..n {
             let id = MemNodeId(i as u16);
@@ -290,7 +290,7 @@ impl SinfoniaCluster {
                 node.set_joining(true);
             }
             nodes.push(Arc::new(node) as NodeHandle);
-            metas.push(meta);
+            metas.push(Ok(meta));
             max_txid = max_txid.max(node_max);
         }
         let transport = Arc::new(
@@ -330,7 +330,10 @@ impl SinfoniaCluster {
                     std::thread::sleep(CHECKPOINT_POLL);
                     let snapshot: Vec<NodeHandle> = nodes.read().clone();
                     for node in &snapshot {
-                        if !node.is_crashed() && node.wal_retained_bytes() > threshold {
+                        // A node that cannot report its log size waits a round.
+                        if !node.is_crashed()
+                            && node.wal_retained_bytes().is_ok_and(|b| b > threshold)
+                        {
                             if let Err(e) = node.checkpoint() {
                                 eprintln!(
                                     "background checkpoint of memnode {} failed: {e}",
@@ -424,13 +427,14 @@ impl SinfoniaCluster {
     /// Clears a new memnode's `joining` state once its replicated-object
     /// replicas have been seeded (and removes the on-disk join marker
     /// when durable).
-    pub fn finish_join(&self, id: MemNodeId) {
+    pub fn finish_join(&self, id: MemNodeId) -> Result<(), Unavailable> {
         if let Some(dir) = self.cfg.durability.dir.as_ref() {
             let _ = std::fs::remove_file(recovery::join_marker_path(dir, id));
         }
         let node = self.node(id);
-        node.set_joining(false);
+        node.set_joining(false)?;
         node.invalidate_cached_flags();
+        Ok(())
     }
 
     /// The memnode currently in the `joining` state, if any — a join
@@ -460,13 +464,15 @@ impl SinfoniaCluster {
 
     /// Marks / clears the retiring state of a memnode (allocation
     /// placement steers away from retiring nodes; see the drain path).
-    pub fn set_retiring(&self, id: MemNodeId, retiring: bool) {
+    pub fn set_retiring(&self, id: MemNodeId, retiring: bool) -> Result<(), Unavailable> {
         let node = self.node(id);
-        node.set_retiring(retiring);
         // Membership transitions drop any client-side flag cache so the
         // next gate check re-learns the state instead of trusting a
-        // pre-transition epoch.
+        // pre-transition epoch — also when the transition's own outcome
+        // is unknown.
+        let set = node.set_retiring(retiring);
         node.invalidate_cached_flags();
+        set
     }
 
     /// Injects a modeled per-minitransaction-shard service time at every
@@ -548,16 +554,24 @@ impl SinfoniaCluster {
     /// phase is still in flight looks identical to an orphaned one and
     /// would be aborted out from under its (live) coordinator, breaking
     /// atomicity. `restart_from_disk` satisfies this by construction.
+    ///
+    /// A memnode that cannot be reached answers no metadata, and every
+    /// transaction it participates in stays in doubt (counted in
+    /// [`Resolution::unresolved`]) until a later pass can ask it.
     pub fn resolve_in_doubt(&self) -> Resolution {
-        let metas: Vec<NodeMeta> = self.nodes.read().iter().map(|n| n.node_meta()).collect();
+        let metas: Vec<_> = self.nodes.read().iter().map(|n| n.node_meta()).collect();
         recovery::resolve_in_doubt(self, &metas)
     }
 
     /// Aggregated durability counters (all zero when durability is off).
     pub fn durability_stats(&self) -> DurSnapshot {
         let mut s = DurSnapshot::default();
-        for node in self.nodes_snapshot().iter() {
-            let ns = node.node_stats();
+        // Best-effort: a node that cannot be reached contributes nothing.
+        for ns in self
+            .nodes_snapshot()
+            .iter()
+            .filter_map(|n| n.node_stats().ok())
+        {
             s.appends += ns.wal_appends;
             s.bytes += ns.wal_bytes;
             s.fsyncs += ns.wal_fsyncs;
@@ -634,8 +648,8 @@ mod tests {
         assert_eq!(c.node(MemNodeId(0)).raw_read(0, 1).unwrap(), vec![0]);
         assert_eq!(c.node(MemNodeId(1)).raw_read(4, 1).unwrap(), vec![0]);
         // No lingering locks.
-        assert_eq!(c.node(MemNodeId(0)).in_doubt(), 0);
-        assert_eq!(c.node(MemNodeId(1)).in_doubt(), 0);
+        assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(0));
+        assert_eq!(c.node(MemNodeId(1)).in_doubt(), Ok(0));
     }
 
     #[test]

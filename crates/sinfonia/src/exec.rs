@@ -22,7 +22,8 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Cheap thread-local xorshift for backoff jitter (no rand dependency in
-/// the hot path).
+/// the hot path). Seeded per thread, so contending retriers do not draw
+/// the same sequence and collide again in lock-step.
 fn jitter(bound: u64) -> u64 {
     use std::cell::Cell;
     thread_local! {
@@ -31,7 +32,6 @@ fn jitter(bound: u64) -> u64 {
     SEED.with(|s| {
         let mut x = s.get();
         if x == 0 {
-            // Seed from the thread id's hash and the clock.
             let tid = std::thread::current().id();
             let mut h = std::collections::hash_map::DefaultHasher::new();
             use std::hash::{Hash, Hasher};
@@ -62,9 +62,11 @@ fn deadline_exceeded(cluster: &SinfoniaCluster) -> SinfoniaError {
     SinfoniaError::DeadlineExceeded
 }
 
-fn backoff(attempt: u32) {
-    // 1µs .. ~256µs exponential with jitter; contention windows in the
-    // simulated cluster are short, so the ceiling stays low.
+/// Sleeps the retry backoff for the given attempt: 1µs .. ~256µs,
+/// exponential with per-thread jitter (contention windows in the cluster
+/// are short, so the ceiling stays low). The one backoff policy of the
+/// stack — the B-tree's optimistic retry loop sleeps here too.
+pub fn backoff(attempt: u32) {
     let exp = attempt.min(8);
     let ceil = 1u64 << exp;
     let us = 1 + jitter(ceil);
@@ -355,6 +357,16 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::transport::with_op_net;
     use std::sync::Arc;
+
+    /// Contending writers must not retry in lock-step: each thread draws
+    /// its own jitter sequence.
+    #[test]
+    fn jitter_sequences_differ_between_threads() {
+        let draws = || (0..8).map(|_| jitter(u64::MAX)).collect::<Vec<_>>();
+        let a = std::thread::spawn(draws).join().unwrap();
+        let b = std::thread::spawn(draws).join().unwrap();
+        assert_ne!(a, b);
+    }
 
     fn cluster(n: usize) -> Arc<SinfoniaCluster> {
         SinfoniaCluster::new(ClusterConfig {

@@ -78,6 +78,7 @@ pub use client::{RemoteNode, WireConfig};
 pub use cluster::{ClusterConfig, DurSnapshot, SinfoniaCluster, TransportMode};
 pub use deadline::OpDeadline;
 pub use error::SinfoniaError;
+pub use exec::backoff;
 pub use memnode::{MemNode, ReplStatus, Unavailable};
 pub use minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
 pub use recovery::Resolution;

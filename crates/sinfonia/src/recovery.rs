@@ -19,7 +19,7 @@ use crate::addr::MemNodeId;
 use crate::checkpoint;
 use crate::cluster::SinfoniaCluster;
 use crate::lock::TxId;
-use crate::memnode::PreparedTx;
+use crate::memnode::{PreparedTx, Unavailable};
 use crate::space::PagedSpace;
 use crate::wal::{parse_log, OwnedRecord};
 use std::collections::{HashMap, HashSet};
@@ -207,16 +207,32 @@ pub struct Resolution {
     pub committed: u64,
     /// In-doubt transactions driven to abort.
     pub aborted: u64,
+    /// In-doubt transactions left as they were, because a participant
+    /// could not be asked for its vote or told the decision. They stay
+    /// staged (and hold their locks) until a later pass reaches everyone.
+    pub unresolved: u64,
 }
 
 /// Coordinator-side resolution of in-doubt transactions after a restart.
-/// Applies the decision at every participant through the normal
+/// `metas[i]` is what memnode `i` answered when asked for its recovery
+/// metadata. Applies the decision at every participant through the normal
 /// commit/abort entry points (which log it), so resolution itself is
-/// crash-safe.
-pub fn resolve_in_doubt(cluster: &SinfoniaCluster, metas: &[NodeMeta]) -> Resolution {
-    // Union of in-doubt transactions across nodes.
+/// crash-safe — and re-runnable: a pass that could not finish a
+/// transaction leaves it for the next one.
+///
+/// A participant that could not be reached has not voted no; it has not
+/// answered. Nothing is decided for a transaction until every participant
+/// has: aborting on the strength of a missing answer would undo, at the
+/// reachable participants, a transaction the missing one may have
+/// committed.
+pub fn resolve_in_doubt(
+    cluster: &SinfoniaCluster,
+    metas: &[Result<NodeMeta, Unavailable>],
+) -> Resolution {
+    let meta_of = |p: &MemNodeId| metas.get(p.index()).and_then(|m| m.as_ref().ok());
+    // Union of in-doubt transactions across the nodes that answered.
     let mut in_doubt: HashMap<TxId, Vec<MemNodeId>> = HashMap::new();
-    for meta in metas {
+    for meta in metas.iter().flatten() {
         for (txid, participants) in &meta.staged {
             in_doubt
                 .entry(*txid)
@@ -229,17 +245,24 @@ pub fn resolve_in_doubt(cluster: &SinfoniaCluster, metas: &[NodeMeta]) -> Resolu
     let mut res = Resolution::default();
     for txid in txids {
         let participants = &in_doubt[&txid];
+        if participants
+            .iter()
+            .any(|p| matches!(metas.get(p.index()), Some(Err(_))))
+        {
+            res.unresolved += 1;
+            continue;
+        }
         let all_voted_yes = participants.iter().all(|p| {
-            metas
-                .get(p.index())
-                .is_some_and(|m| m.staged.contains_key(&txid) || m.decided.contains(&txid))
+            meta_of(p).is_some_and(|m| m.staged.contains_key(&txid) || m.decided.contains(&txid))
         });
-        let any_committed = participants.iter().any(|p| {
-            metas
-                .get(p.index())
-                .is_some_and(|m| m.decided.contains(&txid))
-        });
+        let any_committed = participants
+            .iter()
+            .any(|p| meta_of(p).is_some_and(|m| m.decided.contains(&txid)));
         let commit = any_committed || all_voted_yes;
+        // Tell everyone, even past a participant that has become
+        // unreachable since it answered: the decision is made, and the
+        // next pass re-derives it from those that heard it.
+        let mut delivered = true;
         for p in participants {
             let node = cluster.node(*p);
             let outcome = if commit {
@@ -247,12 +270,12 @@ pub fn resolve_in_doubt(cluster: &SinfoniaCluster, metas: &[NodeMeta]) -> Resolu
             } else {
                 node.abort(txid)
             };
-            outcome.expect("recovered node unavailable during resolution");
+            delivered &= outcome.is_ok();
         }
-        if commit {
-            res.committed += 1;
-        } else {
-            res.aborted += 1;
+        match (delivered, commit) {
+            (false, _) => res.unresolved += 1,
+            (true, true) => res.committed += 1,
+            (true, false) => res.aborted += 1,
         }
     }
     res

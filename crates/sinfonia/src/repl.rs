@@ -231,7 +231,7 @@ mod tests {
         assert!(follower.wait_replicated(&token, Duration::from_secs(5)));
         // All decisions arrived: nothing staged, data visible.
         for id in [MemNodeId(0), MemNodeId(1)] {
-            assert_eq!(follower.node(id).in_doubt(), 0);
+            assert_eq!(follower.node(id).in_doubt(), Ok(0));
         }
         assert_eq!(
             follower.node(MemNodeId(0)).raw_read(0, 8).unwrap(),

@@ -1,4 +1,4 @@
-//! The memnode RPC surface as an object-safe trait.
+//! The one seam between a coordinator and a memnode.
 //!
 //! [`NodeRpc`] abstracts "a memnode the coordinator can talk to": the
 //! in-process [`MemNode`] implements it directly (an RPC is a function
@@ -8,6 +8,19 @@
 //! whole coordinator stack — minitransaction execution, recovery,
 //! migration fencing, the B-tree above — runs unchanged in either mode;
 //! [`crate::cluster::ClusterConfig::transport`] is the only switch.
+//!
+//! The trait has two parts. The **data plane** is what Sinfonia draws as
+//! one arrow: minitransaction execution, the two-phase decisions, raw
+//! bootstrap access, log shipping, and the three hot flag reads — each a
+//! required method, each with a [`crate::wire::Request`] row of its own.
+//! Everything else a memnode can be asked — fences, crash hooks,
+//! checkpoints, counters, traces, fault specs — is an [`AdminOp`] through
+//! the single fallible [`NodeRpc::admin`], implemented exactly once (by
+//! [`MemNode`]); the wire client forwards it and the server hands it
+//! straight back to the memnode. The typed conveniences below
+//! ([`NodeRpc::checkpoint`], [`NodeRpc::node_stats`], …) are provided
+//! methods written once in terms of `admin`, and each says what it does
+//! when the node cannot be reached.
 
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
@@ -16,6 +29,9 @@ use crate::memnode::{MemNode, ReplStatus, SingleResult, Unavailable, Vote};
 use crate::minitx::{LockPolicy, Shard};
 use crate::recovery::NodeMeta;
 use crate::wal::WalSegment;
+pub use crate::wire::{AdminOp, AdminReply};
+use minuet_faults as faults;
+use minuet_obs::{ObsSnapshot, Trace};
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -74,12 +90,34 @@ pub struct NodeStats {
     pub durable: bool,
 }
 
+/// Runs `op` and picks the expected reply out of the answer. A failure
+/// the node itself reports ([`AdminReply::Error`]) is logged and, like a
+/// reply of the wrong kind, surfaces as [`Unavailable`]: either way the
+/// caller did not get what it asked this node for.
+fn admin_as<N: NodeRpc + ?Sized, T>(
+    node: &N,
+    op: AdminOp,
+    pick: impl FnOnce(AdminReply) -> Option<T>,
+) -> Result<T, Unavailable> {
+    match node.admin(op)? {
+        AdminReply::Error(msg) => {
+            eprintln!("memnode {} admin error: {msg}", node.id());
+            Err(Unavailable(node.id()))
+        }
+        reply => pick(reply).ok_or(Unavailable(node.id())),
+    }
+}
+
+fn ack(reply: AdminReply) -> Option<()> {
+    matches!(reply, AdminReply::Unit).then_some(())
+}
+
 /// The full memnode surface a coordinator uses, object-safe so local and
 /// wire-backed nodes are interchangeable behind [`NodeHandle`].
 ///
-/// Error convention: data-plane calls return [`Unavailable`] when the
-/// node is crashed **or unreachable** — a dead connection and a dead
-/// process are indistinguishable to a client, and the execution layer's
+/// Error convention: calls return [`Unavailable`] when the node is crashed
+/// **or unreachable** — a dead connection and a dead process are
+/// indistinguishable to a client, and the execution layer's
 /// retry/recovery machinery treats them identically.
 pub trait NodeRpc: Send + Sync {
     /// This node's id.
@@ -139,69 +177,6 @@ pub trait NodeRpc: Send + Sync {
     /// Raw bootstrap write.
     fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable>;
 
-    /// True if the node is currently crashed (or unreachable).
-    fn is_crashed(&self) -> bool;
-
-    /// True while the node's elastic join is in progress.
-    fn is_joining(&self) -> bool;
-
-    /// Sets / clears the joining fence.
-    fn set_joining(&self, joining: bool);
-
-    /// True while the node is draining for decommissioning.
-    fn is_retiring(&self) -> bool;
-
-    /// Sets / clears the retiring fence.
-    fn set_retiring(&self, retiring: bool);
-
-    /// Drops any client-side cache of this node's crashed/joining/retiring
-    /// flags, forcing the next check to re-learn them (membership-gate
-    /// transitions call this). In-process handles read the live atomics
-    /// directly and have nothing to drop.
-    fn invalidate_cached_flags(&self) {}
-
-    /// Injects a crash (volatile state dropped).
-    fn crash(&self);
-
-    /// Recovers from the mirror / disk.
-    fn recover(&self);
-
-    /// Models one server's occupancy for an injected service time. Remote
-    /// nodes ignore this: their service time is real.
-    fn occupy(&self, d: Duration);
-
-    /// Number of currently prepared (in-doubt) transactions.
-    fn in_doubt(&self) -> usize;
-
-    /// Recovery metadata for in-doubt resolution.
-    fn node_meta(&self) -> NodeMeta;
-
-    /// Takes a checkpoint; `Ok(false)` when skipped.
-    fn checkpoint(&self) -> io::Result<bool>;
-
-    /// Bytes currently retained in the redo log.
-    fn wal_retained_bytes(&self) -> u64;
-
-    /// Owned snapshot of the node's counters.
-    fn node_stats(&self) -> NodeStats;
-
-    /// Compares primary and backup images over the probe ranges (test
-    /// support).
-    fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool;
-
-    /// Point-in-time snapshot of every metric the node's observability
-    /// plane registers (`memnode.*`, `wal.*`, …). Default: empty, for
-    /// handles with no plane.
-    fn obs_snapshot(&self) -> minuet_obs::ObsSnapshot {
-        minuet_obs::ObsSnapshot::default()
-    }
-
-    /// Recent traces from the node's ring buffer (the slow-op buffer when
-    /// `slow`), oldest first. Default: empty.
-    fn trace_dump(&self, _max: u32, _slow: bool) -> Vec<minuet_obs::Trace> {
-        Vec::new()
-    }
-
     /// Records an epoch announcement (forward-only register); returns the
     /// register's value before the mark. Advisory — see
     /// [`MemNode::epoch_mark`].
@@ -220,9 +195,150 @@ pub trait NodeRpc: Send + Sync {
     /// This node's replication status (watermark / applied txid / tail).
     fn repl_status(&self) -> Result<ReplStatus, Unavailable>;
 
+    /// True if the node is currently crashed (or unreachable).
+    fn is_crashed(&self) -> bool;
+
+    /// True while the node's elastic join is in progress.
+    fn is_joining(&self) -> bool;
+
+    /// True while the node is draining for decommissioning.
+    fn is_retiring(&self) -> bool;
+
+    /// Models one server's occupancy for an injected service time. Remote
+    /// nodes ignore this: their service time is real.
+    fn occupy(&self, d: Duration);
+
+    /// Performs one admin operation at the node. The single entry point
+    /// for everything off the data plane, and fallible like the rest of
+    /// it: an unreachable node answers [`Unavailable`], never a default.
+    /// A failure of the operation itself, at a node that was reached,
+    /// comes back as `Ok(`[`AdminReply::Error`]`)`.
+    fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable>;
+
+    /// Drops any client-side cache of this node's crashed/joining/retiring
+    /// flags, forcing the next check to re-learn them (membership-gate
+    /// transitions call this). In-process handles read the live atomics
+    /// directly and have nothing to drop.
+    fn invalidate_cached_flags(&self) {}
+
     /// Downcast to the in-process memnode, when this handle is local.
     fn as_local(&self) -> Option<&MemNode> {
         None
+    }
+
+    // -- Typed conveniences over `admin`, each written once, here. --
+
+    /// Sets / clears the joining fence.
+    fn set_joining(&self, joining: bool) -> Result<(), Unavailable> {
+        admin_as(self, AdminOp::SetJoining(joining), ack)
+    }
+
+    /// Sets / clears the retiring fence.
+    fn set_retiring(&self, retiring: bool) -> Result<(), Unavailable> {
+        admin_as(self, AdminOp::SetRetiring(retiring), ack)
+    }
+
+    /// Injects a crash (volatile state dropped). Best-effort: a node that
+    /// cannot be reached is as crashed as this can make it.
+    fn crash(&self) {
+        let _ = self.admin(AdminOp::Crash);
+    }
+
+    /// Recovers from the mirror / disk. Best-effort: if the request does
+    /// not arrive the node stays crashed, which every later call reports.
+    fn recover(&self) {
+        let _ = self.admin(AdminOp::Recover);
+    }
+
+    /// Takes a checkpoint; `Ok(false)` when skipped. `Unavailable` and a
+    /// checkpoint that failed at the node are both errors, the latter
+    /// with the node's message.
+    fn checkpoint(&self) -> io::Result<bool> {
+        match self.admin(AdminOp::Checkpoint) {
+            Ok(AdminReply::Bool(took)) => Ok(took),
+            Ok(AdminReply::Error(msg)) => Err(io::Error::other(msg)),
+            Ok(other) => Err(io::Error::other(format!(
+                "memnode {} answered a checkpoint with {}",
+                self.id(),
+                other.kind_name()
+            ))),
+            Err(u) => Err(io::Error::new(io::ErrorKind::ConnectionAborted, u)),
+        }
+    }
+
+    /// Owned snapshot of the node's counters.
+    fn node_stats(&self) -> Result<NodeStats, Unavailable> {
+        admin_as(self, AdminOp::Stats, |r| match r {
+            AdminReply::Stats(s) => Some(s),
+            _ => None,
+        })
+    }
+
+    /// Number of currently prepared (in-doubt) transactions.
+    fn in_doubt(&self) -> Result<usize, Unavailable> {
+        Ok(self.node_stats()?.in_doubt as usize)
+    }
+
+    /// Bytes currently retained in the redo log.
+    fn wal_retained_bytes(&self) -> Result<u64, Unavailable> {
+        Ok(self.node_stats()?.wal_retained_bytes)
+    }
+
+    /// Recovery metadata for in-doubt resolution. Fallible on purpose: an
+    /// unreachable participant has not "voted no", it has not answered.
+    fn node_meta(&self) -> Result<NodeMeta, Unavailable> {
+        admin_as(self, AdminOp::Meta, |r| match r {
+            AdminReply::Meta(m) => Some(m),
+            _ => None,
+        })
+    }
+
+    /// Compares primary and backup images over the probe ranges (test
+    /// support). False when the node cannot be reached: consistency that
+    /// was not observed is not reported.
+    fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
+        let probe = probe.to_vec();
+        matches!(
+            self.admin(AdminOp::MirrorConsistent { probe }),
+            Ok(AdminReply::Bool(true))
+        )
+    }
+
+    /// Point-in-time snapshot of every metric the node's observability
+    /// plane registers (`memnode.*`, `wal.*`, …). Best-effort: empty when
+    /// the node cannot be reached — observability never fails its caller.
+    fn obs_snapshot(&self) -> ObsSnapshot {
+        match self.admin(AdminOp::ObsSnapshot) {
+            Ok(AdminReply::Obs(b)) => ObsSnapshot::decode(&b).unwrap_or_default(),
+            _ => ObsSnapshot::default(),
+        }
+    }
+
+    /// Recent traces from the node's ring buffer (the slow-op buffer when
+    /// `slow`), oldest first. Best-effort, like [`NodeRpc::obs_snapshot`].
+    fn trace_dump(&self, max: u32, slow: bool) -> Vec<Trace> {
+        match self.admin(AdminOp::TraceDump { max, slow }) {
+            Ok(AdminReply::Traces(b)) => Trace::decode_many(&b).unwrap_or_default(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Applies a fault-injection spec inside the node's process
+    /// (`minuet_faults::apply_spec` grammar; `"clear"` disarms all).
+    /// Returns the number of failpoints armed there afterwards; a spec the
+    /// node rejects is an error.
+    fn apply_faults(&self, spec: &str) -> Result<u32, Unavailable> {
+        let spec = spec.to_string();
+        admin_as(self, AdminOp::Faults { spec }, |r| match r {
+            AdminReply::Faults { armed } => Some(armed),
+            _ => None,
+        })
+    }
+
+    /// Asks the process serving this node to exit cleanly (orchestration
+    /// and the CI smoke test). A no-op on an in-process node.
+    fn shutdown_server(&self) -> Result<(), Unavailable> {
+        admin_as(self, AdminOp::Shutdown, ack)
     }
 }
 
@@ -270,6 +386,22 @@ impl NodeRpc for MemNode {
         MemNode::raw_write(self, off, data)
     }
 
+    fn epoch_mark(&self, epoch: u64, closing: bool) -> Result<u64, Unavailable> {
+        MemNode::epoch_mark(self, epoch, closing)
+    }
+
+    fn wal_fetch(&self, from: u64, max: u32) -> Result<WalSegment, Unavailable> {
+        MemNode::wal_fetch(self, from, max)
+    }
+
+    fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
+        MemNode::repl_apply(self, from, frames)
+    }
+
+    fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
+        MemNode::repl_status(self)
+    }
+
     fn is_crashed(&self) -> bool {
         MemNode::is_crashed(self)
     }
@@ -278,47 +410,76 @@ impl NodeRpc for MemNode {
         MemNode::is_joining(self)
     }
 
-    fn set_joining(&self, joining: bool) {
-        MemNode::set_joining(self, joining)
-    }
-
     fn is_retiring(&self) -> bool {
         MemNode::is_retiring(self)
-    }
-
-    fn set_retiring(&self, retiring: bool) {
-        MemNode::set_retiring(self, retiring)
-    }
-
-    fn crash(&self) {
-        MemNode::crash(self)
-    }
-
-    fn recover(&self) {
-        MemNode::recover(self)
     }
 
     fn occupy(&self, d: Duration) {
         MemNode::occupy(self, d)
     }
 
-    fn in_doubt(&self) -> usize {
-        MemNode::in_doubt(self)
+    /// The one implementation of every admin operation. It answers in any
+    /// state — a crashed node still reports its counters and can be told
+    /// to recover — except for `Meta`: what a crashed node staged is
+    /// unknown until it recovers, and saying "nothing" would read as a no
+    /// vote.
+    fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable> {
+        Ok(match op {
+            AdminOp::SetJoining(joining) => {
+                self.set_joining(joining);
+                AdminReply::Unit
+            }
+            AdminOp::SetRetiring(retiring) => {
+                self.set_retiring(retiring);
+                AdminReply::Unit
+            }
+            AdminOp::Crash => {
+                self.crash();
+                AdminReply::Unit
+            }
+            AdminOp::Recover => {
+                self.recover();
+                AdminReply::Unit
+            }
+            AdminOp::Checkpoint => match self.checkpoint() {
+                Ok(took) => AdminReply::Bool(took),
+                Err(e) => AdminReply::Error(format!("checkpoint failed: {e}")),
+            },
+            AdminOp::Stats => AdminReply::Stats(self.counters()),
+            AdminOp::Meta if self.is_crashed() => return Err(Unavailable(self.id)),
+            AdminOp::Meta => AdminReply::Meta(self.node_meta()),
+            AdminOp::MirrorConsistent { probe } => AdminReply::Bool(self.mirror_consistent(&probe)),
+            // Exiting is the serving process's business (see
+            // `server::serve_conn`); the memnode only acknowledges.
+            AdminOp::Shutdown => AdminReply::Unit,
+            AdminOp::ObsSnapshot => {
+                AdminReply::Obs(Bytes::from(self.obs.registry.snapshot().encode()))
+            }
+            AdminOp::TraceDump { max, slow } => {
+                let traces = if slow {
+                    self.obs.slow(max as usize)
+                } else {
+                    self.obs.recent(max as usize)
+                };
+                AdminReply::Traces(Bytes::from(Trace::encode_many(&traces)))
+            }
+            AdminOp::Faults { spec } => match faults::apply_spec(&spec) {
+                Ok(_) => AdminReply::Faults {
+                    armed: faults::armed_count(),
+                },
+                Err(e) => AdminReply::Error(format!("bad faults spec: {e}")),
+            },
+        })
     }
 
-    fn node_meta(&self) -> NodeMeta {
-        MemNode::node_meta(self)
+    fn as_local(&self) -> Option<&MemNode> {
+        Some(self)
     }
+}
 
-    fn checkpoint(&self) -> io::Result<bool> {
-        MemNode::checkpoint(self)
-    }
-
-    fn wal_retained_bytes(&self) -> u64 {
-        MemNode::wal_retained_bytes(self)
-    }
-
-    fn node_stats(&self) -> NodeStats {
+impl MemNode {
+    /// Owned snapshot of this node's operation and durability counters.
+    fn counters(&self) -> NodeStats {
         let s = &self.stats;
         let (wal_appends, wal_bytes, wal_fsyncs) =
             self.wal_stats().map_or((0, 0, 0), |w| w.snapshot());
@@ -337,44 +498,8 @@ impl NodeRpc for MemNode {
             wal_bytes,
             wal_fsyncs,
             checkpoints: self.checkpoint_count(),
-            wal_retained_bytes: MemNode::wal_retained_bytes(self),
+            wal_retained_bytes: self.wal_retained_bytes(),
             durable: self.is_durable(),
         }
-    }
-
-    fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
-        MemNode::mirror_consistent(self, probe)
-    }
-
-    fn obs_snapshot(&self) -> minuet_obs::ObsSnapshot {
-        self.obs.registry.snapshot()
-    }
-
-    fn trace_dump(&self, max: u32, slow: bool) -> Vec<minuet_obs::Trace> {
-        if slow {
-            self.obs.slow(max as usize)
-        } else {
-            self.obs.recent(max as usize)
-        }
-    }
-
-    fn epoch_mark(&self, epoch: u64, closing: bool) -> Result<u64, Unavailable> {
-        MemNode::epoch_mark(self, epoch, closing)
-    }
-
-    fn wal_fetch(&self, from: u64, max: u32) -> Result<WalSegment, Unavailable> {
-        MemNode::wal_fetch(self, from, max)
-    }
-
-    fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
-        MemNode::repl_apply(self, from, frames)
-    }
-
-    fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
-        MemNode::repl_status(self)
-    }
-
-    fn as_local(&self) -> Option<&MemNode> {
-        Some(self)
     }
 }

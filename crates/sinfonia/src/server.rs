@@ -17,12 +17,12 @@
 
 use crate::addr::{ItemRange, MemNodeId};
 use crate::bytes::Bytes;
-use crate::memnode::MemNode;
+use crate::memnode::{MemNode, Unavailable};
 use crate::minitx::{CompareItem, ReadItem, Shard, WriteItem};
 use crate::rpc::NodeRpc;
 use crate::wire::{
-    encode_response_payload, seal_reply, seal_traced_reply, Endpoint, FrameReader, Listener,
-    NodeFlags, Request, Response, Stream, WireShard, PROTO_VERSION,
+    encode_response_payload, seal_reply, seal_traced_reply, AdminOp, Endpoint, FrameReader,
+    Listener, NodeFlags, Request, Response, Stream, WireShard, PROTO_VERSION,
 };
 use minuet_faults as faults;
 use minuet_obs::{note, span, with_server_trace, SpanKind, Trace};
@@ -61,7 +61,7 @@ struct Shared {
     /// Set to stop accepting; in-flight connections finish their current
     /// request loop and exit on the next read error.
     stop: AtomicBool,
-    /// Set by a [`Request::Shutdown`]; [`MemNodeServer::wait`] returns.
+    /// Set by an [`AdminOp::Shutdown`]; [`MemNodeServer::wait`] returns.
     shutdown_requested: AtomicBool,
     /// Active connection count, guarding the bounded pool.
     active: Mutex<usize>,
@@ -155,7 +155,7 @@ impl MemNodeServer {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// Blocks until a client sends [`Request::Shutdown`] (the daemon
+    /// Blocks until a client sends [`AdminOp::Shutdown`] (the daemon
     /// main-thread parking spot).
     pub fn wait(&self) {
         let mut active = self.shared.active.lock();
@@ -253,10 +253,12 @@ fn serve_conn(conn: Stream, shared: Arc<Shared>) {
             }
         };
         let decode_ns = decode_t0.elapsed().as_nanos() as u64;
+        // The one request the server itself acts on, once the memnode
+        // has acknowledged it.
+        let asks_exit = |r: &Request| matches!(r, Request::Admin(AdminOp::Shutdown));
         let is_shutdown = match &req {
-            Request::Shutdown => true,
-            Request::Traced { inner, .. } => matches!(**inner, Request::Shutdown),
-            _ => false,
+            Request::Traced { inner, .. } => asks_exit(inner),
+            plain => asks_exit(plain),
         };
         let frame = if let Request::Traced { trace_id, inner } = req {
             // Traced envelope: arm a server-side trace around dispatch so
@@ -446,6 +448,15 @@ fn check_extent(node: &MemNode, extent: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Turns a memnode call's outcome into its reply: `ok` builds the success
+/// message, a crashed node answers [`Response::Unavailable`].
+fn reply<T>(outcome: Result<T, Unavailable>, ok: impl FnOnce(T) -> Response) -> Response {
+    match outcome {
+        Ok(v) => ok(v),
+        Err(u) => Response::Unavailable(u.0 .0),
+    }
+}
+
 fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
     match req {
         Request::Hello { version } => {
@@ -469,10 +480,10 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
                 return Response::Error(e);
             }
             let holder = ShardHolder::from_wire(node.id, &shard);
-            match node.exec_single(txid, &holder.shard(), policy) {
-                Ok(r) => Response::Single(r),
-                Err(u) => Response::Unavailable(u.0 .0),
-            }
+            reply(
+                node.exec_single(txid, &holder.shard(), policy),
+                Response::Single,
+            )
         }
         Request::ExecBatch { items } => {
             for it in &items {
@@ -484,10 +495,8 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
                 .iter()
                 .map(|it| {
                     let holder = ShardHolder::from_wire(node.id, &it.shard);
-                    match node.exec_single(it.txid, &holder.shard(), it.policy) {
-                        Ok(r) => Ok(r),
-                        Err(u) => Err(u.0 .0),
-                    }
+                    node.exec_single(it.txid, &holder.shard(), it.policy)
+                        .map_err(|u| u.0 .0)
                 })
                 .collect();
             Response::Batch(members)
@@ -503,111 +512,47 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             }
             let holder = ShardHolder::from_wire(node.id, &shard);
             let participants: Vec<MemNodeId> = participants.into_iter().map(MemNodeId).collect();
-            match node.prepare(txid, &holder.shard(), policy, &participants) {
-                Ok(v) => Response::Vote(v),
-                Err(u) => Response::Unavailable(u.0 .0),
-            }
+            reply(
+                node.prepare(txid, &holder.shard(), policy, &participants),
+                Response::Vote,
+            )
         }
-        Request::Commit { txid } => match node.commit(txid) {
-            Ok(()) => Response::Unit,
-            Err(u) => Response::Unavailable(u.0 .0),
-        },
-        Request::Abort { txid } => match node.abort(txid) {
-            Ok(()) => Response::Unit,
-            Err(u) => Response::Unavailable(u.0 .0),
-        },
+        Request::Commit { txid } => reply(node.commit(txid), |()| Response::Unit),
+        Request::Abort { txid } => reply(node.abort(txid), |()| Response::Unit),
         Request::RawRead { off, len } => {
             if let Err(e) = check_extent(node, off.saturating_add(len as u64)) {
                 return Response::Error(e);
             }
-            match node.raw_read(off, len) {
-                Ok(b) => Response::Data(b),
-                Err(u) => Response::Unavailable(u.0 .0),
-            }
+            reply(node.raw_read(off, len), Response::Data)
         }
         Request::RawWrite { off, data } => {
             if let Err(e) = check_extent(node, off.saturating_add(data.len() as u64)) {
                 return Response::Error(e);
             }
-            match node.raw_write(off, &data) {
-                Ok(()) => Response::Unit,
-                Err(u) => Response::Unavailable(u.0 .0),
-            }
+            reply(node.raw_write(off, &data), |()| Response::Unit)
         }
-        Request::SetJoining(j) => {
-            node.set_joining(j);
-            Response::Unit
-        }
-        Request::SetRetiring(r) => {
-            node.set_retiring(r);
-            Response::Unit
-        }
-        Request::Crash => {
-            node.crash();
-            Response::Unit
-        }
-        Request::Recover => {
-            node.recover();
-            Response::Unit
-        }
-        Request::Checkpoint => match node.checkpoint() {
-            Ok(took) => Response::Bool(took),
-            Err(e) => Response::Error(format!("checkpoint failed: {e}")),
-        },
-        Request::Stats => Response::Stats(NodeRpc::node_stats(node.as_ref())),
         Request::Flags => Response::Flags(node_flags(node)),
-        Request::Meta => Response::Meta(node.node_meta()),
-        Request::MirrorConsistent { probe } => Response::Bool(node.mirror_consistent(&probe)),
-        Request::Shutdown => Response::Unit,
         // Traced envelopes are normally unwrapped in `serve_conn` (which
         // arms the server trace); an envelope reaching here — e.g. via the
         // in-process `NodeRpc` path — just dispatches its inner request.
         Request::Traced { inner, .. } => dispatch(node, *inner),
-        Request::ObsSnapshot => Response::Obs(Bytes::from(node.obs.registry.snapshot().encode())),
-        Request::TraceDump { max, slow } => {
-            let traces = if slow {
-                node.obs.slow(max as usize)
-            } else {
-                node.obs.recent(max as usize)
-            };
-            Response::Traces(Bytes::from(Trace::encode_many(&traces)))
+        Request::EpochMark { epoch, closing } => {
+            reply(node.epoch_mark(epoch, closing), Response::Epoch)
         }
-        Request::EpochMark { epoch, closing } => match node.epoch_mark(epoch, closing) {
-            Ok(prev) => Response::Epoch(prev),
-            Err(u) => Response::Unavailable(u.0 .0),
-        },
-        Request::ReplFetch { from, max } => match node.wal_fetch(from, max) {
-            Ok(seg) => Response::Frames {
+        Request::ReplFetch { from, max } => {
+            reply(node.wal_fetch(from, max), |seg| Response::Frames {
                 from: seg.from,
                 base: seg.base,
                 tail: seg.tail,
                 bytes: Bytes::from(seg.bytes),
-            },
-            Err(u) => Response::Unavailable(u.0 .0),
-        },
-        Request::ReplApply { from, frames } => match node.repl_apply(from, &frames) {
-            Ok(s) => repl_status_response(s),
-            Err(u) => Response::Unavailable(u.0 .0),
-        },
-        Request::ReplStatus => match node.repl_status() {
-            Ok(s) => repl_status_response(s),
-            Err(u) => Response::Unavailable(u.0 .0),
-        },
-        Request::Faults { spec } => match faults::apply_spec(&spec) {
-            Ok(_) => Response::Faults {
-                armed: faults::armed_count(),
-            },
-            Err(e) => Response::Error(format!("bad faults spec: {e}")),
-        },
-    }
-}
-
-fn repl_status_response(s: crate::memnode::ReplStatus) -> Response {
-    Response::ReplStatus {
-        watermark: s.watermark,
-        applied_txid: s.applied_txid,
-        tail: s.tail,
-        applies: s.applies,
-        dup_skips: s.dup_skips,
+            })
+        }
+        Request::ReplApply { from, frames } => {
+            reply(node.repl_apply(from, &frames), Response::ReplStatus)
+        }
+        Request::ReplStatus => reply(node.repl_status(), Response::ReplStatus),
+        // Every admin operation, whatever it is: the memnode implements
+        // them, this only carries the call across.
+        Request::Admin(op) => reply(node.admin(op), Response::Admin),
     }
 }

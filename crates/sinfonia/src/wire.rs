@@ -6,6 +6,19 @@
 //! the same style as the redo-log records, so the two on-disk/on-wire
 //! formats stay mutually legible.
 //!
+//! The codec is written **per field type, not per message**. A private
+//! `Wire` trait says once how a `u64`, a `Bytes`, a `Vec<T>`, a
+//! [`WireShard`] or a [`NodeStats`] travels; each direction's messages are
+//! then one table (`messages!`), one row per message — tag byte, tag
+//! constant, kind name, variant and fields — from which the enum, the
+//! [`tag`] constants, `kind_name`, `tag_byte`, the encoder and the decoder
+//! are all generated. A message is its tag byte followed by its fields in
+//! row order. There are four tables: [`Request`] and [`Response`] for the
+//! data plane, [`AdminOp`] and [`AdminReply`] for everything else; the
+//! admin tables are grouped under `Request::Admin` / `Response::Admin` in
+//! Rust only — on the wire an admin message is an ordinary message with
+//! its own tag.
+//!
 //! Decoding is **total**: every malformed input (torn frame, truncated
 //! length, bit flip, bad tag) surfaces as a [`WireError`], never a panic,
 //! and never an allocation sized by an unverified field: frames are capped
@@ -21,15 +34,15 @@
 //! The module is std-only: plain blocking TCP / Unix-domain sockets, no
 //! async runtime. [`Endpoint`] names a listening address in either family.
 
+use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::lock::TxId;
-use crate::memnode::{SingleResult, Vote};
+use crate::memnode::{ReplStatus, SingleResult, Vote};
 use crate::minitx::LockPolicy;
 use crate::recovery::NodeMeta;
 use crate::rpc::NodeStats;
 use crate::wal::crc32;
 use minuet_obs::SpanRecord;
-use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -442,19 +455,25 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Bytes, usize), WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Cursor (bounds-checked zero-copy reader over a frame payload)
+// Field codecs: one `Wire` impl per type a message field can have
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over a frame payload. Variable-
-/// length fields come back as [`Bytes`] slices of the frame buffer.
+/// Bounds-checked reader over a frame payload. Variable-length fields
+/// come back as [`Bytes`] slices of the frame buffer.
 struct Cur<'a> {
     buf: &'a Bytes,
     pos: usize,
+    /// Set once a trace envelope has been opened; a second one is refused.
+    enveloped: bool,
 }
 
 impl<'a> Cur<'a> {
     fn new(buf: &'a Bytes) -> Self {
-        Cur { buf, pos: 0 }
+        Cur {
+            buf,
+            pos: 0,
+            enveloped: false,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -467,42 +486,6 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::BadValue("boolean")),
-        }
-    }
-
-    /// A length-prefixed byte payload, aliased from the frame buffer.
-    fn bytes(&mut self) -> Result<Bytes, WireError> {
-        let len = self.u32()? as usize;
-        let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let b = self.buf.slice(self.pos, len);
-        self.pos = end;
-        Ok(b)
-    }
-
     fn done(&self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -512,22 +495,300 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// How one field type travels: little-endian fixed-width integers, a
+/// `u32` length or count in front of anything variable, one kind byte in
+/// front of an enum. A message is a row of such fields (see `messages!`),
+/// so a type is taught to the protocol here, once — and a message field
+/// whose type has no impl does not compile.
+///
+/// `get` never trusts a count or length for preallocation: collections
+/// grow as their elements decode.
+///
+/// The leaf impls (integers, `bool`, `Bytes`, tuples, `Vec`) are
+/// `#[inline(always)]`: a shard decodes through a dozen of them, and left
+/// as calls they cost every request ~20 ns on the server that the
+/// hand-written per-message arms did not pay.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError>;
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+macro_rules! wire_int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            #[inline(always)]
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline(always)]
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                let raw = c.take(size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(raw.try_into().expect("took exactly the width")))
+            }
+        }
+    )+};
+}
+wire_int!(u8, u16, u32, u64);
+
+/// Item indices are `usize` in memory and `u32` on the wire.
+impl Wire for usize {
+    #[inline(always)]
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u32).put(buf);
+    }
+    #[inline(always)]
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(u32::get(c)? as usize)
+    }
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl Wire for bool {
+    #[inline(always)]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+    #[inline(always)]
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        match u8::get(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::BadValue("boolean")),
+        }
+    }
 }
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
+/// A length-prefixed byte payload; decoded, it aliases the frame buffer.
+impl Wire for Bytes {
+    #[inline(always)]
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self);
+    }
+    #[inline(always)]
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        let len = u32::get(c)? as usize;
+        let start = c.pos;
+        c.take(len)?;
+        Ok(c.buf.slice(start, len))
+    }
 }
+
+impl Wire for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        String::from_utf8(Bytes::get(c)?.to_vec()).map_err(|_| WireError::BadValue("utf-8 string"))
+    }
+}
+
+/// A lock-wait budget, as whole nanoseconds.
+impl Wire for Duration {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.as_nanos().min(u128::from(u64::MAX)) as u64).put(buf);
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(Duration::from_nanos(u64::get(c)?))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    #[inline(always)]
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+    #[inline(always)]
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        let n = u32::get(c)?;
+        let mut items = Vec::new();
+        for _ in 0..n {
+            items.push(T::get(c)?);
+        }
+        Ok(items)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($T:ident $i:tt),+) => {
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            #[inline(always)]
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$i.put(buf);)+
+            }
+            #[inline(always)]
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                Ok(($($T::get(c)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+/// A batch member: its result, or the id of the crashed node it hit.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Ok(v) => {
+                buf.push(0);
+                v.put(buf);
+            }
+            Err(e) => {
+                buf.push(1);
+                e.put(buf);
+            }
+        }
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        match u8::get(c)? {
+            0 => Ok(Ok(T::get(c)?)),
+            1 => Ok(Err(E::get(c)?)),
+            _ => Err(WireError::BadValue("batch member kind")),
+        }
+    }
+}
+
+/// A struct travels as its fields, in the order listed.
+macro_rules! wire_struct {
+    ($T:ty { $($f:tt),+ $(,)? }) => {
+        impl Wire for $T {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$f.put(buf);)+
+            }
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                Ok(Self { $($f: Wire::get(c)?),+ })
+            }
+        }
+    };
+}
+
+/// A small enum travels as one kind byte, then the variant's field if it
+/// has one (written `(0: T)`, the positional-field form).
+macro_rules! wire_enum {
+    ($T:ident, $what:literal: $($kind:literal => $V:ident $(($i:tt: $f:ty))?),+ $(,)?) => {
+        impl Wire for $T {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($T::$V { $($i: v)? } => {
+                        buf.push($kind);
+                        $(<$f as Wire>::put(v, buf);)?
+                    })+
+                }
+            }
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                match u8::get(c)? {
+                    $($kind => Ok($T::$V { $($i: <$f as Wire>::get(c)?)? }),)+
+                    _ => Err(WireError::BadValue($what)),
+                }
+            }
+        }
+    };
+}
+
+wire_struct!(MemNodeId { 0 });
+wire_struct!(ReplStatus {
+    watermark,
+    applied_txid,
+    tail,
+    applies,
+    dup_skips
+});
+wire_struct!(NodeStats {
+    single_commits,
+    prepares,
+    commits,
+    aborts,
+    busy,
+    read_fastpath,
+    read_fastpath_misses,
+    write_fastpath,
+    write_fastpath_misses,
+    in_doubt,
+    wal_appends,
+    wal_bytes,
+    wal_fsyncs,
+    checkpoints,
+    wal_retained_bytes,
+    durable,
+});
+wire_enum!(LockPolicy, "lock policy": 0 => AbortOnBusy, 1 => Block(0: Duration));
+wire_enum!(SingleResult, "single result kind":
+    0 => Committed(0: Vec<(usize, Bytes)>), 1 => BadCompare(0: Vec<usize>), 2 => Busy);
+wire_enum!(Vote, "vote kind":
+    0 => Ok(0: Vec<(usize, Bytes)>), 1 => BadCompare(0: Vec<usize>), 2 => Busy);
+
+/// Staged transactions and the decided set travel sorted, so equal metas
+/// are equal frames (`HashMap` iteration order is not stable).
+impl Wire for NodeMeta {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let mut staged: Vec<(TxId, Vec<MemNodeId>)> =
+            self.staged.iter().map(|(t, p)| (*t, p.clone())).collect();
+        staged.sort_unstable_by_key(|(txid, _)| *txid);
+        staged.put(buf);
+        let mut decided: Vec<TxId> = self.decided.iter().copied().collect();
+        decided.sort_unstable();
+        decided.put(buf);
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(NodeMeta {
+            staged: Vec::<(TxId, Vec<MemNodeId>)>::get(c)?.into_iter().collect(),
+            decided: Vec::<TxId>::get(c)?.into_iter().collect(),
+        })
+    }
+}
+
+fn put_spans(spans: &[SpanRecord], buf: &mut Vec<u8>) {
+    (spans.len() as u32).put(buf);
+    for s in spans {
+        s.encode_into(buf);
+    }
+}
+
+/// Server-side spans ride in the obs crate's own 19-byte form, at most one
+/// trace's worth per reply.
+impl Wire for Vec<SpanRecord> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_spans(self, buf);
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        let n = u32::get(c)?;
+        if n > minuet_obs::trace::MAX_TRACE_SPANS as u32 {
+            return Err(WireError::BadValue("span count"));
+        }
+        (0..n)
+            .map(|_| {
+                SpanRecord::decode_from(c.take(19)?, &mut 0)
+                    .ok_or(WireError::BadValue("span record"))
+            })
+            .collect()
+    }
+}
+
+/// The message inside a trace envelope. Envelopes do not nest: opening a
+/// second one is a protocol error, which also bounds the decoder's
+/// recursion on hostile input.
+macro_rules! wire_enveloped {
+    ($E:ident, $Envelope:ident, $nested:literal) => {
+        impl Wire for Box<$E> {
+            fn put(&self, buf: &mut Vec<u8>) {
+                debug_assert!(!matches!(**self, $E::$Envelope { .. }), $nested);
+                (**self).put(buf);
+            }
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                if std::mem::replace(&mut c.enveloped, true) {
+                    return Err(WireError::BadValue($nested));
+                }
+                $E::get(c).map(Box::new)
+            }
+        }
+    };
+}
+wire_enveloped!(Request, Traced, "nested traced envelope");
+wire_enveloped!(Response, TracedReply, "nested traced reply");
 
 // ---------------------------------------------------------------------------
 // Shards on the wire
@@ -549,6 +810,11 @@ pub struct WireShard {
     /// `(original index, offset, payload)` write items.
     pub writes: Vec<(u32, u64, Bytes)>,
 }
+wire_struct!(WireShard {
+    compares,
+    reads,
+    writes
+});
 
 impl WireShard {
     /// Captures a borrowed coordinator-side shard.
@@ -572,50 +838,6 @@ impl WireShard {
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.compares.len() as u32);
-        for (idx, off, expected) in &self.compares {
-            put_u32(buf, *idx);
-            put_u64(buf, *off);
-            put_bytes(buf, expected);
-        }
-        put_u32(buf, self.reads.len() as u32);
-        for (idx, off, len) in &self.reads {
-            put_u32(buf, *idx);
-            put_u64(buf, *off);
-            put_u32(buf, *len);
-        }
-        put_u32(buf, self.writes.len() as u32);
-        for (idx, off, data) in &self.writes {
-            put_u32(buf, *idx);
-            put_u64(buf, *off);
-            put_bytes(buf, data);
-        }
-    }
-
-    fn decode(c: &mut Cur<'_>) -> Result<WireShard, WireError> {
-        let mut s = WireShard::default();
-        for _ in 0..c.u32()? {
-            let idx = c.u32()?;
-            let off = c.u64()?;
-            let expected = c.bytes()?;
-            s.compares.push((idx, off, expected));
-        }
-        for _ in 0..c.u32()? {
-            let idx = c.u32()?;
-            let off = c.u64()?;
-            let len = c.u32()?;
-            s.reads.push((idx, off, len));
-        }
-        for _ in 0..c.u32()? {
-            let idx = c.u32()?;
-            let off = c.u64()?;
-            let data = c.bytes()?;
-            s.writes.push((idx, off, data));
-        }
-        Ok(s)
-    }
-
     /// Highest byte offset any item touches (exclusive); used by the
     /// server for bounds validation before dispatch.
     pub fn max_extent(&self) -> u64 {
@@ -635,28 +857,6 @@ impl WireShard {
     }
 }
 
-fn encode_policy(buf: &mut Vec<u8>, p: LockPolicy) {
-    match p {
-        LockPolicy::AbortOnBusy => buf.push(0),
-        LockPolicy::Block(d) => {
-            buf.push(1);
-            put_u64(buf, d.as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-    }
-}
-
-fn decode_policy(c: &mut Cur<'_>) -> Result<LockPolicy, WireError> {
-    match c.u8()? {
-        0 => Ok(LockPolicy::AbortOnBusy),
-        1 => Ok(LockPolicy::Block(Duration::from_nanos(c.u64()?))),
-        _ => Err(WireError::BadValue("lock policy")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------------
-
 /// One batched minitransaction as shipped in [`Request::ExecBatch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireBatchItem {
@@ -667,554 +867,11 @@ pub struct WireBatchItem {
     /// The items destined for this memnode.
     pub shard: WireShard,
 }
-
-/// A client→server message. One request per frame; every request gets
-/// exactly one [`Response`] frame back on the same connection.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Handshake: the server answers with its id, capacity, and version.
-    Hello {
-        /// Client's protocol version.
-        version: u16,
-    },
-    /// Collapsed one-phase minitransaction execution.
-    ExecSingle {
-        /// Minitransaction id.
-        txid: TxId,
-        /// Lock contention policy.
-        policy: LockPolicy,
-        /// Items destined for this memnode.
-        shard: WireShard,
-    },
-    /// A batch of independent single-memnode minitransactions sharing this
-    /// round trip (the `exec_many` fast path).
-    ExecBatch {
-        /// The batch members, executed in order.
-        items: Vec<WireBatchItem>,
-    },
-    /// Two-phase prepare (vote request).
-    Prepare {
-        /// Minitransaction id.
-        txid: TxId,
-        /// Lock contention policy.
-        policy: LockPolicy,
-        /// Full participant set (logged for in-doubt resolution).
-        participants: Vec<u16>,
-        /// Items destined for this memnode.
-        shard: WireShard,
-    },
-    /// Two-phase commit decision.
-    Commit {
-        /// Minitransaction id.
-        txid: TxId,
-    },
-    /// Two-phase abort decision.
-    Abort {
-        /// Minitransaction id.
-        txid: TxId,
-    },
-    /// Unsynchronized raw read (bootstrap / GC scans).
-    RawRead {
-        /// Byte offset.
-        off: u64,
-        /// Length.
-        len: u32,
-    },
-    /// Raw bootstrap write.
-    RawWrite {
-        /// Byte offset.
-        off: u64,
-        /// Payload.
-        data: Bytes,
-    },
-    /// Sets / clears the elastic-join fence (no replicated reads until
-    /// seeded).
-    SetJoining(bool),
-    /// Sets / clears the drain fence (allocation steers away).
-    SetRetiring(bool),
-    /// Crash injection: drop volatile state.
-    Crash,
-    /// Recover from mirror / disk.
-    Recover,
-    /// Take a checkpoint now.
-    Checkpoint,
-    /// Fetch operation / durability counters.
-    Stats,
-    /// Fetch crashed/joining/retiring flags.
-    Flags,
-    /// Fetch recovery metadata (in-doubt transactions + decided set).
-    Meta,
-    /// Compare primary and backup images over the probe ranges.
-    MirrorConsistent {
-        /// `(offset, length)` probe ranges.
-        probe: Vec<(u64, u32)>,
-    },
-    /// Ask the server process to exit cleanly after replying.
-    Shutdown,
-    /// Trace envelope: the inner request executes normally, and the reply
-    /// comes back as [`Response::TracedReply`] carrying the server-side
-    /// spans recorded while serving it. Envelopes do not nest.
-    Traced {
-        /// Client-assigned trace id (stitches server spans onto the
-        /// client's trace).
-        trace_id: u64,
-        /// The request being traced.
-        inner: Box<Request>,
-    },
-    /// Fetch the server's full metrics snapshot (every registered counter
-    /// and histogram), answered by [`Response::Obs`].
-    ObsSnapshot,
-    /// Fetch recent traces from the server's buffer, answered by
-    /// [`Response::Traces`].
-    TraceDump {
-        /// At most this many traces, newest last.
-        max: u32,
-        /// Dump the slow-op buffer instead of the recent-trace buffer.
-        slow: bool,
-    },
-    /// Advances the memnode's advisory epoch register (forward-only);
-    /// answered by [`Response::Epoch`] carrying the previous value.
-    EpochMark {
-        /// The epoch to advance to.
-        epoch: u64,
-        /// Whether this marks the close of the epoch (advisory).
-        closing: bool,
-    },
-    /// Fetches raw WAL frames starting at logical offset `from`, answered
-    /// by [`Response::Frames`]. The replication pull path.
-    ReplFetch {
-        /// Logical WAL offset to read from.
-        from: u64,
-        /// At most this many bytes back.
-        max: u32,
-    },
-    /// Applies a fetched segment of primary WAL frames on a follower;
-    /// answered by [`Response::ReplStatus`].
-    ReplApply {
-        /// Logical source-WAL offset the segment starts at.
-        from: u64,
-        /// Raw CRC-framed WAL bytes as fetched from the primary.
-        frames: Bytes,
-    },
-    /// Fetches the follower-side replication watermark and counters,
-    /// answered by [`Response::ReplStatus`].
-    ReplStatus,
-    /// Admin: applies a fault-injection spec (`minuet_faults::apply_spec`
-    /// grammar, e.g. `"wal.fsync=err:count=3"` or `"clear"`) inside the
-    /// server process; answered by [`Response::Faults`] carrying the
-    /// number of failpoints armed afterwards.
-    Faults {
-        /// The spec string, handed to `apply_spec` verbatim.
-        spec: String,
-    },
-}
-
-/// Request/response tag bytes. Public so tests and benches can identify
-/// RPC kinds in traces (client [`minuet_obs::SpanKind::Rtt`] spans carry
-/// the request tag).
-pub mod tag {
-    /// Version/feature handshake.
-    pub const HELLO: u8 = 0x01;
-    /// One-phase single-memnode minitransaction.
-    pub const EXEC_SINGLE: u8 = 0x02;
-    /// Batch of independent single-memnode minitransactions.
-    pub const EXEC_BATCH: u8 = 0x03;
-    /// 2PC phase one (vote).
-    pub const PREPARE: u8 = 0x04;
-    /// 2PC phase two (commit).
-    pub const COMMIT: u8 = 0x05;
-    /// 2PC phase two (abort).
-    pub const ABORT: u8 = 0x06;
-    /// Raw object read (recovery / admin).
-    pub const RAW_READ: u8 = 0x07;
-    /// Raw object write (recovery / admin).
-    pub const RAW_WRITE: u8 = 0x08;
-    /// Set/clear the joining membership flag.
-    pub const SET_JOINING: u8 = 0x09;
-    /// Set/clear the retiring membership flag.
-    pub const SET_RETIRING: u8 = 0x0A;
-    /// Fault injection: drop state, refuse service.
-    pub const CRASH: u8 = 0x0B;
-    /// Fault injection: recover from the WAL.
-    pub const RECOVER: u8 = 0x0C;
-    /// Checkpoint the WAL + space.
-    pub const CHECKPOINT: u8 = 0x0D;
-    /// Memnode counters snapshot.
-    pub const STATS: u8 = 0x0E;
-    /// Explicit membership-flag probe (liveness checks only — flags
-    /// normally ride every reply's trailer byte).
-    pub const FLAGS: u8 = 0x0F;
-    /// Space geometry / capacity metadata.
-    pub const META: u8 = 0x10;
-    /// Backup mirror of the full space.
-    pub const MIRROR: u8 = 0x11;
-    /// Clean daemon shutdown.
-    pub const SHUTDOWN: u8 = 0x12;
-    /// Envelope: inner request + server-side trace in the reply.
-    pub const TRACED: u8 = 0x13;
-    /// Observability registry snapshot.
-    pub const OBS_SNAPSHOT: u8 = 0x14;
-    /// Drain the recent/slow trace ring.
-    pub const TRACE_DUMP: u8 = 0x15;
-    /// Advance the advisory epoch register.
-    pub const EPOCH_MARK: u8 = 0x16;
-    /// Fetch raw WAL frames for replication.
-    pub const REPL_FETCH: u8 = 0x17;
-    /// Apply fetched WAL frames on a follower.
-    pub const REPL_APPLY: u8 = 0x18;
-    /// Probe follower replication watermark and counters.
-    pub const REPL_STATUS: u8 = 0x19;
-    /// Apply a fault-injection spec in the server process (admin).
-    pub const FAULTS: u8 = 0x1A;
-
-    /// Reply to [`HELLO`].
-    pub const R_HELLO: u8 = 0x81;
-    /// Reply to [`EXEC_SINGLE`].
-    pub const R_SINGLE: u8 = 0x82;
-    /// Reply to [`EXEC_BATCH`].
-    pub const R_BATCH: u8 = 0x83;
-    /// Reply to [`PREPARE`].
-    pub const R_VOTE: u8 = 0x84;
-    /// Empty acknowledgement.
-    pub const R_UNIT: u8 = 0x85;
-    /// Byte-payload reply.
-    pub const R_DATA: u8 = 0x86;
-    /// Boolean reply.
-    pub const R_BOOL: u8 = 0x87;
-    /// Reply to [`STATS`].
-    pub const R_STATS: u8 = 0x88;
-    /// Reply to [`FLAGS`].
-    pub const R_FLAGS: u8 = 0x89;
-    /// Reply to [`META`].
-    pub const R_META: u8 = 0x8A;
-    /// Memnode up but refusing service (crashed / draining).
-    pub const R_UNAVAILABLE: u8 = 0x8B;
-    /// Typed error reply.
-    pub const R_ERROR: u8 = 0x8C;
-    /// Reply envelope carrying the server-side trace.
-    pub const R_TRACED: u8 = 0x8D;
-    /// Reply to [`OBS_SNAPSHOT`].
-    pub const R_OBS: u8 = 0x8E;
-    /// Reply to [`TRACE_DUMP`].
-    pub const R_TRACES: u8 = 0x8F;
-    /// Reply to [`EPOCH_MARK`] (previous epoch value).
-    pub const R_EPOCH: u8 = 0x90;
-    /// Reply to [`REPL_FETCH`]: a raw WAL segment.
-    pub const R_FRAMES: u8 = 0x91;
-    /// Reply to [`REPL_APPLY`] / [`REPL_STATUS`].
-    pub const R_REPL_STATUS: u8 = 0x92;
-    /// Reply to [`FAULTS`]: failpoints armed after applying the spec.
-    pub const R_FAULTS: u8 = 0x93;
-}
-
-impl Request {
-    /// Encodes the request as a complete sealed frame, ready to write.
-    pub fn encode(&self) -> Vec<u8> {
-        seal(|buf| self.encode_payload(buf))
-    }
-
-    /// Stable kind name for metric series (`wire.lat.exec_single`). A
-    /// [`Request::Traced`] envelope reports its inner request's kind.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Request::Hello { .. } => "hello",
-            Request::ExecSingle { .. } => "exec_single",
-            Request::ExecBatch { .. } => "exec_batch",
-            Request::Prepare { .. } => "prepare",
-            Request::Commit { .. } => "commit",
-            Request::Abort { .. } => "abort",
-            Request::RawRead { .. } => "raw_read",
-            Request::RawWrite { .. } => "raw_write",
-            Request::SetJoining(_) => "set_joining",
-            Request::SetRetiring(_) => "set_retiring",
-            Request::Crash => "crash",
-            Request::Recover => "recover",
-            Request::Checkpoint => "checkpoint",
-            Request::Stats => "stats",
-            Request::Flags => "flags",
-            Request::Meta => "meta",
-            Request::MirrorConsistent { .. } => "mirror",
-            Request::Shutdown => "shutdown",
-            Request::Traced { inner, .. } => inner.kind_name(),
-            Request::ObsSnapshot => "obs_snapshot",
-            Request::TraceDump { .. } => "trace_dump",
-            Request::EpochMark { .. } => "epoch_mark",
-            Request::ReplFetch { .. } => "repl_fetch",
-            Request::ReplApply { .. } => "repl_apply",
-            Request::ReplStatus => "repl_status",
-            Request::Faults { .. } => "faults",
-        }
-    }
-
-    /// The wire tag byte (inner tag for a [`Request::Traced`] envelope);
-    /// used to tag RTT spans with the request kind.
-    pub fn tag_byte(&self) -> u8 {
-        match self {
-            Request::Hello { .. } => tag::HELLO,
-            Request::ExecSingle { .. } => tag::EXEC_SINGLE,
-            Request::ExecBatch { .. } => tag::EXEC_BATCH,
-            Request::Prepare { .. } => tag::PREPARE,
-            Request::Commit { .. } => tag::COMMIT,
-            Request::Abort { .. } => tag::ABORT,
-            Request::RawRead { .. } => tag::RAW_READ,
-            Request::RawWrite { .. } => tag::RAW_WRITE,
-            Request::SetJoining(_) => tag::SET_JOINING,
-            Request::SetRetiring(_) => tag::SET_RETIRING,
-            Request::Crash => tag::CRASH,
-            Request::Recover => tag::RECOVER,
-            Request::Checkpoint => tag::CHECKPOINT,
-            Request::Stats => tag::STATS,
-            Request::Flags => tag::FLAGS,
-            Request::Meta => tag::META,
-            Request::MirrorConsistent { .. } => tag::MIRROR,
-            Request::Shutdown => tag::SHUTDOWN,
-            Request::Traced { inner, .. } => inner.tag_byte(),
-            Request::ObsSnapshot => tag::OBS_SNAPSHOT,
-            Request::TraceDump { .. } => tag::TRACE_DUMP,
-            Request::EpochMark { .. } => tag::EPOCH_MARK,
-            Request::ReplFetch { .. } => tag::REPL_FETCH,
-            Request::ReplApply { .. } => tag::REPL_APPLY,
-            Request::ReplStatus => tag::REPL_STATUS,
-            Request::Faults { .. } => tag::FAULTS,
-        }
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        match self {
-            Request::Hello { version } => {
-                buf.push(tag::HELLO);
-                put_u16(buf, *version);
-            }
-            Request::ExecSingle {
-                txid,
-                policy,
-                shard,
-            } => {
-                buf.push(tag::EXEC_SINGLE);
-                put_u64(buf, *txid);
-                encode_policy(buf, *policy);
-                shard.encode(buf);
-            }
-            Request::ExecBatch { items } => {
-                buf.push(tag::EXEC_BATCH);
-                put_u32(buf, items.len() as u32);
-                for it in items {
-                    put_u64(buf, it.txid);
-                    encode_policy(buf, it.policy);
-                    it.shard.encode(buf);
-                }
-            }
-            Request::Prepare {
-                txid,
-                policy,
-                participants,
-                shard,
-            } => {
-                buf.push(tag::PREPARE);
-                put_u64(buf, *txid);
-                encode_policy(buf, *policy);
-                put_u32(buf, participants.len() as u32);
-                for p in participants {
-                    put_u16(buf, *p);
-                }
-                shard.encode(buf);
-            }
-            Request::Commit { txid } => {
-                buf.push(tag::COMMIT);
-                put_u64(buf, *txid);
-            }
-            Request::Abort { txid } => {
-                buf.push(tag::ABORT);
-                put_u64(buf, *txid);
-            }
-            Request::RawRead { off, len } => {
-                buf.push(tag::RAW_READ);
-                put_u64(buf, *off);
-                put_u32(buf, *len);
-            }
-            Request::RawWrite { off, data } => {
-                buf.push(tag::RAW_WRITE);
-                put_u64(buf, *off);
-                put_bytes(buf, data);
-            }
-            Request::SetJoining(v) => {
-                buf.push(tag::SET_JOINING);
-                buf.push(*v as u8);
-            }
-            Request::SetRetiring(v) => {
-                buf.push(tag::SET_RETIRING);
-                buf.push(*v as u8);
-            }
-            Request::Crash => buf.push(tag::CRASH),
-            Request::Recover => buf.push(tag::RECOVER),
-            Request::Checkpoint => buf.push(tag::CHECKPOINT),
-            Request::Stats => buf.push(tag::STATS),
-            Request::Flags => buf.push(tag::FLAGS),
-            Request::Meta => buf.push(tag::META),
-            Request::MirrorConsistent { probe } => {
-                buf.push(tag::MIRROR);
-                put_u32(buf, probe.len() as u32);
-                for (off, len) in probe {
-                    put_u64(buf, *off);
-                    put_u32(buf, *len);
-                }
-            }
-            Request::Shutdown => buf.push(tag::SHUTDOWN),
-            Request::Traced { trace_id, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Request::Traced { .. }),
-                    "traced envelopes do not nest"
-                );
-                buf.push(tag::TRACED);
-                put_u64(buf, *trace_id);
-                inner.encode_payload(buf);
-            }
-            Request::ObsSnapshot => buf.push(tag::OBS_SNAPSHOT),
-            Request::TraceDump { max, slow } => {
-                buf.push(tag::TRACE_DUMP);
-                put_u32(buf, *max);
-                buf.push(*slow as u8);
-            }
-            Request::EpochMark { epoch, closing } => {
-                buf.push(tag::EPOCH_MARK);
-                put_u64(buf, *epoch);
-                buf.push(*closing as u8);
-            }
-            Request::ReplFetch { from, max } => {
-                buf.push(tag::REPL_FETCH);
-                put_u64(buf, *from);
-                put_u32(buf, *max);
-            }
-            Request::ReplApply { from, frames } => {
-                buf.push(tag::REPL_APPLY);
-                put_u64(buf, *from);
-                put_bytes(buf, frames);
-            }
-            Request::ReplStatus => buf.push(tag::REPL_STATUS),
-            Request::Faults { spec } => {
-                buf.push(tag::FAULTS);
-                put_bytes(buf, spec.as_bytes());
-            }
-        }
-    }
-
-    /// Decodes a request from a frame payload (as returned by
-    /// [`FrameReader::read_frame`]). Write payloads alias the frame buffer.
-    pub fn decode(payload: &Bytes) -> Result<Request, WireError> {
-        let mut c = Cur::new(payload);
-        let req = Self::decode_payload(&mut c, 0)?;
-        c.done()?;
-        Ok(req)
-    }
-
-    fn decode_payload(c: &mut Cur<'_>, depth: u8) -> Result<Request, WireError> {
-        let req = match c.u8()? {
-            tag::HELLO => Request::Hello { version: c.u16()? },
-            tag::EXEC_SINGLE => Request::ExecSingle {
-                txid: c.u64()?,
-                policy: decode_policy(c)?,
-                shard: WireShard::decode(c)?,
-            },
-            tag::EXEC_BATCH => {
-                let n = c.u32()?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(WireBatchItem {
-                        txid: c.u64()?,
-                        policy: decode_policy(c)?,
-                        shard: WireShard::decode(c)?,
-                    });
-                }
-                Request::ExecBatch { items }
-            }
-            tag::PREPARE => {
-                let txid = c.u64()?;
-                let policy = decode_policy(c)?;
-                let n = c.u32()?;
-                let mut participants = Vec::new();
-                for _ in 0..n {
-                    participants.push(c.u16()?);
-                }
-                Request::Prepare {
-                    txid,
-                    policy,
-                    participants,
-                    shard: WireShard::decode(c)?,
-                }
-            }
-            tag::COMMIT => Request::Commit { txid: c.u64()? },
-            tag::ABORT => Request::Abort { txid: c.u64()? },
-            tag::RAW_READ => Request::RawRead {
-                off: c.u64()?,
-                len: c.u32()?,
-            },
-            tag::RAW_WRITE => Request::RawWrite {
-                off: c.u64()?,
-                data: c.bytes()?,
-            },
-            tag::SET_JOINING => Request::SetJoining(c.bool()?),
-            tag::SET_RETIRING => Request::SetRetiring(c.bool()?),
-            tag::CRASH => Request::Crash,
-            tag::RECOVER => Request::Recover,
-            tag::CHECKPOINT => Request::Checkpoint,
-            tag::STATS => Request::Stats,
-            tag::FLAGS => Request::Flags,
-            tag::META => Request::Meta,
-            tag::MIRROR => {
-                let n = c.u32()?;
-                let mut probe = Vec::new();
-                for _ in 0..n {
-                    let off = c.u64()?;
-                    let len = c.u32()?;
-                    probe.push((off, len));
-                }
-                Request::MirrorConsistent { probe }
-            }
-            tag::SHUTDOWN => Request::Shutdown,
-            tag::TRACED => {
-                if depth > 0 {
-                    return Err(WireError::BadValue("nested traced envelope"));
-                }
-                let trace_id = c.u64()?;
-                let inner = Request::decode_payload(c, depth + 1)?;
-                Request::Traced {
-                    trace_id,
-                    inner: Box::new(inner),
-                }
-            }
-            tag::OBS_SNAPSHOT => Request::ObsSnapshot,
-            tag::TRACE_DUMP => Request::TraceDump {
-                max: c.u32()?,
-                slow: c.bool()?,
-            },
-            tag::EPOCH_MARK => Request::EpochMark {
-                epoch: c.u64()?,
-                closing: c.bool()?,
-            },
-            tag::REPL_FETCH => Request::ReplFetch {
-                from: c.u64()?,
-                max: c.u32()?,
-            },
-            tag::REPL_APPLY => Request::ReplApply {
-                from: c.u64()?,
-                frames: c.bytes()?,
-            },
-            tag::REPL_STATUS => Request::ReplStatus,
-            tag::FAULTS => {
-                let b = c.bytes()?;
-                Request::Faults {
-                    spec: String::from_utf8_lossy(&b).into_owned(),
-                }
-            }
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(req)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------------
+wire_struct!(WireBatchItem {
+    txid,
+    policy,
+    shard
+});
 
 /// Crashed/joining/retiring state of a memnode, fetched in one RPC or —
 /// since protocol v3 — piggybacked as a one-byte trailer on every reply
@@ -1228,6 +885,11 @@ pub struct NodeFlags {
     /// Drain in progress (no new allocations).
     pub retiring: bool,
 }
+wire_struct!(NodeFlags {
+    crashed,
+    joining,
+    retiring
+});
 
 impl NodeFlags {
     /// Packs the flags into the reply-trailer byte: bit 0 crashed, bit 1
@@ -1250,6 +912,421 @@ impl NodeFlags {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The message tables
+// ---------------------------------------------------------------------------
+
+/// Generates one direction's messages from a table with one row per
+/// message: `tag CONST "kind" => Variant`, then the variant's fields — none,
+/// one positional `(0: T)`, or named `{ a: T, b: U }`. From the rows come
+/// the enum, the `tag::CONST` bytes, `ALL_TAGS`, `kind_name`, `tag_byte`
+/// and the codec: the tag byte, then each field's `Wire` form in order.
+///
+/// A row ending in `via field` is an envelope: its `kind_name` and
+/// `tag_byte` are those of the message in `field`. A `group { V(Table) }`
+/// after the rows nests a second table whose rows keep their own tags —
+/// a grouping on the Rust side, not an envelope on the wire.
+macro_rules! messages {
+    (
+        $(#[$emeta:meta])*
+        pub enum $E:ident, tags in $tagmod:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $CONST:ident $kind:literal => $V:ident
+                $(($i:tt: $tty:ty))?
+                $({ $($(#[$fmeta:meta])* $f:ident: $fty:ty),+ $(,)? })?
+                $(via $via:ident)?,
+            )+
+        }
+        $(group { $(#[$gmeta:meta])* $G:ident($GT:ident) })?
+    ) => {
+        $(#[$emeta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $E {
+            $(
+                $(#[$vmeta])*
+                $V $(($tty))? $({ $($(#[$fmeta])* $f: $fty),+ })?,
+            )+
+            $($(#[$gmeta])* $G($GT),)?
+        }
+
+        mod $tagmod {
+            #[allow(unused_imports)]
+            use super::*;
+            $($(#[$vmeta])* pub const $CONST: u8 = $tag;)+
+        }
+
+        impl $E {
+            /// The tag byte of every row of this message table.
+            pub const ALL_TAGS: &'static [u8] = &[$($tag),+];
+
+            /// Stable kind name; request kinds name the metric series
+            /// (`wire.lat.exec_single`). A trace envelope reports the kind
+            /// of the message it carries.
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $($E::$V { $($via,)? .. } => messages!(@of kind_name $kind $(, $via)?),)+
+                    $($E::$G(g) => g.kind_name(),)?
+                }
+            }
+
+            /// The wire tag byte (the carried message's, for a trace
+            /// envelope); RTT spans are tagged with it.
+            pub fn tag_byte(&self) -> u8 {
+                match self {
+                    $($E::$V { $($via,)? .. } => messages!(@of tag_byte $tag $(, $via)?),)+
+                    $($E::$G(g) => g.tag_byte(),)?
+                }
+            }
+
+            /// Decodes the message whose tag byte has just been read.
+            fn get_tagged(tag: u8, c: &mut Cur<'_>) -> Result<Self, WireError> {
+                Ok(match tag {
+                    $($tag => $E::$V {
+                        $($i: <$tty as Wire>::get(c)?,)?
+                        $($($f: <$fty as Wire>::get(c)?,)+)?
+                    },)+
+                    other => return messages!(@rest other, c $(, $E::$G, $GT)?),
+                })
+            }
+        }
+
+        impl Wire for $E {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($E::$V { $($i: v,)? $($($f,)+)? } => {
+                        buf.push($tag);
+                        $(<$tty as Wire>::put(v, buf);)?
+                        $($(<$fty as Wire>::put($f, buf);)+)?
+                    })+
+                    $($E::$G(g) => g.put(buf),)?
+                }
+            }
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                let tag = u8::get(c)?;
+                Self::get_tagged(tag, c)
+            }
+        }
+    };
+    (@of $method:ident $own:literal) => { $own };
+    (@of $method:ident $own:literal, $via:ident) => { $via.$method() };
+    (@rest $tag:ident, $c:ident) => { Err(WireError::BadTag($tag)) };
+    (@rest $tag:ident, $c:ident, $E:ident::$G:ident, $GT:ident) => {
+        $GT::get_tagged($tag, $c).map($E::$G)
+    };
+}
+
+messages! {
+    /// A client→server message. One request per frame; every request gets
+    /// exactly one [`Response`] frame back on the same connection.
+    pub enum Request, tags in request_tag {
+        /// Handshake: the server answers with its id, capacity, and version.
+        0x01 HELLO "hello" => Hello {
+            /// Client's protocol version.
+            version: u16,
+        },
+        /// Collapsed one-phase minitransaction execution.
+        0x02 EXEC_SINGLE "exec_single" => ExecSingle {
+            /// Minitransaction id.
+            txid: TxId,
+            /// Lock contention policy.
+            policy: LockPolicy,
+            /// Items destined for this memnode.
+            shard: WireShard,
+        },
+        /// A batch of independent single-memnode minitransactions sharing
+        /// this round trip (the `exec_many` fast path).
+        0x03 EXEC_BATCH "exec_batch" => ExecBatch {
+            /// The batch members, executed in order.
+            items: Vec<WireBatchItem>,
+        },
+        /// Two-phase prepare (vote request).
+        0x04 PREPARE "prepare" => Prepare {
+            /// Minitransaction id.
+            txid: TxId,
+            /// Lock contention policy.
+            policy: LockPolicy,
+            /// Full participant set (logged for in-doubt resolution).
+            participants: Vec<u16>,
+            /// Items destined for this memnode.
+            shard: WireShard,
+        },
+        /// Two-phase commit decision.
+        0x05 COMMIT "commit" => Commit {
+            /// Minitransaction id.
+            txid: TxId,
+        },
+        /// Two-phase abort decision.
+        0x06 ABORT "abort" => Abort {
+            /// Minitransaction id.
+            txid: TxId,
+        },
+        /// Unsynchronized raw read (bootstrap / GC scans).
+        0x07 RAW_READ "raw_read" => RawRead {
+            /// Byte offset.
+            off: u64,
+            /// Length.
+            len: u32,
+        },
+        /// Raw bootstrap write.
+        0x08 RAW_WRITE "raw_write" => RawWrite {
+            /// Byte offset.
+            off: u64,
+            /// Payload.
+            data: Bytes,
+        },
+        /// Fetch crashed/joining/retiring flags. Liveness probes only:
+        /// flags normally ride every reply's trailer byte.
+        0x0F FLAGS "flags" => Flags,
+        /// Trace envelope: the inner request executes normally, and the
+        /// reply comes back as [`Response::TracedReply`] carrying the
+        /// server-side spans recorded while serving it. Envelopes do not
+        /// nest.
+        0x13 TRACED "traced" => Traced {
+            /// Client-assigned trace id (stitches server spans onto the
+            /// client's trace).
+            trace_id: u64,
+            /// The request being traced.
+            inner: Box<Request>,
+        } via inner,
+        /// Advances the memnode's advisory epoch register (forward-only);
+        /// answered by [`Response::Epoch`] carrying the previous value.
+        0x16 EPOCH_MARK "epoch_mark" => EpochMark {
+            /// The epoch to advance to.
+            epoch: u64,
+            /// Whether this marks the close of the epoch (advisory).
+            closing: bool,
+        },
+        /// Fetches raw WAL frames starting at logical offset `from`,
+        /// answered by [`Response::Frames`]. The replication pull path.
+        0x17 REPL_FETCH "repl_fetch" => ReplFetch {
+            /// Logical WAL offset to read from.
+            from: u64,
+            /// At most this many bytes back.
+            max: u32,
+        },
+        /// Applies a fetched segment of primary WAL frames on a follower;
+        /// answered by [`Response::ReplStatus`].
+        0x18 REPL_APPLY "repl_apply" => ReplApply {
+            /// Logical source-WAL offset the segment starts at.
+            from: u64,
+            /// Raw CRC-framed WAL bytes as fetched from the primary.
+            frames: Bytes,
+        },
+        /// Fetches the follower-side replication watermark and counters,
+        /// answered by [`Response::ReplStatus`].
+        0x19 REPL_STATUS "repl_status" => ReplStatus,
+    }
+    group {
+        /// An admin operation. A grouping on the Rust side only: on the
+        /// wire each [`AdminOp`] is an ordinary request with its own tag.
+        Admin(AdminOp)
+    }
+}
+
+messages! {
+    /// Everything a memnode does besides executing minitransactions and
+    /// shipping its log: membership fences, fault and lifecycle hooks,
+    /// checkpoints, and introspection. One call carries them all
+    /// ([`crate::rpc::NodeRpc::admin`]), answered by an [`AdminReply`].
+    pub enum AdminOp, tags in admin_op_tag {
+        /// Sets / clears the elastic-join fence (no replicated reads until
+        /// seeded). Answered by [`AdminReply::Unit`].
+        0x09 SET_JOINING "set_joining" => SetJoining(0: bool),
+        /// Sets / clears the drain fence (allocation steers away).
+        /// Answered by [`AdminReply::Unit`].
+        0x0A SET_RETIRING "set_retiring" => SetRetiring(0: bool),
+        /// Crash injection: drop volatile state, refuse service.
+        0x0B CRASH "crash" => Crash,
+        /// Recover from the mirror / from disk.
+        0x0C RECOVER "recover" => Recover,
+        /// Take a checkpoint now. Answered by [`AdminReply::Bool`] (false
+        /// when skipped) or [`AdminReply::Error`].
+        0x0D CHECKPOINT "checkpoint" => Checkpoint,
+        /// Fetch operation / durability counters ([`AdminReply::Stats`]).
+        0x0E STATS "stats" => Stats,
+        /// Fetch recovery metadata: in-doubt transactions and the decided
+        /// set ([`AdminReply::Meta`]).
+        0x10 META "meta" => Meta,
+        /// Compare primary and backup images over the probe ranges
+        /// ([`AdminReply::Bool`]).
+        0x11 MIRROR "mirror" => MirrorConsistent {
+            /// `(offset, length)` probe ranges.
+            probe: Vec<(u64, u32)>,
+        },
+        /// Ask the server process to exit cleanly after replying. A no-op
+        /// on an in-process memnode.
+        0x12 SHUTDOWN "shutdown" => Shutdown,
+        /// Fetch the full metrics snapshot — every registered counter and
+        /// histogram ([`AdminReply::Obs`]).
+        0x14 OBS_SNAPSHOT "obs_snapshot" => ObsSnapshot,
+        /// Fetch recent traces from the node's buffer
+        /// ([`AdminReply::Traces`]).
+        0x15 TRACE_DUMP "trace_dump" => TraceDump {
+            /// At most this many traces, newest last.
+            max: u32,
+            /// Dump the slow-op buffer instead of the recent-trace buffer.
+            slow: bool,
+        },
+        /// Applies a fault-injection spec (`minuet_faults::apply_spec`
+        /// grammar, e.g. `"wal.fsync=err:count=3"` or `"clear"`) inside the
+        /// memnode's process; answered by [`AdminReply::Faults`].
+        0x1A FAULTS "faults" => Faults {
+            /// The spec string, handed to `apply_spec` verbatim.
+            spec: String,
+        },
+    }
+}
+
+messages! {
+    /// A server→client message. `Unavailable` mirrors the in-process
+    /// [`crate::memnode::Unavailable`] error; `Error` carries anything else
+    /// (bounds violations, I/O failures) as text.
+    pub enum Response, tags in response_tag {
+        /// Handshake reply.
+        0x81 R_HELLO "hello" => Hello {
+            /// Server's protocol version.
+            version: u16,
+            /// Server's memnode id.
+            node: u16,
+            /// Server's address-space capacity in bytes.
+            capacity: u64,
+        },
+        /// One-phase execution result.
+        0x82 R_SINGLE "single" => Single(0: SingleResult),
+        /// Per-member batch results (`Err` members hit a crashed node).
+        0x83 R_BATCH "batch" => Batch(0: Vec<Result<SingleResult, u16>>),
+        /// Prepare vote.
+        0x84 R_VOTE "vote" => Vote(0: Vote),
+        /// Success with no payload.
+        0x85 R_UNIT "unit" => Unit,
+        /// Raw read payload.
+        0x86 R_DATA "data" => Data(0: Bytes),
+        /// Node state flags.
+        0x89 R_FLAGS "flags" => Flags(0: NodeFlags),
+        /// The memnode is crashed; carries its id.
+        0x8B R_UNAVAILABLE "unavailable" => Unavailable(0: u16),
+        /// Any other server-side failure, as text.
+        0x8C R_ERROR "error" => Error(0: String),
+        /// Reply to a [`Request::Traced`] envelope: the server-side spans
+        /// recorded while serving the inner request, plus the inner reply.
+        /// Envelopes do not nest.
+        0x8D R_TRACED "traced" => TracedReply {
+            /// Spans recorded on the server (start offsets server-relative).
+            spans: Vec<SpanRecord>,
+            /// The inner request's reply.
+            inner: Box<Response>,
+        } via inner,
+        /// Reply to [`Request::EpochMark`]: the register's previous value.
+        0x90 R_EPOCH "epoch" => Epoch(0: u64),
+        /// Reply to [`Request::ReplFetch`]: a raw WAL segment.
+        0x91 R_FRAMES "frames" => Frames {
+            /// Logical offset the segment starts at (echoes the request).
+            from: u64,
+            /// The server WAL's base offset (start of retained log). When
+            /// `base > from` the requested prefix has been checkpointed away.
+            base: u64,
+            /// The server WAL's logical tail at fetch time.
+            tail: u64,
+            /// Raw CRC-framed WAL bytes (whole frames; may be empty).
+            bytes: Bytes,
+        },
+        /// Reply to [`Request::ReplApply`] / [`Request::ReplStatus`].
+        0x92 R_REPL_STATUS "repl_status" => ReplStatus(0: ReplStatus),
+    }
+    group {
+        /// The reply to a [`Request::Admin`]; like the request side, a
+        /// grouping in Rust only.
+        Admin(AdminReply)
+    }
+}
+
+messages! {
+    /// What an [`AdminOp`] answers. The bare acknowledgement and the
+    /// textual failure are the same frames as [`Response::Unit`] and
+    /// [`Response::Error`], which is how a client decodes them (see
+    /// [`Response::into_admin`]).
+    pub enum AdminReply, tags in admin_reply_tag {
+        /// Done; nothing to report.
+        0x85 R_ADMIN_UNIT "unit" => Unit,
+        /// Boolean result (checkpoint taken, mirror consistent).
+        0x87 R_BOOL "bool" => Bool(0: bool),
+        /// Operation / durability counters.
+        0x88 R_STATS "stats" => Stats(0: NodeStats),
+        /// Recovery metadata.
+        0x8A R_META "meta" => Meta(0: NodeMeta),
+        /// The operation reached the node and failed there, as text.
+        0x8C R_ADMIN_ERROR "error" => Error(0: String),
+        /// An encoded [`minuet_obs::ObsSnapshot`], shipped opaquely.
+        0x8E R_OBS "obs" => Obs(0: Bytes),
+        /// Encoded traces ([`minuet_obs::Trace::encode_many`]), shipped
+        /// opaquely.
+        0x8F R_TRACES "traces" => Traces(0: Bytes),
+        /// Failpoints armed after a [`AdminOp::Faults`] spec was applied
+        /// (0 after `"clear"`).
+        0x93 R_FAULTS "faults" => Faults {
+            /// Armed failpoint count.
+            armed: u32,
+        },
+    }
+}
+
+/// Request/response tag bytes, one per table row above. Public so tests
+/// and benches can identify RPC kinds in traces (client
+/// [`minuet_obs::SpanKind::Rtt`] spans carry the request tag) and fault
+/// specs can name them.
+pub mod tag {
+    pub use super::{admin_op_tag::*, admin_reply_tag::*, request_tag::*, response_tag::*};
+}
+
+fn decode_message<T: Wire>(payload: &Bytes) -> Result<T, WireError> {
+    let mut c = Cur::new(payload);
+    let msg = T::get(&mut c)?;
+    c.done()?;
+    Ok(msg)
+}
+
+impl Request {
+    /// Encodes the request as a complete sealed frame, ready to write.
+    pub fn encode(&self) -> Vec<u8> {
+        seal(|buf| self.put(buf))
+    }
+
+    /// Decodes a request from a frame payload (as returned by
+    /// [`FrameReader::read_frame`]). Write payloads alias the frame buffer.
+    pub fn decode(payload: &Bytes) -> Result<Request, WireError> {
+        decode_message(payload)
+    }
+}
+
+impl Response {
+    /// Encodes the response as a complete sealed frame.
+    pub fn encode(&self) -> Vec<u8> {
+        seal(|buf| self.put(buf))
+    }
+
+    /// Decodes a response from a frame payload. Data payloads alias the
+    /// frame buffer.
+    pub fn decode(payload: &Bytes) -> Result<Response, WireError> {
+        decode_message(payload)
+    }
+
+    /// Reads this reply as the answer to an admin operation, or hands it
+    /// back if it cannot be one. `Unit` and `Error` frames answer both
+    /// planes and decode as the data-plane variants; this is where they
+    /// become [`AdminReply::Unit`] and [`AdminReply::Error`].
+    // The `Err` is the reply itself, unchanged, for the caller to report.
+    #[allow(clippy::result_large_err)]
+    pub fn into_admin(self) -> Result<AdminReply, Response> {
+        match self {
+            Response::Admin(reply) => Ok(reply),
+            Response::Unit => Ok(AdminReply::Unit),
+            Response::Error(msg) => Ok(AdminReply::Error(msg)),
+            other => Err(other),
+        }
+    }
+}
+
 /// Splits a v3 reply frame payload into the response body and the
 /// piggybacked [`NodeFlags`] trailer byte every reply carries.
 pub fn split_reply_flags(payload: &Bytes) -> Result<(Bytes, NodeFlags), WireError> {
@@ -1259,149 +1336,6 @@ pub fn split_reply_flags(payload: &Bytes) -> Result<(Bytes, NodeFlags), WireErro
     }
     let flags = NodeFlags::from_byte(payload[n - 1])?;
     Ok((payload.slice(0, n - 1), flags))
-}
-
-/// A server→client message. `Unavailable` mirrors the in-process
-/// [`crate::memnode::Unavailable`] error; `Error` carries anything else
-/// (bounds violations, I/O failures) as text.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Handshake reply.
-    Hello {
-        /// Server's protocol version.
-        version: u16,
-        /// Server's memnode id.
-        node: u16,
-        /// Server's address-space capacity in bytes.
-        capacity: u64,
-    },
-    /// One-phase execution result.
-    Single(SingleResult),
-    /// Per-member batch results (`Err` members hit a crashed node).
-    Batch(Vec<Result<SingleResult, u16>>),
-    /// Prepare vote.
-    Vote(Vote),
-    /// Success with no payload.
-    Unit,
-    /// Raw read payload.
-    Data(Bytes),
-    /// Boolean result (checkpoint taken, mirror consistent).
-    Bool(bool),
-    /// Operation / durability counters.
-    Stats(NodeStats),
-    /// Node state flags.
-    Flags(NodeFlags),
-    /// Recovery metadata.
-    Meta(NodeMeta),
-    /// The memnode is crashed; carries its id.
-    Unavailable(u16),
-    /// Any other server-side failure, as text.
-    Error(String),
-    /// Reply to a [`Request::Traced`] envelope: the server-side spans
-    /// recorded while serving the inner request, plus the inner reply.
-    /// Envelopes do not nest.
-    TracedReply {
-        /// Spans recorded on the server (start offsets server-relative).
-        spans: Vec<SpanRecord>,
-        /// The inner request's reply.
-        inner: Box<Response>,
-    },
-    /// An encoded [`minuet_obs::ObsSnapshot`], shipped opaquely.
-    Obs(Bytes),
-    /// Encoded traces ([`minuet_obs::Trace::encode_many`]), shipped
-    /// opaquely.
-    Traces(Bytes),
-    /// Reply to [`Request::EpochMark`]: the register's previous value.
-    Epoch(u64),
-    /// Reply to [`Request::ReplFetch`]: a raw WAL segment.
-    Frames {
-        /// Logical offset the segment starts at (echoes the request).
-        from: u64,
-        /// The server WAL's base offset (start of retained log). When
-        /// `base > from` the requested prefix has been checkpointed away.
-        base: u64,
-        /// The server WAL's logical tail at fetch time.
-        tail: u64,
-        /// Raw CRC-framed WAL bytes (whole frames; may be empty).
-        bytes: Bytes,
-    },
-    /// Reply to [`Request::ReplApply`] / [`Request::ReplStatus`].
-    ReplStatus {
-        /// Largest source-WAL offset durably incorporated.
-        watermark: u64,
-        /// Largest txid applied through replication.
-        applied_txid: u64,
-        /// The follower's own WAL tail.
-        tail: u64,
-        /// Total frames applied.
-        applies: u64,
-        /// Frames skipped as already-applied duplicates.
-        dup_skips: u64,
-    },
-    /// Reply to [`Request::Faults`]: the number of failpoints armed after
-    /// the spec was applied (0 after `"clear"`).
-    Faults {
-        /// Armed failpoint count.
-        armed: u32,
-    },
-}
-
-fn encode_pairs(buf: &mut Vec<u8>, pairs: &[(usize, Bytes)]) {
-    put_u32(buf, pairs.len() as u32);
-    for (idx, data) in pairs {
-        put_u32(buf, *idx as u32);
-        put_bytes(buf, data);
-    }
-}
-
-fn decode_pairs(c: &mut Cur<'_>) -> Result<Vec<(usize, Bytes)>, WireError> {
-    let n = c.u32()?;
-    let mut pairs = Vec::new();
-    for _ in 0..n {
-        let idx = c.u32()? as usize;
-        let data = c.bytes()?;
-        pairs.push((idx, data));
-    }
-    Ok(pairs)
-}
-
-fn encode_indices(buf: &mut Vec<u8>, idx: &[usize]) {
-    put_u32(buf, idx.len() as u32);
-    for i in idx {
-        put_u32(buf, *i as u32);
-    }
-}
-
-fn decode_indices(c: &mut Cur<'_>) -> Result<Vec<usize>, WireError> {
-    let n = c.u32()?;
-    let mut idx = Vec::new();
-    for _ in 0..n {
-        idx.push(c.u32()? as usize);
-    }
-    Ok(idx)
-}
-
-fn encode_single(buf: &mut Vec<u8>, r: &SingleResult) {
-    match r {
-        SingleResult::Committed(pairs) => {
-            buf.push(0);
-            encode_pairs(buf, pairs);
-        }
-        SingleResult::BadCompare(idx) => {
-            buf.push(1);
-            encode_indices(buf, idx);
-        }
-        SingleResult::Busy => buf.push(2),
-    }
-}
-
-fn decode_single(c: &mut Cur<'_>) -> Result<SingleResult, WireError> {
-    match c.u8()? {
-        0 => Ok(SingleResult::Committed(decode_pairs(c)?)),
-        1 => Ok(SingleResult::BadCompare(decode_indices(c)?)),
-        2 => Ok(SingleResult::Busy),
-        _ => Err(WireError::BadValue("single result kind")),
-    }
 }
 
 /// Encodes `inner` wrapped in a [`Request::Traced`] envelope as a sealed
@@ -1414,8 +1348,8 @@ pub fn encode_traced_request(trace_id: u64, inner: &Request) -> Vec<u8> {
     );
     seal(|buf| {
         buf.push(tag::TRACED);
-        put_u64(buf, trace_id);
-        inner.encode_payload(buf);
+        trace_id.put(buf);
+        inner.put(buf);
     })
 }
 
@@ -1424,7 +1358,7 @@ pub fn encode_traced_request(trace_id: u64, inner: &Request) -> Vec<u8> {
 /// message encoding without the envelope bookkeeping around it.
 pub fn encode_response_payload(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::new();
-    resp.encode_payload(&mut buf);
+    resp.put(&mut buf);
     buf
 }
 
@@ -1434,10 +1368,7 @@ pub fn encode_response_payload(resp: &Response) -> Vec<u8> {
 pub fn seal_traced_reply(spans: &[SpanRecord], inner_payload: &[u8], flags: NodeFlags) -> Vec<u8> {
     seal(|buf| {
         buf.push(tag::R_TRACED);
-        put_u32(buf, spans.len() as u32);
-        for s in spans {
-            s.encode_into(buf);
-        }
+        put_spans(spans, buf);
         buf.extend_from_slice(inner_payload);
         buf.push(flags.to_byte());
     })
@@ -1448,319 +1379,9 @@ pub fn seal_traced_reply(spans: &[SpanRecord], inner_payload: &[u8], flags: Node
 /// untraced request (traced ones go through [`seal_traced_reply`]).
 pub fn seal_reply(resp: &Response, flags: NodeFlags) -> Vec<u8> {
     seal(|buf| {
-        resp.encode_payload(buf);
+        resp.put(buf);
         buf.push(flags.to_byte());
     })
-}
-
-impl Response {
-    /// Encodes the response as a complete sealed frame.
-    pub fn encode(&self) -> Vec<u8> {
-        seal(|buf| self.encode_payload(buf))
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        match self {
-            Response::Hello {
-                version,
-                node,
-                capacity,
-            } => {
-                buf.push(tag::R_HELLO);
-                put_u16(buf, *version);
-                put_u16(buf, *node);
-                put_u64(buf, *capacity);
-            }
-            Response::Single(r) => {
-                buf.push(tag::R_SINGLE);
-                encode_single(buf, r);
-            }
-            Response::Batch(members) => {
-                buf.push(tag::R_BATCH);
-                put_u32(buf, members.len() as u32);
-                for m in members {
-                    match m {
-                        Ok(r) => {
-                            buf.push(0);
-                            encode_single(buf, r);
-                        }
-                        Err(id) => {
-                            buf.push(1);
-                            put_u16(buf, *id);
-                        }
-                    }
-                }
-            }
-            Response::Vote(v) => {
-                buf.push(tag::R_VOTE);
-                match v {
-                    Vote::Ok(pairs) => {
-                        buf.push(0);
-                        encode_pairs(buf, pairs);
-                    }
-                    Vote::BadCompare(idx) => {
-                        buf.push(1);
-                        encode_indices(buf, idx);
-                    }
-                    Vote::Busy => buf.push(2),
-                }
-            }
-            Response::Unit => buf.push(tag::R_UNIT),
-            Response::Data(b) => {
-                buf.push(tag::R_DATA);
-                put_bytes(buf, b);
-            }
-            Response::Bool(v) => {
-                buf.push(tag::R_BOOL);
-                buf.push(*v as u8);
-            }
-            Response::Stats(s) => {
-                buf.push(tag::R_STATS);
-                for v in [
-                    s.single_commits,
-                    s.prepares,
-                    s.commits,
-                    s.aborts,
-                    s.busy,
-                    s.read_fastpath,
-                    s.read_fastpath_misses,
-                    s.write_fastpath,
-                    s.write_fastpath_misses,
-                    s.in_doubt,
-                    s.wal_appends,
-                    s.wal_bytes,
-                    s.wal_fsyncs,
-                    s.checkpoints,
-                    s.wal_retained_bytes,
-                ] {
-                    put_u64(buf, v);
-                }
-                buf.push(s.durable as u8);
-            }
-            Response::Flags(f) => {
-                buf.push(tag::R_FLAGS);
-                buf.push(f.crashed as u8);
-                buf.push(f.joining as u8);
-                buf.push(f.retiring as u8);
-            }
-            Response::Meta(m) => {
-                buf.push(tag::R_META);
-                put_u32(buf, m.staged.len() as u32);
-                // Deterministic order (HashMap iteration is not).
-                let mut staged: Vec<_> = m.staged.iter().collect();
-                staged.sort_by_key(|(txid, _)| **txid);
-                for (txid, parts) in staged {
-                    put_u64(buf, *txid);
-                    put_u32(buf, parts.len() as u32);
-                    for p in parts {
-                        put_u16(buf, p.0);
-                    }
-                }
-                let mut decided: Vec<_> = m.decided.iter().copied().collect();
-                decided.sort_unstable();
-                put_u32(buf, decided.len() as u32);
-                for txid in decided {
-                    put_u64(buf, txid);
-                }
-            }
-            Response::Unavailable(id) => {
-                buf.push(tag::R_UNAVAILABLE);
-                put_u16(buf, *id);
-            }
-            Response::Error(msg) => {
-                buf.push(tag::R_ERROR);
-                put_bytes(buf, msg.as_bytes());
-            }
-            Response::TracedReply { spans, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Response::TracedReply { .. }),
-                    "traced replies do not nest"
-                );
-                buf.push(tag::R_TRACED);
-                put_u32(buf, spans.len() as u32);
-                for s in spans {
-                    s.encode_into(buf);
-                }
-                inner.encode_payload(buf);
-            }
-            Response::Obs(b) => {
-                buf.push(tag::R_OBS);
-                put_bytes(buf, b);
-            }
-            Response::Traces(b) => {
-                buf.push(tag::R_TRACES);
-                put_bytes(buf, b);
-            }
-            Response::Epoch(prev) => {
-                buf.push(tag::R_EPOCH);
-                put_u64(buf, *prev);
-            }
-            Response::Frames {
-                from,
-                base,
-                tail,
-                bytes,
-            } => {
-                buf.push(tag::R_FRAMES);
-                put_u64(buf, *from);
-                put_u64(buf, *base);
-                put_u64(buf, *tail);
-                put_bytes(buf, bytes);
-            }
-            Response::ReplStatus {
-                watermark,
-                applied_txid,
-                tail,
-                applies,
-                dup_skips,
-            } => {
-                buf.push(tag::R_REPL_STATUS);
-                for v in [watermark, applied_txid, tail, applies, dup_skips] {
-                    put_u64(buf, *v);
-                }
-            }
-            Response::Faults { armed } => {
-                buf.push(tag::R_FAULTS);
-                put_u32(buf, *armed);
-            }
-        }
-    }
-
-    /// Decodes a response from a frame payload. Data payloads alias the
-    /// frame buffer.
-    pub fn decode(payload: &Bytes) -> Result<Response, WireError> {
-        let mut c = Cur::new(payload);
-        let resp = Self::decode_payload(&mut c, 0)?;
-        c.done()?;
-        Ok(resp)
-    }
-
-    fn decode_payload(c: &mut Cur<'_>, depth: u8) -> Result<Response, WireError> {
-        let resp = match c.u8()? {
-            tag::R_HELLO => Response::Hello {
-                version: c.u16()?,
-                node: c.u16()?,
-                capacity: c.u64()?,
-            },
-            tag::R_SINGLE => Response::Single(decode_single(c)?),
-            tag::R_BATCH => {
-                let n = c.u32()?;
-                let mut members = Vec::new();
-                for _ in 0..n {
-                    members.push(match c.u8()? {
-                        0 => Ok(decode_single(c)?),
-                        1 => Err(c.u16()?),
-                        _ => return Err(WireError::BadValue("batch member kind")),
-                    });
-                }
-                Response::Batch(members)
-            }
-            tag::R_VOTE => Response::Vote(match c.u8()? {
-                0 => Vote::Ok(decode_pairs(c)?),
-                1 => Vote::BadCompare(decode_indices(c)?),
-                2 => Vote::Busy,
-                _ => return Err(WireError::BadValue("vote kind")),
-            }),
-            tag::R_UNIT => Response::Unit,
-            tag::R_DATA => Response::Data(c.bytes()?),
-            tag::R_BOOL => Response::Bool(c.bool()?),
-            tag::R_STATS => {
-                let mut v = [0u64; 15];
-                for slot in v.iter_mut() {
-                    *slot = c.u64()?;
-                }
-                Response::Stats(NodeStats {
-                    single_commits: v[0],
-                    prepares: v[1],
-                    commits: v[2],
-                    aborts: v[3],
-                    busy: v[4],
-                    read_fastpath: v[5],
-                    read_fastpath_misses: v[6],
-                    write_fastpath: v[7],
-                    write_fastpath_misses: v[8],
-                    in_doubt: v[9],
-                    wal_appends: v[10],
-                    wal_bytes: v[11],
-                    wal_fsyncs: v[12],
-                    checkpoints: v[13],
-                    wal_retained_bytes: v[14],
-                    durable: c.bool()?,
-                })
-            }
-            tag::R_FLAGS => Response::Flags(NodeFlags {
-                crashed: c.bool()?,
-                joining: c.bool()?,
-                retiring: c.bool()?,
-            }),
-            tag::R_META => {
-                let n = c.u32()?;
-                let mut staged = HashMap::new();
-                for _ in 0..n {
-                    let txid = c.u64()?;
-                    let np = c.u32()?;
-                    let mut parts = Vec::new();
-                    for _ in 0..np {
-                        parts.push(crate::addr::MemNodeId(c.u16()?));
-                    }
-                    staged.insert(txid, parts);
-                }
-                let nd = c.u32()?;
-                let mut decided = HashSet::new();
-                for _ in 0..nd {
-                    decided.insert(c.u64()?);
-                }
-                Response::Meta(NodeMeta { staged, decided })
-            }
-            tag::R_UNAVAILABLE => Response::Unavailable(c.u16()?),
-            tag::R_ERROR => {
-                let b = c.bytes()?;
-                Response::Error(String::from_utf8_lossy(&b).into_owned())
-            }
-            tag::R_TRACED => {
-                if depth > 0 {
-                    return Err(WireError::BadValue("nested traced reply"));
-                }
-                let n = c.u32()?;
-                if n > minuet_obs::trace::MAX_TRACE_SPANS as u32 {
-                    return Err(WireError::BadValue("span count"));
-                }
-                let mut spans = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let raw = c.take(19)?;
-                    let mut pos = 0;
-                    spans.push(
-                        SpanRecord::decode_from(raw, &mut pos)
-                            .ok_or(WireError::BadValue("span record"))?,
-                    );
-                }
-                let inner = Response::decode_payload(c, depth + 1)?;
-                Response::TracedReply {
-                    spans,
-                    inner: Box::new(inner),
-                }
-            }
-            tag::R_OBS => Response::Obs(c.bytes()?),
-            tag::R_TRACES => Response::Traces(c.bytes()?),
-            tag::R_EPOCH => Response::Epoch(c.u64()?),
-            tag::R_FRAMES => Response::Frames {
-                from: c.u64()?,
-                base: c.u64()?,
-                tail: c.u64()?,
-                bytes: c.bytes()?,
-            },
-            tag::R_REPL_STATUS => Response::ReplStatus {
-                watermark: c.u64()?,
-                applied_txid: c.u64()?,
-                tail: c.u64()?,
-                applies: c.u64()?,
-                dup_skips: c.u64()?,
-            },
-            tag::R_FAULTS => Response::Faults { armed: c.u32()? },
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(resp)
-    }
 }
 
 #[cfg(test)]
@@ -1794,10 +1415,10 @@ mod tests {
             },
         });
         roundtrip_req(Request::Commit { txid: 7 });
-        roundtrip_req(Request::MirrorConsistent {
+        roundtrip_req(Request::Admin(AdminOp::MirrorConsistent {
             probe: vec![(0, 64), (128, 32)],
-        });
-        roundtrip_req(Request::Shutdown);
+        }));
+        roundtrip_req(Request::Admin(AdminOp::Shutdown));
         roundtrip_req(Request::EpochMark {
             epoch: 9,
             closing: true,
@@ -1811,12 +1432,12 @@ mod tests {
             frames: Bytes::from(vec![3u8; 40]),
         });
         roundtrip_req(Request::ReplStatus);
-        roundtrip_req(Request::Faults {
+        roundtrip_req(Request::Admin(AdminOp::Faults {
             spec: "wal.fsync=err:count=3;wire.server.send=drop".into(),
-        });
-        roundtrip_req(Request::Faults {
+        }));
+        roundtrip_req(Request::Admin(AdminOp::Faults {
             spec: "clear".into(),
-        });
+        }));
     }
 
     #[test]
@@ -1844,15 +1465,15 @@ mod tests {
             tail: 1024,
             bytes: Bytes::from(vec![5u8; 96]),
         });
-        roundtrip_resp(Response::ReplStatus {
+        roundtrip_resp(Response::ReplStatus(ReplStatus {
             watermark: 7,
             applied_txid: 9,
             tail: 11,
             applies: 13,
             dup_skips: 2,
-        });
-        roundtrip_resp(Response::Faults { armed: 2 });
-        roundtrip_resp(Response::Faults { armed: 0 });
+        }));
+        roundtrip_resp(Response::Admin(AdminReply::Faults { armed: 2 }));
+        roundtrip_resp(Response::Admin(AdminReply::Faults { armed: 0 }));
     }
 
     #[test]
@@ -1869,11 +1490,11 @@ mod tests {
                 },
             }),
         });
-        roundtrip_req(Request::ObsSnapshot);
-        roundtrip_req(Request::TraceDump {
+        roundtrip_req(Request::Admin(AdminOp::ObsSnapshot));
+        roundtrip_req(Request::Admin(AdminOp::TraceDump {
             max: 32,
             slow: true,
-        });
+        }));
         roundtrip_resp(Response::TracedReply {
             spans: vec![
                 SpanRecord {
@@ -1893,8 +1514,8 @@ mod tests {
             ],
             inner: Box::new(Response::Single(SingleResult::Busy)),
         });
-        roundtrip_resp(Response::Obs(Bytes::from(vec![1, 2, 3])));
-        roundtrip_resp(Response::Traces(Bytes::from(vec![0; 4])));
+        roundtrip_resp(Response::Admin(AdminReply::Obs(Bytes::from(vec![1, 2, 3]))));
+        roundtrip_resp(Response::Admin(AdminReply::Traces(Bytes::from(vec![0; 4]))));
     }
 
     #[test]
@@ -1902,9 +1523,9 @@ mod tests {
         // Hand-build a Traced(Traced(Stats)) payload: 0x13 id 0x13 id 0x0E.
         let frame = seal(|buf| {
             buf.push(tag::TRACED);
-            put_u64(buf, 1);
+            1u64.put(buf);
             buf.push(tag::TRACED);
-            put_u64(buf, 2);
+            2u64.put(buf);
             buf.push(tag::STATS);
         });
         let (payload, _) = decode_frame(&frame).unwrap();
@@ -1914,9 +1535,9 @@ mod tests {
         );
         let rframe = seal(|buf| {
             buf.push(tag::R_TRACED);
-            put_u32(buf, 0);
+            0u32.put(buf);
             buf.push(tag::R_TRACED);
-            put_u32(buf, 0);
+            0u32.put(buf);
             buf.push(tag::R_UNIT);
         });
         let (rpayload, _) = decode_frame(&rframe).unwrap();
@@ -1934,7 +1555,10 @@ mod tests {
         };
         assert_eq!(req.kind_name(), "commit");
         assert_eq!(req.tag_byte(), tag::COMMIT);
-        assert_eq!(Request::ObsSnapshot.kind_name(), "obs_snapshot");
+        assert_eq!(
+            Request::Admin(AdminOp::ObsSnapshot).kind_name(),
+            "obs_snapshot"
+        );
     }
 
     #[test]

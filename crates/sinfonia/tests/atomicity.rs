@@ -272,8 +272,8 @@ fn durable_crash_mid_2pc_no_loss_no_partials() {
         let v1 = c.node(MemNodeId(1)).raw_read(off, 8).unwrap();
         assert_eq!(v0, v1, "partial cross-node write survived at {off}");
     }
-    assert_eq!(c.node(MemNodeId(0)).in_doubt(), 0);
-    assert_eq!(c.node(MemNodeId(1)).in_doubt(), 0);
+    assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(0));
+    assert_eq!(c.node(MemNodeId(1)).in_doubt(), Ok(0));
     drop(c);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -117,7 +117,7 @@ fn in_doubt_all_yes_commits_on_restart_group_commit() {
     m.write(ItemRange::new(MemNodeId(1), 0, 4), vec![5, 6, 7, 8]);
     let txid = c.next_txid();
     prepare_at(&c, txid, &m, &[0, 1]);
-    assert_eq!(c.node(MemNodeId(0)).in_doubt(), 1);
+    assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(1));
     drop(c); // coordinator and cluster die before any decision
 
     let (c2, res) = SinfoniaCluster::restart_from_disk(cfg).unwrap();
@@ -131,8 +131,8 @@ fn in_doubt_all_yes_commits_on_restart_group_commit() {
         c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(),
         vec![5, 6, 7, 8]
     );
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
-    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
+    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), Ok(0));
     // Locks were released by the resolution: the range is writable again.
     write_both(&c2, 0, 9);
     drop(c2);
@@ -163,7 +163,7 @@ fn in_doubt_partial_prepare_aborts_on_restart() {
     assert_eq!(res.aborted, 1);
     assert_eq!(c2.node(MemNodeId(0)).raw_read(0, 4).unwrap(), vec![0; 4]);
     assert_eq!(c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(), vec![0; 4]);
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
     write_both(&c2, 0, 3); // locks free again
     drop(c2);
     let _ = std::fs::remove_dir_all(dir);
@@ -183,7 +183,7 @@ fn decided_commit_survives_checkpoint_for_resolution() {
     // Phase two reached memnode 0 only, which then checkpointed.
     c.node(MemNodeId(0)).commit(txid).unwrap();
     assert!(c.node(MemNodeId(0)).checkpoint().unwrap());
-    assert_eq!(c.node(MemNodeId(1)).in_doubt(), 1);
+    assert_eq!(c.node(MemNodeId(1)).in_doubt(), Ok(1));
     drop(c);
 
     let (c2, res) = SinfoniaCluster::restart_from_disk(cfg).unwrap();

@@ -263,7 +263,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
     );
     assert!(put_slot(&c, 0, 1).unwrap()); // warm the connection pool
 
-    let commits_before = node.node_stats().single_commits;
+    let commits_before = node.node_stats().unwrap().single_commits;
     let exceeded_before = obs_counter(&c, "deadline.exceeded");
     let scope = OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter();
     let start = Instant::now();
@@ -277,7 +277,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
         "expired deadline did not fail fast ({elapsed:?})"
     );
     assert_eq!(
-        node.node_stats().single_commits,
+        node.node_stats().unwrap().single_commits,
         commits_before,
         "an RPC reached the server despite the expired deadline"
     );

@@ -9,11 +9,12 @@
 use minuet::sinfonia::memnode::{SingleResult, Vote};
 use minuet::sinfonia::recovery::NodeMeta;
 use minuet::sinfonia::wire::{
-    decode_frame, FrameReader, NodeFlags, Request, Response, WireBatchItem, WireShard,
+    decode_frame, AdminOp, AdminReply, FrameReader, NodeFlags, Request, Response, WireBatchItem,
+    WireError, WireShard,
 };
-use minuet::sinfonia::{Bytes, LockPolicy, MemNodeId, NodeStats};
+use minuet::sinfonia::{Bytes, LockPolicy, MemNodeId, NodeStats, ReplStatus};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::time::Duration;
 
@@ -174,23 +175,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
             off: off as u64,
             data,
         }),
-        any::<bool>().prop_map(Request::SetJoining),
-        any::<bool>().prop_map(Request::SetRetiring),
-        Just(Request::Crash),
-        Just(Request::Recover),
-        Just(Request::Checkpoint),
-        Just(Request::Stats),
         Just(Request::Flags),
-        Just(Request::Meta),
-        proptest::collection::vec((any::<u32>(), any::<u16>()), 0..5).prop_map(|probe| {
-            Request::MirrorConsistent {
-                probe: probe
-                    .into_iter()
-                    .map(|(off, len)| (off as u64, len as u32))
-                    .collect(),
-            }
-        }),
-        Just(Request::Shutdown),
         (any::<u32>(), any::<bool>()).prop_map(|(epoch, closing)| Request::EpochMark {
             epoch: epoch as u64,
             closing,
@@ -204,7 +189,31 @@ fn arb_request() -> impl Strategy<Value = Request> {
             frames,
         }),
         Just(Request::ReplStatus),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(|v| Request::Faults {
+        arb_admin_op().prop_map(Request::Admin),
+    ]
+}
+
+fn arb_admin_op() -> impl Strategy<Value = AdminOp> {
+    prop_oneof![
+        any::<bool>().prop_map(AdminOp::SetJoining),
+        any::<bool>().prop_map(AdminOp::SetRetiring),
+        Just(AdminOp::Crash),
+        Just(AdminOp::Recover),
+        Just(AdminOp::Checkpoint),
+        Just(AdminOp::Stats),
+        Just(AdminOp::Meta),
+        proptest::collection::vec((any::<u32>(), any::<u16>()), 0..5).prop_map(|probe| {
+            AdminOp::MirrorConsistent {
+                probe: probe
+                    .into_iter()
+                    .map(|(off, len)| (off as u64, len as u32))
+                    .collect(),
+            }
+        }),
+        Just(AdminOp::Shutdown),
+        Just(AdminOp::ObsSnapshot),
+        (any::<u32>(), any::<bool>()).prop_map(|(max, slow)| AdminOp::TraceDump { max, slow }),
+        proptest::collection::vec(any::<u8>(), 0..32).prop_map(|v| AdminOp::Faults {
             spec: v.iter().map(|b| (b'a' + b % 26) as char).collect(),
         }),
     ]
@@ -228,8 +237,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_vote().prop_map(Response::Vote),
         Just(Response::Unit),
         arb_bytes().prop_map(Response::Data),
-        any::<bool>().prop_map(Response::Bool),
-        arb_stats().prop_map(Response::Stats),
         (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(crashed, joining, retiring)| {
             Response::Flags(NodeFlags {
                 crashed,
@@ -237,7 +244,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 retiring,
             })
         }),
-        arb_meta().prop_map(Response::Meta),
         any::<u16>().prop_map(Response::Unavailable),
         proptest::collection::vec(any::<u8>(), 0..24)
             .prop_map(|v| Response::Error(v.iter().map(|b| (b'a' + b % 26) as char).collect())),
@@ -258,15 +264,29 @@ fn arb_response() -> impl Strategy<Value = Response> {
             any::<u32>()
         )
             .prop_map(|(watermark, applied_txid, tail, applies, dup_skips)| {
-                Response::ReplStatus {
+                Response::ReplStatus(ReplStatus {
                     watermark: watermark as u64,
                     applied_txid: applied_txid as u64,
                     tail: tail as u64,
                     applies: applies as u64,
                     dup_skips: dup_skips as u64,
-                }
+                })
             }),
-        any::<u32>().prop_map(|armed| Response::Faults { armed }),
+        arb_admin_reply().prop_map(Response::Admin),
+    ]
+}
+
+/// Every admin reply but the bare `Unit` and `Error`, which travel as (and
+/// decode to) [`Response::Unit`] / [`Response::Error`] — the table-wide
+/// test below covers those through [`Response::into_admin`].
+fn arb_admin_reply() -> impl Strategy<Value = AdminReply> {
+    prop_oneof![
+        any::<bool>().prop_map(AdminReply::Bool),
+        arb_stats().prop_map(AdminReply::Stats),
+        arb_meta().prop_map(AdminReply::Meta),
+        arb_bytes().prop_map(AdminReply::Obs),
+        arb_bytes().prop_map(AdminReply::Traces),
+        any::<u32>().prop_map(|armed| AdminReply::Faults { armed }),
     ]
 }
 
@@ -390,6 +410,339 @@ fn arrived_frame_costs_exactly_one_read() {
     let small = raw_write(5, 0x55).encode();
     read_frames_back(&[big.clone(), small.clone()], &[]);
     read_frames_back(&[small, big], &[100_000]);
+}
+
+// ---------------------------------------------------------------------------
+// Table-wide: one pass over every row of the four message tables
+// ---------------------------------------------------------------------------
+
+fn sample_shard() -> WireShard {
+    WireShard {
+        compares: vec![(0, 64, Bytes::from(vec![1, 2, 3]))],
+        reads: vec![(1, 4096, 100), (2, 8, 8)],
+        writes: vec![(3, 8192, Bytes::from(vec![9; 5]))],
+    }
+}
+
+/// One value of every [`Request`] row.
+fn every_request() -> Vec<Request> {
+    let block = LockPolicy::Block(Duration::from_micros(1500));
+    vec![
+        Request::Hello { version: 4 },
+        Request::ExecSingle {
+            txid: 1,
+            policy: LockPolicy::AbortOnBusy,
+            shard: sample_shard(),
+        },
+        Request::ExecBatch {
+            items: vec![WireBatchItem {
+                txid: 7,
+                policy: block,
+                shard: sample_shard(),
+            }],
+        },
+        Request::Prepare {
+            txid: 9,
+            policy: block,
+            participants: vec![0, 3, 7],
+            shard: sample_shard(),
+        },
+        Request::Commit { txid: 10 },
+        Request::Abort { txid: 11 },
+        Request::RawRead { off: 4096, len: 77 },
+        Request::RawWrite {
+            off: 12,
+            data: Bytes::from(vec![5, 6, 7, 8]),
+        },
+        Request::Flags,
+        Request::Traced {
+            trace_id: 5,
+            inner: Box::new(Request::Commit { txid: 10 }),
+        },
+        Request::EpochMark {
+            epoch: 99,
+            closing: true,
+        },
+        Request::ReplFetch {
+            from: 4096,
+            max: 512,
+        },
+        Request::ReplApply {
+            from: 128,
+            frames: Bytes::from(vec![3u8; 10]),
+        },
+        Request::ReplStatus,
+    ]
+}
+
+/// One value of every [`AdminOp`] row.
+fn every_admin_op() -> Vec<AdminOp> {
+    vec![
+        AdminOp::SetJoining(true),
+        AdminOp::SetRetiring(false),
+        AdminOp::Crash,
+        AdminOp::Recover,
+        AdminOp::Checkpoint,
+        AdminOp::Stats,
+        AdminOp::Meta,
+        AdminOp::MirrorConsistent {
+            probe: vec![(0, 64), (128, 32)],
+        },
+        AdminOp::Shutdown,
+        AdminOp::ObsSnapshot,
+        AdminOp::TraceDump {
+            max: 32,
+            slow: true,
+        },
+        AdminOp::Faults {
+            spec: "wal.fsync=err:count=3".into(),
+        },
+    ]
+}
+
+/// One value of every [`Response`] row.
+fn every_response() -> Vec<Response> {
+    let pairs = vec![(1usize, Bytes::from(vec![0xAA; 6])), (4, Bytes::new())];
+    vec![
+        Response::Hello {
+            version: 4,
+            node: 3,
+            capacity: 1 << 30,
+        },
+        Response::Single(SingleResult::Committed(pairs.clone())),
+        Response::Batch(vec![
+            Ok(SingleResult::BadCompare(vec![0, 3])),
+            Err(4),
+            Ok(SingleResult::Busy),
+        ]),
+        Response::Vote(Vote::Ok(pairs)),
+        Response::Unit,
+        Response::Data(Bytes::from(vec![1, 2, 3, 4, 5])),
+        Response::Flags(NodeFlags {
+            crashed: true,
+            joining: false,
+            retiring: true,
+        }),
+        Response::Unavailable(6),
+        Response::Error("extent exceeds capacity".into()),
+        Response::TracedReply {
+            spans: vec![minuet::obs::SpanRecord {
+                kind: 11,
+                tag: 0,
+                depth: 1,
+                start_ns: 123,
+                dur_ns: 456,
+            }],
+            inner: Box::new(Response::Unit),
+        },
+        Response::Epoch(41),
+        Response::Frames {
+            from: 64,
+            base: 0,
+            tail: 1024,
+            bytes: Bytes::from(vec![5u8; 9]),
+        },
+        Response::ReplStatus(ReplStatus {
+            watermark: 7,
+            applied_txid: 9,
+            tail: 11,
+            applies: 13,
+            dup_skips: 2,
+        }),
+    ]
+}
+
+/// One value of every [`AdminReply`] row.
+fn every_admin_reply() -> Vec<AdminReply> {
+    let mut meta = NodeMeta::default();
+    meta.staged.insert(42, vec![MemNodeId(0), MemNodeId(2)]);
+    meta.decided.insert(100);
+    vec![
+        AdminReply::Unit,
+        AdminReply::Bool(true),
+        AdminReply::Stats(NodeStats {
+            single_commits: 1,
+            in_doubt: 10,
+            wal_retained_bytes: 15,
+            durable: true,
+            ..NodeStats::default()
+        }),
+        AdminReply::Meta(meta),
+        AdminReply::Error("checkpoint failed: nope".into()),
+        AdminReply::Obs(Bytes::from(vec![1, 2, 3])),
+        AdminReply::Traces(Bytes::from(vec![0; 4])),
+        AdminReply::Faults { armed: 2 },
+    ]
+}
+
+/// Checks one table: the samples cover every row (`all_tags` is generated
+/// from the table, so a row added without a sample fails here), each
+/// sample survives `decode`, and every strict prefix of its payload is
+/// `Truncated` — decoding is front-to-back, so a prefix can be nothing
+/// else.
+fn check_table<M: std::fmt::Debug + PartialEq>(
+    table: &str,
+    all_tags: &[u8],
+    samples: &[M],
+    encode: impl Fn(&M) -> Vec<u8>,
+    decode: impl Fn(&Bytes) -> Result<M, WireError>,
+) {
+    let mut sampled = BTreeSet::new();
+    for m in samples {
+        let frame = encode(m);
+        let (payload, used) = decode_frame(&frame).expect("own frame must parse");
+        assert_eq!(used, frame.len());
+        sampled.insert(payload[0]);
+        let back = decode(&payload).unwrap_or_else(|e| panic!("{table} {m:?}: {e}"));
+        assert_eq!(&back, m, "{table}: did not round-trip");
+        for cut in 0..payload.len() {
+            let prefix = Bytes::from(payload[..cut].to_vec());
+            match decode(&prefix) {
+                Err(WireError::Truncated) => {}
+                other => panic!("{table} {m:?} cut at {cut}: {other:?}"),
+            }
+        }
+    }
+    let rows: BTreeSet<u8> = all_tags.iter().copied().collect();
+    assert_eq!(rows.len(), all_tags.len(), "{table}: a tag is used twice");
+    assert_eq!(sampled, rows, "{table}: rows without a sample, or strays");
+}
+
+#[test]
+fn every_row_of_every_table_round_trips_and_every_prefix_is_truncated() {
+    check_table(
+        "Request",
+        Request::ALL_TAGS,
+        &every_request(),
+        Request::encode,
+        Request::decode,
+    );
+    check_table(
+        "AdminOp",
+        AdminOp::ALL_TAGS,
+        &every_admin_op(),
+        |op| Request::Admin(op.clone()).encode(),
+        |p| {
+            Request::decode(p).map(|r| match r {
+                Request::Admin(op) => op,
+                other => panic!("admin tag decoded as {other:?}"),
+            })
+        },
+    );
+    check_table(
+        "Response",
+        Response::ALL_TAGS,
+        &every_response(),
+        Response::encode,
+        Response::decode,
+    );
+    // `Unit` and `Error` answer both planes with one frame each, so an
+    // admin reply is read back through `into_admin`, as the client does.
+    check_table(
+        "AdminReply",
+        AdminReply::ALL_TAGS,
+        &every_admin_reply(),
+        |r| Response::Admin(r.clone()).encode(),
+        |p| {
+            Response::decode(p).map(|r| {
+                r.into_admin()
+                    .unwrap_or_else(|other| panic!("admin tag decoded as {other:?}"))
+            })
+        },
+    );
+    assert_eq!(
+        Response::Admin(AdminReply::Unit).encode(),
+        Response::Unit.encode()
+    );
+
+    // The request tables share one tag space, as do the reply tables.
+    let requests: BTreeSet<u8> = [Request::ALL_TAGS, AdminOp::ALL_TAGS]
+        .concat()
+        .into_iter()
+        .collect();
+    assert_eq!(
+        requests.len(),
+        Request::ALL_TAGS.len() + AdminOp::ALL_TAGS.len()
+    );
+    let replies: BTreeSet<u8> = [Response::ALL_TAGS, AdminReply::ALL_TAGS]
+        .concat()
+        .into_iter()
+        .collect();
+    // Every byte that is not a row is `BadTag`, not a guess.
+    for t in 0..=u8::MAX {
+        let lone = Bytes::from(vec![t]);
+        if !requests.contains(&t) {
+            assert_eq!(Request::decode(&lone), Err(WireError::BadTag(t)));
+        }
+        if !replies.contains(&t) {
+            assert_eq!(Response::decode(&lone), Err(WireError::BadTag(t)));
+        }
+    }
+}
+
+/// A count or length is believed only as far as bytes back it: each of
+/// these claims 2³² − 1 elements (or bytes) and delivers none. Were any
+/// count used to size an allocation, the smallest of them would ask for
+/// gigabytes — far past the 64 KiB a connection's read buffer may reserve
+/// — and abort the test; instead each is `Truncated` on the spot.
+#[test]
+fn hostile_counts_are_truncated_not_allocated() {
+    let max = u32::MAX.to_le_bytes();
+    let with = |head: &[u8]| Bytes::from([head, &max[..]].concat());
+    for (what, payload) in [
+        ("exec_batch items", with(&[0x03])),
+        (
+            "exec_single compares",
+            with(&[0x02, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ),
+        (
+            "prepare participants",
+            with(&[0x04, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ),
+        ("raw_write length", with(&[0x08, 0, 0, 0, 0, 0, 0, 0, 0])),
+        ("mirror probe", with(&[0x11])),
+        ("faults spec", with(&[0x1A])),
+    ] {
+        assert_eq!(
+            Request::decode(&payload),
+            Err(WireError::Truncated),
+            "{what}"
+        );
+    }
+    for (what, payload) in [
+        ("batch members", with(&[0x83])),
+        ("single pairs", with(&[0x82, 0])),
+        ("vote indices", with(&[0x84, 1])),
+        ("data length", with(&[0x86])),
+        ("meta staged", with(&[0x8A])),
+        ("error text", with(&[0x8C])),
+    ] {
+        assert_eq!(
+            Response::decode(&payload),
+            Err(WireError::Truncated),
+            "{what}"
+        );
+    }
+    // Spans are the one capped count: more than a trace can hold is refused
+    // by value, before any span is read.
+    assert!(matches!(
+        Response::decode(&with(&[0x8D])),
+        Err(WireError::BadValue(_))
+    ));
+}
+
+#[test]
+fn text_fields_must_be_utf8() {
+    let faults = Bytes::from(vec![0x1A, 2, 0, 0, 0, 0xFF, 0xFE]);
+    assert!(matches!(
+        Request::decode(&faults),
+        Err(WireError::BadValue(_))
+    ));
+    let error = Bytes::from(vec![0x8C, 1, 0, 0, 0, 0xC0]);
+    assert!(matches!(
+        Response::decode(&error),
+        Err(WireError::BadValue(_))
+    ));
 }
 
 proptest! {

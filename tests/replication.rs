@@ -251,7 +251,11 @@ fn follower_converges_to_primary_restart_state() {
         );
     }
     for id in [MemNodeId(0), MemNodeId(1)] {
-        assert_eq!(follower.node(id).in_doubt(), 0, "undecided 2PC on follower");
+        assert_eq!(
+            follower.node(id).in_doubt(),
+            Ok(0),
+            "undecided 2PC on follower"
+        );
     }
 
     drop(fp);

@@ -115,7 +115,7 @@ fn daemon_killed_mid_2pc_all_yes_commits_after_restart() {
     prepare_at(&c, txid, &m, &[0, 1]);
     assert_eq!(
         c.node(MemNodeId(0)).in_doubt(),
-        1,
+        Ok(1),
         "stats RPC sees the staged tx"
     );
 
@@ -140,8 +140,8 @@ fn daemon_killed_mid_2pc_all_yes_commits_after_restart() {
         c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(),
         vec![5, 6, 7, 8]
     );
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
-    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
+    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), Ok(0));
 
     // Locks were released by the resolution: the range is writable again.
     let mut m2 = Minitransaction::new();
@@ -187,10 +187,78 @@ fn daemon_killed_mid_2pc_partial_prepare_aborts_after_restart() {
     assert_eq!(res.aborted, 1);
     assert_eq!(c2.node(MemNodeId(0)).raw_read(0, 4).unwrap(), vec![0; 4]);
     assert_eq!(c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(), vec![0; 4]);
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
 
     drop(c2);
     drop(servers2);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// One participant committed and then died; the other still stages the
+/// transaction. A resolution pass that cannot ask the dead daemon must
+/// leave the transaction in doubt — an unreachable participant has not
+/// voted no — and must not panic telling it the outcome. Once the daemon
+/// is back, the next pass learns of its commit and finishes the job.
+#[test]
+fn unreachable_participant_leaves_the_transaction_in_doubt() {
+    let capacity = 1u64 << 20;
+    let dcfg = DurabilityConfig {
+        checkpoint_log_bytes: 0,
+        ..DurabilityConfig::ephemeral("wire-2pc-partial", SyncMode::Sync)
+    };
+    let dir = dcfg.dir.clone().unwrap();
+    let (mut servers, endpoints) = spawn_durable(2, capacity, &dcfg, "2pc-partial");
+    let c = wire_sinfonia(endpoints.clone(), capacity);
+
+    let mut m = Minitransaction::new();
+    m.write(ItemRange::new(MemNodeId(0), 0, 4), vec![1, 2, 3, 4]);
+    m.write(ItemRange::new(MemNodeId(1), 0, 4), vec![5, 6, 7, 8]);
+    let txid = c.next_txid();
+    prepare_at(&c, txid, &m, &[0, 1]);
+    c.node(MemNodeId(1)).commit(txid).unwrap();
+
+    // Daemon 1 dies with the decision on its disk; the coordinator lives.
+    let dead = servers.pop().unwrap();
+    dead.kill();
+    drop(dead);
+
+    let res = c.resolve_in_doubt();
+    assert_eq!((res.committed, res.aborted, res.unresolved), (0, 0, 1));
+    assert_eq!(
+        c.node(MemNodeId(0)).in_doubt(),
+        Ok(1),
+        "the reachable participant must keep what it staged"
+    );
+    assert!(c.node(MemNodeId(1)).node_meta().is_err());
+
+    // The daemon returns on its old endpoint with its log replayed.
+    let (node, _, _) =
+        MemNode::open_from_disk(MemNodeId(1), capacity, &dcfg).expect("reopen memnode");
+    servers.push(
+        MemNodeServer::spawn(Arc::new(node), &endpoints[1], ServerOptions::default())
+            .expect("respawn"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while c.node(MemNodeId(1)).is_crashed() {
+        assert!(Instant::now() < deadline, "daemon 1 never came back");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let res = c.resolve_in_doubt();
+    assert_eq!((res.committed, res.aborted, res.unresolved), (1, 0, 0));
+    assert_eq!(
+        c.node(MemNodeId(0)).raw_read(0, 4).unwrap(),
+        vec![1, 2, 3, 4]
+    );
+    assert_eq!(
+        c.node(MemNodeId(1)).raw_read(0, 4).unwrap(),
+        vec![5, 6, 7, 8]
+    );
+    assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(0));
+    assert_eq!(c.node(MemNodeId(1)).in_doubt(), Ok(0));
+
+    drop(c);
+    drop(servers);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -490,7 +558,7 @@ fn killed_daemon_falls_back_to_cached_membership_flags() {
     let transport = Arc::new(Transport::new_wire(Duration::from_micros(100), None));
     let remote = RemoteNode::new(MemNodeId(0), ep, wire.clone(), transport.clone());
 
-    remote.set_joining(true);
+    remote.set_joining(true).expect("server is up");
     // The SetJoining reply's flag trailer already refreshed the cache:
     // these answer from memory against the live server.
     assert!(remote.is_joining());

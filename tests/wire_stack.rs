@@ -7,6 +7,7 @@
 
 use minuet::core::{op_tag, MinuetCluster, TreeConfig};
 use minuet::obs::{ObsConfig, SpanKind};
+use minuet::sinfonia::rpc::{AdminOp, AdminReply};
 use minuet::sinfonia::{ClusterConfig, MemNodeId, NodeRpc, WireConfig};
 use std::sync::Arc;
 
@@ -207,8 +208,8 @@ fn stat_rpc_matches_server_state_over_the_wire() {
 
     for (i, node) in nodes.iter().enumerate() {
         let handle = mc.sinfonia.node(MemNodeId(i as u16));
-        let remote = handle.node_stats();
-        let local = NodeRpc::node_stats(node.as_ref());
+        let remote = handle.node_stats().expect("daemon is up");
+        let local = NodeRpc::node_stats(node.as_ref()).expect("in-process");
         assert_eq!(remote, local, "wire NodeStats diverges on memnode {i}");
         assert!(
             local.single_commits > 0,
@@ -231,6 +232,48 @@ fn stat_rpc_matches_server_state_over_the_wire() {
             "snapshot missing memnode counters"
         );
     }
+}
+
+/// There is one implementation of every admin operation, so the same
+/// sequence through the in-process handle and through a wire handle to the
+/// same daemon must be answered identically — reply for reply.
+#[test]
+fn admin_ops_answer_alike_in_process_and_over_the_wire() {
+    let cfg = TreeConfig::small_nodes(8);
+    let capacity = MinuetCluster::required_node_capacity(&cfg, 1, 1);
+    let (endpoints, nodes) = common::spawn_servers_with_nodes(1, capacity);
+    let sin = ClusterConfig::with_memnodes(1).with_wire_transport(endpoints, WireConfig::default());
+    let mc = MinuetCluster::with_cluster_config(sin, 1, cfg);
+    let mut p = mc.proxy();
+    for i in 0..16u64 {
+        p.put(0, key(i), val(i)).unwrap();
+    }
+    drop(p);
+
+    let local: &dyn NodeRpc = nodes[0].as_ref();
+    let remote = mc.sinfonia.node(MemNodeId(0));
+    assert!(
+        remote.as_local().is_none(),
+        "second handle must be a wire client"
+    );
+    for op in [
+        AdminOp::SetRetiring(true),
+        AdminOp::Checkpoint,
+        AdminOp::Stats,
+        AdminOp::Meta,
+        AdminOp::MirrorConsistent {
+            probe: vec![(0, 4096), (8192, 64)],
+        },
+    ] {
+        let here = local.admin(op.clone()).expect("in-process");
+        let there = remote.admin(op.clone()).expect("daemon is up");
+        assert_eq!(here, there, "{} answered differently", op.kind_name());
+    }
+    assert!(matches!(
+        remote.admin(AdminOp::Stats),
+        Ok(AdminReply::Stats(s)) if s.single_commits > 0
+    ));
+    assert!(remote.is_retiring() && local.is_retiring());
 }
 
 /// A sampled put over real sockets yields one trace whose client-side
