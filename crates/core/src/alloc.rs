@@ -11,10 +11,12 @@
 //! *segments*: the first freed slot of a batch stores the ids of its
 //! companions, so a proxy refills an entire chunk with two object reads.
 
-use crate::error::Error;
+use crate::error::{Attempt, Error, RetryCause};
 use crate::layout::Layout;
 use crate::node::NodePtr;
-use minuet_dyntx::{DynTx, TxError};
+use crate::retry::run_tx;
+use crate::stats::raw_obj;
+use minuet_dyntx::DynTx;
 use minuet_sinfonia::{MemNodeId, SinfoniaCluster};
 use std::collections::HashMap;
 
@@ -57,6 +59,22 @@ impl AllocState {
             free_head: u32::from_le_bytes(raw[4..8].try_into().unwrap()),
             free_count: u32::from_le_bytes(raw[8..12].try_into().unwrap()),
         }
+    }
+
+    /// Transactional read of `mem`'s allocator state (joins the read set).
+    pub(crate) fn read(tx: &mut DynTx<'_>, layout: &Layout, mem: MemNodeId) -> Attempt<AllocState> {
+        Ok(AllocState::decode(&tx.read(layout.alloc_state(mem))?))
+    }
+
+    /// Unsynchronized read of the same object.
+    pub(crate) fn read_raw(
+        sin: &SinfoniaCluster,
+        layout: &Layout,
+        mem: MemNodeId,
+    ) -> Result<AllocState, Error> {
+        Ok(AllocState::decode(
+            &raw_obj(sin, layout.alloc_state(mem))?.data,
+        ))
     }
 }
 
@@ -112,15 +130,18 @@ pub struct ChunkCache {
     chunks: HashMap<(u32, u16), Vec<u32>>,
     rr: usize,
     chunk_size: u32,
+    max_retries: usize,
 }
 
 impl ChunkCache {
-    /// Creates an empty cache refilling `chunk_size` slots at a time.
-    pub fn new(chunk_size: u32) -> Self {
+    /// Creates an empty cache refilling `chunk_size` slots at a time, each
+    /// refill transaction giving up after `max_retries` aborts.
+    pub fn new(chunk_size: u32, max_retries: usize) -> Self {
         ChunkCache {
             chunks: HashMap::new(),
             rr: 0,
             chunk_size,
+            max_retries,
         }
     }
 
@@ -189,15 +210,10 @@ impl ChunkCache {
                 return Ok(NodePtr { mem, slot });
             }
         }
-        match grab_chunk(cluster, layout, mem, self.chunk_size)? {
-            slots if !slots.is_empty() => {
-                let mut slots = slots;
-                let slot = slots.pop().unwrap();
-                self.chunks.insert(key, slots);
-                Ok(NodePtr { mem, slot })
-            }
-            _ => Err(Error::OutOfSlots(mem)),
-        }
+        let mut slots = grab_chunk(cluster, layout, mem, self.chunk_size, self.max_retries)?;
+        let slot = slots.pop().ok_or(Error::OutOfSlots(mem))?;
+        self.chunks.insert(key, slots);
+        Ok(NodePtr { mem, slot })
     }
 
     /// Slots currently cached locally (diagnostics).
@@ -213,60 +229,35 @@ fn grab_chunk(
     layout: &Layout,
     mem: MemNodeId,
     want: u32,
+    max_retries: usize,
 ) -> Result<Vec<u32>, Error> {
-    loop {
-        let mut tx = DynTx::new(cluster);
-        let state_obj = layout.alloc_state(mem);
-        let raw = match tx.read(state_obj) {
-            Ok(r) => r,
-            Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-            Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-            Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-        };
-        let mut state = AllocState::decode(&raw);
+    let grab = |_: &mut (), tx: &mut DynTx<'_>| {
+        let mut state = AllocState::read(tx, layout, mem)?;
         let mut got: Vec<u32> = Vec::with_capacity(want as usize);
-
         if state.free_head != NIL_SLOT {
             // Pop one whole segment: the segment slot itself plus its
             // companions.
             let seg_slot = state.free_head;
-            let seg_obj = layout.node_obj(NodePtr {
+            let seg_raw = tx.read(layout.node_obj(NodePtr {
                 mem,
                 slot: seg_slot,
-            });
-            let seg_raw = match tx.read(seg_obj) {
-                Ok(r) => r,
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            match FreeSegment::decode(&seg_raw) {
-                Some(seg) => {
-                    state.free_head = seg.next;
-                    state.free_count = state.free_count.saturating_sub(1 + seg.slots.len() as u32);
-                    got.push(seg_slot);
-                    got.extend_from_slice(&seg.slots);
-                }
-                None => {
-                    // Torn state (should not survive validation); retry.
-                    continue;
-                }
-            }
+            }))?;
+            // Torn state (should not survive validation): retry.
+            let seg = FreeSegment::decode(&seg_raw).ok_or(RetryCause::TornRead)?;
+            state.free_head = seg.next;
+            state.free_count = state.free_count.saturating_sub(1 + seg.slots.len() as u32);
+            got.push(seg_slot);
+            got.extend_from_slice(&seg.slots);
         } else {
             let available = layout.params.slots_per_mem.saturating_sub(state.bump);
             let take = want.min(available);
             got.extend(state.bump..state.bump + take);
             state.bump += take;
         }
-
-        tx.write(state_obj, state.encode());
-        match tx.commit() {
-            Ok(_) => return Ok(got),
-            Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-            Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-            Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-        }
-    }
+        tx.write(layout.alloc_state(mem), state.encode());
+        Ok(got)
+    };
+    Ok(run_tx(cluster, true, max_retries, &mut (), |_, _| {}, grab)?.0)
 }
 
 /// Tombstone payload written over freed non-header slots so a racing GC
@@ -357,7 +348,7 @@ mod tests {
     #[test]
     fn bump_allocation_unique_slots() {
         let (cluster, layout) = setup(100, 2);
-        let mut cc = ChunkCache::new(8);
+        let mut cc = ChunkCache::new(8, 100_000);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..60 {
             let p = cc.alloc(&cluster, &layout, 0, None).unwrap();
@@ -368,7 +359,7 @@ mod tests {
     #[test]
     fn preferred_memnode_respected() {
         let (cluster, layout) = setup(100, 4);
-        let mut cc = ChunkCache::new(4);
+        let mut cc = ChunkCache::new(4, 100_000);
         for _ in 0..10 {
             let p = cc.alloc(&cluster, &layout, 0, Some(MemNodeId(2))).unwrap();
             assert_eq!(p.mem, MemNodeId(2));
@@ -378,7 +369,7 @@ mod tests {
     #[test]
     fn exhaustion_falls_over_then_errors() {
         let (cluster, layout) = setup(4, 2);
-        let mut cc = ChunkCache::new(16);
+        let mut cc = ChunkCache::new(16, 100_000);
         // 8 slots total across 2 memnodes.
         let mut got = Vec::new();
         for _ in 0..8 {
@@ -399,7 +390,7 @@ mod tests {
         for _ in 0..8 {
             let cluster = cluster.clone();
             handles.push(std::thread::spawn(move || {
-                let mut cc = ChunkCache::new(16);
+                let mut cc = ChunkCache::new(16, 100_000);
                 let mut got = Vec::new();
                 for _ in 0..100 {
                     got.push(cc.alloc(&cluster, &layout, 0, None).unwrap());
@@ -420,7 +411,7 @@ mod tests {
     fn free_segment_cycle() {
         let (cluster, layout) = setup(64, 1);
         let mem = MemNodeId(0);
-        let mut cc = ChunkCache::new(4);
+        let mut cc = ChunkCache::new(4, 100_000);
         let a: Vec<NodePtr> = (0..4)
             .map(|_| cc.alloc(&cluster, &layout, 0, Some(mem)).unwrap())
             .collect();
@@ -437,7 +428,7 @@ mod tests {
             }
         }
         // A fresh chunk grab must reuse exactly those slots.
-        let mut cc2 = ChunkCache::new(4);
+        let mut cc2 = ChunkCache::new(4, 100_000);
         let mut reused: Vec<u32> = (0..4)
             .map(|_| cc2.alloc(&cluster, &layout, 0, Some(mem)).unwrap().slot)
             .collect();

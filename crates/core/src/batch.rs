@@ -40,15 +40,16 @@
 //!
 //! [`SinfoniaCluster::exec_many`]: minuet_sinfonia::SinfoniaCluster::exec_many
 
-use crate::error::{Attempt, Error, RetryCause};
+use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{in_range, Fence, Key, Value};
 use crate::node::{Node, NodeBody, NodePtr};
-use crate::proxy::{backoff, op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
+use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
+use crate::retry::backoff;
 use crate::traverse::{LeafAccess, OpCtx, PathEntry, VersionCheck};
 use crate::tree::ConcurrencyMode;
-use minuet_dyntx::{commit_many, DynTx, SeqNo, StagedCommit, TxError, TxKey};
+use minuet_dyntx::{commit_many, DynTx, SeqNo, StagedCommit, TxKey};
 use minuet_obs::{event, SpanKind};
-use minuet_sinfonia::{MemNodeId, Minitransaction, Outcome, SinfoniaError};
+use minuet_sinfonia::{MemNodeId, Minitransaction, Outcome};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -86,10 +87,11 @@ struct LeafImage {
     raw: Option<minuet_sinfonia::Bytes>,
 }
 
-/// Disposition of one batch attempt.
+/// Disposition of one batch attempt that did not abort through
+/// [`TxnError::Retry`] (a stale tip or route; the caller notes the retry).
 enum BatchOutcome {
-    /// The tip or a route went stale mid-attempt: retry everything still
-    /// pending.
+    /// Cached leaves went stale mid-attempt (already invalidated): retry
+    /// everything still pending.
     Retry,
     /// The attempt ran to completion. `requeue` holds members whose group
     /// commit lost a validation race — worth another *batched* attempt
@@ -203,15 +205,17 @@ impl Proxy {
             let mut unserved: Vec<usize> = Vec::new();
             let mut attempts = 0usize;
             loop {
-                match self.batch_attempt(tree, kind, &items, &order, &mut results)? {
-                    BatchOutcome::Served { fallback, requeue } => {
+                match self.batch_attempt(tree, kind, &items, &order, &mut results) {
+                    Ok(BatchOutcome::Served { fallback, requeue }) => {
                         unserved.extend(fallback);
                         order = requeue;
                         // Conflicted members re-batch against fresh leaf
                         // images; keep them key-sorted for route reuse.
                         order.sort_by(|&a, &b| items[a].0.cmp(&items[b].0).then(a.cmp(&b)));
                     }
-                    BatchOutcome::Retry => {}
+                    Ok(BatchOutcome::Retry) => {}
+                    Err(TxnError::Retry(cause)) => self.note_retry(tree, cause),
+                    Err(TxnError::Error(e)) => return Err(e),
                 }
                 if order.is_empty() {
                     break unserved;
@@ -248,7 +252,7 @@ impl Proxy {
         items: &[(Key, Option<Value>)],
         pending: &[usize],
         results: &mut [Option<Value>],
-    ) -> Result<BatchOutcome, Error> {
+    ) -> Attempt<BatchOutcome> {
         let mc = self.mc.clone();
         let sin = mc.sinfonia.clone();
         let layout = *mc.layout(tree);
@@ -256,13 +260,7 @@ impl Proxy {
         // Routing transaction: only used for dirty-cached internal-node
         // fetches, never committed.
         let mut rtx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
-        let ctx = match self.resolve(&mut rtx, tree, OpTarget::MainlineTip)? {
-            Attempt::Done(c) => c,
-            Attempt::Retry(c) => {
-                self.note_retry(tree, c);
-                return Ok(BatchOutcome::Retry);
-            }
-        };
+        let ctx = self.resolve(&mut rtx, tree, OpTarget::MainlineTip)?;
         // The tip observation every group pins: the fetch minitransactions
         // compare it remotely, and every group commit validates it.
         let Some(&(tip_seq, tip_val)) = self.tip_cache.get(&tree) else {
@@ -282,13 +280,7 @@ impl Proxy {
                 in_range(&p.node.low, &p.node.high, key)
             });
             if !reusable {
-                match self.traverse(&mut rtx, tree, &ctx, key, LeafAccess::Route, 1)? {
-                    Attempt::Done(path) => route = Some(path),
-                    Attempt::Retry(c) => {
-                        self.note_retry(tree, c);
-                        return Ok(BatchOutcome::Retry);
-                    }
-                }
+                route = Some(self.traverse(&mut rtx, tree, &ctx, key, LeafAccess::Route, 1)?);
             }
             let r = route.as_ref().expect("route set");
             let parent = r.last().expect("route nonempty");
@@ -358,14 +350,7 @@ impl Proxy {
             plans.push((read_ptrs, compare_ptrs));
             ms.push(m);
         }
-        let outcomes = match sin.exec_many(&ms) {
-            Ok(o) => o,
-            Err(SinfoniaError::Unavailable(mem)) => return Err(Error::Unavailable(mem)),
-            Err(SinfoniaError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            Err(SinfoniaError::OutOfBounds { mem, detail }) => {
-                panic!("batched leaf fetch out of bounds at {mem}: {detail}")
-            }
-        };
+        let outcomes = sin.exec_many(&ms).map_err(Error::from)?;
         let mut leaves: BTreeMap<NodePtr, LeafImage> = BTreeMap::new();
         let mut stale_leaf = false;
         for ((read_ptrs, compare_ptrs), outcome) in plans.iter().zip(outcomes) {
@@ -383,8 +368,7 @@ impl Proxy {
                         }
                     }
                     if idx.contains(&0) {
-                        self.note_retry(tree, RetryCause::StaleTip);
-                        return Ok(BatchOutcome::Retry);
+                        return Err(RetryCause::StaleTip.into());
                     }
                 }
                 Outcome::Committed(res) => {
@@ -545,16 +529,17 @@ impl Proxy {
                         node,
                     });
                     let level = path.len() - 1;
-                    match self.materialize(&mut gtx, tree, &ctx, &path, level, new_leaf)? {
-                        Attempt::Done(()) => {
+                    match self.materialize(&mut gtx, tree, &ctx, &path, level, new_leaf) {
+                        Ok(()) => {
                             let written = self.last_leaf_written.take();
                             staged.push(gtx.stage_commit());
                             staged_members.push((members, olds, leaf_ptr, written));
                         }
-                        Attempt::Retry(_) => {
+                        Err(TxnError::Retry(_)) => {
                             self.last_leaf_written = None;
                             fallback.extend(members)
                         }
+                        Err(e) => return Err(e),
                     }
                 }
             }
@@ -562,17 +547,12 @@ impl Proxy {
 
         // ---- 4. Pipelined group commits: one batched round trip per
         // participant memnode. Validation failures retry per key. ----
-        let commit_results = commit_many(staged).map_err(|e| match e {
-            TxError::Unavailable(mem) => Error::Unavailable(mem),
-            TxError::DeadlineExceeded => Error::DeadlineExceeded,
-            TxError::Validation => unreachable!("exec_many reports validation per member"),
-            TxError::NoReadyReplica => unreachable!("staging failures surface per member"),
-        })?;
+        let commit_results = commit_many(staged)?;
         let mut requeue: Vec<usize> = Vec::new();
         for ((members, olds, leaf_ptr, written), outcome) in
             staged_members.into_iter().zip(commit_results)
         {
-            match outcome {
+            match outcome.map_err(TxnError::from) {
                 Ok(info) => {
                     self.install_committed_leaf(&info, written);
                     self.stats.ops += members.len() as u64;
@@ -581,23 +561,18 @@ impl Proxy {
                         results[i] = old;
                     }
                 }
-                Err(TxError::Validation) => {
-                    // A concurrent writer won this leaf. The tip is not
-                    // implicated (its staleness surfaces as a fetch-time
-                    // FailedCompare), so drop the now-stale cached leaf and
-                    // re-batch these members against a fresh image.
+                Err(TxnError::Retry(cause)) => {
+                    // A concurrent writer won this leaf (or, in a
+                    // membership transition window, no replica was ready).
+                    // The tip is not implicated — its staleness surfaces as
+                    // a fetch-time FailedCompare — so drop the possibly
+                    // stale cached leaf and re-batch these members against
+                    // a fresh image.
                     self.ncache.invalidate(tree, leaf_ptr);
-                    self.stats.record_retry(RetryCause::Validation);
+                    self.stats.record_retry(cause);
                     requeue.extend(members);
                 }
-                Err(TxError::NoReadyReplica) => {
-                    // Membership transition window: nothing about the leaf
-                    // is stale, just retry once a replica is ready.
-                    self.stats.record_retry(RetryCause::NoReadyReplica);
-                    requeue.extend(members);
-                }
-                Err(TxError::Unavailable(mem)) => return Err(Error::Unavailable(mem)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
+                Err(e) => return Err(e),
             }
         }
         Ok(BatchOutcome::Served { fallback, requeue })
@@ -638,80 +613,23 @@ impl Proxy {
         }
         let count = pairs.len();
 
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let layout = *mc.layout(tree);
+        let layout = *self.mc.layout(tree);
         // Keep allocated slots across validation retries so an aborted
         // attempt's slots are reused instead of leaked.
         let mut pool: Vec<NodePtr> = Vec::new();
-        let mut attempts = 0usize;
-        loop {
-            if attempts >= mc.cfg.max_op_retries {
-                return Err(Error::TooManyRetries { attempts });
-            }
-            let mut tx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
-            let ctx = match self.resolve(&mut tx, tree, OpTarget::MainlineTip)? {
-                Attempt::Done(c) => c,
-                Attempt::Retry(c) => {
-                    self.note_retry(tree, c);
-                    attempts += 1;
-                    backoff(attempts);
-                    continue;
-                }
-            };
+        self.run_op(tree, |p, tx| {
+            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
             // The root must still be the fresh empty leaf of the current
             // tip version; it joins the read set, so commit validation
             // re-checks this against concurrent writers.
-            let root_raw = match tx.read(layout.node_obj(ctx.root)) {
-                Ok(r) => r,
-                Err(TxError::Validation) => {
-                    self.note_retry(tree, RetryCause::Validation);
-                    attempts += 1;
-                    backoff(attempts);
-                    continue;
-                }
-                Err(TxError::NoReadyReplica) => {
-                    self.note_retry(tree, RetryCause::NoReadyReplica);
-                    attempts += 1;
-                    backoff(attempts);
-                    continue;
-                }
-                Err(TxError::Unavailable(mem)) => return Err(Error::Unavailable(mem)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
+            let root_raw = tx.read(layout.node_obj(ctx.root))?;
             let root = Node::decode(&root_raw).map_err(Error::Corrupt)?;
             if !(root.height == 0 && root.is_empty() && root.created == ctx.sid) {
-                return Err(Error::TreeNotEmpty { tree });
+                return Err(Error::TreeNotEmpty { tree }.into());
             }
-
-            match self.stage_bulk_tree(&mut tx, tree, &ctx, ctx.root, &pairs, &mut pool)? {
-                Attempt::Done(()) => {}
-                Attempt::Retry(c) => {
-                    self.note_retry(tree, c);
-                    attempts += 1;
-                    backoff(attempts);
-                    continue;
-                }
-            }
-            match tx.commit() {
-                Ok(_) => {
-                    self.stats.ops += 1;
-                    return Ok(count);
-                }
-                Err(TxError::Validation) => {
-                    self.note_retry(tree, RetryCause::Validation);
-                    attempts += 1;
-                    backoff(attempts);
-                }
-                Err(TxError::NoReadyReplica) => {
-                    self.note_retry(tree, RetryCause::NoReadyReplica);
-                    attempts += 1;
-                    backoff(attempts);
-                }
-                Err(TxError::Unavailable(mem)) => return Err(Error::Unavailable(mem)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            }
-        }
+            p.stage_bulk_tree(tx, tree, &ctx, ctx.root, &pairs, &mut pool)
+        })?;
+        Ok(count)
     }
 
     /// Takes a node slot: the first `cursor` entries of `pool` are in use
@@ -743,7 +661,7 @@ impl Proxy {
         root_ptr: NodePtr,
         pairs: &[(Key, Value)],
         pool: &mut Vec<NodePtr>,
-    ) -> Result<Attempt<()>, Error> {
+    ) -> Attempt<()> {
         let payload_cap = self.mc.cfg.split_payload_cap();
         let max_leaf = self.mc.cfg.max_leaf_entries;
         let max_internal = self.mc.cfg.max_internal_entries;
@@ -795,7 +713,7 @@ impl Proxy {
         if leaf_nodes.len() == 1 {
             // Everything fits in the root leaf.
             self.write_node(tx, tree, root_ptr, &leaf_nodes[0]);
-            return Ok(Attempt::Done(()));
+            return Ok(());
         }
 
         // Write the leaves into fresh slots and build internal levels over
@@ -851,7 +769,7 @@ impl Proxy {
             if nodes.len() == 1 {
                 // The single top node is the new root, written in place.
                 self.write_node(tx, tree, root_ptr, &nodes[0]);
-                return Ok(Attempt::Done(()));
+                return Ok(());
             }
             assert!(
                 nodes.len() < level.len(),

@@ -17,9 +17,12 @@
 //! [`VersionCache`]; mutable fields (`branch_id`, `nbranches`, `deleted`)
 //! are always read transactionally when a decision depends on them.
 
-use crate::error::Error;
+use crate::error::{Attempt, Error};
+use crate::layout::Layout;
 use crate::node::{NodePtr, SnapshotId};
-use minuet_sinfonia::MemNodeId;
+use crate::stats::raw_obj;
+use minuet_dyntx::{decode_obj, DynTx, ReplRef, SeqNo};
+use minuet_sinfonia::{MemNodeId, Minitransaction, Outcome, SinfoniaCluster};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
@@ -59,6 +62,25 @@ impl TipVal {
             },
         })
     }
+
+    fn parse(raw: &[u8]) -> Result<TipVal, Error> {
+        TipVal::decode(raw).ok_or(Error::CorruptMeta("tip"))
+    }
+
+    /// Transactional read from the replica at `home` (joins the read set).
+    pub(crate) fn read(tx: &mut DynTx<'_>, layout: &Layout, home: MemNodeId) -> Attempt<TipVal> {
+        Ok(TipVal::parse(&tx.read_repl(layout.tip(), home)?)?)
+    }
+
+    /// Unsynchronized read of the same replica, with the seqno observed.
+    pub(crate) fn read_raw(
+        sin: &SinfoniaCluster,
+        layout: &Layout,
+        home: MemNodeId,
+    ) -> Result<(SeqNo, TipVal), Error> {
+        let val = raw_obj(sin, layout.tip().at(home))?;
+        Ok((val.seqno, TipVal::parse(&val.data)?))
+    }
 }
 
 /// Payload of the replicated GLOBAL header object.
@@ -88,6 +110,24 @@ impl GlobalVal {
             next_sid: u64::from_le_bytes(raw[0..8].try_into().unwrap()),
             lowest: u64::from_le_bytes(raw[8..16].try_into().unwrap()),
         })
+    }
+
+    fn parse(raw: &[u8]) -> Result<GlobalVal, Error> {
+        GlobalVal::decode(raw).ok_or(Error::CorruptMeta("global header"))
+    }
+
+    /// Transactional read from the replica at `home` (joins the read set).
+    pub(crate) fn read(tx: &mut DynTx<'_>, layout: &Layout, home: MemNodeId) -> Attempt<GlobalVal> {
+        Ok(GlobalVal::parse(&tx.read_repl(layout.global(), home)?)?)
+    }
+
+    /// Unsynchronized read of the same replica.
+    pub(crate) fn read_raw(
+        sin: &SinfoniaCluster,
+        layout: &Layout,
+        home: MemNodeId,
+    ) -> Result<GlobalVal, Error> {
+        GlobalVal::parse(&raw_obj(sin, layout.global().at(home))?.data)
     }
 }
 
@@ -139,6 +179,47 @@ impl CatEntry {
             nbranches: raw[22],
             deleted: raw[23] != 0,
         })
+    }
+
+    /// Transactional read of snapshot `sid`'s entry from the replica at
+    /// `home` (joins the read set), with the object it lives in. An id
+    /// beyond the catalog region or never written is
+    /// [`Error::NoSuchSnapshot`].
+    pub(crate) fn read(
+        tx: &mut DynTx<'_>,
+        layout: &Layout,
+        sid: SnapshotId,
+        home: MemNodeId,
+    ) -> Attempt<(ReplRef, CatEntry)> {
+        let repl = layout
+            .catalog_entry(sid)
+            .ok_or(Error::NoSuchSnapshot(sid))?;
+        let entry = CatEntry::decode(&tx.read_repl(repl, home)?);
+        Ok((repl, entry.ok_or(Error::NoSuchSnapshot(sid))?))
+    }
+
+    /// Reads snapshot `sid`'s entry without any transactional tracking
+    /// (one read-only minitransaction at the replica at `home`), with the
+    /// seqno observed; `None` for a never-written entry. Used for ancestry
+    /// resolution, read-only snapshot lookups and the GC / migration scans.
+    pub(crate) fn fetch(
+        sin: &SinfoniaCluster,
+        layout: &Layout,
+        sid: SnapshotId,
+        home: MemNodeId,
+    ) -> Result<Option<(SeqNo, CatEntry)>, Error> {
+        let repl = layout
+            .catalog_entry(sid)
+            .ok_or(Error::NoSuchSnapshot(sid))?;
+        let mut m = Minitransaction::new();
+        m.read(repl.at(home).full_range());
+        match sin.execute(&m)? {
+            Outcome::FailedCompare(_) => unreachable!("read-only minitx"),
+            Outcome::Committed(res) => {
+                let val = decode_obj(&res.data[0]);
+                Ok(CatEntry::decode(&val.data).map(|e| (val.seqno, e)))
+            }
+        }
     }
 }
 
@@ -296,6 +377,41 @@ mod tests {
             ..e
         };
         assert!(w.is_writable());
+    }
+
+    /// A zeroed or truncated TIP / GLOBAL image surfaces as the typed
+    /// error from every entry point that reads it, not as a panic.
+    #[test]
+    fn corrupt_header_objects_are_typed_errors() {
+        use crate::tree::{MinuetCluster, TreeConfig};
+        let zeroed = vec![0u8; 64];
+        let truncated = minuet_dyntx::encode_obj(99, &[7u8; 5]);
+        for image in [&zeroed, &truncated] {
+            let mc = MinuetCluster::new(2, 1, TreeConfig::default());
+            let layout = *mc.layout(0);
+            let smash = |repl: ReplRef| {
+                for mem in mc.sinfonia.memnode_ids() {
+                    let node = mc.sinfonia.node(mem);
+                    node.raw_write(repl.at(mem).off, image).unwrap();
+                }
+            };
+            smash(layout.tip());
+            let tip = Error::CorruptMeta("tip");
+            assert_eq!(mc.proxy().get(0, b"k").unwrap_err(), tip);
+            assert_eq!(mc.proxy().put(0, b"k".to_vec(), vec![1]).unwrap_err(), tip);
+            assert_eq!(mc.proxy().create_snapshot(0).unwrap_err(), tip);
+            assert_eq!(mc.proxy().delete_snapshot(0, 0).unwrap_err(), tip);
+            assert_eq!(mc.proxy().current_tip(0).unwrap_err(), tip);
+            mc.proxy()
+                .set_watermark(0, 0)
+                .expect("global header intact");
+
+            smash(layout.global());
+            let global = Error::CorruptMeta("global header");
+            assert_eq!(mc.proxy().set_watermark(0, 1).unwrap_err(), global);
+            assert_eq!(mc.proxy().create_snapshot(0).unwrap_err(), global);
+            assert_eq!(mc.proxy().gc_sweep(0).unwrap_err(), global);
+        }
     }
 
     /// Version tree used below (ids in parentheses are parents):

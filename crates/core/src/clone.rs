@@ -39,7 +39,7 @@ impl Proxy {
         path: &[PathEntry],
         level: usize,
         copy_ptr: NodePtr,
-    ) -> Result<Attempt<Node>, Error> {
+    ) -> Attempt<Node> {
         let orig = &path[level];
         let mut node = (*orig.node).clone();
 
@@ -51,7 +51,7 @@ impl Proxy {
                 sid: ctx.sid,
                 ptr: copy_ptr,
             }];
-            return Ok(Attempt::Done(node));
+            return Ok(node);
         }
 
         node.desc.push(DescEntry {
@@ -60,7 +60,7 @@ impl Proxy {
         });
         let beta = self.mc.cfg.beta;
         if node.desc.len() <= beta {
-            return Ok(Attempt::Done(node));
+            return Ok(node);
         }
 
         // Collapse two entries into their LCA and create the discretionary
@@ -79,7 +79,7 @@ impl Proxy {
 
         node.desc.retain(|d| d.sid != a.sid && d.sid != b.sid);
         node.desc.push(DescEntry { sid: z, ptr: zptr });
-        Ok(Attempt::Done(node))
+        Ok(node)
     }
 
     /// Finds a pair of descendant-set entries (by index) whose LCA is a

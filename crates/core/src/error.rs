@@ -2,6 +2,7 @@
 
 use crate::node::SnapshotId;
 use minuet_dyntx::TxError;
+use minuet_sinfonia::{SinfoniaError, Unavailable};
 use std::fmt;
 
 /// A node image failed to decode (torn raw read, freed slot, or corruption).
@@ -61,6 +62,9 @@ pub enum Error {
     CatalogFull,
     /// A stored node image failed to decode.
     Corrupt(CorruptNode),
+    /// A tree's metadata object (named by the payload: the TIP or the
+    /// global header) failed to decode — zeroed, truncated or overwritten.
+    CorruptMeta(&'static str),
     /// The cluster already hosts `max` memnodes — the address-space layout
     /// was sized with [`crate::tree::TreeConfig::max_memnodes`] and cannot
     /// grow past it.
@@ -104,6 +108,7 @@ impl fmt::Display for Error {
             Error::BranchingDisabled => write!(f, "tree configured for linear snapshots"),
             Error::CatalogFull => write!(f, "snapshot catalog exhausted"),
             Error::Corrupt(c) => write!(f, "corrupt node: {c}"),
+            Error::CorruptMeta(what) => write!(f, "corrupt {what} object"),
             Error::ClusterAtCapacity { max } => {
                 write!(
                     f,
@@ -133,16 +138,6 @@ impl From<CorruptNode> for Error {
     }
 }
 
-/// Internal result of one optimistic attempt: either done, or abort and
-/// retry (validation failure, fence violation, version-tag staleness, ...).
-#[derive(Debug)]
-pub(crate) enum Attempt<T> {
-    /// Attempt succeeded.
-    Done(T),
-    /// Abort and retry the whole operation.
-    Retry(RetryCause),
-}
-
 /// Why an attempt aborted (kept for statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryCause {
@@ -163,24 +158,65 @@ pub enum RetryCause {
     NoReadyReplica,
 }
 
-/// Converts a dyntx error into an attempt disposition.
-pub(crate) fn tx_attempt<T>(e: TxError) -> Result<Attempt<T>, Error> {
-    match e {
-        TxError::Validation => Ok(Attempt::Retry(RetryCause::Validation)),
-        TxError::Unavailable(m) => Err(Error::Unavailable(m)),
-        TxError::NoReadyReplica => Ok(Attempt::Retry(RetryCause::NoReadyReplica)),
-        TxError::DeadlineExceeded => Err(Error::DeadlineExceeded),
+/// Why one optimistic attempt stopped short: abort and retry the whole
+/// operation, or fail it. Every fallible step of an attempt returns this,
+/// so `?` carries both dispositions to the runner ([`crate::retry`]). Also
+/// the error type inside [`crate::Proxy::txn`] closures: use `?` freely
+/// there — conflict aborts are retried, real errors propagate out.
+#[derive(Debug)]
+pub enum TxnError {
+    /// Internal: the attempt must be retried.
+    #[doc(hidden)]
+    Retry(RetryCause),
+    /// A non-retryable error.
+    Error(Error),
+}
+
+/// Result of one optimistic attempt (or of a step inside one).
+pub(crate) type Attempt<T> = Result<T, TxnError>;
+
+impl From<Error> for TxnError {
+    fn from(e: Error) -> Self {
+        TxnError::Error(e)
     }
 }
 
-/// Unwraps `Attempt::Done` or early-returns the `Retry` from the enclosing
-/// `Result<Attempt<_>, Error>` function.
-macro_rules! attempt {
-    ($e:expr) => {
-        match $e {
-            $crate::error::Attempt::Done(v) => v,
-            $crate::error::Attempt::Retry(c) => return Ok($crate::error::Attempt::Retry(c)),
-        }
-    };
+impl From<RetryCause> for TxnError {
+    fn from(c: RetryCause) -> Self {
+        TxnError::Retry(c)
+    }
 }
-pub(crate) use attempt;
+
+/// The one place a dyntx failure becomes an attempt disposition.
+impl From<TxError> for TxnError {
+    fn from(e: TxError) -> Self {
+        match e {
+            TxError::Validation => TxnError::Retry(RetryCause::Validation),
+            TxError::NoReadyReplica => TxnError::Retry(RetryCause::NoReadyReplica),
+            TxError::Unavailable(m) => TxnError::Error(Error::Unavailable(m)),
+            TxError::DeadlineExceeded => TxnError::Error(Error::DeadlineExceeded),
+        }
+    }
+}
+
+impl From<SinfoniaError> for Error {
+    fn from(e: SinfoniaError) -> Self {
+        match e {
+            SinfoniaError::Unavailable(m) => Error::Unavailable(m),
+            SinfoniaError::DeadlineExceeded => Error::DeadlineExceeded,
+            // Invariant: every address this crate hands to Sinfonia comes
+            // from a `Layout` whose `required_capacity` sized the memnodes
+            // (checked against each server at handshake), so an
+            // out-of-bounds item is a bug in the address arithmetic.
+            SinfoniaError::OutOfBounds { mem, detail } => {
+                panic!("layout address out of bounds at {mem}: {detail}")
+            }
+        }
+    }
+}
+
+impl From<Unavailable> for Error {
+    fn from(u: Unavailable) -> Self {
+        Error::Unavailable(u.0)
+    }
+}

@@ -14,13 +14,11 @@
 //! the free-list push commits only if the slot was unchanged.
 
 use crate::alloc::{push_free_segment, AllocState};
-use crate::catalog::GlobalVal;
+use crate::catalog::{CatEntry, GlobalVal, TipVal};
 use crate::error::Error;
 use crate::node::{Node, NodePtr, SnapshotId};
 use crate::proxy::Proxy;
-use crate::traverse::fetch_cat_raw;
 use crate::tree::VersionMode;
-use minuet_dyntx::{decode_obj, DynTx, TxError};
 use minuet_sinfonia::MemNodeId;
 use std::collections::HashMap;
 
@@ -103,89 +101,45 @@ impl Proxy {
     /// Raises the GC watermark: snapshots with id below `lowest` may no
     /// longer be queried and their exclusive nodes become reclaimable.
     pub fn set_watermark(&mut self, tree: u32, lowest: SnapshotId) -> Result<(), Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let layout = *mc.layout(tree);
-        loop {
-            let mut tx = DynTx::new(&sin);
-            let raw = match tx.read_repl(layout.global(), self.home) {
-                Ok(r) => r,
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            let mut g = GlobalVal::decode(&raw).expect("global header corrupt");
+        let layout = *self.mc.layout(tree);
+        self.run_tx(tree, self.mc.cfg.max_op_retries, |p, tx| {
+            let mut g = GlobalVal::read(tx, &layout, p.home)?;
             g.lowest = g.lowest.max(lowest);
             tx.write_repl(layout.global(), g.encode());
-            match tx.commit() {
-                Ok(_) => return Ok(()),
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            }
-        }
+            Ok(())
+        })?;
+        Ok(())
     }
 
     /// Marks a snapshot deleted (branch deletion, §5.2). Its exclusive
     /// nodes — including discretionary copies made for it — become
     /// reclaimable by the next sweep. The mainline tip cannot be deleted.
     pub fn delete_snapshot(&mut self, tree: u32, sid: SnapshotId) -> Result<(), Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let layout = *mc.layout(tree);
-        let repl = layout
-            .catalog_entry(sid)
-            .ok_or(Error::NoSuchSnapshot(sid))?;
-        loop {
-            let mut tx = DynTx::new(&sin);
-            let traw = match tx.read_repl(layout.tip(), self.home) {
-                Ok(r) => r,
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            let tip = crate::catalog::TipVal::decode(&traw).expect("tip corrupt");
-            if tip.sid == sid {
-                return Err(Error::SnapshotReadOnly(sid));
+        let layout = *self.mc.layout(tree);
+        self.run_tx(tree, self.mc.cfg.max_op_retries, |p, tx| {
+            if TipVal::read(tx, &layout, p.home)?.sid == sid {
+                return Err(Error::SnapshotReadOnly(sid).into());
             }
-            let raw = match tx.read_repl(repl, self.home) {
-                Ok(r) => r,
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            let mut entry =
-                crate::catalog::CatEntry::decode(&raw).ok_or(Error::NoSuchSnapshot(sid))?;
+            let (repl, mut entry) = CatEntry::read(tx, &layout, sid, p.home)?;
             entry.deleted = true;
             tx.write_repl(repl, entry.encode());
-            match tx.commit() {
-                Ok(_) => {
-                    self.cat_cache.remove(&(tree, sid));
-                    return Ok(());
-                }
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            }
-        }
+            Ok(())
+        })?;
+        self.cat_cache.remove(&(tree, sid));
+        Ok(())
     }
 
     fn liveness_ctx(&mut self, tree: u32) -> Result<LivenessCtx, Error> {
         let mc = self.mc.clone();
         let layout = *mc.layout(tree);
         // Watermark + snapshot count from the global header (raw read).
-        let graw = mc
-            .sinfonia
-            .node(self.home)
-            .raw_read(layout.global().at(self.home).off, 64)
-            .map_err(|u| Error::Unavailable(u.0))?;
-        let g = GlobalVal::decode(&decode_obj(&graw).data).expect("global header corrupt");
+        let g = GlobalVal::read_raw(&mc.sinfonia, &layout, self.home)?;
 
         let mut live = Vec::new();
         let mut parents = HashMap::new();
         let mut roots = HashMap::new();
         for sid in 0..g.next_sid {
-            if let Some((_, e)) = fetch_cat_raw(&mc, tree, sid, self.home)? {
+            if let Some((_, e)) = CatEntry::fetch(&mc.sinfonia, &layout, sid, self.home)? {
                 parents.insert(sid, e.parent);
                 roots.insert(e.root, sid);
                 if !e.deleted && sid >= g.lowest {
@@ -240,53 +194,28 @@ impl Proxy {
         mem: MemNodeId,
         batch: &[u32],
     ) -> Result<(u64, u64), Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let layout = *mc.layout(tree);
-        loop {
-            let mut tx = DynTx::new(&sin);
-            let state_obj = layout.alloc_state(mem);
-            let state = match tx.read(state_obj) {
-                Ok(r) => AllocState::decode(&r),
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
+        let layout = *self.mc.layout(tree);
+        let (confirmed, _) = self.run_tx(tree, self.mc.cfg.max_op_retries, |_, tx| {
+            let state = AllocState::read(tx, &layout, mem)?;
             // Re-confirm each candidate under validation.
             let mut confirmed: Vec<u32> = Vec::new();
-            let mut skipped = 0u64;
             for &slot in batch {
                 let ptr = NodePtr { mem, slot };
-                let raw = match tx.read(layout.node_obj(ptr)) {
-                    Ok(r) => r,
-                    Err(TxError::Validation | TxError::NoReadyReplica) => {
-                        skipped += 1;
-                        continue;
-                    }
-                    Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                    Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-                };
-                match Node::decode(&raw) {
-                    Ok(node) if !ctx.node_live(ptr, &node) => confirmed.push(slot),
-                    _ => skipped += 1,
+                let raw = tx.read(layout.node_obj(ptr))?;
+                if Node::decode(&raw).is_ok_and(|node| !ctx.node_live(ptr, &node)) {
+                    confirmed.push(slot);
                 }
             }
-            if confirmed.is_empty() {
-                return Ok((0, skipped));
+            if !confirmed.is_empty() {
+                let new_state = push_free_segment(tx, &layout, mem, &state, &confirmed);
+                tx.write(layout.alloc_state(mem), new_state.encode());
             }
-            let new_state = push_free_segment(&mut tx, &layout, mem, &state, &confirmed);
-            tx.write(state_obj, new_state.encode());
-            match tx.commit() {
-                Ok(_) => {
-                    for &slot in &confirmed {
-                        self.ncache.invalidate(tree, NodePtr { mem, slot });
-                    }
-                    return Ok((confirmed.len() as u64, skipped));
-                }
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            }
+            Ok(confirmed)
+        })?;
+        for &slot in &confirmed {
+            self.ncache.invalidate(tree, NodePtr { mem, slot });
         }
+        let freed = confirmed.len() as u64;
+        Ok((freed, batch.len() as u64 - freed))
     }
 }

@@ -50,6 +50,7 @@ pub mod migrate;
 pub mod node;
 pub mod ops;
 pub mod proxy;
+pub mod retry;
 pub mod scan;
 pub mod scs;
 pub mod snapshot;
@@ -58,13 +59,13 @@ pub mod traverse;
 pub mod tree;
 
 pub use catalog::{CatEntry, GlobalVal, TipVal};
-pub use error::{Error, RetryCause};
+pub use error::{Error, RetryCause, TxnError};
 pub use gc::SweepStats;
 pub use key::{Fence, Key, Value};
 pub use layout::{Layout, LayoutParams};
 pub use migrate::{RebalanceReport, Rebalancer};
 pub use node::{Node, NodeBody, NodePtr, SnapshotId};
-pub use proxy::{op_tag, op_tag_name, Proxy, Txn, TxnError};
+pub use proxy::{op_tag, op_tag_name, Proxy, Txn};
 pub use scs::SnapshotService;
 pub use snapshot::SnapshotInfo;
 pub use stats::{occupancy, MemOccupancy, MigrationCounters, MigrationSnapshot, ProxyStats};

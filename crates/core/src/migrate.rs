@@ -52,13 +52,13 @@
 //! tag above every frozen snapshot id.
 
 use crate::alloc::{push_free_segment, AllocState};
-use crate::catalog::{CatEntry, TipVal};
-use crate::error::Error;
+use crate::catalog::{CatEntry, GlobalVal, TipVal};
+use crate::error::{Attempt, Error, RetryCause};
 use crate::node::{Node, NodePtr, SnapshotId};
 use crate::proxy::Proxy;
-use crate::stats::{occupancy, MemOccupancy};
+use crate::stats::{occupancy, raw_obj, MemOccupancy};
 use crate::tree::{ConcurrencyMode, MinuetCluster};
-use minuet_dyntx::{decode_obj, DynTx, SeqNo, TxError, TxKey};
+use minuet_dyntx::{DynTx, SeqNo, TxKey};
 use minuet_sinfonia::MemNodeId;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -111,21 +111,13 @@ struct Moved {
     pristine: bool,
 }
 
-/// Disposition of one swap attempt.
-enum Swap {
-    /// Committed; migration done (carries the installed seqnos).
-    Done(Vec<(TxKey, SeqNo)>),
-    /// The source slot no longer holds a decodable node (freed or
-    /// reclaimed concurrently): nothing to migrate.
-    SourceGone,
-    /// A referencer changed, validation failed, or the reservation was
-    /// reclaimed: rescan and retry.
-    Retry,
-}
-
 /// Attempt budget for one migration (each retry re-scans referencers, so
 /// this is intentionally far below the per-op optimistic budget).
 const MIGRATE_RETRIES: usize = 256;
+
+/// A referencer changed under the swap, or the reservation was reclaimed:
+/// the attempt aborts and the retry rescans.
+const STALE: RetryCause = RetryCause::Validation;
 
 impl Proxy {
     /// Scans every possible referencer of `target` (see
@@ -230,74 +222,45 @@ impl Proxy {
         }
 
         let home = self.home;
-        let hnode = sin.node(home);
-        let graw = hnode
-            .raw_read(layout.global().at(home).off, layout.global().cap)
-            .map_err(|u| Error::Unavailable(u.0))?;
-        let next_sid =
-            crate::catalog::GlobalVal::decode(&decode_obj(&graw).data).map_or(1, |g| g.next_sid);
-        for sid in 0..next_sid {
-            let Some(repl) = layout.catalog_entry(sid) else {
-                break;
-            };
-            let raw = hnode
-                .raw_read(repl.at(home).off, repl.cap)
-                .map_err(|u| Error::Unavailable(u.0))?;
-            let val = decode_obj(&raw);
-            if let Some(e) = CatEntry::decode(&val.data) {
+        for sid in 0..GlobalVal::read_raw(sin, &layout, home)?.next_sid {
+            if let Some((seqno, e)) = CatEntry::fetch(sin, &layout, sid, home)? {
                 if let Some(refs) = map.get_mut(&e.root) {
-                    refs.cats.push((sid, e.parent, val.seqno));
+                    refs.cats.push((sid, e.parent, seqno));
                 }
             }
         }
-
-        let traw = hnode
-            .raw_read(layout.tip().at(home).off, layout.tip().cap)
-            .map_err(|u| Error::Unavailable(u.0))?;
-        let tval = decode_obj(&traw);
-        if let Some(t) = TipVal::decode(&tval.data) {
-            if let Some(refs) = map.get_mut(&t.root) {
-                refs.tip = Some(tval.seqno);
-            }
+        let (seqno, tip) = TipVal::read_raw(sin, &layout, home)?;
+        if let Some(refs) = map.get_mut(&tip.root) {
+            refs.tip = Some(seqno);
         }
         Ok(map)
     }
 
-    /// One swap attempt: copy, referencer compare-swaps, and the free of
-    /// the source, in a single dynamic transaction.
-    fn try_swap(
+    /// Stages one swap attempt into `tx`: copy, referencer compare-swaps,
+    /// and the free of the source. `Ok(false)` if the source slot no
+    /// longer holds a decodable node (freed or reclaimed concurrently):
+    /// nothing to migrate.
+    fn stage_swap(
         &mut self,
+        tx: &mut DynTx<'_>,
         tree: u32,
         src: NodePtr,
         target: NodePtr,
         refs: &RefScan,
-    ) -> Result<Swap, Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let layout = *mc.layout(tree);
+    ) -> Attempt<bool> {
+        let layout = *self.mc.layout(tree);
         let home = self.home;
-        let mut tx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
 
-        let src_obj = layout.node_obj(src);
-        let raw = match tx.read(src_obj) {
-            Ok(r) => r,
-            Err(TxError::Validation | TxError::NoReadyReplica) => return Ok(Swap::Retry),
-            Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-            Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-        };
+        let raw = tx.read(layout.node_obj(src))?;
         if Node::decode(&raw).is_err() {
-            return Ok(Swap::SourceGone);
+            return Ok(false);
         }
 
         // The reservation must still be ours; if the GC reclaimed an
         // (apparently orphaned) marker, the caller re-reserves.
         let tgt_obj = layout.node_obj(target);
-        match tx.read(tgt_obj) {
-            Ok(t) if is_reservation(&t) => {}
-            Ok(_) => return Ok(Swap::Retry),
-            Err(TxError::Validation | TxError::NoReadyReplica) => return Ok(Swap::Retry),
-            Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-            Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
+        if !is_reservation(&tx.read(tgt_obj)?) {
+            return Err(STALE.into());
         }
         tx.write(tgt_obj, raw);
 
@@ -305,84 +268,37 @@ impl Proxy {
         // see the module docs for why this makes the set complete.
         for &(rptr, seen) in &refs.nodes {
             let robj = layout.node_obj(rptr);
-            let rraw = match tx.read(robj) {
-                Ok(r) => r,
-                Err(TxError::Validation | TxError::NoReadyReplica) => return Ok(Swap::Retry),
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            if tx.observed_seqno(&TxKey::Plain(robj)) != Some(seen) {
-                return Ok(Swap::Retry);
-            }
-            let Ok(mut rnode) = Node::decode(&rraw) else {
-                return Ok(Swap::Retry);
-            };
-            if !swap_references(&mut rnode, src, target) {
-                return Ok(Swap::Retry);
+            let mut rnode = Node::decode(&tx.read(robj)?).map_err(|_| STALE)?;
+            if tx.observed_seqno(&TxKey::Plain(robj)) != Some(seen)
+                || !swap_references(&mut rnode, src, target)
+            {
+                return Err(STALE.into());
             }
             tx.write(robj, rnode.encode());
         }
         for &(sid, _, seen) in &refs.cats {
-            let repl = layout
-                .catalog_entry(sid)
-                .ok_or(Error::NoSuchSnapshot(sid))?;
-            let craw = match tx.read_repl(repl, home) {
-                Ok(r) => r,
-                Err(TxError::Validation | TxError::NoReadyReplica) => return Ok(Swap::Retry),
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            if tx.observed_seqno(&TxKey::Repl(repl)) != Some(seen) {
-                return Ok(Swap::Retry);
-            }
-            let Some(mut entry) = CatEntry::decode(&craw) else {
-                return Ok(Swap::Retry);
-            };
-            if entry.root != src {
-                return Ok(Swap::Retry);
+            let (repl, mut entry) = CatEntry::read(tx, &layout, sid, home)?;
+            if tx.observed_seqno(&TxKey::Repl(repl)) != Some(seen) || entry.root != src {
+                return Err(STALE.into());
             }
             entry.root = target;
             tx.write_repl(repl, entry.encode());
         }
         if let Some(seen) = refs.tip {
-            let repl = layout.tip();
-            let traw = match tx.read_repl(repl, home) {
-                Ok(r) => r,
-                Err(TxError::Validation | TxError::NoReadyReplica) => return Ok(Swap::Retry),
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            if tx.observed_seqno(&TxKey::Repl(repl)) != Some(seen) {
-                return Ok(Swap::Retry);
-            }
-            let Some(mut tip) = TipVal::decode(&traw) else {
-                return Ok(Swap::Retry);
-            };
-            if tip.root != src {
-                return Ok(Swap::Retry);
+            let mut tip = TipVal::read(tx, &layout, home)?;
+            if tx.observed_seqno(&TxKey::Repl(layout.tip())) != Some(seen) || tip.root != src {
+                return Err(STALE.into());
             }
             tip.root = target;
-            tx.write_repl(repl, tip.encode());
+            tx.write_repl(layout.tip(), tip.encode());
         }
 
         // Free the source through the ordinary free-list path: the slot
         // itself becomes the segment header, atomically with the swap.
-        let state_obj = layout.alloc_state(src.mem);
-        let state = match tx.read(state_obj) {
-            Ok(r) => AllocState::decode(&r),
-            Err(TxError::Validation | TxError::NoReadyReplica) => return Ok(Swap::Retry),
-            Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-            Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-        };
-        let new_state = push_free_segment(&mut tx, &layout, src.mem, &state, &[src.slot]);
-        tx.write(state_obj, new_state.encode());
-
-        match tx.commit() {
-            Ok(info) => Ok(Swap::Done(info.installed)),
-            Err(TxError::Validation | TxError::NoReadyReplica) => Ok(Swap::Retry),
-            Err(TxError::Unavailable(m)) => Err(Error::Unavailable(m)),
-            Err(TxError::DeadlineExceeded) => Err(Error::DeadlineExceeded),
-        }
+        let state = AllocState::read(tx, &layout, src.mem)?;
+        let new_state = push_free_segment(tx, &layout, src.mem, &state, &[src.slot]);
+        tx.write(layout.alloc_state(src.mem), new_state.encode());
+        Ok(true)
     }
 
     /// Reserves a slot for a migration of `src` on `dst_mem` and marks it
@@ -399,16 +315,11 @@ impl Proxy {
         let mc = self.mc.clone();
         let layout = *mc.layout(tree);
         let target = self.chunks.alloc_on(&mc.sinfonia, &layout, tree, dst_mem)?;
-        loop {
-            let mut tx = DynTx::new(&mc.sinfonia);
+        self.run_tx(tree, mc.cfg.max_op_retries, |_, tx| {
             tx.write(layout.node_obj(target), encode_reservation(src));
-            match tx.commit() {
-                Ok(_) => return Ok(target),
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue, // blind write; transient
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            }
-        }
+            Ok(())
+        })?;
+        Ok(target)
     }
 
     /// Migrates the physical node at `src` to a fresh slot on `dst_mem`,
@@ -461,9 +372,11 @@ impl Proxy {
         result
     }
 
-    /// The reserve/swap retry loop of [`Proxy::migrate_node`]. `target`
-    /// reports the reservation still held when this returns without a
-    /// committed swap, so the caller can release it.
+    /// The reserve/swap transaction of [`Proxy::migrate_node`]: every
+    /// attempt (re)scans the referencers, reserves a target if none is
+    /// held, and stages the swap. `target` reports the reservation still
+    /// held when this returns without a committed swap, so the caller can
+    /// release it.
     fn migrate_attempts(
         &mut self,
         tree: u32,
@@ -473,96 +386,64 @@ impl Proxy {
         target: &mut Option<NodePtr>,
     ) -> Result<Option<Moved>, Error> {
         let mc = self.mc.clone();
-        for attempt in 0..MIGRATE_RETRIES {
-            if attempt > 0 {
+        let layout = *mc.layout(tree);
+        let mut retrying = false;
+        let (swapped, info) = self.run_tx(tree, MIGRATE_RETRIES, |p, tx| {
+            if std::mem::replace(&mut retrying, true) {
                 mc.migration.retries.fetch_add(1, Ordering::Relaxed);
             }
             let (refs, pristine) = match hint.take() {
                 Some(h) => (h, true), // batch-scanned hint: first attempt only
-                None => (self.scan_referencers(tree, src)?, false),
+                None => (p.scan_referencers(tree, src)?, false),
             };
-            let tgt = match *target {
-                Some(t) => t,
-                None => {
-                    let t = self.migrate_reserve(tree, src, dst_mem)?;
-                    *target = Some(t);
-                    t
-                }
-            };
-            match self.try_swap(tree, src, tgt, &refs)? {
-                Swap::Done(installed) => {
-                    mc.migration.completed.fetch_add(1, Ordering::Relaxed);
-                    self.ncache.invalidate(tree, src);
-                    // Process-local version cache: swapped catalog roots
-                    // must be re-pointed or snapshot resolution would
-                    // chase the freed slot forever.
-                    let shared = mc.shared(tree);
-                    for &(sid, parent, _) in &refs.cats {
-                        shared.vcache.insert(sid, parent, tgt);
-                    }
-                    return Ok(Some(Moved {
-                        to: tgt,
-                        installed,
-                        pristine,
-                    }));
-                }
-                Swap::SourceGone => {
-                    mc.migration.aborted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(None);
-                }
-                Swap::Retry => {
-                    // If a (misplaced) reclaim pass freed our reservation,
-                    // the slot is back on the free list and no longer
-                    // ours: reserve a fresh one next attempt.
-                    let layout = *mc.layout(tree);
-                    let obj = layout.node_obj(tgt);
-                    let raw = mc
-                        .sinfonia
-                        .node(tgt.mem)
-                        .raw_read(obj.off, obj.cap)
-                        .map_err(|u| Error::Unavailable(u.0))?;
-                    if !is_reservation(&decode_obj(&raw).data) {
-                        *target = None;
-                    }
+            // If a (misplaced) reclaim pass freed our reservation, the
+            // slot is back on the free list and no longer ours: reserve a
+            // fresh one.
+            if let Some(t) = *target {
+                if !is_reservation(&raw_obj(&mc.sinfonia, layout.node_obj(t))?.data) {
+                    *target = None;
                 }
             }
+            let tgt = match *target {
+                Some(t) => t,
+                None => *target.insert(p.migrate_reserve(tree, src, dst_mem)?),
+            };
+            Ok(p.stage_swap(tx, tree, src, tgt, &refs)?
+                .then_some((tgt, refs, pristine)))
+        })?;
+        let Some((tgt, refs, pristine)) = swapped else {
+            mc.migration.aborted.fetch_add(1, Ordering::Relaxed);
+            return Ok(None);
+        };
+        mc.migration.completed.fetch_add(1, Ordering::Relaxed);
+        self.ncache.invalidate(tree, src);
+        // Process-local version cache: swapped catalog roots must be
+        // re-pointed or snapshot resolution would chase the freed slot
+        // forever.
+        let shared = mc.shared(tree);
+        for &(sid, parent, _) in &refs.cats {
+            shared.vcache.insert(sid, parent, tgt);
         }
-        Err(Error::TooManyRetries {
-            attempts: MIGRATE_RETRIES,
-        })
+        Ok(Some(Moved {
+            to: tgt,
+            installed: info.installed,
+            pristine,
+        }))
     }
 
     /// Frees a reservation this proxy owns, transferring the slot to the
     /// memnode's free list. No-op if the slot no longer holds a marker.
     fn free_reservation(&mut self, tree: u32, ptr: NodePtr) -> Result<(), Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let layout = *mc.layout(tree);
-        loop {
-            let mut tx = DynTx::new(&sin);
-            match tx.read(layout.node_obj(ptr)) {
-                Ok(r) if is_reservation(&r) => {}
-                Ok(_) => return Ok(()),
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
+        let layout = *self.mc.layout(tree);
+        self.run_tx(tree, self.mc.cfg.max_op_retries, |_, tx| {
+            if is_reservation(&tx.read(layout.node_obj(ptr))?) {
+                let state = AllocState::read(tx, &layout, ptr.mem)?;
+                let new_state = push_free_segment(tx, &layout, ptr.mem, &state, &[ptr.slot]);
+                tx.write(layout.alloc_state(ptr.mem), new_state.encode());
             }
-            let state_obj = layout.alloc_state(ptr.mem);
-            let state = match tx.read(state_obj) {
-                Ok(r) => AllocState::decode(&r),
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            };
-            let new_state = push_free_segment(&mut tx, &layout, ptr.mem, &state, &[ptr.slot]);
-            tx.write(state_obj, new_state.encode());
-            match tx.commit() {
-                Ok(_) => return Ok(()),
-                Err(TxError::Validation | TxError::NoReadyReplica) => continue,
-                Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-            }
-        }
+            Ok(())
+        })?;
+        Ok(())
     }
 
     /// Reclaims reservation markers orphaned by a crash between the
@@ -607,9 +488,7 @@ impl Proxy {
     pub fn drain(&mut self, tree: u32, mem: MemNodeId) -> Result<u64, Error> {
         let mc = self.mc.clone();
         let layout = *mc.layout(tree);
-        mc.sinfonia
-            .set_retiring(mem, true)
-            .map_err(|u| Error::Unavailable(u.0))?;
+        mc.sinfonia.set_retiring(mem, true)?;
         let mut moved = 0u64;
         for _pass in 0..64 {
             let victims: Vec<NodePtr> = live_slots(&mc, tree, mem)?

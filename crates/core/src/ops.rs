@@ -5,7 +5,7 @@
 //! writes into the caller's [`DynTx`] and return `Retry` when a safety
 //! check fails; nothing takes effect until the attempt's commit succeeds.
 
-use crate::error::{attempt, Attempt, Error, RetryCause};
+use crate::error::{Attempt, Error, RetryCause};
 use crate::key::{Fence, Value};
 use crate::node::{Node, NodeBody, NodePtr};
 use crate::proxy::Proxy;
@@ -96,7 +96,7 @@ impl Proxy {
         tree: u32,
         ctx: &OpCtx,
         key: &[u8],
-    ) -> Result<Attempt<Option<Value>>, Error> {
+    ) -> Attempt<Option<Value>> {
         let access = if !ctx.writable {
             LeafAccess::Dirty
         } else {
@@ -104,11 +104,9 @@ impl Proxy {
         };
         let path = {
             let _t = span(SpanKind::Traverse);
-            attempt!(self.traverse(tx, tree, ctx, key, access, 0)?)
+            self.traverse(tx, tree, ctx, key, access, 0)?
         };
-        Ok(Attempt::Done(
-            path.last().unwrap().node.leaf_get(key).cloned(),
-        ))
+        Ok(path.last().unwrap().node.leaf_get(key).cloned())
     }
 
     /// One mutation attempt: applies `f` to the leaf responsible for `key`
@@ -121,7 +119,7 @@ impl Proxy {
         ctx: &OpCtx,
         key: &[u8],
         f: &mut dyn FnMut(&mut Node) -> Option<Value>,
-    ) -> Result<Attempt<Option<Value>>, Error> {
+    ) -> Attempt<Option<Value>> {
         debug_assert!(ctx.writable);
         // Fused put: a cached, still-valid leaf skips the fetch round trip
         // — the mutation is derived from the cached image with only its
@@ -132,14 +130,14 @@ impl Proxy {
         let access = self.writable_leaf_access();
         let path = {
             let _t = span(SpanKind::Traverse);
-            attempt!(self.traverse(tx, tree, ctx, key, access, 0)?)
+            self.traverse(tx, tree, ctx, key, access, 0)?
         };
         let _apply = span(SpanKind::Apply);
         let leaf_level = path.len() - 1;
         let mut new_leaf = (*path[leaf_level].node).clone();
         let old = f(&mut new_leaf);
-        attempt!(self.materialize(tx, tree, ctx, &path, leaf_level, new_leaf)?);
-        Ok(Attempt::Done(old))
+        self.materialize(tx, tree, ctx, &path, leaf_level, new_leaf)?;
+        Ok(old)
     }
 
     /// Stages the updated content of `path[level]` according to the CoW
@@ -153,7 +151,7 @@ impl Proxy {
         path: &[PathEntry],
         level: usize,
         node: Node,
-    ) -> Result<Attempt<()>, Error> {
+    ) -> Attempt<()> {
         let orig = &path[level];
         let (payload_cap, max_entries) = self.limits(&node);
         let in_snapshot = orig.node.created == ctx.sid;
@@ -170,7 +168,7 @@ impl Proxy {
                 {
                     self.last_leaf_written = Some((tree, orig.ptr, std::sync::Arc::new(node)));
                 }
-                return Ok(Attempt::Done(()));
+                return Ok(());
             }
             if level == 0 {
                 return self.root_split(tx, tree, ctx, orig.ptr, node);
@@ -199,7 +197,7 @@ impl Proxy {
         // (it is copied at snapshot creation); reaching here at level 0
         // means the tip observation was stale.
         if level == 0 {
-            return Ok(Attempt::Retry(RetryCause::StaleTip));
+            return Err(RetryCause::StaleTip.into());
         }
         self.stats.cow_copies += 1;
         let mut copy = node;
@@ -210,7 +208,7 @@ impl Proxy {
             let cptr = self.alloc_pref(tree, orig.ptr.mem)?;
             // Tag the original with the copy (§4.2); with branching
             // versions this may trigger a discretionary copy (§5.2).
-            let updated_orig = attempt!(self.add_copy_to_desc(tx, tree, ctx, path, level, cptr)?);
+            let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, cptr)?;
             self.write_node(tx, tree, orig.ptr, &updated_orig);
             self.write_node(tx, tree, cptr, &copy);
             self.bubble(
@@ -229,7 +227,7 @@ impl Proxy {
             let (left, sep, right) = copy.split();
             let lptr = self.alloc_pref(tree, orig.ptr.mem)?;
             let rptr = self.alloc_pref(tree, orig.ptr.mem)?;
-            let updated_orig = attempt!(self.add_copy_to_desc(tx, tree, ctx, path, level, lptr)?);
+            let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, lptr)?;
             self.write_node(tx, tree, orig.ptr, &updated_orig);
             self.write_node(tx, tree, lptr, &left);
             self.write_node(tx, tree, rptr, &right);
@@ -257,7 +255,7 @@ impl Proxy {
         path: &[PathEntry],
         level: usize,
         ops: ChildOps,
-    ) -> Result<Attempt<()>, Error> {
+    ) -> Attempt<()> {
         let orig = &path[level];
         let mut node = (*orig.node).clone();
         if let Some((old, new)) = ops.replace {
@@ -265,7 +263,7 @@ impl Proxy {
                 // Our (possibly cached) parent image no longer references
                 // the child: concurrent structural change.
                 self.ncache.invalidate(tree, orig.ptr);
-                return Ok(Attempt::Retry(RetryCause::Validation));
+                return Err(RetryCause::Validation.into());
             }
         }
         if let Some((sep, ptr)) = ops.insert {
@@ -284,7 +282,7 @@ impl Proxy {
         ctx: &OpCtx,
         root_ptr: NodePtr,
         node: Node,
-    ) -> Result<Attempt<()>, Error> {
+    ) -> Attempt<()> {
         self.stats.splits += 1;
         let height = node.height;
         let desc = node.desc.clone();
@@ -309,6 +307,6 @@ impl Proxy {
             },
         };
         self.write_node(tx, tree, root_ptr, &new_root);
-        Ok(Attempt::Done(()))
+        Ok(())
     }
 }

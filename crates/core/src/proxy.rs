@@ -2,21 +2,23 @@
 //! operations (Figure 1).
 //!
 //! A proxy owns the non-coherent caches (internal nodes, tip, catalog
-//! entries), a local allocator chunk cache, and the optimistic retry loop
-//! that wraps every operation. Operations are strictly serializable:
+//! entries) and a local allocator chunk cache, and hands every operation
+//! to the crate's one optimistic retry loop ([`crate::retry`]) together
+//! with what a retry must invalidate. Operations are strictly serializable:
 //! up-to-date reads and writes validate the tip snapshot id (§4.1), and
 //! reads on read-only snapshots are immutable by construction.
 
 use crate::alloc::ChunkCache;
 use crate::cache::NodeCache;
 use crate::catalog::{CatEntry, TipVal};
-use crate::error::{attempt, tx_attempt, Attempt, Error, RetryCause};
+use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{Key, Value};
 use crate::node::SnapshotId;
+use crate::retry::run_tx;
 use crate::stats::ProxyStats;
-use crate::traverse::{fetch_cat_raw, OpCtx};
+use crate::traverse::OpCtx;
 use crate::tree::MinuetCluster;
-use minuet_dyntx::{CommitInfo, DynTx, SeqNo, TxError, TxKey};
+use minuet_dyntx::{CommitInfo, DynTx, SeqNo, TxKey};
 use minuet_obs::{event, span, SpanKind};
 use minuet_sinfonia::MemNodeId;
 use std::collections::HashMap;
@@ -130,17 +132,11 @@ pub struct Proxy {
     pub stats: ProxyStats,
 }
 
-/// One retry backoff, as a `Backoff` span around the stack's single
-/// jittered policy ([`minuet_sinfonia::backoff`]).
-pub(crate) fn backoff(attempt: usize) {
-    let _backoff = span(SpanKind::Backoff);
-    minuet_sinfonia::backoff(attempt.min(u32::MAX as usize) as u32);
-}
-
 impl Proxy {
     pub(crate) fn new(mc: Arc<MinuetCluster>, home: MemNodeId) -> Proxy {
         let chunk = mc.cfg.alloc_chunk;
         let cache_cap = mc.cfg.node_cache_capacity;
+        let retries = mc.cfg.max_op_retries;
         let mut ncache = NodeCache::with_capacity(cache_cap);
         ncache.attach(mc.sinfonia.obs());
         Proxy {
@@ -149,7 +145,7 @@ impl Proxy {
             ncache,
             tip_cache: HashMap::new(),
             cat_cache: HashMap::new(),
-            chunks: ChunkCache::new(chunk),
+            chunks: ChunkCache::new(chunk, retries),
             last_leaf_assumed: None,
             last_leaf_written: None,
             stats: ProxyStats::default(),
@@ -187,18 +183,28 @@ impl Proxy {
         self.mc.sinfonia.repl_token()
     }
 
-    /// Invalidation + accounting shared by all retry sites.
+    /// Accounting + invalidation for one aborted attempt on `tree`.
     pub(crate) fn note_retry(&mut self, tree: u32, cause: RetryCause) {
+        self.record_retry(cause);
+        self.forget_meta(tree);
+    }
+
+    /// The tree-independent half of [`Proxy::note_retry`].
+    fn record_retry(&mut self, cause: RetryCause) {
         self.stats.record_retry(cause);
         event(SpanKind::Retry, retry_tag(cause));
-        // Metadata observations may be stale; refresh them on the next
-        // attempt. Node-cache entries are invalidated at the fault sites —
-        // except a version-pinned cached leaf, whose staleness surfaces
-        // only as a commit validation failure: drop it here so the retry
-        // fetches fresh instead of re-validating the same stale image.
+        // Node-cache entries are invalidated at the fault sites — except a
+        // version-pinned cached leaf, whose staleness surfaces only as a
+        // commit validation failure: drop it here so the retry fetches
+        // fresh instead of re-validating the same stale image.
         if let Some((t, ptr)) = self.last_leaf_assumed.take() {
             self.ncache.invalidate(t, ptr);
         }
+    }
+
+    /// Drops the cached tip and catalog entries of `tree`: they may be
+    /// stale, so the next attempt reads them afresh.
+    fn forget_meta(&mut self, tree: u32) {
         self.tip_cache.remove(&tree);
         self.cat_cache.retain(|(t, _), _| *t != tree);
     }
@@ -222,14 +228,27 @@ impl Proxy {
         }
     }
 
+    /// Runs `f` as one dynamic transaction on `tree` through the crate's
+    /// optimistic loop ([`run_tx`]), invalidating the proxy's view of the
+    /// tree's metadata after every aborted attempt.
+    pub(crate) fn run_tx<T>(
+        &mut self,
+        tree: u32,
+        budget: usize,
+        f: impl FnMut(&mut Proxy, &mut DynTx<'_>) -> Attempt<T>,
+    ) -> Result<(T, CommitInfo), Error> {
+        let mc = self.mc.clone();
+        let retry = |p: &mut Proxy, cause| p.note_retry(tree, cause);
+        run_tx(&mc.sinfonia, mc.cfg.piggyback, budget, self, retry, f)
+    }
+
     /// Runs one operation to completion with optimistic retries.
     pub(crate) fn run_op<T>(
         &mut self,
         tree: u32,
-        f: impl FnMut(&mut Proxy, &mut DynTx<'_>) -> Result<Attempt<T>, Error>,
+        f: impl FnMut(&mut Proxy, &mut DynTx<'_>) -> Attempt<T>,
     ) -> Result<T, Error> {
-        let budget = self.mc.cfg.max_op_retries;
-        self.run_op_budget(tree, budget, f)
+        self.run_op_budget(tree, self.mc.cfg.max_op_retries, f)
     }
 
     /// Like [`Proxy::run_op`] with an explicit retry budget. Read-only
@@ -239,53 +258,18 @@ impl Proxy {
         &mut self,
         tree: u32,
         budget: usize,
-        mut f: impl FnMut(&mut Proxy, &mut DynTx<'_>) -> Result<Attempt<T>, Error>,
+        mut f: impl FnMut(&mut Proxy, &mut DynTx<'_>) -> Attempt<T>,
     ) -> Result<T, Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let mut attempts = 0usize;
-        loop {
-            if attempts >= budget {
-                return Err(Error::TooManyRetries { attempts });
-            }
-            // An expired ambient deadline stops the retry loop before the
-            // next attempt issues any RPC (lower layers also check, but
-            // this is the guaranteed no-new-work cutoff).
-            if minuet_sinfonia::OpDeadline::current().expired() {
-                return Err(Error::DeadlineExceeded);
-            }
-            let mut tx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
-            self.last_leaf_assumed = None;
-            self.last_leaf_written = None;
-            match f(self, &mut tx)? {
-                Attempt::Retry(cause) => {
-                    self.note_retry(tree, cause);
-                    attempts += 1;
-                    backoff(attempts);
-                }
-                Attempt::Done(v) => match tx.commit() {
-                    Ok(info) => {
-                        self.last_leaf_assumed = None;
-                        let written = self.last_leaf_written.take();
-                        self.install_committed_leaf(&info, written);
-                        self.stats.ops += 1;
-                        return Ok(v);
-                    }
-                    Err(TxError::Validation) => {
-                        self.note_retry(tree, RetryCause::Validation);
-                        attempts += 1;
-                        backoff(attempts);
-                    }
-                    Err(TxError::NoReadyReplica) => {
-                        self.note_retry(tree, RetryCause::NoReadyReplica);
-                        attempts += 1;
-                        backoff(attempts);
-                    }
-                    Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                    Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-                },
-            }
-        }
+        let (v, info) = self.run_tx(tree, budget, |p, tx| {
+            p.last_leaf_assumed = None;
+            p.last_leaf_written = None;
+            f(p, tx)
+        })?;
+        self.last_leaf_assumed = None;
+        let written = self.last_leaf_written.take();
+        self.install_committed_leaf(&info, written);
+        self.stats.ops += 1;
+        Ok(v)
     }
 
     /// Resolves an operation target to a snapshot id + root, pinning the
@@ -296,7 +280,7 @@ impl Proxy {
         tx: &mut DynTx<'_>,
         tree: u32,
         target: OpTarget,
-    ) -> Result<Attempt<OpCtx>, Error> {
+    ) -> Attempt<OpCtx> {
         let _route = span(SpanKind::Route);
         let mc = self.mc.clone();
         let layout = *mc.layout(tree);
@@ -304,25 +288,21 @@ impl Proxy {
             OpTarget::MainlineTip => {
                 if let Some((seq, tip)) = self.tip_cache.get(&tree) {
                     tx.assume(TxKey::Repl(layout.tip()), *seq, tip.encode());
-                    return Ok(Attempt::Done(OpCtx {
+                    return Ok(OpCtx {
                         sid: tip.sid,
                         root: tip.root,
                         writable: true,
-                    }));
+                    });
                 }
-                let raw = match tx.read_repl(layout.tip(), self.home) {
-                    Ok(r) => r,
-                    Err(e) => return tx_attempt(e),
-                };
-                let tip = TipVal::decode(&raw).expect("tip object corrupt");
+                let tip = TipVal::read(tx, &layout, self.home)?;
                 if let Some(seq) = tx.observed_seqno(&TxKey::Repl(layout.tip())) {
                     self.tip_cache.insert(tree, (seq, tip));
                 }
-                Ok(Attempt::Done(OpCtx {
+                Ok(OpCtx {
                     sid: tip.sid,
                     root: tip.root,
                     writable: true,
-                }))
+                })
             }
             OpTarget::TipSid(sid) => {
                 let repl = layout
@@ -331,53 +311,46 @@ impl Proxy {
                 if let Some((seq, entry)) = self.cat_cache.get(&(tree, sid)) {
                     if entry.is_writable() {
                         tx.assume(TxKey::Repl(repl), *seq, entry.encode());
-                        return Ok(Attempt::Done(OpCtx {
+                        return Ok(OpCtx {
                             sid,
                             root: entry.root,
                             writable: true,
-                        }));
+                        });
                     }
                     // Cached entry says read-only: confirm with a fresh
                     // read below before surfacing the error.
                     self.cat_cache.remove(&(tree, sid));
                 }
-                let raw = match tx.read_repl(repl, self.home) {
-                    Ok(r) => r,
-                    Err(e) => return tx_attempt(e),
-                };
-                let entry = CatEntry::decode(&raw).ok_or(Error::NoSuchSnapshot(sid))?;
+                let (_, entry) = CatEntry::read(tx, &layout, sid, self.home)?;
                 if let Some(seq) = tx.observed_seqno(&TxKey::Repl(repl)) {
                     self.cat_cache.insert((tree, sid), (seq, entry));
                 }
                 if !entry.is_writable() {
-                    return Err(Error::SnapshotReadOnly(sid));
+                    return Err(Error::SnapshotReadOnly(sid).into());
                 }
-                Ok(Attempt::Done(OpCtx {
+                Ok(OpCtx {
                     sid,
                     root: entry.root,
                     writable: true,
-                }))
+                })
             }
             OpTarget::Snapshot(sid) => {
                 let shared = mc.shared(tree);
                 if let Some(root) = shared.vcache.root(sid) {
-                    return Ok(Attempt::Done(OpCtx {
+                    return Ok(OpCtx {
                         sid,
                         root,
                         writable: false,
-                    }));
+                    });
                 }
-                match fetch_cat_raw(&mc, tree, sid, self.home)? {
-                    None => Err(Error::NoSuchSnapshot(sid)),
-                    Some((_, entry)) => {
-                        shared.vcache.insert(sid, entry.parent, entry.root);
-                        Ok(Attempt::Done(OpCtx {
-                            sid,
-                            root: entry.root,
-                            writable: false,
-                        }))
-                    }
-                }
+                let (_, entry) = CatEntry::fetch(&mc.sinfonia, &layout, sid, self.home)?
+                    .ok_or(Error::NoSuchSnapshot(sid))?;
+                shared.vcache.insert(sid, entry.parent, entry.root);
+                Ok(OpCtx {
+                    sid,
+                    root: entry.root,
+                    writable: false,
+                })
             }
         }
     }
@@ -390,7 +363,7 @@ impl Proxy {
     pub fn get(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::GET);
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::MainlineTip)?);
+            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
             p.try_get(tx, tree, &ctx, key)
         })
     }
@@ -400,7 +373,7 @@ impl Proxy {
     pub fn put(&mut self, tree: u32, key: Key, value: Value) -> Result<Option<Value>, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::PUT);
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::MainlineTip)?);
+            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
             let mut k = Some(key.clone());
             let mut v = Some(value.clone());
             p.try_mutate(tx, tree, &ctx, &key, &mut |leaf| {
@@ -413,7 +386,7 @@ impl Proxy {
     pub fn remove(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::REMOVE);
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::MainlineTip)?);
+            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
             p.try_mutate(tx, tree, &ctx, key, &mut |leaf| leaf.leaf_remove(key))
         })
     }
@@ -430,7 +403,7 @@ impl Proxy {
     ) -> Result<Option<Value>, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::GET_AT);
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::Snapshot(sid))?);
+            let ctx = p.resolve(tx, tree, OpTarget::Snapshot(sid))?;
             p.try_get(tx, tree, &ctx, key)
         })
     }
@@ -444,7 +417,7 @@ impl Proxy {
     ) -> Result<Option<Value>, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::GET);
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::TipSid(sid))?);
+            let ctx = p.resolve(tx, tree, OpTarget::TipSid(sid))?;
             p.try_get(tx, tree, &ctx, key)
         })
     }
@@ -459,7 +432,7 @@ impl Proxy {
     ) -> Result<Option<Value>, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::PUT);
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::TipSid(sid))?);
+            let ctx = p.resolve(tx, tree, OpTarget::TipSid(sid))?;
             let mut k = Some(key.clone());
             let mut v = Some(value.clone());
             p.try_mutate(tx, tree, &ctx, &key, &mut |leaf| {
@@ -477,27 +450,17 @@ impl Proxy {
     ) -> Result<Option<Value>, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::REMOVE);
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::TipSid(sid))?);
+            let ctx = p.resolve(tx, tree, OpTarget::TipSid(sid))?;
             p.try_mutate(tx, tree, &ctx, key, &mut |leaf| leaf.leaf_remove(key))
         })
     }
 
     /// Reads the current mainline tip (one round trip; not cached).
     pub fn current_tip(&mut self, tree: u32) -> Result<(SnapshotId, crate::node::NodePtr), Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let layout = mc.layout(tree);
-        let mut tx = DynTx::new(&sin);
-        let raw = match tx.read_repl(layout.tip(), self.home) {
-            Ok(r) => r,
-            Err(TxError::Validation) => unreachable!("plain read cannot fail validation"),
-            Err(TxError::NoReadyReplica) => {
-                unreachable!("reads bind their own replica, not the commit fallback")
-            }
-            Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-            Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-        };
-        let tip = TipVal::decode(&raw).expect("tip object corrupt");
+        let layout = *self.mc.layout(tree);
+        let (tip, _) = self.run_tx(tree, self.mc.cfg.max_op_retries, |p, tx| {
+            TipVal::read(tx, &layout, p.home)
+        })?;
         Ok((tip.sid, tip.root))
     }
 
@@ -526,64 +489,22 @@ impl Proxy {
     ) -> Result<R, Error> {
         let _op = self.mc.sinfonia.obs().op(op_tag::TXN);
         let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let mut attempts = 0usize;
-        loop {
-            if attempts >= mc.cfg.max_op_retries {
-                return Err(Error::TooManyRetries { attempts });
-            }
-            let mut tx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
-            let r = {
-                let mut t = Txn {
-                    proxy: self,
-                    tx: &mut tx,
-                };
-                f(&mut t)
-            };
-            match r {
-                Ok(v) => match tx.commit() {
-                    Ok(_) => {
-                        self.stats.ops += 1;
-                        return Ok(v);
-                    }
-                    Err(TxError::Validation) => {
-                        self.note_retry(0, RetryCause::Validation);
-                        attempts += 1;
-                        backoff(attempts);
-                    }
-                    Err(TxError::NoReadyReplica) => {
-                        self.note_retry(0, RetryCause::NoReadyReplica);
-                        attempts += 1;
-                        backoff(attempts);
-                    }
-                    Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                    Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-                },
-                Err(TxnError::Retry(cause)) => {
-                    self.note_retry(0, cause);
-                    attempts += 1;
-                    backoff(attempts);
-                }
-                Err(TxnError::Error(e)) => return Err(e),
-            }
-        }
-    }
-}
-
-/// Error type inside [`Proxy::txn`] closures. Use `?` freely: internal
-/// conflict aborts are retried by the loop, real errors propagate out.
-#[derive(Debug)]
-pub enum TxnError {
-    /// Internal: the attempt must be retried.
-    #[doc(hidden)]
-    Retry(RetryCause),
-    /// A non-retryable error.
-    Error(Error),
-}
-
-impl From<Error> for TxnError {
-    fn from(e: Error) -> Self {
-        TxnError::Error(e)
+        // The trees this attempt's handle resolved: exactly the ones whose
+        // cached tip a retry must stop trusting.
+        let mut st = (&mut *self, Vec::new());
+        let (v, _) = run_tx(
+            &mc.sinfonia,
+            mc.cfg.piggyback,
+            mc.cfg.max_op_retries,
+            &mut st,
+            |(p, trees), cause| {
+                p.record_retry(cause);
+                trees.drain(..).for_each(|t| p.forget_meta(t));
+            },
+            |(proxy, trees), tx| f(&mut Txn { proxy, tx, trees }),
+        )?;
+        self.stats.ops += 1;
+        Ok(v)
     }
 }
 
@@ -592,43 +513,39 @@ impl From<Error> for TxnError {
 pub struct Txn<'p, 't, 'c> {
     proxy: &'p mut Proxy,
     tx: &'t mut DynTx<'c>,
+    trees: &'p mut Vec<u32>,
 }
 
 impl Txn<'_, '_, '_> {
-    fn lift<T>(r: Result<Attempt<T>, Error>) -> Result<T, TxnError> {
-        match r {
-            Ok(Attempt::Done(v)) => Ok(v),
-            Ok(Attempt::Retry(c)) => Err(TxnError::Retry(c)),
-            Err(e) => Err(TxnError::Error(e)),
+    fn resolve(&mut self, tree: u32, target: OpTarget) -> Attempt<OpCtx> {
+        if !self.trees.contains(&tree) {
+            self.trees.push(tree);
         }
+        self.proxy.resolve(self.tx, tree, target)
     }
 
     /// Transactional lookup at the mainline tip of `tree`.
     pub fn get(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, TxnError> {
-        let ctx = Self::lift(self.proxy.resolve(self.tx, tree, OpTarget::MainlineTip))?;
-        Self::lift(self.proxy.try_get(self.tx, tree, &ctx, key))
+        let ctx = self.resolve(tree, OpTarget::MainlineTip)?;
+        self.proxy.try_get(self.tx, tree, &ctx, key)
     }
 
     /// Transactional insert/update at the mainline tip of `tree`.
     pub fn put(&mut self, tree: u32, key: Key, value: Value) -> Result<Option<Value>, TxnError> {
-        let ctx = Self::lift(self.proxy.resolve(self.tx, tree, OpTarget::MainlineTip))?;
+        let ctx = self.resolve(tree, OpTarget::MainlineTip)?;
         let mut k = Some(key.clone());
         let mut v = Some(value);
-        Self::lift(
-            self.proxy
-                .try_mutate(self.tx, tree, &ctx, &key, &mut |leaf| {
-                    leaf.leaf_put(k.take().unwrap(), v.take().unwrap())
-                }),
-        )
+        self.proxy
+            .try_mutate(self.tx, tree, &ctx, &key, &mut |leaf| {
+                leaf.leaf_put(k.take().unwrap(), v.take().unwrap())
+            })
     }
 
     /// Transactional removal at the mainline tip of `tree`.
     pub fn remove(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, TxnError> {
-        let ctx = Self::lift(self.proxy.resolve(self.tx, tree, OpTarget::MainlineTip))?;
-        Self::lift(
-            self.proxy
-                .try_mutate(self.tx, tree, &ctx, key, &mut |leaf| leaf.leaf_remove(key)),
-        )
+        let ctx = self.resolve(tree, OpTarget::MainlineTip)?;
+        self.proxy
+            .try_mutate(self.tx, tree, &ctx, key, &mut |leaf| leaf.leaf_remove(key))
     }
 
     /// Lookup on a read-only snapshot within the transaction.
@@ -638,7 +555,7 @@ impl Txn<'_, '_, '_> {
         sid: SnapshotId,
         key: &[u8],
     ) -> Result<Option<Value>, TxnError> {
-        let ctx = Self::lift(self.proxy.resolve(self.tx, tree, OpTarget::Snapshot(sid)))?;
-        Self::lift(self.proxy.try_get(self.tx, tree, &ctx, key))
+        let ctx = self.resolve(tree, OpTarget::Snapshot(sid))?;
+        self.proxy.try_get(self.tx, tree, &ctx, key)
     }
 }

@@ -11,7 +11,7 @@
 //! never commit under a concurrent update load. The `ablation_scan`
 //! bench quantifies this.
 
-use crate::error::{attempt, Attempt, Error};
+use crate::error::Error;
 use crate::key::{Fence, Key, Value};
 use crate::node::{NodeBody, SnapshotId};
 use crate::proxy::{OpTarget, Proxy};
@@ -48,12 +48,12 @@ impl Proxy {
             let cur_key = cur.clone();
             let budget = self.mc.cfg.max_op_retries.min(500);
             let (mut batch, high) = self.run_op_budget(tree, budget, move |p, tx| {
-                let ctx = attempt!(p.resolve(tx, tree, OpTarget::Snapshot(sid))?);
-                let path = attempt!(p.traverse(tx, tree, &ctx, &cur_key, LeafAccess::Dirty, 0)?);
+                let ctx = p.resolve(tx, tree, OpTarget::Snapshot(sid))?;
+                let path = p.traverse(tx, tree, &ctx, &cur_key, LeafAccess::Dirty, 0)?;
                 let leaf = &path.last().unwrap().node;
                 let mut batch = Vec::new();
                 let high = collect(leaf, &cur_key, &mut batch);
-                Ok(Attempt::Done((batch, high)))
+                Ok((batch, high))
             })?;
             batch.truncate(remaining);
             out.append(&mut batch);
@@ -78,20 +78,19 @@ impl Proxy {
         limit: usize,
     ) -> Result<Vec<(Key, Value)>, Error> {
         self.run_op(tree, |p, tx| {
-            let ctx = attempt!(p.resolve(tx, tree, OpTarget::MainlineTip)?);
+            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
             let mut out: Vec<(Key, Value)> = Vec::new();
             let mut cur: Key = start.to_vec();
             loop {
-                let path =
-                    attempt!(p.traverse(tx, tree, &ctx, &cur, LeafAccess::Transactional, 0)?);
+                let path = p.traverse(tx, tree, &ctx, &cur, LeafAccess::Transactional, 0)?;
                 let leaf = &path.last().unwrap().node;
                 let high = collect(leaf, &cur, &mut out);
                 if out.len() >= limit {
                     out.truncate(limit);
-                    return Ok(Attempt::Done(out));
+                    return Ok(out);
                 }
                 match high {
-                    Fence::PosInf => return Ok(Attempt::Done(out)),
+                    Fence::PosInf => return Ok(out),
                     Fence::Key(k) => cur = k,
                     Fence::NegInf => unreachable!(),
                 }

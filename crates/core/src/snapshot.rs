@@ -16,7 +16,7 @@ use crate::error::{Attempt, Error, RetryCause};
 use crate::node::{Node, NodePtr, SnapshotId};
 use crate::proxy::Proxy;
 use crate::tree::VersionMode;
-use minuet_dyntx::{DynTx, TxError};
+use minuet_dyntx::DynTx;
 
 /// Result of a snapshot creation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,78 +33,63 @@ pub struct SnapshotInfo {
 
 impl Proxy {
     /// One attempt at creating a snapshot/branch from `from` (`None` =
-    /// the mainline tip).
-    pub(crate) fn try_create_from(
+    /// the mainline tip). `slot` holds the new root's slot across attempts,
+    /// so an aborted attempt's allocation is reused instead of leaked.
+    fn try_create_from(
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
         from: Option<SnapshotId>,
-    ) -> Result<Attempt<SnapshotInfo>, Error> {
+        slot: &mut Option<NodePtr>,
+    ) -> Attempt<SnapshotInfo> {
         let mc = self.mc.clone();
         let layout = *mc.layout(tree);
         let home = self.home;
-
-        // Global header: next snapshot id.
-        let graw = match tx.read_repl(layout.global(), home) {
-            Ok(r) => r,
-            Err(e) => return crate::error::tx_attempt(e),
-        };
-        let global = GlobalVal::decode(&graw).ok_or(Error::CatalogFull)?;
-        let next = global.next_sid;
-        if layout.catalog_entry(next).is_none() {
-            return Err(Error::CatalogFull);
+        if mc.cfg.blocking_meta_updates {
+            tx.set_blocking_commit(mc.cfg.blocking_wait);
         }
 
+        // Global header: next snapshot id.
+        let global = GlobalVal::read(tx, &layout, home)?;
+        let next = global.next_sid;
+        let next_repl = layout.catalog_entry(next).ok_or(Error::CatalogFull)?;
+
         // Tip (always read: we must know whether the mainline advances).
-        let traw = match tx.read_repl(layout.tip(), home) {
-            Ok(r) => r,
-            Err(e) => return crate::error::tx_attempt(e),
-        };
-        let tip = TipVal::decode(&traw).expect("tip object corrupt");
+        let tip = TipVal::read(tx, &layout, home)?;
 
         let src = from.unwrap_or(tip.sid);
         if from.is_some() && mc.cfg.version_mode == VersionMode::Linear && src != tip.sid {
-            return Err(Error::BranchingDisabled);
+            return Err(Error::BranchingDisabled.into());
         }
 
         // Source catalog entry.
-        let cat_repl = layout
-            .catalog_entry(src)
-            .ok_or(Error::NoSuchSnapshot(src))?;
-        let craw = match tx.read_repl(cat_repl, home) {
-            Ok(r) => r,
-            Err(e) => return crate::error::tx_attempt(e),
-        };
-        let mut cat_src = CatEntry::decode(&craw).ok_or(Error::NoSuchSnapshot(src))?;
+        let (cat_repl, mut cat_src) = CatEntry::read(tx, &layout, src, home)?;
         if cat_src.deleted {
-            return Err(Error::NoSuchSnapshot(src));
+            return Err(Error::NoSuchSnapshot(src).into());
         }
         if cat_src.nbranches as usize >= mc.cfg.beta {
             if mc.cfg.version_mode == VersionMode::Linear {
                 // The "tip" we read already has a branch: stale cache race;
                 // retry with a fresh tip.
-                return Ok(Attempt::Retry(RetryCause::StaleTip));
+                return Err(RetryCause::StaleTip.into());
             }
             return Err(Error::BranchingFactorExceeded {
                 from: src,
                 beta: mc.cfg.beta,
-            });
+            }
+            .into());
         }
 
         // Copy the source root, tagged with the new snapshot id.
-        let src_root_obj = layout.node_obj(cat_src.root);
-        let rraw = match tx.read(src_root_obj) {
-            Ok(r) => r,
-            Err(e) => return crate::error::tx_attempt(e),
-        };
-        let old_root = match Node::decode(&rraw) {
-            Ok(n) => n,
-            Err(_) => return Ok(Attempt::Retry(RetryCause::TornRead)),
-        };
+        let rraw = tx.read(layout.node_obj(cat_src.root))?;
+        let old_root = Node::decode(&rraw).map_err(|_| RetryCause::TornRead)?;
         let mut new_root = old_root.clone();
         new_root.created = next;
         new_root.desc = Vec::new();
-        let new_root_ptr = self.alloc_any(tree)?;
+        let new_root_ptr = match *slot {
+            Some(ptr) => ptr,
+            None => *slot.insert(self.alloc_any(tree)?),
+        };
         self.write_node(tx, tree, new_root_ptr, &new_root);
 
         // Old root bookkeeping: record the copy for GC. Roots are never
@@ -125,7 +110,7 @@ impl Proxy {
             nbranches: 0,
             deleted: false,
         };
-        tx.write_repl(layout.catalog_entry(next).unwrap(), new_entry.encode());
+        tx.write_repl(next_repl, new_entry.encode());
         let first_branch = cat_src.branch_id == 0;
         if first_branch {
             cat_src.branch_id = next;
@@ -156,12 +141,12 @@ impl Proxy {
             );
         }
 
-        Ok(Attempt::Done(SnapshotInfo {
+        Ok(SnapshotInfo {
             frozen_sid: src,
             frozen_root: cat_src.root,
             new_tip: next,
             new_root: new_root_ptr,
-        }))
+        })
     }
 
     /// Creates a snapshot of the mainline tip (Fig. 6 semantics): the
@@ -188,46 +173,14 @@ impl Proxy {
         tree: u32,
         from: Option<SnapshotId>,
     ) -> Result<SnapshotInfo, Error> {
-        let mc = self.mc.clone();
-        let sin = mc.sinfonia.clone();
-        let mut attempts = 0usize;
-        loop {
-            if attempts >= mc.cfg.max_op_retries {
-                return Err(Error::TooManyRetries { attempts });
-            }
-            attempts += 1;
-            let mut tx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
-            if mc.cfg.blocking_meta_updates {
-                tx.set_blocking_commit(mc.cfg.blocking_wait);
-            }
-            match self.try_create_from(&mut tx, tree, from)? {
-                Attempt::Retry(cause) => {
-                    self.note_retry(tree, cause);
-                    continue;
-                }
-                Attempt::Done(info) => match tx.commit() {
-                    Ok(_) => {
-                        self.stats.ops += 1;
-                        let shared = mc.shared(tree);
-                        shared
-                            .vcache
-                            .insert(info.new_tip, info.frozen_sid, info.new_root);
-                        self.tip_cache.remove(&tree);
-                        self.cat_cache.remove(&(tree, info.frozen_sid));
-                        return Ok(info);
-                    }
-                    Err(TxError::Validation) => {
-                        self.note_retry(tree, RetryCause::Validation);
-                        continue;
-                    }
-                    Err(TxError::NoReadyReplica) => {
-                        self.note_retry(tree, RetryCause::NoReadyReplica);
-                        continue;
-                    }
-                    Err(TxError::Unavailable(m)) => return Err(Error::Unavailable(m)),
-                    Err(TxError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-                },
-            }
-        }
+        let mut slot = None;
+        let info = self.run_op(tree, |p, tx| p.try_create_from(tx, tree, from, &mut slot))?;
+        let shared = self.mc.shared(tree);
+        shared
+            .vcache
+            .insert(info.new_tip, info.frozen_sid, info.new_root);
+        self.tip_cache.remove(&tree);
+        self.cat_cache.remove(&(tree, info.frozen_sid));
+        Ok(info)
     }
 }

@@ -7,34 +7,33 @@ use crate::error::{Error, RetryCause};
 use crate::layout::Layout;
 use crate::node::{Node, NodePtr};
 use crate::tree::MinuetCluster;
-use minuet_dyntx::ObjVal;
+use minuet_dyntx::{ObjRef, ObjVal};
 use minuet_sinfonia::{MemNodeId, SinfoniaCluster};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Unsynchronized read of one object image (a raw read: no locks, no
+/// read set). Concurrent writers may be observed mid-flight; callers must
+/// confirm any decision transactionally.
+pub(crate) fn raw_obj(sin: &SinfoniaCluster, obj: ObjRef) -> Result<ObjVal, Error> {
+    let raw = sin.node(obj.mem).raw_read(obj.off, obj.cap)?;
+    Ok(minuet_dyntx::decode_obj(&raw))
+}
 
 /// Raw-scans every allocated slot of `mem` (0..bump), invoking
 /// `f(slot, val)` with each decoded object image, and returns the
 /// allocator state observed before the scan. The single place that knows
 /// the alloc-state/bump scan protocol — shared by [`occupancy`], the GC
-/// sweep, and migration's referencer/liveness scans. Unsynchronized:
-/// concurrent writers may be observed mid-flight; callers must confirm
-/// any decision transactionally.
+/// sweep, and migration's referencer/liveness scans. Unsynchronized, like
+/// [`raw_obj`].
 pub(crate) fn scan_slots(
     sin: &SinfoniaCluster,
     layout: &Layout,
     mem: MemNodeId,
     f: &mut dyn FnMut(u32, ObjVal),
 ) -> Result<AllocState, Error> {
-    let node = sin.node(mem);
-    let state_raw = node
-        .raw_read(layout.alloc_state(mem).off, layout.alloc_state(mem).cap)
-        .map_err(|u| Error::Unavailable(u.0))?;
-    let state = AllocState::decode(&minuet_dyntx::decode_obj(&state_raw).data);
+    let state = AllocState::read_raw(sin, layout, mem)?;
     for slot in 0..state.bump {
-        let obj = layout.node_obj(NodePtr { mem, slot });
-        let raw = node
-            .raw_read(obj.off, obj.cap)
-            .map_err(|u| Error::Unavailable(u.0))?;
-        f(slot, minuet_dyntx::decode_obj(&raw));
+        f(slot, raw_obj(sin, layout.node_obj(NodePtr { mem, slot }))?);
     }
     Ok(state)
 }

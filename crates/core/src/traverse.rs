@@ -4,13 +4,13 @@
 //! (§4.2, §5.2).
 
 use crate::catalog::CatEntry;
-use crate::error::{tx_attempt, Attempt, Error, RetryCause};
+use crate::error::{Attempt, Error, RetryCause};
 use crate::key::in_range;
 use crate::node::{Node, NodePtr, SnapshotId};
 use crate::proxy::Proxy;
 use crate::tree::{ConcurrencyMode, MinuetCluster, VersionMode};
 use minuet_dyntx::{DynTx, SeqNo, TxKey};
-use minuet_sinfonia::{MemNodeId, Minitransaction, Outcome};
+use minuet_sinfonia::MemNodeId;
 use std::sync::Arc;
 
 /// Resolved target of one operation attempt.
@@ -71,44 +71,13 @@ enum FetchStyle {
     ValidatedLeaf,
 }
 
-/// Reads a catalog entry without any transactional tracking (one round
-/// trip to the preferred replica). Used for ancestry resolution and
-/// read-only snapshot lookups.
-pub(crate) fn fetch_cat_raw(
-    mc: &MinuetCluster,
-    tree: u32,
-    sid: SnapshotId,
-    prefer: MemNodeId,
-) -> Result<Option<(SeqNo, CatEntry)>, Error> {
-    let layout = mc.layout(tree);
-    let repl = layout
-        .catalog_entry(sid)
-        .ok_or(Error::NoSuchSnapshot(sid))?;
-    let obj = repl.at(prefer);
-    let mut m = Minitransaction::new();
-    m.read(obj.full_range());
-    match mc.sinfonia.execute(&m) {
-        Err(minuet_sinfonia::SinfoniaError::Unavailable(mem)) => Err(Error::Unavailable(mem)),
-        Err(minuet_sinfonia::SinfoniaError::DeadlineExceeded) => Err(Error::DeadlineExceeded),
-        Err(minuet_sinfonia::SinfoniaError::OutOfBounds { .. }) => Err(Error::NoSuchSnapshot(sid)),
-        Ok(Outcome::FailedCompare(_)) => unreachable!("read-only minitx"),
-        Ok(Outcome::Committed(res)) => {
-            let val = minuet_dyntx::decode_obj(&res.data[0]);
-            if val.is_unwritten() {
-                return Ok(None);
-            }
-            Ok(CatEntry::decode(&val.data).map(|e| (val.seqno, e)))
-        }
-    }
-}
-
 /// Resolves parent/root of a snapshot for the version cache.
 pub(crate) fn cat_immutable_fetcher(
     mc: Arc<MinuetCluster>,
     tree: u32,
     prefer: MemNodeId,
 ) -> impl FnMut(SnapshotId) -> Result<(SnapshotId, NodePtr), Error> {
-    move |sid| match fetch_cat_raw(&mc, tree, sid, prefer)? {
+    move |sid| match CatEntry::fetch(&mc.sinfonia, mc.layout(tree), sid, prefer)? {
         Some((_, e)) => Ok((e.parent, e.root)),
         None => Err(Error::NoSuchSnapshot(sid)),
     }
@@ -177,7 +146,7 @@ impl Proxy {
         tree: u32,
         ptr: NodePtr,
         style: FetchStyle,
-    ) -> Result<Attempt<PathEntry>, Error> {
+    ) -> Attempt<PathEntry> {
         let layout = *self.mc.layout(tree);
         let obj = layout.node_obj(ptr);
         let cache_ok = self.mc.cfg.cache_internal_nodes;
@@ -186,12 +155,12 @@ impl Proxy {
             FetchStyle::DirtyCached if cache_ok => {
                 if let Some((seqno, node)) = self.ncache.get(tree, ptr) {
                     tx.note_dirty(obj, seqno);
-                    return Ok(Attempt::Done(PathEntry {
+                    return Ok(PathEntry {
                         ptr,
                         link: ptr,
                         seqno,
                         node,
-                    }));
+                    });
                 }
             }
             FetchStyle::ValidatedLeaf if cache_leaves => {
@@ -205,12 +174,12 @@ impl Proxy {
                         tx.assume_version(TxKey::Plain(obj), seqno);
                         self.last_leaf_assumed = Some((tree, ptr));
                         self.stats.leaf_cache_hits += 1;
-                        return Ok(Attempt::Done(PathEntry {
+                        return Ok(PathEntry {
                             ptr,
                             link: ptr,
                             seqno,
                             node,
-                        }));
+                        });
                     }
                 }
                 self.stats.leaf_cache_misses += 1;
@@ -218,18 +187,15 @@ impl Proxy {
             _ => {}
         }
         let (seqno, data, tracked) = match style {
-            FetchStyle::Transactional | FetchStyle::ValidatedLeaf => match tx.read(obj) {
-                Ok(data) => (
-                    tx.observed_seqno(&TxKey::Plain(obj)).unwrap_or(0),
-                    data,
-                    true,
-                ),
-                Err(e) => return tx_attempt(e),
-            },
-            _ => match tx.dirty_read(obj) {
-                Ok(val) => (val.seqno, val.data, false),
-                Err(e) => return tx_attempt(e),
-            },
+            FetchStyle::Transactional | FetchStyle::ValidatedLeaf => {
+                let data = tx.read(obj)?;
+                let seqno = tx.observed_seqno(&TxKey::Plain(obj)).unwrap_or(0);
+                (seqno, data, true)
+            }
+            _ => {
+                let val = tx.dirty_read(obj)?;
+                (val.seqno, val.data, false)
+            }
         };
         match Node::decode(&data) {
             Ok(node) => {
@@ -242,18 +208,18 @@ impl Proxy {
                     // re-fetching.
                     self.ncache.put(tree, ptr, seqno, node.clone());
                 }
-                Ok(Attempt::Done(PathEntry {
+                Ok(PathEntry {
                     ptr,
                     link: ptr,
                     seqno,
                     node,
-                }))
+                })
             }
             Err(_) => {
                 // Freed slot or torn image: the pointer that led here is
                 // stale.
                 self.ncache.invalidate(tree, ptr);
-                Ok(Attempt::Retry(RetryCause::TornRead))
+                Err(RetryCause::TornRead.into())
             }
         }
     }
@@ -280,7 +246,7 @@ impl Proxy {
         key: &[u8],
         leaf_access: LeafAccess,
         stop_height: u8,
-    ) -> Result<Attempt<Vec<PathEntry>>, Error> {
+    ) -> Attempt<Vec<PathEntry>> {
         let mode = self.mc.cfg.mode;
         let layout = *self.mc.layout(tree);
         let mut path: Vec<PathEntry> = Vec::with_capacity(8);
@@ -329,11 +295,11 @@ impl Proxy {
             let link = cur;
             let mut hops = 0u32;
             let entry = loop {
-                let mut e = match self.fetch_node(tx, tree, cur, style)? {
-                    Attempt::Done(e) => e,
-                    Attempt::Retry(c) => {
+                let mut e = match self.fetch_node(tx, tree, cur, style) {
+                    Ok(e) => e,
+                    Err(abort) => {
                         self.invalidate_path(tree, &path);
-                        return Ok(Attempt::Retry(c));
+                        return Err(abort);
                     }
                 };
                 match self.version_check(tree, &e.node, ctx.sid)? {
@@ -344,13 +310,13 @@ impl Proxy {
                     VersionCheck::Stale => {
                         self.ncache.invalidate(tree, e.ptr);
                         self.invalidate_path(tree, &path);
-                        return Ok(Attempt::Retry(RetryCause::StaleVersion));
+                        return Err(RetryCause::StaleVersion.into());
                     }
                     VersionCheck::Redirect(next) => {
                         hops += 1;
                         if hops > 64 {
                             self.invalidate_path(tree, &path);
-                            return Ok(Attempt::Retry(RetryCause::StaleVersion));
+                            return Err(RetryCause::StaleVersion.into());
                         }
                         cur = next;
                     }
@@ -361,25 +327,25 @@ impl Proxy {
             if !in_range(&entry.node.low, &entry.node.high, key) {
                 self.ncache.invalidate(tree, entry.ptr);
                 self.invalidate_path(tree, &path);
-                return Ok(Attempt::Retry(RetryCause::FenceViolation));
+                return Err(RetryCause::FenceViolation.into());
             }
             // Height consistency (Fig. 5 line 15: fatal inconsistency).
             if let Some(prev) = path.last() {
                 if entry.node.height != prev.node.height - 1 {
                     self.ncache.invalidate(tree, entry.ptr);
                     self.invalidate_path(tree, &path);
-                    return Ok(Attempt::Retry(RetryCause::HeightMismatch));
+                    return Err(RetryCause::HeightMismatch.into());
                 }
             } else if entry.node.height < stop_height {
                 if leaf_access == LeafAccess::Route {
                     // Routing a tree shallower than the stop level (e.g.
                     // the root is still a leaf): stop at the root.
                     path.push(entry);
-                    return Ok(Attempt::Done(path));
+                    return Ok(path);
                 }
                 // Root shallower than the requested stop level: stale root
                 // observation.
-                return Ok(Attempt::Retry(RetryCause::StaleTip));
+                return Err(RetryCause::StaleTip.into());
             }
 
             let at_stop = entry.node.height == stop_height;
@@ -417,7 +383,7 @@ impl Proxy {
             };
             path.push(entry);
             match next {
-                None => return Ok(Attempt::Done(path)),
+                None => return Ok(path),
                 Some(ptr) => cur = ptr,
             }
         }

@@ -6,6 +6,7 @@ use crate::layout::{Layout, LayoutParams};
 use crate::node::{Node, NodePtr};
 use crate::proxy::Proxy;
 use crate::scs::SnapshotService;
+use crate::stats::raw_obj;
 use minuet_dyntx::encode_obj;
 use minuet_sinfonia::{ClusterConfig, MemNodeId, SinfoniaCluster};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -447,9 +448,7 @@ impl MinuetCluster {
         for t in 0..self.trees.len() as u32 {
             seed_tree_replicas(&self.sinfonia, self.layout(t), src, id)?;
         }
-        self.sinfonia
-            .finish_join(id)
-            .map_err(|u| Error::Unavailable(u.0))?;
+        self.sinfonia.finish_join(id)?;
         Ok(id)
     }
 
@@ -545,19 +544,13 @@ fn seed_tree_replicas(
     src: MemNodeId,
     dst: MemNodeId,
 ) -> Result<(), Error> {
-    use minuet_sinfonia::{ItemRange, Minitransaction, Outcome, SinfoniaError};
+    use minuet_sinfonia::{ItemRange, Minitransaction, Outcome};
 
     let mut repls = vec![layout.tip(), layout.global()];
     // Entries at or above the observed next_sid are created by commits
     // that already include the new replica, so copying 0..next_sid
     // suffices. (Unwritten entries below it copy harmlessly as zeroes.)
-    let graw = sin
-        .node(src)
-        .raw_read(layout.global().at(src).off, layout.global().cap)
-        .map_err(|u| Error::Unavailable(u.0))?;
-    let next_sid = crate::catalog::GlobalVal::decode(&minuet_dyntx::decode_obj(&graw).data)
-        .map_or(1, |g| g.next_sid);
-    for sid in 0..next_sid {
+    for sid in 0..GlobalVal::read_raw(sin, layout, src)?.next_sid {
         if let Some(r) = layout.catalog_entry(sid) {
             repls.push(r);
         }
@@ -579,21 +572,13 @@ fn seed_tree_replicas(
             let mut m = Minitransaction::new();
             for r in batch {
                 let s = r.at(src);
-                let raw = sin
-                    .node(src)
-                    .raw_read(s.off, s.cap)
-                    .map_err(|u| Error::Unavailable(u.0))?;
+                let raw = sin.node(src).raw_read(s.off, s.cap)?;
                 m.compare(ItemRange::new(src, s.off, 8), raw[0..8].to_vec());
                 m.write(ItemRange::new(dst, s.off, raw.len() as u32), raw);
             }
-            match sin.execute(&m) {
-                Ok(Outcome::Committed(_)) => break,
-                Ok(Outcome::FailedCompare(_)) => continue, // racing update; re-read
-                Err(SinfoniaError::Unavailable(mem)) => return Err(Error::Unavailable(mem)),
-                Err(SinfoniaError::DeadlineExceeded) => return Err(Error::DeadlineExceeded),
-                Err(SinfoniaError::OutOfBounds { mem, detail }) => {
-                    panic!("seeding out of bounds at {mem}: {detail}")
-                }
+            match sin.execute(&m)? {
+                Outcome::Committed(_) => break,
+                Outcome::FailedCompare(_) => continue, // racing update; re-read
             }
         }
     }
@@ -606,17 +591,14 @@ fn seed_tree_replicas(
 /// walks can anchor at the root of the version tree. Everything else is
 /// fetched lazily through the normal catalog paths.
 fn reopen_tree(sin: &SinfoniaCluster, shared: &TreeShared) {
-    let layout = &shared.layout;
-    let repl = layout
+    let repl = shared
+        .layout
         .catalog_entry(0)
         .expect("catalog region holds snapshot 0");
-    let mem = MemNodeId(0);
-    let raw = sin
-        .node(mem)
-        .raw_read(repl.at(mem).off, repl.at(mem).cap)
-        .expect("recovered memnode readable");
-    let entry = CatEntry::decode(&minuet_dyntx::decode_obj(&raw).data)
-        .expect("recovered catalog entry 0 decodes");
+    // A raw read: an unresolved in-doubt transaction may still hold the
+    // entry's lock, and reopening must not wait on it.
+    let val = raw_obj(sin, repl.at(MemNodeId(0))).expect("recovered memnode readable");
+    let entry = CatEntry::decode(&val.data).expect("recovered catalog entry 0 decodes");
     shared.vcache.insert(0, NO_PARENT, entry.root);
 }
 

@@ -243,6 +243,47 @@ fn multi_tree_transactions_atomic() {
     assert_eq!(b, 100);
 }
 
+/// Regression: a `txn` retry must stop trusting the cached tip of the
+/// trees *it touched*. It used to invalidate tree 0 whatever the closure
+/// did, so after another proxy snapshotted tree 1 a `txn` on tree 1
+/// re-assumed the same stale tip on every attempt until the budget ran
+/// out.
+#[test]
+fn txn_retry_refreshes_the_trees_it_touched() {
+    let cfg = TreeConfig {
+        max_op_retries: 200,
+        ..Default::default()
+    };
+    let mc = MinuetCluster::new(2, 2, cfg);
+    let (mut a, mut b) = (mc.proxy(), mc.proxy());
+
+    // One tree, not tree 0.
+    a.txn(|t| t.put(1, key(1), val(1))).unwrap();
+    b.create_snapshot(1).unwrap();
+    let before = a.stats.retries;
+    a.txn(|t| t.put(1, key(1), val(2))).unwrap();
+    assert!(a.stats.retries - before <= 2, "{:?}", a.stats);
+    assert_eq!(a.get(1, &key(1)).unwrap(), Some(val(2)));
+
+    // Both trees in one closure, both tips stale.
+    a.txn(|t| {
+        t.put(0, key(2), val(1))?;
+        t.put(1, key(2), val(1))
+    })
+    .unwrap();
+    b.create_snapshot(0).unwrap();
+    b.create_snapshot(1).unwrap();
+    let before = a.stats.retries;
+    a.txn(|t| {
+        t.put(0, key(2), val(2))?;
+        t.put(1, key(2), val(2))
+    })
+    .unwrap();
+    assert!(a.stats.retries - before <= 2, "{:?}", a.stats);
+    assert_eq!(a.get(0, &key(2)).unwrap(), Some(val(2)));
+    assert_eq!(a.get(1, &key(2)).unwrap(), Some(val(2)));
+}
+
 #[test]
 fn snapshot_scan_ignores_concurrent_updates() {
     let mc = MinuetCluster::new(3, 1, TreeConfig::small_nodes(8));

@@ -1,0 +1,107 @@
+//! Source tripwires for `minuet-core` (lint-style: reads the crate's own
+//! non-test source). They keep the retry contract in one place — one
+//! optimistic loop, one error conversion — and the panic audit's count
+//! from growing. Each failure names the file and the helper to use.
+
+use std::fs;
+use std::path::Path;
+
+/// `(file name, code lines)` of every module: the source up to its
+/// `#[cfg(test)]`, comment lines dropped.
+fn sources() -> Vec<(String, Vec<String>)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let text = fs::read_to_string(&path).unwrap();
+        let code = text
+            .lines()
+            .take_while(|l| !l.starts_with("#[cfg(test)]"))
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .map(str::to_owned)
+            .collect();
+        out.push((
+            path.file_name().unwrap().to_string_lossy().into_owned(),
+            code,
+        ));
+    }
+    out.sort();
+    out
+}
+
+fn count(code: &[String], needles: &[&str]) -> usize {
+    code.iter()
+        .filter(|l| needles.iter().any(|n| l.contains(n)))
+        .count()
+}
+
+#[test]
+fn dyntx_errors_convert_in_one_place() {
+    for (file, code) in sources() {
+        let arms = count(&code, &["Err(TxError::"]);
+        assert_eq!(
+            arms, 0,
+            "{file}: {arms} hand-written `Err(TxError::…)` arm(s). Return `Attempt<T>` and use \
+             `?`: `impl From<TxError> for TxnError` in error.rs is the one conversion."
+        );
+    }
+}
+
+#[test]
+fn one_optimistic_loop() {
+    for (file, code) in sources() {
+        // The runner, plus the batch planner's routing and per-group
+        // staging transactions (`batch_attempt`: never `commit()`ed, they
+        // go through `stage_commit` / `commit_many`).
+        let (begins, commits) = match file.as_str() {
+            "retry.rs" => (1, 1),
+            "batch.rs" => (2, 0),
+            _ => (0, 0),
+        };
+        let b = count(&code, &["DynTx::new(", "DynTx::with_piggyback("]);
+        let c = count(&code, &[".commit()"]);
+        assert!(
+            b <= begins && c <= commits,
+            "{file}: begins {b} (allowed {begins}) / commits {c} (allowed {commits}) dynamic \
+             transactions by hand. Hand the body to `retry::run_tx` (or `Proxy::run_tx` / \
+             `Proxy::run_op`) as a closure: the runner owns budget, deadline, backoff and \
+             invalidation."
+        );
+    }
+}
+
+#[test]
+fn panic_sites_do_not_grow() {
+    // `unwrap()` / `.expect(` / `panic!` / `unreachable!` lines per file
+    // after PR 17 (55 in all, from 68). Lower a ceiling when you remove a
+    // site; to add one, first try a typed `Error` (`Error::CorruptMeta`,
+    // the `From` impls in error.rs), and if it really is an invariant,
+    // comment it and raise the ceiling in the same change.
+    const CEILING: &[(&str, usize)] = &[
+        ("alloc.rs", 6),
+        ("batch.rs", 8),
+        ("cache.rs", 2),
+        ("catalog.rs", 10),
+        ("clone.rs", 1),
+        ("error.rs", 1),
+        ("migrate.rs", 3),
+        ("node.rs", 8),
+        ("ops.rs", 1),
+        ("proxy.rs", 3),
+        ("scan.rs", 4),
+        ("scs.rs", 1),
+        ("tree.rs", 7),
+    ];
+    for (file, code) in sources() {
+        let sites = count(&code, &["unwrap()", ".expect(", "panic!", "unreachable!"]);
+        let ceiling = CEILING
+            .iter()
+            .find(|(f, _)| *f == file)
+            .map_or(0, |(_, n)| *n);
+        assert!(
+            sites <= ceiling,
+            "{file}: {sites} unwrap/expect/panic!/unreachable! lines, ceiling {ceiling}. \
+             Return a typed `Error` instead (see the note in this test)."
+        );
+    }
+}

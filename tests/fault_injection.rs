@@ -470,3 +470,104 @@ fn faults_admin_rpc_arms_remote_registry() {
     assert!(remote.apply_faults("bogus.site=err").is_err());
     assert_eq!(faults::armed_count(), 0);
 }
+
+// ---------------------------------------------------------------------
+// One retry contract: maintenance is as bounded as a put
+// ---------------------------------------------------------------------
+
+/// With every memnode fenced as joining no commit can bind its replicated
+/// compares, so every attempt of every transaction aborts. Each public
+/// entry point must then spend its retry budget — or its deadline — and
+/// return the typed error, with round trips in proportion to the budget;
+/// `set_watermark` and friends used to spin without either bound. The
+/// scenario runs on a helper thread so a hang fails the test by timeout
+/// instead of wedging the suite.
+#[test]
+fn maintenance_ops_share_the_retry_budget_and_deadline() {
+    use minuet::core::{Error, TreeConfig};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Mutex;
+
+    const BUDGET: usize = 200;
+    let _g = faults::test_guard();
+    let step = Arc::new(Mutex::new("setup"));
+    let (done_tx, done_rx) = mpsc::channel();
+    let at = step.clone();
+    let worker = std::thread::spawn(move || {
+        // Small nodes: the tree has split across both memnodes, so each
+        // one's allocator chunk is warm (a chunk refill is a transaction
+        // of its own, outside the failing call's attempts).
+        let cfg = TreeConfig {
+            max_op_retries: BUDGET,
+            ..TreeConfig::small_nodes(8)
+        };
+        let mc = common::cluster(2, 1, cfg);
+        let sin = mc.sinfonia.clone();
+        let mut p = mc.proxy();
+        let key = |i: u32| format!("k{i:04}").into_bytes();
+        for i in 0..64 {
+            p.put(0, key(i), vec![0]).unwrap();
+        }
+        let snap = p.create_snapshot(0).unwrap().frozen_sid;
+        p.put(0, key(0), vec![1]).unwrap();
+        let fence = |on: bool| {
+            for id in sin.memnode_ids().collect::<Vec<_>>() {
+                sin.node(id).set_joining(on).unwrap();
+            }
+        };
+
+        type Call = fn(&mut minuet::core::Proxy, u64) -> Result<(), Error>;
+        let calls: [(&'static str, Call); 4] = [
+            ("set_watermark", |p, snap| p.set_watermark(0, snap + 1)),
+            ("delete_snapshot", |p, snap| p.delete_snapshot(0, snap)),
+            ("create_snapshot", |p, _| p.create_snapshot(0).map(drop)),
+            ("put", |p, _| p.put(0, b"k0001".to_vec(), vec![2]).map(drop)),
+        ];
+
+        fence(true);
+        for (name, call) in calls {
+            *at.lock().unwrap() = name;
+            let before = obs_counter(&sin, "net.round_trips");
+            let err = call(&mut p, snap).unwrap_err();
+            let spent = obs_counter(&sin, "net.round_trips") - before;
+            assert_eq!(err, Error::TooManyRetries { attempts: BUDGET }, "{name}");
+            assert!(
+                spent <= 4 * BUDGET as u64,
+                "{name} spent {spent} round trips on a budget of {BUDGET} attempts"
+            );
+
+            let scope = OpDeadline::after(Duration::from_millis(50)).enter();
+            let start = Instant::now();
+            let err = call(&mut p, snap).unwrap_err();
+            drop(scope);
+            assert!(
+                matches!(err, Error::TooManyRetries { .. } | Error::DeadlineExceeded),
+                "{name}: {err}"
+            );
+            assert!(start.elapsed() < Duration::from_secs(2), "{name}");
+        }
+        // The sweep's confirm transactions touch plain objects only, so
+        // they may commit behind the fence; either way it returns.
+        *at.lock().unwrap() = "gc_sweep";
+        if let Err(e) = p.gc_sweep(0) {
+            assert!(matches!(e, Error::TooManyRetries { .. }), "gc_sweep: {e}");
+        }
+
+        fence(false);
+        for (name, call) in calls {
+            *at.lock().unwrap() = name;
+            call(&mut p, snap).unwrap_or_else(|e| panic!("{name} after the fence lifted: {e}"));
+        }
+        *at.lock().unwrap() = "gc_sweep";
+        p.gc_sweep(0).unwrap();
+        assert_eq!(p.get(0, b"k0001").unwrap(), Some(vec![2]));
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("`{}` hung: no retry budget", step.lock().unwrap())
+        }
+        // Done, or the worker panicked (sender dropped): surface either.
+        _ => worker.join().unwrap(),
+    }
+}
