@@ -22,8 +22,8 @@ use crate::bytes::Bytes;
 use crate::deadline::OpDeadline;
 use crate::lock::TxId;
 use crate::memnode::{ReplStatus, SingleResult, Unavailable, Vote};
-use crate::minitx::{LockPolicy, Shard};
-use crate::rpc::{BatchItem, NodeRpc};
+use crate::minitx::LockPolicy;
+use crate::rpc::NodeRpc;
 use crate::transport::Transport;
 use crate::wire::{
     encode_traced_request, split_reply_flags, AdminOp, AdminReply, Endpoint, FrameReader,
@@ -109,7 +109,8 @@ pub struct RemoteNode {
     transport: Arc<Transport>,
     idle: Mutex<Vec<Conn>>,
     backoff: Mutex<Backoff>,
-    /// Server capacity learned from the `Hello` handshake.
+    /// Server capacity, cached by every successful `Hello` (a cluster
+    /// handshakes each node before use, so bounds checks never dial).
     capacity: AtomicU64,
     /// Per-RPC-type wire histograms (`wire.lat.*`, `wire.bytes_*`).
     hists: Mutex<HashMap<u8, RpcHists>>,
@@ -145,7 +146,7 @@ impl RemoteNode {
     }
 
     /// Performs the `Hello` handshake, validating protocol version and
-    /// node id, and learning the server's capacity. Returns the capacity.
+    /// node id, and learning (and caching) the server's capacity.
     pub fn hello(&self) -> io::Result<u64> {
         match self.request(&Request::Hello {
             version: PROTO_VERSION,
@@ -172,6 +173,7 @@ impl RemoteNode {
                         ),
                     ));
                 }
+                self.capacity.store(capacity, Ordering::Relaxed);
                 Ok(capacity)
             }
             Ok(other) => Err(io::Error::new(
@@ -524,11 +526,7 @@ impl NodeRpc for RemoteNode {
 
     fn capacity(&self) -> u64 {
         match self.capacity.load(Ordering::Relaxed) {
-            0 => {
-                let cap = self.hello().unwrap_or(0);
-                self.capacity.store(cap, Ordering::Relaxed);
-                cap
-            }
+            0 => self.hello().unwrap_or(0),
             cap => cap,
         }
     }
@@ -536,46 +534,38 @@ impl NodeRpc for RemoteNode {
     fn exec_single(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
     ) -> Result<SingleResult, Unavailable> {
         let req = Request::ExecSingle {
             txid,
             policy,
-            shard: WireShard::from_shard(shard),
+            shard: shard.clone(),
         };
         call!(self, req, Response::Single(s) => s)
     }
 
     fn exec_batch(
         &self,
-        items: &[BatchItem<'_, '_>],
+        items: Vec<WireBatchItem>,
         _service: Duration,
     ) -> Vec<Result<SingleResult, Unavailable>> {
-        let req = Request::ExecBatch {
-            items: items
-                .iter()
-                .map(|it| WireBatchItem {
-                    txid: it.txid,
-                    policy: it.policy,
-                    shard: WireShard::from_shard(it.shard),
-                })
-                .collect(),
-        };
-        let members = call!(self, req, Response::Batch(m) if m.len() == items.len() => m);
+        let n = items.len();
+        let req = Request::ExecBatch { items };
+        let members = call!(self, req, Response::Batch(m) if m.len() == n => m);
         match members {
             Ok(members) => members
                 .into_iter()
                 .map(|m| m.map_err(|id| Unavailable(MemNodeId(id))))
                 .collect(),
-            Err(u) => vec![Err(u); items.len()],
+            Err(u) => vec![Err(u); n],
         }
     }
 
     fn prepare(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
         participants: &[MemNodeId],
     ) -> Result<Vote, Unavailable> {
@@ -583,7 +573,7 @@ impl NodeRpc for RemoteNode {
             txid,
             policy,
             participants: participants.iter().map(|m| m.0).collect(),
-            shard: WireShard::from_shard(shard),
+            shard: shard.clone(),
         };
         call!(self, req, Response::Vote(v) => v)
     }

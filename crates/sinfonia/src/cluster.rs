@@ -717,12 +717,11 @@ mod tests {
         // Hold a lock by preparing a 2-phase-style txn manually.
         let mut held = Minitransaction::new();
         held.write(ItemRange::new(MemNodeId(0), 0, 8), vec![1; 8]);
-        let shards = held.shard();
         let txid = c.next_txid();
         c.node(MemNodeId(0))
             .prepare(
                 txid,
-                shards.get(&MemNodeId(0)).unwrap(),
+                &held.shards()[0].1,
                 crate::minitx::LockPolicy::AbortOnBusy,
                 &[MemNodeId(0)],
             )

@@ -10,6 +10,7 @@
 //! batch of N co-located one-phase commits costs ~1 round trip instead of
 //! N — the substrate the B-tree's multi-op API builds on.
 
+use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::cluster::SinfoniaCluster;
 use crate::deadline::OpDeadline;
@@ -17,7 +18,8 @@ use crate::error::SinfoniaError;
 use crate::lock::TxId;
 use crate::memnode::{SingleResult, Vote};
 use crate::minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
-use crate::rpc::BatchItem;
+use crate::server::reply;
+use crate::wire::{Request, Response, WireBatchItem};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -73,12 +75,63 @@ pub fn backoff(attempt: u32) {
     std::thread::sleep(Duration::from_micros(us));
 }
 
+/// Holds every share of `m` to its memnode's capacity before anything is
+/// sent. An item past the end of a space is the caller's layout bug, not
+/// a condition of the cluster: it gets a typed error and costs no round
+/// trip, instead of a refusal from the server that reads as a dead node
+/// (or, in-process, a panic inside the memnode).
+fn check_bounds(cluster: &SinfoniaCluster, m: &Minitransaction) -> Result<(), SinfoniaError> {
+    for (mem, shard) in m.shards() {
+        let (extent, capacity) = (shard.max_extent(), cluster.node(*mem).capacity());
+        if extent > capacity {
+            return Err(SinfoniaError::OutOfBounds {
+                mem: *mem,
+                detail: format!("an item ends at byte {extent}, capacity is {capacity}"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The in-process transport's byte ledger, request side. Over the wire
+/// the socket client records the frames it really exchanged; in-process
+/// there are none, so each exchange books the request a wire client would
+/// have sent — before the call — and ([`book_reply`]) the reply a server
+/// would have sealed around what the memnode actually answered — after
+/// it. The codec does the weighing ([`Request::wire_len`],
+/// [`Response::reply_len`]), so the two transports cannot price the same
+/// exchange differently, and nothing is built or weighed unless
+/// [`crate::transport::Transport::bytes_are_modeled`].
+fn book_request(cluster: &SinfoniaCluster, req: impl FnOnce() -> Request) {
+    if cluster.transport.bytes_are_modeled() {
+        cluster.transport.record_wire_bytes(req().wire_len(), 0);
+    }
+}
+
+/// The ledger's reply side (see [`book_request`]). What a server answers
+/// to a memnode call's outcome is the server's own [`reply`].
+fn book_reply(cluster: &SinfoniaCluster, resp: impl FnOnce() -> Response) {
+    if cluster.transport.bytes_are_modeled() {
+        cluster.transport.record_wire_bytes(0, resp().reply_len());
+    }
+}
+
+/// Puts each `(index, data)` pair where the `index`-th `read()` of the
+/// minitransaction expects it.
+fn place(reads: &mut [Bytes], pairs: Vec<(usize, Bytes)>) {
+    for (i, data) in pairs {
+        reads[i] = data;
+    }
+}
+
 /// Executes a minitransaction against the cluster, retrying transparently
 /// on lock contention and (within `cfg.unavailable_retry`) on crashed
 /// participants.
 ///
 /// Returns [`Outcome::FailedCompare`] to let the application react to
-/// failed comparisons, per the Sinfonia API.
+/// failed comparisons, per the Sinfonia API, and
+/// [`SinfoniaError::OutOfBounds`] — before anything is sent — for an item
+/// that does not fit its memnode.
 pub fn execute(cluster: &SinfoniaCluster, m: &Minitransaction) -> Result<Outcome, SinfoniaError> {
     debug_assert!(!m.is_empty(), "empty minitransaction");
     let op = OpDeadline::current();
@@ -86,6 +139,7 @@ pub fn execute(cluster: &SinfoniaCluster, m: &Minitransaction) -> Result<Outcome
     if op.expired() {
         return Err(deadline_exceeded(cluster));
     }
+    check_bounds(cluster, m)?;
     let policy = m.policy.unwrap_or(LockPolicy::AbortOnBusy);
     let deadline = Instant::now() + cluster.cfg.unavailable_retry;
     let mut attempt: u32 = 0;
@@ -126,7 +180,8 @@ pub fn execute(cluster: &SinfoniaCluster, m: &Minitransaction) -> Result<Outcome
 /// minitransaction commits or fails its compares on its own, exactly as if
 /// executed alone, and members may interleave with concurrent
 /// minitransactions from other coordinators. Outcomes are returned in
-/// input order.
+/// input order. A member with an out-of-bounds item fails the whole call
+/// with [`SinfoniaError::OutOfBounds`] before any member is sent.
 pub fn execute_many(
     cluster: &SinfoniaCluster,
     ms: &[Minitransaction],
@@ -138,15 +193,14 @@ pub fn execute_many(
 
     // Partition: single-memnode minitransactions group by their memnode,
     // everything else executes individually below.
-    let mut groups: BTreeMap<crate::addr::MemNodeId, Vec<usize>> = BTreeMap::new();
+    let mut groups: BTreeMap<MemNodeId, Vec<usize>> = BTreeMap::new();
     let mut singles: Vec<usize> = Vec::new();
     for (i, m) in ms.iter().enumerate() {
         debug_assert!(!m.is_empty(), "empty minitransaction in batch");
-        let participants = m.participants();
-        if participants.len() == 1 {
-            groups.entry(participants[0]).or_default().push(i);
-        } else {
-            singles.push(i);
+        check_bounds(cluster, m)?;
+        match m.shards() {
+            [(mem, _)] => groups.entry(*mem).or_default().push(i),
+            _ => singles.push(i),
         }
     }
 
@@ -155,32 +209,31 @@ pub fn execute_many(
     for (mem, idxs) in &groups {
         // One batched request to this memnode: one round trip carrying
         // `idxs.len()` packed minitransactions (counted as messages). In
-        // wire mode the whole group really is one ExecBatch frame: frame
-        // header + tag + member count (13 bytes) out, the same plus the
-        // node-flags trailer (14 bytes) back, plus each member's exact
-        // encoded share.
-        let (req_bytes, resp_bytes) = idxs.iter().fold((13, 14), |(o, b), &i| {
-            let (wo, wb) = ms[i].batch_member_wire_bytes();
-            (o + wo, b + wb)
-        });
-        cluster
-            .transport
-            .round_trip_bytes(idxs.len(), req_bytes, resp_bytes);
-        let node = cluster.node(*mem);
-        // The shard maps borrow the minitransactions; keep them alive for
-        // the whole batched call.
-        let shard_maps: Vec<_> = idxs.iter().map(|&i| ms[i].shard()).collect();
-        let items: Vec<BatchItem<'_, '_>> = idxs
+        // wire mode the whole group really is one ExecBatch frame, whose
+        // members are these values as they are.
+        let items: Vec<WireBatchItem> = idxs
             .iter()
-            .zip(&shard_maps)
-            .map(|(&i, shards)| BatchItem {
+            .map(|&i| WireBatchItem {
                 txid: cluster.next_txid(),
                 policy: ms[i].policy.unwrap_or(LockPolicy::AbortOnBusy),
-                shard: shards.get(mem).expect("single participant shard"),
+                shard: ms[i].shards()[0].1.clone(),
             })
             .collect();
-        let results = node.exec_batch(&items, service);
+        cluster.transport.round_trip(idxs.len());
+        book_request(cluster, || Request::ExecBatch {
+            items: items.clone(),
+        });
+        let results = cluster.node(*mem).exec_batch(items, service);
         debug_assert_eq!(results.len(), idxs.len());
+        book_reply(cluster, || {
+            Response::Batch(
+                results
+                    .iter()
+                    .cloned()
+                    .map(|m| m.map_err(|u| u.0 .0))
+                    .collect(),
+            )
+        });
         for (&i, result) in idxs.iter().zip(results) {
             match result {
                 // Contention or a crash mid-batch: retry this member alone
@@ -190,10 +243,8 @@ pub fn execute_many(
                     out[i] = Some(Outcome::FailedCompare(idx));
                 }
                 Ok(SingleResult::Committed(pairs)) => {
-                    let mut reads: Vec<Bytes> = vec![Bytes::new(); ms[i].reads.len()];
-                    for (j, data) in pairs {
-                        reads[j] = data;
-                    }
+                    let mut reads = vec![Bytes::new(); ms[i].read_count()];
+                    place(&mut reads, pairs);
                     out[i] = Some(Outcome::Committed(ReadResults { data: reads }));
                 }
             }
@@ -212,7 +263,7 @@ pub fn execute_many(
 enum TryResult {
     Done(Outcome),
     Busy,
-    Unavailable(crate::addr::MemNodeId),
+    Unavailable(MemNodeId),
     /// The ambient [`OpDeadline`] expired mid-protocol.
     Deadline,
 }
@@ -223,26 +274,29 @@ fn try_once(
     txid: TxId,
     policy: LockPolicy,
 ) -> TryResult {
-    let shards = m.shard();
-    let mut reads: Vec<Bytes> = vec![Bytes::new(); m.reads.len()];
+    let shards = m.shards();
+    let mut reads: Vec<Bytes> = vec![Bytes::new(); m.read_count()];
 
     let service = cluster.service_time();
-    if shards.len() == 1 {
+    if let [(mem, shard)] = shards {
         // Collapsed one-phase protocol: one round trip, locks held only
         // inside the memnode call.
-        let (wire_out, wire_in) = m.wire_bytes();
-        let (mem, shard) = shards.iter().next().unwrap();
-        cluster.transport.round_trip_bytes(1, wire_out, wire_in);
+        cluster.transport.round_trip(1);
+        book_request(cluster, || Request::ExecSingle {
+            txid,
+            policy,
+            shard: shard.clone(),
+        });
         let node = cluster.node(*mem);
         node.occupy(service);
-        match node.exec_single(txid, shard, policy) {
+        let result = node.exec_single(txid, shard, policy);
+        book_reply(cluster, || reply(result.clone(), Response::Single));
+        match result {
             Err(u) => TryResult::Unavailable(u.0),
             Ok(SingleResult::Busy) => TryResult::Busy,
             Ok(SingleResult::BadCompare(idx)) => TryResult::Done(Outcome::FailedCompare(idx)),
             Ok(SingleResult::Committed(pairs)) => {
-                for (i, data) in pairs {
-                    reads[i] = data;
-                }
+                place(&mut reads, pairs);
                 TryResult::Done(Outcome::Committed(ReadResults { data: reads }))
             }
         }
@@ -250,24 +304,25 @@ fn try_once(
         // Phase one: prepare at every participant (messages in parallel on
         // a real network; one round trip). Every prepare carries the full
         // participant list so a durable node can resolve the outcome after
-        // a coordinator crash. Bytes: the exact Prepare frame + Vote reply
-        // per shard.
-        let (wire_out, wire_in) = shards.values().fold((0, 0), |(o, b), s| {
-            let (po, pb) = s.prepare_wire_bytes(shards.len(), policy);
-            (o + po, b + pb)
-        });
-        cluster
-            .transport
-            .round_trip_bytes(shards.len(), wire_out, wire_in);
-        let participants: Vec<crate::addr::MemNodeId> = shards.keys().copied().collect();
-        let mut prepared: Vec<crate::addr::MemNodeId> = Vec::with_capacity(shards.len());
+        // a coordinator crash.
+        cluster.transport.round_trip(shards.len());
+        let participants = m.participants();
+        let mut prepared: Vec<MemNodeId> = Vec::with_capacity(shards.len());
         let mut failed_compares: Vec<usize> = Vec::new();
         let mut busy = false;
         let mut unavailable = None;
-        for (mem, shard) in &shards {
+        for (mem, shard) in shards {
+            book_request(cluster, || Request::Prepare {
+                txid,
+                policy,
+                participants: participants.iter().map(|p| p.0).collect(),
+                shard: shard.clone(),
+            });
             let node = cluster.node(*mem);
             node.occupy(service);
-            match node.prepare(txid, shard, policy, &participants) {
+            let vote = node.prepare(txid, shard, policy, &participants);
+            book_reply(cluster, || reply(vote.clone(), Response::Vote));
+            match vote {
                 Err(u) => {
                     unavailable = Some(u.0);
                     break;
@@ -282,9 +337,7 @@ fn try_once(
                 }
                 Ok(Vote::Ok(pairs)) => {
                     prepared.push(*mem);
-                    for (i, data) in pairs {
-                        reads[i] = data;
-                    }
+                    place(&mut reads, pairs);
                 }
             }
         }
@@ -294,13 +347,9 @@ fn try_once(
             // Phase two: commit everywhere. A participant that crashed
             // after voting Ok must still apply the decision after recovery:
             // we retry commit delivery until the recovery deadline.
-            // Commit frame: header + tag + txid (17B); Unit reply plus
-            // the node-flags trailer: 10B.
-            let n = prepared.len() as u64;
-            cluster
-                .transport
-                .round_trip_bytes(prepared.len(), 17 * n, 10 * n);
+            cluster.transport.round_trip(prepared.len());
             for mem in &prepared {
+                book_request(cluster, || Request::Commit { txid });
                 let node = cluster.node(*mem);
                 node.occupy(service);
                 let deadline = Instant::now() + cluster.cfg.unavailable_retry;
@@ -323,20 +372,18 @@ fn try_once(
                         }
                     }
                 }
+                book_reply(cluster, || Response::Unit);
             }
             return TryResult::Done(Outcome::Committed(ReadResults { data: reads }));
         }
 
         // Abort everyone we prepared.
         if !prepared.is_empty() {
-            // Abort frame: header + tag + txid (17B); Unit reply plus
-            // the node-flags trailer: 10B.
-            let n = prepared.len() as u64;
-            cluster
-                .transport
-                .round_trip_bytes(prepared.len(), 17 * n, 10 * n);
+            cluster.transport.round_trip(prepared.len());
             for mem in &prepared {
-                let _ = cluster.node(*mem).abort(txid);
+                book_request(cluster, || Request::Abort { txid });
+                let aborted = cluster.node(*mem).abort(txid);
+                book_reply(cluster, || reply(aborted, |()| Response::Unit));
             }
         }
         if let Some(id) = unavailable {
@@ -455,12 +502,11 @@ mod tests {
         // Hold a lock over offset 0..8 by preparing a 2-phase txn manually.
         let mut held = Minitransaction::new();
         held.write(ItemRange::new(MemNodeId(0), 0, 8), vec![1; 8]);
-        let shards = held.shard();
         let txid = c.next_txid();
         c.node(MemNodeId(0))
             .prepare(
                 txid,
-                shards.get(&MemNodeId(0)).unwrap(),
+                &held.shards()[0].1,
                 LockPolicy::AbortOnBusy,
                 &[MemNodeId(0)],
             )

@@ -83,7 +83,7 @@ pub use memnode::{MemNode, ReplStatus, Unavailable};
 pub use minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
 pub use recovery::Resolution;
 pub use repl::{ReplConfig, ReplToken, Replicator};
-pub use rpc::{BatchItem, NodeHandle, NodeRpc, NodeStats};
+pub use rpc::{NodeHandle, NodeRpc, NodeStats};
 pub use server::{MemNodeServer, ServerOptions};
 pub use transport::{op_counters, op_reset, with_op_net, OpNet, Transport};
 pub use wal::{DurabilityConfig, SyncMode, WalError, WalSegment, WalStats};

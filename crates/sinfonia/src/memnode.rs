@@ -17,12 +17,14 @@
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::lock::{LockAcquire, LockManager, TxId};
-use crate::minitx::{LockPolicy, Shard};
+use crate::minitx::LockPolicy;
 use crate::recovery::{self, NodeMeta};
 use crate::space::PagedSpace;
 use crate::wal::{
     parse_frames, DurabilityConfig, OwnedRecord, Record, Wal, WalError, WalSegment, WalStats,
+    REPL_WRAP,
 };
+use crate::wire::WireShard;
 use crate::{checkpoint, lock};
 use minuet_faults as faults;
 use minuet_obs::{span, Counter, ObsPlane, SpanKind};
@@ -168,7 +170,6 @@ struct Durable {
     wal: Wal,
     dir: PathBuf,
     ckpt_path: PathBuf,
-    capacity: u64,
 }
 
 /// A Sinfonia memnode: the primary space plus its second copy — a
@@ -177,6 +178,9 @@ struct Durable {
 pub struct MemNode {
     /// This node's id.
     pub id: MemNodeId,
+    /// Address-space capacity in bytes: the bound every item is held to
+    /// before it may lock, log or touch the space.
+    capacity: u64,
     locks: LockManager,
     space: RwLock<PagedSpace>,
     /// Synchronous backup of the space; conceptually lives on another
@@ -270,7 +274,6 @@ impl MemNode {
                 wal,
                 dir,
                 ckpt_path: ckpt_p,
-                capacity,
             }),
             0,
         ))
@@ -309,7 +312,6 @@ impl MemNode {
                 wal,
                 dir,
                 ckpt_path: ckpt_p,
-                capacity,
             }),
             rec.repl_watermark,
         );
@@ -342,6 +344,7 @@ impl MemNode {
         }
         MemNode {
             id,
+            capacity,
             locks,
             space: RwLock::new(space),
             backup,
@@ -406,7 +409,7 @@ impl MemNode {
 
     /// Address-space capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.space.read().capacity()
+        self.capacity
     }
 
     /// True while the node's replicated-object replicas are being seeded
@@ -474,32 +477,45 @@ impl MemNode {
     /// with [`LockManager::probe`]s (the read fast path), or it holds the
     /// space guard itself (the write fast path). Reads are zero-copy views
     /// of the resident pages.
-    fn eval(&self, shard: &Shard<'_>) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
+    fn eval(&self, shard: &WireShard) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
         Self::eval_in(&self.space.read(), shard)
     }
 
     /// [`MemNode::eval`] against a space guard the caller already holds.
-    fn eval_in(space: &PagedSpace, shard: &Shard<'_>) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
+    fn eval_in(space: &PagedSpace, shard: &WireShard) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
         let mut failed = Vec::new();
-        for (idx, c) in &shard.compares {
+        for (idx, off, expected) in &shard.compares {
             let ok = space
-                .compare(c.range.off, &c.expected)
-                .unwrap_or_else(|e| panic!("compare item out of bounds: {e}"));
+                .compare(*off, expected)
+                .expect("compare item in bounds");
             if !ok {
-                failed.push(*idx);
+                failed.push(*idx as usize);
             }
         }
         if !failed.is_empty() {
             return Err(failed);
         }
         let mut reads = Vec::with_capacity(shard.reads.len());
-        for (idx, r) in &shard.reads {
-            let data = space
-                .read(r.range.off, r.range.len)
-                .unwrap_or_else(|e| panic!("read item out of bounds: {e}"));
-            reads.push((*idx, data));
+        for (idx, off, len) in &shard.reads {
+            let data = space.read(*off, *len).expect("read item in bounds");
+            reads.push((*idx as usize, data));
         }
         Ok(reads)
+    }
+
+    /// The share's one layout invariant, asserted where it enters the
+    /// node — before a lock is taken or a record appended, so a caller's
+    /// bug can never reach the log. Callers check first and answer with a
+    /// typed error: [`crate::exec`] for a coordinator's own items, the
+    /// server for bytes from outside.
+    fn assert_in_bounds(&self, shard: &WireShard) {
+        let extent = shard.max_extent();
+        assert!(
+            extent <= self.capacity,
+            "share of memnode {} ends at {extent}, past capacity {}",
+            self.id,
+            self.capacity
+        );
     }
 
     /// Applies writes to the backup mirror first (when there is one), then
@@ -565,10 +581,11 @@ impl MemNode {
     pub fn exec_single(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
     ) -> Result<SingleResult, Unavailable> {
         self.check_up()?;
+        self.assert_in_bounds(shard);
         let spans = shard.lock_spans();
 
         if shard.writes.is_empty() {
@@ -624,12 +641,7 @@ impl MemNode {
                     } else {
                         // Arc bumps, not payload copies: the coordinator's
                         // buffers flow into the log and the space unchanged.
-                        let writes: Vec<(u64, Bytes)> = shard
-                            .writes
-                            .iter()
-                            .map(|(_, w)| (w.range.off, w.data.clone()))
-                            .collect();
-                        self.log_and_apply(txid, &writes)
+                        self.log_and_apply(txid, &shard.staged_writes())
                     };
                     match logged {
                         Ok(w) => {
@@ -662,7 +674,7 @@ impl MemNode {
     fn try_write_fastpath(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         spans: &[(u64, u64)],
     ) -> Option<Result<SingleResult, Unavailable>> {
         let s1 = self.locks.probe(spans)?;
@@ -687,11 +699,7 @@ impl MemNode {
             }
             Ok(reads) => {
                 let _ex = span(SpanKind::SrvExec);
-                let writes: Vec<(u64, Bytes)> = shard
-                    .writes
-                    .iter()
-                    .map(|(_, w)| (w.range.off, w.data.clone()))
-                    .collect();
+                let writes = shard.staged_writes();
                 // Log before apply: a failed append degrades the node and
                 // surfaces `Unavailable` with no in-memory effect.
                 let wait = match wal_g.as_mut() {
@@ -749,11 +757,12 @@ impl MemNode {
     pub fn prepare(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
         participants: &[MemNodeId],
     ) -> Result<Vote, Unavailable> {
         self.check_writable()?;
+        self.assert_in_bounds(shard);
         let spans = shard.lock_spans();
         let lock_busy = {
             let _lw = span(SpanKind::SrvLockWait);
@@ -773,11 +782,7 @@ impl MemNode {
                 let staged = PreparedTx {
                     spans,
                     // Arc bumps: staging shares the shipped payload buffers.
-                    writes: shard
-                        .writes
-                        .iter()
-                        .map(|(_, w)| (w.range.off, w.data.clone()))
-                        .collect(),
+                    writes: shard.staged_writes(),
                     participants: participants.to_vec(),
                 };
                 let wait = match &self.dur {
@@ -914,7 +919,7 @@ impl MemNode {
             let _g = d.wal.lock();
             self.crashed.store(true, Ordering::Release);
             self.locks.clear();
-            *self.space.write() = PagedSpace::new(d.capacity);
+            *self.space.write() = PagedSpace::new(self.capacity);
             self.prepared.lock().clear();
             self.decided.lock().clear();
             self.repl_watermark.store(0, Ordering::Release);
@@ -924,8 +929,7 @@ impl MemNode {
             self.locks.clear();
             // Scribble over the primary space to make any buggy post-crash
             // read through stale state detectable in tests.
-            let capacity = self.space.read().capacity();
-            *self.space.write() = PagedSpace::new(capacity);
+            *self.space.write() = PagedSpace::new(self.capacity);
         }
     }
 
@@ -937,8 +941,8 @@ impl MemNode {
     pub fn recover(&self) {
         if let Some(d) = &self.dur {
             d.wal.clear_failed();
-            let rec =
-                recovery::recover_node(&d.dir, self.id, d.capacity).expect("disk recovery failed");
+            let rec = recovery::recover_node(&d.dir, self.id, self.capacity)
+                .expect("disk recovery failed");
             *self.space.write() = rec.space;
             {
                 let mut p = self.prepared.lock();
@@ -1140,7 +1144,7 @@ impl MemNode {
         let _s = span(SpanKind::ReplApply);
         let (records, _valid) = parse_frames(frames);
         let mut wait = None;
-        for (rel_end, rec) in records {
+        for (rel_end, rec, payload) in records {
             let src_off = from + rel_end;
             if src_off <= self.repl_watermark.load(Ordering::Acquire) {
                 self.stats.repl_dup_skips.fetch_add(1, Ordering::Relaxed);
@@ -1148,21 +1152,18 @@ impl MemNode {
             }
             // A chained stream (follower of a follower) carries `Repl`
             // wrappers; incorporate the inner record at *this* stream's
-            // offsets.
-            let rec = match rec {
-                OwnedRecord::Repl { inner, .. } => *inner,
-                other => other,
+            // offsets. Either way the primary's payload is logged as the
+            // bytes that arrived, never a re-spelling of them.
+            let (rec, payload) = match rec {
+                OwnedRecord::Repl { inner, .. } => (*inner, &payload[REPL_WRAP..]),
+                other => (other, payload),
             };
             let txid = rec.txid();
             match &self.dur {
                 Some(d) => {
-                    let payload = Self::reencode(&rec);
                     let mut g = d.wal.lock();
                     let end = g
-                        .append(&Record::Repl {
-                            src_off,
-                            payload: &payload,
-                        })
+                        .append(&Record::Repl { src_off, payload })
                         .map_err(|e| self.degrade(e))?;
                     wait = Some(end);
                     self.apply_repl_effect(rec);
@@ -1181,33 +1182,6 @@ impl MemNode {
             d.wal.wait_durable(end).map_err(|e| self.degrade(e))?;
         }
         self.repl_status()
-    }
-
-    /// Re-encodes a decoded primary record so it can be wrapped verbatim
-    /// in this node's own [`Record::Repl`].
-    fn reencode(rec: &OwnedRecord) -> Vec<u8> {
-        match rec {
-            OwnedRecord::Apply { txid, writes } => Record::Apply {
-                txid: *txid,
-                writes,
-            }
-            .encode(),
-            OwnedRecord::Prepare {
-                txid,
-                participants,
-                spans,
-                writes,
-            } => Record::Prepare {
-                txid: *txid,
-                participants,
-                spans,
-                writes,
-            }
-            .encode(),
-            OwnedRecord::Commit { txid } => Record::Commit { txid: *txid }.encode(),
-            OwnedRecord::Abort { txid } => Record::Abort { txid: *txid }.encode(),
-            OwnedRecord::Repl { .. } => unreachable!("unwrapped before re-encoding"),
-        }
     }
 
     /// Applies the in-memory effect of one incorporated primary record,
@@ -1274,16 +1248,21 @@ mod tests {
         (n, dcfg)
     }
 
+    /// The share of a minitransaction whose items all name one memnode.
+    fn only_shard(m: &Minitransaction) -> &WireShard {
+        let [(_, shard)] = m.shards() else {
+            panic!("expected items at exactly one memnode")
+        };
+        shard
+    }
+
     fn single(n: &MemNode, txid: TxId, m: &Minitransaction) -> SingleResult {
-        let shards = m.shard();
-        let shard = shards.get(&n.id).expect("shard for node");
-        n.exec_single(txid, shard, LockPolicy::AbortOnBusy).unwrap()
+        n.exec_single(txid, only_shard(m), LockPolicy::AbortOnBusy)
+            .unwrap()
     }
 
     fn prep(n: &MemNode, txid: TxId, m: &Minitransaction) -> Vote {
-        let shards = m.shard();
-        let shard = shards.get(&n.id).expect("shard for node");
-        n.prepare(txid, shard, LockPolicy::AbortOnBusy, &[n.id])
+        n.prepare(txid, only_shard(m), LockPolicy::AbortOnBusy, &[n.id])
             .unwrap()
     }
 
@@ -1528,5 +1507,47 @@ mod tests {
             assert_eq!(n.raw_read(i as u64 * 16, 8).unwrap(), vec![i; 8]);
         }
         assert_eq!(n.raw_read(512, 1).unwrap(), vec![0xAB]);
+    }
+
+    /// A follower logs what the primary logged, byte for byte: each
+    /// `Repl` record it appends wraps the CRC-checked payload that arrived
+    /// — one hop from the primary, and two (a follower of the follower
+    /// wraps the *inner* payload, not the first follower's wrapper).
+    #[test]
+    fn follower_logs_the_primary_payload_verbatim() {
+        let payloads = |n: &MemNode| -> (Vec<u8>, Vec<Vec<u8>>) {
+            let seg = n.wal_fetch(0, u32::MAX).unwrap();
+            let (frames, valid) = parse_frames(&seg.bytes);
+            assert_eq!(valid as usize, seg.bytes.len());
+            let payloads = frames.iter().map(|(.., p)| p.to_vec()).collect();
+            (seg.bytes, payloads)
+        };
+        let (primary, _d0) = durable_node("repl-verbatim-0", SyncMode::None);
+        let mut m = Minitransaction::new();
+        m.write(ItemRange::new(primary.id, 64, 4), vec![4, 3, 2, 1]);
+        assert!(matches!(
+            single(&primary, 1, &m),
+            SingleResult::Committed(_)
+        ));
+        let mut p = Minitransaction::new();
+        p.write(ItemRange::new(primary.id, 128, 2), vec![8, 8]);
+        assert!(matches!(prep(&primary, 2, &p), Vote::Ok(_)));
+        primary.commit(2).unwrap();
+        let (stream, logged) = payloads(&primary);
+        assert_eq!(logged.len(), 3, "apply, prepare, commit");
+
+        let (one_hop, _d1) = durable_node("repl-verbatim-1", SyncMode::None);
+        one_hop.repl_apply(0, &stream).unwrap();
+        let (chained, wrapped) = payloads(&one_hop);
+        let (two_hops, _d2) = durable_node("repl-verbatim-2", SyncMode::None);
+        two_hops.repl_apply(0, &chained).unwrap();
+        let (_, rewrapped) = payloads(&two_hops);
+
+        for hop in [wrapped, rewrapped] {
+            let inner: Vec<&[u8]> = hop.iter().map(|p| &p[REPL_WRAP..]).collect();
+            assert_eq!(inner, logged);
+        }
+        assert_eq!(two_hops.raw_read(64, 4).unwrap(), vec![4, 3, 2, 1]);
+        assert_eq!(two_hops.raw_read(128, 2).unwrap(), vec![8, 8]);
     }
 }

@@ -8,38 +8,10 @@
 //! transparently by the execution library (retry), except in blocking mode
 //! where memnodes briefly wait for locks instead.
 
-use crate::addr::{merge_intervals, ItemRange, MemNodeId};
+use crate::addr::{ItemRange, MemNodeId};
 use crate::bytes::Bytes;
-use std::collections::BTreeMap;
+use crate::wire::WireShard;
 use std::time::Duration;
-
-/// A compare item: the bytes at `range` must equal `expected` for the
-/// minitransaction to commit.
-#[derive(Clone, Debug)]
-pub struct CompareItem {
-    /// Location to compare.
-    pub range: ItemRange,
-    /// Expected contents.
-    pub expected: Vec<u8>,
-}
-
-/// A read item: the bytes at `range` are returned on commit.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadItem {
-    /// Location to read.
-    pub range: ItemRange,
-}
-
-/// A write item: `data` is stored at `range` on commit. The payload is a
-/// refcounted [`Bytes`]: staging it at a memnode, logging it, and retrying
-/// the minitransaction all share the buffer the caller allocated once.
-#[derive(Clone, Debug)]
-pub struct WriteItem {
-    /// Location to write. `range.len` must equal `data.len()`.
-    pub range: ItemRange,
-    /// Bytes to store.
-    pub data: Bytes,
-}
 
 /// How the memnodes treat lock contention for this minitransaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,14 +27,19 @@ pub enum LockPolicy {
 }
 
 /// A minitransaction under construction.
+///
+/// Items are stored the way they travel: each one goes straight into the
+/// [`WireShard`] of the memnode it names, tagged with its index among all
+/// items of its kind, so executing the minitransaction — any number of
+/// times — sends those shards as they are.
 #[derive(Clone, Debug, Default)]
 pub struct Minitransaction {
-    /// Compare items (evaluated first).
-    pub compares: Vec<CompareItem>,
-    /// Read items (returned on success).
-    pub reads: Vec<ReadItem>,
-    /// Write items (applied on success).
-    pub writes: Vec<WriteItem>,
+    /// Each participant's share, sorted by memnode id. Usually one.
+    shards: Vec<(MemNodeId, WireShard)>,
+    /// Items added so far, per kind: the index the next one gets.
+    compares: u32,
+    reads: u32,
+    writes: u32,
     /// Lock contention policy.
     pub policy: Option<LockPolicy>,
 }
@@ -73,26 +50,53 @@ impl Minitransaction {
         Self::default()
     }
 
-    /// Adds a compare item; returns its index for failure reporting.
-    pub fn compare(&mut self, range: ItemRange, expected: impl Into<Vec<u8>>) -> usize {
+    /// The share of `mem`, created on its first item.
+    fn share(&mut self, mem: MemNodeId) -> &mut WireShard {
+        let at = match self.shards.binary_search_by_key(&mem, |(m, _)| *m) {
+            Ok(at) => at,
+            Err(at) => {
+                self.shards.insert(at, (mem, WireShard::default()));
+                at
+            }
+        };
+        &mut self.shards[at].1
+    }
+
+    /// Adds a compare item: the bytes at `range` must equal `expected` for
+    /// the minitransaction to commit. Returns its index for failure
+    /// reporting.
+    pub fn compare(&mut self, range: ItemRange, expected: impl Into<Bytes>) -> usize {
         let expected = expected.into();
         debug_assert_eq!(range.len as usize, expected.len());
-        self.compares.push(CompareItem { range, expected });
-        self.compares.len() - 1
+        let idx = self.compares;
+        self.compares += 1;
+        self.share(range.mem)
+            .compares
+            .push((idx, range.off, expected));
+        idx as usize
     }
 
-    /// Adds a read item; returns its index into the result vector.
+    /// Adds a read item: the bytes at `range` are returned on commit.
+    /// Returns its index into the result vector.
     pub fn read(&mut self, range: ItemRange) -> usize {
-        self.reads.push(ReadItem { range });
-        self.reads.len() - 1
+        let idx = self.reads;
+        self.reads += 1;
+        self.share(range.mem)
+            .reads
+            .push((idx, range.off, range.len));
+        idx as usize
     }
 
-    /// Adds a write item. Accepts `Vec<u8>` or an existing [`Bytes`]
-    /// (sharing its buffer rather than copying).
+    /// Adds a write item: `data` is stored at `range` on commit. Accepts
+    /// `Vec<u8>` or an existing [`Bytes`] — a refcounted buffer that
+    /// staging at a memnode, logging, and retrying all share rather than
+    /// copy.
     pub fn write(&mut self, range: ItemRange, data: impl Into<Bytes>) {
         let data = data.into();
         debug_assert_eq!(range.len as usize, data.len());
-        self.writes.push(WriteItem { range, data });
+        let idx = self.writes;
+        self.writes += 1;
+        self.share(range.mem).writes.push((idx, range.off, data));
     }
 
     /// Marks this minitransaction as blocking with the given wait budget.
@@ -103,173 +107,29 @@ impl Minitransaction {
 
     /// True if there is nothing to do.
     pub fn is_empty(&self) -> bool {
-        self.compares.is_empty() && self.reads.is_empty() && self.writes.is_empty()
+        self.shards.is_empty()
     }
 
     /// True if the minitransaction writes nothing (pure validate/read).
     pub fn is_read_only(&self) -> bool {
-        self.writes.is_empty()
+        self.writes == 0
     }
 
-    /// Encoded size of this minitransaction's lock policy byte(s) on the
-    /// wire (`encode_policy` in the wire module).
-    fn policy_wire_bytes(&self) -> u64 {
-        match self.policy {
-            Some(LockPolicy::Block(_)) => 9, // variant byte + u64 budget
-            _ => 1,                          // variant byte
-        }
+    /// Number of read items added, i.e. the length of a committed
+    /// [`ReadResults::data`].
+    pub fn read_count(&self) -> usize {
+        self.reads as usize
     }
 
-    /// Encoded size of the item lists as a wire shard: three u32 counts
-    /// plus one 16-byte descriptor (u32 index + u64 offset + u32
-    /// length-or-len-prefix) and any payload per item.
-    fn shard_item_wire_bytes(&self) -> u64 {
-        12 + self
-            .compares
-            .iter()
-            .map(|c| 16 + c.expected.len() as u64)
-            .sum::<u64>()
-            + self.reads.len() as u64 * 16
-            + self
-                .writes
-                .iter()
-                .map(|w| 16 + w.data.len() as u64)
-                .sum::<u64>()
-    }
-
-    /// Encoded size of the read results carried by a committed reply:
-    /// result kind + pair count, then u32 index + u32 length prefix + data
-    /// per read item.
-    fn reply_pairs_wire_bytes(&self) -> u64 {
-        1 + 4
-            + self
-                .reads
-                .iter()
-                .map(|r| 8 + r.range.len as u64)
-                .sum::<u64>()
-    }
-
-    /// Exact wire size of this minitransaction as `(request bytes,
-    /// response bytes)` for the collapsed one-phase protocol: the sealed
-    /// `ExecSingle` frame out and the committed `Single` reply back,
-    /// byte-for-byte what the wire module's encoders produce (asserted by
-    /// the frame-conformance test there). Feeds the transport's byte
-    /// counters so benches report bytes/op next to round trips/op.
-    pub fn wire_bytes(&self) -> (u64, u64) {
-        // Frame header (8) + request tag + txid + policy + shard items.
-        let out = 8 + 1 + 8 + self.policy_wire_bytes() + self.shard_item_wire_bytes();
-        // Frame header + response tag + committed read pairs + the v3
-        // node-flags trailer byte every reply carries.
-        let back = 8 + 1 + self.reply_pairs_wire_bytes() + 1;
-        (out, back)
-    }
-
-    /// Exact wire size of this minitransaction as one `ExecBatch` member
-    /// `(request bytes, response bytes)`: the member's share of the batch
-    /// frame out (txid + policy + shard) and of the batch reply back
-    /// (ok-discriminant + committed result).
-    pub fn batch_member_wire_bytes(&self) -> (u64, u64) {
-        let out = 8 + self.policy_wire_bytes() + self.shard_item_wire_bytes();
-        let back = 1 + self.reply_pairs_wire_bytes();
-        (out, back)
+    /// Each participating memnode with its share of the items, sorted by
+    /// memnode id.
+    pub fn shards(&self) -> &[(MemNodeId, WireShard)] {
+        &self.shards
     }
 
     /// The set of memnodes participating in this minitransaction.
     pub fn participants(&self) -> Vec<MemNodeId> {
-        let mut v: Vec<MemNodeId> = self
-            .compares
-            .iter()
-            .map(|c| c.range.mem)
-            .chain(self.reads.iter().map(|r| r.range.mem))
-            .chain(self.writes.iter().map(|w| w.range.mem))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Splits the minitransaction into per-memnode shards, preserving item
-    /// indices so results and failures can be reassembled by the coordinator.
-    pub fn shard(&self) -> BTreeMap<MemNodeId, Shard<'_>> {
-        let mut shards: BTreeMap<MemNodeId, Shard<'_>> = BTreeMap::new();
-        for (i, c) in self.compares.iter().enumerate() {
-            shards.entry(c.range.mem).or_default().compares.push((i, c));
-        }
-        for (i, r) in self.reads.iter().enumerate() {
-            shards.entry(r.range.mem).or_default().reads.push((i, *r));
-        }
-        for (i, w) in self.writes.iter().enumerate() {
-            shards.entry(w.range.mem).or_default().writes.push((i, w));
-        }
-        shards
-    }
-}
-
-/// The slice of a minitransaction destined for one memnode. Item tuples
-/// carry the index of the item in the original minitransaction.
-#[derive(Default)]
-pub struct Shard<'a> {
-    /// Compare items with original indices.
-    pub compares: Vec<(usize, &'a CompareItem)>,
-    /// Read items with original indices.
-    pub reads: Vec<(usize, ReadItem)>,
-    /// Write items with original indices.
-    pub writes: Vec<(usize, &'a WriteItem)>,
-}
-
-impl Shard<'_> {
-    /// Exact wire size of the two-phase `Prepare` frame carrying this
-    /// shard and of its `Vote::Ok` reply, as `(request bytes, response
-    /// bytes)` — mirrors the wire module's encoders byte-for-byte (see
-    /// the frame-conformance test there).
-    pub fn prepare_wire_bytes(&self, participants: usize, policy: LockPolicy) -> (u64, u64) {
-        let policy_len: u64 = match policy {
-            LockPolicy::Block(_) => 9,
-            LockPolicy::AbortOnBusy => 1,
-        };
-        let items: u64 = 12
-            + self
-                .compares
-                .iter()
-                .map(|(_, c)| 16 + c.expected.len() as u64)
-                .sum::<u64>()
-            + self.reads.len() as u64 * 16
-            + self
-                .writes
-                .iter()
-                .map(|(_, w)| 16 + w.data.len() as u64)
-                .sum::<u64>();
-        // Frame header + tag + txid + policy + participant list + shard.
-        let out = 8 + 1 + 8 + policy_len + 4 + 2 * participants as u64 + items;
-        // Frame header + tag + vote variant + pair count + read pairs +
-        // the v3 node-flags trailer byte.
-        let back = 8
-            + 1
-            + 1
-            + 4
-            + self
-                .reads
-                .iter()
-                .map(|(_, r)| 8 + r.range.len as u64)
-                .sum::<u64>()
-            + 1;
-        (out, back)
-    }
-
-    /// Canonicalized lock spans covering every item in the shard.
-    pub fn lock_spans(&self) -> Vec<(u64, u64)> {
-        let spans = self
-            .compares
-            .iter()
-            .map(|(_, c)| (c.range.off, c.range.end()))
-            .chain(self.reads.iter().map(|(_, r)| (r.range.off, r.range.end())))
-            .chain(
-                self.writes
-                    .iter()
-                    .map(|(_, w)| (w.range.off, w.range.end())),
-            )
-            .collect();
-        merge_intervals(spans)
+        self.shards.iter().map(|(mem, _)| *mem).collect()
     }
 }
 
@@ -332,23 +192,12 @@ mod tests {
         m.read(range(0, 0, 4));
         m.read(range(1, 0, 4));
         m.read(range(0, 8, 4));
-        let shards = m.shard();
-        assert_eq!(
-            shards[&MemNodeId(0)]
-                .reads
-                .iter()
-                .map(|(i, _)| *i)
-                .collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert_eq!(
-            shards[&MemNodeId(1)]
-                .reads
-                .iter()
-                .map(|(i, _)| *i)
-                .collect::<Vec<_>>(),
-            vec![1]
-        );
+        let indices =
+            |at: usize| -> Vec<u32> { m.shards()[at].1.reads.iter().map(|(i, ..)| *i).collect() };
+        assert_eq!(m.participants(), vec![MemNodeId(0), MemNodeId(1)]);
+        assert_eq!(indices(0), vec![0, 2]);
+        assert_eq!(indices(1), vec![1]);
+        assert_eq!(m.read_count(), 3);
     }
 
     #[test]
@@ -357,7 +206,6 @@ mod tests {
         m.compare(range(0, 0, 8), vec![0; 8]);
         m.write(range(0, 0, 8), vec![1; 8]);
         m.read(range(0, 4, 8));
-        let shards = m.shard();
-        assert_eq!(shards[&MemNodeId(0)].lock_spans(), vec![(0, 12)]);
+        assert_eq!(m.shards()[0].1.lock_spans(), vec![(0, 12)]);
     }
 }

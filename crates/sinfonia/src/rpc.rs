@@ -26,10 +26,11 @@ use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::lock::TxId;
 use crate::memnode::{MemNode, ReplStatus, SingleResult, Unavailable, Vote};
-use crate::minitx::{LockPolicy, Shard};
+use crate::minitx::LockPolicy;
 use crate::recovery::NodeMeta;
 use crate::wal::WalSegment;
 pub use crate::wire::{AdminOp, AdminReply};
+use crate::wire::{WireBatchItem, WireShard};
 use minuet_faults as faults;
 use minuet_obs::{ObsSnapshot, Trace};
 use std::io;
@@ -39,16 +40,6 @@ use std::time::Duration;
 
 /// A shared handle to a memnode, local or remote.
 pub type NodeHandle = Arc<dyn NodeRpc>;
-
-/// One member of a batched execution (see [`NodeRpc::exec_batch`]).
-pub struct BatchItem<'a, 'b> {
-    /// Coordinator-assigned minitransaction id.
-    pub txid: TxId,
-    /// Lock contention policy.
-    pub policy: LockPolicy,
-    /// The items destined for this memnode.
-    pub shard: &'a Shard<'b>,
-}
 
 /// Owned snapshot of a memnode's operation and durability counters.
 ///
@@ -130,7 +121,7 @@ pub trait NodeRpc: Send + Sync {
     fn exec_single(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
     ) -> Result<SingleResult, Unavailable>;
 
@@ -140,17 +131,18 @@ pub trait NodeRpc: Send + Sync {
     /// disabled; ignored by remote nodes, whose service time is real).
     ///
     /// The default implementation loops [`NodeRpc::exec_single`]; the wire
-    /// client overrides it to pack the whole batch into one frame.
+    /// client overrides it to send the members, as they are, in one frame
+    /// — which is why they arrive owned.
     fn exec_batch(
         &self,
-        items: &[BatchItem<'_, '_>],
+        items: Vec<WireBatchItem>,
         service: Duration,
     ) -> Vec<Result<SingleResult, Unavailable>> {
         items
             .iter()
             .map(|it| {
                 self.occupy(service);
-                self.exec_single(it.txid, it.shard, it.policy)
+                self.exec_single(it.txid, &it.shard, it.policy)
             })
             .collect()
     }
@@ -160,7 +152,7 @@ pub trait NodeRpc: Send + Sync {
     fn prepare(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
         participants: &[MemNodeId],
     ) -> Result<Vote, Unavailable>;
@@ -354,7 +346,7 @@ impl NodeRpc for MemNode {
     fn exec_single(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
     ) -> Result<SingleResult, Unavailable> {
         MemNode::exec_single(self, txid, shard, policy)
@@ -363,7 +355,7 @@ impl NodeRpc for MemNode {
     fn prepare(
         &self,
         txid: TxId,
-        shard: &Shard<'_>,
+        shard: &WireShard,
         policy: LockPolicy,
         participants: &[MemNodeId],
     ) -> Result<Vote, Unavailable> {

@@ -15,14 +15,13 @@
 //! - a panic inside dispatch is caught and answered with
 //!   [`Response::Error`] — the daemon never dies from one request.
 
-use crate::addr::{ItemRange, MemNodeId};
+use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::memnode::{MemNode, Unavailable};
-use crate::minitx::{CompareItem, ReadItem, Shard, WriteItem};
 use crate::rpc::NodeRpc;
 use crate::wire::{
     encode_response_payload, seal_reply, seal_traced_reply, AdminOp, Endpoint, FrameReader,
-    Listener, NodeFlags, Request, Response, Stream, WireShard, PROTO_VERSION,
+    Listener, NodeFlags, Request, Response, Stream, PROTO_VERSION,
 };
 use minuet_faults as faults;
 use minuet_obs::{note, span, with_server_trace, SpanKind, Trace};
@@ -375,69 +374,6 @@ fn dispatch_faulted(node: &Arc<MemNode>, req: Request) -> Response {
     }
 }
 
-/// Owned storage for a server-side reconstructed shard: the borrowed
-/// [`Shard`] the memnode consumes points into these vectors. Write
-/// payloads stay [`crate::bytes::Bytes`] aliasing the request frame —
-/// receive-to-apply is zero-copy.
-struct ShardHolder {
-    compares: Vec<(usize, CompareItem)>,
-    reads: Vec<(usize, ReadItem)>,
-    writes: Vec<(usize, WriteItem)>,
-}
-
-impl ShardHolder {
-    fn from_wire(mem: MemNodeId, ws: &WireShard) -> ShardHolder {
-        ShardHolder {
-            compares: ws
-                .compares
-                .iter()
-                .map(|(i, off, expected)| {
-                    (
-                        *i as usize,
-                        CompareItem {
-                            range: ItemRange::new(mem, *off, expected.len() as u32),
-                            expected: expected.to_vec(),
-                        },
-                    )
-                })
-                .collect(),
-            reads: ws
-                .reads
-                .iter()
-                .map(|(i, off, len)| {
-                    (
-                        *i as usize,
-                        ReadItem {
-                            range: ItemRange::new(mem, *off, *len),
-                        },
-                    )
-                })
-                .collect(),
-            writes: ws
-                .writes
-                .iter()
-                .map(|(i, off, data)| {
-                    (
-                        *i as usize,
-                        WriteItem {
-                            range: ItemRange::new(mem, *off, data.len() as u32),
-                            data: data.clone(),
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn shard(&self) -> Shard<'_> {
-        Shard {
-            compares: self.compares.iter().map(|(i, c)| (*i, c)).collect(),
-            reads: self.reads.to_vec(),
-            writes: self.writes.iter().map(|(i, w)| (*i, w)).collect(),
-        }
-    }
-}
-
 fn check_extent(node: &MemNode, extent: u64) -> Result<(), String> {
     if extent > node.capacity() {
         return Err(format!(
@@ -450,7 +386,10 @@ fn check_extent(node: &MemNode, extent: u64) -> Result<(), String> {
 
 /// Turns a memnode call's outcome into its reply: `ok` builds the success
 /// message, a crashed node answers [`Response::Unavailable`].
-fn reply<T>(outcome: Result<T, Unavailable>, ok: impl FnOnce(T) -> Response) -> Response {
+pub(crate) fn reply<T>(
+    outcome: Result<T, Unavailable>,
+    ok: impl FnOnce(T) -> Response,
+) -> Response {
     match outcome {
         Ok(v) => ok(v),
         Err(u) => Response::Unavailable(u.0 .0),
@@ -479,11 +418,7 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             if let Err(e) = check_extent(node, shard.max_extent()) {
                 return Response::Error(e);
             }
-            let holder = ShardHolder::from_wire(node.id, &shard);
-            reply(
-                node.exec_single(txid, &holder.shard(), policy),
-                Response::Single,
-            )
+            reply(node.exec_single(txid, &shard, policy), Response::Single)
         }
         Request::ExecBatch { items } => {
             for it in &items {
@@ -494,8 +429,7 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             let members = items
                 .iter()
                 .map(|it| {
-                    let holder = ShardHolder::from_wire(node.id, &it.shard);
-                    node.exec_single(it.txid, &holder.shard(), it.policy)
+                    node.exec_single(it.txid, &it.shard, it.policy)
                         .map_err(|u| u.0 .0)
                 })
                 .collect();
@@ -510,10 +444,9 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             if let Err(e) = check_extent(node, shard.max_extent()) {
                 return Response::Error(e);
             }
-            let holder = ShardHolder::from_wire(node.id, &shard);
             let participants: Vec<MemNodeId> = participants.into_iter().map(MemNodeId).collect();
             reply(
-                node.prepare(txid, &holder.shard(), policy, &participants),
+                node.prepare(txid, &shard, policy, &participants),
                 Response::Vote,
             )
         }

@@ -1,10 +1,15 @@
 //! Instrumented transport layer.
 //!
-//! The simulated cluster runs in one process: an "RPC" is a function call
-//! into a memnode. This module makes the *network cost* of every operation
-//! observable: it counts round trips and messages globally and per
-//! logical operation (thread-scoped), and can optionally inject real
-//! latency per round trip. Benchmarks report modeled latency as
+//! Whichever way a coordinator reaches its memnodes — a function call
+//! in-process, a socket exchange in wire mode (see [`crate::rpc`]) — this
+//! module makes the *network cost* of every operation observable: it
+//! counts round trips, messages and bytes globally and per logical
+//! operation (thread-scoped), and can optionally inject real latency per
+//! round trip. Round trips and messages are counted per coordinator phase
+//! by [`crate::exec`] in both modes; bytes are the frames the socket
+//! client exchanged, or in-process what the codec says the same frames
+//! would weigh ([`Transport::bytes_are_modeled`] says which).
+//! Benchmarks report modeled latency as
 //! `measured wall time + round_trips × model_rtt`, reproducing the paper's
 //! round-trip-dominated latency shapes without physical machines.
 
@@ -128,11 +133,10 @@ pub struct Transport {
     inject_ns: AtomicU64,
     /// RTT used for *modeled* latency in reports (never slept here).
     pub model_rtt: Duration,
-    /// When false (wire mode), the modeled byte arguments of
-    /// [`Transport::round_trip_bytes`] are ignored: real frame sizes are
-    /// recorded by the socket client via [`Transport::record_wire_bytes`]
-    /// instead, so the same counters report measured rather than modeled
-    /// traffic.
+    /// Who feeds the byte counters through
+    /// [`Transport::record_wire_bytes`]: the coordinator, pricing each
+    /// in-process exchange with the codec (true), or the socket client,
+    /// with the frames it really exchanged (false, wire mode).
     modeled_bytes: bool,
     /// The client-side observability plane: samples root operation traces
     /// and owns the registry the transport's counters (and the wire
@@ -166,8 +170,8 @@ impl Transport {
 
     /// Creates a transport for wire mode: round trips and messages are
     /// still counted per coordinator phase, but byte counters are fed by
-    /// real frame sizes ([`Transport::record_wire_bytes`]) instead of the
-    /// modeled estimates.
+    /// the socket client's real frame sizes instead of the coordinator's
+    /// in-process ledger.
     pub fn new_wire(model_rtt: Duration, inject_rtt: Option<Duration>) -> Self {
         Transport {
             modeled_bytes: false,
@@ -175,15 +179,17 @@ impl Transport {
         }
     }
 
-    /// True when byte counters come from modeled estimates (in-process
+    /// True when byte counters are priced by the coordinator (in-process
     /// mode); false when they come from real frames (wire mode).
     pub fn bytes_are_modeled(&self) -> bool {
         self.modeled_bytes
     }
 
-    /// Adds real frame sizes to the byte counters (global and
-    /// per-operation). Called by the socket client on the requesting
-    /// thread, once per request/response exchange.
+    /// Adds frame sizes to the byte counters (global and per-operation),
+    /// on the requesting thread: request bytes before an exchange, reply
+    /// bytes after it. Called by the socket client with the frames it
+    /// wrote and read, or — in-process — by the coordinator with what the
+    /// codec says those frames would weigh.
     pub fn record_wire_bytes(&self, bytes_out: u64, bytes_in: u64) {
         self.stats.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
         self.stats.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
@@ -209,26 +215,12 @@ impl Transport {
     /// optionally injects latency.
     #[inline]
     pub fn round_trip(&self, fanout: usize) {
-        self.round_trip_bytes(fanout, 0, 0);
-    }
-
-    /// Like [`Transport::round_trip`], also accounting the approximate
-    /// request/response payload sizes — the data-plane observable the
-    /// `hotpath` bench reports as bytes/op next to round trips/op.
-    #[inline]
-    pub fn round_trip_bytes(&self, fanout: usize, bytes_out: u64, bytes_in: u64) {
         self.stats.round_trips.fetch_add(1, Ordering::Relaxed);
         self.stats
             .messages
             .fetch_add(fanout as u64, Ordering::Relaxed);
         OP_ROUND_TRIPS.with(|c| c.set(c.get() + 1));
         OP_MESSAGES.with(|c| c.set(c.get() + fanout as u64));
-        if self.modeled_bytes {
-            self.stats.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
-            self.stats.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
-            OP_BYTES_OUT.with(|c| c.set(c.get() + bytes_out));
-            OP_BYTES_IN.with(|c| c.set(c.get() + bytes_in));
-        }
         let ns = self.inject_ns.load(Ordering::Relaxed);
         if ns > 0 {
             std::thread::sleep(Duration::from_nanos(ns));
@@ -244,8 +236,10 @@ mod tests {
     fn counters_accumulate() {
         let t = Transport::new(Duration::from_micros(100), None);
         let (_, net) = with_op_net(|| {
-            t.round_trip_bytes(1, 100, 40);
-            t.round_trip_bytes(3, 10, 0);
+            t.round_trip(1);
+            t.record_wire_bytes(100, 40);
+            t.round_trip(3);
+            t.record_wire_bytes(10, 0);
         });
         assert_eq!(
             net,
@@ -277,9 +271,9 @@ mod tests {
     fn wire_mode_counts_real_bytes_only() {
         let t = Transport::new_wire(Duration::from_micros(100), None);
         let (_, net) = with_op_net(|| {
-            // Modeled byte estimates are ignored in wire mode...
-            t.round_trip_bytes(2, 1000, 1000);
-            // ...real frame sizes are what lands in the counters.
+            // A coordinator phase counts its round trip and messages...
+            t.round_trip(2);
+            // ...and the socket client the frames it really exchanged.
             t.record_wire_bytes(120, 36);
         });
         assert_eq!(

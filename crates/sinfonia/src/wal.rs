@@ -227,6 +227,10 @@ pub enum Record<'a> {
     },
 }
 
+/// What a [`Record::Repl`] puts in front of the payload it wraps: its tag
+/// byte and the source offset.
+pub const REPL_WRAP: usize = 1 + 8;
+
 /// A redo record as decoded during replay (owning its buffers).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OwnedRecord {
@@ -451,12 +455,16 @@ impl OwnedRecord {
     }
 }
 
-/// Parses a log buffer into records with their frame end offsets (relative
-/// to the start of `buf`), stopping at the first torn or corrupt frame.
-/// Returns the `(end_offset, record)` pairs and the byte length of the
-/// valid prefix. Replication consumers need the offsets: a follower's
-/// watermark is the source-log offset of the last frame it incorporated.
-pub fn parse_frames(buf: &[u8]) -> (Vec<(u64, OwnedRecord)>, u64) {
+/// One whole frame of a log buffer: its end offset relative to the start
+/// of the buffer, the record it decodes to, and its CRC-checked payload.
+pub type Frame<'a> = (u64, OwnedRecord, &'a [u8]);
+
+/// Parses a log buffer into [`Frame`]s, stopping at the first torn or
+/// corrupt one; also returns the byte length of the valid prefix.
+/// Replication consumers need both extras of a frame: a follower's
+/// watermark is the source-log offset of the last frame it incorporated,
+/// and what it logs is that frame's payload, verbatim.
+pub fn parse_frames(buf: &[u8]) -> (Vec<Frame<'_>>, u64) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     loop {
@@ -475,7 +483,7 @@ pub fn parse_frames(buf: &[u8]) -> (Vec<(u64, OwnedRecord)>, u64) {
         match OwnedRecord::decode(payload) {
             Some(rec) => {
                 pos += 8 + len as usize;
-                records.push((pos as u64, rec));
+                records.push((pos as u64, rec, payload));
             }
             None => break,
         }
@@ -488,7 +496,7 @@ pub fn parse_frames(buf: &[u8]) -> (Vec<(u64, OwnedRecord)>, u64) {
 /// (callers truncate the file there).
 pub fn parse_log(buf: &[u8]) -> (Vec<OwnedRecord>, u64) {
     let (frames, valid) = parse_frames(buf);
-    (frames.into_iter().map(|(_, rec)| rec).collect(), valid)
+    (frames.into_iter().map(|(_, rec, _)| rec).collect(), valid)
 }
 
 /// A chunk of raw framed log bytes handed to a replication follower.
@@ -1175,7 +1183,10 @@ mod tests {
         let (frames, valid) = parse_frames(&seg.bytes);
         assert_eq!(valid, tail);
         assert_eq!(frames.len(), 6);
-        assert_eq!(frames.iter().map(|(end, _)| *end).collect::<Vec<_>>(), ends);
+        assert_eq!(
+            frames.iter().map(|(end, ..)| *end).collect::<Vec<_>>(),
+            ends
+        );
         // A bounded read tears mid-frame; the parsed prefix is whole
         // frames only and the caller resumes at `from + valid`.
         let seg = wal

@@ -34,7 +34,7 @@
 //! The module is std-only: plain blocking TCP / Unix-domain sockets, no
 //! async runtime. [`Endpoint`] names a listening address in either family.
 
-use crate::addr::MemNodeId;
+use crate::addr::{merge_intervals, MemNodeId};
 use crate::bytes::Bytes;
 use crate::lock::TxId;
 use crate::memnode::{ReplStatus, SingleResult, Vote};
@@ -509,15 +509,43 @@ impl<'a> Cur<'a> {
 /// as calls they cost every request ~20 ns on the server that the
 /// hand-written per-message arms did not pay.
 trait Wire: Sized {
-    fn put(&self, buf: &mut Vec<u8>);
+    fn put(&self, buf: &mut impl Sink);
     fn get(c: &mut Cur<'_>) -> Result<Self, WireError>;
+}
+
+/// Where an encoder's bytes go: into the frame being built, or onto a
+/// scale. What a frame weighs is therefore never written down — it is
+/// what its encoder says ([`Request::wire_len`], [`Response::reply_len`]).
+trait Sink {
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+    #[inline(always)]
+    fn push(&mut self, byte: u8) {
+        self.extend_from_slice(&[byte]);
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline(always)]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// The scale: counts the bytes an encoder would have written and copies
+/// none of them.
+struct Weigh(u64);
+
+impl Sink for Weigh {
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
 }
 
 macro_rules! wire_int {
     ($($t:ty),+) => {$(
         impl Wire for $t {
             #[inline(always)]
-            fn put(&self, buf: &mut Vec<u8>) {
+            fn put(&self, buf: &mut impl Sink) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
             #[inline(always)]
@@ -533,7 +561,7 @@ wire_int!(u8, u16, u32, u64);
 /// Item indices are `usize` in memory and `u32` on the wire.
 impl Wire for usize {
     #[inline(always)]
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         (*self as u32).put(buf);
     }
     #[inline(always)]
@@ -544,7 +572,7 @@ impl Wire for usize {
 
 impl Wire for bool {
     #[inline(always)]
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         buf.push(*self as u8);
     }
     #[inline(always)]
@@ -560,7 +588,7 @@ impl Wire for bool {
 /// A length-prefixed byte payload; decoded, it aliases the frame buffer.
 impl Wire for Bytes {
     #[inline(always)]
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         (self.len() as u32).put(buf);
         buf.extend_from_slice(self);
     }
@@ -574,7 +602,7 @@ impl Wire for Bytes {
 }
 
 impl Wire for String {
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         (self.len() as u32).put(buf);
         buf.extend_from_slice(self.as_bytes());
     }
@@ -585,7 +613,7 @@ impl Wire for String {
 
 /// A lock-wait budget, as whole nanoseconds.
 impl Wire for Duration {
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         (self.as_nanos().min(u128::from(u64::MAX)) as u64).put(buf);
     }
     fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
@@ -595,7 +623,7 @@ impl Wire for Duration {
 
 impl<T: Wire> Wire for Vec<T> {
     #[inline(always)]
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         (self.len() as u32).put(buf);
         for item in self {
             item.put(buf);
@@ -616,7 +644,7 @@ macro_rules! wire_tuple {
     ($($T:ident $i:tt),+) => {
         impl<$($T: Wire),+> Wire for ($($T,)+) {
             #[inline(always)]
-            fn put(&self, buf: &mut Vec<u8>) {
+            fn put(&self, buf: &mut impl Sink) {
                 $(self.$i.put(buf);)+
             }
             #[inline(always)]
@@ -631,7 +659,7 @@ wire_tuple!(A 0, B 1, C 2);
 
 /// A batch member: its result, or the id of the crashed node it hit.
 impl<T: Wire, E: Wire> Wire for Result<T, E> {
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         match self {
             Ok(v) => {
                 buf.push(0);
@@ -656,7 +684,7 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
 macro_rules! wire_struct {
     ($T:ty { $($f:tt),+ $(,)? }) => {
         impl Wire for $T {
-            fn put(&self, buf: &mut Vec<u8>) {
+            fn put(&self, buf: &mut impl Sink) {
                 $(self.$f.put(buf);)+
             }
             fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
@@ -671,7 +699,7 @@ macro_rules! wire_struct {
 macro_rules! wire_enum {
     ($T:ident, $what:literal: $($kind:literal => $V:ident $(($i:tt: $f:ty))?),+ $(,)?) => {
         impl Wire for $T {
-            fn put(&self, buf: &mut Vec<u8>) {
+            fn put(&self, buf: &mut impl Sink) {
                 match self {
                     $($T::$V { $($i: v)? } => {
                         buf.push($kind);
@@ -724,7 +752,7 @@ wire_enum!(Vote, "vote kind":
 /// Staged transactions and the decided set travel sorted, so equal metas
 /// are equal frames (`HashMap` iteration order is not stable).
 impl Wire for NodeMeta {
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(&self, buf: &mut impl Sink) {
         let mut staged: Vec<(TxId, Vec<MemNodeId>)> =
             self.staged.iter().map(|(t, p)| (*t, p.clone())).collect();
         staged.sort_unstable_by_key(|(txid, _)| *txid);
@@ -751,8 +779,12 @@ fn put_spans(spans: &[SpanRecord], buf: &mut Vec<u8>) {
 /// Server-side spans ride in the obs crate's own 19-byte form, at most one
 /// trace's worth per reply.
 impl Wire for Vec<SpanRecord> {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_spans(self, buf);
+    fn put(&self, buf: &mut impl Sink) {
+        // The obs crate's encoder wants a `Vec`. Off the hot path: the
+        // server seals its traced replies with [`seal_traced_reply`].
+        let mut raw = Vec::new();
+        put_spans(self, &mut raw);
+        buf.extend_from_slice(&raw);
     }
     fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
         let n = u32::get(c)?;
@@ -774,7 +806,7 @@ impl Wire for Vec<SpanRecord> {
 macro_rules! wire_enveloped {
     ($E:ident, $Envelope:ident, $nested:literal) => {
         impl Wire for Box<$E> {
-            fn put(&self, buf: &mut Vec<u8>) {
+            fn put(&self, buf: &mut impl Sink) {
                 debug_assert!(!matches!(**self, $E::$Envelope { .. }), $nested);
                 (**self).put(buf);
             }
@@ -794,13 +826,13 @@ wire_enveloped!(Response, TracedReply, "nested traced reply");
 // Shards on the wire
 // ---------------------------------------------------------------------------
 
-/// A minitransaction shard as shipped to one memnode: the compare, read,
-/// and write items destined there, each carrying its index in the original
-/// minitransaction so the coordinator can reassemble results.
-///
-/// Building one from a borrowed [`crate::minitx::Shard`] is cheap: write
-/// payloads are `Bytes` clones (refcount bumps), compare expectations are
-/// small copies.
+/// One memnode's share of a minitransaction: the compare, read and write
+/// items that live there, each carrying its index in the whole
+/// minitransaction so the coordinator can reassemble results. This is the
+/// only shape the share ever has — [`crate::minitx::Minitransaction`]
+/// stores its items in these, the frame carries them, and the memnode
+/// executes them — so its invariants (bounds, lock spans) live here.
+/// Cloning one copies three small vectors and bumps payload refcounts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireShard {
     /// `(original index, offset, expected bytes)` compare items.
@@ -817,43 +849,36 @@ wire_struct!(WireShard {
 });
 
 impl WireShard {
-    /// Captures a borrowed coordinator-side shard.
-    pub fn from_shard(shard: &crate::minitx::Shard<'_>) -> WireShard {
-        WireShard {
-            compares: shard
-                .compares
-                .iter()
-                .map(|(i, c)| (*i as u32, c.range.off, Bytes::copy_from_slice(&c.expected)))
-                .collect(),
-            reads: shard
-                .reads
-                .iter()
-                .map(|(i, r)| (*i as u32, r.range.off, r.range.len))
-                .collect(),
-            writes: shard
-                .writes
-                .iter()
-                .map(|(i, w)| (*i as u32, w.range.off, w.data.clone()))
-                .collect(),
-        }
+    /// The `(offset, end)` byte span of every item. Ends saturate: an
+    /// offset near `u64::MAX` is out of range, never a wrap-around.
+    fn spans(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let compares = self.compares.iter().map(|(_, off, e)| (*off, e.len()));
+        let reads = self.reads.iter().map(|(_, off, len)| (*off, *len as usize));
+        let writes = self.writes.iter().map(|(_, off, d)| (*off, d.len()));
+        (compares.chain(reads).chain(writes))
+            .map(|(off, len)| (off, off.saturating_add(len as u64)))
     }
 
-    /// Highest byte offset any item touches (exclusive); used by the
-    /// server for bounds validation before dispatch.
+    /// Highest byte offset any item touches (exclusive). A share is in
+    /// bounds iff this is at most the memnode's capacity: checked by the
+    /// coordinator before anything is sent, by the server on bytes from
+    /// outside, and asserted by the memnode before it locks or logs.
     pub fn max_extent(&self) -> u64 {
-        let c = self
-            .compares
+        self.spans().map(|(_, end)| end).max().unwrap_or(0)
+    }
+
+    /// Canonicalized lock spans covering every item in the share.
+    pub fn lock_spans(&self) -> Vec<(u64, u64)> {
+        merge_intervals(self.spans().collect())
+    }
+
+    /// The `(offset, payload)` pairs the redo log and the staging area
+    /// keep: refcount bumps, the shipped buffers themselves.
+    pub fn staged_writes(&self) -> Vec<(u64, Bytes)> {
+        self.writes
             .iter()
-            .map(|(_, off, e)| off.saturating_add(e.len() as u64));
-        let r = self
-            .reads
-            .iter()
-            .map(|(_, off, len)| off.saturating_add(*len as u64));
-        let w = self
-            .writes
-            .iter()
-            .map(|(_, off, d)| off.saturating_add(d.len() as u64));
-        c.chain(r).chain(w).max().unwrap_or(0)
+            .map(|(_, off, data)| (*off, data.clone()))
+            .collect()
     }
 }
 
@@ -992,7 +1017,7 @@ macro_rules! messages {
         }
 
         impl Wire for $E {
-            fn put(&self, buf: &mut Vec<u8>) {
+            fn put(&self, buf: &mut impl Sink) {
                 match self {
                     $($E::$V { $($i: v,)? $($($f,)+)? } => {
                         buf.push($tag);
@@ -1292,6 +1317,15 @@ impl Request {
         seal(|buf| self.put(buf))
     }
 
+    /// Size of the frame [`Request::encode`] builds, without building it:
+    /// the same encoder run against a counter. How the in-process
+    /// transport prices an exchange (see [`crate::exec`]).
+    pub fn wire_len(&self) -> u64 {
+        let mut scale = Weigh(FRAME_HDR as u64);
+        self.put(&mut scale);
+        scale.0
+    }
+
     /// Decodes a request from a frame payload (as returned by
     /// [`FrameReader::read_frame`]). Write payloads alias the frame buffer.
     pub fn decode(payload: &Bytes) -> Result<Request, WireError> {
@@ -1309,6 +1343,14 @@ impl Response {
     /// frame buffer.
     pub fn decode(payload: &Bytes) -> Result<Response, WireError> {
         decode_message(payload)
+    }
+
+    /// Size of the frame [`seal_reply`] builds for this response — the
+    /// [`NodeFlags`] trailer byte included — without building it.
+    pub fn reply_len(&self) -> u64 {
+        let mut scale = Weigh(FRAME_HDR as u64 + 1);
+        self.put(&mut scale);
+        scale.0
     }
 
     /// Reads this reply as the answer to an admin operation, or hands it
@@ -1610,14 +1652,25 @@ mod tests {
         assert!(out.capacity() <= READ_BUF, "reserved {}", out.capacity());
     }
 
-    /// Frame-size conformance: the modeled byte accounting in the minitx
-    /// module must match what the encoders actually put on the wire, per
-    /// RPC type — so in-process byte counters agree with wire mode.
+    /// Frame-size conformance: what the in-process transport books for an
+    /// exchange ([`Request::wire_len`], [`Response::reply_len`]) is what
+    /// the encoders put on the wire, per RPC type — and both are the sizes
+    /// the v4 layout says, spelled out here once as the reference.
     #[test]
     fn modeled_bytes_match_real_frames() {
         use crate::addr::ItemRange;
         use crate::memnode::SingleResult;
         use crate::minitx::Minitransaction;
+
+        let weighs = |req: &Request, want: u64, what: &str| {
+            assert_eq!(req.encode().len() as u64, want, "{what}: frame");
+            assert_eq!(req.wire_len(), want, "{what}: weight");
+        };
+        let reply_weighs = |resp: &Response, want: u64, what: &str| {
+            let frame = seal_reply(resp, NodeFlags::default());
+            assert_eq!(frame.len() as u64, want, "{what}: frame");
+            assert_eq!(resp.reply_len(), want, "{what}: weight");
+        };
 
         let mem = crate::addr::MemNodeId(0);
         let mut m = Minitransaction::new();
@@ -1625,104 +1678,76 @@ mod tests {
         m.read(ItemRange::new(mem, 8, 16));
         m.read(ItemRange::new(mem, 64, 5));
         m.write(ItemRange::new(mem, 128, 7), vec![9; 7]);
-        let (model_out, model_in) = m.wire_bytes();
+        let shard = m.shards()[0].1.clone();
+        // Three u32 counts, then per item a 16-byte descriptor (u32 index,
+        // u64 offset, u32 length or length prefix) and any payload.
+        let items = 12 + (16 + 3) + 2 * 16 + (16 + 7);
+        // A committed result: kind byte, pair count, then u32 index + u32
+        // length prefix + data per read.
+        let pairs = || {
+            vec![
+                (0, Bytes::from(vec![0u8; 16])),
+                (1, Bytes::from(vec![0u8; 5])),
+            ]
+        };
+        let committed = 1 + 4 + (8 + 16) + (8 + 5);
 
-        // One-phase request: ExecSingle carrying the full shard.
-        let shards = m.shard();
-        let shard = shards.get(&mem).unwrap();
+        // One-phase request: frame header, tag, txid, policy byte, shard.
         let req = Request::ExecSingle {
             txid: 7,
             policy: LockPolicy::AbortOnBusy,
-            shard: WireShard::from_shard(shard),
+            shard: shard.clone(),
         };
-        assert_eq!(req.encode().len() as u64, model_out, "exec_single request");
+        weighs(&req, 8 + 1 + 8 + 1 + items, "exec_single request");
 
-        // Committed reply carrying both reads (+ the v3 flags trailer).
-        let resp = Response::Single(SingleResult::Committed(vec![
-            (0, Bytes::from(vec![0u8; 16])),
-            (1, Bytes::from(vec![0u8; 5])),
-        ]));
-        assert_eq!(
-            seal_reply(&resp, NodeFlags::default()).len() as u64,
-            model_in,
-            "exec_single reply"
-        );
+        // Committed reply carrying both reads: header, tag, result, and
+        // the v3 flags trailer.
+        let resp = Response::Single(SingleResult::Committed(pairs()));
+        reply_weighs(&resp, 8 + 1 + committed + 1, "exec_single reply");
 
         // Blocking policy adds the u64 budget.
-        let mb = m.clone().blocking(Duration::from_millis(1));
         let req = Request::ExecSingle {
             txid: 7,
             policy: LockPolicy::Block(Duration::from_millis(1)),
-            shard: WireShard::from_shard(shard),
+            shard: shard.clone(),
         };
-        assert_eq!(
-            req.encode().len() as u64,
-            mb.wire_bytes().0,
-            "blocking exec_single request"
-        );
+        weighs(&req, 8 + 1 + 8 + 9 + items, "blocking exec_single request");
 
-        // Two-phase prepare with a 3-node participant list.
-        let participants = vec![0u16, 1, 2];
-        let (prep_out, prep_in) =
-            shard.prepare_wire_bytes(participants.len(), LockPolicy::AbortOnBusy);
+        // Two-phase prepare with a 3-node participant list (u32 count +
+        // u16 each), and its vote.
         let req = Request::Prepare {
             txid: 7,
             policy: LockPolicy::AbortOnBusy,
-            participants,
-            shard: WireShard::from_shard(shard),
+            participants: vec![0u16, 1, 2],
+            shard: shard.clone(),
         };
-        assert_eq!(req.encode().len() as u64, prep_out, "prepare request");
-        let resp = Response::Vote(Vote::Ok(vec![
-            (0, Bytes::from(vec![0u8; 16])),
-            (1, Bytes::from(vec![0u8; 5])),
-        ]));
-        assert_eq!(
-            seal_reply(&resp, NodeFlags::default()).len() as u64,
-            prep_in,
-            "vote reply"
-        );
+        weighs(&req, 8 + 1 + 8 + 1 + 4 + 2 * 3 + items, "prepare request");
+        let resp = Response::Vote(Vote::Ok(pairs()));
+        reply_weighs(&resp, 8 + 1 + committed + 1, "vote reply");
 
-        // Decision round trips: 17 bytes out, 10 back (see exec.rs).
-        assert_eq!(Request::Commit { txid: 7 }.encode().len(), 17);
-        assert_eq!(Request::Abort { txid: 7 }.encode().len(), 17);
-        assert_eq!(seal_reply(&Response::Unit, NodeFlags::default()).len(), 10);
+        // Decision round trips: 17 bytes out, 10 back.
+        weighs(&Request::Commit { txid: 7 }, 17, "commit");
+        weighs(&Request::Abort { txid: 7 }, 17, "abort");
+        reply_weighs(&Response::Unit, 10, "unit reply");
 
-        // Batched execution: 13 bytes of request envelope + exact member
-        // shares; the reply envelope is 14 (trailer included).
-        let members = [m.clone(), m.clone()];
-        let (batch_out, batch_in) = members.iter().fold((13u64, 14u64), |(o, b), mm| {
-            let (wo, wb) = mm.batch_member_wire_bytes();
-            (o + wo, b + wb)
-        });
+        // Batched execution: 13 bytes of request envelope (header, tag,
+        // member count) + each member's txid, policy and shard; the reply
+        // envelope is 14 (trailer included) + an ok byte and the result
+        // per member.
+        let member = WireBatchItem {
+            txid: 7,
+            policy: LockPolicy::AbortOnBusy,
+            shard,
+        };
         let req = Request::ExecBatch {
-            items: members
-                .iter()
-                .map(|mm| {
-                    let shards = mm.shard();
-                    WireBatchItem {
-                        txid: 7,
-                        policy: LockPolicy::AbortOnBusy,
-                        shard: WireShard::from_shard(shards.get(&mem).unwrap()),
-                    }
-                })
-                .collect(),
+            items: vec![member.clone(), member],
         };
-        assert_eq!(req.encode().len() as u64, batch_out, "exec_batch request");
+        weighs(&req, 13 + 2 * (8 + 1 + items), "exec_batch request");
         let resp = Response::Batch(vec![
-            Ok(SingleResult::Committed(vec![
-                (0, Bytes::from(vec![0u8; 16])),
-                (1, Bytes::from(vec![0u8; 5])),
-            ])),
-            Ok(SingleResult::Committed(vec![
-                (0, Bytes::from(vec![0u8; 16])),
-                (1, Bytes::from(vec![0u8; 5])),
-            ])),
+            Ok(SingleResult::Committed(pairs())),
+            Ok(SingleResult::Committed(pairs())),
         ]);
-        assert_eq!(
-            seal_reply(&resp, NodeFlags::default()).len() as u64,
-            batch_in,
-            "exec_batch reply"
-        );
+        reply_weighs(&resp, 14 + 2 * (1 + committed), "exec_batch reply");
     }
 
     #[test]

@@ -9,6 +9,8 @@ use minuet_sinfonia::{
 use std::sync::Arc;
 use std::time::Duration;
 
+mod model;
+
 fn cluster(n: usize) -> Arc<SinfoniaCluster> {
     SinfoniaCluster::new(ClusterConfig {
         memnodes: n,
@@ -296,4 +298,17 @@ fn failed_compare_indices_are_global() {
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(c.node(MemNodeId(2)).raw_read(8, 1).unwrap(), vec![0]);
+}
+
+/// Item indices are handed out by counters in the `Minitransaction`
+/// builder as each item goes into its memnode's shard; nothing downstream
+/// renumbers them. Random minitransactions over one, two and three
+/// memnodes, through `execute` and `exec_many`, against a byte-map model
+/// (see `model/mod.rs` for what is held to it).
+#[test]
+fn indices_survive_sharding() {
+    let cases = proptest::test_runner::ProptestConfig::default().cases;
+    for n_mems in 1..=3u16 {
+        model::indices_survive_sharding(&cluster(n_mems as usize), n_mems, cases);
+    }
 }

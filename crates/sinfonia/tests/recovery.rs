@@ -39,13 +39,11 @@ fn write_both(c: &SinfoniaCluster, off: u64, val: u8) {
 /// Manually runs phase one of a cross-node minitransaction at a subset of
 /// its participants, simulating a coordinator that died mid-protocol.
 fn prepare_at(c: &SinfoniaCluster, txid: u64, m: &Minitransaction, at: &[u16]) -> Vec<MemNodeId> {
-    let shards = m.shard();
-    let participants: Vec<MemNodeId> = shards.keys().copied().collect();
-    for mem in at {
-        let mem = MemNodeId(*mem);
+    let participants = m.participants();
+    for (mem, shard) in m.shards().iter().filter(|(mem, _)| at.contains(&mem.0)) {
         let vote = c
-            .node(mem)
-            .prepare(txid, &shards[&mem], LockPolicy::AbortOnBusy, &participants)
+            .node(*mem)
+            .prepare(txid, shard, LockPolicy::AbortOnBusy, &participants)
             .unwrap();
         assert!(matches!(vote, minuet_sinfonia::memnode::Vote::Ok(_)));
     }

@@ -88,13 +88,18 @@ pub fn wire_cluster(n_mems: usize, n_trees: u32, cfg: TreeConfig) -> Arc<MinuetC
 
 /// Builds a bare `SinfoniaCluster` (no B-tree) on the selected transport.
 pub fn sinfonia_cluster(n_mems: usize, capacity: u64) -> Arc<SinfoniaCluster> {
+    sinfonia_cluster_on(n_mems, capacity, wire_mode())
+}
+
+/// Builds a bare `SinfoniaCluster` in-process, or over loopback sockets
+/// when `wire` (tests that compare the two build one of each).
+pub fn sinfonia_cluster_on(n_mems: usize, capacity: u64, wire: bool) -> Arc<SinfoniaCluster> {
     let mut cfg = ClusterConfig::with_memnodes(n_mems);
-    cfg.capacity_per_node = capacity;
-    if wire_mode() {
+    if wire {
         let endpoints = spawn_servers(n_mems, capacity);
         cfg = cfg.with_wire_transport(endpoints, WireConfig::default());
-        cfg.capacity_per_node = capacity;
     }
+    cfg.capacity_per_node = capacity;
     SinfoniaCluster::new(cfg)
 }
 

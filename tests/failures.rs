@@ -163,3 +163,68 @@ fn unavailable_surfaces_after_retry_budget() {
     let err = p.get(0, &key(1)).unwrap_err();
     assert!(matches!(err, minuet::Error::Unavailable(_)), "{err:?}");
 }
+
+/// An item that ends past its memnode's space is the caller's layout bug,
+/// not a condition of the cluster: on either transport it comes back as
+/// the typed `OutOfBounds` before anything is sent — no round trip, no
+/// panic inside the memnode, no wait for a "dead" node to return — and
+/// the memnode it named keeps serving. On a durable node nothing reaches
+/// the log, so a restart replays cleanly.
+#[test]
+fn out_of_range_items_are_typed_errors_that_cost_no_round_trip() {
+    use minuet::sinfonia::{
+        ClusterConfig, DurabilityConfig, ItemRange, Minitransaction, SinfoniaCluster,
+        SinfoniaError, SyncMode,
+    };
+    const CAPACITY: u64 = 1 << 20;
+    let mem = MemNodeId(1);
+    // Eight bytes that start in range and end four past it.
+    let astride = ItemRange::new(mem, CAPACITY - 4, 8);
+    let last = ItemRange::new(mem, CAPACITY - 16, 8);
+
+    let refused = |c: &SinfoniaCluster| {
+        let mut read = Minitransaction::new();
+        read.read(astride);
+        let mut cmp_write = Minitransaction::new();
+        cmp_write.compare(ItemRange::new(mem, 0, 8), vec![0; 8]);
+        cmp_write.write(astride, vec![7; 8]);
+        let mut in_range = Minitransaction::new();
+        in_range.write(ItemRange::new(mem, 64, 8), vec![1; 8]);
+
+        let before = c.transport.stats.snapshot().0;
+        let results = [
+            c.execute(&read).map(|_| ()),
+            c.execute(&cmp_write).map(|_| ()),
+            c.exec_many(&[in_range, read.clone()]).map(|_| ()),
+        ];
+        for r in results {
+            match r {
+                Err(SinfoniaError::OutOfBounds { mem: at, .. }) => assert_eq!(at, mem),
+                other => panic!("expected OutOfBounds, got {other:?}"),
+            }
+        }
+        assert_eq!(c.transport.stats.snapshot().0, before, "round trips spent");
+        assert_eq!(c.node(mem).raw_read(64, 8).unwrap(), vec![0; 8]);
+
+        // The memnode is as healthy as before: its last bytes still write.
+        let mut w = Minitransaction::new();
+        w.write(last, vec![9; 8]);
+        assert!(c.execute(&w).unwrap().committed());
+        assert_eq!(c.node(mem).raw_read(last.off, 8).unwrap(), vec![9; 8]);
+    };
+
+    refused(&common::sinfonia_cluster(2, CAPACITY));
+
+    let cfg = ClusterConfig {
+        memnodes: 2,
+        capacity_per_node: CAPACITY,
+        durability: DurabilityConfig::ephemeral("oob-items", SyncMode::Sync),
+        ..Default::default()
+    };
+    let dir = cfg.durability.dir.clone().unwrap();
+    refused(&SinfoniaCluster::new(cfg.clone()));
+    let (c, _) = SinfoniaCluster::restart_from_disk(cfg).expect("the log replays");
+    assert_eq!(c.node(mem).raw_read(last.off, 8).unwrap(), vec![9; 8]);
+    drop(c);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -80,13 +80,11 @@ fn restart_durable(
 /// participants — over the wire — then returns without deciding,
 /// simulating a coordinator that dies mid-protocol.
 fn prepare_at(c: &SinfoniaCluster, txid: u64, m: &Minitransaction, at: &[u16]) {
-    let shards = m.shard();
-    let participants: Vec<MemNodeId> = shards.keys().copied().collect();
-    for mem in at {
-        let mem = MemNodeId(*mem);
+    let participants = m.participants();
+    for (mem, shard) in m.shards().iter().filter(|(mem, _)| at.contains(&mem.0)) {
         let vote = c
-            .node(mem)
-            .prepare(txid, &shards[&mem], LockPolicy::AbortOnBusy, &participants)
+            .node(*mem)
+            .prepare(txid, shard, LockPolicy::AbortOnBusy, &participants)
             .unwrap();
         assert!(matches!(vote, Vote::Ok(_)), "prepare must vote yes");
     }

@@ -12,6 +12,8 @@ use minuet::sinfonia::{ClusterConfig, MemNodeId, NodeRpc, WireConfig};
 use std::sync::Arc;
 
 mod common;
+#[path = "../crates/sinfonia/tests/model/mod.rs"]
+mod model;
 
 /// A tiny deterministic PRNG so both runs see the same operation stream.
 struct Lcg(u64);
@@ -396,4 +398,81 @@ fn per_op_span_trees_have_no_flags_rpcs_and_fused_puts_are_one_rtt() {
         "cached-leaf put is not a single fused round trip:\n{}",
         fused.render()
     );
+}
+
+/// Both transports count the same bytes for the same exchanges: the
+/// in-process one prices each request and each *actual* reply with the
+/// codec, the wire one measures its frames. One script, step by step —
+/// including a failed compare, whose reply carries no read data, a batch
+/// with a failing member, and a two-phase attempt cut short by its first
+/// vote.
+#[test]
+fn byte_counters_agree_between_transports() {
+    use minuet::sinfonia::{with_op_net, ItemRange, Minitransaction, OpNet};
+
+    let run = |wire: bool| -> Vec<OpNet> {
+        let c = common::sinfonia_cluster_on(2, 1 << 20, wire);
+        let at = |mem: u16, off: u64, len: u32| ItemRange::new(MemNodeId(mem), off, len);
+        let compare_and_read = |expected: u8| {
+            let mut m = Minitransaction::new();
+            m.compare(at(0, 0, 8), vec![expected; 8]);
+            m.read(at(0, 4096, 4096));
+            m
+        };
+        let write = |mem: u16, off: u64| {
+            let mut m = Minitransaction::new();
+            m.write(at(mem, off, 16), vec![3; 16]);
+            m
+        };
+        let mut two_memnodes = write(0, 64);
+        two_memnodes.write(at(1, 64, 16), vec![4; 16]);
+        let mut failing_member = write(0, 256);
+        failing_member.compare(at(0, 0, 8), vec![1; 8]);
+        let batch = [
+            write(0, 128),
+            failing_member,
+            compare_and_read(0),
+            write(0, 512),
+        ];
+        // Sequential delivery: memnode 0 votes no, memnode 1 is never sent
+        // its prepare (`messages` still counts the intended fan-out of 2).
+        let mut first_votes_no = write(1, 64);
+        first_votes_no.compare(at(0, 0, 8), vec![1; 8]);
+
+        let mut steps = Vec::new();
+        let (out, net) = with_op_net(|| c.execute(&compare_and_read(0)).unwrap());
+        assert!(out.committed());
+        steps.push(net);
+        let (out, net) = with_op_net(|| c.execute(&compare_and_read(1)).unwrap());
+        assert!(!out.committed());
+        steps.push(net);
+        let (out, net) = with_op_net(|| c.execute(&two_memnodes).unwrap());
+        assert!(out.committed());
+        steps.push(net);
+        let (outs, net) = with_op_net(|| c.exec_many(&batch).unwrap());
+        let committed: Vec<bool> = outs.iter().map(|o| o.committed()).collect();
+        assert_eq!(committed, [true, false, true, true]);
+        steps.push(net);
+        let (out, net) = with_op_net(|| c.execute(&first_votes_no).unwrap());
+        assert!(!out.committed());
+        steps.push(net);
+        steps
+    };
+
+    let (modeled, measured) = (run(false), run(true));
+    for (step, (a, b)) in modeled.iter().zip(&measured).enumerate() {
+        assert_eq!(a, b, "step {step}: in-process vs wire");
+    }
+    // The failed compare's reply is a handful of bytes, not a 4 KiB read.
+    assert!(measured[0].bytes_in > 4096 && measured[1].bytes_in < 64);
+    assert_eq!((measured[2].round_trips, measured[2].messages), (2, 4));
+    assert_eq!((measured[3].round_trips, measured[3].messages), (1, 4));
+    assert!(measured[4].bytes_out < measured[2].bytes_out / 2);
+}
+
+/// The seeded index-bookkeeping property of sinfonia's `atomicity` suite,
+/// a fixed subset of it, with every share crossing a socket.
+#[test]
+fn indices_survive_sharding_over_sockets() {
+    model::indices_survive_sharding(&common::sinfonia_cluster_on(3, 1 << 20, true), 3, 48);
 }
