@@ -8,14 +8,13 @@
 //! the previous image — the log prefix it covers is dropped, bounding both
 //! recovery time and log size.
 //!
-//! The decided-commit set must survive checkpoints: a participant may
-//! learn a commit decision, apply it, and checkpoint away the `Commit`
-//! record while a *different* participant is still in doubt. Recovery
-//! resolution (see [`crate::recovery`]) consults this set to finish such
-//! transactions consistently.
+//! An image is one [`NodeState`] written down: what the fields are, and
+//! why the decided set and the replication watermark must ride it, is
+//! said once, on that type.
 
 use crate::memnode::PreparedTx;
 use crate::space::{PagedSpace, PAGE_SIZE};
+use crate::state::NodeState;
 use crate::wal::{crc32, put_writes, Cur};
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
@@ -26,23 +25,10 @@ use std::path::Path;
 /// replication watermark).
 pub const MAGIC: &[u8; 8] = b"MNUCKPT2";
 
-/// Everything a checkpoint image restores.
-pub struct Image {
-    /// The recovered address space.
-    pub space: PagedSpace,
-    /// Prepared-but-undecided transactions at the freeze point.
-    pub staged: HashMap<u64, PreparedTx>,
-    /// Two-phase transactions this node has committed.
-    pub decided: HashSet<u64>,
-    /// Replication watermark at the freeze point (largest source-log
-    /// offset incorporated from a primary; zero on non-followers). It
-    /// must ride the image: checkpointing truncates the `Repl` records it
-    /// would otherwise be recovered from.
-    pub repl_watermark: u64,
-}
-
-/// Serializes an image. Called under the log's appender lock so that the
-/// state matches the frozen log tail exactly.
+/// Serializes an image of a state frozen, with the log tail it matches,
+/// under the log's appender lock. The four arguments are a
+/// [`NodeState`]'s fields; the format has no `max_txid`, and a decoded
+/// image restarts it from the ids it holds.
 pub fn encode_image(
     space: &PagedSpace,
     staged: &HashMap<u64, PreparedTx>,
@@ -92,7 +78,7 @@ pub fn encode_image(
 
 /// Deserializes an image; `None` on bad magic, CRC mismatch, or any
 /// structural corruption.
-pub fn decode_image(buf: &[u8]) -> Option<Image> {
+pub fn decode_image(buf: &[u8]) -> Option<NodeState> {
     if buf.len() < MAGIC.len() + 4 || &buf[..MAGIC.len()] != MAGIC {
         return None;
     }
@@ -150,11 +136,13 @@ pub fn decode_image(buf: &[u8]) -> Option<Image> {
     if !c.finished() {
         return None;
     }
-    Some(Image {
+    let max_txid = staged.keys().chain(&decided).copied().max().unwrap_or(0);
+    Some(NodeState {
         space,
         staged,
         decided,
         repl_watermark,
+        max_txid,
     })
 }
 
@@ -199,7 +187,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 ///
 /// A present-but-corrupt image is an error (not silently ignored): the log
 /// prefix it covered is gone, so treating it as absent would lose data.
-pub fn load(path: &Path) -> io::Result<Option<Image>> {
+pub fn load(path: &Path) -> io::Result<Option<NodeState>> {
     let buf = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),

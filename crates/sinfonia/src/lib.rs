@@ -68,6 +68,7 @@ pub mod repl;
 pub mod rpc;
 pub mod server;
 pub mod space;
+pub mod state;
 pub mod transport;
 pub mod wal;
 pub mod wire;

@@ -1,37 +1,37 @@
 //! Memnode: a Sinfonia storage node.
 //!
-//! A memnode owns a byte-addressable [`PagedSpace`], a range [`LockManager`],
-//! and participates in the one/two-phase minitransaction protocol. In
-//! primary-backup mode every committed write is synchronously applied to an
-//! in-memory backup mirror, and prepared-but-undecided transactions are
-//! mirrored too so that a crash never loses a committed minitransaction and
-//! never breaks two-phase atomicity.
+//! A memnode owns a [`NodeState`] (the byte-addressable
+//! [`PagedSpace`], the staged and decided two-phase transactions), a range
+//! [`LockManager`], and participates in the one/two-phase minitransaction
+//! protocol. Every mutation is a log [`Record`], and takes effect in one
+//! order — validate, journal, [`NodeState::redo`] — so a crash never loses
+//! a committed minitransaction and never breaks two-phase atomicity.
 //!
-//! With durability enabled (see [`crate::wal::DurabilityConfig`]) the node
-//! additionally **logs before applying**: one-phase commits, prepares
-//! (with participant lists), and 2PC decisions all hit a per-node redo log
-//! first, checkpoints bound the log, and a crashed node recovers its state
-//! from disk instead of from the in-memory mirror — which a durable node
-//! therefore does not keep: its second copy is the log and the image.
+//! What "journal" means is the node's one fork. In primary-backup mode it
+//! is a synchronous in-memory mirror of the whole state; with durability
+//! enabled (see [`crate::wal::DurabilityConfig`]) it is a per-node redo
+//! log that checkpoints bound, and a crashed node recovers its state from
+//! disk instead of from the mirror — which a durable node therefore does
+//! not keep: its second copy is the log and the image.
 
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::lock::{LockAcquire, LockManager, TxId};
 use crate::minitx::LockPolicy;
 use crate::recovery::{self, NodeMeta};
-use crate::space::PagedSpace;
+use crate::space::{OutOfBounds, PagedSpace};
+use crate::state::{self, NodeState};
 use crate::wal::{
-    parse_frames, DurabilityConfig, OwnedRecord, Record, Wal, WalError, WalSegment, WalStats,
-    REPL_WRAP,
+    parse_frames, DurabilityConfig, Record, SyncMode, Wal, WalAppender, WalError, WalSegment,
+    WalStats, REPL_WRAP,
 };
 use crate::wire::WireShard;
 use crate::{checkpoint, lock};
 use minuet_faults as faults;
 use minuet_obs::{span, Counter, ObsPlane, SpanKind};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,8 +71,8 @@ pub enum SingleResult {
 pub struct ReplStatus {
     /// Largest source-log offset durably incorporated (follower side).
     pub watermark: u64,
-    /// Largest transaction id incorporated via replication (or recovered
-    /// from disk at open).
+    /// Largest transaction id this node's state has incorporated — through
+    /// its own log, a primary's stream, or recovery.
     pub applied_txid: u64,
     /// Logical tail of this node's own redo log (0 when not durable).
     pub tail: u64,
@@ -165,16 +165,142 @@ impl MemNodeStats {
     }
 }
 
-/// Durable state of a memnode: the redo log plus file locations.
-struct Durable {
-    wal: Wal,
-    dir: PathBuf,
-    ckpt_path: PathBuf,
+/// Where a node's second copy lives — the one place the durable /
+/// in-memory fork is spelled. A record is made to last here *before* it
+/// takes effect on the primary state ([`Held::log`]), and a crashed node
+/// gets its state back from here ([`Journal::restore`]).
+enum Journal {
+    /// In-memory node: a synchronous mirror of the whole state,
+    /// conceptually on another server. "Recording" a record is redoing it
+    /// on the mirror; its mutex is the journal guard.
+    Mirror(Mutex<NodeState>),
+    /// Durable node: the redo log, and beside it in `dir` the checkpoint
+    /// image that bounds it. No mirror — it would only be a second
+    /// resident copy of every page and a second pass over every written
+    /// image; the WAL's appender lock is the journal guard.
+    Disk {
+        /// The redo log.
+        wal: Wal,
+        /// Durability directory (log, image, join marker).
+        dir: PathBuf,
+    },
 }
 
-/// A Sinfonia memnode: the primary space plus its second copy — a
-/// synchronous in-memory backup mirror, or, when durable, an on-disk redo
-/// log and checkpoint image.
+/// The held journal guard; see [`Journal::lock`].
+enum JournalGuard<'a> {
+    Mirror(MutexGuard<'a, NodeState>),
+    Disk(WalAppender<'a>),
+}
+
+impl Journal {
+    /// Opens the redo log of memnode `id` in `dir`, appending after
+    /// whatever it already holds.
+    fn disk(dir: PathBuf, id: MemNodeId, sync: SyncMode) -> io::Result<Journal> {
+        let wal = Wal::open(recovery::wal_path(&dir, id), sync)?;
+        Ok(Journal::Disk { wal, dir })
+    }
+
+    /// Takes the journal guard: every logged state change happens under
+    /// it, so whoever holds it (a checkpoint freezing `(log tail, state)`,
+    /// a crash) sees a state that matches the journal exactly.
+    fn lock(&self) -> JournalGuard<'_> {
+        match self {
+            Journal::Mirror(m) => JournalGuard::Mirror(m.lock()),
+            Journal::Disk { wal, .. } => JournalGuard::Disk(wal.lock()),
+        }
+    }
+
+    /// The redo log, when there is one (tail, retained bytes, counters,
+    /// shipping, waiting until durable).
+    fn wal(&self) -> Option<&Wal> {
+        match self {
+            Journal::Mirror(_) => None,
+            Journal::Disk { wal, .. } => Some(wal),
+        }
+    }
+
+    /// The state as the journal has it: a copy of the mirror, or image +
+    /// log replayed from disk (which also clears the log's failure latch —
+    /// the device is being trusted again).
+    fn restore(&self, id: MemNodeId, capacity: u64) -> io::Result<NodeState> {
+        match self {
+            Journal::Mirror(m) => Ok(m.lock().snapshot()),
+            Journal::Disk { wal, dir } => {
+                wal.clear_failed();
+                recovery::recover_node(dir, id, capacity)
+            }
+        }
+    }
+}
+
+/// The guards of one journalled mutation. The node's guard order is
+/// journal (WAL appender, or mirror) first, then the state; the fields
+/// are declared in the order they are released.
+struct Held<'a> {
+    node: &'a MemNode,
+    /// Taken by [`Held::state`]: late on the locked paths, so readers run
+    /// during the append; up front on the write fast path, whose compares
+    /// must be evaluated under the guard its writes apply under.
+    state: Option<RwLockWriteGuard<'a, NodeState>>,
+    journal: JournalGuard<'a>,
+}
+
+impl Held<'_> {
+    fn state(&mut self) -> &mut NodeState {
+        self.state.get_or_insert_with(|| self.node.state.write())
+    }
+
+    /// The one way a record takes effect on a live node, and the only
+    /// order there is: **validate → log → redo**, under one journal guard.
+    /// A record the state would refuse is refused before it is logged; a
+    /// failed append degrades the node read-only before any effect; and
+    /// because the redo happens under the guard the append happened under,
+    /// a checkpoint can never pair a log tail past a record with a state
+    /// missing its effects. `src` is set for a record incorporated from a
+    /// primary's stream: its end offset there and the payload it arrived
+    /// as, which is what gets logged (wrapped, verbatim). Returns the log
+    /// offset to [`MemNode::wait_durable`] on before acking.
+    fn log(
+        &mut self,
+        src: Option<(u64, &[u8])>,
+        rec: &Record<'_>,
+    ) -> Result<Option<u64>, Unavailable> {
+        let node = self.node;
+        let refused = |_: OutOfBounds| Unavailable(node.id);
+        state::check(rec, node.capacity).map_err(refused)?;
+        let src_off = src.map(|(off, _)| off);
+        let end = match &mut self.journal {
+            JournalGuard::Mirror(mirror) => {
+                mirror.redo(src_off, rec).map_err(refused)?;
+                None
+            }
+            JournalGuard::Disk(wal) => {
+                let _s = span(SpanKind::SrvWalAppend);
+                let end = match src {
+                    Some((src_off, payload)) => wal.append(&Record::Repl { src_off, payload }),
+                    None => wal.append(rec),
+                };
+                Some(end.map_err(|e| node.degrade(e))?)
+            }
+        };
+        self.state().redo(src_off, rec).map_err(refused)?;
+        Ok(end)
+    }
+
+    /// Logs a shard's writes as one one-phase `Apply`. Arc bumps, not
+    /// payload copies: the coordinator's buffers flow into the log and the
+    /// space unchanged.
+    fn log_writes(&mut self, txid: TxId, shard: &WireShard) -> Result<Option<u64>, Unavailable> {
+        let writes = &shard.staged_writes();
+        self.log(None, &Record::Apply { txid, writes })
+    }
+}
+
+/// A Sinfonia memnode: the primary [`NodeState`] plus its second copy
+/// behind the journal seam — a synchronous in-memory mirror, or, when
+/// durable, an on-disk redo log and checkpoint image. Every logged
+/// mutation takes one path (`Held::log`: validate → log → redo under
+/// the journal guard), whichever kind of node this is.
 pub struct MemNode {
     /// This node's id.
     pub id: MemNodeId,
@@ -182,22 +308,11 @@ pub struct MemNode {
     /// before it may lock, log or touch the space.
     capacity: u64,
     locks: LockManager,
-    space: RwLock<PagedSpace>,
-    /// Synchronous backup of the space; conceptually lives on another
-    /// server. Committed writes are applied here before the primary.
-    /// `None` on a durable node, which recovers from disk and would only
-    /// pay for the mirror: a second resident copy of every page and a
-    /// second pass over every written image.
-    backup: Option<Mutex<PagedSpace>>,
-    /// Prepared transactions, mirrored to the backup as Sinfonia's
-    /// in-memory redo state.
-    prepared: Mutex<HashMap<TxId, PreparedTx>>,
-    /// Two-phase transactions this node committed; persisted across
-    /// checkpoints so in-doubt resolution stays sound after the `Commit`
-    /// records are truncated. (A production system would prune this via
-    /// coordinator acknowledgements; we retain it, bounded by workload
-    /// scale.)
-    decided: Mutex<HashSet<TxId>>,
+    /// Everything the log describes. Readers share the guard; it is
+    /// written only by `Held::log`, and replaced wholesale by
+    /// [`MemNode::crash`] and [`MemNode::recover`].
+    state: RwLock<NodeState>,
+    journal: Journal,
     crashed: AtomicBool,
     /// Latched when the redo log fails (short write, ENOSPC, fsync error):
     /// the node keeps serving reads but refuses every logged mutation with
@@ -215,21 +330,12 @@ pub struct MemNode {
     /// Serializes modeled service time (see [`MemNode::occupy`]): one
     /// memnode is one server, so injected service latencies queue.
     service_gate: Mutex<()>,
-    dur: Option<Durable>,
     ckpt_running: AtomicBool,
     checkpoints: AtomicU64,
     /// Advisory epoch register: the highest epoch a coordinator has
     /// announced to this node (see [`MemNode::epoch_mark`]). Purely
     /// observational — validation batching happens coordinator-side.
     epoch: AtomicU64,
-    /// Replication watermark: logical end offset of the last primary-log
-    /// frame incorporated (see [`Record::Repl`]). Durable nodes persist it
-    /// through their own log and checkpoint image.
-    repl_watermark: AtomicU64,
-    /// Largest transaction id incorporated via replication (or seen on
-    /// disk at open). Follower read gating compares session tokens
-    /// against this.
-    repl_applied_txid: AtomicU64,
     /// Operation counters.
     pub stats: MemNodeStats,
     /// This node's observability plane: its registry exposes the
@@ -242,15 +348,7 @@ impl MemNode {
     /// Creates a purely in-memory memnode with `capacity` bytes of
     /// address space.
     pub fn new(id: MemNodeId, capacity: u64) -> Self {
-        Self::build(
-            id,
-            capacity,
-            PagedSpace::new(capacity),
-            HashMap::new(),
-            HashSet::new(),
-            None,
-            0,
-        )
+        Self::build(id, NodeState::new(capacity), None)
     }
 
     /// Creates a durable memnode with **fresh** on-disk state (any previous
@@ -259,24 +357,10 @@ impl MemNode {
     pub fn durable(id: MemNodeId, capacity: u64, dcfg: &DurabilityConfig) -> io::Result<Self> {
         let dir = dcfg.dir.clone().expect("durable memnode needs a directory");
         std::fs::create_dir_all(&dir)?;
-        let wal_p = recovery::wal_path(&dir, id);
-        let ckpt_p = recovery::ckpt_path(&dir, id);
-        let _ = std::fs::remove_file(&wal_p);
-        let _ = std::fs::remove_file(&ckpt_p);
-        let wal = Wal::open(&wal_p, dcfg.sync)?;
-        Ok(Self::build(
-            id,
-            capacity,
-            PagedSpace::new(capacity),
-            HashMap::new(),
-            HashSet::new(),
-            Some(Durable {
-                wal,
-                dir,
-                ckpt_path: ckpt_p,
-            }),
-            0,
-        ))
+        let _ = std::fs::remove_file(recovery::wal_path(&dir, id));
+        let _ = std::fs::remove_file(recovery::ckpt_path(&dir, id));
+        let journal = Journal::disk(dir, id, dcfg.sync)?;
+        Ok(Self::build(id, NodeState::new(capacity), Some(journal)))
     }
 
     /// Reopens a durable memnode from its checkpoint image and redo log.
@@ -290,80 +374,78 @@ impl MemNode {
     ) -> io::Result<(Self, NodeMeta, TxId)> {
         let dir = dcfg.dir.clone().expect("durable memnode needs a directory");
         std::fs::create_dir_all(&dir)?;
-        let rec = recovery::recover_node(&dir, id, capacity)?;
-        let meta = NodeMeta {
-            staged: rec
-                .staged
-                .iter()
-                .map(|(txid, tx)| (*txid, tx.participants.clone()))
-                .collect(),
-            decided: rec.decided.clone(),
-        };
-        let wal_p = recovery::wal_path(&dir, id);
-        let ckpt_p = recovery::ckpt_path(&dir, id);
-        let wal = Wal::open(&wal_p, dcfg.sync)?;
-        let node = Self::build(
-            id,
-            capacity,
-            rec.space,
-            rec.staged,
-            rec.decided,
-            Some(Durable {
-                wal,
-                dir,
-                ckpt_path: ckpt_p,
-            }),
-            rec.repl_watermark,
-        );
-        node.repl_applied_txid
-            .store(rec.max_txid, Ordering::Release);
-        Ok((node, meta, rec.max_txid))
+        // Replay first: it cuts a torn tail off the file the log then
+        // opens to append to.
+        let state = recovery::recover_node(&dir, id, capacity)?;
+        let (meta, max_txid) = (state.meta(), state.max_txid);
+        let journal = Journal::disk(dir, id, dcfg.sync)?;
+        Ok((Self::build(id, state, Some(journal)), meta, max_txid))
     }
 
-    fn build(
-        id: MemNodeId,
-        capacity: u64,
-        space: PagedSpace,
-        staged: HashMap<TxId, PreparedTx>,
-        decided: HashSet<TxId>,
-        dur: Option<Durable>,
-        repl_watermark: u64,
-    ) -> Self {
-        debug_assert_eq!(space.capacity(), capacity);
-        let locks = LockManager::new();
-        for (txid, tx) in &staged {
-            let got = locks.try_lock(&tx.spans, *txid);
-            debug_assert_eq!(got, LockAcquire::Granted, "recovery lock conflict");
-        }
-        let backup = dur.is_none().then(|| Mutex::new(space.snapshot_clone()));
+    fn build(id: MemNodeId, state: NodeState, journal: Option<Journal>) -> Self {
+        let journal = journal.unwrap_or_else(|| Journal::Mirror(Mutex::new(state.snapshot())));
         let obs = ObsPlane::disabled();
         let stats = MemNodeStats::default();
         stats.register(&obs);
-        if let Some(d) = &dur {
-            d.wal.stats.register(&obs);
+        if let Some(wal) = journal.wal() {
+            wal.stats.register(&obs);
         }
-        MemNode {
+        let node = MemNode {
             id,
-            capacity,
-            locks,
-            space: RwLock::new(space),
-            backup,
-            prepared: Mutex::new(staged),
-            decided: Mutex::new(decided),
+            capacity: state.space.capacity(),
+            locks: LockManager::new(),
+            state: RwLock::new(state),
+            journal,
             crashed: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             joining: AtomicBool::new(false),
             retiring: AtomicBool::new(false),
             service_gate: Mutex::new(()),
-            dur,
             ckpt_running: AtomicBool::new(false),
             checkpoints: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            repl_watermark: AtomicU64::new(repl_watermark),
-            repl_applied_txid: AtomicU64::new(0),
             stats,
             obs,
+        };
+        node.relock();
+        node
+    }
+
+    /// Re-takes the locks of every staged transaction. The lock table is
+    /// volatile and follows from the state, so whoever installs a state
+    /// re-derives it here.
+    fn relock(&self) {
+        for (txid, tx) in &self.state.read().staged {
+            let got = self.locks.try_lock(&tx.spans, *txid);
+            debug_assert_eq!(got, LockAcquire::Granted, "recovery lock conflict");
         }
+    }
+
+    /// Takes the journal guard for one logged mutation (see [`Held`]), and
+    /// looks again, under it, at whether the node is up: `crash` and
+    /// `recover` flip the flag under this guard, so a mutation that passed
+    /// its entry check just before a crash is refused here rather than run
+    /// against the scribbled state — whose empty staged set would turn a
+    /// commit into an acknowledged no-op.
+    fn hold(&self) -> Result<Held<'_>, Unavailable> {
+        let journal = self.journal.lock();
+        self.check_up()?;
+        Ok(Held {
+            node: self,
+            state: None,
+            journal,
+        })
+    }
+
+    /// Blocks until the log offset [`Held::log`] returned is durable per
+    /// the sync mode (at once when nothing was logged to disk). A failed
+    /// fsync degrades the node.
+    fn wait_durable(&self, end: Option<u64>) -> Result<(), Unavailable> {
+        if let (Some(end), Some(wal)) = (end, self.journal.wal()) {
+            let _fs = span(SpanKind::SrvFsync);
+            wal.wait_durable(end).map_err(|e| self.degrade(e))?;
+        }
+        Ok(())
     }
 
     #[inline]
@@ -447,17 +529,17 @@ impl MemNode {
 
     /// True if this node logs to disk.
     pub fn is_durable(&self) -> bool {
-        self.dur.is_some()
+        self.journal.wal().is_some()
     }
 
     /// Redo-log counters, when durable.
     pub fn wal_stats(&self) -> Option<&WalStats> {
-        self.dur.as_ref().map(|d| &*d.wal.stats)
+        self.journal.wal().map(|wal| &*wal.stats)
     }
 
     /// Bytes currently retained in the redo log (0 when not durable).
     pub fn wal_retained_bytes(&self) -> u64 {
-        self.dur.as_ref().map_or(0, |d| d.wal.retained_bytes())
+        self.journal.wal().map_or(0, Wal::retained_bytes)
     }
 
     /// Checkpoints taken since this node object was created.
@@ -475,13 +557,13 @@ impl MemNode {
     /// Evaluates compares and stages reads. The caller guarantees
     /// stability: either it holds the item locks, or it brackets this call
     /// with [`LockManager::probe`]s (the read fast path), or it holds the
-    /// space guard itself (the write fast path). Reads are zero-copy views
+    /// state guard itself (the write fast path). Reads are zero-copy views
     /// of the resident pages.
     fn eval(&self, shard: &WireShard) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
-        Self::eval_in(&self.space.read(), shard)
+        Self::eval_in(&self.state.read().space, shard)
     }
 
-    /// [`MemNode::eval`] against a space guard the caller already holds.
+    /// [`MemNode::eval`] against a state guard the caller already holds.
     fn eval_in(space: &PagedSpace, shard: &WireShard) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
         let mut failed = Vec::new();
         for (idx, off, expected) in &shard.compares {
@@ -516,54 +598,6 @@ impl MemNode {
             self.id,
             self.capacity
         );
-    }
-
-    /// Applies writes to the backup mirror first (when there is one), then
-    /// the primary (synchronous primary-backup replication).
-    fn apply(&self, writes: &[(u64, Bytes)]) {
-        if let Some(b) = &self.backup {
-            let mut b = b.lock();
-            for (off, data) in writes {
-                b.write(*off, data)
-                    .unwrap_or_else(|e| panic!("write item out of bounds: {e}"));
-            }
-        }
-        let mut s = self.space.write();
-        for (off, data) in writes {
-            s.write(*off, data)
-                .unwrap_or_else(|e| panic!("write item out of bounds: {e}"));
-        }
-    }
-
-    /// Logs (when durable) and applies a one-phase batch of writes.
-    /// Returns the log offset the caller must wait on before acking. A
-    /// failed append degrades the node read-only *before* the in-memory
-    /// apply, so the log-before-apply contract holds even under faults.
-    fn log_and_apply(
-        &self,
-        txid: TxId,
-        writes: &[(u64, Bytes)],
-    ) -> Result<Option<u64>, Unavailable> {
-        match &self.dur {
-            Some(d) => {
-                // Hold the appender guard across the apply (as `commit`
-                // does): a checkpoint freezes (log tail, space image) under
-                // this guard, and a tail past the append paired with a
-                // space missing the writes would truncate the record while
-                // the image lacks its effects.
-                let _s = span(SpanKind::SrvWalAppend);
-                let mut g = d.wal.lock();
-                let end = g
-                    .append(&Record::Apply { txid, writes })
-                    .map_err(|e| self.degrade(e))?;
-                self.apply(writes);
-                Ok(Some(end))
-            }
-            None => {
-                self.apply(writes);
-                Ok(None)
-            }
-        }
     }
 
     /// One-phase (collapsed) execution: used when a minitransaction touches
@@ -639,35 +673,27 @@ impl MemNode {
                     let logged = if shard.writes.is_empty() {
                         Ok(None)
                     } else {
-                        // Arc bumps, not payload copies: the coordinator's
-                        // buffers flow into the log and the space unchanged.
-                        self.log_and_apply(txid, &shard.staged_writes())
+                        self.hold().and_then(|mut h| h.log_writes(txid, shard))
                     };
-                    match logged {
-                        Ok(w) => {
-                            wait = w;
-                            self.stats.single_commits.fetch_add(1, Ordering::Relaxed);
-                            Ok(SingleResult::Committed(reads))
-                        }
-                        Err(e) => Err(e),
-                    }
+                    logged.map(|end| {
+                        wait = end;
+                        self.stats.single_commits.fetch_add(1, Ordering::Relaxed);
+                        SingleResult::Committed(reads)
+                    })
                 }
             }
         };
         self.locks.release(txid);
         let result = result?;
-        if let (Some(end), Some(d)) = (wait, &self.dur) {
-            let _fs = span(SpanKind::SrvFsync);
-            d.wal.wait_durable(end).map_err(|e| self.degrade(e))?;
-        }
+        self.wait_durable(wait)?;
         Ok(result)
     }
 
     /// The write analogue of the lock-free read probe: with no lock held
-    /// over the shard's spans and the primary's write guard in hand, the
+    /// over the shard's spans and the state's write guard in hand, the
     /// compare+log+apply sequence is atomic with respect to every other
     /// execution path — locked transactions cannot evaluate while we hold
-    /// the space guard, and prepared-but-undecided transactions show up as
+    /// the state guard, and prepared-but-undecided transactions show up as
     /// held locks at the probes. Uncontended single-memnode commits (the
     /// fused cached-leaf put) thus skip the lock table entirely. Returns
     /// `None` to fall back to the ordinary locked path.
@@ -678,71 +704,34 @@ impl MemNode {
         spans: &[(u64, u64)],
     ) -> Option<Result<SingleResult, Unavailable>> {
         let s1 = self.locks.probe(spans)?;
-        // Guard order matches the locked path (`commit`, `log_and_apply`):
-        // WAL appender, then backup, then primary space.
-        let mut wal_g = self.dur.as_ref().map(|d| d.wal.lock());
-        let mut backup = self.backup.as_ref().map(|b| b.lock());
-        let mut space = self.space.write();
+        // Both guards before the second probe, in the locked paths' order.
+        let mut held = match self.hold() {
+            Ok(held) => held,
+            Err(down) => return Some(Err(down)),
+        };
+        held.state();
         // A lock acquired (or acquired-and-released) since the first probe
         // means a conflicting transaction may have evaluated before we
-        // took the space guard; let the locked path serialize against it.
+        // took the state guard; let the locked path serialize against it.
         if self.locks.probe(spans) != Some(s1) {
             self.stats
                 .write_fastpath_misses
                 .fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let result = match Self::eval_in(&space, shard) {
+        let result = match Self::eval_in(&held.state().space, shard) {
             Err(failed) => {
                 self.stats.aborts.fetch_add(1, Ordering::Relaxed);
                 Ok(SingleResult::BadCompare(failed))
             }
             Ok(reads) => {
                 let _ex = span(SpanKind::SrvExec);
-                let writes = shard.staged_writes();
-                // Log before apply: a failed append degrades the node and
-                // surfaces `Unavailable` with no in-memory effect.
-                let wait = match wal_g.as_mut() {
-                    Some(g) => {
-                        let _s = span(SpanKind::SrvWalAppend);
-                        match g.append(&Record::Apply {
-                            txid,
-                            writes: &writes,
-                        }) {
-                            Ok(end) => Some(end),
-                            Err(e) => {
-                                self.stats.write_fastpath.fetch_add(1, Ordering::Relaxed);
-                                return Some(Err(self.degrade(e)));
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                // Backup before primary, as `apply` does.
-                if let Some(backup) = backup.as_mut() {
-                    for (off, data) in &writes {
-                        backup
-                            .write(*off, data)
-                            .unwrap_or_else(|e| panic!("write item out of bounds: {e}"));
-                    }
-                }
-                for (off, data) in &writes {
-                    space
-                        .write(*off, data)
-                        .unwrap_or_else(|e| panic!("write item out of bounds: {e}"));
-                }
-                drop(space);
-                drop(backup);
-                drop(wal_g);
-                if let (Some(end), Some(d)) = (wait, &self.dur) {
-                    let _fs = span(SpanKind::SrvFsync);
-                    if let Err(e) = d.wal.wait_durable(end) {
-                        self.stats.write_fastpath.fetch_add(1, Ordering::Relaxed);
-                        return Some(Err(self.degrade(e)));
-                    }
-                }
-                self.stats.single_commits.fetch_add(1, Ordering::Relaxed);
-                Ok(SingleResult::Committed(reads))
+                let logged = held.log_writes(txid, shard);
+                drop(held);
+                logged.and_then(|end| self.wait_durable(end)).map(|()| {
+                    self.stats.single_commits.fetch_add(1, Ordering::Relaxed);
+                    SingleResult::Committed(reads)
+                })
             }
         };
         self.stats.write_fastpath.fetch_add(1, Ordering::Relaxed);
@@ -772,65 +761,57 @@ impl MemNode {
             self.stats.busy.fetch_add(1, Ordering::Relaxed);
             return Ok(Vote::Busy);
         }
-        match self.eval(shard) {
+        let reads = match self.eval(shard) {
+            Ok(reads) => reads,
             Err(failed) => {
                 self.locks.release(txid);
                 self.stats.aborts.fetch_add(1, Ordering::Relaxed);
-                Ok(Vote::BadCompare(failed))
+                return Ok(Vote::BadCompare(failed));
             }
-            Ok(reads) => {
-                let staged = PreparedTx {
-                    spans,
-                    // Arc bumps: staging shares the shipped payload buffers.
-                    writes: shard.staged_writes(),
-                    participants: participants.to_vec(),
-                };
-                let wait = match &self.dur {
-                    Some(d) => {
-                        let parts: Vec<u16> = participants.iter().map(|m| m.0).collect();
-                        let end = {
-                            let _s = span(SpanKind::SrvWalAppend);
-                            let mut g = d.wal.lock();
-                            g.append(&Record::Prepare {
-                                txid,
-                                participants: &parts,
-                                spans: &staged.spans,
-                                writes: &staged.writes,
-                            })
-                        };
-                        match end {
-                            Ok(end) => {
-                                self.prepared.lock().insert(txid, staged);
-                                Some(end)
-                            }
-                            Err(e) => {
-                                // Nothing staged, nothing logged: release
-                                // the locks and vote unavailable.
-                                self.locks.release(txid);
-                                return Err(self.degrade(e));
-                            }
-                        }
-                    }
-                    None => {
-                        self.prepared.lock().insert(txid, staged);
-                        None
-                    }
-                };
-                self.stats.prepares.fetch_add(1, Ordering::Relaxed);
-                if let (Some(end), Some(d)) = (wait, &self.dur) {
-                    let _fs = span(SpanKind::SrvFsync);
-                    if let Err(e) = d.wal.wait_durable(end) {
-                        // Un-stage: the vote never reaches the coordinator,
-                        // so the transaction must not hold locks forever on
-                        // a read-only node.
-                        self.prepared.lock().remove(&txid);
-                        self.locks.release(txid);
-                        return Err(self.degrade(e));
-                    }
-                }
-                Ok(Vote::Ok(reads))
+        };
+        let participants: Vec<u16> = participants.iter().map(|m| m.0).collect();
+        let rec = Record::Prepare {
+            txid,
+            participants: &participants,
+            spans: &spans,
+            writes: &shard.staged_writes(),
+        };
+        let staged = self.hold().and_then(|mut h| h.log(None, &rec));
+        let end = match staged {
+            Ok(end) => end,
+            Err(e) => {
+                // Refused or not logged: nothing is staged, so release
+                // the locks and vote unavailable.
+                self.locks.release(txid);
+                return Err(e);
             }
-        }
+        };
+        self.stats.prepares.fetch_add(1, Ordering::Relaxed);
+        // A failed fsync leaves the vote staged, exactly as the log has
+        // it: the node is degraded, and `recover` keeps or drops the
+        // transaction according to what reached the disk.
+        self.wait_durable(end)?;
+        Ok(Vote::Ok(reads))
+    }
+
+    /// Logs a two-phase decision for `txid` if it is staged here, then
+    /// releases its locks. `None` when the id is unknown — the decision
+    /// was already applied before a crash or retry, and nothing is logged
+    /// — else the offset to wait on. On a failed append the transaction
+    /// stays staged with its locks held: the decision did not land, and
+    /// recovery (or a restarted node) resolves it.
+    fn decide(&self, txid: TxId, rec: &Record<'_>) -> Result<Option<Option<u64>>, Unavailable> {
+        let mut held = self.hold()?;
+        // Stable: staging and un-staging happen under the journal guard.
+        let staged = self.state.read().staged.contains_key(&txid);
+        let end = if staged {
+            Some(held.log(None, rec)?)
+        } else {
+            None
+        };
+        drop(held);
+        self.locks.release(txid);
+        Ok(end)
     }
 
     /// Phase two, commit: applies the staged writes and releases locks.
@@ -838,44 +819,11 @@ impl MemNode {
     /// already applied before a crash/retry).
     pub fn commit(&self, txid: TxId) -> Result<(), Unavailable> {
         self.check_writable()?;
-        let wait = match &self.dur {
-            Some(d) => {
-                let mut g = d.wal.lock();
-                let staged = self.prepared.lock().remove(&txid);
-                match staged {
-                    Some(tx) => match g.append(&Record::Commit { txid }) {
-                        Ok(end) => {
-                            self.apply(&tx.writes);
-                            self.decided.lock().insert(txid);
-                            self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                            Some(end)
-                        }
-                        Err(e) => {
-                            // Re-stage, keep the locks: the decision did
-                            // not land. Recovery (or a restarted node)
-                            // resolves the in-doubt transaction.
-                            self.prepared.lock().insert(txid, tx);
-                            return Err(self.degrade(e));
-                        }
-                    },
-                    None => None,
-                }
-            }
-            None => {
-                let staged = self.prepared.lock().remove(&txid);
-                if let Some(tx) = staged {
-                    self.apply(&tx.writes);
-                    self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
-        };
-        self.locks.release(txid);
-        if let (Some(end), Some(d)) = (wait, &self.dur) {
-            let _fs = span(SpanKind::SrvFsync);
+        if let Some(end) = self.decide(txid, &Record::Commit { txid })? {
+            self.stats.commits.fetch_add(1, Ordering::Relaxed);
             // The commit has applied; an fsync failure degrades the node
             // but the coordinator's retry will see the idempotent no-op.
-            d.wal.wait_durable(end).map_err(|e| self.degrade(e))?;
+            self.wait_durable(end)?;
         }
         Ok(())
     }
@@ -887,125 +835,79 @@ impl MemNode {
     /// guaranteed to have voted no or stayed unknown).
     pub fn abort(&self, txid: TxId) -> Result<(), Unavailable> {
         self.check_up()?;
-        match &self.dur {
-            Some(d) => {
-                let mut g = d.wal.lock();
-                if self.prepared.lock().remove(&txid).is_some() {
-                    // The abort record is unforced and losing it is safe
-                    // (resolution re-aborts), so a failed append degrades
-                    // the node but the in-memory abort still completes.
-                    if let Err(e) = g.append(&Record::Abort { txid }) {
-                        let _ = self.degrade(e);
-                    }
-                }
-            }
-            None => {
-                self.prepared.lock().remove(&txid);
-            }
-        }
-        self.locks.release(txid);
+        self.decide(txid, &Record::Abort { txid })?;
         self.stats.aborts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Simulates a crash of the primary: volatile state is dropped. For an
-    /// in-memory node the backup mirror and the replicated prepared set
-    /// survive; for a durable node *everything* volatile is lost and only
-    /// the on-disk image + log remain.
+    /// Simulates a crash of the primary: everything volatile is dropped —
+    /// the lock table, and the whole state (scribbled over with an empty
+    /// one, so a buggy post-crash read through stale state is detectable
+    /// in tests). What survives is what the journal holds.
     pub fn crash(&self) {
-        if let Some(d) = &self.dur {
-            // Hold the appender lock so a concurrent checkpoint cannot
-            // capture the scribbled post-crash state.
-            let _g = d.wal.lock();
-            self.crashed.store(true, Ordering::Release);
-            self.locks.clear();
-            *self.space.write() = PagedSpace::new(self.capacity);
-            self.prepared.lock().clear();
-            self.decided.lock().clear();
-            self.repl_watermark.store(0, Ordering::Release);
-            self.repl_applied_txid.store(0, Ordering::Release);
-        } else {
-            self.crashed.store(true, Ordering::Release);
-            self.locks.clear();
-            // Scribble over the primary space to make any buggy post-crash
-            // read through stale state detectable in tests.
-            *self.space.write() = PagedSpace::new(self.capacity);
-        }
+        // Under the journal guard, so a concurrent checkpoint cannot
+        // capture the scribbled post-crash state.
+        let _held = self.journal.lock();
+        self.crashed.store(true, Ordering::Release);
+        self.locks.clear();
+        *self.state.write() = NodeState::new(self.capacity);
     }
 
-    /// Recovers the node. In-memory nodes restore the primary image from
-    /// the backup mirror; durable nodes replay checkpoint + redo log from
-    /// disk. Either way prepared transactions are re-staged with their
-    /// locks re-acquired, and the coordinator's eventual commit/abort
-    /// decision completes them.
-    pub fn recover(&self) {
-        if let Some(d) = &self.dur {
-            d.wal.clear_failed();
-            let rec = recovery::recover_node(&d.dir, self.id, self.capacity)
-                .expect("disk recovery failed");
-            *self.space.write() = rec.space;
-            {
-                let mut p = self.prepared.lock();
-                *p = rec.staged;
-                for (txid, tx) in p.iter() {
-                    let got = self.locks.try_lock(&tx.spans, *txid);
-                    debug_assert_eq!(got, LockAcquire::Granted, "recovery lock conflict");
-                }
-            }
-            *self.decided.lock() = rec.decided;
-            self.repl_watermark
-                .store(rec.repl_watermark, Ordering::Release);
-            self.repl_applied_txid
-                .store(rec.max_txid, Ordering::Release);
-        } else {
-            {
-                let backup = self.backup.as_ref().expect("in-memory node keeps a mirror");
-                *self.space.write() = backup.lock().snapshot_clone();
-            }
-            let prepared = self.prepared.lock();
-            for (txid, tx) in prepared.iter() {
-                let got = self.locks.try_lock(&tx.spans, *txid);
-                debug_assert_eq!(got, LockAcquire::Granted, "recovery lock conflict");
-            }
-        }
+    /// Recovers the node: the state comes back wholesale from the journal
+    /// (the mirror, or image + log replayed from disk), staged
+    /// transactions re-take their locks, and the coordinator's eventual
+    /// commit/abort decision completes them. Also heals a degraded node
+    /// (which is unavailable for the duration). When the disk cannot be
+    /// replayed the error is returned and the node stays crashed.
+    pub fn recover(&self) -> io::Result<()> {
+        // Fence first (a heal of a live, degraded node included): once the
+        // flag is up under the journal guard, no logged mutation runs
+        // between reading the journal back and installing what it held.
+        self.crashed.store(true, Ordering::Release);
+        drop(self.journal.lock());
+        let restored = self.journal.restore(self.id, self.capacity)?;
+        *self.state.write() = restored;
+        self.relock();
         self.degraded.store(false, Ordering::Release);
         self.crashed.store(false, Ordering::Release);
+        Ok(())
     }
 
-    /// Takes a checkpoint: freezes `(log tail, space, prepared, decided)`
-    /// consistently, writes the image atomically, then drops the covered
-    /// log prefix. Returns `false` when skipped (not durable, crashed, or
-    /// a checkpoint is already running).
+    /// Takes a checkpoint: freezes `(log tail, state)` consistently,
+    /// writes the image atomically, then drops the covered log prefix.
+    /// Returns `false` when skipped (not durable, crashed, or a
+    /// checkpoint is already running).
     pub fn checkpoint(&self) -> io::Result<bool> {
-        let Some(d) = &self.dur else {
+        let Journal::Disk { wal, dir } = &self.journal else {
             return Ok(false);
         };
         if self.ckpt_running.swap(true, Ordering::AcqRel) {
             return Ok(false);
         }
-        let result = self.checkpoint_inner(d);
+        let result = self.checkpoint_inner(wal, &recovery::ckpt_path(dir, self.id));
         self.ckpt_running.store(false, Ordering::Release);
         result
     }
 
-    fn checkpoint_inner(&self, d: &Durable) -> io::Result<bool> {
+    fn checkpoint_inner(&self, wal: &Wal, path: &Path) -> io::Result<bool> {
         // Freeze (tail, state) under the appender lock, but keep the
         // expensive serialization and file write outside it so commits
         // only stall for the duration of the in-memory clone.
-        let (space, staged, decided, watermark, upto) = {
-            let g = d.wal.lock();
+        let (frozen, upto) = {
+            let g = wal.lock();
             if self.is_crashed() {
                 return Ok(false);
             }
-            let space = self.space.read().snapshot_clone();
-            let staged = self.prepared.lock().clone();
-            let decided = self.decided.lock().clone();
-            let watermark = self.repl_watermark.load(Ordering::Acquire);
-            (space, staged, decided, watermark, g.tail())
+            (self.state.read().snapshot(), g.tail())
         };
-        let bytes = checkpoint::encode_image(&space, &staged, &decided, watermark);
-        checkpoint::write_atomic(&d.ckpt_path, &bytes)?;
-        d.wal.drop_prefix(upto)?;
+        let bytes = checkpoint::encode_image(
+            &frozen.space,
+            &frozen.staged,
+            &frozen.decided,
+            frozen.repl_watermark,
+        );
+        checkpoint::write_atomic(path, &bytes)?;
+        wal.drop_prefix(upto)?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -1017,53 +919,48 @@ impl MemNode {
     pub fn raw_read(&self, off: u64, len: u32) -> Result<Bytes, Unavailable> {
         self.check_up()?;
         Ok(self
-            .space
+            .state
             .read()
+            .space
             .read(off, len)
             .unwrap_or_else(|e| panic!("raw read out of bounds: {e}")))
     }
 
     /// Raw write used only for cluster bootstrap (before any concurrent
-    /// access exists). Applied to primary and backup mirror, or logged
-    /// (unforced) when durable so bootstrap images survive a restart.
+    /// access exists). Journalled like any other write (unforced when
+    /// durable), so bootstrap images survive a crash or restart.
     pub fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
         self.check_writable()?;
-        self.log_and_apply(lock::BOOTSTRAP_TXID, &[(off, Bytes::copy_from_slice(data))])?;
+        let writes = &[(off, Bytes::copy_from_slice(data))];
+        let txid = lock::BOOTSTRAP_TXID;
+        self.hold()?.log(None, &Record::Apply { txid, writes })?;
         Ok(())
     }
 
     /// Number of currently prepared (in-doubt) transactions.
     pub fn in_doubt(&self) -> usize {
-        self.prepared.lock().len()
+        self.state.read().staged.len()
     }
 
     /// Recovery metadata of the live node: in-doubt transactions with
     /// their participant lists, plus the decided-commit set. Feeds
     /// [`crate::recovery::resolve_in_doubt`].
     pub fn node_meta(&self) -> NodeMeta {
-        NodeMeta {
-            staged: self
-                .prepared
-                .lock()
-                .iter()
-                .map(|(txid, tx)| (*txid, tx.participants.clone()))
-                .collect(),
-            decided: self.decided.lock().clone(),
-        }
+        self.state.read().meta()
     }
 
     /// Checks that primary and backup images are byte-identical (test
     /// support; only meaningful while quiescent). Trivially true on a
     /// durable node, which keeps no mirror to diverge from.
     pub fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
-        let Some(b) = &self.backup else {
+        let Journal::Mirror(mirror) = &self.journal else {
             return true;
         };
-        let s = self.space.read();
-        let b = b.lock();
-        probe
-            .iter()
-            .all(|&(off, len)| s.read(off, len).unwrap() == b.read(off, len).unwrap())
+        let (mirror, state) = (mirror.lock(), self.state.read());
+        probe.iter().all(|&(off, len)| {
+            let primary = state.space.read(off, len);
+            primary.is_ok() && primary == mirror.space.read(off, len)
+        })
     }
 
     /// Records an epoch announcement from a coordinator: the register
@@ -1074,11 +971,7 @@ impl MemNode {
     /// the close.
     pub fn epoch_mark(&self, epoch: u64, _closing: bool) -> Result<u64, Unavailable> {
         self.check_up()?;
-        Ok(self.repl_epoch_mark(epoch))
-    }
-
-    fn repl_epoch_mark(&self, epoch: u64) -> u64 {
-        self.epoch.fetch_max(epoch, Ordering::AcqRel)
+        Ok(self.epoch.fetch_max(epoch, Ordering::AcqRel))
     }
 
     /// Reads up to `max` raw framed bytes of this node's redo log starting
@@ -1093,8 +986,8 @@ impl MemNode {
             }
             return Err(Unavailable(self.id));
         }
-        match &self.dur {
-            Some(d) => d.wal.read_from(from, max).map_err(|_| Unavailable(self.id)),
+        match self.journal.wal() {
+            Some(wal) => wal.read_from(from, max).map_err(|_| Unavailable(self.id)),
             None => Ok(WalSegment {
                 from,
                 base: 0,
@@ -1107,10 +1000,11 @@ impl MemNode {
     /// This node's replication status (see [`ReplStatus`]).
     pub fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
         self.check_up()?;
+        let state = self.state.read();
         Ok(ReplStatus {
-            watermark: self.repl_watermark.load(Ordering::Acquire),
-            applied_txid: self.repl_applied_txid.load(Ordering::Acquire),
-            tail: self.dur.as_ref().map_or(0, |d| d.wal.tail()),
+            watermark: state.repl_watermark,
+            applied_txid: state.max_txid,
+            tail: self.journal.wal().map_or(0, |wal| wal.tail()),
             applies: self.stats.repl_applies.get(),
             dup_skips: self.stats.repl_dup_skips.get(),
         })
@@ -1124,15 +1018,18 @@ impl MemNode {
     /// Each whole frame at source end offset `s`:
     /// - is **skipped** when `s ≤ watermark` (already durably incorporated
     ///   — redelivery after a resume is deduplicated, never re-applied);
-    /// - otherwise is logged to this node's own redo log as a
-    ///   [`Record::Repl`] wrapping the primary payload, its effect is
-    ///   applied (one-phase writes apply; prepares stage with their locks;
-    ///   decisions finish staged transactions), and the watermark advances
-    ///   to `s`.
+    /// - is **refused** (`Unavailable`, the node not degraded) when this
+    ///   node cannot apply it — a write past its capacity — *before*
+    ///   anything is logged: the watermark stays where the previous frame
+    ///   left it, and so does the stream until the pair is reconfigured;
+    /// - otherwise goes the way of every logged mutation: journalled as a
+    ///   [`Record::Repl`] wrapping the primary payload, redone (one-phase
+    ///   writes apply; prepares stage, and take their locks; decisions
+    ///   finish staged transactions), the watermark advancing to `s`.
     ///
-    /// The append + apply + watermark advance happens under the appender
-    /// guard, so checkpoints freeze a consistent (state, watermark) pair
-    /// and a restart resumes exactly where the durable log ends.
+    /// That happens under the journal guard, so checkpoints freeze a
+    /// consistent (state, watermark) pair and a restart resumes exactly
+    /// where the durable log ends.
     pub fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
         self.check_writable()?;
         if let Some(a) = faults::check_delay(faults::Site::ReplApply) {
@@ -1144,9 +1041,9 @@ impl MemNode {
         let _s = span(SpanKind::ReplApply);
         let (records, _valid) = parse_frames(frames);
         let mut wait = None;
-        for (rel_end, rec, payload) in records {
+        for (rel_end, rec, payload) in &records {
             let src_off = from + rel_end;
-            if src_off <= self.repl_watermark.load(Ordering::Acquire) {
+            if src_off <= self.state.read().repl_watermark {
                 self.stats.repl_dup_skips.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -1154,76 +1051,25 @@ impl MemNode {
             // wrappers; incorporate the inner record at *this* stream's
             // offsets. Either way the primary's payload is logged as the
             // bytes that arrived, never a re-spelling of them.
-            let (rec, payload) = match rec {
-                OwnedRecord::Repl { inner, .. } => (*inner, &payload[REPL_WRAP..]),
-                other => (other, payload),
-            };
-            let txid = rec.txid();
-            match &self.dur {
-                Some(d) => {
-                    let mut g = d.wal.lock();
-                    let end = g
-                        .append(&Record::Repl { src_off, payload })
-                        .map_err(|e| self.degrade(e))?;
-                    wait = Some(end);
-                    self.apply_repl_effect(rec);
-                    self.repl_watermark.store(src_off, Ordering::Release);
+            let (chained, rec) = rec.lend();
+            let payload = &payload[chained.map_or(0, |_| REPL_WRAP)..];
+            wait = self.hold()?.log(Some((src_off, payload)), &rec)?;
+            // The lock table follows the staged set, as on a recovered
+            // node. Followers serve no transactions of their own, so a
+            // prepare's locks always grant.
+            match rec {
+                Record::Prepare { txid, spans, .. } => {
+                    self.locks.try_lock(spans, txid);
                 }
-                None => {
-                    self.apply_repl_effect(rec);
-                    self.repl_watermark.store(src_off, Ordering::Release);
+                Record::Commit { txid } | Record::Abort { txid } => {
+                    self.locks.release(txid);
                 }
+                _ => {}
             }
-            self.repl_applied_txid.fetch_max(txid, Ordering::AcqRel);
             self.stats.repl_applies.fetch_add(1, Ordering::Relaxed);
         }
-        if let (Some(end), Some(d)) = (wait, &self.dur) {
-            let _fs = span(SpanKind::SrvFsync);
-            d.wal.wait_durable(end).map_err(|e| self.degrade(e))?;
-        }
+        self.wait_durable(wait)?;
         self.repl_status()
-    }
-
-    /// Applies the in-memory effect of one incorporated primary record,
-    /// mirroring what the primary's own execution did: one-phase writes
-    /// apply through [`MemNode::apply`], prepares stage
-    /// with their locks held, and decisions finish or discard the staged
-    /// transaction.
-    fn apply_repl_effect(&self, rec: OwnedRecord) {
-        match rec {
-            OwnedRecord::Apply { writes, .. } => self.apply(&writes),
-            OwnedRecord::Prepare {
-                txid,
-                participants,
-                spans,
-                writes,
-            } => {
-                let tx = PreparedTx {
-                    spans,
-                    writes,
-                    participants: participants.into_iter().map(MemNodeId).collect(),
-                };
-                // Followers serve no transactions of their own, so the
-                // lock always grants; holding it keeps the staged set and
-                // the lock table consistent with a recovered node.
-                let got = self.locks.try_lock(&tx.spans, txid);
-                debug_assert_eq!(got, LockAcquire::Granted, "follower lock conflict");
-                self.prepared.lock().insert(txid, tx);
-            }
-            OwnedRecord::Commit { txid } => {
-                let staged = self.prepared.lock().remove(&txid);
-                if let Some(tx) = staged {
-                    self.apply(&tx.writes);
-                    self.decided.lock().insert(txid);
-                }
-                self.locks.release(txid);
-            }
-            OwnedRecord::Abort { txid } => {
-                self.prepared.lock().remove(&txid);
-                self.locks.release(txid);
-            }
-            OwnedRecord::Repl { .. } => unreachable!("never nested"),
-        }
     }
 }
 
@@ -1343,7 +1189,7 @@ mod tests {
         assert!(matches!(single(&n, 1, &m), SingleResult::Committed(_)));
         n.crash();
         assert!(n.raw_read(0, 4).is_err());
-        n.recover();
+        n.recover().unwrap();
         assert_eq!(n.raw_read(0, 4).unwrap(), vec![1, 2, 3, 4]);
     }
 
@@ -1354,7 +1200,7 @@ mod tests {
         m.write(ItemRange::new(n.id, 0, 4), vec![1, 2, 3, 4]);
         prep(&n, 42, &m);
         n.crash();
-        n.recover();
+        n.recover().unwrap();
         assert_eq!(n.in_doubt(), 1);
         // Lock still held post-recovery.
         let mut m2 = Minitransaction::new();
@@ -1422,8 +1268,8 @@ mod tests {
         m.write(ItemRange::new(n.id, 128, 64), payload.clone());
         assert!(matches!(prep(&n, 5, &m), Vote::Ok(_)));
         {
-            let staged = n.prepared.lock();
-            let tx = staged.get(&5).expect("staged");
+            let state = n.state.read();
+            let tx = state.staged.get(&5).expect("staged");
             assert!(
                 Bytes::same_buffer(&tx.writes[0].1, &payload),
                 "prepare must stage the caller's buffer, not a copy"
@@ -1471,7 +1317,7 @@ mod tests {
 
         n.crash();
         assert!(n.raw_read(64, 4).is_err());
-        n.recover();
+        n.recover().unwrap();
         assert_eq!(n.raw_read(64, 4).unwrap(), vec![4, 3, 2, 1]);
         assert_eq!(n.in_doubt(), 1);
         // Lock re-held, then the decision lands.
@@ -1502,7 +1348,7 @@ mod tests {
         m.write(ItemRange::new(n.id, 512, 1), vec![0xAB]);
         assert!(matches!(single(&n, 99, &m), SingleResult::Committed(_)));
         n.crash();
-        n.recover();
+        n.recover().unwrap();
         for i in 0..20u8 {
             assert_eq!(n.raw_read(i as u64 * 16, 8).unwrap(), vec![i; 8]);
         }

@@ -1,10 +1,10 @@
 //! Crash recovery: image + log replay, and in-doubt 2PC resolution.
 //!
 //! Recovering a memnode is: load the latest checkpoint image (if any),
-//! then replay the redo log on top — applying one-phase commits,
-//! re-staging prepares, and finishing decided two-phase transactions. A
-//! torn log tail (crash mid-append) is truncated back to the last valid
-//! record on disk before replay.
+//! then [`NodeState::redo`] the log on top — the same function that gave
+//! each record its effect when it was first logged. A torn log tail (crash
+//! mid-append) is truncated back to the last valid record on disk before
+//! replay.
 //!
 //! Transactions still staged after replay are **in doubt**: this node
 //! voted yes and never learned the outcome. When the coordinator is also
@@ -19,9 +19,9 @@ use crate::addr::MemNodeId;
 use crate::checkpoint;
 use crate::cluster::SinfoniaCluster;
 use crate::lock::TxId;
-use crate::memnode::{PreparedTx, Unavailable};
-use crate::space::PagedSpace;
-use crate::wal::{parse_log, OwnedRecord};
+use crate::memnode::Unavailable;
+use crate::state::NodeState;
+use crate::wal::parse_log;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -71,45 +71,21 @@ pub fn discover_memnodes(dir: &Path) -> io::Result<usize> {
     Ok(count)
 }
 
-/// State reconstructed from a memnode's image and log.
-pub struct RecoveredNode {
-    /// The rebuilt address space.
-    pub space: PagedSpace,
-    /// In-doubt transactions (prepared, outcome unknown).
-    pub staged: HashMap<TxId, PreparedTx>,
-    /// Two-phase transactions this node committed (image ∪ log).
-    pub decided: HashSet<TxId>,
-    /// Largest transaction id seen anywhere in image or log; restarted
-    /// clusters must allocate ids strictly above this.
-    pub max_txid: TxId,
-    /// Bytes of torn tail dropped from the log file.
-    pub truncated_bytes: u64,
-    /// Replication watermark: the largest source-log offset incorporated
-    /// from a primary (image ∪ `Repl` log records). A restarted follower
-    /// resumes the stream here. Zero on nodes that never followed.
-    pub repl_watermark: u64,
-}
-
-/// Rebuilds one memnode's state from `dir`. `capacity` is used when no
-/// checkpoint image exists yet (empty space); when an image exists its
-/// recorded capacity must match.
-pub fn recover_node(dir: &Path, id: MemNodeId, capacity: u64) -> io::Result<RecoveredNode> {
-    let (mut space, mut staged, mut decided, mut repl_watermark) =
-        match checkpoint::load(&ckpt_path(dir, id))? {
-            Some(img) => {
-                if img.space.capacity() != capacity {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint capacity {} != configured {capacity} for memnode {id}",
-                            img.space.capacity()
-                        ),
-                    ));
-                }
-                (img.space, img.staged, img.decided, img.repl_watermark)
-            }
-            None => (PagedSpace::new(capacity), HashMap::new(), HashSet::new(), 0),
-        };
+/// Rebuilds one memnode's state from `dir`: load the image (an empty
+/// state of `capacity` bytes when none exists yet; an image's recorded
+/// capacity must match), drop a torn log tail, then
+/// [`NodeState::redo`] every record. A record the state refuses — a write
+/// past capacity — is an error, not a panic.
+pub fn recover_node(dir: &Path, id: MemNodeId, capacity: u64) -> io::Result<NodeState> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let mut state =
+        checkpoint::load(&ckpt_path(dir, id))?.unwrap_or_else(|| NodeState::new(capacity));
+    if state.space.capacity() != capacity {
+        return Err(invalid(format!(
+            "checkpoint capacity {} != configured {capacity} for memnode {id}",
+            state.space.capacity()
+        )));
+    }
 
     let wal = wal_path(dir, id);
     let buf = match std::fs::read(&wal) {
@@ -118,77 +94,20 @@ pub fn recover_node(dir: &Path, id: MemNodeId, capacity: u64) -> io::Result<Reco
         Err(e) => return Err(e),
     };
     let (records, valid) = parse_log(&buf);
-    let truncated_bytes = buf.len() as u64 - valid;
-    if truncated_bytes > 0 {
+    if valid < buf.len() as u64 {
         // Drop the torn tail on disk so subsequent appends extend a clean
         // log instead of burying garbage mid-file.
         let f = std::fs::OpenOptions::new().write(true).open(&wal)?;
         f.set_len(valid)?;
         f.sync_data()?;
     }
-
-    let mut max_txid = 0;
-    for rec in records {
-        max_txid = max_txid.max(rec.txid());
-        // A `Repl` record replays exactly as the wrapped primary record
-        // would, and additionally advances the replication watermark.
-        let rec = match rec {
-            OwnedRecord::Repl { src_off, inner } => {
-                repl_watermark = repl_watermark.max(src_off);
-                *inner
-            }
-            other => other,
-        };
-        match rec {
-            OwnedRecord::Apply { writes, .. } => {
-                for (off, data) in &writes {
-                    space.write(*off, data).map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("redo OOB: {e}"))
-                    })?;
-                }
-            }
-            OwnedRecord::Prepare {
-                txid,
-                participants,
-                spans,
-                writes,
-            } => {
-                staged.insert(
-                    txid,
-                    PreparedTx {
-                        spans,
-                        writes,
-                        participants: participants.into_iter().map(MemNodeId).collect(),
-                    },
-                );
-            }
-            OwnedRecord::Commit { txid } => {
-                if let Some(tx) = staged.remove(&txid) {
-                    for (off, data) in &tx.writes {
-                        space.write(*off, data).map_err(|e| {
-                            io::Error::new(io::ErrorKind::InvalidData, format!("redo OOB: {e}"))
-                        })?;
-                    }
-                    decided.insert(txid);
-                }
-            }
-            OwnedRecord::Abort { txid } => {
-                staged.remove(&txid);
-            }
-            OwnedRecord::Repl { .. } => unreachable!("unwrapped above; never nested"),
-        }
+    for rec in &records {
+        let (src_off, rec) = rec.lend();
+        state
+            .redo(src_off, &rec)
+            .map_err(|e| invalid(format!("redo OOB: {e}")))?;
     }
-    for txid in staged.keys().chain(decided.iter()) {
-        max_txid = max_txid.max(*txid);
-    }
-    Ok(RecoveredNode {
-        space,
-        staged,
-        decided,
-        max_txid,
-        truncated_bytes,
-        repl_watermark,
-    })
+    Ok(state)
 }
 
 /// Per-node recovery metadata consumed by [`resolve_in_doubt`].

@@ -237,7 +237,8 @@ pub trait NodeRpc: Send + Sync {
     }
 
     /// Recovers from the mirror / disk. Best-effort: if the request does
-    /// not arrive the node stays crashed, which every later call reports.
+    /// not arrive, or the node's disk cannot be replayed, the node stays
+    /// crashed, which every later call reports.
     fn recover(&self) {
         let _ = self.admin(AdminOp::Recover);
     }
@@ -429,10 +430,10 @@ impl NodeRpc for MemNode {
                 self.crash();
                 AdminReply::Unit
             }
-            AdminOp::Recover => {
-                self.recover();
-                AdminReply::Unit
-            }
+            AdminOp::Recover => match self.recover() {
+                Ok(()) => AdminReply::Unit,
+                Err(e) => AdminReply::Error(format!("recover failed: {e}")),
+            },
             AdminOp::Checkpoint => match self.checkpoint() {
                 Ok(took) => AdminReply::Bool(took),
                 Err(e) => AdminReply::Error(format!("checkpoint failed: {e}")),

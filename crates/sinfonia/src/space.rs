@@ -49,7 +49,7 @@ impl std::fmt::Display for OutOfBounds {
             f,
             "address space access [{}, {}) out of bounds (capacity {})",
             self.off,
-            self.off + self.len as u64,
+            self.off.saturating_add(self.len as u64),
             self.capacity
         )
     }
@@ -87,16 +87,10 @@ impl PagedSpace {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
 
-    fn check(&self, off: u64, len: u32) -> Result<(), OutOfBounds> {
-        if off
-            .checked_add(len as u64)
-            .is_none_or(|end| end > self.capacity)
-        {
-            return Err(OutOfBounds {
-                off,
-                len,
-                capacity: self.capacity,
-            });
+    /// `[off, off + len)` lies inside a space of `capacity` bytes.
+    pub(crate) fn check(capacity: u64, off: u64, len: u32) -> Result<(), OutOfBounds> {
+        if off.checked_add(len as u64).is_none_or(|end| end > capacity) {
+            return Err(OutOfBounds { off, len, capacity });
         }
         Ok(())
     }
@@ -110,7 +104,7 @@ impl PagedSpace {
     /// costing far more than the few bytes saved. Cross-page accesses
     /// gather into a copy.
     pub fn read(&self, off: u64, len: u32) -> Result<Bytes, OutOfBounds> {
-        self.check(off, len)?;
+        Self::check(self.capacity, off, len)?;
         if len == 0 {
             return Ok(Bytes::new());
         }
@@ -152,7 +146,7 @@ impl PagedSpace {
     /// shared with snapshots or outstanding read views are copied first
     /// (copy-on-write).
     pub fn write(&mut self, off: u64, data: &[u8]) -> Result<(), OutOfBounds> {
-        self.check(off, data.len() as u32)?;
+        Self::check(self.capacity, off, data.len() as u32)?;
         let mut done = 0usize;
         while done < data.len() {
             let pos = off + done as u64;
@@ -168,7 +162,7 @@ impl PagedSpace {
 
     /// Compares the bytes at `[off, off+expected.len())` against `expected`.
     pub fn compare(&self, off: u64, expected: &[u8]) -> Result<bool, OutOfBounds> {
-        self.check(off, expected.len() as u32)?;
+        Self::check(self.capacity, off, expected.len() as u32)?;
         // Fast path: compare page by page without copying.
         let mut done = 0usize;
         while done < expected.len() {

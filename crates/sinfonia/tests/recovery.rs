@@ -1,13 +1,21 @@
 //! Durability tests: whole-cluster restart from disk, checkpoint/log
 //! interaction, and in-doubt two-phase resolution after coordinator loss.
+//!
+//! `four_ways_to_the_same_state` arms the process-global failpoint
+//! registry, so every test here holds `faults::test_guard()`: an armed
+//! append failure must fire in the schedule that armed it, not in a
+//! neighbour's log.
 
+use minuet_faults as faults;
 use minuet_sinfonia::{
-    ClusterConfig, DurabilityConfig, ItemRange, LockPolicy, MemNodeId, Minitransaction,
+    ClusterConfig, DurabilityConfig, ItemRange, LockPolicy, MemNodeId, Minitransaction, Resolution,
     SinfoniaCluster, SyncMode,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+mod model;
 
 fn dur_cluster(
     tag: &str,
@@ -52,6 +60,7 @@ fn prepare_at(c: &SinfoniaCluster, txid: u64, m: &Minitransaction, at: &[u16]) -
 
 #[test]
 fn restart_preserves_committed_minitransactions() {
+    let _faults = faults::test_guard();
     let (c, cfg, dir) = dur_cluster("restart-basic", 2, SyncMode::Sync);
     // One-phase commits on each node, plus cross-node two-phase commits.
     for i in 0..50u64 {
@@ -103,6 +112,7 @@ fn restart_preserves_committed_minitransactions() {
 /// commit (participants never unilaterally abort after voting yes).
 #[test]
 fn in_doubt_all_yes_commits_on_restart_group_commit() {
+    let _faults = faults::test_guard();
     let (c, cfg, dir) = dur_cluster(
         "indoubt-yes",
         2,
@@ -141,6 +151,7 @@ fn in_doubt_all_yes_commits_on_restart_group_commit() {
 /// writes may survive the restart.
 #[test]
 fn in_doubt_partial_prepare_aborts_on_restart() {
+    let _faults = faults::test_guard();
     let (c, cfg, dir) = dur_cluster(
         "indoubt-no",
         2,
@@ -172,6 +183,7 @@ fn in_doubt_partial_prepare_aborts_on_restart() {
 /// the other is still in doubt — restart must still commit the straggler.
 #[test]
 fn decided_commit_survives_checkpoint_for_resolution() {
+    let _faults = faults::test_guard();
     let (c, cfg, dir) = dur_cluster("indoubt-ckpt", 2, SyncMode::Sync);
     let mut m = Minitransaction::new();
     m.write(ItemRange::new(MemNodeId(0), 8, 2), vec![11, 12]);
@@ -196,6 +208,7 @@ fn decided_commit_survives_checkpoint_for_resolution() {
 /// and the checkpoint+suffix state restarts correctly.
 #[test]
 fn background_checkpoints_bound_log_and_restart_recovers() {
+    let _faults = faults::test_guard();
     let durability = DurabilityConfig {
         checkpoint_log_bytes: 4 << 10, // tiny: force frequent checkpoints
         ..DurabilityConfig::ephemeral("auto-ckpt", SyncMode::None)
@@ -246,6 +259,7 @@ fn background_checkpoints_bound_log_and_restart_recovers() {
 /// write readable after the crash.
 #[test]
 fn crash_and_recover_from_disk_in_place() {
+    let _faults = faults::test_guard();
     let (c, _cfg, dir) = dur_cluster("inplace", 2, SyncMode::Async);
     for i in 0..30u64 {
         write_both(&c, i, (i + 1) as u8);
@@ -262,4 +276,54 @@ fn crash_and_recover_from_disk_in_place() {
     assert_eq!(c.node(MemNodeId(1)).raw_read(500, 1).unwrap(), vec![42]);
     drop(c);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A commit decision is remembered by every kind of node. Both
+/// participants voted yes, the decision reached memnode 1 only, and the
+/// coordinator is gone: resolution must finish the commit at memnode 0
+/// from memnode 1's decided set — on an in-memory cluster exactly as on a
+/// durable one (where `tests/wire_faults.rs` shows it over sockets).
+#[test]
+fn a_commit_decision_is_remembered_on_every_kind_of_node() {
+    let _faults = faults::test_guard();
+    for durable in [false, true] {
+        let (c, _cfg, dir) = if durable {
+            dur_cluster("decided-durable", 2, SyncMode::None)
+        } else {
+            let cfg = ClusterConfig::with_memnodes(2);
+            (SinfoniaCluster::new(cfg.clone()), cfg, PathBuf::new())
+        };
+        let mut m = Minitransaction::new();
+        m.write(ItemRange::new(MemNodeId(0), 0, 4), vec![1, 2, 3, 4]);
+        m.write(ItemRange::new(MemNodeId(1), 0, 4), vec![5, 6, 7, 8]);
+        let txid = c.next_txid();
+        prepare_at(&c, txid, &m, &[0, 1]);
+        c.node(MemNodeId(1)).commit(txid).unwrap();
+
+        let expected = Resolution {
+            committed: 1,
+            aborted: 0,
+            unresolved: 0,
+        };
+        assert_eq!(c.resolve_in_doubt(), expected, "durable: {durable}");
+        for (mem, want) in [(0, [1, 2, 3, 4]), (1, [5, 6, 7, 8])] {
+            let node = c.node(MemNodeId(mem));
+            assert_eq!(node.raw_read(0, 4).unwrap(), want, "durable: {durable}");
+            assert_eq!(node.in_doubt(), Ok(0), "durable: {durable}");
+        }
+        drop(c);
+        if durable {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// Four ways to the same state: a random schedule against one durable
+/// primary and a chain of two followers, after which the live nodes, the
+/// same nodes reopened from disk, and the schedule's own model all agree
+/// (see `model/mod.rs` for the schedule and what is held to it).
+#[test]
+fn four_ways_to_the_same_state() {
+    let _faults = faults::test_guard();
+    model::four_ways_to_the_same_state(proptest::test_runner::ProptestConfig::default().cases);
 }

@@ -155,6 +155,11 @@ fn torn_tail_during_replication_pull_ships_whole_frames() {
     for s in 0..8 {
         assert!(put_slot(&primary, s, 200 + s).unwrap());
     }
+    // The failpoint registry is process-global and the follower logs too:
+    // let it drain, or an append of its own can take the tear meant for
+    // the primary's.
+    let drained = primary.repl_token();
+    assert!(follower.wait_replicated(&drained, Duration::from_secs(10)));
     // Tear the tail on the next append; the failed commit never acks.
     faults::arm(Site::WalAppend, Arm::new(Action::ShortWrite(5)).times(1));
     let scope = OpDeadline::after(Duration::from_millis(300)).enter();

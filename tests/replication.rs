@@ -349,3 +349,66 @@ fn read_your_writes_holds_under_injected_rtt() {
     drop(mc);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A follower refuses what it cannot apply *before* it logs it. The
+/// primary has sixteen times the follower's capacity; a write (and a
+/// two-phase vote) past the follower's end, shipped as it would be by the
+/// pull loop, is answered with a refusal that leaves no trace — nothing
+/// appended, watermark and counters unmoved, node not degraded — so the
+/// follower still reopens from its own log, and the in-range records
+/// behind the refused ones still apply.
+#[test]
+fn follower_refuses_what_it_cannot_apply_before_logging_it() {
+    const SMALL: u64 = 64 << 10;
+    let id = MemNodeId(0);
+    let pcfg = DurabilityConfig::ephemeral("repl-oob-src", SyncMode::None);
+    let fcfg = DurabilityConfig::ephemeral("repl-oob-dst", SyncMode::None);
+    let primary = MemNode::durable(id, CAPACITY, &pcfg).unwrap();
+    let follower = MemNode::durable(id, SMALL, &fcfg).unwrap();
+
+    // One frame per segment: a write and a vote past the follower's
+    // capacity, then a write inside it.
+    let mut segments = Vec::new();
+    let mut ship = |primary: &MemNode| {
+        let from = segments.last().map_or(0, |(end, _)| *end);
+        let seg = primary.wal_fetch(from, 1 << 20).unwrap();
+        segments.push((seg.tail, seg));
+    };
+    let shard_at = |off: u64| {
+        let mut m = Minitransaction::new();
+        m.write(ItemRange::new(id, off, 4), vec![9, 8, 7, 6]);
+        m
+    };
+    let policy = minuet::sinfonia::LockPolicy::AbortOnBusy;
+    let far = shard_at(512 << 10);
+    primary.exec_single(1, &far.shards()[0].1, policy).unwrap();
+    ship(&primary);
+    primary
+        .prepare(2, &far.shards()[0].1, policy, &[id])
+        .unwrap();
+    ship(&primary);
+    let near = shard_at(128);
+    primary.exec_single(3, &near.shards()[0].1, policy).unwrap();
+    ship(&primary);
+
+    let untouched = follower.repl_status().unwrap();
+    for (_, seg) in &segments[..2] {
+        assert!(
+            follower.repl_apply(seg.from, &seg.bytes).is_err(),
+            "a record past capacity must be refused"
+        );
+        assert_eq!(follower.repl_status().unwrap(), untouched);
+        assert_eq!(follower.in_doubt(), 0, "refused at the prepare");
+        assert!(!follower.is_degraded(), "a refusal is not a log failure");
+    }
+    drop(follower);
+
+    let (follower, _, _) = MemNode::open_from_disk(id, SMALL, &fcfg).unwrap();
+    let (_, seg) = &segments[2];
+    let status = follower.repl_apply(seg.from, &seg.bytes).unwrap();
+    assert_eq!((status.watermark, status.applies), (seg.tail, 1));
+    assert_eq!(follower.raw_read(128, 4).unwrap(), vec![9, 8, 7, 6]);
+    for cfg in [pcfg, fcfg] {
+        let _ = std::fs::remove_dir_all(cfg.dir.unwrap());
+    }
+}

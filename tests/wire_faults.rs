@@ -589,3 +589,50 @@ fn killed_daemon_falls_back_to_cached_membership_flags() {
     assert!(ghost.is_joining());
     assert!(ghost.is_retiring());
 }
+
+/// The socket twin of `replication.rs`'s refusal test: a primary with
+/// sixteen times the follower daemon's capacity ships a well-formed
+/// `ReplApply` frame the follower cannot apply. The daemon answers an
+/// error — it neither panics the handler nor logs the record — and keeps
+/// serving: reads, its status, and the in-range segment behind the
+/// refused one.
+#[test]
+fn follower_daemon_refuses_an_out_of_range_repl_frame_and_keeps_serving() {
+    let (big, small) = (1u64 << 20, 64u64 << 10);
+    let id = MemNodeId(0);
+    let pcfg = DurabilityConfig::ephemeral("wire-repl-oob-src", SyncMode::None);
+    let fcfg = DurabilityConfig::ephemeral("wire-repl-oob-dst", SyncMode::None);
+    let primary = MemNode::durable(id, big, &pcfg).unwrap();
+    let (servers, endpoints) = spawn_durable(1, small, &fcfg, "repl-oob");
+    let c = wire_sinfonia(endpoints, small);
+    let follower = c.node(id);
+
+    let write_at = |txid: u64, off: u64| {
+        let mut m = Minitransaction::new();
+        m.write(ItemRange::new(id, off, 4), vec![9, 8, 7, 6]);
+        let done = primary.exec_single(txid, &m.shards()[0].1, LockPolicy::AbortOnBusy);
+        assert!(done.is_ok());
+        primary.repl_status().unwrap().tail
+    };
+    let cut = write_at(1, 512 << 10);
+    write_at(2, 128);
+    let far = primary.wal_fetch(0, cut as u32).unwrap();
+    let near = primary.wal_fetch(cut, 1 << 20).unwrap();
+
+    let untouched = follower.repl_status().unwrap();
+    assert!(
+        follower.repl_apply(far.from, &far.bytes).is_err(),
+        "a record past capacity must be refused"
+    );
+    assert_eq!(follower.repl_status().unwrap(), untouched);
+    assert_eq!(follower.raw_read(128, 4).unwrap(), vec![0; 4]);
+    let status = follower.repl_apply(near.from, &near.bytes).unwrap();
+    assert_eq!((status.watermark, status.applies), (near.tail, 1));
+    assert_eq!(follower.raw_read(128, 4).unwrap(), vec![9, 8, 7, 6]);
+
+    drop(c);
+    drop(servers);
+    for cfg in [pcfg, fcfg] {
+        let _ = std::fs::remove_dir_all(cfg.dir.unwrap());
+    }
+}
