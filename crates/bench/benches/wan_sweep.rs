@@ -4,9 +4,8 @@
 //! Per-commit OCC pays at least one validation round trip per transaction;
 //! over a WAN (10–100 ms RTTs) that round trip *is* the commit latency.
 //! The epoch service amortizes it: all of an epoch's commits validate in
-//! one batched `exec_many` pass per memnode (plus one advisory epoch mark
-//! per memnode), so validation round trips per commit collapse toward
-//! `2·memnodes/K` for K commits per epoch.
+//! one batched `exec_many` pass per memnode, so validation round trips
+//! per commit collapse toward `memnodes/K` for K commits per epoch.
 //!
 //! Two parts per RTT point:
 //!  * commit cost: round trips and wall-clock per commit for N pre-staged
@@ -24,7 +23,7 @@
 
 use minuet_bench::bench_tree_config;
 use minuet_core::MinuetCluster;
-use minuet_dyntx::{DynTx, EpochConfig, EpochService, ObjRef, StagedCommit};
+use minuet_dyntx::{commit_many, DynTx, EpochConfig, EpochService, ObjRef, StagedCommit};
 use minuet_sinfonia::{
     ClusterConfig, DurabilityConfig, MemNodeId, ReplConfig, Replicator, SinfoniaCluster, SyncMode,
 };
@@ -66,13 +65,14 @@ struct CommitPoint {
 /// Measures commit cost for `n` staged transactions both ways under one
 /// injected RTT. Returns round trips per commit and wall-clock per commit.
 fn measure_commit(c: &Arc<SinfoniaCluster>, n: u64, rtt: Duration) -> CommitPoint {
-    // Per-commit OCC: each staged commit executes on its own.
+    // Per-commit OCC: each staged commit executes on its own, a batch of
+    // one.
     let staged = stage_batch(c, n, 0xA5A5);
     c.transport.set_inject(Some(rtt));
     let rt0 = c.transport.stats.snapshot().0;
     let t0 = Instant::now();
     for s in staged {
-        s.execute().unwrap();
+        commit_many(vec![s]).unwrap().remove(0).unwrap();
     }
     let percommit_ms = t0.elapsed().as_secs_f64() * 1e3 / n as f64;
     let percommit_rts = (c.transport.stats.snapshot().0 - rt0) as f64 / n as f64;

@@ -43,6 +43,7 @@
 use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{in_range, Fence, Key, Value};
 use crate::node::{Node, NodeBody, NodePtr};
+use crate::ops::LeafOp;
 use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
 use crate::retry::backoff;
 use crate::traverse::{LeafAccess, OpCtx, PathEntry, VersionCheck};
@@ -56,14 +57,6 @@ use std::sync::Arc;
 /// Whole-batch retries (stale tip / stale route) before the remaining
 /// members degrade to the per-key path, which has its own retry budget.
 const BATCH_ATTEMPTS: usize = 16;
-
-/// The operation a batch applies to every member key.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BatchKind {
-    Get,
-    Put,
-    Remove,
-}
 
 /// One per-leaf group: the cached internal route that named the leaf and
 /// the batch members (indices into the item vector) it serves.
@@ -121,8 +114,8 @@ impl Proxy {
     /// assert_eq!(got, vec![Some(b"1".to_vec()), None]);
     /// ```
     pub fn multi_get(&mut self, tree: u32, keys: &[Key]) -> Result<Vec<Option<Value>>, Error> {
-        let items: Vec<(Key, Option<Value>)> = keys.iter().map(|k| (k.clone(), None)).collect();
-        self.multi_op(tree, BatchKind::Get, items)
+        let gets = keys.iter().map(|k| (k.clone(), LeafOp::Get));
+        self.multi_op(tree, gets.collect())
     }
 
     /// Inserts or updates many key/value pairs at the mainline tip,
@@ -147,45 +140,31 @@ impl Proxy {
         tree: u32,
         pairs: &[(Key, Value)],
     ) -> Result<Vec<Option<Value>>, Error> {
-        let items: Vec<(Key, Option<Value>)> = pairs
-            .iter()
-            .map(|(k, v)| (k.clone(), Some(v.clone())))
-            .collect();
-        self.multi_op(tree, BatchKind::Put, items)
+        let put = |(k, v): &(Key, Value)| (k.clone(), LeafOp::Put(v.clone()));
+        self.multi_op(tree, pairs.iter().map(put).collect())
     }
 
     /// Removes many keys at the mainline tip (the batched analogue of
     /// [`Proxy::remove`]); returns the previous values in input order.
     pub fn multi_remove(&mut self, tree: u32, keys: &[Key]) -> Result<Vec<Option<Value>>, Error> {
-        let items: Vec<(Key, Option<Value>)> = keys.iter().map(|k| (k.clone(), None)).collect();
-        self.multi_op(tree, BatchKind::Remove, items)
+        let removes = keys.iter().map(|k| (k.clone(), LeafOp::Remove));
+        self.multi_op(tree, removes.collect())
     }
 
-    /// Executes one key through the ordinary single-op path.
-    fn op_one(
-        &mut self,
-        tree: u32,
-        kind: BatchKind,
-        key: &Key,
-        value: Option<&Value>,
-    ) -> Result<Option<Value>, Error> {
-        match kind {
-            BatchKind::Get => self.get(tree, key),
-            BatchKind::Put => self.put(tree, key.clone(), value.expect("put value").clone()),
-            BatchKind::Remove => self.remove(tree, key),
-        }
-    }
-
+    /// Applies each item's [`LeafOp`] to its key (a batch is all gets or
+    /// all mutations).
     fn multi_op(
         &mut self,
         tree: u32,
-        kind: BatchKind,
-        items: Vec<(Key, Option<Value>)>,
+        items: Vec<(Key, LeafOp)>,
     ) -> Result<Vec<Option<Value>>, Error> {
-        let _op = self.mc.sinfonia.obs().op(match kind {
-            BatchKind::Get => op_tag::MULTI_GET,
-            BatchKind::Put | BatchKind::Remove => op_tag::MULTI_PUT,
-        });
+        let reads = items.iter().all(|(_, op)| matches!(op, LeafOp::Get));
+        let tag = if reads {
+            op_tag::MULTI_GET
+        } else {
+            op_tag::MULTI_PUT
+        };
+        let _op = self.mc.sinfonia.obs().op(tag);
         let n = items.len();
         let mut results: Vec<Option<Value>> = vec![None; n];
         if n == 0 {
@@ -205,7 +184,7 @@ impl Proxy {
             let mut unserved: Vec<usize> = Vec::new();
             let mut attempts = 0usize;
             loop {
-                match self.batch_attempt(tree, kind, &items, &order, &mut results) {
+                match self.batch_attempt(tree, reads, &items, &order, &mut results) {
                     Ok(BatchOutcome::Served { fallback, requeue }) => {
                         unserved.extend(fallback);
                         order = requeue;
@@ -237,19 +216,22 @@ impl Proxy {
             event(SpanKind::Retry, RETRY_TAG_BATCH_FALLBACK);
         }
         for i in pending {
-            let (key, value) = &items[i];
-            results[i] = self.op_one(tree, kind, key, value.as_ref())?;
+            let (key, op) = &items[i];
+            results[i] = self.op(tree, OpTarget::MainlineTip, key, op.clone())?;
         }
         Ok(results)
     }
 
     /// One attempt at serving every `pending` member through the batched
-    /// path. Fills `results` for the members it serves.
+    /// path. Fills `results` for the members it serves. Groups are
+    /// independent all the way down: a memnode that stays unavailable
+    /// fails this call, but only after every group that could be served
+    /// has been — committed, and its leaf re-installed.
     fn batch_attempt(
         &mut self,
         tree: u32,
-        kind: BatchKind,
-        items: &[(Key, Option<Value>)],
+        reads: bool,
+        items: &[(Key, LeafOp)],
         pending: &[usize],
         results: &mut [Option<Value>],
     ) -> Attempt<BatchOutcome> {
@@ -351,11 +333,16 @@ impl Proxy {
             ms.push(m);
         }
         let outcomes = sin.exec_many(&ms).map_err(Error::from)?;
+        // The first member (a memnode's fetch, a group's commit) that
+        // failed for good; reported once the rest have been served.
+        let mut failed: Option<Error> = None;
         let mut leaves: BTreeMap<NodePtr, LeafImage> = BTreeMap::new();
         let mut stale_leaf = false;
         for ((read_ptrs, compare_ptrs), outcome) in plans.iter().zip(outcomes) {
             match outcome {
-                Outcome::FailedCompare(idx) => {
+                // This memnode's groups find no leaf below.
+                Err(e) => drop(failed.get_or_insert(e.into())),
+                Ok(Outcome::FailedCompare(idx)) => {
                     // Distinguish a moved tip (retry everything) from stale
                     // cached leaves (invalidate just those and retry; the
                     // next attempt reads them fresh). Invalidate stale
@@ -371,7 +358,7 @@ impl Proxy {
                         return Err(RetryCause::StaleTip.into());
                     }
                 }
-                Outcome::Committed(res) => {
+                Ok(Outcome::Committed(res)) => {
                     for (ptr, raw) in read_ptrs.iter().zip(res.data) {
                         let val = minuet_dyntx::decode_obj_shared(&raw);
                         if let Ok(node) = Node::decode(&val.data) {
@@ -449,104 +436,94 @@ impl Proxy {
                 continue;
             }
 
-            match kind {
-                BatchKind::Get => {
-                    // The leaf read and the tip compare were one atomic
-                    // minitransaction: each lookup is serializable at the
-                    // fetch point, no commit needed (the batched analogue
-                    // of the fully-piggy-backed read-only fast path).
-                    for &i in &group.members {
-                        results[i] = node.leaf_get(&items[i].0).cloned();
-                    }
-                    self.stats.ops += group.members.len() as u64;
-                    self.stats.batched_ops += group.members.len() as u64;
+            if reads {
+                // The leaf read and the tip compare were one atomic
+                // minitransaction: each lookup is serializable at the
+                // fetch point, no commit needed (the batched analogue
+                // of the fully-piggy-backed read-only fast path).
+                for &i in &group.members {
+                    results[i] = node.leaf_get(&items[i].0).cloned();
                 }
-                BatchKind::Put | BatchKind::Remove => {
-                    let mut gtx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
-                    // Pin the tip and the fetched leaf into the read set
-                    // (§4.1: the cached tip joins the read set; the leaf
-                    // at the version the grouped fetch observed or
-                    // revalidated). Cache-served leaves pin the version
-                    // only — commit still validates the seqno.
-                    gtx.assume(TxKey::Repl(layout.tip()), tip_seq, tip_val.encode());
-                    match &img.raw {
-                        Some(raw) => gtx.assume(
-                            TxKey::Plain(layout.node_obj(leaf_ptr)),
-                            *leaf_seq,
-                            raw.clone(),
-                        ),
-                        None => {
-                            gtx.assume_version(TxKey::Plain(layout.node_obj(leaf_ptr)), *leaf_seq)
-                        }
-                    }
-                    // Record the routed internal chain as dirty
-                    // observations so split/CoW parent rewrites promote
-                    // with the right expected versions.
-                    for e in &group.route {
-                        gtx.note_dirty(layout.node_obj(e.ptr), e.seqno);
-                    }
+                self.stats.ops += group.members.len() as u64;
+                self.stats.batched_ops += group.members.len() as u64;
+                continue;
+            }
+            let mut gtx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
+            // Pin the tip and the fetched leaf into the read set
+            // (§4.1: the cached tip joins the read set; the leaf
+            // at the version the grouped fetch observed or
+            // revalidated). Cache-served leaves pin the version
+            // only — commit still validates the seqno.
+            gtx.assume(TxKey::Repl(layout.tip()), tip_seq, tip_val.encode());
+            match &img.raw {
+                Some(raw) => gtx.assume(
+                    TxKey::Plain(layout.node_obj(leaf_ptr)),
+                    *leaf_seq,
+                    raw.clone(),
+                ),
+                None => gtx.assume_version(TxKey::Plain(layout.node_obj(leaf_ptr)), *leaf_seq),
+            }
+            // Record the routed internal chain as dirty
+            // observations so split/CoW parent rewrites promote
+            // with the right expected versions.
+            for e in &group.route {
+                gtx.note_dirty(layout.node_obj(e.ptr), e.seqno);
+            }
 
-                    // Apply the members in input order (duplicates observe
-                    // earlier members, as sequential execution would). A
-                    // staged leaf may overflow by at most one application,
-                    // because `materialize` splits once per level: the
-                    // moment the leaf overflows, every remaining member of
-                    // the group diverts to the per-key path — wholesale,
-                    // so same-key members never reorder across the batch /
-                    // fallback boundary.
-                    let payload_cap = mc.cfg.split_payload_cap();
-                    let max_entries = mc.cfg.max_leaf_entries;
-                    let mut members = group.members.clone();
-                    members.sort_unstable();
-                    let mut new_leaf = (*node).clone();
-                    let mut applied: Vec<usize> = Vec::new();
-                    let mut olds: Vec<Option<Value>> = Vec::new();
-                    for (pos, &i) in members.iter().enumerate() {
-                        if new_leaf.overflows(payload_cap, max_entries) {
-                            fallback.extend_from_slice(&members[pos..]);
-                            break;
-                        }
-                        let (key, value) = &items[i];
-                        olds.push(match kind {
-                            BatchKind::Put => {
-                                new_leaf.leaf_put(key.clone(), value.clone().expect("put value"))
-                            }
-                            BatchKind::Remove => new_leaf.leaf_remove(key),
-                            BatchKind::Get => unreachable!(),
-                        });
-                        applied.push(i);
-                    }
-                    if applied.is_empty() {
-                        continue;
-                    }
-                    let members = applied;
-
-                    let mut path = group.route;
-                    path.push(PathEntry {
-                        ptr: leaf_ptr,
-                        link: leaf_ptr,
-                        seqno: *leaf_seq,
-                        node,
-                    });
-                    let level = path.len() - 1;
-                    match self.materialize(&mut gtx, tree, &ctx, &path, level, new_leaf) {
-                        Ok(()) => {
-                            let written = self.last_leaf_written.take();
-                            staged.push(gtx.stage_commit());
-                            staged_members.push((members, olds, leaf_ptr, written));
-                        }
-                        Err(TxnError::Retry(_)) => {
-                            self.last_leaf_written = None;
-                            fallback.extend(members)
-                        }
-                        Err(e) => return Err(e),
-                    }
+            // Apply the members in input order (duplicates observe
+            // earlier members, as sequential execution would). A
+            // staged leaf may overflow by at most one application,
+            // because `materialize` splits once per level: the
+            // moment the leaf overflows, every remaining member of
+            // the group diverts to the per-key path — wholesale,
+            // so same-key members never reorder across the batch /
+            // fallback boundary.
+            let payload_cap = mc.cfg.split_payload_cap();
+            let max_entries = mc.cfg.max_leaf_entries;
+            let mut members = group.members.clone();
+            members.sort_unstable();
+            let mut new_leaf = (*node).clone();
+            let mut applied: Vec<usize> = Vec::new();
+            let mut olds: Vec<Option<Value>> = Vec::new();
+            for (pos, &i) in members.iter().enumerate() {
+                if new_leaf.overflows(payload_cap, max_entries) {
+                    fallback.extend_from_slice(&members[pos..]);
+                    break;
                 }
+                let (key, op) = &items[i];
+                olds.push(op.clone().apply(&mut new_leaf, key));
+                applied.push(i);
+            }
+            if applied.is_empty() {
+                continue;
+            }
+            let members = applied;
+
+            let mut path = group.route;
+            path.push(PathEntry {
+                ptr: leaf_ptr,
+                link: leaf_ptr,
+                seqno: *leaf_seq,
+                node,
+            });
+            let level = path.len() - 1;
+            match self.materialize(&mut gtx, tree, &ctx, &path, level, new_leaf) {
+                Ok(()) => {
+                    let written = self.last_leaf_written.take();
+                    staged.push(gtx.stage_commit());
+                    staged_members.push((members, olds, leaf_ptr, written));
+                }
+                Err(TxnError::Retry(_)) => {
+                    self.last_leaf_written = None;
+                    fallback.extend(members)
+                }
+                Err(e) => return Err(e),
             }
         }
 
         // ---- 4. Pipelined group commits: one batched round trip per
-        // participant memnode. Validation failures retry per key. ----
+        // participant memnode, each group's outcome its own. Validation
+        // failures retry per key. ----
         let commit_results = commit_many(staged)?;
         let mut requeue: Vec<usize> = Vec::new();
         for ((members, olds, leaf_ptr, written), outcome) in
@@ -572,10 +549,12 @@ impl Proxy {
                     self.stats.record_retry(cause);
                     requeue.extend(members);
                 }
-                Err(e) => return Err(e),
+                Err(TxnError::Error(e)) => drop(failed.get_or_insert(e)),
             }
         }
-        Ok(BatchOutcome::Served { fallback, requeue })
+        failed.map_or(Ok(BatchOutcome::Served { fallback, requeue }), |e| {
+            Err(e.into())
+        })
     }
 
     /// Bulk-loads an **empty** tree bottom-up: the sorted pairs are packed
@@ -667,24 +646,29 @@ impl Proxy {
         let max_internal = self.mc.cfg.max_internal_entries;
         let sid = ctx.sid;
         let mut cursor = 0usize;
+        let fence_size = |f: &Fence| 1 + f.as_key().map_or(0, |k| 2 + k.len());
 
-        // Pack leaves greedily up to the overflow thresholds. Packing runs
+        // Pack leaves greedily up to the overflow thresholds, by running
+        // encoded size (an entry adds its two length prefixes, key and
+        // value; `Node::encoded_size` is the cross-check). Packing runs
         // with infinity fences but the real fences are finite keys, so
         // leave room for the worst-case fence growth (two finite fences of
         // the longest key in the batch).
         let max_klen = pairs.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
         let pack_cap = payload_cap.saturating_sub(2 * (2 + max_klen)).max(64);
+        let empty_size = Node::empty_root(sid).encoded_size();
         let mut leaf_nodes: Vec<Node> = Vec::new();
         let mut cur = Node::empty_root(sid);
+        let mut size = empty_size;
         for (k, v) in pairs {
-            let mut probe = cur.clone();
-            probe.leaf_put(k.clone(), v.clone());
-            if !cur.is_empty() && probe.overflows(pack_cap, max_leaf) {
+            let entry = 4 + k.len() + v.len();
+            if !cur.is_empty() && (cur.len() >= max_leaf || size + entry > pack_cap) {
                 leaf_nodes.push(std::mem::replace(&mut cur, Node::empty_root(sid)));
-                cur.leaf_put(k.clone(), v.clone());
-            } else {
-                cur = probe;
+                size = empty_size;
             }
+            cur.leaf_put(k.clone(), v.clone());
+            size += entry;
+            debug_assert_eq!(size, cur.encoded_size());
         }
         leaf_nodes.push(cur);
 
@@ -730,7 +714,9 @@ impl Proxy {
             let mut nodes: Vec<Node> = Vec::new();
             let mut chunk_start = 0usize;
             while chunk_start < level.len() {
-                // Grow the chunk until the encoded node would overflow.
+                // Grow the chunk while the encoded node fits: a child adds
+                // its separator and its pointer, and its high fence takes
+                // the place of the previous child's.
                 let mut end = chunk_start + 1;
                 let mut node = Node {
                     height,
@@ -743,26 +729,23 @@ impl Proxy {
                         kids: vec![level[chunk_start].2],
                     },
                 };
+                let mut size = node.encoded_size();
                 while end < level.len() {
-                    let mut probe = node.clone();
-                    if let NodeBody::Internal { seps, kids } = &mut probe.body {
-                        seps.push(
-                            level[end]
-                                .0
-                                .as_key()
-                                .expect("non-first child has a finite low fence")
-                                .clone(),
-                        );
-                        kids.push(level[end].2);
-                    }
-                    probe.high = level[end].1.clone();
-                    if probe.overflows(payload_cap, max_internal) {
+                    let (low, high, kid) = &level[end];
+                    let sep = low
+                        .as_key()
+                        .expect("non-first child has a finite low fence");
+                    let grown =
+                        size + 2 + sep.len() + 6 + fence_size(high) - fence_size(&level[end - 1].1);
+                    if node.len() >= max_internal || grown > payload_cap {
                         break;
                     }
-                    node = probe;
+                    node.insert_child(sep.clone(), *kid);
+                    size = grown;
                     end += 1;
                 }
                 node.high = level[end - 1].1.clone();
+                debug_assert_eq!(size, node.encoded_size());
                 nodes.push(node);
                 chunk_start = end;
             }
@@ -888,6 +871,49 @@ mod tests {
             getnet.round_trips <= 2,
             "expected <=2 round trips for 64 batched gets, got {}",
             getnet.round_trips
+        );
+    }
+
+    #[test]
+    fn a_dead_memnode_fails_the_batch_but_not_the_groups_that_committed() {
+        use minuet_sinfonia::{ClusterConfig, MemNodeId};
+        let sin = ClusterConfig {
+            unavailable_retry: std::time::Duration::from_millis(20),
+            ..ClusterConfig::with_memnodes(2)
+        };
+        let mc = MinuetCluster::with_cluster_config(sin, 1, TreeConfig::small_nodes(8));
+        let mut p = mc.proxy();
+        let pairs = |v: u8| (0..64).map(|i| (key(i), vec![v])).collect::<Vec<_>>();
+        p.multi_put(0, &pairs(0)).unwrap();
+        // Warm the route: the batch below needs no fetch of an internal node.
+        p.multi_get(0, &(0..64).map(key).collect::<Vec<_>>())
+            .unwrap();
+
+        mc.sinfonia.crash(MemNodeId(1));
+        let err = p.multi_put(0, &pairs(1)).unwrap_err();
+        assert_eq!(err, crate::error::Error::Unavailable(MemNodeId(1)));
+        mc.sinfonia.recover(MemNodeId(1));
+
+        // The leaves on memnode 0 committed before the error surfaced, and
+        // were re-installed: a put to any of their keys is one fused round
+        // trip. The others kept their old values.
+        let (mut committed, mut lost) = (0, 0);
+        for i in 0..64 {
+            let (old, net) = with_op_net(|| p.put(0, key(i), vec![2]).unwrap());
+            if old == Some(vec![1]) {
+                assert_eq!(
+                    net.round_trips, 1,
+                    "key {i}: committed leaf not re-installed"
+                );
+                committed += 1;
+            } else {
+                assert_eq!(old, Some(vec![0]), "key {i}");
+                lost += 1;
+            }
+        }
+        assert!(
+            committed > 0 && lost > 0,
+            "{committed} committed, {lost} lost"
         );
     }
 

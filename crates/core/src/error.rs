@@ -90,6 +90,10 @@ pub enum Error {
     /// [`minuet_sinfonia::deadline`]) expired before it completed. The
     /// tree may be healthy — the caller's time budget ran out first.
     DeadlineExceeded,
+    /// A condition this crate's own invariants rule out reached it anyway
+    /// (the message says which). A bug in this stack, not a state of the
+    /// cluster or of the caller's data.
+    Internal(String),
 }
 
 impl fmt::Display for Error {
@@ -126,6 +130,7 @@ impl fmt::Display for Error {
                 )
             }
             Error::DeadlineExceeded => write!(f, "operation deadline exceeded"),
+            Error::Internal(what) => write!(f, "internal invariant broken: {what}"),
         }
     }
 }
@@ -195,6 +200,12 @@ impl From<TxError> for TxnError {
             TxError::NoReadyReplica => TxnError::Retry(RetryCause::NoReadyReplica),
             TxError::Unavailable(m) => TxnError::Error(Error::Unavailable(m)),
             TxError::DeadlineExceeded => TxnError::Error(Error::DeadlineExceeded),
+            // Invariants: addresses come from a `Layout` (see below), and
+            // only an epoch leader abandons a member — this crate commits
+            // through `retry::run_tx` and `commit_many`.
+            e @ (TxError::OutOfBounds { .. } | TxError::Abandoned) => {
+                TxnError::Error(Error::Internal(e.to_string()))
+            }
         }
     }
 }
@@ -209,7 +220,7 @@ impl From<SinfoniaError> for Error {
             // (checked against each server at handshake), so an
             // out-of-bounds item is a bug in the address arithmetic.
             SinfoniaError::OutOfBounds { mem, detail } => {
-                panic!("layout address out of bounds at {mem}: {detail}")
+                Error::Internal(format!("layout address out of bounds at {mem}: {detail}"))
             }
         }
     }

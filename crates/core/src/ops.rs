@@ -8,12 +8,37 @@
 use crate::error::{Attempt, Error, RetryCause};
 use crate::key::{Fence, Value};
 use crate::node::{Node, NodeBody, NodePtr};
-use crate::proxy::Proxy;
+use crate::proxy::{OpTarget, Proxy};
 use crate::traverse::{LeafAccess, OpCtx, PathEntry};
 use crate::tree::ConcurrencyMode;
 use minuet_dyntx::DynTx;
 use minuet_obs::{span, SpanKind};
 use minuet_sinfonia::MemNodeId;
+
+/// What a single-key operation does at the leaf responsible for its key:
+/// the one description `get` / `put` / `remove`, their `_at` / `_branch`
+/// forms, [`crate::proxy::Txn`] and the batch planner all share.
+#[derive(Clone)]
+pub(crate) enum LeafOp {
+    /// Look the key up.
+    Get,
+    /// Insert or update the key with this value.
+    Put(Value),
+    /// Remove the key.
+    Remove,
+}
+
+impl LeafOp {
+    /// Applies the operation to `leaf`; returns the key's previous value
+    /// (for a get, its current one).
+    pub(crate) fn apply(self, leaf: &mut Node, key: &[u8]) -> Option<Value> {
+        match self {
+            LeafOp::Get => leaf.leaf_get(key).cloned(),
+            LeafOp::Put(value) => leaf.leaf_put(key.to_vec(), value),
+            LeafOp::Remove => leaf.leaf_remove(key),
+        }
+    }
+}
 
 /// Child-pointer changes bubbling up from a lower level.
 #[derive(Debug, Clone, Default)]
@@ -89,14 +114,26 @@ impl Proxy {
         }
     }
 
-    /// One read-only lookup attempt.
-    pub(crate) fn try_get(
+    /// One attempt of a single-key operation: resolve `target`, find the
+    /// leaf responsible for `key`, and either answer from it (a get) or
+    /// apply `op` to a copy and stage all structural consequences (CoW,
+    /// splits, pointer updates).
+    pub(crate) fn try_op(
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
-        ctx: &OpCtx,
+        target: OpTarget,
         key: &[u8],
+        op: LeafOp,
     ) -> Attempt<Option<Value>> {
+        let ctx = self.resolve(tx, tree, target)?;
+        // On a writable target a cached, still-valid leaf skips the fetch
+        // round trip: only its version is pinned. A get then commits with
+        // one compare; a put fuses — the mutation is derived from the
+        // cached image, so the commit minitransaction carries
+        // compare(leaf seqno) + write(new image) and lands in one round
+        // trip at the leaf's memnode. A stale image fails that compare and
+        // the retry fetches fresh (see `Proxy::note_retry`).
         let access = if !ctx.writable {
             LeafAccess::Dirty
         } else {
@@ -104,39 +141,17 @@ impl Proxy {
         };
         let path = {
             let _t = span(SpanKind::Traverse);
-            self.traverse(tx, tree, ctx, key, access, 0)?
+            self.traverse(tx, tree, &ctx, key, access, 0)?
         };
-        Ok(path.last().unwrap().node.leaf_get(key).cloned())
-    }
-
-    /// One mutation attempt: applies `f` to the leaf responsible for `key`
-    /// and stages all structural consequences (CoW, splits, pointer
-    /// updates).
-    pub(crate) fn try_mutate(
-        &mut self,
-        tx: &mut DynTx<'_>,
-        tree: u32,
-        ctx: &OpCtx,
-        key: &[u8],
-        f: &mut dyn FnMut(&mut Node) -> Option<Value>,
-    ) -> Attempt<Option<Value>> {
-        debug_assert!(ctx.writable);
-        // Fused put: a cached, still-valid leaf skips the fetch round trip
-        // — the mutation is derived from the cached image with only its
-        // version pinned, so the commit minitransaction carries
-        // compare(leaf seqno) + write(new image) and lands in one round
-        // trip at the leaf's memnode. A stale image fails that compare and
-        // the retry fetches fresh (see `Proxy::note_retry`).
-        let access = self.writable_leaf_access();
-        let path = {
-            let _t = span(SpanKind::Traverse);
-            self.traverse(tx, tree, ctx, key, access, 0)?
-        };
-        let _apply = span(SpanKind::Apply);
         let leaf_level = path.len() - 1;
+        if let LeafOp::Get = op {
+            return Ok(path[leaf_level].node.leaf_get(key).cloned());
+        }
+        debug_assert!(ctx.writable);
+        let _apply = span(SpanKind::Apply);
         let mut new_leaf = (*path[leaf_level].node).clone();
-        let old = f(&mut new_leaf);
-        self.materialize(tx, tree, ctx, &path, leaf_level, new_leaf)?;
+        let old = op.apply(&mut new_leaf, key);
+        self.materialize(tx, tree, &ctx, &path, leaf_level, new_leaf)?;
         Ok(old)
     }
 

@@ -14,6 +14,7 @@ use crate::catalog::{CatEntry, TipVal};
 use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{Key, Value};
 use crate::node::SnapshotId;
+use crate::ops::LeafOp;
 use crate::retry::run_tx;
 use crate::stats::ProxyStats;
 use crate::traverse::OpCtx;
@@ -359,36 +360,38 @@ impl Proxy {
     // Single-key operations
     // ------------------------------------------------------------------
 
+    /// One single-key operation, run to completion: what every `get` /
+    /// `put` / `remove` below is, differing only in target and [`LeafOp`].
+    pub(crate) fn op(
+        &mut self,
+        tree: u32,
+        target: OpTarget,
+        key: &[u8],
+        op: LeafOp,
+    ) -> Result<Option<Value>, Error> {
+        let _op = self.mc.sinfonia.obs().op(match (&op, target) {
+            (LeafOp::Get, OpTarget::Snapshot(_)) => op_tag::GET_AT,
+            (LeafOp::Get, _) => op_tag::GET,
+            (LeafOp::Put(_), _) => op_tag::PUT,
+            (LeafOp::Remove, _) => op_tag::REMOVE,
+        });
+        self.run_op(tree, |p, tx| p.try_op(tx, tree, target, key, op.clone()))
+    }
+
     /// Strictly-serializable point lookup at the mainline tip.
     pub fn get(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, Error> {
-        let _op = self.mc.sinfonia.obs().op(op_tag::GET);
-        self.run_op(tree, |p, tx| {
-            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
-            p.try_get(tx, tree, &ctx, key)
-        })
+        self.op(tree, OpTarget::MainlineTip, key, LeafOp::Get)
     }
 
     /// Inserts or updates a key at the mainline tip; returns the previous
     /// value.
     pub fn put(&mut self, tree: u32, key: Key, value: Value) -> Result<Option<Value>, Error> {
-        let _op = self.mc.sinfonia.obs().op(op_tag::PUT);
-        self.run_op(tree, |p, tx| {
-            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
-            let mut k = Some(key.clone());
-            let mut v = Some(value.clone());
-            p.try_mutate(tx, tree, &ctx, &key, &mut |leaf| {
-                leaf.leaf_put(k.take().unwrap(), v.take().unwrap())
-            })
-        })
+        self.op(tree, OpTarget::MainlineTip, &key, LeafOp::Put(value))
     }
 
     /// Removes a key at the mainline tip; returns the previous value.
     pub fn remove(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, Error> {
-        let _op = self.mc.sinfonia.obs().op(op_tag::REMOVE);
-        self.run_op(tree, |p, tx| {
-            let ctx = p.resolve(tx, tree, OpTarget::MainlineTip)?;
-            p.try_mutate(tx, tree, &ctx, key, &mut |leaf| leaf.leaf_remove(key))
-        })
+        self.op(tree, OpTarget::MainlineTip, key, LeafOp::Remove)
     }
 
     /// Point lookup on any snapshot. For read-only snapshots this never
@@ -401,11 +404,7 @@ impl Proxy {
         sid: SnapshotId,
         key: &[u8],
     ) -> Result<Option<Value>, Error> {
-        let _op = self.mc.sinfonia.obs().op(op_tag::GET_AT);
-        self.run_op(tree, |p, tx| {
-            let ctx = p.resolve(tx, tree, OpTarget::Snapshot(sid))?;
-            p.try_get(tx, tree, &ctx, key)
-        })
+        self.op(tree, OpTarget::Snapshot(sid), key, LeafOp::Get)
     }
 
     /// Strictly-serializable lookup at a specific writable tip (§5.1).
@@ -415,11 +414,7 @@ impl Proxy {
         sid: SnapshotId,
         key: &[u8],
     ) -> Result<Option<Value>, Error> {
-        let _op = self.mc.sinfonia.obs().op(op_tag::GET);
-        self.run_op(tree, |p, tx| {
-            let ctx = p.resolve(tx, tree, OpTarget::TipSid(sid))?;
-            p.try_get(tx, tree, &ctx, key)
-        })
+        self.op(tree, OpTarget::TipSid(sid), key, LeafOp::Get)
     }
 
     /// Inserts or updates a key at a specific writable tip (§5.1).
@@ -430,15 +425,7 @@ impl Proxy {
         key: Key,
         value: Value,
     ) -> Result<Option<Value>, Error> {
-        let _op = self.mc.sinfonia.obs().op(op_tag::PUT);
-        self.run_op(tree, |p, tx| {
-            let ctx = p.resolve(tx, tree, OpTarget::TipSid(sid))?;
-            let mut k = Some(key.clone());
-            let mut v = Some(value.clone());
-            p.try_mutate(tx, tree, &ctx, &key, &mut |leaf| {
-                leaf.leaf_put(k.take().unwrap(), v.take().unwrap())
-            })
-        })
+        self.op(tree, OpTarget::TipSid(sid), &key, LeafOp::Put(value))
     }
 
     /// Removes a key at a specific writable tip.
@@ -448,11 +435,7 @@ impl Proxy {
         sid: SnapshotId,
         key: &[u8],
     ) -> Result<Option<Value>, Error> {
-        let _op = self.mc.sinfonia.obs().op(op_tag::REMOVE);
-        self.run_op(tree, |p, tx| {
-            let ctx = p.resolve(tx, tree, OpTarget::TipSid(sid))?;
-            p.try_mutate(tx, tree, &ctx, key, &mut |leaf| leaf.leaf_remove(key))
-        })
+        self.op(tree, OpTarget::TipSid(sid), key, LeafOp::Remove)
     }
 
     /// Reads the current mainline tip (one round trip; not cached).
@@ -517,35 +500,33 @@ pub struct Txn<'p, 't, 'c> {
 }
 
 impl Txn<'_, '_, '_> {
-    fn resolve(&mut self, tree: u32, target: OpTarget) -> Attempt<OpCtx> {
+    /// One single-key operation staged into the transaction.
+    fn op(
+        &mut self,
+        tree: u32,
+        target: OpTarget,
+        key: &[u8],
+        op: LeafOp,
+    ) -> Result<Option<Value>, TxnError> {
         if !self.trees.contains(&tree) {
             self.trees.push(tree);
         }
-        self.proxy.resolve(self.tx, tree, target)
+        self.proxy.try_op(self.tx, tree, target, key, op)
     }
 
     /// Transactional lookup at the mainline tip of `tree`.
     pub fn get(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, TxnError> {
-        let ctx = self.resolve(tree, OpTarget::MainlineTip)?;
-        self.proxy.try_get(self.tx, tree, &ctx, key)
+        self.op(tree, OpTarget::MainlineTip, key, LeafOp::Get)
     }
 
     /// Transactional insert/update at the mainline tip of `tree`.
     pub fn put(&mut self, tree: u32, key: Key, value: Value) -> Result<Option<Value>, TxnError> {
-        let ctx = self.resolve(tree, OpTarget::MainlineTip)?;
-        let mut k = Some(key.clone());
-        let mut v = Some(value);
-        self.proxy
-            .try_mutate(self.tx, tree, &ctx, &key, &mut |leaf| {
-                leaf.leaf_put(k.take().unwrap(), v.take().unwrap())
-            })
+        self.op(tree, OpTarget::MainlineTip, &key, LeafOp::Put(value))
     }
 
     /// Transactional removal at the mainline tip of `tree`.
     pub fn remove(&mut self, tree: u32, key: &[u8]) -> Result<Option<Value>, TxnError> {
-        let ctx = self.resolve(tree, OpTarget::MainlineTip)?;
-        self.proxy
-            .try_mutate(self.tx, tree, &ctx, key, &mut |leaf| leaf.leaf_remove(key))
+        self.op(tree, OpTarget::MainlineTip, key, LeafOp::Remove)
     }
 
     /// Lookup on a read-only snapshot within the transaction.
@@ -555,7 +536,6 @@ impl Txn<'_, '_, '_> {
         sid: SnapshotId,
         key: &[u8],
     ) -> Result<Option<Value>, TxnError> {
-        let ctx = self.resolve(tree, OpTarget::Snapshot(sid))?;
-        self.proxy.try_get(self.tx, tree, &ctx, key)
+        self.op(tree, OpTarget::Snapshot(sid), key, LeafOp::Get)
     }
 }

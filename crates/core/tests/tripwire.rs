@@ -73,21 +73,19 @@ fn one_optimistic_loop() {
 #[test]
 fn panic_sites_do_not_grow() {
     // `unwrap()` / `.expect(` / `panic!` / `unreachable!` lines per file
-    // after PR 17 (55 in all, from 68). Lower a ceiling when you remove a
-    // site; to add one, first try a typed `Error` (`Error::CorruptMeta`,
-    // the `From` impls in error.rs), and if it really is an invariant,
-    // comment it and raise the ceiling in the same change.
+    // (47 in all; 68 before PR 17, 55 before `LeafOp`). Lower a ceiling
+    // when you remove a site; to add one, first try a typed `Error`
+    // (`Error::CorruptMeta`, `Error::Internal`, the `From` impls in
+    // error.rs), and if it really is an invariant, comment it and raise
+    // the ceiling in the same change.
     const CEILING: &[(&str, usize)] = &[
         ("alloc.rs", 6),
-        ("batch.rs", 8),
+        ("batch.rs", 5),
         ("cache.rs", 2),
         ("catalog.rs", 10),
         ("clone.rs", 1),
-        ("error.rs", 1),
         ("migrate.rs", 3),
         ("node.rs", 8),
-        ("ops.rs", 1),
-        ("proxy.rs", 3),
         ("scan.rs", 4),
         ("scs.rs", 1),
         ("tree.rs", 7),

@@ -5,11 +5,12 @@
 //! a datacenter, ruinous over a WAN where the RTT is tens of milliseconds.
 //! An [`EpochService`] instead enrolls every committing transaction in the
 //! current *epoch*; when the epoch closes (it filled up, or its interval
-//! expired), one leader validates and applies **all** of the epoch's
-//! commit minitransactions through a single batched
-//! [`minuet_sinfonia::SinfoniaCluster::exec_many`] pass — one round trip
-//! per participant memnode for the whole epoch, instead of one per
-//! transaction.
+//! expired), one leader hands **all** of the epoch's staged commits to the
+//! crate's one executor ([`crate::txn`]) as a single batch — one round
+//! trip per participant memnode for the whole epoch, instead of one per
+//! transaction. A per-commit `commit()` is the same executor applied to
+//! one member; this module adds only the wait: enrolment, the full /
+//! expired decision, and the hand-back of results.
 //!
 //! ## The epoch invariant
 //!
@@ -24,14 +25,18 @@
 //! batching changes *when* validation happens, never *what* it admits.
 //!
 //! Members never gain atomicity from sharing an epoch: each validates and
-//! applies independently, and a validation failure aborts only its own
-//! transaction ([`TxError::Validation`] to that caller).
+//! applies independently, and a failure — validation, a dead participant —
+//! is its own member's ([`TxError::Validation`] to that caller only). Nor
+//! do they share a deadline: the close runs under no member's ambient
+//! [`OpDeadline`], and a leader that unwinds mid-close still releases
+//! everyone ([`TxError::Abandoned`]).
 
-use crate::txn::{commit_many, CommitInfo, DynTx, StagedCommit, TxError};
+use crate::txn::{execute_staged, CommitInfo, DynTx, StagedCommit, TxError};
 use minuet_obs::{span, SpanKind};
-use minuet_sinfonia::SinfoniaCluster;
+use minuet_sinfonia::{OpDeadline, SinfoniaCluster};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Epoch sizing knobs.
@@ -57,7 +62,7 @@ impl Default for EpochConfig {
 /// Results of a closed epoch, held until every member has claimed its
 /// slot.
 struct ClosedEpoch {
-    slots: Vec<Option<Result<CommitInfo, TxError>>>,
+    slots: Vec<Result<CommitInfo, TxError>>,
     unclaimed: usize,
 }
 
@@ -77,7 +82,6 @@ struct Inner<'c> {
 /// The coordinator-side epoch service (see module docs). One instance per
 /// commit stream; committing threads share it by reference.
 pub struct EpochService<'c> {
-    cluster: &'c SinfoniaCluster,
     cfg: EpochConfig,
     inner: Mutex<Inner<'c>>,
     cv: Condvar,
@@ -91,7 +95,6 @@ impl<'c> EpochService<'c> {
         assert!(cfg.max_batch > 0, "epoch batch must hold at least one");
         let registry = &cluster.obs().registry;
         EpochService {
-            cluster,
             cfg,
             inner: Mutex::new(Inner {
                 epoch: 1,
@@ -106,30 +109,25 @@ impl<'c> EpochService<'c> {
         }
     }
 
-    /// The cluster this service commits against.
-    pub fn cluster(&self) -> &'c SinfoniaCluster {
-        self.cluster
-    }
-
-    /// Number of the currently open epoch.
-    pub fn current_epoch(&self) -> u64 {
-        self.inner.lock().epoch
-    }
-
     /// Commits `tx` through the epoch machinery: stage, enroll in the open
-    /// epoch, block until that epoch's batched validation pass has run,
-    /// return this transaction's own outcome. Equivalent to
-    /// [`DynTx::commit`] in what it admits; cheaper in round trips.
+    /// epoch, block until that epoch's batch has executed, return this
+    /// transaction's own outcome. Equivalent to [`DynTx::commit`] in what
+    /// it admits; cheaper in round trips.
     pub fn commit(&self, tx: DynTx<'c>) -> Result<CommitInfo, TxError> {
         self.commit_staged(tx.stage_commit())
     }
 
     /// [`EpochService::commit`] for an already-staged commit.
     pub fn commit_staged(&self, staged: StagedCommit<'c>) -> Result<CommitInfo, TxError> {
-        // No-network members (fully piggy-back-validated read-only
-        // commits, staging failures) resolve immediately: holding them
-        // for an epoch would buy nothing and cost the interval.
-        if staged.is_noop() || staged.staging_err().is_some() {
+        // Members that will not reach the network resolve on their own, as
+        // a batch of one: a fully piggy-back-validated read-only commit or
+        // a staging failure (holding them for an epoch would buy nothing
+        // and cost the interval), an object past its memnode's capacity
+        // (it would refuse the whole epoch's batch), and a caller whose
+        // deadline has already expired (zero RPCs, under its own deadline
+        // — the close runs under nobody's).
+        let staged = staged.bounds_checked();
+        if !staged.needs_network() || OpDeadline::current().expired() {
             return staged.execute();
         }
 
@@ -144,7 +142,7 @@ impl<'c> EpochService<'c> {
         loop {
             // My epoch already closed? Claim my slot.
             if let Some(done) = inner.done.get_mut(&my_epoch) {
-                let result = done.slots[my_idx].take().expect("slot claimed once");
+                let result = std::mem::replace(&mut done.slots[my_idx], Err(TxError::Abandoned));
                 done.unclaimed -= 1;
                 if done.unclaimed == 0 {
                     inner.done.remove(&my_epoch);
@@ -166,67 +164,69 @@ impl<'c> EpochService<'c> {
             }
 
             let _wait = span(SpanKind::EpochWait);
-            if open {
+            match inner.opened {
                 // Wake myself at the interval deadline to lead the close
                 // if nothing else (a full batch, another leader) happens
                 // first.
-                let deadline = inner.opened.expect("open epoch has a start") + self.cfg.interval;
-                self.cv.wait_until(&mut inner, deadline);
-            } else {
+                Some(opened) if open => {
+                    self.cv.wait_until(&mut inner, opened + self.cfg.interval);
+                }
                 // A leader is executing (mine or an earlier epoch's); it
                 // notifies when results land.
-                self.cv.wait(&mut inner);
+                _ => self.cv.wait(&mut inner),
             }
         }
     }
 
     /// Closes the open epoch as leader: swap its batch out, open the next
-    /// epoch, release the lock, run the advisory epoch marks plus the
-    /// batched validation pass, publish per-member results, wake waiters.
-    /// Takes the lock held; returns with it re-held.
+    /// epoch, release the lock, hand the batch to the executor, publish
+    /// the per-member slots and wake the waiters. Takes the lock held;
+    /// returns with it re-held.
     fn close_epoch<'g>(
         &'g self,
         mut inner: MutexGuard<'g, Inner<'c>>,
     ) -> MutexGuard<'g, Inner<'c>> {
         let epoch = inner.epoch;
-        let batch = std::mem::take(&mut inner.pending);
+        let mut batch = std::mem::take(&mut inner.pending);
         inner.epoch += 1;
         inner.opened = None;
         inner.closing = true;
-        let n = batch.len();
-
         // Enrollment continues into the next epoch while this one
         // validates; only the close itself is serialized (`closing` keeps
         // other would-be leaders out until the results are published).
         drop(inner);
 
-        // Advisory group decision: tell every memnode the epoch is
-        // closing before its validation pass lands. One round trip
-        // per memnode per *epoch* — amortized across the batch.
-        for id in self.cluster.memnode_ids() {
-            let _ = self.cluster.node(id).epoch_mark(epoch, true);
+        let abandoned = batch.iter().map(|_| Err(TxError::Abandoned));
+        let mut slots: Vec<_> = abandoned.collect();
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            // The leader works for every member: its deadline is not theirs.
+            let _nobodys = OpDeadline::suspend();
+            #[cfg(test)]
+            tests::close_hook();
+            execute_staged(&mut batch, &mut slots)
+        }));
+        if let Ok(Err(e)) = &ran {
+            // Nothing was sent: every member fails alike.
+            slots.fill_with(|| Err(e.clone()));
         }
-        let results = commit_many(batch);
 
+        // Publish whatever the close left in the slots, also when it
+        // unwound: `closing` clears and every waiter wakes to its outcome
+        // or to the `Abandoned` its slot was created with. Only then does
+        // the leader's panic go on (it never claims its own slot).
         let mut inner = self.inner.lock();
-        let closed = match results {
-            Ok(slots) => ClosedEpoch {
-                slots: slots.into_iter().map(Some).collect(),
-                unclaimed: n,
-            },
-            // A cluster-level failure (memnode past its retry budget)
-            // fails every member identically.
-            Err(e) => ClosedEpoch {
-                slots: (0..n).map(|_| Some(Err(e.clone()))).collect(),
-                unclaimed: n,
-            },
-        };
         inner.closing = false;
-        inner.done.insert(epoch, closed);
         self.epochs_closed.inc();
-        self.batch_size.record(n as u64);
+        self.batch_size.record(slots.len() as u64);
+        let unclaimed = slots.len() - usize::from(ran.is_err());
+        if unclaimed > 0 {
+            inner.done.insert(epoch, ClosedEpoch { slots, unclaimed });
+        }
         self.cv.notify_all();
-        inner
+        match ran {
+            Ok(_) => inner,
+            Err(panic) => resume_unwind(panic),
+        }
     }
 }
 
@@ -234,19 +234,170 @@ impl<'c> EpochService<'c> {
 mod tests {
     use super::*;
     use crate::object::ObjRef;
+    use crate::txn::TxKey;
     use minuet_sinfonia::{with_op_net, ClusterConfig, MemNodeId};
+    use std::cell::Cell;
+    use std::sync::mpsc::{channel, Receiver};
     use std::sync::Arc;
+
+    const CAPACITY: u64 = 1 << 20;
 
     fn cluster(n: usize) -> Arc<SinfoniaCluster> {
         SinfoniaCluster::new(ClusterConfig {
             memnodes: n,
-            capacity_per_node: 1 << 20,
+            capacity_per_node: CAPACITY,
+            unavailable_retry: Duration::from_millis(20),
             ..Default::default()
         })
     }
 
     fn obj(mem: u16, off: u64) -> ObjRef {
         ObjRef::new(MemNodeId(mem), off, 64)
+    }
+
+    thread_local! {
+        /// What the next close led by this thread does before it executes.
+        static CLOSE_HOOK: Cell<Option<fn()>> = const { Cell::new(None) };
+    }
+
+    /// Called by `close_epoch` once the epoch's slots exist.
+    pub(super) fn close_hook() {
+        if let Some(hook) = CLOSE_HOOK.with(Cell::take) {
+            hook();
+        }
+    }
+
+    /// How long any one commit of the tests below may take: a member left
+    /// parked is a failed test, not a stuck job.
+    const BOUND: Duration = Duration::from_secs(3);
+
+    /// A cluster, and a service over it, that the test's detached threads
+    /// can share.
+    fn leaked_service(
+        n: usize,
+        max_batch: usize,
+        interval_ms: u64,
+    ) -> (&'static SinfoniaCluster, &'static EpochService<'static>) {
+        let c: &'static SinfoniaCluster = Box::leak(Box::new(cluster(n)));
+        let cfg = EpochConfig {
+            max_batch,
+            interval: Duration::from_millis(interval_ms),
+        };
+        (c, Box::leak(Box::new(EpochService::new(c, cfg))))
+    }
+
+    type Committed = std::thread::Result<Result<CommitInfo, TxError>>;
+
+    /// Commits a blind write to `o` on a thread of its own — after running
+    /// `before` there — and hands back where the outcome (or the panic
+    /// that unwound the thread) will arrive.
+    fn commit_on_a_thread(
+        (c, svc): (&'static SinfoniaCluster, &'static EpochService<'static>),
+        o: ObjRef,
+        before: fn(),
+    ) -> Receiver<Committed> {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(|| {
+                before();
+                let mut t = DynTx::new(c);
+                t.write(o, vec![7; 40]);
+                svc.commit(t)
+            }));
+        });
+        rx
+    }
+
+    fn outcome(rx: &Receiver<Committed>) -> Committed {
+        rx.recv_timeout(BOUND)
+            .expect("a member of the epoch is still parked")
+    }
+
+    /// Waits until `n` members are enrolled in the open epoch.
+    fn await_enrolled(svc: &EpochService<'_>, n: usize) {
+        let give_up = Instant::now() + BOUND;
+        while svc.inner.lock().pending.len() != n {
+            assert!(Instant::now() < give_up, "member never enrolled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn members_keep_their_own_deadlines() {
+        // B waits in an epoch of two; A arrives with its deadline spent.
+        let on @ (c, svc) = leaked_service(1, 2, 50);
+        let b = commit_on_a_thread(on, obj(0, 0), || {});
+        await_enrolled(svc, 1);
+        let before = c.transport.stats.snapshot().0;
+        let a = commit_on_a_thread(on, obj(0, 64), || {
+            std::mem::forget(OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter());
+        });
+        assert_eq!(outcome(&a).unwrap().unwrap_err(), TxError::DeadlineExceeded);
+        // A cost no RPC and never enrolled: B closes alone, on the interval.
+        assert_eq!(c.transport.stats.snapshot().0, before);
+        assert_eq!(outcome(&b).unwrap().unwrap().installed.len(), 1);
+        assert_eq!(
+            svc.batch_size.summary().max_ns,
+            1,
+            "the epoch B closed held B alone"
+        );
+
+        // A's deadline runs out while it leads: the close is not A's op.
+        let b = commit_on_a_thread(on, obj(0, 128), || {});
+        await_enrolled(svc, 1);
+        let a = commit_on_a_thread(on, obj(0, 192), || {
+            std::mem::forget(OpDeadline::after(Duration::from_millis(20)).enter());
+            CLOSE_HOOK.set(Some(|| std::thread::sleep(Duration::from_millis(40))));
+        });
+        assert!(outcome(&b).unwrap().is_ok());
+        assert!(outcome(&a).unwrap().is_ok());
+    }
+
+    #[test]
+    fn an_out_of_bounds_member_never_joins_the_batch() {
+        let on @ (_, svc) = leaked_service(1, 2, 50);
+        let b = commit_on_a_thread(on, obj(0, 0), || {});
+        await_enrolled(svc, 1);
+        // Ends 32 bytes past memnode 0's capacity.
+        let a = commit_on_a_thread(on, obj(0, CAPACITY - 32), || {});
+        match outcome(&a).unwrap() {
+            Err(TxError::OutOfBounds { mem, .. }) => assert_eq!(mem, MemNodeId(0)),
+            other => panic!("expected OutOfBounds, got {other:?}"),
+        }
+        assert!(outcome(&b).unwrap().is_ok());
+    }
+
+    #[test]
+    fn a_leader_that_unwinds_releases_its_epoch() {
+        let on @ (_, svc) = leaked_service(1, 2, 50);
+        let b = commit_on_a_thread(on, obj(0, 0), || {});
+        await_enrolled(svc, 1);
+        // A fills the epoch, leads its close and panics in it.
+        let a = commit_on_a_thread(on, obj(0, 64), || {
+            CLOSE_HOOK.set(Some(|| panic!("injected: leader dies mid-close")));
+        });
+        assert!(outcome(&a).is_err(), "the leader's panic is its own");
+        assert_eq!(outcome(&b).unwrap().unwrap_err(), TxError::Abandoned);
+        // `closing` was cleared and nothing is left behind: the next epoch
+        // closes as usual.
+        let next = commit_on_a_thread(on, obj(0, 128), || {});
+        assert!(outcome(&next).unwrap().is_ok());
+        assert!(svc.inner.lock().done.is_empty());
+    }
+
+    #[test]
+    fn a_dead_participant_fails_only_its_own_member() {
+        let on @ (c, svc) = leaked_service(2, 2, 5_000);
+        c.crash(MemNodeId(1));
+        let a = commit_on_a_thread(on, obj(0, 0), || {});
+        await_enrolled(svc, 1);
+        let b = commit_on_a_thread(on, obj(1, 0), || {});
+        let info = outcome(&a).unwrap().unwrap();
+        assert_eq!(info.installed[0].0, TxKey::Plain(obj(0, 0)));
+        assert_eq!(
+            outcome(&b).unwrap().unwrap_err(),
+            TxError::Unavailable(MemNodeId(1))
+        );
     }
 
     #[test]
@@ -372,7 +523,8 @@ mod tests {
         );
         // Pre-stage eight independent updates, then commit them through
         // one epoch and count round trips across the whole pass: one
-        // exec_many batch + one epoch mark, instead of eight commits.
+        // batched round trip per epoch and nothing else, instead of eight
+        // commits.
         let staged: Vec<StagedCommit<'_>> = (0..8u64)
             .map(|i| {
                 let mut tx = DynTx::new(&c);
@@ -392,7 +544,7 @@ mod tests {
         });
         let spent = c.transport.stats.snapshot().0 - before;
         assert!(
-            spent <= 4,
+            spent <= 2,
             "8 epoch-batched commits cost {spent} round trips"
         );
     }

@@ -22,7 +22,9 @@
 
 use crate::object::{decode_obj_shared, encode_obj, ObjRef, ObjVal, ReplRef, SeqNo};
 use minuet_obs::{span, SpanKind};
-use minuet_sinfonia::{Bytes, MemNodeId, Minitransaction, Outcome, SinfoniaCluster, SinfoniaError};
+use minuet_sinfonia::{
+    Bytes, ItemRange, MemNodeId, Minitransaction, Outcome, SinfoniaCluster, SinfoniaError,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
@@ -52,6 +54,19 @@ pub enum TxError {
     /// [`minuet_sinfonia::deadline`]). Not retryable within the same
     /// deadline scope: the caller's time budget is spent.
     DeadlineExceeded,
+    /// An object of the transaction ends past its memnode's capacity: the
+    /// caller's layout bug, refused before anything is sent.
+    OutOfBounds {
+        /// The memnode whose capacity the object exceeds.
+        mem: MemNodeId,
+        /// Which extent, against which capacity. Boxed thin: every
+        /// `Result<_, TxError>` on the commit path is as wide as this.
+        detail: Box<str>,
+    },
+    /// Whoever was executing this commit on the caller's behalf — an epoch
+    /// leader — failed before reporting this member's outcome. Whether the
+    /// commit applied is unknown; the caller must re-read to find out.
+    Abandoned,
 }
 
 impl std::fmt::Display for TxError {
@@ -61,6 +76,10 @@ impl std::fmt::Display for TxError {
             TxError::Unavailable(m) => write!(f, "memnode {m} unavailable"),
             TxError::NoReadyReplica => write!(f, "no memnode ready for replicated objects"),
             TxError::DeadlineExceeded => write!(f, "operation deadline exceeded"),
+            TxError::OutOfBounds { mem, detail } => {
+                write!(f, "out-of-bounds object access at {mem}: {detail}")
+            }
+            TxError::Abandoned => write!(f, "commit abandoned by its executor; outcome unknown"),
         }
     }
 }
@@ -71,9 +90,10 @@ impl From<SinfoniaError> for TxError {
     fn from(e: SinfoniaError) -> Self {
         match e {
             SinfoniaError::Unavailable(m) => TxError::Unavailable(m),
-            SinfoniaError::OutOfBounds { mem, detail } => {
-                panic!("out-of-bounds object access at {mem}: {detail}")
-            }
+            SinfoniaError::OutOfBounds { mem, detail } => TxError::OutOfBounds {
+                mem,
+                detail: detail.into(),
+            },
             SinfoniaError::DeadlineExceeded => TxError::DeadlineExceeded,
         }
     }
@@ -99,10 +119,10 @@ pub struct DynTx<'c> {
     /// Raw compare items added verbatim to fetch (same-memnode) and commit
     /// minitransactions. Used by the baseline B-tree mode to validate
     /// internal-node seqnos against the replicated table (§2.3).
-    raw_compares: Vec<(minuet_sinfonia::ItemRange, Vec<u8>)>,
+    raw_compares: Vec<(ItemRange, Vec<u8>)>,
     /// Raw write items added verbatim to the commit minitransaction (e.g.
     /// replicated seqno-table updates).
-    raw_writes: Vec<(minuet_sinfonia::ItemRange, Vec<u8>)>,
+    raw_writes: Vec<(ItemRange, Vec<u8>)>,
     /// True iff every current read-set entry was compare-validated by the
     /// most recent minitransaction (all at one instant).
     fully_validated: bool,
@@ -353,13 +373,13 @@ impl<'c> DynTx<'c> {
 
     /// Adds a raw compare item evaluated both by subsequent same-memnode
     /// fetches (piggy-backed) and by the commit minitransaction.
-    pub fn add_raw_compare(&mut self, range: minuet_sinfonia::ItemRange, expected: Vec<u8>) {
+    pub fn add_raw_compare(&mut self, range: ItemRange, expected: Vec<u8>) {
         self.raw_compares.push((range, expected));
         self.fully_validated = false;
     }
 
     /// Adds a raw write item applied by the commit minitransaction.
-    pub fn add_raw_write(&mut self, range: minuet_sinfonia::ItemRange, data: Vec<u8>) {
+    pub fn add_raw_write(&mut self, range: ItemRange, data: Vec<u8>) {
         self.raw_writes.push((range, data));
     }
 
@@ -382,7 +402,8 @@ impl<'c> DynTx<'c> {
     /// last fetch minitransaction commit without any round trip. Otherwise
     /// a single minitransaction validates every read-set entry and applies
     /// every write atomically; it commits at a single memnode (one phase)
-    /// whenever all items land there.
+    /// whenever all items land there. A commit is a batch of one: what
+    /// [`commit_many`] does for many, done for this one.
     pub fn commit(self) -> Result<CommitInfo, TxError> {
         self.stage_commit().execute()
     }
@@ -396,14 +417,10 @@ impl<'c> DynTx<'c> {
     /// commits never holds a lock (holding several gate read guards on
     /// one thread could deadlock against a parked `add_memnode` writer).
     pub fn stage_commit(self) -> StagedCommit<'c> {
+        let cluster = self.cluster;
+        let staged = |what| StagedCommit { cluster, what };
         if self.write_set.is_empty() && self.raw_writes.is_empty() && self.fully_validated {
-            return StagedCommit {
-                cluster: self.cluster,
-                m: None,
-                repl_writes: Vec::new(),
-                installed: Vec::new(),
-                err: None,
-            };
+            return staged(Staged::Noop);
         }
 
         // Assembly counts as commit time: binding replicated compares
@@ -421,50 +438,28 @@ impl<'c> DynTx<'c> {
         // participant, to preserve single-node commits. Joining memnodes
         // are skipped: their replicas of pre-existing replicated objects
         // may not be seeded yet, so comparing there would spuriously fail.
-        let ready = |mem: MemNodeId| !self.cluster.node(mem).is_joining();
-        let bind = self
-            .write_set
-            .keys()
-            .find_map(|k| match k {
-                TxKey::Plain(r) if ready(r.mem) => Some(r.mem),
-                _ => None,
-            })
-            .or_else(|| {
-                self.read_set.keys().find_map(|k| match k {
-                    TxKey::Plain(r) if ready(r.mem) => Some(r.mem),
-                    _ => None,
-                })
-            });
-        // A bind is only *required* when replicated compares exist; resolve
-        // the cluster-wide fallback lazily, and surface a typed retryable
-        // error when every memnode is joining or of unknown state (a drain
-        // or fault window) instead of binding compares to an unseeded
-        // replica, which would fail them spuriously — or worse, pass them
-        // against garbage.
-        let needs_bind = self.read_set.keys().any(|k| matches!(k, TxKey::Repl(_)));
-        let bind = match (bind, needs_bind) {
-            (Some(b), _) => Some(b),
-            (None, false) => None,
-            (None, true) => match self.cluster.try_first_ready() {
-                Some(b) => Some(b),
-                None => {
-                    return StagedCommit {
-                        cluster: self.cluster,
-                        m: None,
-                        repl_writes: Vec::new(),
-                        installed: Vec::new(),
-                        err: Some(TxError::NoReadyReplica),
-                    }
-                }
-            },
+        let ready = |k: &TxKey| match k {
+            TxKey::Plain(r) if !cluster.node(r.mem).is_joining() => Some(r.mem),
+            _ => None,
         };
-
+        let mut bind = (self.write_set.keys().find_map(ready))
+            .or_else(|| self.read_set.keys().find_map(ready));
         for (key, seqno) in &self.read_set {
             let range = match key {
                 TxKey::Plain(r) => r.seqno_range(),
                 TxKey::Repl(r) => {
-                    let bind = bind.expect("repl compare binds a ready memnode");
-                    r.at(bind).seqno_range()
+                    // A bind is only *required* when replicated compares
+                    // exist; resolve the cluster-wide fallback lazily, and
+                    // surface a typed retryable error when every memnode is
+                    // joining or of unknown state (a drain or fault window)
+                    // instead of binding compares to an unseeded replica,
+                    // which would fail them spuriously — or worse, pass
+                    // them against garbage.
+                    bind = bind.or_else(|| cluster.try_first_ready());
+                    match bind {
+                        Some(b) => r.at(b).seqno_range(),
+                        None => return staged(Staged::Failed(TxError::NoReadyReplica)),
+                    }
                 }
             };
             m.compare(range, seqno.to_le_bytes().to_vec());
@@ -476,11 +471,11 @@ impl<'c> DynTx<'c> {
         let mut installed = Vec::with_capacity(self.write_set.len());
         let mut repl_writes = Vec::new();
         for (key, (payload, pinned)) in &self.write_set {
-            let new_seqno = pinned.unwrap_or_else(|| self.cluster.next_txid());
+            let new_seqno = pinned.unwrap_or_else(|| cluster.next_txid());
             let image = encode_obj(new_seqno, payload);
             match key {
                 TxKey::Plain(r) => {
-                    let range = minuet_sinfonia::ItemRange::new(r.mem, r.off, image.len() as u32);
+                    let range = ItemRange::new(r.mem, r.off, image.len() as u32);
                     m.write(range, image);
                 }
                 // Deferred: expanded to one write per replica at execution
@@ -493,109 +488,151 @@ impl<'c> DynTx<'c> {
         for (range, data) in &self.raw_writes {
             m.write(*range, data.clone());
         }
-
-        StagedCommit {
-            cluster: self.cluster,
-            m: Some(m),
+        staged(Staged::Mini {
+            m,
             repl_writes,
             installed,
-            err: None,
-        }
+        })
     }
 }
 
-/// A commit that has been fully assembled but not yet executed: the commit
-/// minitransaction (absent for read-only, fully piggy-back-validated
-/// transactions), any replicated writes awaiting their per-replica
-/// expansion, and the seqnos the commit installs on success. Replicated
+/// What a staged commit is.
+enum Staged {
+    /// Read-only and fully validated by piggy-backed compares: no
+    /// minitransaction is needed.
+    Noop,
+    /// Staging itself failed (no ready memnode to bind replicated compares
+    /// to, an object past its memnode's capacity): surfaced without
+    /// touching the network.
+    Failed(TxError),
+    /// The commit minitransaction, the replicated writes awaiting their
+    /// per-replica expansion, and the seqnos the commit installs.
+    Mini {
+        m: Minitransaction,
+        repl_writes: Vec<(ReplRef, Bytes)>,
+        installed: Vec<(TxKey, SeqNo)>,
+    },
+}
+
+/// A commit that has been fully assembled but not yet executed. Replicated
 /// writes fan out at execution time under the membership gate, so an
-/// elastic `add_memnode` cannot add a replica the commit would miss —
-/// and a staged commit holds no locks while it waits. Produced by
-/// [`DynTx::stage_commit`], consumed by [`StagedCommit::execute`] or
-/// [`commit_many`].
+/// elastic `add_memnode` cannot add a replica the commit would miss — and
+/// a staged commit holds no locks while it waits. Produced by
+/// [`DynTx::stage_commit`], consumed by [`commit_many`] or an
+/// [`crate::EpochService`].
 pub struct StagedCommit<'c> {
     cluster: &'c SinfoniaCluster,
-    m: Option<Minitransaction>,
-    repl_writes: Vec<(ReplRef, Bytes)>,
-    installed: Vec<(TxKey, SeqNo)>,
-    /// Staging itself failed (e.g. no ready memnode to bind replicated
-    /// compares to); `execute` / [`commit_many`] surface this without
-    /// touching the network.
-    err: Option<TxError>,
+    what: Staged,
 }
 
 impl<'c> StagedCommit<'c> {
-    /// True if no commit minitransaction is needed (read-only, fully
-    /// validated by piggy-backed compares).
-    pub fn is_noop(&self) -> bool {
-        self.m.is_none() && self.err.is_none()
+    /// False for a commit that resolves without the network (a no-op, a
+    /// staging failure): batching layers pass such members straight
+    /// through instead of holding them for a batch.
+    pub(crate) fn needs_network(&self) -> bool {
+        matches!(self.what, Staged::Mini { .. })
     }
 
-    /// The error staging itself produced, if any. [`StagedCommit::execute`]
-    /// and [`commit_many`] surface it without touching the network, so
-    /// batching layers can short-circuit such members instead of holding
-    /// them for a batch.
-    pub fn staging_err(&self) -> Option<&TxError> {
-        self.err.as_ref()
-    }
-
-    /// The cluster this commit targets.
-    pub fn cluster(&self) -> &'c SinfoniaCluster {
-        self.cluster
-    }
-
-    fn into_info(installed: Vec<(TxKey, SeqNo)>, outcome: Outcome) -> Result<CommitInfo, TxError> {
-        match outcome {
-            Outcome::Committed(_) => Ok(CommitInfo {
-                installed,
-                validation_skipped: false,
-            }),
-            Outcome::FailedCompare(_) => Err(TxError::Validation),
+    /// Holds the commit to its memnodes' capacities now rather than when
+    /// it executes: inside a batch, one out-of-bounds member would refuse
+    /// everyone's `exec_many`.
+    pub(crate) fn bounds_checked(mut self) -> Self {
+        if let Staged::Mini { m, .. } = &self.what {
+            if let Err(e) = self.cluster.check_bounds(m) {
+                self.what = Staged::Failed(e.into());
+            }
         }
+        self
     }
 
-    /// Expands the deferred replicated writes into `m`, one write item per
-    /// current replica. The caller must hold the membership gate whenever
-    /// `repl_writes` is nonempty.
-    fn expand_repl_writes(
-        m: &mut Minitransaction,
-        repl_writes: &[(ReplRef, Bytes)],
-        cluster: &SinfoniaCluster,
-    ) {
-        for (r, image) in repl_writes {
+    /// Executes this commit as a batch of one.
+    pub(crate) fn execute(self) -> Result<CommitInfo, TxError> {
+        let mut slot = Err(TxError::Abandoned);
+        execute_staged(&mut [self], std::slice::from_mut(&mut slot))?;
+        slot
+    }
+}
+
+/// The one way a staged commit reaches its memnodes: [`DynTx::commit`] is
+/// this applied to one member, [`commit_many`] to many, an
+/// [`crate::EpochService`] to whoever enrolled before the close. Writes
+/// member *i*'s outcome into `slots[i]`; members validate and apply
+/// independently, so each outcome is that member's own. The outer `Err`
+/// means **nothing was sent** (a deadline already expired, an
+/// out-of-bounds member) and leaves every slot as the caller filled it —
+/// as does an unwind, which is what lets a caller pre-fill
+/// [`TxError::Abandoned`].
+pub(crate) fn execute_staged(
+    staged: &mut [StagedCommit<'_>],
+    slots: &mut [Result<CommitInfo, TxError>],
+) -> Result<(), TxError> {
+    debug_assert_eq!(staged.len(), slots.len());
+    let batch = staged.len() > 1;
+    let Some(cluster) = staged.first().map(|s| s.cluster) else {
+        return Ok(());
+    };
+    // Mixing clusters would silently apply every member to the first
+    // cluster's memnodes; the pointer comparisons are cheap enough to
+    // keep in release builds.
+    assert!(
+        staged.iter().all(|s| std::ptr::eq(s.cluster, cluster)),
+        "commit_many across clusters"
+    );
+    // Replicated writes snapshot the membership to enumerate replicas;
+    // hold the gate until the batch has executed so an elastic
+    // `add_memnode` cannot add a replica a commit misses. One acquisition
+    // covers every member (never take the gate per member: multiple read
+    // guards on one thread can deadlock against a parked add_memnode
+    // writer).
+    let mut membership = None;
+    let (mut minis, mut ms) = (0, Vec::new());
+    for s in staged.iter_mut() {
+        let Staged::Mini { m, repl_writes, .. } = &mut s.what else {
+            continue;
+        };
+        for (r, image) in repl_writes.drain(..) {
+            membership.get_or_insert_with(|| cluster.membership_guard());
             for mem in cluster.memnode_ids() {
-                let range = minuet_sinfonia::ItemRange::new(mem, r.off, image.len() as u32);
+                let range = ItemRange::new(mem, r.off, image.len() as u32);
                 m.write(range, image.clone());
             }
         }
+        minis += 1;
+        if batch {
+            ms.push(std::mem::take(m));
+        }
     }
 
-    /// Executes the staged commit on its own (the unbatched path).
-    pub fn execute(self) -> Result<CommitInfo, TxError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        let Some(mut m) = self.m else {
-            return Ok(CommitInfo {
-                installed: Vec::new(),
-                validation_skipped: true,
-            });
+    let commit = (minis > 0).then(|| span(SpanKind::Commit));
+    let (lone, many) = match &*staged {
+        // A batch of one is a commit: the same call, the same `ExecSingle`
+        // frame, no heap.
+        [StagedCommit {
+            what: Staged::Mini { m, .. },
+            ..
+        }] => (Some(cluster.execute(m)), Vec::new()),
+        _ => (None, cluster.exec_many(&ms)?),
+    };
+    drop((commit, membership));
+
+    let mut outcomes = lone.into_iter().chain(many);
+    for (s, slot) in staged.iter_mut().zip(slots) {
+        let settled = match std::mem::replace(&mut s.what, Staged::Noop) {
+            Staged::Noop => Ok((Vec::new(), true)),
+            Staged::Failed(e) => Err(e),
+            Staged::Mini { installed, .. } => match outcomes.next() {
+                Some(Ok(Outcome::Committed(_))) => Ok((installed, false)),
+                Some(Ok(Outcome::FailedCompare(_))) => Err(TxError::Validation),
+                Some(Err(e)) => Err(e.into()),
+                None => continue,
+            },
         };
-        // Replicated writes snapshot the membership to enumerate replicas;
-        // hold the gate until the minitransaction has executed so an
-        // elastic `add_memnode` cannot add a replica this commit misses.
-        let _membership = if self.repl_writes.is_empty() {
-            None
-        } else {
-            Some(self.cluster.membership_guard())
-        };
-        Self::expand_repl_writes(&mut m, &self.repl_writes, self.cluster);
-        let outcome = {
-            let _commit = span(SpanKind::Commit);
-            self.cluster.execute(&m)?
-        };
-        Self::into_info(self.installed, outcome)
+        *slot = settled.map(|(installed, validation_skipped)| CommitInfo {
+            installed,
+            validation_skipped,
+        });
     }
+    Ok(())
 }
 
 /// Executes many staged commits as one batch: the commit minitransactions
@@ -603,8 +640,10 @@ impl<'c> StagedCommit<'c> {
 /// bound for the same memnode cost one round trip instead of N. Each
 /// commit validates and applies independently (there is no atomicity
 /// across batch members); per-transaction outcomes are returned in input
-/// order, [`TxError::Validation`] marking the members whose read sets went
-/// stale. All staged commits must target the same cluster.
+/// order — [`TxError::Validation`] marks a member whose read set went
+/// stale, [`TxError::Unavailable`] one whose memnode stayed down while the
+/// others committed. The outer `Err` means nothing was sent. All staged
+/// commits must target the same cluster.
 ///
 /// ```
 /// use minuet_sinfonia::{ClusterConfig, MemNodeId, SinfoniaCluster};
@@ -623,72 +662,11 @@ impl<'c> StagedCommit<'c> {
 /// assert!(results.iter().all(|r| r.is_ok()));
 /// ```
 pub fn commit_many(
-    staged: Vec<StagedCommit<'_>>,
+    mut staged: Vec<StagedCommit<'_>>,
 ) -> Result<Vec<Result<CommitInfo, TxError>>, TxError> {
-    let Some(first) = staged.first() else {
-        return Ok(Vec::new());
-    };
-    let cluster = first.cluster;
-    // Mixing clusters would silently apply every member to the first
-    // cluster's memnodes; the pointer comparisons are cheap enough to
-    // keep in release builds.
-    assert!(
-        staged
-            .iter()
-            .all(|s| std::ptr::eq(s.cluster as *const _, cluster as *const _)),
-        "commit_many across clusters"
-    );
-    // One gate acquisition covers every member's replicated fan-out
-    // (never take the gate per member: multiple read guards on one
-    // thread can deadlock against a parked add_memnode writer).
-    let _membership = if staged.iter().any(|s| !s.repl_writes.is_empty()) {
-        Some(cluster.membership_guard())
-    } else {
-        None
-    };
-    // Move each commit minitransaction out (no payload clones) while
-    // remembering which members have one; members whose staging already
-    // failed carry their error through without joining the batch.
-    enum Member {
-        Mini(Vec<(TxKey, SeqNo)>),
-        Noop,
-        Failed(TxError),
-    }
-    let mut batch: Vec<Minitransaction> = Vec::with_capacity(staged.len());
-    let mut members: Vec<Member> = Vec::with_capacity(staged.len());
-    for s in staged {
-        if let Some(e) = s.err {
-            members.push(Member::Failed(e));
-            continue;
-        }
-        match s.m {
-            Some(mut m) => {
-                StagedCommit::expand_repl_writes(&mut m, &s.repl_writes, cluster);
-                batch.push(m);
-                members.push(Member::Mini(s.installed));
-            }
-            None => members.push(Member::Noop),
-        }
-    }
-    let outcomes = {
-        let _commit = span(SpanKind::Commit);
-        cluster.exec_many(&batch)?
-    };
-    let mut outcomes = outcomes.into_iter();
-    Ok(members
-        .into_iter()
-        .map(|member| match member {
-            Member::Mini(installed) => {
-                let outcome = outcomes.next().expect("one outcome per minitx");
-                StagedCommit::into_info(installed, outcome)
-            }
-            Member::Noop => Ok(CommitInfo {
-                installed: Vec::new(),
-                validation_skipped: true,
-            }),
-            Member::Failed(e) => Err(e),
-        })
-        .collect())
+    let mut slots: Vec<_> = (staged.iter().map(|_| Err(TxError::Abandoned))).collect();
+    execute_staged(&mut staged, &mut slots)?;
+    Ok(slots)
 }
 
 #[cfg(test)]
@@ -1014,6 +992,32 @@ mod tests {
         assert!(results[0].as_ref().unwrap().validation_skipped);
         assert!(!results[1].as_ref().unwrap().validation_skipped);
         assert!(commit_many(Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn commit_many_fails_only_the_member_whose_memnode_is_dead() {
+        let c = SinfoniaCluster::new(ClusterConfig {
+            memnodes: 2,
+            capacity_per_node: 1 << 20,
+            unavailable_retry: Duration::from_millis(20),
+            ..Default::default()
+        });
+        c.crash(MemNodeId(1));
+        let (a, b) = (obj(0, 0), obj(1, 0));
+        let staged = [a, b].map(|o| {
+            let mut t = DynTx::new(&c);
+            t.write(o, b"w".to_vec());
+            t.stage_commit()
+        });
+        let results = commit_many(staged.into()).unwrap();
+        // a's write is committed and readable, and a is told so.
+        let info = results[0].as_ref().unwrap();
+        assert_eq!(info.installed[0].0, TxKey::Plain(a));
+        assert_eq!(DynTx::new(&c).read(a).unwrap(), b"w");
+        assert_eq!(
+            results[1].as_ref().unwrap_err(),
+            &TxError::Unavailable(MemNodeId(1))
+        );
     }
 
     #[test]

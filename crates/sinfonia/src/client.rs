@@ -595,10 +595,6 @@ impl NodeRpc for RemoteNode {
         call!(self, Request::RawWrite { off, data }, Response::Unit => ())
     }
 
-    fn epoch_mark(&self, epoch: u64, closing: bool) -> Result<u64, Unavailable> {
-        call!(self, Request::EpochMark { epoch, closing }, Response::Epoch(prev) => prev)
-    }
-
     fn wal_fetch(&self, from: u64, max: u32) -> Result<crate::wal::WalSegment, Unavailable> {
         call!(
             self,

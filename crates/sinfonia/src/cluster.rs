@@ -523,9 +523,22 @@ impl SinfoniaCluster {
 
     /// Executes a batch of independent minitransactions, sharing one round
     /// trip per participant memnode for the single-memnode members (see
-    /// [`crate::exec::execute_many`]). No atomicity across members.
-    pub fn exec_many(&self, ms: &[Minitransaction]) -> Result<Vec<Outcome>, SinfoniaError> {
+    /// [`crate::exec::execute_many`]). No atomicity across members: the
+    /// outer `Err` means nothing was sent, and after that every member
+    /// carries its own result.
+    pub fn exec_many(
+        &self,
+        ms: &[Minitransaction],
+    ) -> Result<Vec<Result<Outcome, SinfoniaError>>, SinfoniaError> {
         crate::exec::execute_many(self, ms)
+    }
+
+    /// Holds `m` to its memnodes' capacities without sending anything:
+    /// the [`SinfoniaError::OutOfBounds`] that [`SinfoniaCluster::execute`]
+    /// would answer, for callers that must keep such a member out of a
+    /// batch (one out-of-bounds member refuses a whole `exec_many`).
+    pub fn check_bounds(&self, m: &Minitransaction) -> Result<(), SinfoniaError> {
+        crate::exec::check_bounds(self, m)
     }
 
     /// Injects a crash at the given memnode.

@@ -92,6 +92,19 @@ impl OpDeadline {
         CURRENT.with(|c| c.set(eff));
         DeadlineScope { prev }
     }
+
+    /// Suspends the ambient deadline on the current thread until the
+    /// returned guard drops. For work a thread does on behalf of *other*
+    /// operations — an epoch leader executing every enrolled member's
+    /// commit — which must not run under the one budget that happens to
+    /// be in scope on the thread doing it. A stopgap of the thread-local
+    /// plane: an `OpCtx` carried by each operation (ROADMAP item 4a)
+    /// replaces it.
+    pub fn suspend() -> DeadlineScope {
+        DeadlineScope {
+            prev: CURRENT.with(|c| c.replace(None)),
+        }
+    }
 }
 
 /// RAII guard from [`OpDeadline::enter`]; restores the previous ambient
@@ -147,6 +160,16 @@ mod tests {
             assert!(OpDeadline::current().instant().unwrap() < outer_when);
         }
         assert_eq!(OpDeadline::current().instant(), Some(outer_when));
+    }
+
+    #[test]
+    fn suspend_lifts_the_deadline_until_the_guard_drops() {
+        let _s = OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter();
+        {
+            let _lifted = OpDeadline::suspend();
+            assert_eq!(OpDeadline::current(), OpDeadline::NONE);
+        }
+        assert!(OpDeadline::current().expired());
     }
 
     #[test]

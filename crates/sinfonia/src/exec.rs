@@ -80,7 +80,10 @@ pub fn backoff(attempt: u32) {
 /// a condition of the cluster: it gets a typed error and costs no round
 /// trip, instead of a refusal from the server that reads as a dead node
 /// (or, in-process, a panic inside the memnode).
-fn check_bounds(cluster: &SinfoniaCluster, m: &Minitransaction) -> Result<(), SinfoniaError> {
+pub(crate) fn check_bounds(
+    cluster: &SinfoniaCluster,
+    m: &Minitransaction,
+) -> Result<(), SinfoniaError> {
     for (mem, shard) in m.shards() {
         let (extent, capacity) = (shard.max_extent(), cluster.node(*mem).capacity());
         if extent > capacity {
@@ -169,43 +172,41 @@ pub fn execute(cluster: &SinfoniaCluster, m: &Minitransaction) -> Result<Outcome
 }
 
 /// Executes a batch of **independent** minitransactions, amortizing round
-/// trips: the single-memnode minitransactions are grouped by participant
-/// and each group is delivered to its memnode in one batched round trip
-/// (the one-phase commits piggyback on the same request). Multi-memnode
-/// minitransactions, and any batch member that hits lock contention or a
-/// crashed participant in the batched pass, fall back to the standard
-/// [`execute`] path individually.
+/// trips: single-memnode members bound for the same memnode travel as one
+/// batched round trip (their one-phase commits piggyback on the request).
+/// Everything else runs alone through [`execute`]: a multi-memnode member,
+/// the only member bound for its memnode (the `ExecSingle` frame a lone
+/// commit sends, never a one-element batch), and any member the batched
+/// pass left busy or unanswered.
 ///
 /// The batch carries **no atomicity guarantee across its members**: each
-/// minitransaction commits or fails its compares on its own, exactly as if
-/// executed alone, and members may interleave with concurrent
-/// minitransactions from other coordinators. Outcomes are returned in
-/// input order. A member with an out-of-bounds item fails the whole call
-/// with [`SinfoniaError::OutOfBounds`] before any member is sent.
+/// minitransaction commits, fails its compares or fails outright on its
+/// own, exactly as if executed alone, and members may interleave with
+/// concurrent minitransactions from other coordinators. The outer `Err`
+/// means **nothing was sent** — a deadline already expired at entry, or a
+/// member with an out-of-bounds item ([`SinfoniaError::OutOfBounds`]);
+/// once anything is sent, each member answers for itself, in input order.
 pub fn execute_many(
     cluster: &SinfoniaCluster,
     ms: &[Minitransaction],
-) -> Result<Vec<Outcome>, SinfoniaError> {
+) -> Result<Vec<Result<Outcome, SinfoniaError>>, SinfoniaError> {
     if !ms.is_empty() && OpDeadline::current().expired() {
         return Err(deadline_exceeded(cluster));
     }
-    let mut out: Vec<Option<Outcome>> = (0..ms.len()).map(|_| None).collect();
-
-    // Partition: single-memnode minitransactions group by their memnode,
-    // everything else executes individually below.
     let mut groups: BTreeMap<MemNodeId, Vec<usize>> = BTreeMap::new();
-    let mut singles: Vec<usize> = Vec::new();
     for (i, m) in ms.iter().enumerate() {
         debug_assert!(!m.is_empty(), "empty minitransaction in batch");
         check_bounds(cluster, m)?;
-        match m.shards() {
-            [(mem, _)] => groups.entry(*mem).or_default().push(i),
-            _ => singles.push(i),
+        if let [(mem, _)] = m.shards() {
+            groups.entry(*mem).or_default().push(i);
         }
     }
+    groups.retain(|_, idxs| idxs.len() > 1);
+    let batched = |i: usize| matches!(ms[i].shards(), [(mem, _)] if groups.contains_key(mem));
+    let mut alone: Vec<usize> = (0..ms.len()).filter(|&i| !batched(i)).collect();
 
+    let mut out: Vec<Option<Result<Outcome, SinfoniaError>>> = ms.iter().map(|_| None).collect();
     let service = cluster.service_time();
-    let mut leftovers: Vec<usize> = Vec::new();
     for (mem, idxs) in &groups {
         // One batched request to this memnode: one round trip carrying
         // `idxs.len()` packed minitransactions (counted as messages). In
@@ -238,21 +239,23 @@ pub fn execute_many(
             match result {
                 // Contention or a crash mid-batch: retry this member alone
                 // through the standard backoff/recovery-wait machinery.
-                Err(_) | Ok(SingleResult::Busy) => leftovers.push(i),
+                Err(_) | Ok(SingleResult::Busy) => alone.push(i),
                 Ok(SingleResult::BadCompare(idx)) => {
-                    out[i] = Some(Outcome::FailedCompare(idx));
+                    out[i] = Some(Ok(Outcome::FailedCompare(idx)));
                 }
                 Ok(SingleResult::Committed(pairs)) => {
                     let mut reads = vec![Bytes::new(); ms[i].read_count()];
                     place(&mut reads, pairs);
-                    out[i] = Some(Outcome::Committed(ReadResults { data: reads }));
+                    out[i] = Some(Ok(Outcome::Committed(ReadResults { data: reads })));
                 }
             }
         }
     }
 
-    for i in singles.into_iter().chain(leftovers) {
-        out[i] = Some(execute(cluster, &ms[i])?);
+    // A member that runs out of `unavailable_retry` or deadline here fails
+    // alone: what the others did stands, and is reported.
+    for i in alone {
+        out[i] = Some(execute(cluster, &ms[i]));
     }
     Ok(out
         .into_iter()
@@ -423,6 +426,12 @@ mod tests {
         })
     }
 
+    /// Runs `batch` and unwraps every member's own result.
+    fn exec_all(c: &SinfoniaCluster, batch: &[Minitransaction]) -> Vec<Outcome> {
+        let results = c.exec_many(batch).unwrap();
+        results.into_iter().map(Result::unwrap).collect()
+    }
+
     fn write_at(mem: u16, off: u64, data: Vec<u8>) -> Minitransaction {
         let mut m = Minitransaction::new();
         m.write(ItemRange::new(MemNodeId(mem), off, data.len() as u32), data);
@@ -435,7 +444,7 @@ mod tests {
         let batch: Vec<Minitransaction> = (0..16)
             .map(|i| write_at(0, i * 8, vec![i as u8; 8]))
             .collect();
-        let (outcomes, net) = with_op_net(|| c.exec_many(&batch).unwrap());
+        let (outcomes, net) = with_op_net(|| exec_all(&c, &batch));
         assert!(outcomes.iter().all(|o| o.committed()));
         assert_eq!(net.round_trips, 1);
         assert_eq!(net.messages, 16);
@@ -453,7 +462,7 @@ mod tests {
         let batch: Vec<Minitransaction> = (0..12)
             .map(|i| write_at((i % 4) as u16, 64 + (i / 4) * 8, vec![1; 8]))
             .collect();
-        let (outcomes, net) = with_op_net(|| c.exec_many(&batch).unwrap());
+        let (outcomes, net) = with_op_net(|| exec_all(&c, &batch));
         assert!(outcomes.iter().all(|o| o.committed()));
         assert_eq!(net.round_trips, 4);
     }
@@ -471,7 +480,7 @@ mod tests {
         reading.read(ItemRange::new(MemNodeId(0), 0, 1));
         let batch = vec![write_at(0, 16, vec![2]), failing, reading];
 
-        let outcomes = c.exec_many(&batch).unwrap();
+        let outcomes = exec_all(&c, &batch);
         assert!(outcomes[0].committed());
         match &outcomes[1] {
             Outcome::FailedCompare(idx) => assert_eq!(idx, &vec![0]),
@@ -490,7 +499,7 @@ mod tests {
         multi.write(ItemRange::new(MemNodeId(0), 0, 1), vec![1]);
         multi.write(ItemRange::new(MemNodeId(1), 0, 1), vec![2]);
         let batch = vec![write_at(0, 8, vec![3]), multi];
-        let outcomes = c.exec_many(&batch).unwrap();
+        let outcomes = exec_all(&c, &batch);
         assert!(outcomes.iter().all(|o| o.committed()));
         assert_eq!(c.node(MemNodeId(0)).raw_read(0, 1).unwrap(), vec![1]);
         assert_eq!(c.node(MemNodeId(1)).raw_read(0, 1).unwrap(), vec![2]);
@@ -514,7 +523,7 @@ mod tests {
 
         let c2 = c.clone();
         let batch = vec![write_at(0, 0, vec![2; 8]), write_at(0, 64, vec![3; 8])];
-        let h = std::thread::spawn(move || c2.exec_many(&batch).unwrap());
+        let h = std::thread::spawn(move || exec_all(&c2, &batch));
         std::thread::sleep(Duration::from_millis(20));
         c.node(MemNodeId(0)).commit(txid).unwrap();
         let outcomes = h.join().unwrap();
@@ -524,9 +533,37 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_participant_fails_only_its_own_members() {
+        let c = SinfoniaCluster::new(ClusterConfig {
+            memnodes: 2,
+            capacity_per_node: 1 << 20,
+            unavailable_retry: Duration::from_millis(20),
+            ..Default::default()
+        });
+        c.crash(MemNodeId(1));
+        // A lone member per memnode, then a batched group per memnode:
+        // either way the live memnode's members commit and are reported.
+        for per_node in [1u64, 3] {
+            let batch: Vec<Minitransaction> = (0..2 * per_node)
+                .map(|i| write_at((i % 2) as u16, 128 * per_node + i * 8, vec![7; 8]))
+                .collect();
+            let results = c.exec_many(&batch).unwrap();
+            for (i, r) in results.iter().enumerate() {
+                match (i % 2, r) {
+                    (0, Ok(o)) => assert!(o.committed()),
+                    (1, Err(SinfoniaError::Unavailable(MemNodeId(1)))) => {}
+                    other => panic!("member {i}: unexpected {other:?}"),
+                }
+            }
+            let off = 128 * per_node;
+            assert_eq!(c.node(MemNodeId(0)).raw_read(off, 8).unwrap(), vec![7; 8]);
+        }
+    }
+
+    #[test]
     fn empty_batch_is_free() {
         let c = cluster(1);
-        let (outcomes, net) = with_op_net(|| c.exec_many(&[]).unwrap());
+        let (outcomes, net) = with_op_net(|| exec_all(&c, &[]));
         assert!(outcomes.is_empty());
         assert_eq!(net.round_trips, 0);
     }

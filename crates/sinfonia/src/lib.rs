@@ -49,7 +49,8 @@
 //!         m
 //!     })
 //!     .collect();
-//! assert!(cluster.exec_many(&batch).unwrap().iter().all(|o| o.committed()));
+//! let outcomes = cluster.exec_many(&batch).unwrap();
+//! assert!(outcomes.iter().all(|o| o.as_ref().unwrap().committed()));
 //! ```
 
 pub mod addr;

@@ -332,10 +332,6 @@ pub struct MemNode {
     service_gate: Mutex<()>,
     ckpt_running: AtomicBool,
     checkpoints: AtomicU64,
-    /// Advisory epoch register: the highest epoch a coordinator has
-    /// announced to this node (see [`MemNode::epoch_mark`]). Purely
-    /// observational — validation batching happens coordinator-side.
-    epoch: AtomicU64,
     /// Operation counters.
     pub stats: MemNodeStats,
     /// This node's observability plane: its registry exposes the
@@ -403,7 +399,6 @@ impl MemNode {
             service_gate: Mutex::new(()),
             ckpt_running: AtomicBool::new(false),
             checkpoints: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
             stats,
             obs,
         };
@@ -961,17 +956,6 @@ impl MemNode {
             let primary = state.space.read(off, len);
             primary.is_ok() && primary == mirror.space.read(off, len)
         })
-    }
-
-    /// Records an epoch announcement from a coordinator: the register
-    /// only moves forward. Returns the register's value before the mark.
-    /// Advisory — epoch-batched validation itself happens coordinator-side
-    /// (see the `minuet-dyntx` epoch service); the register makes epoch
-    /// progress visible in traces and cross-checks that every memnode saw
-    /// the close.
-    pub fn epoch_mark(&self, epoch: u64, _closing: bool) -> Result<u64, Unavailable> {
-        self.check_up()?;
-        Ok(self.epoch.fetch_max(epoch, Ordering::AcqRel))
     }
 
     /// Reads up to `max` raw framed bytes of this node's redo log starting

@@ -169,11 +169,6 @@ pub trait NodeRpc: Send + Sync {
     /// Raw bootstrap write.
     fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable>;
 
-    /// Records an epoch announcement (forward-only register); returns the
-    /// register's value before the mark. Advisory — see
-    /// [`MemNode::epoch_mark`].
-    fn epoch_mark(&self, epoch: u64, closing: bool) -> Result<u64, Unavailable>;
-
     /// Reads up to `max` raw framed redo-log bytes from logical offset
     /// `from`, for replication shipping. Empty (zero tail) on non-durable
     /// nodes.
@@ -377,10 +372,6 @@ impl NodeRpc for MemNode {
 
     fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
         MemNode::raw_write(self, off, data)
-    }
-
-    fn epoch_mark(&self, epoch: u64, closing: bool) -> Result<u64, Unavailable> {
-        MemNode::epoch_mark(self, epoch, closing)
     }
 
     fn wal_fetch(&self, from: u64, max: u32) -> Result<WalSegment, Unavailable> {

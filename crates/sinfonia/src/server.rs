@@ -469,9 +469,6 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
         // arms the server trace); an envelope reaching here — e.g. via the
         // in-process `NodeRpc` path — just dispatches its inner request.
         Request::Traced { inner, .. } => dispatch(node, *inner),
-        Request::EpochMark { epoch, closing } => {
-            reply(node.epoch_mark(epoch, closing), Response::Epoch)
-        }
         Request::ReplFetch { from, max } => {
             reply(node.wal_fetch(from, max), |seg| Response::Frames {
                 from: seg.from,

@@ -54,9 +54,10 @@ use std::time::Duration;
 /// one-byte [`NodeFlags`] trailer to **every** reply frame, so clients
 /// learn crashed/joining/retiring state as a side effect of any RPC and
 /// never need a dedicated `Flags` round trip on the hot path. Version 4
-/// adds the epoch/replication family: `EpochMark`, and the WAL-streaming
-/// requests `ReplFetch` / `ReplApply` / `ReplStatus` with their `Epoch`,
-/// `Frames`, and `ReplStatus` replies.
+/// adds the replication family: the WAL-streaming requests `ReplFetch` /
+/// `ReplApply` / `ReplStatus` with their `Frames` and `ReplStatus`
+/// replies (its `EpochMark` / `Epoch` pair is retired; the tags stay
+/// reserved).
 pub const PROTO_VERSION: u16 = 4;
 
 /// Largest admissible frame payload. Frames claiming more are rejected
@@ -1114,14 +1115,9 @@ messages! {
             /// The request being traced.
             inner: Box<Request>,
         } via inner,
-        /// Advances the memnode's advisory epoch register (forward-only);
-        /// answered by [`Response::Epoch`] carrying the previous value.
-        0x16 EPOCH_MARK "epoch_mark" => EpochMark {
-            /// The epoch to advance to.
-            epoch: u64,
-            /// Whether this marks the close of the epoch (advisory).
-            closing: bool,
-        },
+        // 0x16 was `EpochMark` (an advisory register nothing read):
+        // retired, never to be reused. A v4 peer that still sends it gets
+        // a bad-tag refusal.
         /// Fetches raw WAL frames starting at logical offset `from`,
         /// answered by [`Response::Frames`]. The replication pull path.
         0x17 REPL_FETCH "repl_fetch" => ReplFetch {
@@ -1242,8 +1238,8 @@ messages! {
             /// The inner request's reply.
             inner: Box<Response>,
         } via inner,
-        /// Reply to [`Request::EpochMark`]: the register's previous value.
-        0x90 R_EPOCH "epoch" => Epoch(0: u64),
+        // 0x90 was `Epoch`, the reply to `EpochMark`: retired with it,
+        // never to be reused.
         /// Reply to [`Request::ReplFetch`]: a raw WAL segment.
         0x91 R_FRAMES "frames" => Frames {
             /// Logical offset the segment starts at (echoes the request).
@@ -1461,10 +1457,6 @@ mod tests {
             probe: vec![(0, 64), (128, 32)],
         }));
         roundtrip_req(Request::Admin(AdminOp::Shutdown));
-        roundtrip_req(Request::EpochMark {
-            epoch: 9,
-            closing: true,
-        });
         roundtrip_req(Request::ReplFetch {
             from: 4096,
             max: 512,
@@ -1500,7 +1492,6 @@ mod tests {
         ]));
         roundtrip_resp(Response::Vote(Vote::Ok(vec![(0, Bytes::from(vec![1]))])));
         roundtrip_resp(Response::Error("nope".into()));
-        roundtrip_resp(Response::Epoch(41));
         roundtrip_resp(Response::Frames {
             from: 64,
             base: 0,

@@ -43,7 +43,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("req.shutdown", "01000000c59ebb2112"),
     ("req.obs_snapshot", "01000000f03bd8c814"),
     ("req.trace_dump", "06000000192d1f54152000000001"),
-    ("req.epoch_mark", "0a0000002e14d3db16630000000000000001"),
     ("req.repl_fetch", "0d000000a5f6726b17001000000000000000020000"),
     ("req.repl_apply", "1700000072fb8fe01880000000000000000a00000003030303030303030303"),
     ("req.repl_status", "010000004d4769b619"),
@@ -68,7 +67,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("resp.error", "1d0000004523f1fc8c17000000636865636b706f696e74206661696c65643a206e6f706506"),
     ("resp.obs", "090000006d8d67bf8e0300000001020306"),
     ("resp.traces", "0a000000c3ce0b408f040000000000000006"),
-    ("resp.epoch", "0a000000527110e590290000000000000006"),
     ("resp.frames", "2700000040c0b437914000000000000000000000000000000000040000000000000900000005050505050505050506"),
     ("resp.repl_status", "2a000000b3e6c79492070000000000000009000000000000000b000000000000000d00000000000000020000000000000006"),
     ("resp.faults", "060000001b3393b9930200000006"),
@@ -173,13 +171,6 @@ fn requests() -> Vec<(&'static str, Request)> {
                 max: 32,
                 slow: true,
             }),
-        ),
-        (
-            "req.epoch_mark",
-            Request::EpochMark {
-                epoch: 99,
-                closing: true,
-            },
         ),
         (
             "req.repl_fetch",
@@ -302,7 +293,6 @@ fn replies() -> Vec<(&'static str, Response)> {
             "resp.traces",
             admin(AdminReply::Traces(Bytes::from(vec![0; 4]))),
         ),
-        ("resp.epoch", Response::Epoch(41)),
         (
             "resp.frames",
             Response::Frames {

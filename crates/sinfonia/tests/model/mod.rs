@@ -176,7 +176,7 @@ pub fn indices_survive_sharding(c: &SinfoniaCluster, n_mems: u16, cases: u32) {
         }
         let ms: Vec<Minitransaction> = batch.iter().map(|b| b.m.clone()).collect();
         for (b, outcome) in batch.iter().zip(c.exec_many(&ms).unwrap()) {
-            settle(b, outcome, &mut model);
+            settle(b, outcome.unwrap(), &mut model);
         }
         assert_state(c, n_mems, &model);
     }

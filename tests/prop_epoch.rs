@@ -11,7 +11,9 @@
 
 mod common;
 
-use minuet::dyntx::{CommitInfo, DynTx, EpochConfig, EpochService, ObjRef, StagedCommit, TxError};
+use minuet::dyntx::{
+    commit_many, CommitInfo, DynTx, EpochConfig, EpochService, ObjRef, StagedCommit, TxError,
+};
 use minuet::sinfonia::{MemNodeId, SinfoniaCluster};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -96,7 +98,10 @@ fn stage_round<'c>(
 }
 
 fn commit_per_commit(staged: Vec<StagedCommit<'_>>) -> Vec<Result<CommitInfo, TxError>> {
-    staged.into_iter().map(|s| s.execute()).collect()
+    // Per-commit OCC is the same executor, one member at a time.
+    (staged.into_iter())
+        .map(|s| commit_many(vec![s]).unwrap().remove(0))
+        .collect()
 }
 
 fn commit_epoch<'c>(

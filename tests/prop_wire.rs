@@ -176,10 +176,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
             data,
         }),
         Just(Request::Flags),
-        (any::<u32>(), any::<bool>()).prop_map(|(epoch, closing)| Request::EpochMark {
-            epoch: epoch as u64,
-            closing,
-        }),
         (any::<u32>(), any::<u16>()).prop_map(|(from, max)| Request::ReplFetch {
             from: from as u64,
             max: max as u32,
@@ -247,7 +243,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         any::<u16>().prop_map(Response::Unavailable),
         proptest::collection::vec(any::<u8>(), 0..24)
             .prop_map(|v| Response::Error(v.iter().map(|b| (b'a' + b % 26) as char).collect())),
-        any::<u32>().prop_map(|prev| Response::Epoch(prev as u64)),
         (any::<u32>(), any::<u32>(), any::<u32>(), arb_bytes()).prop_map(
             |(from, base, tail, bytes)| Response::Frames {
                 from: from as u64,
@@ -459,10 +454,6 @@ fn every_request() -> Vec<Request> {
             trace_id: 5,
             inner: Box::new(Request::Commit { txid: 10 }),
         },
-        Request::EpochMark {
-            epoch: 99,
-            closing: true,
-        },
         Request::ReplFetch {
             from: 4096,
             max: 512,
@@ -535,7 +526,6 @@ fn every_response() -> Vec<Response> {
             }],
             inner: Box::new(Response::Unit),
         },
-        Response::Epoch(41),
         Response::Frames {
             from: 64,
             base: 0,

@@ -450,7 +450,10 @@ fn byte_counters_agree_between_transports() {
         assert!(out.committed());
         steps.push(net);
         let (outs, net) = with_op_net(|| c.exec_many(&batch).unwrap());
-        let committed: Vec<bool> = outs.iter().map(|o| o.committed()).collect();
+        let committed: Vec<bool> = outs
+            .iter()
+            .map(|o| o.as_ref().unwrap().committed())
+            .collect();
         assert_eq!(committed, [true, false, true, true]);
         steps.push(net);
         let (out, net) = with_op_net(|| c.execute(&first_votes_no).unwrap());
@@ -475,4 +478,67 @@ fn byte_counters_agree_between_transports() {
 #[test]
 fn indices_survive_sharding_over_sockets() {
     model::indices_survive_sharding(&common::sinfonia_cluster_on(3, 1 << 20, true), 3, 48);
+}
+
+/// A commit is a batch of one at no cost: `tx.commit()` and `commit_many`
+/// of the same staged one-memnode transaction book the same exchange — one
+/// round trip, one message, the `ExecSingle` request and its reply to the
+/// byte (never a one-element `ExecBatch`) — on both transports, and two
+/// members bound for one memnode still share one `ExecBatch` round trip.
+#[test]
+fn a_commit_is_a_batch_of_one_on_the_wire() {
+    use minuet::dyntx::{commit_many, DynTx, ObjRef, OBJ_HEADER};
+    use minuet::sinfonia::memnode::SingleResult;
+    use minuet::sinfonia::wire::{Request, Response, WireBatchItem};
+    use minuet::sinfonia::{with_op_net, ItemRange, LockPolicy, Minitransaction, OpNet};
+
+    const PAYLOAD: usize = 24;
+    // What a commit of one `PAYLOAD`-byte blind write puts on the wire.
+    let mut m = Minitransaction::new();
+    let image = vec![0; OBJ_HEADER as usize + PAYLOAD];
+    m.write(ItemRange::new(MemNodeId(0), 0, image.len() as u32), image);
+    let item = WireBatchItem {
+        txid: 0,
+        policy: LockPolicy::AbortOnBusy,
+        shard: m.shards()[0].1.clone(),
+    };
+    let committed = || Ok(SingleResult::Committed(Vec::new()));
+    let single = OpNet {
+        round_trips: 1,
+        messages: 1,
+        bytes_out: Request::ExecSingle {
+            txid: item.txid,
+            policy: item.policy,
+            shard: item.shard.clone(),
+        }
+        .wire_len(),
+        bytes_in: Response::Single(SingleResult::Committed(Vec::new())).reply_len(),
+    };
+    let batch_of_two = OpNet {
+        round_trips: 1,
+        messages: 2,
+        bytes_out: Request::ExecBatch {
+            items: vec![item.clone(), item],
+        }
+        .wire_len(),
+        bytes_in: Response::Batch(vec![committed(), committed()]).reply_len(),
+    };
+
+    for wire in [false, true] {
+        let c = common::sinfonia_cluster_on(2, 1 << 20, wire);
+        let write = |slot: u64| {
+            let mut tx = DynTx::new(&c);
+            tx.write(ObjRef::new(MemNodeId(0), slot * 64, 64), vec![7; PAYLOAD]);
+            tx
+        };
+        let (_, alone) = with_op_net(|| write(0).commit().unwrap());
+        let (_, of_one) = with_op_net(|| commit_many(vec![write(1).stage_commit()]).unwrap());
+        assert_eq!(alone, single, "wire={wire}: commit()");
+        assert_eq!(of_one, single, "wire={wire}: commit_many of one");
+        let (results, of_two) = with_op_net(|| {
+            commit_many(vec![write(2).stage_commit(), write(3).stage_commit()]).unwrap()
+        });
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(of_two, batch_of_two, "wire={wire}: commit_many of two");
+    }
 }
