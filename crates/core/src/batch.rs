@@ -46,7 +46,7 @@ use crate::node::{Node, NodeBody, NodePtr};
 use crate::ops::LeafOp;
 use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
 use crate::retry::backoff;
-use crate::traverse::{LeafAccess, OpCtx, PathEntry, VersionCheck};
+use crate::traverse::{LeafAccess, PathEntry, Resolved, VersionCheck};
 use crate::tree::ConcurrencyMode;
 use minuet_dyntx::{commit_many, DynTx, SeqNo, StagedCommit, TxKey};
 use minuet_obs::{event, SpanKind};
@@ -636,7 +636,7 @@ impl Proxy {
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
-        ctx: &OpCtx,
+        ctx: &Resolved,
         root_ptr: NodePtr,
         pairs: &[(Key, Value)],
         pool: &mut Vec<NodePtr>,
@@ -1018,5 +1018,37 @@ mod tests {
             .all(|(i, v)| v.as_deref() == Some(&[i as u8][..])));
         assert_eq!(p.stats.batched_ops, 0);
         assert!(p.stats.batch_fallbacks >= 100);
+    }
+
+    /// The per-key ops a batch falls back to are part of the batch's
+    /// operation: only the batches advance the sampler, and only batches
+    /// are traced — whether or not the enclosing batch was sampled.
+    #[test]
+    fn nested_ops_are_never_root_traces() {
+        use crate::proxy::op_tag::{MULTI_GET, MULTI_PUT};
+        use minuet_obs::ObsConfig;
+        use minuet_sinfonia::ClusterConfig;
+        let cfg = TreeConfig {
+            mode: crate::tree::ConcurrencyMode::FullValidation,
+            ..TreeConfig::small_nodes(8)
+        };
+        let sin = ClusterConfig::with_memnodes(2).with_obs(ObsConfig::sampled(2));
+        let mc = MinuetCluster::with_cluster_config(sin, 1, cfg);
+        let mut p = mc.proxy();
+        let keys: Vec<_> = (0..3).map(key).collect();
+        let top_level = 8;
+        for round in 0..top_level / 2 {
+            let pairs: Vec<_> = keys.iter().map(|k| (k.clone(), vec![round])).collect();
+            p.multi_put(0, &pairs).unwrap();
+            p.multi_get(0, &keys).unwrap();
+        }
+        assert!(p.stats.batch_fallbacks >= 24, "mode did not force fallback");
+        let traces = mc.sinfonia.obs().recent(64);
+        let tags: Vec<u8> = traces.iter().map(|t| t.op_tag).collect();
+        assert_eq!(tags.len(), usize::from(top_level.div_ceil(2)), "{tags:?}");
+        assert!(
+            tags.iter().all(|t| [MULTI_PUT, MULTI_GET].contains(t)),
+            "a per-key fallback was sampled as a root: {tags:?}"
+        );
     }
 }

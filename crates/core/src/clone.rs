@@ -23,7 +23,7 @@
 use crate::error::{Attempt, Error};
 use crate::node::{DescEntry, Node, NodePtr, SnapshotId};
 use crate::proxy::Proxy;
-use crate::traverse::{cat_immutable_fetcher, OpCtx, PathEntry};
+use crate::traverse::{cat_immutable_fetcher, PathEntry, Resolved};
 use crate::tree::VersionMode;
 use minuet_dyntx::DynTx;
 
@@ -35,7 +35,7 @@ impl Proxy {
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
-        ctx: &OpCtx,
+        ctx: &Resolved,
         path: &[PathEntry],
         level: usize,
         copy_ptr: NodePtr,

@@ -9,7 +9,7 @@ use crate::error::{Attempt, Error, RetryCause};
 use crate::key::{Fence, Value};
 use crate::node::{Node, NodeBody, NodePtr};
 use crate::proxy::{OpTarget, Proxy};
-use crate::traverse::{LeafAccess, OpCtx, PathEntry};
+use crate::traverse::{LeafAccess, PathEntry, Resolved};
 use crate::tree::ConcurrencyMode;
 use minuet_dyntx::DynTx;
 use minuet_obs::{span, SpanKind};
@@ -162,7 +162,7 @@ impl Proxy {
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
-        ctx: &OpCtx,
+        ctx: &Resolved,
         path: &[PathEntry],
         level: usize,
         node: Node,
@@ -266,7 +266,7 @@ impl Proxy {
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
-        ctx: &OpCtx,
+        ctx: &Resolved,
         path: &[PathEntry],
         level: usize,
         ops: ChildOps,
@@ -294,7 +294,7 @@ impl Proxy {
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
-        ctx: &OpCtx,
+        ctx: &Resolved,
         root_ptr: NodePtr,
         node: Node,
     ) -> Attempt<()> {

@@ -17,7 +17,7 @@ use crate::node::SnapshotId;
 use crate::ops::LeafOp;
 use crate::retry::run_tx;
 use crate::stats::ProxyStats;
-use crate::traverse::OpCtx;
+use crate::traverse::Resolved;
 use crate::tree::MinuetCluster;
 use minuet_dyntx::{CommitInfo, DynTx, SeqNo, TxKey};
 use minuet_obs::{event, span, SpanKind};
@@ -281,7 +281,7 @@ impl Proxy {
         tx: &mut DynTx<'_>,
         tree: u32,
         target: OpTarget,
-    ) -> Attempt<OpCtx> {
+    ) -> Attempt<Resolved> {
         let _route = span(SpanKind::Route);
         let mc = self.mc.clone();
         let layout = *mc.layout(tree);
@@ -289,7 +289,7 @@ impl Proxy {
             OpTarget::MainlineTip => {
                 if let Some((seq, tip)) = self.tip_cache.get(&tree) {
                     tx.assume(TxKey::Repl(layout.tip()), *seq, tip.encode());
-                    return Ok(OpCtx {
+                    return Ok(Resolved {
                         sid: tip.sid,
                         root: tip.root,
                         writable: true,
@@ -299,7 +299,7 @@ impl Proxy {
                 if let Some(seq) = tx.observed_seqno(&TxKey::Repl(layout.tip())) {
                     self.tip_cache.insert(tree, (seq, tip));
                 }
-                Ok(OpCtx {
+                Ok(Resolved {
                     sid: tip.sid,
                     root: tip.root,
                     writable: true,
@@ -312,7 +312,7 @@ impl Proxy {
                 if let Some((seq, entry)) = self.cat_cache.get(&(tree, sid)) {
                     if entry.is_writable() {
                         tx.assume(TxKey::Repl(repl), *seq, entry.encode());
-                        return Ok(OpCtx {
+                        return Ok(Resolved {
                             sid,
                             root: entry.root,
                             writable: true,
@@ -329,7 +329,7 @@ impl Proxy {
                 if !entry.is_writable() {
                     return Err(Error::SnapshotReadOnly(sid).into());
                 }
-                Ok(OpCtx {
+                Ok(Resolved {
                     sid,
                     root: entry.root,
                     writable: true,
@@ -338,7 +338,7 @@ impl Proxy {
             OpTarget::Snapshot(sid) => {
                 let shared = mc.shared(tree);
                 if let Some(root) = shared.vcache.root(sid) {
-                    return Ok(OpCtx {
+                    return Ok(Resolved {
                         sid,
                         root,
                         writable: false,
@@ -347,7 +347,7 @@ impl Proxy {
                 let (_, entry) = CatEntry::fetch(&mc.sinfonia, &layout, sid, self.home)?
                     .ok_or(Error::NoSuchSnapshot(sid))?;
                 shared.vcache.insert(sid, entry.parent, entry.root);
-                Ok(OpCtx {
+                Ok(Resolved {
                     sid,
                     root: entry.root,
                     writable: false,

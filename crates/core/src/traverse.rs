@@ -13,9 +13,9 @@ use minuet_dyntx::{DynTx, SeqNo, TxKey};
 use minuet_sinfonia::MemNodeId;
 use std::sync::Arc;
 
-/// Resolved target of one operation attempt.
+/// What an `OpTarget` resolves to for one operation attempt (`Proxy::resolve`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct OpCtx {
+pub(crate) struct Resolved {
     /// Snapshot the operation acts on.
     pub sid: SnapshotId,
     /// Root node of that snapshot.
@@ -242,7 +242,7 @@ impl Proxy {
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
-        ctx: &OpCtx,
+        ctx: &Resolved,
         key: &[u8],
         leaf_access: LeafAccess,
         stop_height: u8,

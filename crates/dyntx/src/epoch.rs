@@ -27,12 +27,13 @@
 //! Members never gain atomicity from sharing an epoch: each validates and
 //! applies independently, and a failure — validation, a dead participant —
 //! is its own member's ([`TxError::Validation`] to that caller only). Nor
-//! do they share a deadline: the close runs under no member's ambient
-//! [`OpDeadline`], and a leader that unwinds mid-close still releases
-//! everyone ([`TxError::Abandoned`]).
+//! do they share a deadline: the close runs in an [`OpScope`] with no
+//! deadline at all — not the leader's [`OpDeadline`], nobody's — and a
+//! leader that unwinds mid-close still releases everyone
+//! ([`TxError::Abandoned`]). Its round trips and spans stay the leader's.
 
 use crate::txn::{execute_staged, CommitInfo, DynTx, StagedCommit, TxError};
-use minuet_obs::{span, SpanKind};
+use minuet_obs::{span, OpScope, SpanKind};
 use minuet_sinfonia::{OpDeadline, SinfoniaCluster};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -200,7 +201,7 @@ impl<'c> EpochService<'c> {
         let mut slots: Vec<_> = abandoned.collect();
         let ran = catch_unwind(AssertUnwindSafe(|| {
             // The leader works for every member: its deadline is not theirs.
-            let _nobodys = OpDeadline::suspend();
+            let _nobodys = OpScope::deadline(|_| None);
             #[cfg(test)]
             tests::close_hook();
             execute_staged(&mut batch, &mut slots)

@@ -3,14 +3,15 @@
 //! ## Model
 //!
 //! A *trace* covers one tree operation. The [`ObsPlane`]'s head-based
-//! sampler decides at operation start whether this op is traced
-//! ([`ObsPlane::op`]); if so, a thread-local trace is armed and every
-//! [`span`] guard dropped on that thread until the op ends records a
-//! [`SpanRecord`] (kind, optional RPC tag, depth in the span tree, start
-//! offset and duration in nanoseconds). The finished [`Trace`] lands in a
-//! bounded drop-oldest buffer on the plane; traces whose total exceeds the
-//! configured slow-op threshold additionally land in a separate slow-op
-//! buffer (and are rendered to stderr when `MINUET_OBS_LOG_SLOW=1`).
+//! sampler decides at the start of a top-level operation whether it is
+//! traced ([`ObsPlane::op`]); if so, the operation's context
+//! ([`crate::ctx`]) holds an open trace and every [`span`] guard dropped
+//! on that thread until the op ends records a [`SpanRecord`] (kind,
+//! optional RPC tag, depth in the span tree, start offset and duration in
+//! nanoseconds). The finished [`Trace`] lands in a bounded drop-oldest
+//! buffer on the plane; traces whose total exceeds the configured slow-op
+//! threshold additionally land in a separate slow-op buffer (and are
+//! rendered to stderr when `MINUET_OBS_LOG_SLOW=1`).
 //!
 //! ## Propagation
 //!
@@ -18,22 +19,21 @@
 //! transaction layer, and the in-process memnode all run on the operating
 //! thread, so their spans stitch automatically. Across the wire the client
 //! reads [`current_ctx`] and wraps the request in a `Traced` envelope; the
-//! server arms its own thread with [`with_server_trace`], runs the
-//! request, and returns its spans in the reply, which the client grafts
-//! back into the ambient trace with [`absorb_spans`]. Server span start
-//! offsets are relative to the server's arming instant (clocks are not
-//! synchronized); durations are directly comparable.
+//! server runs the request in a fresh context with [`with_server_trace`]
+//! and returns its spans in the reply, which the client grafts back into
+//! the ambient trace with [`absorb_spans`]. Server span start offsets are
+//! relative to the server's own trace start (clocks are not synchronized);
+//! durations are directly comparable.
 //!
 //! ## Sampling invariant
 //!
-//! With sampling off (`sample_every == 0`, the default) an operation costs
-//! one atomic load at the op boundary and each would-be span one
-//! thread-local flag read — no allocation, no branches beyond the flag
-//! test. Benchmarks hold the hot path to within noise of the pre-tracing
-//! build (see BENCHMARKS.md).
+//! An unsampled operation enters and leaves its context scope and
+//! allocates nothing; each would-be span costs one thread-local read of
+//! the context. Benchmarks hold the hot path to within noise of the
+//! pre-tracing build (see BENCHMARKS.md).
 
+use crate::ctx::{with_ctx, OpScope};
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,7 +157,8 @@ pub struct SpanRecord {
     pub tag: u8,
     /// Depth in the span tree (children of the op root are depth 1).
     pub depth: u8,
-    /// Start offset from the trace (or server arming) instant, ns.
+    /// Start offset from the start of the trace (the client's, or the
+    /// server's own), ns.
     pub start_ns: u64,
     /// Duration, ns (zero for events).
     pub dur_ns: u64,
@@ -175,17 +176,13 @@ impl SpanRecord {
 
     /// Decodes one record from `buf[pos..]`, advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<SpanRecord> {
-        if buf.len() - *pos < 19 {
-            return None;
-        }
-        let b = &buf[*pos..*pos + 19];
-        *pos += 19;
+        let [kind, tag, depth] = take(buf, pos)?;
         Some(SpanRecord {
-            kind: b[0],
-            tag: b[1],
-            depth: b[2],
-            start_ns: u64::from_le_bytes(b[3..11].try_into().unwrap()),
-            dur_ns: u64::from_le_bytes(b[11..19].try_into().unwrap()),
+            kind,
+            tag,
+            depth,
+            start_ns: u64::from_le_bytes(take(buf, pos)?),
+            dur_ns: u64::from_le_bytes(take(buf, pos)?),
         })
     }
 
@@ -227,20 +224,11 @@ impl Trace {
 
     /// Decodes one trace from `buf[pos..]`, advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Trace> {
-        let need = |pos: usize, n: usize| buf.len().checked_sub(pos).is_some_and(|r| r >= n);
-        if !need(*pos, 8 + 1 + 8 + 4 + 4) {
-            return None;
-        }
-        let trace_id = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        *pos += 8;
-        let op_tag = buf[*pos];
-        *pos += 1;
-        let total_ns = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        *pos += 8;
-        let dropped = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap());
-        *pos += 4;
-        let n = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-        *pos += 4;
+        let trace_id = u64::from_le_bytes(take(buf, pos)?);
+        let [op_tag] = take(buf, pos)?;
+        let total_ns = u64::from_le_bytes(take(buf, pos)?);
+        let dropped = u32::from_le_bytes(take(buf, pos)?);
+        let n = u32::from_le_bytes(take(buf, pos)?) as usize;
         if n > MAX_TRACE_SPANS {
             return None;
         }
@@ -270,19 +258,12 @@ impl Trace {
     /// Decodes a list of traces; `None` on structural corruption.
     pub fn decode_many(buf: &[u8]) -> Option<Vec<Trace>> {
         let mut pos = 0usize;
-        if buf.len() < 4 {
-            return None;
-        }
-        let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        pos += 4;
+        let n = u32::from_le_bytes(take(buf, &mut pos)?) as usize;
         let mut out = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
             out.push(Trace::decode_from(buf, &mut pos)?);
         }
-        if pos != buf.len() {
-            return None;
-        }
-        Some(out)
+        (pos == buf.len()).then_some(out)
     }
 
     /// Renders the span tree as indented text (the slow-op log and the
@@ -344,64 +325,82 @@ pub struct TraceCtx {
     pub trace_id: u64,
     /// Position the next span will take (a per-trace span id).
     pub span_id: u32,
-    /// Always true for an armed context (the sampler already decided).
+    /// Always true: only a sampled op has a trace to name.
     pub sampled: bool,
 }
 
-struct ThreadTrace {
+/// Reads the next `N` bytes of `buf` at `*pos`, advancing it; `None` when
+/// fewer remain. The one bounds check of the decoders above.
+fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Option<[u8; N]> {
+    let bytes = buf.get(*pos..pos.checked_add(N)?)?.try_into().ok()?;
+    *pos += N;
+    Some(bytes)
+}
+
+/// An open trace: the buffer a sampled operation's spans record into,
+/// held by the thread's operation context while the op runs.
+pub(crate) struct ThreadTrace {
     trace_id: u64,
     start: Instant,
     depth: u8,
     spans: Vec<SpanRecord>,
     dropped: u32,
+    /// A root op's plane and tag, where [`ThreadTrace::close`] records it
+    /// (`None` for a server's dispatch, which ships its spans back).
+    root: Option<(Arc<ObsPlane>, u8)>,
 }
 
-thread_local! {
-    /// Fast flag consulted by every would-be span; the only cost when
-    /// tracing is off.
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static TT: RefCell<Option<ThreadTrace>> = const { RefCell::new(None) };
-}
-
-fn arm(trace_id: u64) {
-    TT.with(|t| {
-        *t.borrow_mut() = Some(ThreadTrace {
+impl ThreadTrace {
+    fn new(trace_id: u64, root: Option<(Arc<ObsPlane>, u8)>) -> ThreadTrace {
+        ThreadTrace {
             trace_id,
             start: Instant::now(),
             depth: 0,
             spans: Vec::with_capacity(32),
             dropped: 0,
-        });
-    });
-    ACTIVE.with(|a| a.set(true));
+            root,
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// Records `rec`, or counts it dropped past [`MAX_TRACE_SPANS`].
+    fn push(&mut self, rec: SpanRecord) {
+        if self.spans.len() < MAX_TRACE_SPANS {
+            self.spans.push(rec);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Ends the trace: a root op's is stored on its plane.
+    pub(crate) fn close(self) {
+        if let Some((plane, op_tag)) = &self.root {
+            plane.record(Trace {
+                trace_id: self.trace_id,
+                op_tag: *op_tag,
+                total_ns: self.now_ns(),
+                spans: self.spans,
+                dropped: self.dropped,
+            });
+        }
+    }
 }
 
-fn disarm() -> Option<(u64, Vec<SpanRecord>, u32)> {
-    ACTIVE.with(|a| a.set(false));
-    TT.with(|t| {
-        t.borrow_mut()
-            .take()
-            .map(|tt| (tt.trace_id, tt.spans, tt.dropped))
-    })
-}
-
-/// True when the current thread has an armed trace.
+/// Runs `f` on the thread's open trace, if there is one.
 #[inline]
-pub fn tracing_active() -> bool {
-    ACTIVE.with(|a| a.get())
+fn traced<R>(f: impl FnOnce(&mut ThreadTrace) -> R) -> Option<R> {
+    with_ctx(|c| c.trace.as_mut().map(f))
 }
 
 /// The ambient trace identity, if this thread is tracing.
 pub fn current_ctx() -> Option<TraceCtx> {
-    if !tracing_active() {
-        return None;
-    }
-    TT.with(|t| {
-        t.borrow().as_ref().map(|tt| TraceCtx {
-            trace_id: tt.trace_id,
-            span_id: tt.spans.len() as u32,
-            sampled: true,
-        })
+    traced(|tt| TraceCtx {
+        trace_id: tt.trace_id,
+        span_id: tt.spans.len() as u32,
+        sampled: true,
     })
 }
 
@@ -429,15 +428,12 @@ pub fn span(kind: SpanKind) -> SpanGuard {
 /// Opens a span with a kind-specific tag (e.g. the wire request tag).
 #[inline]
 pub fn span_tagged(kind: SpanKind, tag: u8) -> SpanGuard {
-    if !tracing_active() {
-        return SpanGuard { armed: None };
-    }
-    let (depth, start_ns) = TT.with(|t| {
-        let mut b = t.borrow_mut();
-        let tt = b.as_mut().expect("active implies armed");
+    let Some((depth, start_ns)) = traced(|tt| {
         tt.depth = tt.depth.saturating_add(1);
-        (tt.depth, tt.start.elapsed().as_nanos() as u64)
-    });
+        (tt.depth, tt.now_ns())
+    }) else {
+        return SpanGuard { armed: None };
+    };
     SpanGuard {
         armed: Some(SpanStart {
             kind: kind as u8,
@@ -453,23 +449,15 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(s) = self.armed.take() {
             let dur_ns = s.start.elapsed().as_nanos() as u64;
-            TT.with(|t| {
-                let mut b = t.borrow_mut();
-                if let Some(tt) = b.as_mut() {
-                    tt.depth = tt.depth.saturating_sub(1);
-                    let rec = SpanRecord {
-                        kind: s.kind,
-                        tag: s.tag,
-                        depth: s.depth,
-                        start_ns: s.start_ns,
-                        dur_ns,
-                    };
-                    if tt.spans.len() < MAX_TRACE_SPANS {
-                        tt.spans.push(rec);
-                    } else {
-                        tt.dropped += 1;
-                    }
-                }
+            traced(|tt| {
+                tt.depth = tt.depth.saturating_sub(1);
+                tt.push(SpanRecord {
+                    kind: s.kind,
+                    tag: s.tag,
+                    depth: s.depth,
+                    start_ns: s.start_ns,
+                    dur_ns,
+                });
             });
         }
     }
@@ -479,52 +467,22 @@ impl Drop for SpanGuard {
 /// `tag`).
 #[inline]
 pub fn event(kind: SpanKind, tag: u8) {
-    if !tracing_active() {
-        return;
-    }
-    TT.with(|t| {
-        let mut b = t.borrow_mut();
-        if let Some(tt) = b.as_mut() {
-            let rec = SpanRecord {
-                kind: kind as u8,
-                tag,
-                depth: tt.depth + 1,
-                start_ns: tt.start.elapsed().as_nanos() as u64,
-                dur_ns: 0,
-            };
-            if tt.spans.len() < MAX_TRACE_SPANS {
-                tt.spans.push(rec);
-            } else {
-                tt.dropped += 1;
-            }
-        }
-    });
+    note(kind, tag, 0);
 }
 
 /// Records a span whose duration was measured externally (e.g. a decode
 /// that finished before the trace could be armed).
 #[inline]
 pub fn note(kind: SpanKind, tag: u8, dur_ns: u64) {
-    if !tracing_active() {
-        return;
-    }
-    TT.with(|t| {
-        let mut b = t.borrow_mut();
-        if let Some(tt) = b.as_mut() {
-            let start_ns = tt.start.elapsed().as_nanos() as u64;
-            let rec = SpanRecord {
-                kind: kind as u8,
-                tag,
-                depth: tt.depth + 1,
-                start_ns: start_ns.saturating_sub(dur_ns),
-                dur_ns,
-            };
-            if tt.spans.len() < MAX_TRACE_SPANS {
-                tt.spans.push(rec);
-            } else {
-                tt.dropped += 1;
-            }
-        }
+    traced(|tt| {
+        let rec = SpanRecord {
+            kind: kind as u8,
+            tag,
+            depth: tt.depth + 1,
+            start_ns: tt.now_ns().saturating_sub(dur_ns),
+            dur_ns,
+        };
+        tt.push(rec);
     });
 }
 
@@ -532,48 +490,29 @@ pub fn note(kind: SpanKind, tag: u8, dur_ns: u64) {
 /// nesting them one level below the current depth. Start offsets are kept
 /// server-relative (durations are the comparable quantity).
 pub fn absorb_spans(spans: &[SpanRecord]) {
-    if !tracing_active() || spans.is_empty() {
-        return;
-    }
-    TT.with(|t| {
-        let mut b = t.borrow_mut();
-        if let Some(tt) = b.as_mut() {
-            let base = tt.depth + 1;
-            for s in spans {
-                let rec = SpanRecord {
-                    depth: base.saturating_add(s.depth),
-                    ..*s
-                };
-                if tt.spans.len() < MAX_TRACE_SPANS {
-                    tt.spans.push(rec);
-                } else {
-                    tt.dropped += 1;
-                }
-            }
+    traced(|tt| {
+        let base = tt.depth + 1;
+        for s in spans {
+            tt.push(SpanRecord {
+                depth: base.saturating_add(s.depth),
+                ..*s
+            });
         }
     });
 }
 
-/// Arms the current (server) thread with trace `trace_id`, runs `f`, and
-/// returns `f`'s result together with the spans recorded during it.
-/// Panic-safe: the thread is disarmed even if `f` unwinds. If the thread
-/// is already tracing (in-process transport: the client's ambient trace is
-/// armed), `f` runs in that trace and no spans are returned separately.
+/// Runs `f` for a traced request on a server connection thread, in a
+/// fresh operation context holding trace `trace_id`, and returns `f`'s
+/// result together with the spans recorded during it. The thread's
+/// context is restored even if `f` unwinds.
 pub fn with_server_trace<R>(trace_id: u64, f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
-    if tracing_active() {
-        return (f(), Vec::new());
-    }
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            let _ = disarm();
-        }
-    }
-    arm(trace_id);
-    let guard = Disarm;
+    let _fresh = OpScope::enter(|c| {
+        c.in_op = true;
+        c.deadline = None;
+        Some(ThreadTrace::new(trace_id, None))
+    });
     let r = f();
-    std::mem::forget(guard);
-    let (_, spans, _) = disarm().unwrap_or((0, Vec::new(), 0));
+    let spans = with_ctx(|c| c.trace.take()).map_or_else(Vec::new, |tt| tt.spans);
     (r, spans)
 }
 
@@ -664,25 +603,24 @@ impl ObsPlane {
         self.slow_op_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Operation boundary: decides (head-based) whether to trace this op.
-    /// Returns a guard that finishes the trace on drop, or `None` when the
-    /// op is unsampled (also when this thread is already inside a traced
-    /// op — nested ops, e.g. batch fallbacks, join the outer trace).
-    pub fn op(self: &Arc<Self>, op_tag: u8) -> Option<OpGuard> {
-        let every = self.sample_every.load(Ordering::Relaxed);
-        if every == 0 || tracing_active() {
-            return None;
-        }
-        let n = self.next_op.fetch_add(1, Ordering::Relaxed);
-        if !n.is_multiple_of(every) {
-            return None;
-        }
-        let trace_id = self.next_trace.fetch_add(1, Ordering::Relaxed) + 1;
-        arm(trace_id);
-        Some(OpGuard {
-            plane: self.clone(),
-            op_tag,
-            start: Instant::now(),
+    /// Operation boundary: enters the op's context scope. A top-level op
+    /// advances the head-based sampler, and a sampled one is traced until
+    /// the scope drops, which stores the finished trace here. A nested op
+    /// (e.g. a batch's per-key fallback) joins its enclosing op, sampled
+    /// or not.
+    pub fn op(self: &Arc<Self>, op_tag: u8) -> OpScope {
+        OpScope::enter(|c| {
+            if c.in_op {
+                return None;
+            }
+            c.in_op = true;
+            let every = self.sample_every.load(Ordering::Relaxed);
+            let sampled = |n: u64| n.is_multiple_of(every);
+            if every == 0 || !sampled(self.next_op.fetch_add(1, Ordering::Relaxed)) {
+                return None;
+            }
+            let trace_id = self.next_trace.fetch_add(1, Ordering::Relaxed) + 1;
+            Some(ThreadTrace::new(trace_id, Some((self.clone(), op_tag))))
         })
     }
 
@@ -725,32 +663,10 @@ impl ObsPlane {
     }
 }
 
-/// Root guard of a traced operation; finishes and stores the trace on
-/// drop.
-pub struct OpGuard {
-    plane: Arc<ObsPlane>,
-    op_tag: u8,
-    start: Instant,
-}
-
-impl Drop for OpGuard {
-    fn drop(&mut self) {
-        let total_ns = self.start.elapsed().as_nanos() as u64;
-        if let Some((trace_id, spans, dropped)) = disarm() {
-            self.plane.record(Trace {
-                trace_id,
-                op_tag: self.op_tag,
-                total_ns,
-                spans,
-                dropped,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::tracing_active;
 
     #[test]
     fn spans_are_inert_when_off() {
@@ -766,7 +682,7 @@ mod tests {
     fn sampled_op_collects_span_tree() {
         let plane = ObsPlane::new(&ObsConfig::sampled(1));
         {
-            let _op = plane.op(7).expect("sampled");
+            let _op = plane.op(7);
             assert!(tracing_active());
             let ctx = current_ctx().unwrap();
             assert!(ctx.sampled);
@@ -796,16 +712,29 @@ mod tests {
         let plane = ObsPlane::new(&ObsConfig::sampled(3));
         let mut sampled = 0;
         for _ in 0..9 {
-            if let Some(op) = plane.op(1) {
+            let op = plane.op(1);
+            if tracing_active() {
                 // A nested op on the same thread joins the outer trace.
-                assert!(plane.op(2).is_none());
+                drop(plane.op(2));
+                assert!(tracing_active());
                 sampled += 1;
-                drop(op);
             }
+            drop(op);
         }
         assert_eq!(sampled, 3);
+        let tags = |p: &ObsPlane| p.recent(16).iter().map(|t| t.op_tag).collect::<Vec<_>>();
+        assert_eq!(tags(&plane), [1, 1, 1]);
+        // Under an *unsampled* outer op too: a nested op neither advances
+        // the sampler nor becomes a root of its own.
+        let plane = ObsPlane::new(&ObsConfig::sampled(2));
+        for _ in 0..4 {
+            let _outer = plane.op(1);
+            let _nested = plane.op(2);
+        }
+        assert_eq!(tags(&plane), [1, 1]);
         plane.set_sampling(0);
-        assert!(plane.op(1).is_none());
+        let _off = plane.op(1);
+        assert!(!tracing_active());
     }
 
     #[test]
@@ -826,7 +755,7 @@ mod tests {
     fn span_cap_drops_excess() {
         let plane = ObsPlane::new(&ObsConfig::sampled(1));
         {
-            let _op = plane.op(1).unwrap();
+            let _op = plane.op(1);
             for _ in 0..(MAX_TRACE_SPANS + 10) {
                 event(SpanKind::Retry, 0);
             }
@@ -856,7 +785,7 @@ mod tests {
     fn absorbed_spans_nest_below_current_depth() {
         let plane = ObsPlane::new(&ObsConfig::sampled(1));
         {
-            let _op = plane.op(1).unwrap();
+            let _op = plane.op(1);
             let _rtt = span(SpanKind::Rtt);
             absorb_spans(&[SpanRecord {
                 kind: SpanKind::SrvExec as u8,

@@ -417,7 +417,8 @@ impl RemoteNode {
             }
         };
         let req_tag = req.tag_byte();
-        for attempt in 0..2 {
+        let mut retried = false;
+        loop {
             let (mut conn, pooled) = match self.get_conn() {
                 Ok(c) => c,
                 Err(e) => {
@@ -461,17 +462,14 @@ impl RemoteNode {
                     };
                     return Ok(resp);
                 }
-                Err(_) if pooled && attempt == 0 => {
-                    // Drop the stale socket and retry on a fresh one.
-                    continue;
-                }
+                // Drop the stale socket and retry, once, on a fresh one.
+                Err(_) if pooled && !retried => retried = true,
                 Err(_) => {
                     self.note_failure();
                     return Err(Unavailable(self.id));
                 }
             }
         }
-        unreachable!("request retries exhausted without returning")
     }
 
     /// What a reply this call cannot use comes to: the server's own

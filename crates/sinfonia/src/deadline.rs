@@ -6,9 +6,10 @@
 //! deadline through [`OpDeadline::current`] and gives up with a typed
 //! `DeadlineExceeded` instead of retrying past the caller's time budget.
 //!
-//! The deadline is carried in a thread-local (operations are synchronous
-//! and thread-bound in this stack, like the per-op observability net in
-//! [`crate::transport`]), installed by the RAII [`DeadlineScope`] guard:
+//! The deadline is one field of the thread's operation context
+//! ([`minuet_obs::ctx`]: operations are synchronous and thread-bound in
+//! this stack), put in force by the context's one scope type,
+//! [`OpScope`]:
 //!
 //! ```
 //! use minuet_sinfonia::deadline::OpDeadline;
@@ -23,12 +24,8 @@
 //! later deadline than the enclosing one keeps the enclosing one, so a
 //! library helper cannot accidentally extend its caller's patience.
 
-use std::cell::Cell;
+use minuet_obs::OpScope;
 use std::time::{Duration, Instant};
-
-thread_local! {
-    static CURRENT: Cell<Option<Instant>> = const { Cell::new(None) };
-}
 
 /// An absolute end-to-end deadline for one operation (`None` = unbounded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +48,7 @@ impl OpDeadline {
 
     /// The deadline currently in scope on this thread.
     pub fn current() -> OpDeadline {
-        OpDeadline(CURRENT.with(|c| c.get()))
+        OpDeadline(minuet_obs::op_deadline())
     }
 
     /// True when a deadline is set and has already passed.
@@ -79,43 +76,14 @@ impl OpDeadline {
         }
     }
 
-    /// Installs this deadline as the ambient scope on the current thread,
-    /// returning the RAII guard that restores the previous scope. A nested
-    /// enter can only tighten: if an enclosing deadline is earlier, it
-    /// stays in force.
-    pub fn enter(self) -> DeadlineScope {
-        let prev = CURRENT.with(|c| c.get());
-        let eff = match (prev, self.0) {
+    /// Puts this deadline in force on the current thread until the
+    /// returned scope drops. A nested enter can only tighten: if an
+    /// enclosing deadline is earlier, it stays in force.
+    pub fn enter(self) -> OpScope {
+        OpScope::deadline(|outer| match (outer, self.0) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => b.or(a),
-        };
-        CURRENT.with(|c| c.set(eff));
-        DeadlineScope { prev }
-    }
-
-    /// Suspends the ambient deadline on the current thread until the
-    /// returned guard drops. For work a thread does on behalf of *other*
-    /// operations — an epoch leader executing every enrolled member's
-    /// commit — which must not run under the one budget that happens to
-    /// be in scope on the thread doing it. A stopgap of the thread-local
-    /// plane: an `OpCtx` carried by each operation (ROADMAP item 4a)
-    /// replaces it.
-    pub fn suspend() -> DeadlineScope {
-        DeadlineScope {
-            prev: CURRENT.with(|c| c.replace(None)),
-        }
-    }
-}
-
-/// RAII guard from [`OpDeadline::enter`]; restores the previous ambient
-/// deadline on drop.
-pub struct DeadlineScope {
-    prev: Option<Instant>,
-}
-
-impl Drop for DeadlineScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
+        })
     }
 }
 
@@ -163,10 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn suspend_lifts_the_deadline_until_the_guard_drops() {
+    fn a_lifting_scope_lasts_until_it_drops() {
         let _s = OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter();
         {
-            let _lifted = OpDeadline::suspend();
+            // What an epoch close enters: no deadline, whatever encloses it.
+            let _lifted = OpScope::deadline(|_| None);
             assert_eq!(OpDeadline::current(), OpDeadline::NONE);
         }
         assert!(OpDeadline::current().expired());

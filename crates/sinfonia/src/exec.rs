@@ -20,37 +20,9 @@ use crate::memnode::{SingleResult, Vote};
 use crate::minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
 use crate::server::reply;
 use crate::wire::{Request, Response, WireBatchItem};
+use minuet_obs::jitter;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-/// Cheap thread-local xorshift for backoff jitter (no rand dependency in
-/// the hot path). Seeded per thread, so contending retriers do not draw
-/// the same sequence and collide again in lock-step.
-fn jitter(bound: u64) -> u64 {
-    use std::cell::Cell;
-    thread_local! {
-        static SEED: Cell<u64> = const { Cell::new(0) };
-    }
-    SEED.with(|s| {
-        let mut x = s.get();
-        if x == 0 {
-            let tid = std::thread::current().id();
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            use std::hash::{Hash, Hasher};
-            tid.hash(&mut h);
-            x = h.finish() | 1;
-        }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        s.set(x);
-        if bound == 0 {
-            0
-        } else {
-            x % bound
-        }
-    })
-}
 
 /// Counts and constructs the typed deadline error: every loop that gives
 /// up on an expired [`OpDeadline`] funnels through here so the
@@ -65,9 +37,10 @@ fn deadline_exceeded(cluster: &SinfoniaCluster) -> SinfoniaError {
 }
 
 /// Sleeps the retry backoff for the given attempt: 1µs .. ~256µs,
-/// exponential with per-thread jitter (contention windows in the cluster
-/// are short, so the ceiling stays low). The one backoff policy of the
-/// stack — the B-tree's optimistic retry loop sleeps here too.
+/// exponential with per-thread jitter ([`minuet_obs::jitter`], no rand
+/// dependency in the hot path; contention windows in the cluster are
+/// short, so the ceiling stays low). The one backoff policy of the stack
+/// — the B-tree's optimistic retry loop sleeps here too.
 pub fn backoff(attempt: u32) {
     let exp = attempt.min(8);
     let ceil = 1u64 << exp;

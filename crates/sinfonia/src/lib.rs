@@ -87,6 +87,6 @@ pub use recovery::Resolution;
 pub use repl::{ReplConfig, ReplToken, Replicator};
 pub use rpc::{NodeHandle, NodeRpc, NodeStats};
 pub use server::{MemNodeServer, ServerOptions};
-pub use transport::{op_counters, op_reset, with_op_net, OpNet, Transport};
+pub use transport::{with_op_net, OpNet, Transport};
 pub use wal::{DurabilityConfig, SyncMode, WalError, WalSegment, WalStats};
 pub use wire::{Endpoint, WireError};

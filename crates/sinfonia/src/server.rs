@@ -260,9 +260,10 @@ fn serve_conn(conn: Stream, shared: Arc<Shared>) {
             plain => asks_exit(plain),
         };
         let frame = if let Request::Traced { trace_id, inner } = req {
-            // Traced envelope: arm a server-side trace around dispatch so
-            // decode/lock/exec/WAL/encode stages stitch onto the client's
-            // span tree, then ship the spans back in the reply frame.
+            // Traced envelope: dispatch in a fresh operation context that
+            // holds the client's trace, so decode/lock/exec/WAL/encode
+            // stages stitch onto its span tree, then ship the spans back in
+            // the reply frame.
             let op_tag = inner.tag_byte();
             let node = shared.node.clone();
             let t0 = Instant::now();
@@ -466,7 +467,7 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
         }
         Request::Flags => Response::Flags(node_flags(node)),
         // Traced envelopes are normally unwrapped in `serve_conn` (which
-        // arms the server trace); an envelope reaching here — e.g. via the
+        // opens the server-side trace); an envelope reaching here — e.g. via the
         // in-process `NodeRpc` path — just dispatches its inner request.
         Request::Traced { inner, .. } => dispatch(node, *inner),
         Request::ReplFetch { from, max } => {

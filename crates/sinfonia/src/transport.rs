@@ -3,83 +3,24 @@
 //! Whichever way a coordinator reaches its memnodes — a function call
 //! in-process, a socket exchange in wire mode (see [`crate::rpc`]) — this
 //! module makes the *network cost* of every operation observable: it
-//! counts round trips, messages and bytes globally and per logical
-//! operation (thread-scoped), and can optionally inject real latency per
-//! round trip. Round trips and messages are counted per coordinator phase
-//! by [`crate::exec`] in both modes; bytes are the frames the socket
-//! client exchanged, or in-process what the codec says the same frames
-//! would weigh ([`Transport::bytes_are_modeled`] says which).
+//! counts round trips, messages and bytes globally and, through
+//! [`minuet_obs::book_net`], in the [`OpNet`] ledger of the calling
+//! thread's operation context (read with [`with_op_net`]), and can
+//! optionally inject real latency per round trip. Round trips and
+//! messages are counted per coordinator phase by [`crate::exec`] in both
+//! modes; bytes are the frames the socket client exchanged, or in-process
+//! what the codec says the same frames would weigh
+//! ([`Transport::bytes_are_modeled`] says which).
 //! Benchmarks report modeled latency as
 //! `measured wall time + round_trips × model_rtt`, reproducing the paper's
 //! round-trip-dominated latency shapes without physical machines.
 
-use minuet_obs::{Counter, ObsPlane};
-use std::cell::Cell;
+use minuet_obs::{book_net, Counter, ObsPlane};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-thread_local! {
-    static OP_ROUND_TRIPS: Cell<u64> = const { Cell::new(0) };
-    static OP_MESSAGES: Cell<u64> = const { Cell::new(0) };
-    static OP_BYTES_OUT: Cell<u64> = const { Cell::new(0) };
-    static OP_BYTES_IN: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Network counters observed during one logical operation on the calling
-/// thread (e.g. one B-tree get, including all of its retries).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpNet {
-    /// Sequential round trips: phases of minitransactions, counted once per
-    /// phase regardless of fan-out (messages travel in parallel).
-    pub round_trips: u64,
-    /// Total messages sent (one per participant per phase).
-    pub messages: u64,
-    /// Request bytes shipped to memnodes (item descriptors + payloads).
-    pub bytes_out: u64,
-    /// Response bytes shipped back (read results + framing).
-    pub bytes_in: u64,
-}
-
-impl OpNet {
-    /// Total bytes moved in either direction.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_out + self.bytes_in
-    }
-}
-
-impl OpNet {
-    /// Latency contribution of the network under a constant-RTT model.
-    pub fn modeled_latency(&self, rtt: Duration) -> Duration {
-        rtt * self.round_trips as u32
-    }
-}
-
-/// Resets the calling thread's per-operation counters.
-pub fn op_reset() {
-    OP_ROUND_TRIPS.with(|c| c.set(0));
-    OP_MESSAGES.with(|c| c.set(0));
-    OP_BYTES_OUT.with(|c| c.set(0));
-    OP_BYTES_IN.with(|c| c.set(0));
-}
-
-/// Reads the calling thread's per-operation counters.
-pub fn op_counters() -> OpNet {
-    OpNet {
-        round_trips: OP_ROUND_TRIPS.with(|c| c.get()),
-        messages: OP_MESSAGES.with(|c| c.get()),
-        bytes_out: OP_BYTES_OUT.with(|c| c.get()),
-        bytes_in: OP_BYTES_IN.with(|c| c.get()),
-    }
-}
-
-/// Runs `f` with fresh per-operation counters and returns its result along
-/// with the network counters it accumulated.
-pub fn with_op_net<R>(f: impl FnOnce() -> R) -> (R, OpNet) {
-    op_reset();
-    let r = f();
-    (r, op_counters())
-}
+pub use minuet_obs::{with_op_net, OpNet};
 
 /// Cluster-wide transport statistics (registered [`Counter`] handles, see
 /// [`NetStats::register`]).
@@ -193,8 +134,11 @@ impl Transport {
     pub fn record_wire_bytes(&self, bytes_out: u64, bytes_in: u64) {
         self.stats.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
         self.stats.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
-        OP_BYTES_OUT.with(|c| c.set(c.get() + bytes_out));
-        OP_BYTES_IN.with(|c| c.set(c.get() + bytes_in));
+        book_net(OpNet {
+            bytes_out,
+            bytes_in,
+            ..OpNet::default()
+        });
     }
 
     /// Enables/disables injected latency at runtime.
@@ -219,8 +163,11 @@ impl Transport {
         self.stats
             .messages
             .fetch_add(fanout as u64, Ordering::Relaxed);
-        OP_ROUND_TRIPS.with(|c| c.set(c.get() + 1));
-        OP_MESSAGES.with(|c| c.set(c.get() + fanout as u64));
+        book_net(OpNet {
+            round_trips: 1,
+            messages: fanout as u64,
+            ..OpNet::default()
+        });
         let ns = self.inject_ns.load(Ordering::Relaxed);
         if ns > 0 {
             std::thread::sleep(Duration::from_nanos(ns));
@@ -265,6 +212,14 @@ mod tests {
         });
         assert_eq!(a.round_trips, 1);
         assert_eq!(b.round_trips, 2);
+        // Windows nest: what an inner window counts, its outer one counts
+        // too.
+        let (inner, outer) = with_op_net(|| {
+            t.round_trip(1);
+            with_op_net(|| t.round_trip(1)).1
+        });
+        assert_eq!(inner.round_trips, 1);
+        assert_eq!(outer.round_trips, 2);
     }
 
     #[test]
