@@ -12,7 +12,9 @@
 //!
 //! With `--dir`, the memnode is durable: it reopens an existing
 //! checkpoint + redo log in the directory (crash restart) or starts fresh,
-//! and logs before applying. Without it, state is purely in memory.
+//! and logs before applying. Without it, the log and its checkpoint
+//! images are held in memory: they survive a `Crash` / `Recover` of the
+//! node, not the process, and the log checkpoints itself to stay bounded.
 //!
 //! With `--follow <endpoint>`, the daemon is a **replication follower**:
 //! besides serving its own endpoint, it continuously pulls the WAL stream
@@ -204,7 +206,7 @@ fn run(args: Args) -> std::io::Result<()> {
                 sync: args.sync,
                 ..Default::default()
             };
-            let wal = minuet_sinfonia::recovery::wal_path(dir, id);
+            let wal = minuet_sinfonia::wal::wal_path(dir, id);
             if wal.exists() {
                 let (node, meta, _) = MemNode::open_from_disk(id, args.capacity, &dcfg)?;
                 let staged = meta.staged.len();

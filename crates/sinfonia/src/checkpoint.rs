@@ -4,22 +4,22 @@
 //! (see [`crate::wal`]'s locking contract): the resident pages of the
 //! [`PagedSpace`], the prepared-but-undecided transaction set, and the set
 //! of decided (committed) two-phase transaction ids. After the image is
-//! durably on disk — written to a sibling file, fsynced, then renamed over
-//! the previous image — the log prefix it covers is dropped, bounding both
-//! recovery time and log size.
+//! installed in the log's store ([`crate::wal::Wal::install_image`]), the
+//! log prefix it covers is dropped, bounding both recovery time and log
+//! size.
 //!
 //! An image is one [`NodeState`] written down: what the fields are, and
 //! why the decided set and the replication watermark must ride it, is
 //! said once, on that type.
 
+use crate::addr::MemNodeId;
 use crate::memnode::PreparedTx;
 use crate::space::{PagedSpace, PAGE_SIZE};
 use crate::state::NodeState;
-use crate::wal::{crc32, put_writes, Cur};
+use crate::wal::{crc32, put_prepared, Cur};
+use minuet_faults as faults;
 use std::collections::{HashMap, HashSet};
-use std::fs::File;
-use std::io::{self, Write};
-use std::path::Path;
+use std::io;
 
 /// Image file magic ("MNUET" checkpoint, format 2 — format 1 plus the
 /// replication watermark).
@@ -53,16 +53,8 @@ pub fn encode_image(
     staged.sort_by_key(|(txid, _)| **txid);
     for (txid, tx) in staged {
         out.extend_from_slice(&txid.to_le_bytes());
-        out.extend_from_slice(&(tx.participants.len() as u16).to_le_bytes());
-        for p in &tx.participants {
-            out.extend_from_slice(&p.0.to_le_bytes());
-        }
-        out.extend_from_slice(&(tx.spans.len() as u32).to_le_bytes());
-        for (a, b) in &tx.spans {
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        put_writes(&mut out, &tx.writes);
+        let participants = tx.participants.iter().map(|p| p.0);
+        put_prepared(&mut out, participants, &tx.spans, &tx.writes);
     }
 
     out.extend_from_slice(&npages.to_le_bytes());
@@ -83,7 +75,7 @@ pub fn decode_image(buf: &[u8]) -> Option<NodeState> {
         return None;
     }
     let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+    if crc32(body) != Cur::new(crc_bytes).u32()? {
         return None;
     }
     let mut c = Cur::new(&body[MAGIC.len()..]);
@@ -102,24 +94,14 @@ pub fn decode_image(buf: &[u8]) -> Option<NodeState> {
     let mut staged = HashMap::with_capacity(nstaged.min(1 << 16) as usize);
     for _ in 0..nstaged {
         let txid = c.u64()?;
-        let np = c.u16()? as usize;
-        let mut participants = Vec::with_capacity(np);
-        for _ in 0..np {
-            participants.push(crate::addr::MemNodeId(c.u16()?));
-        }
-        let ns = c.u32()? as usize;
-        let mut spans = Vec::with_capacity(ns.min(1024));
-        for _ in 0..ns {
-            spans.push((c.u64()?, c.u64()?));
-        }
-        staged.insert(
-            txid,
-            PreparedTx {
-                spans,
-                writes: c.writes()?,
-                participants,
-            },
-        );
+        let (participants, spans, writes) = c.prepared()?;
+        let participants = participants.into_iter().map(MemNodeId).collect();
+        let tx = PreparedTx {
+            spans,
+            writes,
+            participants,
+        };
+        staged.insert(txid, tx);
     }
 
     let npages = c.u64()?;
@@ -146,65 +128,40 @@ pub fn decode_image(buf: &[u8]) -> Option<NodeState> {
     })
 }
 
-/// Writes an image atomically: sibling file, fsync, rename, directory
-/// fsync. A crash mid-write leaves the previous image intact.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use minuet_faults as faults;
-    let tmp = path.with_extension("tmp");
+/// Installs an image atomically, in two stages whatever the medium:
+/// `stage` puts the bytes beside the current image (on disk a synced
+/// sibling file), `swap` makes them the image (a rename, then a directory
+/// sync). A crash or failure before the swap leaves the previous image
+/// intact. The `ckpt.write` failpoint fires in place of the first stage —
+/// an injected ENOSPC leaves a torn half-written sibling, as a real one
+/// would — and `ckpt.rename` in place of the second.
+pub(crate) fn write_atomic(
+    bytes: Vec<u8>,
+    stage: impl FnOnce(&[u8]) -> io::Result<()>,
+    swap: impl FnOnce(Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
     if let Some(a) = faults::check_delay(faults::Site::CkptWrite) {
         if a == faults::Action::Panic {
             panic!("injected panic at ckpt.write");
         }
-        // An injected ENOSPC mid-write leaves a torn sibling behind, as a
-        // real one would; the previous image is untouched either way.
         if a == faults::Action::NoSpace || matches!(a, faults::Action::ShortWrite(_)) {
-            let half = bytes.len() / 2;
-            let _ = File::create(&tmp).and_then(|mut f| f.write_all(&bytes[..half]));
+            let _ = stage(&bytes[..bytes.len() / 2]);
         }
         return Err(faults::io_error(faults::Site::CkptWrite, a));
     }
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
+    stage(&bytes)?;
     if let Some(a) = faults::check_delay(faults::Site::CkptRename) {
         if a == faults::Action::Panic {
             panic!("injected panic at ckpt.rename");
         }
         return Err(faults::io_error(faults::Site::CkptRename, a));
     }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// Loads the image at `path`; `Ok(None)` when no checkpoint exists yet.
-///
-/// A present-but-corrupt image is an error (not silently ignored): the log
-/// prefix it covered is gone, so treating it as absent would lose data.
-pub fn load(path: &Path) -> io::Result<Option<NodeState>> {
-    let buf = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    decode_image(&buf).map(Some).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("corrupt checkpoint image at {}", path.display()),
-        )
-    })
+    swap(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::MemNodeId;
 
     #[test]
     fn image_roundtrip() {
@@ -268,19 +225,20 @@ mod tests {
 
     #[test]
     fn atomic_write_and_load() {
-        let cfg = crate::wal::DurabilityConfig::ephemeral("ckpt", crate::wal::SyncMode::None);
-        let dir = cfg.dir.unwrap();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.img");
-        assert!(load(&path).unwrap().is_none());
+        use crate::wal::{ckpt_path, DurabilityConfig, SyncMode, Wal};
+        let cfg = DurabilityConfig::ephemeral("ckpt", SyncMode::None);
+        let wal = Wal::durable(&cfg, MemNodeId(0), true).unwrap();
+        let load = || crate::recovery::recover_node(&wal, PAGE_SIZE as u64);
+        assert!(wal.read_back().unwrap().0.is_none());
         let mut space = PagedSpace::new(PAGE_SIZE as u64);
         space.write(0, b"x").unwrap();
         let bytes = encode_image(&space, &HashMap::new(), &HashSet::new(), 0);
-        write_atomic(&path, &bytes).unwrap();
-        let img = load(&path).unwrap().expect("present");
+        wal.install_image(bytes, 0).unwrap();
+        let img = load().unwrap();
         assert_eq!(img.space.read(0, 1).unwrap(), b"x");
         // Corrupt image on disk is an error, not "absent".
+        let path = ckpt_path(cfg.dir.as_deref().unwrap(), MemNodeId(0));
         std::fs::write(&path, b"MNUCKPT2garbage").unwrap();
-        assert!(load(&path).is_err());
+        assert!(load().is_err());
     }
 }

@@ -126,7 +126,7 @@ pub struct DurSnapshot {
     pub fsyncs: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// Log bytes currently retained on disk.
+    /// Log bytes currently retained.
     pub retained_bytes: u64,
 }
 
@@ -546,8 +546,7 @@ impl SinfoniaCluster {
         self.node(id).crash();
     }
 
-    /// Recovers the given memnode (from its backup mirror, or from disk
-    /// when durable).
+    /// Recovers the given memnode by replaying its image and log.
     pub fn recover(&self, id: MemNodeId) {
         self.node(id).recover();
     }
@@ -576,7 +575,8 @@ impl SinfoniaCluster {
         recovery::resolve_in_doubt(self, &metas)
     }
 
-    /// Aggregated durability counters (all zero when durability is off).
+    /// Aggregated log counters. With durability off the logs live in
+    /// memory: they append and checkpoint, but never fsync.
     pub fn durability_stats(&self) -> DurSnapshot {
         let mut s = DurSnapshot::default();
         // Best-effort: a node that cannot be reached contributes nothing.

@@ -4,15 +4,15 @@
 //! [`PagedSpace`], the staged and decided two-phase transactions), a range
 //! [`LockManager`], and participates in the one/two-phase minitransaction
 //! protocol. Every mutation is a log [`Record`], and takes effect in one
-//! order — validate, journal, [`NodeState::redo`] — so a crash never loses
-//! a committed minitransaction and never breaks two-phase atomicity.
+//! order — validate, log, [`NodeState::redo`] — so a crash never loses a
+//! committed minitransaction and never breaks two-phase atomicity.
 //!
-//! What "journal" means is the node's one fork. In primary-backup mode it
-//! is a synchronous in-memory mirror of the whole state; with durability
-//! enabled (see [`crate::wal::DurabilityConfig`]) it is a per-node redo
-//! log that checkpoints bound, and a crashed node recovers its state from
-//! disk instead of from the mirror — which a durable node therefore does
-//! not keep: its second copy is the log and the image.
+//! Every memnode keeps one redo log ([`Wal`]) bounded by checkpoint images,
+//! and a crashed node gets its state back one way: the image and the log
+//! read back and replayed ([`recovery::recover_node`]). Whether those bytes
+//! are files that outlive the process (with durability enabled, see
+//! [`crate::wal::DurabilityConfig`]) or live in memory is the log's
+//! business, not the node's.
 
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
@@ -22,16 +22,15 @@ use crate::recovery::{self, NodeMeta};
 use crate::space::{OutOfBounds, PagedSpace};
 use crate::state::{self, NodeState};
 use crate::wal::{
-    parse_frames, DurabilityConfig, Record, SyncMode, Wal, WalAppender, WalError, WalSegment,
-    WalStats, REPL_WRAP,
+    parse_frames, DurabilityConfig, Record, Wal, WalAppender, WalError, WalSegment, WalStats,
+    REPL_WRAP,
 };
 use crate::wire::WireShard;
 use crate::{checkpoint, lock};
 use minuet_faults as faults;
 use minuet_obs::{span, Counter, ObsPlane, SpanKind};
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,7 +73,7 @@ pub struct ReplStatus {
     /// Largest transaction id this node's state has incorporated — through
     /// its own log, a primary's stream, or recovery.
     pub applied_txid: u64,
-    /// Logical tail of this node's own redo log (0 when not durable).
+    /// Logical tail of this node's own redo log.
     pub tail: u64,
     /// Cumulative records incorporated from the stream.
     pub applies: u64,
@@ -165,84 +164,16 @@ impl MemNodeStats {
     }
 }
 
-/// Where a node's second copy lives — the one place the durable /
-/// in-memory fork is spelled. A record is made to last here *before* it
-/// takes effect on the primary state ([`Held::log`]), and a crashed node
-/// gets its state back from here ([`Journal::restore`]).
-enum Journal {
-    /// In-memory node: a synchronous mirror of the whole state,
-    /// conceptually on another server. "Recording" a record is redoing it
-    /// on the mirror; its mutex is the journal guard.
-    Mirror(Mutex<NodeState>),
-    /// Durable node: the redo log, and beside it in `dir` the checkpoint
-    /// image that bounds it. No mirror — it would only be a second
-    /// resident copy of every page and a second pass over every written
-    /// image; the WAL's appender lock is the journal guard.
-    Disk {
-        /// The redo log.
-        wal: Wal,
-        /// Durability directory (log, image, join marker).
-        dir: PathBuf,
-    },
-}
-
-/// The held journal guard; see [`Journal::lock`].
-enum JournalGuard<'a> {
-    Mirror(MutexGuard<'a, NodeState>),
-    Disk(WalAppender<'a>),
-}
-
-impl Journal {
-    /// Opens the redo log of memnode `id` in `dir`, appending after
-    /// whatever it already holds.
-    fn disk(dir: PathBuf, id: MemNodeId, sync: SyncMode) -> io::Result<Journal> {
-        let wal = Wal::open(recovery::wal_path(&dir, id), sync)?;
-        Ok(Journal::Disk { wal, dir })
-    }
-
-    /// Takes the journal guard: every logged state change happens under
-    /// it, so whoever holds it (a checkpoint freezing `(log tail, state)`,
-    /// a crash) sees a state that matches the journal exactly.
-    fn lock(&self) -> JournalGuard<'_> {
-        match self {
-            Journal::Mirror(m) => JournalGuard::Mirror(m.lock()),
-            Journal::Disk { wal, .. } => JournalGuard::Disk(wal.lock()),
-        }
-    }
-
-    /// The redo log, when there is one (tail, retained bytes, counters,
-    /// shipping, waiting until durable).
-    fn wal(&self) -> Option<&Wal> {
-        match self {
-            Journal::Mirror(_) => None,
-            Journal::Disk { wal, .. } => Some(wal),
-        }
-    }
-
-    /// The state as the journal has it: a copy of the mirror, or image +
-    /// log replayed from disk (which also clears the log's failure latch —
-    /// the device is being trusted again).
-    fn restore(&self, id: MemNodeId, capacity: u64) -> io::Result<NodeState> {
-        match self {
-            Journal::Mirror(m) => Ok(m.lock().snapshot()),
-            Journal::Disk { wal, dir } => {
-                wal.clear_failed();
-                recovery::recover_node(dir, id, capacity)
-            }
-        }
-    }
-}
-
-/// The guards of one journalled mutation. The node's guard order is
-/// journal (WAL appender, or mirror) first, then the state; the fields
-/// are declared in the order they are released.
+/// The guards of one logged mutation. The node's guard order is the log's
+/// appender first, then the state; the fields are declared in the order
+/// they are released.
 struct Held<'a> {
     node: &'a MemNode,
     /// Taken by [`Held::state`]: late on the locked paths, so readers run
     /// during the append; up front on the write fast path, whose compares
     /// must be evaluated under the guard its writes apply under.
     state: Option<RwLockWriteGuard<'a, NodeState>>,
-    journal: JournalGuard<'a>,
+    log: WalAppender<'a>,
 }
 
 impl Held<'_> {
@@ -251,38 +182,27 @@ impl Held<'_> {
     }
 
     /// The one way a record takes effect on a live node, and the only
-    /// order there is: **validate → log → redo**, under one journal guard.
-    /// A record the state would refuse is refused before it is logged; a
-    /// failed append degrades the node read-only before any effect; and
-    /// because the redo happens under the guard the append happened under,
-    /// a checkpoint can never pair a log tail past a record with a state
-    /// missing its effects. `src` is set for a record incorporated from a
-    /// primary's stream: its end offset there and the payload it arrived
-    /// as, which is what gets logged (wrapped, verbatim). Returns the log
-    /// offset to [`MemNode::wait_durable`] on before acking.
-    fn log(
-        &mut self,
-        src: Option<(u64, &[u8])>,
-        rec: &Record<'_>,
-    ) -> Result<Option<u64>, Unavailable> {
+    /// order there is: **check → append → redo**, under one appender
+    /// guard. A record the state would refuse is refused before it is
+    /// logged; a failed append degrades the node read-only before any
+    /// effect; and because the redo happens under the guard the append
+    /// happened under, a checkpoint can never pair a log tail past a record
+    /// with a state missing its effects. `src` is set for a record
+    /// incorporated from a primary's stream: its end offset there and the
+    /// payload it arrived as, which is what gets logged (wrapped,
+    /// verbatim). Returns the log offset to [`MemNode::wait_durable`] on
+    /// before acking.
+    fn log(&mut self, src: Option<(u64, &[u8])>, rec: &Record<'_>) -> Result<u64, Unavailable> {
         let node = self.node;
         let refused = |_: OutOfBounds| Unavailable(node.id);
         state::check(rec, node.capacity).map_err(refused)?;
-        let src_off = src.map(|(off, _)| off);
-        let end = match &mut self.journal {
-            JournalGuard::Mirror(mirror) => {
-                mirror.redo(src_off, rec).map_err(refused)?;
-                None
-            }
-            JournalGuard::Disk(wal) => {
-                let _s = span(SpanKind::SrvWalAppend);
-                let end = match src {
-                    Some((src_off, payload)) => wal.append(&Record::Repl { src_off, payload }),
-                    None => wal.append(rec),
-                };
-                Some(end.map_err(|e| node.degrade(e))?)
-            }
+        let wrapped = src.map(|(src_off, payload)| Record::Repl { src_off, payload });
+        let appended = {
+            let _s = span(SpanKind::SrvWalAppend);
+            self.log.append(wrapped.as_ref().unwrap_or(rec))
         };
+        let end = appended.map_err(|e| node.degrade(e))?;
+        let src_off = src.map(|(off, _)| off);
         self.state().redo(src_off, rec).map_err(refused)?;
         Ok(end)
     }
@@ -290,17 +210,16 @@ impl Held<'_> {
     /// Logs a shard's writes as one one-phase `Apply`. Arc bumps, not
     /// payload copies: the coordinator's buffers flow into the log and the
     /// space unchanged.
-    fn log_writes(&mut self, txid: TxId, shard: &WireShard) -> Result<Option<u64>, Unavailable> {
+    fn log_writes(&mut self, txid: TxId, shard: &WireShard) -> Result<u64, Unavailable> {
         let writes = &shard.staged_writes();
         self.log(None, &Record::Apply { txid, writes })
     }
 }
 
-/// A Sinfonia memnode: the primary [`NodeState`] plus its second copy
-/// behind the journal seam — a synchronous in-memory mirror, or, when
-/// durable, an on-disk redo log and checkpoint image. Every logged
-/// mutation takes one path (`Held::log`: validate → log → redo under
-/// the journal guard), whichever kind of node this is.
+/// A Sinfonia memnode: a [`NodeState`] and the redo log that describes it.
+/// Every logged mutation takes one path (`Held::log`: check → append →
+/// redo under the appender guard), and every crashed node comes back one
+/// way ([`MemNode::recover`]).
 pub struct MemNode {
     /// This node's id.
     pub id: MemNodeId,
@@ -312,7 +231,8 @@ pub struct MemNode {
     /// written only by `Held::log`, and replaced wholesale by
     /// [`MemNode::crash`] and [`MemNode::recover`].
     state: RwLock<NodeState>,
-    journal: Journal,
+    /// The redo log, and the checkpoint image that bounds it.
+    wal: Wal,
     crashed: AtomicBool,
     /// Latched when the redo log fails (short write, ENOSPC, fsync error):
     /// the node keeps serving reads but refuses every logged mutation with
@@ -335,28 +255,25 @@ pub struct MemNode {
     /// Operation counters.
     pub stats: MemNodeStats,
     /// This node's observability plane: its registry exposes the
-    /// `memnode.*` counters and (when durable) the `wal.*` series; its
-    /// trace buffer holds server-side traces recorded for wire clients.
+    /// `memnode.*` counters and the `wal.*` series; its trace buffer holds
+    /// server-side traces recorded for wire clients.
     pub obs: Arc<ObsPlane>,
 }
 
 impl MemNode {
-    /// Creates a purely in-memory memnode with `capacity` bytes of
-    /// address space.
+    /// Creates an in-memory memnode with `capacity` bytes of address space:
+    /// its log and images live in memory, so it survives [`MemNode::crash`]
+    /// but not the process.
     pub fn new(id: MemNodeId, capacity: u64) -> Self {
-        Self::build(id, NodeState::new(capacity), None)
+        Self::build(id, NodeState::new(capacity), Wal::in_memory())
     }
 
     /// Creates a durable memnode with **fresh** on-disk state (any previous
     /// log or checkpoint at this node's paths is removed). Use
     /// [`MemNode::open_from_disk`] to resume existing state instead.
     pub fn durable(id: MemNodeId, capacity: u64, dcfg: &DurabilityConfig) -> io::Result<Self> {
-        let dir = dcfg.dir.clone().expect("durable memnode needs a directory");
-        std::fs::create_dir_all(&dir)?;
-        let _ = std::fs::remove_file(recovery::wal_path(&dir, id));
-        let _ = std::fs::remove_file(recovery::ckpt_path(&dir, id));
-        let journal = Journal::disk(dir, id, dcfg.sync)?;
-        Ok(Self::build(id, NodeState::new(capacity), Some(journal)))
+        let wal = Wal::durable(dcfg, id, true)?;
+        Ok(Self::build(id, NodeState::new(capacity), wal))
     }
 
     /// Reopens a durable memnode from its checkpoint image and redo log.
@@ -368,30 +285,23 @@ impl MemNode {
         capacity: u64,
         dcfg: &DurabilityConfig,
     ) -> io::Result<(Self, NodeMeta, TxId)> {
-        let dir = dcfg.dir.clone().expect("durable memnode needs a directory");
-        std::fs::create_dir_all(&dir)?;
-        // Replay first: it cuts a torn tail off the file the log then
-        // opens to append to.
-        let state = recovery::recover_node(&dir, id, capacity)?;
+        let wal = Wal::durable(dcfg, id, false)?;
+        let state = recovery::recover_node(&wal, capacity)?;
         let (meta, max_txid) = (state.meta(), state.max_txid);
-        let journal = Journal::disk(dir, id, dcfg.sync)?;
-        Ok((Self::build(id, state, Some(journal)), meta, max_txid))
+        Ok((Self::build(id, state, wal), meta, max_txid))
     }
 
-    fn build(id: MemNodeId, state: NodeState, journal: Option<Journal>) -> Self {
-        let journal = journal.unwrap_or_else(|| Journal::Mirror(Mutex::new(state.snapshot())));
+    fn build(id: MemNodeId, state: NodeState, wal: Wal) -> Self {
         let obs = ObsPlane::disabled();
         let stats = MemNodeStats::default();
         stats.register(&obs);
-        if let Some(wal) = journal.wal() {
-            wal.stats.register(&obs);
-        }
+        wal.stats.register(&obs);
         let node = MemNode {
             id,
             capacity: state.space.capacity(),
             locks: LockManager::new(),
             state: RwLock::new(state),
-            journal,
+            wal,
             crashed: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             joining: AtomicBool::new(false),
@@ -416,29 +326,37 @@ impl MemNode {
         }
     }
 
-    /// Takes the journal guard for one logged mutation (see [`Held`]), and
-    /// looks again, under it, at whether the node is up: `crash` and
+    /// Takes the appender guard for one logged mutation (see [`Held`]),
+    /// and looks again, under it, at whether the node is up: `crash` and
     /// `recover` flip the flag under this guard, so a mutation that passed
     /// its entry check just before a crash is refused here rather than run
     /// against the scribbled state — whose empty staged set would turn a
     /// commit into an acknowledged no-op.
     fn hold(&self) -> Result<Held<'_>, Unavailable> {
-        let journal = self.journal.lock();
+        let log = self.wal.lock();
         self.check_up()?;
         Ok(Held {
             node: self,
             state: None,
-            journal,
+            log,
         })
     }
 
     /// Blocks until the log offset [`Held::log`] returned is durable per
-    /// the sync mode (at once when nothing was logged to disk). A failed
-    /// fsync degrades the node.
+    /// the sync mode (a failed fsync degrades the node); then, the guards
+    /// released, takes the checkpoint a log that has outgrown its bound
+    /// asks for ([`Wal::wants_checkpoint`]). A checkpoint that fails leaves
+    /// the log whole, and the next mutation asks again.
     fn wait_durable(&self, end: Option<u64>) -> Result<(), Unavailable> {
-        if let (Some(end), Some(wal)) = (end, self.journal.wal()) {
+        let Some(end) = end else {
+            return Ok(());
+        };
+        {
             let _fs = span(SpanKind::SrvFsync);
-            wal.wait_durable(end).map_err(|e| self.degrade(e))?;
+            self.wal.wait_durable(end).map_err(|e| self.degrade(e))?;
+        }
+        if self.wal.wants_checkpoint() {
+            let _ = self.checkpoint();
         }
         Ok(())
     }
@@ -524,17 +442,17 @@ impl MemNode {
 
     /// True if this node logs to disk.
     pub fn is_durable(&self) -> bool {
-        self.journal.wal().is_some()
+        self.wal.is_durable()
     }
 
-    /// Redo-log counters, when durable.
-    pub fn wal_stats(&self) -> Option<&WalStats> {
-        self.journal.wal().map(|wal| &*wal.stats)
+    /// Redo-log counters.
+    pub fn wal_stats(&self) -> &WalStats {
+        &self.wal.stats
     }
 
-    /// Bytes currently retained in the redo log (0 when not durable).
+    /// Bytes currently retained in the redo log.
     pub fn wal_retained_bytes(&self) -> u64 {
-        self.journal.wal().map_or(0, Wal::retained_bytes)
+        self.wal.retained_bytes()
     }
 
     /// Checkpoints taken since this node object was created.
@@ -668,7 +586,8 @@ impl MemNode {
                     let logged = if shard.writes.is_empty() {
                         Ok(None)
                     } else {
-                        self.hold().and_then(|mut h| h.log_writes(txid, shard))
+                        self.hold()
+                            .and_then(|mut h| h.log_writes(txid, shard).map(Some))
                     };
                     logged.map(|end| {
                         wait = end;
@@ -723,10 +642,12 @@ impl MemNode {
                 let _ex = span(SpanKind::SrvExec);
                 let logged = held.log_writes(txid, shard);
                 drop(held);
-                logged.and_then(|end| self.wait_durable(end)).map(|()| {
-                    self.stats.single_commits.fetch_add(1, Ordering::Relaxed);
-                    SingleResult::Committed(reads)
-                })
+                logged
+                    .and_then(|end| self.wait_durable(Some(end)))
+                    .map(|()| {
+                        self.stats.single_commits.fetch_add(1, Ordering::Relaxed);
+                        SingleResult::Committed(reads)
+                    })
             }
         };
         self.stats.write_fastpath.fetch_add(1, Ordering::Relaxed);
@@ -784,8 +705,8 @@ impl MemNode {
         self.stats.prepares.fetch_add(1, Ordering::Relaxed);
         // A failed fsync leaves the vote staged, exactly as the log has
         // it: the node is degraded, and `recover` keeps or drops the
-        // transaction according to what reached the disk.
-        self.wait_durable(end)?;
+        // transaction according to what reached the log.
+        self.wait_durable(Some(end))?;
         Ok(Vote::Ok(reads))
     }
 
@@ -795,9 +716,9 @@ impl MemNode {
     /// — else the offset to wait on. On a failed append the transaction
     /// stays staged with its locks held: the decision did not land, and
     /// recovery (or a restarted node) resolves it.
-    fn decide(&self, txid: TxId, rec: &Record<'_>) -> Result<Option<Option<u64>>, Unavailable> {
+    fn decide(&self, txid: TxId, rec: &Record<'_>) -> Result<Option<u64>, Unavailable> {
         let mut held = self.hold()?;
-        // Stable: staging and un-staging happen under the journal guard.
+        // Stable: staging and un-staging happen under the appender guard.
         let staged = self.state.read().staged.contains_key(&txid);
         let end = if staged {
             Some(held.log(None, rec)?)
@@ -818,7 +739,7 @@ impl MemNode {
             self.stats.commits.fetch_add(1, Ordering::Relaxed);
             // The commit has applied; an fsync failure degrades the node
             // but the coordinator's retry will see the idempotent no-op.
-            self.wait_durable(end)?;
+            self.wait_durable(Some(end))?;
         }
         Ok(())
     }
@@ -838,30 +759,29 @@ impl MemNode {
     /// Simulates a crash of the primary: everything volatile is dropped —
     /// the lock table, and the whole state (scribbled over with an empty
     /// one, so a buggy post-crash read through stale state is detectable
-    /// in tests). What survives is what the journal holds.
+    /// in tests). What survives is what the log holds.
     pub fn crash(&self) {
-        // Under the journal guard, so a concurrent checkpoint cannot
+        // Under the appender guard, so a concurrent checkpoint cannot
         // capture the scribbled post-crash state.
-        let _held = self.journal.lock();
+        let _held = self.wal.lock();
         self.crashed.store(true, Ordering::Release);
         self.locks.clear();
         *self.state.write() = NodeState::new(self.capacity);
     }
 
-    /// Recovers the node: the state comes back wholesale from the journal
-    /// (the mirror, or image + log replayed from disk), staged
+    /// Recovers the node: the state comes back wholesale from the image
+    /// and log read back and replayed ([`recovery::recover_node`]), staged
     /// transactions re-take their locks, and the coordinator's eventual
     /// commit/abort decision completes them. Also heals a degraded node
-    /// (which is unavailable for the duration). When the disk cannot be
+    /// (which is unavailable for the duration). When the log cannot be
     /// replayed the error is returned and the node stays crashed.
     pub fn recover(&self) -> io::Result<()> {
         // Fence first (a heal of a live, degraded node included): once the
-        // flag is up under the journal guard, no logged mutation runs
-        // between reading the journal back and installing what it held.
+        // flag is up under the appender guard, no logged mutation runs
+        // between reading the log back and installing what it held.
         self.crashed.store(true, Ordering::Release);
-        drop(self.journal.lock());
-        let restored = self.journal.restore(self.id, self.capacity)?;
-        *self.state.write() = restored;
+        drop(self.wal.lock());
+        *self.state.write() = recovery::recover_node(&self.wal, self.capacity)?;
         self.relock();
         self.degraded.store(false, Ordering::Release);
         self.crashed.store(false, Ordering::Release);
@@ -869,40 +789,36 @@ impl MemNode {
     }
 
     /// Takes a checkpoint: freezes `(log tail, state)` consistently,
-    /// writes the image atomically, then drops the covered log prefix.
-    /// Returns `false` when skipped (not durable, crashed, or a
-    /// checkpoint is already running).
+    /// installs the image atomically, then drops the covered log prefix.
+    /// Returns `false` when skipped (crashed, or a checkpoint is already
+    /// running).
     pub fn checkpoint(&self) -> io::Result<bool> {
-        let Journal::Disk { wal, dir } = &self.journal else {
-            return Ok(false);
-        };
         if self.ckpt_running.swap(true, Ordering::AcqRel) {
             return Ok(false);
         }
-        let result = self.checkpoint_inner(wal, &recovery::ckpt_path(dir, self.id));
+        let result = self.checkpoint_inner();
         self.ckpt_running.store(false, Ordering::Release);
         result
     }
 
-    fn checkpoint_inner(&self, wal: &Wal, path: &Path) -> io::Result<bool> {
+    fn checkpoint_inner(&self) -> io::Result<bool> {
         // Freeze (tail, state) under the appender lock, but keep the
-        // expensive serialization and file write outside it so commits
+        // expensive serialization and the install outside it so commits
         // only stall for the duration of the in-memory clone.
         let (frozen, upto) = {
-            let g = wal.lock();
+            let g = self.wal.lock();
             if self.is_crashed() {
                 return Ok(false);
             }
             (self.state.read().snapshot(), g.tail())
         };
-        let bytes = checkpoint::encode_image(
+        let image = checkpoint::encode_image(
             &frozen.space,
             &frozen.staged,
             &frozen.decided,
             frozen.repl_watermark,
         );
-        checkpoint::write_atomic(path, &bytes)?;
-        wal.drop_prefix(upto)?;
+        self.wal.install_image(image, upto)?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -922,8 +838,8 @@ impl MemNode {
     }
 
     /// Raw write used only for cluster bootstrap (before any concurrent
-    /// access exists). Journalled like any other write (unforced when
-    /// durable), so bootstrap images survive a crash or restart.
+    /// access exists). Logged like any other write (unforced), so
+    /// bootstrap images survive a crash or restart.
     pub fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
         self.check_writable()?;
         let writes = &[(off, Bytes::copy_from_slice(data))];
@@ -944,24 +860,9 @@ impl MemNode {
         self.state.read().meta()
     }
 
-    /// Checks that primary and backup images are byte-identical (test
-    /// support; only meaningful while quiescent). Trivially true on a
-    /// durable node, which keeps no mirror to diverge from.
-    pub fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
-        let Journal::Mirror(mirror) = &self.journal else {
-            return true;
-        };
-        let (mirror, state) = (mirror.lock(), self.state.read());
-        probe.iter().all(|&(off, len)| {
-            let primary = state.space.read(off, len);
-            primary.is_ok() && primary == mirror.space.read(off, len)
-        })
-    }
-
     /// Reads up to `max` raw framed bytes of this node's redo log starting
     /// at logical offset `from`, for shipping to a replication follower.
-    /// Non-durable nodes return an empty segment with a zero tail —
-    /// replication requires a durable primary.
+    /// Any primary serves its log, wherever the log lives.
     pub fn wal_fetch(&self, from: u64, max: u32) -> Result<WalSegment, Unavailable> {
         self.check_up()?;
         if let Some(a) = faults::check_delay(faults::Site::ReplFetch) {
@@ -970,15 +871,9 @@ impl MemNode {
             }
             return Err(Unavailable(self.id));
         }
-        match self.journal.wal() {
-            Some(wal) => wal.read_from(from, max).map_err(|_| Unavailable(self.id)),
-            None => Ok(WalSegment {
-                from,
-                base: 0,
-                tail: 0,
-                bytes: Vec::new(),
-            }),
-        }
+        self.wal
+            .read_from(from, max)
+            .map_err(|_| Unavailable(self.id))
     }
 
     /// This node's replication status (see [`ReplStatus`]).
@@ -988,7 +883,7 @@ impl MemNode {
         Ok(ReplStatus {
             watermark: state.repl_watermark,
             applied_txid: state.max_txid,
-            tail: self.journal.wal().map_or(0, |wal| wal.tail()),
+            tail: self.wal.tail(),
             applies: self.stats.repl_applies.get(),
             dup_skips: self.stats.repl_dup_skips.get(),
         })
@@ -1006,12 +901,12 @@ impl MemNode {
     ///   node cannot apply it — a write past its capacity — *before*
     ///   anything is logged: the watermark stays where the previous frame
     ///   left it, and so does the stream until the pair is reconfigured;
-    /// - otherwise goes the way of every logged mutation: journalled as a
+    /// - otherwise goes the way of every logged mutation: logged as a
     ///   [`Record::Repl`] wrapping the primary payload, redone (one-phase
     ///   writes apply; prepares stage, and take their locks; decisions
     ///   finish staged transactions), the watermark advancing to `s`.
     ///
-    /// That happens under the journal guard, so checkpoints freeze a
+    /// That happens under the appender guard, so checkpoints freeze a
     /// consistent (state, watermark) pair and a restart resumes exactly
     /// where the durable log ends.
     pub fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
@@ -1037,7 +932,7 @@ impl MemNode {
             // bytes that arrived, never a re-spelling of them.
             let (chained, rec) = rec.lend();
             let payload = &payload[chained.map_or(0, |_| REPL_WRAP)..];
-            wait = self.hold()?.log(Some((src_off, payload)), &rec)?;
+            wait = Some(self.hold()?.log(Some((src_off, payload)), &rec)?);
             // The lock table follows the staged set, as on a recovered
             // node. Followers serve no transactions of their own, so a
             // prepare's locks always grant.
@@ -1200,20 +1095,6 @@ mod tests {
         let n = node();
         n.commit(999).unwrap();
         n.abort(999).unwrap();
-    }
-
-    #[test]
-    fn mirror_stays_consistent() {
-        let n = node();
-        for i in 0..10u8 {
-            let mut m = Minitransaction::new();
-            m.write(ItemRange::new(n.id, i as u64 * 8, 1), vec![i]);
-            assert!(matches!(
-                single(&n, i as u64, &m),
-                SingleResult::Committed(_)
-            ));
-        }
-        assert!(n.mirror_consistent(&[(0, 128)]));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Crash recovery: image + log replay, and in-doubt 2PC resolution.
 //!
-//! Recovering a memnode is: load the latest checkpoint image (if any),
-//! then [`NodeState::redo`] the log on top — the same function that gave
-//! each record its effect when it was first logged. A torn log tail (crash
-//! mid-append) is truncated back to the last valid record on disk before
-//! replay.
+//! Recovering a memnode — any memnode, whether its log is a file or lives
+//! in memory — is two steps. [`Wal::read_back`] reads the latest
+//! checkpoint image (if any) and the log back from the store, cutting a
+//! torn tail (a crash or failure mid-append) back to the last valid record.
+//! Then [`replay`], a pure function of those bytes, decodes the image and
+//! [`NodeState::redo`]es the log on top — the same function that gave each
+//! record its effect when it was first logged.
 //!
 //! Transactions still staged after replay are **in doubt**: this node
 //! voted yes and never learned the outcome. When the coordinator is also
@@ -21,20 +23,10 @@ use crate::cluster::SinfoniaCluster;
 use crate::lock::TxId;
 use crate::memnode::Unavailable;
 use crate::state::NodeState;
-use crate::wal::parse_log;
+use crate::wal::{parse_log, Wal};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Path of a memnode's redo log within the durability directory.
-pub fn wal_path(dir: &Path, id: MemNodeId) -> PathBuf {
-    dir.join(format!("wal-{:04}.log", id.0))
-}
-
-/// Path of a memnode's checkpoint image within the durability directory.
-pub fn ckpt_path(dir: &Path, id: MemNodeId) -> PathBuf {
-    dir.join(format!("ckpt-{:04}.img", id.0))
-}
 
 /// Path of the marker recording that a memnode's elastic join is still
 /// in progress (its replicated replicas are not fully seeded). Created
@@ -71,36 +63,33 @@ pub fn discover_memnodes(dir: &Path) -> io::Result<usize> {
     Ok(count)
 }
 
-/// Rebuilds one memnode's state from `dir`: load the image (an empty
-/// state of `capacity` bytes when none exists yet; an image's recorded
-/// capacity must match), drop a torn log tail, then
-/// [`NodeState::redo`] every record. A record the state refuses — a write
-/// past capacity — is an error, not a panic.
-pub fn recover_node(dir: &Path, id: MemNodeId, capacity: u64) -> io::Result<NodeState> {
+/// Rebuilds a memnode's state from what its log's store holds: the one
+/// way a crashed or reopened node gets its state back.
+pub fn recover_node(wal: &Wal, capacity: u64) -> io::Result<NodeState> {
+    let (image, log) = wal.read_back()?;
+    replay(image.as_deref(), &log, capacity)
+}
+
+/// The state an image and a log describe: the image decoded (an empty
+/// state of `capacity` bytes when there is none; an image's recorded
+/// capacity must match), then every whole record of `log`
+/// [`NodeState::redo`]ne on top. A corrupt image is an error, not an
+/// absent one — the log prefix it covered is gone — and so is a record
+/// the state refuses (a write past capacity): never a panic.
+pub fn replay(image: Option<&[u8]>, log: &[u8], capacity: u64) -> io::Result<NodeState> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut state =
-        checkpoint::load(&ckpt_path(dir, id))?.unwrap_or_else(|| NodeState::new(capacity));
+    let mut state = match image {
+        Some(bytes) => checkpoint::decode_image(bytes)
+            .ok_or_else(|| invalid("corrupt checkpoint image".to_string()))?,
+        None => NodeState::new(capacity),
+    };
     if state.space.capacity() != capacity {
         return Err(invalid(format!(
-            "checkpoint capacity {} != configured {capacity} for memnode {id}",
+            "checkpoint capacity {} != configured {capacity}",
             state.space.capacity()
         )));
     }
-
-    let wal = wal_path(dir, id);
-    let buf = match std::fs::read(&wal) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let (records, valid) = parse_log(&buf);
-    if valid < buf.len() as u64 {
-        // Drop the torn tail on disk so subsequent appends extend a clean
-        // log instead of burying garbage mid-file.
-        let f = std::fs::OpenOptions::new().write(true).open(&wal)?;
-        f.set_len(valid)?;
-        f.sync_data()?;
-    }
+    let (records, _) = parse_log(log);
     for rec in &records {
         let (src_off, rec) = rec.lend();
         state

@@ -56,9 +56,9 @@ pub struct Replicator {
 
 impl Replicator {
     /// Starts streaming every primary memnode's WAL to the same-id
-    /// follower memnode. Both clusters must have the same node count,
-    /// and the primary must be durable (non-durable nodes have no log to
-    /// ship; fetches come back empty and the follower never advances).
+    /// follower memnode. Both clusters must have the same node count. A
+    /// primary ships its log wherever the log lives; only a durable one
+    /// keeps it across a restart of its process.
     pub fn spawn(
         primary: &Arc<SinfoniaCluster>,
         follower: &Arc<SinfoniaCluster>,
@@ -136,8 +136,8 @@ impl SinfoniaCluster {
             .collect()
     }
 
-    /// Per-memnode replication status (all-zero entries for crashed or
-    /// non-durable nodes).
+    /// Per-memnode replication status (all-zero entries for crashed
+    /// nodes).
     pub fn repl_statuses(&self) -> Vec<ReplStatus> {
         self.nodes_snapshot()
             .iter()

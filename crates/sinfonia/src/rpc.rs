@@ -75,7 +75,7 @@ pub struct NodeStats {
     pub wal_fsyncs: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// Log bytes currently retained on disk.
+    /// Log bytes currently retained.
     pub wal_retained_bytes: u64,
     /// True if the node logs to disk.
     pub durable: bool,
@@ -170,8 +170,7 @@ pub trait NodeRpc: Send + Sync {
     fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable>;
 
     /// Reads up to `max` raw framed redo-log bytes from logical offset
-    /// `from`, for replication shipping. Empty (zero tail) on non-durable
-    /// nodes.
+    /// `from`, for replication shipping.
     fn wal_fetch(&self, from: u64, max: u32) -> Result<WalSegment, Unavailable>;
 
     /// Incorporates a chunk of a primary's log stream starting at source
@@ -231,9 +230,9 @@ pub trait NodeRpc: Send + Sync {
         let _ = self.admin(AdminOp::Crash);
     }
 
-    /// Recovers from the mirror / disk. Best-effort: if the request does
-    /// not arrive, or the node's disk cannot be replayed, the node stays
-    /// crashed, which every later call reports.
+    /// Recovers by replaying the node's image and log. Best-effort: if the
+    /// request does not arrive, or the log cannot be replayed, the node
+    /// stays crashed, which every later call reports.
     fn recover(&self) {
         let _ = self.admin(AdminOp::Recover);
     }
@@ -279,17 +278,6 @@ pub trait NodeRpc: Send + Sync {
             AdminReply::Meta(m) => Some(m),
             _ => None,
         })
-    }
-
-    /// Compares primary and backup images over the probe ranges (test
-    /// support). False when the node cannot be reached: consistency that
-    /// was not observed is not reported.
-    fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
-        let probe = probe.to_vec();
-        matches!(
-            self.admin(AdminOp::MirrorConsistent { probe }),
-            Ok(AdminReply::Bool(true))
-        )
     }
 
     /// Point-in-time snapshot of every metric the node's observability
@@ -432,7 +420,6 @@ impl NodeRpc for MemNode {
             AdminOp::Stats => AdminReply::Stats(self.counters()),
             AdminOp::Meta if self.is_crashed() => return Err(Unavailable(self.id)),
             AdminOp::Meta => AdminReply::Meta(self.node_meta()),
-            AdminOp::MirrorConsistent { probe } => AdminReply::Bool(self.mirror_consistent(&probe)),
             // Exiting is the serving process's business (see
             // `server::serve_conn`); the memnode only acknowledges.
             AdminOp::Shutdown => AdminReply::Unit,
@@ -465,8 +452,7 @@ impl MemNode {
     /// Owned snapshot of this node's operation and durability counters.
     fn counters(&self) -> NodeStats {
         let s = &self.stats;
-        let (wal_appends, wal_bytes, wal_fsyncs) =
-            self.wal_stats().map_or((0, 0, 0), |w| w.snapshot());
+        let (wal_appends, wal_bytes, wal_fsyncs) = self.wal_stats().snapshot();
         NodeStats {
             single_commits: s.single_commits.load(Ordering::Relaxed),
             prepares: s.prepares.load(Ordering::Relaxed),

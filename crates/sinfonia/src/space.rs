@@ -11,7 +11,7 @@
 //!   when the access stays within one page — the hot-path case, since the
 //!   address-space layout never splits an object across pages — so a read
 //!   costs one refcount bump instead of an allocation + memcpy.
-//! * [`PagedSpace::snapshot_clone`] (checkpoints, the backup mirror) is
+//! * [`PagedSpace::snapshot_clone`] (the checkpoint freeze) is
 //!   O(resident pages) refcount bumps; the next write to a shared page
 //!   copies just that page (`Arc::make_mut`).
 

@@ -4,9 +4,9 @@
 //! A [`NodeState`] is everything a memnode must get back after a crash:
 //! the address space, the prepared-but-undecided transactions, the
 //! decided-commit set, the replication watermark and the largest
-//! transaction id seen. Live execution, crash recovery, the replication
-//! follower and the in-memory mirror all change it through
-//! [`NodeState::redo`] and nothing else, and a checkpoint image is one
+//! transaction id seen. Live execution, crash recovery and the
+//! replication follower all change it through [`NodeState::redo`] and
+//! nothing else, and a checkpoint image is one
 //! [`NodeState`] written down — so a follower, a restarted node and an
 //! image agree with the primary because the same function produced them.
 //!

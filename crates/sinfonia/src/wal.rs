@@ -13,6 +13,17 @@
 //! [`WalStats`], mirroring how the instrumented transport counts round
 //! trips, so benches can report the cost of each mode.
 //!
+//! ## One log, two media
+//!
+//! A log and the checkpoint image that bounds it live in a store: files
+//! (`wal-NNNN.log` and `ckpt-NNNN.img` in a durability directory), or
+//! bytes in memory. This module is the only one that knows which. A memory
+//! log is what an in-memory memnode journals to: the same frames, the same
+//! failpoints, the same image and the same read-back after a crash — only
+//! nothing to fsync, and no process restart to survive. It bounds itself
+//! ([`Wal::wants_checkpoint`]); a file's checkpoints are its owner's
+//! policy.
+//!
 //! ## Consistency contract
 //!
 //! Every logged mutation appends its record and applies its in-memory
@@ -21,14 +32,16 @@
 //! the in-memory state reflects exactly the records at or before that tail
 //! (see [`crate::checkpoint`]).
 
+use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
+use crate::checkpoint;
 use minuet_faults as faults;
 use minuet_obs::{Counter, HistHandle, ObsPlane};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,12 +83,16 @@ pub struct DurabilityConfig {
     pub checkpoint_log_bytes: u64,
 }
 
+/// The default `checkpoint_log_bytes`, and the least a memory log retains
+/// before it asks for a checkpoint.
+const CHECKPOINT_LOG_BYTES: u64 = 8 << 20;
+
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
             dir: None,
             sync: SyncMode::Sync,
-            checkpoint_log_bytes: 8 << 20,
+            checkpoint_log_bytes: CHECKPOINT_LOG_BYTES,
         }
     }
 }
@@ -282,6 +299,27 @@ pub(crate) fn put_writes(out: &mut Vec<u8>, writes: &[(u64, Bytes)]) {
     }
 }
 
+/// Appends a prepared transaction — its participants, lock spans and
+/// staged writes — in the one layout `Prepare` records and checkpoint
+/// images share (read back by `Cur::prepared`).
+pub(crate) fn put_prepared(
+    out: &mut Vec<u8>,
+    participants: impl ExactSizeIterator<Item = u16>,
+    spans: &[(u64, u64)],
+    writes: &[(u64, Bytes)],
+) {
+    out.extend_from_slice(&(participants.len() as u16).to_le_bytes());
+    for p in participants {
+        out.extend_from_slice(&p.to_le_bytes());
+    }
+    out.extend_from_slice(&(spans.len() as u32).to_le_bytes());
+    for (a, b) in spans {
+        out.extend_from_slice(&a.to_le_bytes());
+        out.extend_from_slice(&b.to_le_bytes());
+    }
+    put_writes(out, writes);
+}
+
 impl Record<'_> {
     /// Serializes the record payload (excluding the frame header).
     pub fn encode(&self) -> Vec<u8> {
@@ -307,16 +345,7 @@ impl Record<'_> {
             } => {
                 out.push(2);
                 out.extend_from_slice(&txid.to_le_bytes());
-                out.extend_from_slice(&(participants.len() as u16).to_le_bytes());
-                for p in *participants {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
-                out.extend_from_slice(&(spans.len() as u32).to_le_bytes());
-                for (a, b) in *spans {
-                    out.extend_from_slice(&a.to_le_bytes());
-                    out.extend_from_slice(&b.to_le_bytes());
-                }
-                put_writes(out, writes);
+                put_prepared(out, participants.iter().copied(), spans, writes);
             }
             Record::Commit { txid } => {
                 out.push(3);
@@ -334,6 +363,9 @@ impl Record<'_> {
         }
     }
 }
+
+/// A prepared transaction as [`Cur::prepared`] reads it back.
+pub(crate) type Prepared = (Vec<u16>, Vec<(u64, u64)>, Vec<(u64, Bytes)>);
 
 /// A bounds-checked little-endian cursor, shared by record and
 /// checkpoint-image decoding.
@@ -354,20 +386,21 @@ impl<'a> Cur<'a> {
         self.pos += n;
         Some(s)
     }
+    /// The next `N` bytes as an array: the one fixed-size read.
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
     pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+        self.array().map(u8::from_le_bytes)
     }
     pub(crate) fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
     pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
     pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
     /// True once every byte has been consumed.
     pub(crate) fn finished(&self) -> bool {
@@ -389,6 +422,29 @@ impl<'a> Cur<'a> {
         }
         Some(v)
     }
+    /// What [`put_prepared`] wrote: participants, lock spans, writes.
+    pub(crate) fn prepared(&mut self) -> Option<Prepared> {
+        let np = self.u16()?;
+        let participants = (0..np).map(|_| self.u16()).collect::<Option<_>>()?;
+        let ns = self.u32()?;
+        let spans = (0..ns)
+            .map(|_| self.u64().zip(self.u64()))
+            .collect::<Option<_>>()?;
+        Some((participants, spans, self.writes()?))
+    }
+    /// The next whole log frame; `None` at a torn or corrupt one.
+    fn frame(&mut self) -> Option<Frame<'a>> {
+        let len = self.u32()?;
+        let crc = self.u32()?;
+        if len > MAX_RECORD {
+            return None;
+        }
+        let payload = self.take(len as usize)?;
+        if crc32(payload) != crc {
+            return None;
+        }
+        Some((self.pos as u64, OwnedRecord::decode(payload)?, payload))
+    }
 }
 
 impl OwnedRecord {
@@ -403,21 +459,12 @@ impl OwnedRecord {
                 writes: c.writes()?,
             },
             2 => {
-                let np = c.u16()? as usize;
-                let mut participants = Vec::with_capacity(np);
-                for _ in 0..np {
-                    participants.push(c.u16()?);
-                }
-                let ns = c.u32()? as usize;
-                let mut spans = Vec::with_capacity(ns.min(1024));
-                for _ in 0..ns {
-                    spans.push((c.u64()?, c.u64()?));
-                }
+                let (participants, spans, writes) = c.prepared()?;
                 OwnedRecord::Prepare {
                     txid,
                     participants,
                     spans,
-                    writes: c.writes()?,
+                    writes,
                 }
             }
             3 => OwnedRecord::Commit { txid },
@@ -465,30 +512,10 @@ pub type Frame<'a> = (u64, OwnedRecord, &'a [u8]);
 /// watermark is the source-log offset of the last frame it incorporated,
 /// and what it logs is that frame's payload, verbatim.
 pub fn parse_frames(buf: &[u8]) -> (Vec<Frame<'_>>, u64) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        if buf.len() - pos < FRAME_HEADER as usize {
-            break;
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_RECORD || buf.len() - pos - 8 < len as usize {
-            break;
-        }
-        let payload = &buf[pos + 8..pos + 8 + len as usize];
-        if crc32(payload) != crc {
-            break;
-        }
-        match OwnedRecord::decode(payload) {
-            Some(rec) => {
-                pos += 8 + len as usize;
-                records.push((pos as u64, rec, payload));
-            }
-            None => break,
-        }
-    }
-    (records, pos as u64)
+    let mut c = Cur::new(buf);
+    let frames: Vec<Frame<'_>> = std::iter::from_fn(|| c.frame()).collect();
+    let valid = frames.last().map_or(0, |(end, ..)| *end);
+    (frames, valid)
 }
 
 /// Parses a log buffer into records, stopping at the first torn or corrupt
@@ -521,10 +548,10 @@ pub struct WalSegment {
 
 /// A typed write-ahead-log failure. Any append or fsync error is **sticky**:
 /// the log refuses further appends ([`WalError::Failed`]) and the owning
-/// memnode degrades to read-only instead of panicking. The on-disk log
-/// stays valid up to the last whole frame — a failed append cuts its torn
-/// tail back before surfacing the error, and replay's CRC framing discards
-/// anything a crash still manages to leave behind.
+/// memnode degrades to read-only instead of panicking. The log stays valid
+/// up to the last whole frame: what a failed append leaves past it is a
+/// torn tail, which replay's CRC framing ignores and reading the log back
+/// ([`Wal::read_back`]) cuts off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {
     /// Underlying I/O error (message preserved; the handle may be dead).
@@ -632,17 +659,158 @@ impl WalStats {
 }
 
 // ---------------------------------------------------------------------------
+// The store
+// ---------------------------------------------------------------------------
+
+/// Path of a memnode's redo log within the durability directory.
+pub fn wal_path(dir: &Path, id: MemNodeId) -> PathBuf {
+    dir.join(format!("wal-{:04}.log", id.0))
+}
+
+/// Path of a memnode's checkpoint image within the durability directory.
+pub fn ckpt_path(dir: &Path, id: MemNodeId) -> PathBuf {
+    dir.join(format!("ckpt-{:04}.img", id.0))
+}
+
+/// Where a log and the checkpoint image that bounds it keep their bytes:
+/// the one place the medium is named. Framing, the failure latch, sync
+/// modes, rotation, installing an image and reading everything back are
+/// written once, above it.
+enum Store {
+    /// On disk: the log, read and written only at explicit offsets
+    /// (`FileExt`) so appends, reads and rotation share no cursor, and the
+    /// image file beside it. Rotation swaps in the handle of the file it
+    /// renamed over the log.
+    File {
+        log: RwLock<File>,
+        path: PathBuf,
+        image: PathBuf,
+    },
+    /// In memory: kept across a crash of the node, lost with the process.
+    Memory {
+        log: Mutex<Vec<u8>>,
+        image: Mutex<Option<Bytes>>,
+    },
+}
+
+/// Writes `bytes` to a new file at `path` and syncs it; returns how long
+/// the fsync took.
+fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<Duration> {
+    let mut f = File::create(path)?;
+    f.write_all(bytes)?;
+    let t0 = Instant::now();
+    f.sync_data()?;
+    Ok(t0.elapsed())
+}
+
+/// Renames `from` over `to` and syncs the directory, so the rename lasts.
+fn rename_synced(from: &Path, to: &Path) -> io::Result<()> {
+    std::fs::rename(from, to)?;
+    if let Some(dir) = to.parent().and_then(|dir| File::open(dir).ok()) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
+}
+
+impl Store {
+    /// Bytes the log holds, a torn tail included.
+    fn len(&self) -> io::Result<u64> {
+        match self {
+            Store::File { log, .. } => Ok(log.read().metadata()?.len()),
+            Store::Memory { log, .. } => Ok(log.lock().len() as u64),
+        }
+    }
+
+    fn write_at(&self, at: u64, bytes: &[u8]) -> io::Result<()> {
+        match self {
+            Store::File { log, .. } => log.read().write_all_at(bytes, at),
+            Store::Memory { log, .. } => {
+                let mut log = log.lock();
+                log.truncate(at as usize);
+                log.extend_from_slice(bytes);
+                Ok(())
+            }
+        }
+    }
+
+    /// The log's bytes from `from` up to `to`.
+    fn read(&self, from: u64, to: u64) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0; (to - from) as usize];
+        match self {
+            Store::File { log, .. } => log.read().read_exact_at(&mut buf, from)?,
+            Store::Memory { log, .. } => match log.lock().get(from as usize..to as usize) {
+                Some(bytes) => buf.copy_from_slice(bytes),
+                None => return Err(io::ErrorKind::UnexpectedEof.into()),
+            },
+        }
+        Ok(buf)
+    }
+
+    /// Makes what was written durable: an fsync, or nothing in memory.
+    fn sync(&self) -> io::Result<()> {
+        match self {
+            Store::File { log, .. } => log.read().sync_data(),
+            Store::Memory { .. } => Ok(()),
+        }
+    }
+
+    /// Replaces the whole log with `bytes` — on disk through a synced
+    /// sibling renamed over it, so a crash leaves one or the other.
+    fn replace(&self, bytes: &[u8], stats: &WalStats) -> io::Result<()> {
+        match self {
+            Store::File { log, path, .. } => {
+                let tmp = path.with_extension("rot");
+                stats.record_fsync(write_synced(&tmp, bytes)?);
+                rename_synced(&tmp, path)?;
+                *log.write() = OpenOptions::new().read(true).write(true).open(path)?;
+            }
+            Store::Memory { log, .. } => *log.lock() = bytes.to_vec(),
+        }
+        Ok(())
+    }
+
+    /// Stage one of installing an image: on disk, the bytes land in a
+    /// synced sibling of the image. In memory the swap alone is atomic.
+    fn stage(&self, bytes: &[u8]) -> io::Result<()> {
+        match self {
+            Store::File { image, .. } => {
+                write_synced(&image.with_extension("tmp"), bytes).map(drop)
+            }
+            Store::Memory { .. } => Ok(()),
+        }
+    }
+
+    /// Stage two: `bytes`, staged, become the image.
+    fn swap(&self, bytes: Vec<u8>) -> io::Result<()> {
+        match self {
+            Store::File { image, .. } => rename_synced(&image.with_extension("tmp"), image),
+            Store::Memory { image, .. } => {
+                *image.lock() = Some(Bytes::from(bytes));
+                Ok(())
+            }
+        }
+    }
+
+    /// The image, if one was ever installed.
+    fn image(&self) -> io::Result<Option<Bytes>> {
+        match self {
+            Store::File { image, .. } if !image.exists() => Ok(None),
+            Store::File { image, .. } => Ok(Some(Bytes::from(std::fs::read(image)?))),
+            Store::Memory { image, .. } => Ok(image.lock().clone()),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The log
 // ---------------------------------------------------------------------------
 
 struct WalInner {
-    /// Only ever read and written at explicit offsets (`FileExt`), so the
-    /// handle has no cursor for appends, reads and rotation to disagree on.
-    file: File,
-    /// Current file length in bytes.
+    /// Bytes of whole frames in the store. A failed append can leave a
+    /// torn tail past them, which [`Wal::read_back`] cuts.
     len: u64,
-    /// Logical stream offset of file byte 0 (advances when a checkpoint
-    /// drops the replayed prefix).
+    /// Logical stream offset of the store's byte 0 (advances when a
+    /// checkpoint drops the replayed prefix).
     base: u64,
     /// The frame under construction, reused across appends.
     frame: Vec<u8>,
@@ -654,8 +822,8 @@ const FRAME_BUF_KEEP: usize = 64 << 10;
 
 /// State shared with the sync paths (and the async flusher thread).
 struct SyncShared {
-    /// Handle used for fsync, refreshed when the file is rotated.
-    file: Mutex<File>,
+    /// Where the bytes live.
+    store: Store,
     /// Logical tail: total bytes ever appended this process.
     tail: AtomicU64,
     /// Logical offset known durable.
@@ -672,7 +840,6 @@ struct GroupState {
 
 /// A per-memnode redo log. See the module docs for the locking contract.
 pub struct Wal {
-    path: PathBuf,
     mode: SyncMode,
     inner: Mutex<WalInner>,
     sync: Arc<SyncShared>,
@@ -681,26 +848,74 @@ pub struct Wal {
     /// Operation counters.
     pub stats: Arc<WalStats>,
     flusher: Option<std::thread::JoinHandle<()>>,
+    /// The least log a checkpoint waits for: 8 MiB in memory, and for a
+    /// file, whose checkpoints are its owner's policy, no amount.
+    floor: u64,
+    /// Logical tail past which the log asks for a checkpoint
+    /// ([`Wal::wants_checkpoint`]).
+    due: AtomicU64,
 }
 
 /// Interval between background fsyncs in [`SyncMode::Async`].
 const ASYNC_FLUSH_EVERY: Duration = Duration::from_millis(2);
 
 impl Wal {
-    /// Opens (or creates) the log at `path`, appending after any existing
-    /// content. Callers recovering from disk must truncate a torn tail
-    /// (via [`parse_log`]) *before* opening.
+    /// Opens (or creates) the log file at `path`, appending after any
+    /// existing content; its checkpoint image is `path` with extension
+    /// `img`. A log a crash may have torn is read back
+    /// ([`Wal::read_back`]) before anything is appended.
     pub fn open(path: impl Into<PathBuf>, mode: SyncMode) -> io::Result<Wal> {
         let path = path.into();
-        let file = OpenOptions::new()
+        let image = path.with_extension("img");
+        Self::on_disk(path, image, mode)
+    }
+
+    /// Memnode `id`'s log in `dcfg`'s directory, with its image beside it
+    /// ([`wal_path`], [`ckpt_path`]). `fresh` first removes whatever an
+    /// earlier run left there.
+    pub(crate) fn durable(dcfg: &DurabilityConfig, id: MemNodeId, fresh: bool) -> io::Result<Wal> {
+        let Some(dir) = dcfg.dir.as_deref() else {
+            let msg = "durable memnode needs a directory";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        };
+        std::fs::create_dir_all(dir)?;
+        let (path, image) = (wal_path(dir, id), ckpt_path(dir, id));
+        if fresh {
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&image);
+        }
+        Self::on_disk(path, image, dcfg.sync)
+    }
+
+    /// A log held in memory: nothing to sync, and bounded by checkpoints
+    /// it asks for itself.
+    pub(crate) fn in_memory() -> Wal {
+        let store = Store::Memory {
+            log: Mutex::new(Vec::new()),
+            image: Mutex::new(None),
+        };
+        Self::with_store(store, 0, SyncMode::None, CHECKPOINT_LOG_BYTES)
+    }
+
+    fn on_disk(path: PathBuf, image: PathBuf, mode: SyncMode) -> io::Result<Wal> {
+        let log = OpenOptions::new()
             .create(true)
             .truncate(false)
             .read(true)
             .write(true)
             .open(&path)?;
-        let len = file.metadata()?.len();
+        let len = log.metadata()?.len();
+        let store = Store::File {
+            log: RwLock::new(log),
+            path,
+            image,
+        };
+        Ok(Self::with_store(store, len, mode, u64::MAX))
+    }
+
+    fn with_store(store: Store, len: u64, mode: SyncMode, floor: u64) -> Wal {
         let sync = Arc::new(SyncShared {
-            file: Mutex::new(file.try_clone()?),
+            store,
             tail: AtomicU64::new(len),
             synced: AtomicU64::new(len),
             stop: AtomicBool::new(false),
@@ -715,9 +930,8 @@ impl Wal {
                     std::thread::sleep(ASYNC_FLUSH_EVERY);
                     let tail = sync.tail.load(Ordering::Acquire);
                     if tail > sync.synced.load(Ordering::Acquire) {
-                        let f = sync.file.lock();
                         let t0 = Instant::now();
-                        match f.sync_data() {
+                        match sync.store.sync() {
                             Ok(()) => {
                                 stats.record_fsync(t0.elapsed());
                                 sync.synced.fetch_max(tail, Ordering::AcqRel);
@@ -730,11 +944,9 @@ impl Wal {
         } else {
             None
         };
-        Ok(Wal {
-            path,
+        Wal {
             mode,
             inner: Mutex::new(WalInner {
-                file,
                 len,
                 base: 0,
                 frame: Vec::new(),
@@ -746,12 +958,9 @@ impl Wal {
             group_cv: Condvar::new(),
             stats,
             flusher,
-        })
-    }
-
-    /// The log's sync mode.
-    pub fn mode(&self) -> SyncMode {
-        self.mode
+            floor,
+            due: AtomicU64::new(len.saturating_add(floor)),
+        }
     }
 
     /// Acquires the appender lock. State mutations paired with a record
@@ -810,21 +1019,14 @@ impl Wal {
                     panic!("injected panic at wal.fsync");
                 }
                 let t0 = Instant::now();
-                let (tail, synced) = {
-                    let f = self.sync.file.lock();
-                    // Snapshot the tail *inside* the file lock, right
-                    // before the fsync: any append whose tail store is
-                    // visible here has its bytes in the page cache, so
-                    // the sync below covers it and it must be credited.
-                    // (Sampling before the lock under-credits appends
-                    // that land while the leader waits for the lock and
-                    // forces them into a redundant follow-up fsync.)
-                    let tail = self.sync.tail.load(Ordering::Acquire);
-                    let res = match fault {
-                        Some(a) => Err(faults::io_error(faults::Site::WalFsync, a)),
-                        None => f.sync_data(),
-                    };
-                    (tail, res)
+                // Snapshot the tail right before the fsync: any append
+                // whose tail store is visible here has its bytes in the
+                // page cache, so the sync below covers it and it must be
+                // credited.
+                let tail = self.sync.tail.load(Ordering::Acquire);
+                let synced = match fault {
+                    Some(a) => Err(faults::io_error(faults::Site::WalFsync, a)),
+                    None => self.sync.store.sync(),
                 };
                 if synced.is_ok() {
                     self.stats.record_group_fsync(t0.elapsed());
@@ -851,17 +1053,53 @@ impl Wal {
         }
     }
 
-    /// True once an append or fsync failure has latched the log read-only.
-    pub fn is_failed(&self) -> bool {
-        self.sync.failed.load(Ordering::Acquire)
+    /// True when the log survives the process: it is a file.
+    pub fn is_durable(&self) -> bool {
+        matches!(self.sync.store, Store::File { .. })
     }
 
-    /// Clears the failure latch after the device has recovered (called by
-    /// node recovery; a chaos nemesis heals a degraded node this way). The
-    /// on-disk log is already whole-frame valid — failed appends cut their
-    /// torn tails back before latching.
-    pub fn clear_failed(&self) {
+    /// True once a memory log retains more than its bound — the larger of
+    /// the default `checkpoint_log_bytes` and the last image's length, so a
+    /// checkpoint encodes at most one image byte per byte logged. Never
+    /// true of a file, whose checkpoints are its owner's policy.
+    pub fn wants_checkpoint(&self) -> bool {
+        self.tail() > self.due.load(Ordering::Relaxed)
+    }
+
+    /// Reads the image (if one was ever installed) and the retained log
+    /// back from the store, for [`crate::recovery::recover_node`]. A torn
+    /// tail — a failed append's, or a crash's mid-append — is first cut
+    /// back to the last whole frame (on disk, durably), so appends extend
+    /// a clean log; and the failure latch is cleared: the medium is
+    /// trusted again (a chaos nemesis heals a degraded node this way).
+    pub fn read_back(&self) -> io::Result<(Option<Bytes>, Vec<u8>)> {
+        let store = &self.sync.store;
+        let mut inner = self.inner.lock();
+        let mut log = store.read(0, store.len()?)?;
+        let valid = parse_frames(&log).1;
+        if valid < log.len() as u64 {
+            log.truncate(valid as usize);
+            store.replace(&log, &self.stats)?;
+        }
+        inner.len = log.len() as u64;
+        let tail = inner.base + inner.len;
+        self.sync.tail.store(tail, Ordering::Release);
+        self.sync.synced.fetch_min(tail, Ordering::AcqRel);
         self.sync.failed.store(false, Ordering::Release);
+        Ok((store.image()?, log))
+    }
+
+    /// Installs `image`, a checkpoint of the state the log describes up to
+    /// logical offset `upto`, then drops the log prefix it covers. The
+    /// image goes in as `checkpoint::write_atomic` says, so a failure at
+    /// either of its stages leaves the previous image and the whole log.
+    pub fn install_image(&self, image: Vec<u8>, upto: u64) -> io::Result<()> {
+        let store = &self.sync.store;
+        let due = upto.saturating_add(self.floor.max(image.len() as u64));
+        checkpoint::write_atomic(image, |b| store.stage(b), |b| store.swap(b))?;
+        self.drop_prefix(upto)?;
+        self.due.store(due, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Reads up to `max` raw framed bytes starting at logical offset
@@ -872,26 +1110,23 @@ impl Wal {
     /// detect that log shipping alone can no longer catch the follower up.
     pub fn read_from(&self, from: u64, max: u32) -> io::Result<WalSegment> {
         let inner = self.inner.lock();
-        let base = inner.base;
-        let tail = base + inner.len;
+        let (base, tail) = (inner.base, inner.base + inner.len);
         let mut seg = WalSegment {
             from,
             base,
             tail,
             bytes: Vec::new(),
         };
-        if from < base || from >= tail {
-            return Ok(seg);
+        if (base..tail).contains(&from) {
+            let to = tail.min(from + max as u64);
+            seg.bytes = self.sync.store.read(from - base, to - base)?;
         }
-        let want = ((tail - from) as usize).min(max as usize);
-        seg.bytes.resize(want, 0);
-        inner.file.read_exact_at(&mut seg.bytes, from - base)?;
         Ok(seg)
     }
 
     /// Drops the log prefix before logical offset `upto` (records already
-    /// captured by a checkpoint image), atomically via a sibling file and
-    /// rename. Appends are blocked for the duration.
+    /// captured by a checkpoint image), atomically: on disk via a sibling
+    /// file and rename. Appends are blocked for the duration.
     pub fn drop_prefix(&self, upto: u64) -> io::Result<()> {
         let mut inner = self.inner.lock();
         let cut = upto.saturating_sub(inner.base);
@@ -905,27 +1140,9 @@ impl Wal {
             return Err(faults::io_error(faults::Site::WalTruncate, a));
         }
         debug_assert!(cut <= inner.len, "checkpoint tail beyond log end");
-        let mut suffix = vec![0u8; (inner.len - cut) as usize];
-        inner.file.read_exact_at(&mut suffix, cut)?;
-        let tmp = self.path.with_extension("rot");
-        {
-            let mut t = File::create(&tmp)?;
-            t.write_all(&suffix)?;
-            let t0 = Instant::now();
-            t.sync_data()?;
-            self.stats.record_fsync(t0.elapsed());
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        let file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        *self.sync.file.lock() = file.try_clone()?;
-        inner.file = file;
-        inner.len = suffix.len() as u64;
-        inner.base = upto;
+        let suffix = self.sync.store.read(cut, inner.len)?;
+        self.sync.store.replace(&suffix, &self.stats)?;
+        (inner.len, inner.base) = (inner.len - cut, upto);
         Ok(())
     }
 }
@@ -948,16 +1165,15 @@ pub struct WalAppender<'a> {
 impl WalAppender<'_> {
     /// Appends one framed record; returns the logical end offset to pass
     /// to [`Wal::wait_durable`]. On I/O failure (real or injected) the
-    /// torn tail is cut back so the file stays valid up to the last whole
-    /// frame, the failure latches ([`Wal::is_failed`]), and the owning
-    /// memnode degrades to read-only instead of panicking.
+    /// failure latches and the owning memnode degrades
+    /// to read-only instead of panicking; whatever part of the frame
+    /// reached the store is a torn tail, which [`Wal::read_back`] cuts.
     pub fn append(&mut self, rec: &Record<'_>) -> Result<u64, WalError> {
-        if self.wal.sync.failed.load(Ordering::Acquire) {
+        let wal = self.wal;
+        if wal.sync.failed.load(Ordering::Acquire) {
             return Err(WalError::Failed);
         }
-        let WalInner {
-            file, len, frame, ..
-        } = &mut *self.inner;
+        let WalInner { len, frame, .. } = &mut *self.inner;
         frame.clear();
         frame.resize(FRAME_HEADER as usize, 0);
         rec.encode_into(frame);
@@ -965,17 +1181,15 @@ impl WalAppender<'_> {
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
         let at = *len;
+        let store = &wal.sync.store;
         let res = match faults::check_delay(faults::Site::WalAppend) {
-            None => file
-                .write_all_at(frame, at)
-                .map_err(|e| WalError::from_io(&e)),
+            None => store.write_at(at, frame).map_err(|e| WalError::from_io(&e)),
             Some(faults::Action::Panic) => panic!("injected panic at wal.append"),
             Some(faults::Action::NoSpace) => Err(WalError::NoSpace),
             Some(faults::Action::ShortWrite(n)) => {
-                // Model the torn tail a real short write leaves behind;
-                // the cleanup below cuts it back to the last whole frame.
+                // The torn tail a real short write leaves behind.
                 let n = (n as usize).min(frame.len());
-                let _ = file.write_all_at(&frame[..n], at);
+                let _ = store.write_at(at, &frame[..n]);
                 Err(WalError::ShortWrite {
                     wrote: n as u64,
                     want: frame.len() as u64,
@@ -988,11 +1202,8 @@ impl WalAppender<'_> {
             *frame = Vec::new();
         }
         if let Err(e) = res {
-            // Cut any torn tail back so the retained log stays valid up
-            // to the last whole frame, then latch the failure.
-            let _ = file.set_len(at);
-            self.wal.sync.failed.store(true, Ordering::Release);
-            self.wal.group_cv.notify_all();
+            wal.sync.failed.store(true, Ordering::Release);
+            wal.group_cv.notify_all();
             return Err(e);
         }
         *len += wrote;

@@ -1159,7 +1159,7 @@ messages! {
         0x0A SET_RETIRING "set_retiring" => SetRetiring(0: bool),
         /// Crash injection: drop volatile state, refuse service.
         0x0B CRASH "crash" => Crash,
-        /// Recover from the mirror / from disk.
+        /// Recover: replay the node's image and log.
         0x0C RECOVER "recover" => Recover,
         /// Take a checkpoint now. Answered by [`AdminReply::Bool`] (false
         /// when skipped) or [`AdminReply::Error`].
@@ -1169,12 +1169,9 @@ messages! {
         /// Fetch recovery metadata: in-doubt transactions and the decided
         /// set ([`AdminReply::Meta`]).
         0x10 META "meta" => Meta,
-        /// Compare primary and backup images over the probe ranges
-        /// ([`AdminReply::Bool`]).
-        0x11 MIRROR "mirror" => MirrorConsistent {
-            /// `(offset, length)` probe ranges.
-            probe: Vec<(u64, u32)>,
-        },
+        // 0x11 was `MirrorConsistent` (a probe of the in-memory backup
+        // mirror, which no memnode keeps any more): retired, never to be
+        // reused. A v4 peer that still sends it gets a bad-tag refusal.
         /// Ask the server process to exit cleanly after replying. A no-op
         /// on an in-process memnode.
         0x12 SHUTDOWN "shutdown" => Shutdown,
@@ -1270,7 +1267,7 @@ messages! {
     pub enum AdminReply, tags in admin_reply_tag {
         /// Done; nothing to report.
         0x85 R_ADMIN_UNIT "unit" => Unit,
-        /// Boolean result (checkpoint taken, mirror consistent).
+        /// Boolean result (checkpoint taken).
         0x87 R_BOOL "bool" => Bool(0: bool),
         /// Operation / durability counters.
         0x88 R_STATS "stats" => Stats(0: NodeStats),
@@ -1453,8 +1450,9 @@ mod tests {
             },
         });
         roundtrip_req(Request::Commit { txid: 7 });
-        roundtrip_req(Request::Admin(AdminOp::MirrorConsistent {
-            probe: vec![(0, 64), (128, 32)],
+        roundtrip_req(Request::Admin(AdminOp::TraceDump {
+            max: 32,
+            slow: true,
         }));
         roundtrip_req(Request::Admin(AdminOp::Shutdown));
         roundtrip_req(Request::ReplFetch {

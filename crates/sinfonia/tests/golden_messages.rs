@@ -39,7 +39,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("req.stats", "010000008ac2ba350e"),
     ("req.flags", "010000001cf2bd420f"),
     ("req.meta", "01000000e9ffb5cf10"),
-    ("req.mirror", "1d000000195d7b031102000000000000000000000040000000800000000000000020000000"),
     ("req.shutdown", "01000000c59ebb2112"),
     ("req.obs_snapshot", "01000000f03bd8c814"),
     ("req.trace_dump", "06000000192d1f54152000000001"),
@@ -157,12 +156,6 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("req.stats", admin(AdminOp::Stats)),
         ("req.flags", Request::Flags),
         ("req.meta", admin(AdminOp::Meta)),
-        (
-            "req.mirror",
-            admin(AdminOp::MirrorConsistent {
-                probe: vec![(0, 64), (128, 32)],
-            }),
-        ),
         ("req.shutdown", admin(AdminOp::Shutdown)),
         ("req.obs_snapshot", admin(AdminOp::ObsSnapshot)),
         (

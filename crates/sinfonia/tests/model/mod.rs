@@ -20,7 +20,9 @@
 //! from its image and log, a follower of its log and that follower
 //! reopened all hold the same bytes, the same in-doubt and decided sets
 //! and (the follower pair) the same watermark — and that state is the one
-//! the schedule's own model predicts.
+//! the schedule's own model predicts. An in-memory memnode taken through
+//! the primary's steps is held to the same state, live and after a crash
+//! and recovery: its log lives in memory, and it recovers the same way.
 
 #![allow(dead_code)] // each test binary drives one of the two properties
 
@@ -285,13 +287,16 @@ fn write_shard(slot: u64, byte: u8) -> Minitransaction {
 /// the log a follower reads); a crash and recovery of any node; and an
 /// append that fails (of a write, or of a commit decision), after which
 /// the degraded primary must still read as the model does — the log did
-/// not take the record, so neither did the state.
+/// not take the record, so neither did the state. Every step the primary
+/// takes, an in-memory memnode takes too, answering alike; it is held to
+/// the model at the end, live and then crashed and recovered.
 pub fn four_ways_to_the_same_state(cases: u32) {
     let step = (0u8..9, 0..WIDE_SLOTS, any::<u8>(), any::<u8>());
     let schedule = vec(step, 1..=40usize);
     let mut rng = rng_for("four_ways_to_the_same_state");
     for case in 0..cases {
         let [p, f1, f2] = ["4w-primary", "4w-hop1", "4w-hop2"].map(Durable::fresh);
+        let mem = MemNode::new(MemNodeId(0), CAPACITY);
         let (mut seen1, mut seen2) = (Vec::new(), Vec::new());
         let mut model = BTreeMap::<u64, u8>::new();
         let mut in_doubt: Vec<(u64, u64, u8)> = Vec::new();
@@ -304,10 +309,13 @@ pub fn four_ways_to_the_same_state(cases: u32) {
                 unreachable!("one memnode")
             };
             let pick = knob as usize;
+            let alike = format!("case {case}: the in-memory node answered differently");
             match kind {
                 0 | 1 => {
                     // Busy under a vote in doubt on the same slot.
                     let done = p.node.exec_single(txid, shard, LockPolicy::AbortOnBusy);
+                    let on_mem = mem.exec_single(txid, shard, LockPolicy::AbortOnBusy);
+                    assert_eq!(on_mem, done, "{alike}");
                     if matches!(done.unwrap(), SingleResult::Committed(_)) {
                         model.insert(slot, byte);
                     }
@@ -315,6 +323,8 @@ pub fn four_ways_to_the_same_state(cases: u32) {
                 2 => {
                     let policy = LockPolicy::AbortOnBusy;
                     let vote = p.node.prepare(txid, shard, policy, &PARTICIPANTS);
+                    let on_mem = mem.prepare(txid, shard, policy, &PARTICIPANTS);
+                    assert_eq!(on_mem, vote, "{alike}");
                     if matches!(vote.unwrap(), Vote::Ok(_)) {
                         in_doubt.push((txid, slot, byte));
                     }
@@ -323,8 +333,10 @@ pub fn four_ways_to_the_same_state(cases: u32) {
                     let (txid, slot, byte) = in_doubt.remove(pick % in_doubt.len());
                     if byte % 3 == 0 {
                         p.node.abort(txid).unwrap();
+                        mem.abort(txid).unwrap();
                     } else {
                         p.node.commit(txid).unwrap();
+                        mem.commit(txid).unwrap();
                         model.insert(slot, byte);
                         decided.insert(txid);
                     }
@@ -342,6 +354,7 @@ pub fn four_ways_to_the_same_state(cases: u32) {
                     let node = match pick % 3 {
                         0 => {
                             catch_up(&p.node, &f1.node, &mut seen1);
+                            assert!(mem.checkpoint().unwrap());
                             &p.node
                         }
                         1 => {
@@ -356,25 +369,37 @@ pub fn four_ways_to_the_same_state(cases: u32) {
                     let node = [&p.node, &f1.node, &f2.node][pick % 3];
                     node.crash();
                     node.recover().unwrap();
+                    if pick.is_multiple_of(3) {
+                        mem.crash();
+                        mem.recover().unwrap();
+                    }
                 }
                 8 => {
-                    let arm = faults::Arm::new(faults::Action::NoSpace).times(1);
-                    faults::arm(faults::Site::WalAppend, arm);
-                    let failed = match in_doubt.get(pick % in_doubt.len().max(1)) {
-                        Some(&(txid, ..)) if pick % 2 == 1 => p.node.commit(txid).is_err(),
-                        _ => p
-                            .node
-                            .exec_single(txid, shard, LockPolicy::AbortOnBusy)
-                            .is_err(),
+                    let fail_on = |node: &MemNode| {
+                        let arm = faults::Arm::new(faults::Action::NoSpace).times(1);
+                        faults::arm(faults::Site::WalAppend, arm);
+                        let failed = match in_doubt.get(pick % in_doubt.len().max(1)) {
+                            Some(&(txid, ..)) if pick % 2 == 1 => node.commit(txid).is_err(),
+                            _ => node
+                                .exec_single(txid, shard, LockPolicy::AbortOnBusy)
+                                .is_err(),
+                        };
+                        // Not reached by a write that was busy.
+                        faults::disarm_all();
+                        failed
                     };
-                    // Not reached by a write that was busy.
-                    faults::disarm_all();
+                    let failed = fail_on(&p.node);
+                    assert_eq!(fail_on(&mem), failed, "{alike}");
                     if failed {
                         assert!(p.node.is_degraded(), "case {case}");
                         let got = observe(&p.node).0;
                         assert_eq!(got, slots_of(&model), "case {case}: the log refused it");
                         assert_eq!(p.node.in_doubt(), in_doubt.len(), "case {case}");
                         p.node.recover().unwrap();
+                        assert!(mem.is_degraded(), "{alike}");
+                        assert_eq!(observe(&mem).0, slots_of(&model), "{alike}");
+                        assert_eq!(mem.in_doubt(), in_doubt.len(), "{alike}");
+                        mem.recover().unwrap();
                     }
                 }
                 _ => {}
@@ -391,6 +416,11 @@ pub fn four_ways_to_the_same_state(cases: u32) {
                 .collect(),
             decided: decided.into_iter().collect(),
         };
+        let expected = (slots.clone(), meta.clone(), 0);
+        assert_eq!(observe(&mem), expected, "case {case}, in memory, live");
+        mem.crash();
+        mem.recover().unwrap();
+        assert_eq!(observe(&mem), expected, "case {case}, in memory, recovered");
         let marks = [
             0,
             p.node.repl_status().unwrap().tail,

@@ -37,7 +37,7 @@ fn build_log(ntx: u64) -> (ClusterConfig, std::path::PathBuf, std::path::PathBuf
         assert!(c.execute(&m).unwrap().committed());
     }
     drop(c);
-    let wal = minuet_sinfonia::recovery::wal_path(&dir, MemNodeId(0));
+    let wal = minuet_sinfonia::wal::wal_path(&dir, MemNodeId(0));
     (cfg, dir, wal)
 }
 

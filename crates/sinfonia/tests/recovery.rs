@@ -7,9 +7,10 @@
 //! neighbour's log.
 
 use minuet_faults as faults;
+use minuet_sinfonia::memnode::{SingleResult, Vote};
 use minuet_sinfonia::{
-    ClusterConfig, DurabilityConfig, ItemRange, LockPolicy, MemNodeId, Minitransaction, Resolution,
-    SinfoniaCluster, SyncMode,
+    ClusterConfig, DurabilityConfig, ItemRange, LockPolicy, MemNode, MemNodeId, Minitransaction,
+    Resolution, SinfoniaCluster, SyncMode, Unavailable,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -318,10 +319,155 @@ fn a_commit_decision_is_remembered_on_every_kind_of_node() {
     }
 }
 
+/// Executes a single-memnode minitransaction at `node`.
+fn exec(node: &MemNode, txid: u64, m: &Minitransaction) -> Result<SingleResult, Unavailable> {
+    let [(_, shard)] = m.shards() else {
+        unreachable!("items at one memnode")
+    };
+    node.exec_single(txid, shard, LockPolicy::AbortOnBusy)
+}
+
+/// A write of `len` copies of `byte` at `off` of memnode 0.
+fn put(off: u64, len: usize, byte: u8) -> Minitransaction {
+    let mut m = Minitransaction::new();
+    m.write(
+        ItemRange::new(MemNodeId(0), off, len as u32),
+        vec![byte; len],
+    );
+    m
+}
+
+/// An in-memory node recovers the way a durable one does. A torn append
+/// degrades it read-only, and `recover` reads its log back — cutting the
+/// torn tail — and replays it: every earlier write reads back, the torn one
+/// is absent, and a write after the heal extends a clean log that the next
+/// crash recovers too.
+#[test]
+fn an_in_memory_node_recovers_through_its_log() {
+    let _faults = faults::test_guard();
+    let node = MemNode::new(MemNodeId(0), 1 << 20);
+    let committed = |r: Result<_, _>| matches!(r, Ok(SingleResult::Committed(_)));
+    for slot in 0..5u8 {
+        assert!(committed(exec(
+            &node,
+            slot as u64,
+            &put(slot as u64 * 8, 8, slot + 1)
+        )));
+    }
+    let tear = faults::Arm::new(faults::Action::ShortWrite(5)).times(1);
+    faults::arm(faults::Site::WalAppend, tear);
+    assert!(
+        exec(&node, 5, &put(40, 8, 99)).is_err(),
+        "a torn append acked"
+    );
+    faults::disarm_all();
+    assert!(
+        node.is_degraded(),
+        "a failed append must latch read-only mode"
+    );
+    assert!(
+        exec(&node, 6, &put(48, 8, 7)).is_err(),
+        "degraded node wrote"
+    );
+
+    let check = |torn: u8| {
+        for slot in 0..5u8 {
+            let got = node.raw_read(slot as u64 * 8, 8).unwrap();
+            assert_eq!(got, vec![slot + 1; 8], "slot {slot} lost to the torn tail");
+        }
+        assert_eq!(node.raw_read(40, 8).unwrap(), vec![torn; 8], "slot 5");
+    };
+    node.recover().unwrap();
+    assert!(!node.is_degraded(), "recover must clear the latch");
+    check(0);
+    assert!(committed(exec(&node, 7, &put(40, 8, 55))));
+    node.crash();
+    node.recover().unwrap();
+    check(55);
+}
+
+/// An in-memory node's log bounds itself. Past the larger of the default
+/// `checkpoint_log_bytes` and its last image it takes a checkpoint of its
+/// own, so three bounds' worth of writes leave at most one bound, plus the
+/// record that crossed it, retained — and the images and the log still
+/// recover every slot's last value and the decided set. A read asks for no
+/// checkpoint, even of a log past its bound.
+#[test]
+fn an_in_memory_log_stays_bounded() {
+    const SLOTS: u64 = 64;
+    const LEN: usize = 4096;
+    // A frame: header, tag, txid, write count, offset, length, payload.
+    const RECORD: u64 = 8 + 1 + 8 + 4 + 8 + 4 + LEN as u64;
+    let _faults = faults::test_guard();
+    let bound = DurabilityConfig::default().checkpoint_log_bytes;
+    let node = MemNode::new(MemNodeId(0), 1 << 20);
+    // A two-phase commit whose `Commit` record a checkpoint truncates.
+    let m = put(0, 4, 9);
+    let [(_, shard)] = m.shards() else {
+        unreachable!("items at one memnode")
+    };
+    let vote = node.prepare(1, shard, LockPolicy::AbortOnBusy, &[node.id]);
+    assert!(matches!(vote, Ok(Vote::Ok(_))));
+    node.commit(1).unwrap();
+
+    let mut last = [0u8; SLOTS as usize];
+    let mut txid = 1;
+    let mut write = |node: &MemNode| {
+        txid += 1;
+        let slot = txid % SLOTS;
+        let byte = txid as u8 | 1;
+        let done = exec(node, txid, &put(LEN as u64 * (slot + 1), LEN, byte));
+        assert!(matches!(done, Ok(SingleResult::Committed(_))));
+        last[slot as usize] = byte;
+        let retained = node.wal_retained_bytes();
+        assert!(retained <= bound + RECORD, "{retained} retained");
+        retained
+    };
+    for _ in 0..3 * bound / LEN as u64 + 1 {
+        write(&node);
+    }
+    let taken = node.checkpoint_count();
+    assert!(taken >= 2, "{taken} checkpoints over three bounds of log");
+
+    // With the image write failing, the log outgrows its bound...
+    faults::arm(
+        faults::Site::CkptWrite,
+        faults::Arm::new(faults::Action::Err),
+    );
+    while write(&node) <= bound {}
+    faults::disarm_all();
+    assert_eq!(node.checkpoint_count(), taken);
+    // ...and a read leaves it there, where a write takes the checkpoint.
+    let before = node.wal_retained_bytes();
+    let mut read = Minitransaction::new();
+    read.read(ItemRange::new(node.id, 0, 4));
+    assert!(matches!(
+        exec(&node, 0, &read),
+        Ok(SingleResult::Committed(_))
+    ));
+    assert_eq!(node.checkpoint_count(), taken, "a read took a checkpoint");
+    assert_eq!(node.wal_retained_bytes(), before);
+    assert!(write(&node) < bound);
+    assert_eq!(node.checkpoint_count(), taken + 1);
+
+    node.crash();
+    node.recover().unwrap();
+    for (slot, byte) in last.iter().enumerate() {
+        let got = node.raw_read(LEN as u64 * (slot as u64 + 1), LEN as u32);
+        assert_eq!(got.unwrap(), vec![*byte; LEN], "slot {slot}");
+    }
+    assert_eq!(node.raw_read(0, 4).unwrap(), vec![9; 4]);
+    assert!(
+        node.node_meta().decided.contains(&1),
+        "the decision was lost"
+    );
+}
+
 /// Four ways to the same state: a random schedule against one durable
 /// primary and a chain of two followers, after which the live nodes, the
-/// same nodes reopened from disk, and the schedule's own model all agree
-/// (see `model/mod.rs` for the schedule and what is held to it).
+/// same nodes reopened from disk, and the schedule's own model all agree;
+/// an in-memory node run through the primary's steps agrees too, live and
+/// recovered (see `model/mod.rs` for the schedule and what is held to it).
 #[test]
 fn four_ways_to_the_same_state() {
     let _faults = faults::test_guard();

@@ -198,14 +198,6 @@ fn arb_admin_op() -> impl Strategy<Value = AdminOp> {
         Just(AdminOp::Checkpoint),
         Just(AdminOp::Stats),
         Just(AdminOp::Meta),
-        proptest::collection::vec((any::<u32>(), any::<u16>()), 0..5).prop_map(|probe| {
-            AdminOp::MirrorConsistent {
-                probe: probe
-                    .into_iter()
-                    .map(|(off, len)| (off as u64, len as u32))
-                    .collect(),
-            }
-        }),
         Just(AdminOp::Shutdown),
         Just(AdminOp::ObsSnapshot),
         (any::<u32>(), any::<bool>()).prop_map(|(max, slow)| AdminOp::TraceDump { max, slow }),
@@ -476,9 +468,6 @@ fn every_admin_op() -> Vec<AdminOp> {
         AdminOp::Checkpoint,
         AdminOp::Stats,
         AdminOp::Meta,
-        AdminOp::MirrorConsistent {
-            probe: vec![(0, 64), (128, 32)],
-        },
         AdminOp::Shutdown,
         AdminOp::ObsSnapshot,
         AdminOp::TraceDump {
@@ -690,7 +679,6 @@ fn hostile_counts_are_truncated_not_allocated() {
             with(&[0x04, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
         ),
         ("raw_write length", with(&[0x08, 0, 0, 0, 0, 0, 0, 0, 0])),
-        ("mirror probe", with(&[0x11])),
         ("faults spec", with(&[0x1A])),
     ] {
         assert_eq!(

@@ -263,9 +263,6 @@ fn admin_ops_answer_alike_in_process_and_over_the_wire() {
         AdminOp::Checkpoint,
         AdminOp::Stats,
         AdminOp::Meta,
-        AdminOp::MirrorConsistent {
-            probe: vec![(0, 4096), (8192, 64)],
-        },
     ] {
         let here = local.admin(op.clone()).expect("in-process");
         let there = remote.admin(op.clone()).expect("daemon is up");
