@@ -89,6 +89,34 @@ fn memnode_names_no_storage_medium() {
          `Wal`'s business: take `self.hold()` and `log` the record, and recover through \
          `recovery::recover_node`."
     );
+    // Every execution path logs through `Held::log`, never around it: an
+    // append of its own would skip the check before it or the redo after.
+    const PATHS: &[&str] = &[
+        "exec_single",
+        "try_write_fastpath",
+        "prepare",
+        "commit",
+        "abort",
+        "raw_write",
+        "repl_apply",
+    ];
+    let is_fn = |l: &String| l.starts_with("    fn ") || l.starts_with("    pub fn ");
+    for name in PATHS {
+        let start = code
+            .iter()
+            .position(|l| is_fn(l) && l.contains(&format!("fn {name}(")))
+            .unwrap_or_else(|| panic!("memnode.rs: execution path `{name}` not found"));
+        let len = code[start + 1..]
+            .iter()
+            .position(is_fn)
+            .unwrap_or(code.len() - start - 1);
+        let around = count(&code[start..=start + len], &["wal.lock()", ".append("]);
+        assert_eq!(
+            around, 0,
+            "memnode.rs: `{name}` takes the log's appender on {around} line(s). Take \
+             `self.hold()` and `log` the record: check → append → redo."
+        );
+    }
     // `Held::log` is check → append → redo, with no branch on anything.
     let start = code
         .iter()
