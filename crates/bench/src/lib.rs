@@ -26,6 +26,8 @@
 //! | `MINUET_BENCH_CLIENTS` | 2 | client threads per machine |
 //! | `MINUET_BENCH_RTT_US` | 1000 | injected per-round-trip latency |
 //! | `MINUET_BENCH_FAST` | unset | if set: tiny records/durations (CI smoke) |
+//!
+//! A numeric value that does not parse panics, naming the variable.
 
 use minuet_cdb::{CdbCluster, CdbConfig};
 use minuet_core::{MinuetCluster, SnapshotId, TreeConfig};
@@ -34,12 +36,27 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Reads an env var with a default.
+/// Parses `raw`, the value of env var `name` (`None` when unset), as a
+/// comma-separated list of unsigned integers. A malformed or empty entry
+/// panics naming the variable and its value: a typo must not silently run
+/// a default or sweep a shorter list.
+fn parse_env(name: &str, raw: Option<&str>) -> Option<Vec<u64>> {
+    let raw = raw?;
+    let parsed = raw.split(',').map(|x| x.trim().parse().ok()).collect();
+    let Some(values) = parsed else {
+        panic!("{name}={raw:?}: expected comma-separated unsigned integers");
+    };
+    Some(values)
+}
+
+/// Reads a one-integer env var with a default.
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let raw = std::env::var(name).ok();
+    match parse_env(name, raw.as_deref()).as_deref() {
+        None => default,
+        Some(&[v]) => v,
+        Some(list) => panic!("{name}={list:?}: expected one unsigned integer"),
+    }
 }
 
 /// True when `MINUET_BENCH_FAST` is set (CI smoke mode).
@@ -67,8 +84,9 @@ pub fn records() -> u64 {
 
 /// Machine counts swept by scaling benches.
 pub fn scales() -> Vec<usize> {
-    if let Ok(s) = std::env::var("MINUET_BENCH_SCALES") {
-        return s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
+    let raw = std::env::var("MINUET_BENCH_SCALES").ok();
+    if let Some(scales) = parse_env("MINUET_BENCH_SCALES", raw.as_deref()) {
+        return scales.into_iter().map(|s| s as usize).collect();
     }
     if fast_mode() {
         vec![1, 2]
@@ -495,4 +513,34 @@ pub fn run_mixed(
 
 fn hist_mean_ms(h: &minuet_workload::Histogram) -> f64 {
     h.mean() / 1e6
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_env;
+
+    #[test]
+    fn parse_env_reads_numbers_and_lists() {
+        assert_eq!(parse_env("V", None), None);
+        assert_eq!(parse_env("V", Some("7")), Some(vec![7]));
+        assert_eq!(parse_env("V", Some("1, 2,4")), Some(vec![1, 2, 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "MINUET_BENCH_SCALES=\"1,x,4\"")]
+    fn parse_env_rejects_a_malformed_entry() {
+        parse_env("MINUET_BENCH_SCALES", Some("1,x,4"));
+    }
+
+    #[test]
+    #[should_panic(expected = "MINUET_BENCH_SCALES=\"\"")]
+    fn parse_env_rejects_an_empty_value() {
+        parse_env("MINUET_BENCH_SCALES", Some(""));
+    }
+
+    #[test]
+    #[should_panic(expected = "MINUET_BENCH_SECS=\"2s\"")]
+    fn parse_env_rejects_a_unit_suffix() {
+        parse_env("MINUET_BENCH_SECS", Some("2s"));
+    }
 }

@@ -13,10 +13,11 @@
 //! said once, on that type.
 
 use crate::addr::MemNodeId;
+use crate::crc::crc32;
 use crate::memnode::PreparedTx;
 use crate::space::{PagedSpace, PAGE_SIZE};
 use crate::state::NodeState;
-use crate::wal::{crc32, put_prepared, Cur};
+use crate::wal::{put_prepared, Cur};
 use minuet_faults as faults;
 use std::collections::{HashMap, HashSet};
 use std::io;

@@ -58,6 +58,7 @@ pub mod bytes;
 pub mod checkpoint;
 pub mod client;
 pub mod cluster;
+pub mod crc;
 pub mod deadline;
 pub mod error;
 pub mod exec;

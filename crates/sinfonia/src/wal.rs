@@ -35,6 +35,7 @@
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::checkpoint;
+use crate::crc::crc32;
 use minuet_faults as faults;
 use minuet_obs::{Counter, HistHandle, ObsPlane};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -123,68 +124,6 @@ impl DurabilityConfig {
     pub fn enabled(&self) -> bool {
         self.dir.is_some()
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), slicing-by-16; no external dependency in the offline build.
-// ---------------------------------------------------------------------------
-
-/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
-/// is the CRC of byte `b` followed by `k` zero bytes, which is what lets
-/// sixteen input bytes be folded with sixteen independent lookups.
-const fn crc32_tables() -> [[u32; 256]; 16] {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 16 * 256 {
-        // One more zero byte is eight more bit steps of the entry before.
-        let (k, b) = (i / 256, i % 256);
-        let mut c = if k == 0 { b as u32 } else { tables[k - 1][b] };
-        let mut bit = 0;
-        while bit < 8 {
-            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
-            bit += 1;
-        }
-        tables[k][b] = c;
-        i += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
-
-/// IEEE CRC-32 of `data` — the one checksum of wire frames, log frames
-/// and checkpoint images. Sixteen bytes per step (slicing-by-16), the
-/// twelve lookups that do not depend on the running CRC first, so only
-/// four sit on the chain from one step to the next: a 4 kB node image
-/// costs ≈1.1 µs rather than the ≈8 µs of a bytewise loop. Spelled out
-/// rather than looped, it stays cheap in unoptimized builds too.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let (blocks, rest) = data.as_chunks::<16>();
-    for b in blocks {
-        let x = c.to_le_bytes();
-        c = t[0][b[15] as usize]
-            ^ t[1][b[14] as usize]
-            ^ t[2][b[13] as usize]
-            ^ t[3][b[12] as usize]
-            ^ t[4][b[11] as usize]
-            ^ t[5][b[10] as usize]
-            ^ t[6][b[9] as usize]
-            ^ t[7][b[8] as usize]
-            ^ t[8][b[7] as usize]
-            ^ t[9][b[6] as usize]
-            ^ t[10][b[5] as usize]
-            ^ t[11][b[4] as usize]
-            ^ t[12][(b[3] ^ x[3]) as usize]
-            ^ t[13][(b[2] ^ x[2]) as usize]
-            ^ t[14][(b[1] ^ x[1]) as usize]
-            ^ t[15][(b[0] ^ x[0]) as usize];
-    }
-    for &b in rest {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -1232,30 +1171,6 @@ mod tests {
             .unwrap();
         std::fs::create_dir_all(&d).unwrap();
         d.join("wal.log")
-    }
-
-    /// The byte-at-a-time loop `crc32` used to be, kept as its oracle.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in data {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        c ^ 0xFFFF_FFFF
-    }
-
-    #[test]
-    fn crc_known_vector() {
-        // CRC-32/IEEE of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc_matches_bytewise_oracle() {
-        let page: Vec<u8> = (0..4200u32).map(|i| (i * 31 + 5) as u8).collect();
-        for len in (0..100).chain([4095, 4096, 4097, 4200]) {
-            assert_eq!(crc32(&page[..len]), crc32_bytewise(&page[..len]), "{len}");
-        }
     }
 
     #[test]

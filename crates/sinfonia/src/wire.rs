@@ -1,7 +1,8 @@
 //! Binary wire protocol for the memnode RPC surface.
 //!
 //! Frames are length-prefixed and CRC-checked: `[len: u32 LE][crc32: u32
-//! LE][payload]`, reusing the WAL's IEEE CRC-32 ([`crate::wal::crc32`]).
+//! LE][payload]`, with the IEEE CRC-32 that also frames log records and
+//! images ([`crate::crc::crc32`]).
 //! Payloads are tag-byte messages with little-endian fixed-width fields —
 //! the same style as the redo-log records, so the two on-disk/on-wire
 //! formats stay mutually legible.
@@ -36,12 +37,12 @@
 
 use crate::addr::{merge_intervals, MemNodeId};
 use crate::bytes::Bytes;
+use crate::crc::crc32;
 use crate::lock::TxId;
 use crate::memnode::{ReplStatus, SingleResult, Vote};
 use crate::minitx::LockPolicy;
 use crate::recovery::NodeMeta;
 use crate::rpc::NodeStats;
-use crate::wal::crc32;
 use minuet_obs::SpanRecord;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;

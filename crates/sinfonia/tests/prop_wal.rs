@@ -3,10 +3,11 @@
 //! to the state after some *prefix* of the committed transactions —
 //! truncating at the last valid record, never panicking.
 //!
-//! Plus the checksum those frames rest on: the word-at-a-time
-//! [`crc32`] must equal a table-free bitwise CRC-32/IEEE on every input.
+//! Plus the checksum those frames rest on: [`crc32`], through whichever
+//! kernel this build dispatches to, must equal a table-free bitwise
+//! CRC-32/IEEE on every input.
 
-use minuet_sinfonia::wal::crc32;
+use minuet_sinfonia::crc::crc32;
 use minuet_sinfonia::{
     ClusterConfig, DurabilityConfig, ItemRange, MemNodeId, Minitransaction, SinfoniaCluster,
     SyncMode,
