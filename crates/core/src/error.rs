@@ -14,6 +14,8 @@ pub enum CorruptNode {
     Truncated,
     /// Unknown fence tag.
     BadFenceTag(u8),
+    /// A leaf's high fence is −∞: no key lies below it.
+    NegInfHighFence,
 }
 
 impl fmt::Display for CorruptNode {
@@ -22,6 +24,7 @@ impl fmt::Display for CorruptNode {
             CorruptNode::BadMagic(m) => write!(f, "bad node magic 0x{m:02x}"),
             CorruptNode::Truncated => write!(f, "truncated node image"),
             CorruptNode::BadFenceTag(t) => write!(f, "bad fence tag {t}"),
+            CorruptNode::NegInfHighFence => write!(f, "high fence is -inf"),
         }
     }
 }

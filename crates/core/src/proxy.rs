@@ -249,13 +249,16 @@ impl Proxy {
         tree: u32,
         f: impl FnMut(&mut Proxy, &mut DynTx<'_>) -> Attempt<T>,
     ) -> Result<T, Error> {
-        self.run_op_budget(tree, self.mc.cfg.max_op_retries, f)
+        let v = self.run_attempts(tree, self.mc.cfg.max_op_retries, f)?;
+        self.stats.ops += 1;
+        Ok(v)
     }
 
-    /// Like [`Proxy::run_op`] with an explicit retry budget. Read-only
-    /// snapshot scans use a small budget so that scanning a snapshot the
-    /// GC has reclaimed fails promptly instead of retrying at length.
-    pub(crate) fn run_op_budget<T>(
+    /// [`Proxy::run_op`]'s attempts with an explicit retry budget, not
+    /// counted in `stats.ops`. A snapshot scan runs one per step, with a
+    /// small budget so that scanning a snapshot the GC has reclaimed fails
+    /// promptly instead of retrying at length, and counts itself once.
+    pub(crate) fn run_attempts<T>(
         &mut self,
         tree: u32,
         budget: usize,
@@ -269,7 +272,6 @@ impl Proxy {
         self.last_leaf_assumed = None;
         let written = self.last_leaf_written.take();
         self.install_committed_leaf(&info, written);
-        self.stats.ops += 1;
         Ok(v)
     }
 

@@ -95,6 +95,17 @@ pub(crate) enum VersionCheck {
     Redirect(NodePtr),
 }
 
+/// Outcome of [`Proxy::check_node`].
+pub(crate) enum NodeCheck {
+    /// The node is the one the descent wants at this level.
+    Accept,
+    /// A check failed, for this reason.
+    Retry(RetryCause),
+    /// The node was copied at an ancestor of the target snapshot: the
+    /// descent continues at the copy (branching mode, §5.2).
+    Redirect(NodePtr),
+}
+
 impl Proxy {
     /// Checks a node's version tags against the target snapshot (§4.2 for
     /// linear snapshots, §5.2 for branching versions).
@@ -138,6 +149,35 @@ impl Proxy {
                 Ok(VersionCheck::Current)
             }
         }
+    }
+
+    /// The checks a descent applies to every node it reaches: the version
+    /// tags at `sid` (§4.2/§5.2), fence keys that cover `key` (Fig. 5
+    /// lines 5 and 22), and a height one below `parent_height` (line 15's
+    /// fatal inconsistency; `None` at the root). A right sibling that
+    /// passes them for the previous leaf's high fence is the leaf a
+    /// descent for that key would reach, which is what lets a scan accept
+    /// it without descending (`scan.rs`).
+    pub(crate) fn check_node(
+        &self,
+        tree: u32,
+        node: &Node,
+        sid: SnapshotId,
+        key: &[u8],
+        parent_height: Option<u8>,
+    ) -> Result<NodeCheck, Error> {
+        match self.version_check(tree, node, sid)? {
+            VersionCheck::Current => {}
+            VersionCheck::Stale => return Ok(NodeCheck::Retry(RetryCause::StaleVersion)),
+            VersionCheck::Redirect(next) => return Ok(NodeCheck::Redirect(next)),
+        }
+        if !in_range(&node.low, &node.high, key) {
+            return Ok(NodeCheck::Retry(RetryCause::FenceViolation));
+        }
+        if parent_height.is_some_and(|h| h.checked_sub(1) != Some(node.height)) {
+            return Ok(NodeCheck::Retry(RetryCause::HeightMismatch));
+        }
+        Ok(NodeCheck::Accept)
     }
 
     fn fetch_node(
@@ -302,17 +342,18 @@ impl Proxy {
                         return Err(abort);
                     }
                 };
-                match self.version_check(tree, &e.node, ctx.sid)? {
-                    VersionCheck::Current => {
+                let parent_height = path.last().map(|p| p.node.height);
+                match self.check_node(tree, &e.node, ctx.sid, key, parent_height)? {
+                    NodeCheck::Accept => {
                         e.link = link;
                         break e;
                     }
-                    VersionCheck::Stale => {
+                    NodeCheck::Retry(cause) => {
                         self.ncache.invalidate(tree, e.ptr);
                         self.invalidate_path(tree, &path);
-                        return Err(RetryCause::StaleVersion.into());
+                        return Err(cause.into());
                     }
-                    VersionCheck::Redirect(next) => {
+                    NodeCheck::Redirect(next) => {
                         hops += 1;
                         if hops > 64 {
                             self.invalidate_path(tree, &path);
@@ -323,20 +364,7 @@ impl Proxy {
                 }
             };
 
-            // Fence check (Fig. 5 lines 5 and 22).
-            if !in_range(&entry.node.low, &entry.node.high, key) {
-                self.ncache.invalidate(tree, entry.ptr);
-                self.invalidate_path(tree, &path);
-                return Err(RetryCause::FenceViolation.into());
-            }
-            // Height consistency (Fig. 5 line 15: fatal inconsistency).
-            if let Some(prev) = path.last() {
-                if entry.node.height != prev.node.height - 1 {
-                    self.ncache.invalidate(tree, entry.ptr);
-                    self.invalidate_path(tree, &path);
-                    return Err(RetryCause::HeightMismatch.into());
-                }
-            } else if entry.node.height < stop_height {
+            if path.is_empty() && entry.node.height < stop_height {
                 if leaf_access == LeafAccess::Route {
                     // Routing a tree shallower than the stop level (e.g.
                     // the root is still a leaf): stop at the root.

@@ -333,3 +333,26 @@ fn snapshot_scan_ignores_concurrent_updates() {
     let writes = writer.join().unwrap();
     assert!(writes > 0);
 }
+
+#[test]
+fn a_scan_counts_one_op_whatever_its_steps() {
+    let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(8));
+    let mut p = mc.proxy();
+    for i in 0..500 {
+        p.put(0, key(i), val(i)).unwrap();
+    }
+    let snap = p.create_snapshot(0).unwrap();
+    let before = p.stats;
+    // About a hundred leaves of 4 to 8 keys under many parents: many steps.
+    assert_eq!(
+        p.scan_at(0, snap.frozen_sid, b"", usize::MAX)
+            .unwrap()
+            .len(),
+        500
+    );
+    assert_eq!(p.scan_at(0, snap.frozen_sid, &key(17), 3).unwrap().len(), 3);
+    assert_eq!(p.stats.ops - before.ops, 2);
+    let before = p.stats;
+    assert_eq!(p.scan_serializable(0, b"", usize::MAX).unwrap().len(), 500);
+    assert_eq!(p.stats.ops - before.ops, 1);
+}

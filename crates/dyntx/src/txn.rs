@@ -288,20 +288,67 @@ impl<'c> DynTx<'c> {
     /// callers can populate caches; the version is remembered for
     /// promotion if the object is later written.
     pub fn dirty_read(&mut self, obj: ObjRef) -> Result<ObjVal, TxError> {
+        match self.held(obj) {
+            Some(val) => Ok(val),
+            None => self.fetch(TxKey::Plain(obj), obj, false),
+        }
+    }
+
+    /// [`DynTx::dirty_read`] of many objects at once. The objects this
+    /// transaction does not already hold are fetched with one read-only
+    /// minitransaction per memnode, one read item per object, so objects
+    /// spread over `k` memnodes cost `k` round trips. Results come back
+    /// in input order, and every observation is remembered for promotion
+    /// exactly as `dirty_read` remembers it.
+    pub fn dirty_read_many(&mut self, objs: &[ObjRef]) -> Result<Vec<ObjVal>, TxError> {
+        let mut out = Vec::with_capacity(objs.len());
+        let mut by_mem: BTreeMap<MemNodeId, Vec<usize>> = BTreeMap::new();
+        for (i, &obj) in objs.iter().enumerate() {
+            out.push(self.held(obj).unwrap_or_else(|| {
+                by_mem.entry(obj.mem).or_default().push(i);
+                ObjVal {
+                    seqno: 0,
+                    data: Bytes::new(),
+                }
+            }));
+        }
+        for idx in by_mem.into_values() {
+            let mut m = Minitransaction::new();
+            for &i in &idx {
+                m.read(objs[i].full_range());
+            }
+            let outcome = {
+                let _fetch = span(SpanKind::Fetch);
+                self.cluster.execute(&m)?
+            };
+            // No compare item, so no compare can fail.
+            let Outcome::Committed(res) = outcome else {
+                return Err(TxError::Validation);
+            };
+            // One buffer per read item, in the order the reads were added.
+            for (&i, raw) in idx.iter().zip(&res.data) {
+                let val = decode_obj_shared(raw);
+                self.dirty_seen.insert(TxKey::Plain(objs[i]), val.seqno);
+                out[i] = val;
+            }
+        }
+        Ok(out)
+    }
+
+    /// What a dirty read of `obj` returns without the network: this
+    /// transaction's own staged write, or the value its read set holds.
+    fn held(&self, obj: ObjRef) -> Option<ObjVal> {
         let key = TxKey::Plain(obj);
         if let Some((v, _)) = self.write_set.get(&key) {
-            return Ok(ObjVal {
+            return Some(ObjVal {
                 seqno: self.dirty_seen.get(&key).copied().unwrap_or(0),
                 data: v.clone(),
             });
         }
-        if let Some(v) = self.read_vals.get(&key) {
-            return Ok(ObjVal {
-                seqno: self.read_set[&key],
-                data: v.clone(),
-            });
-        }
-        self.fetch(key, obj, false)
+        self.read_vals.get(&key).map(|v| ObjVal {
+            seqno: self.read_set[&key],
+            data: v.clone(),
+        })
     }
 
     /// Seeds the read set from a value the proxy already holds (e.g. its
@@ -774,6 +821,73 @@ mod tests {
 
         t1.write(a, b"bad".to_vec()); // promotion: expected seqno = dirty-read version
         assert_eq!(t1.commit().unwrap_err(), TxError::Validation);
+    }
+
+    /// Six objects alternating between two memnodes, written `[i]`.
+    fn alternating(c: &SinfoniaCluster) -> Vec<ObjRef> {
+        let objs: Vec<ObjRef> = (0..6u64).map(|i| obj((i % 2) as u16, 64 * i)).collect();
+        let mut t0 = DynTx::new(c);
+        for (i, &o) in objs.iter().enumerate() {
+            t0.write(o, vec![i as u8]);
+        }
+        t0.commit().unwrap();
+        objs
+    }
+
+    #[test]
+    fn dirty_read_many_answers_in_input_order() {
+        let c = cluster(2);
+        let objs = alternating(&c);
+        let mut t = DynTx::new(&c);
+        let vals = t.dirty_read_many(&objs).unwrap();
+        let got: Vec<Vec<u8>> = vals.iter().map(|v| v.data.to_vec()).collect();
+        assert_eq!(got, (0..6u8).map(|i| vec![i]).collect::<Vec<_>>());
+        assert!(vals.iter().all(|v| !v.is_unwritten()));
+        // Dirty: nothing joins the read set.
+        assert_eq!(t.read_set_len(), 0);
+    }
+
+    #[test]
+    fn dirty_read_many_costs_one_round_trip_per_memnode() {
+        let c = cluster(2);
+        let objs = alternating(&c);
+        let mut t = DynTx::new(&c);
+        let before = c.transport.stats.snapshot().0;
+        t.dirty_read_many(&objs).unwrap();
+        assert_eq!(c.transport.stats.snapshot().0 - before, 2);
+        let before = c.transport.stats.snapshot().0;
+        t.dirty_read_many(&objs[..1]).unwrap();
+        assert_eq!(c.transport.stats.snapshot().0 - before, 1);
+    }
+
+    #[test]
+    fn dirty_read_many_then_write_promotes_and_validates() {
+        let c = cluster(2);
+        let objs = alternating(&c);
+        let mut t1 = DynTx::new(&c);
+        t1.dirty_read_many(&objs).unwrap();
+        // Concurrent update of one object t1 observed.
+        let mut t2 = DynTx::new(&c);
+        let _ = t2.read(objs[3]).unwrap();
+        t2.write(objs[3], b"new".to_vec());
+        t2.commit().unwrap();
+
+        t1.write(objs[3], b"bad".to_vec()); // promoted at the observed seqno
+        assert_eq!(t1.commit().unwrap_err(), TxError::Validation);
+        // An object observed but not updated in between commits fine.
+        let mut t3 = DynTx::new(&c);
+        t3.dirty_read_many(&objs).unwrap();
+        t3.write(objs[2], b"ok".to_vec());
+        t3.commit().unwrap();
+    }
+
+    #[test]
+    fn dirty_read_many_of_nothing_sends_nothing() {
+        let c = cluster(2);
+        let mut t = DynTx::new(&c);
+        let before = c.transport.stats.snapshot().0;
+        assert!(t.dirty_read_many(&[]).unwrap().is_empty());
+        assert_eq!(c.transport.stats.snapshot().0, before);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! when they are borrowed through the snapshot creation service.
 
 use minuet::core::TreeConfig;
+use minuet::sinfonia::with_op_net;
 
 mod common;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -260,4 +262,63 @@ fn borrowers_see_identical_data() {
         }
     }
     println!("verified {shared} shared-snapshot scan pairs");
+}
+
+/// A snapshot scan reads a leaf's right siblings from the parent on its
+/// path, which may come from a proxy's cache and be stale. Here proxy A
+/// caches the internal levels, then proxy B splits a leaf under A's
+/// cached parent: that parent names a wrong right sibling for the split
+/// leaf, and the sibling checks must turn it down (the scan re-descends,
+/// finds the stale parent and refreshes it) so that every scan equals the
+/// model.
+#[test]
+fn scans_through_a_stale_cached_parent_match_the_model() {
+    let mc = common::cluster(2, 1, TreeConfig::small_nodes(16));
+    let mut model = BTreeMap::new();
+    let mut a = mc.proxy();
+    for i in (0..1000).step_by(10) {
+        a.put(0, key(i), vec![1]).unwrap();
+        model.insert(key(i), vec![1]);
+    }
+    for i in (0..1000).step_by(10) {
+        a.get(0, &key(i)).unwrap();
+    }
+    let mut b = mc.proxy();
+    for i in 401..420 {
+        b.put(0, key(i), vec![2]).unwrap();
+        model.insert(key(i), vec![2]);
+    }
+    let sid = b.create_snapshot(0).unwrap().frozen_sid;
+    for s in [0, 300, 350, 380] {
+        let got = a.scan_at(0, sid, &key(s), usize::MAX).unwrap();
+        let want: Vec<_> = model
+            .range(key(s)..)
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        assert_eq!(got, want, "scan_at from key {s} differs from the model");
+    }
+}
+
+/// A scan that spans several leaves under one parent reads the leaf it
+/// descends to, then all the siblings it needs in one round trip per
+/// memnode.
+#[test]
+fn a_scan_inside_one_parent_reads_its_siblings_together() {
+    let memnodes = 2;
+    let mc = common::cluster(memnodes, 1, TreeConfig::small_nodes(16));
+    let mut p = mc.proxy();
+    for i in 0..100 {
+        p.put(0, key(i), vec![0]).unwrap();
+    }
+    let sid = p.create_snapshot(0).unwrap().frozen_sid;
+    // Warm the catalog entry and the internal nodes.
+    p.scan_at(0, sid, &key(0), 1).unwrap();
+    // 40 keys span at least three leaves of at most 16.
+    let (rows, net) = with_op_net(|| p.scan_at(0, sid, &key(0), 40).unwrap());
+    assert_eq!(rows.len(), 40);
+    assert!(
+        net.round_trips <= 1 + memnodes as u64,
+        "{} round trips for one parent's leaves",
+        net.round_trips
+    );
 }
