@@ -10,14 +10,29 @@
 //! seqno validation, all of which invalidate the offending entries and
 //! retry.
 //!
-//! The cache is **bounded**: entries above the configured capacity are
-//! evicted with a CLOCK (second-chance) sweep, so large trees cannot grow
-//! a proxy's footprint without bound. Hits, misses, and evictions are
-//! counted for the bench reports.
+//! A leaf read at a snapshot the proxy already knew was frozen is cached
+//! **frozen**, tagged with that snapshot: its entries and fences are final
+//! for every snapshot from its creation up to the tag (linear mode), so a
+//! later read there is served without a round trip and without any
+//! validation ([`NodeCache::get_at`]; ARCHITECTURE.md states the fill and
+//! hit rules). A snapshot read never takes a leaf from a tip entry, which
+//! may predate writes the snapshot includes. A frozen leaf is kept as its
+//! encoded image, beside the tip's decoded node when there is one, and is
+//! decoded on every hit: a scan takes the entries by value, so a decoded
+//! copy would only be cloned entry by entry, and a decoded copy kept after
+//! the tip has moved on would hold several times the memory in hundreds of
+//! small allocations.
+//!
+//! The cache is **bounded**: entries above the configured capacity, frozen
+//! or not, are evicted with one CLOCK (second-chance) sweep, so large
+//! trees cannot grow a proxy's footprint without bound. Hits, misses, and
+//! evictions are counted for the bench reports.
 
-use crate::node::{Node, NodePtr};
+use crate::node::{Node, NodePtr, SnapshotId};
 use minuet_dyntx::SeqNo;
 use minuet_obs::{Counter, ObsPlane};
+use minuet_sinfonia::bytes::Bytes;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,19 +40,73 @@ use std::sync::Arc;
 /// [`crate::tree::TreeConfig::node_cache_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
-struct Slot {
-    key: (u32, NodePtr),
+type Key = (u32, NodePtr);
+
+/// A frozen leaf: its encoded image, read at snapshot `sid`.
+struct Frozen {
+    sid: SnapshotId,
     seqno: SeqNo,
-    node: Arc<Node>,
-    /// CLOCK reference bit: set on hit, cleared as the hand sweeps by.
+    created: SnapshotId,
+    image: Bytes,
+}
+
+/// One cached pointer: the node a tip read saw, a frozen image, or both.
+struct Slot {
+    tip: Option<(SeqNo, Arc<Node>)>,
+    frozen: Option<Frozen>,
+    /// This entry's position on the CLOCK ring.
+    ring: usize,
+}
+
+/// A position on the CLOCK ring: the key cached there, and its reference
+/// bit, set on hit and cleared as the hand sweeps by.
+struct Hand {
+    key: Key,
     referenced: bool,
+}
+
+/// Sets the reference bit at ring position `at`.
+fn touch(ring: &mut [Option<Hand>], at: usize) {
+    if let Some(Some(hand)) = ring.get_mut(at) {
+        hand.referenced = true;
+    }
+}
+
+impl Slot {
+    /// The node a tip read may use: the tip's, or else the frozen image,
+    /// decoded once and kept as the tip's.
+    fn tip(&mut self) -> Option<(SeqNo, Arc<Node>)> {
+        if self.tip.is_none() {
+            let f = self.frozen.as_ref()?;
+            let node = Node::decode(&f.image).ok()?;
+            self.tip = Some((f.seqno, Arc::new(node)));
+        }
+        self.tip.clone()
+    }
+
+    /// The node a dirty read at snapshot `sid` may use: an internal node
+    /// from the tip's entry, a leaf only from a frozen image at some `S`
+    /// with `created <= sid <= S`, decoded afresh.
+    fn at(&self, sid: SnapshotId) -> Option<(SeqNo, Arc<Node>)> {
+        if let Some((seqno, node)) = &self.tip {
+            if node.is_internal() {
+                return Some((*seqno, node.clone()));
+            }
+        }
+        let f = self.frozen.as_ref()?;
+        if !(f.created <= sid && sid <= f.sid) {
+            return None;
+        }
+        Some((f.seqno, Arc::new(Node::decode(&f.image).ok()?)))
+    }
 }
 
 /// A per-proxy decoded-node cache keyed by `(tree, ptr)`, bounded by a
 /// CLOCK eviction sweep.
 pub struct NodeCache {
-    map: HashMap<(u32, NodePtr), usize>,
-    slots: Vec<Option<Slot>>,
+    map: HashMap<Key, Slot>,
+    /// The CLOCK ring; a position is `None` once freed.
+    ring: Vec<Option<Hand>>,
     free: Vec<usize>,
     hand: usize,
     capacity: usize,
@@ -48,6 +117,10 @@ pub struct NodeCache {
     /// Entries evicted by the CLOCK sweep (not counting explicit
     /// invalidations).
     pub evictions: Counter,
+    /// Snapshot reads served by a frozen leaf.
+    pub frozen_hits: Counter,
+    /// Snapshot reads that found no entry they may use.
+    pub frozen_misses: Counter,
 }
 
 impl Default for NodeCache {
@@ -66,25 +139,30 @@ impl NodeCache {
     pub fn with_capacity(capacity: usize) -> Self {
         NodeCache {
             map: HashMap::new(),
-            slots: Vec::new(),
+            ring: Vec::new(),
             free: Vec::new(),
             hand: 0,
             capacity: capacity.max(1),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
+            frozen_hits: Counter::new(),
+            frozen_misses: Counter::new(),
         }
     }
 
     /// Swaps the freshly-created counters for handles shared through
     /// `plane`'s registry, so every cache attached to the same plane
     /// aggregates into one `cache.hits` / `cache.misses` /
-    /// `cache.evictions` trio and a single
-    /// [`snapshot`](minuet_obs::Registry::snapshot) covers them all.
+    /// `cache.evictions` / `cache.frozen_hits` / `cache.frozen_misses`
+    /// set and a single [`snapshot`](minuet_obs::Registry::snapshot)
+    /// covers them all.
     pub fn attach(&mut self, plane: &ObsPlane) {
         self.hits = plane.registry.counter("cache.hits");
         self.misses = plane.registry.counter("cache.misses");
         self.evictions = plane.registry.counter("cache.evictions");
+        self.frozen_hits = plane.registry.counter("cache.frozen_hits");
+        self.frozen_misses = plane.registry.counter("cache.frozen_misses");
     }
 
     /// The configured capacity in nodes.
@@ -92,92 +170,160 @@ impl NodeCache {
         self.capacity
     }
 
-    /// Looks up a cached node.
+    /// Looks up a cached node for a tip read, which checks or validates
+    /// whatever it is served: a frozen image serves too.
     pub fn get(&mut self, tree: u32, ptr: NodePtr) -> Option<(SeqNo, Arc<Node>)> {
-        match self.map.get(&(tree, ptr)) {
-            Some(&idx) => {
-                let slot = self.slots[idx].as_mut().expect("mapped slot occupied");
-                slot.referenced = true;
-                self.hits.inc();
-                Some((slot.seqno, slot.node.clone()))
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+        let got = self.map.get_mut(&(tree, ptr)).and_then(|slot| {
+            let got = slot.tip()?;
+            touch(&mut self.ring, slot.ring);
+            Some(got)
+        });
+        match got {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        got
     }
 
-    /// Installs a node image, evicting per CLOCK when at capacity.
-    pub fn put(&mut self, tree: u32, ptr: NodePtr, seqno: SeqNo, node: Arc<Node>) {
-        let key = (tree, ptr);
-        if let Some(&idx) = self.map.get(&key) {
-            let slot = self.slots[idx].as_mut().expect("mapped slot occupied");
-            slot.seqno = seqno;
-            slot.node = node;
-            slot.referenced = true;
-            return;
+    /// Looks up a node for a dirty read at snapshot `sid`. An internal
+    /// node is served from the tip's entry: it only routes, and the
+    /// descent's fence checks catch a stale one. A leaf is served only
+    /// from a frozen image at some `S` with `created <= sid <= S`; the
+    /// caller still runs the descent's checks on it.
+    pub fn get_at(
+        &mut self,
+        tree: u32,
+        ptr: NodePtr,
+        sid: SnapshotId,
+    ) -> Option<(SeqNo, Arc<Node>)> {
+        let got = self.map.get_mut(&(tree, ptr)).and_then(|slot| {
+            let got = slot.at(sid)?;
+            touch(&mut self.ring, slot.ring);
+            Some(got)
+        });
+        match &got {
+            Some((_, node)) if node.is_internal() => self.hits.inc(),
+            Some(_) => self.frozen_hits.inc(),
+            None => self.frozen_misses.inc(),
         }
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None if self.slots.len() < self.capacity => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-            None => self.evict(),
-        };
-        self.map.insert(key, idx);
-        // Fresh entries start unreferenced: only an actual hit earns the
-        // second chance, so a scan of cold nodes cannot flush the hot set.
-        self.slots[idx] = Some(Slot {
-            key,
-            seqno,
-            node,
-            referenced: false,
+        got
+    }
+
+    /// Installs a node image read at the tip, evicting per CLOCK when at
+    /// capacity.
+    pub fn put(&mut self, tree: u32, ptr: NodePtr, seqno: SeqNo, node: Arc<Node>) {
+        self.update((tree, ptr), |slot| slot.tip = Some((seqno, node)));
+    }
+
+    /// Installs the encoded image of a leaf created at `created` and read
+    /// at snapshot `sid`, which the proxy knew was frozen before the read
+    /// went out.
+    pub fn put_frozen(
+        &mut self,
+        tree: u32,
+        ptr: NodePtr,
+        seqno: SeqNo,
+        created: SnapshotId,
+        image: &[u8],
+        sid: SnapshotId,
+    ) {
+        let image = Bytes::copy_from_slice(image);
+        self.update((tree, ptr), |slot| {
+            slot.frozen = Some(Frozen {
+                sid,
+                seqno,
+                created,
+                image,
+            })
         });
     }
 
+    /// Applies `set` to `key`'s slot, creating it (evicting per CLOCK when
+    /// at capacity) if there is none.
+    fn update(&mut self, key: Key, set: impl FnOnce(&mut Slot)) {
+        if let Some(slot) = self.map.get_mut(&key) {
+            touch(&mut self.ring, slot.ring);
+            set(slot);
+            return;
+        }
+        let ring = match self.free.pop() {
+            Some(at) => at,
+            None if self.ring.len() < self.capacity => {
+                self.ring.push(None);
+                self.ring.len() - 1
+            }
+            None => self.evict(),
+        };
+        // Fresh entries start unreferenced: only an actual hit earns the
+        // second chance, so a scan of cold nodes cannot flush the hot set.
+        self.ring[ring] = Some(Hand {
+            key,
+            referenced: false,
+        });
+        let mut slot = Slot {
+            tip: None,
+            frozen: None,
+            ring,
+        };
+        set(&mut slot);
+        self.map.insert(key, slot);
+    }
+
     /// CLOCK sweep: advance the hand, clearing reference bits, until an
-    /// unreferenced entry is found; evict it and return its slot index.
+    /// unreferenced entry is found; evict it and return its ring position.
     /// Terminates within two sweeps (all bits cleared after one).
     fn evict(&mut self) -> usize {
-        debug_assert!(!self.slots.is_empty());
+        debug_assert!(!self.ring.is_empty());
         loop {
-            let idx = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len();
-            let Some(slot) = self.slots[idx].as_mut() else {
-                continue;
-            };
-            if slot.referenced {
-                slot.referenced = false;
-                continue;
+            let at = self.hand;
+            self.hand = (self.hand + 1) % self.ring.len();
+            if let Some(hand) = &mut self.ring[at] {
+                if hand.referenced {
+                    hand.referenced = false;
+                    continue;
+                }
+                self.map.remove(&hand.key);
+                self.evictions.inc();
             }
-            self.map.remove(&slot.key);
-            self.slots[idx] = None;
-            self.evictions.inc();
-            return idx;
+            self.ring[at] = None;
+            return at;
         }
     }
 
     /// Drops one entry.
     pub fn invalidate(&mut self, tree: u32, ptr: NodePtr) {
-        if let Some(idx) = self.map.remove(&(tree, ptr)) {
-            self.slots[idx] = None;
-            self.free.push(idx);
+        if let Some(slot) = self.map.remove(&(tree, ptr)) {
+            self.ring[slot.ring] = None;
+            self.free.push(slot.ring);
+        }
+    }
+
+    /// Drops the tip's node, which a write at the tip has made stale. A
+    /// frozen image stays: a write at the tip cannot change what a frozen
+    /// snapshot sees there.
+    pub fn forget_tip(&mut self, tree: u32, ptr: NodePtr) {
+        if let Entry::Occupied(mut e) = self.map.entry((tree, ptr)) {
+            if e.get().frozen.is_some() {
+                e.get_mut().tip = None;
+            } else {
+                let at = e.remove().ring;
+                self.ring[at] = None;
+                self.free.push(at);
+            }
         }
     }
 
     /// Drops every entry of one tree.
     pub fn invalidate_tree(&mut self, tree: u32) {
-        let doomed: Vec<NodePtr> = self
-            .map
-            .keys()
-            .filter(|(t, _)| *t == tree)
-            .map(|&(_, p)| p)
-            .collect();
-        for ptr in doomed {
-            self.invalidate(tree, ptr);
-        }
+        let (ring, free) = (&mut self.ring, &mut self.free);
+        self.map.retain(|&(t, _), slot| {
+            if t != tree {
+                return true;
+            }
+            ring[slot.ring] = None;
+            free.push(slot.ring);
+            false
+        });
     }
 
     /// Number of cached nodes.
@@ -194,6 +340,7 @@ impl NodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeBody;
     use minuet_sinfonia::MemNodeId;
 
     fn ptr(slot: u32) -> NodePtr {
@@ -282,5 +429,71 @@ mod tests {
             0,
             "freed slot should be reused, not evicted"
         );
+    }
+
+    #[test]
+    fn frozen_leaves_serve_only_their_snapshot_range() {
+        let mut c = NodeCache::new();
+        c.put_frozen(0, ptr(1), 4, 3, &Node::empty_root(3).encode(), 7);
+        for sid in [3, 5, 7] {
+            assert_eq!(c.get_at(0, ptr(1), sid).unwrap().0, 4, "sid {sid}");
+        }
+        // Created after the snapshot, or read at an older one.
+        assert!(c.get_at(0, ptr(1), 2).is_none());
+        assert!(c.get_at(0, ptr(1), 8).is_none());
+        assert_eq!((c.frozen_hits.get(), c.frozen_misses.get()), (3, 2));
+        // A tip lookup may take a frozen entry: it validates what it uses.
+        // It decodes the image once, and the entry still serves `sid`.
+        assert_eq!(c.get(0, ptr(1)).unwrap().1.created, 3);
+        assert!(c.get_at(0, ptr(1), 7).is_some());
+        // A tip write's invalidation keeps it; a failed check's does not.
+        c.forget_tip(0, ptr(1));
+        assert!(c.get_at(0, ptr(1), 7).is_some());
+        c.invalidate(0, ptr(1));
+        assert!(c.get_at(0, ptr(1), 7).is_none());
+    }
+
+    #[test]
+    fn a_snapshot_read_never_takes_a_tip_leaf() {
+        let mut c = NodeCache::new();
+        c.put(0, ptr(1), 1, Arc::new(Node::empty_root(0)));
+        assert!(c.get_at(0, ptr(1), 0).is_none());
+        // A frozen image and a tip node share a slot; neither replaces
+        // the other, and a tip write drops only the tip's.
+        c.put_frozen(0, ptr(2), 1, 0, &Node::empty_root(0).encode(), 5);
+        c.put(0, ptr(2), 2, Arc::new(Node::empty_root(0)));
+        assert_eq!(c.get_at(0, ptr(2), 5).unwrap().0, 1);
+        assert_eq!(c.get(0, ptr(2)).unwrap().0, 2);
+        c.forget_tip(0, ptr(2));
+        assert_eq!(c.get_at(0, ptr(2), 5).unwrap().0, 1);
+        assert_eq!(c.len(), 2);
+        // Internal nodes only route, so any entry serves them.
+        let internal = Node {
+            height: 1,
+            body: NodeBody::Internal {
+                seps: Vec::new(),
+                kids: vec![ptr(1)],
+            },
+            ..Node::empty_root(0)
+        };
+        c.put(0, ptr(3), 1, Arc::new(internal));
+        assert!(c.get_at(0, ptr(3), 9).is_some());
+        assert_eq!(c.hits.get(), 2);
+    }
+
+    #[test]
+    fn frozen_entries_share_the_clock() {
+        let mut c = NodeCache::with_capacity(3);
+        c.put(0, ptr(0), 0, Arc::new(Node::empty_root(0)));
+        for i in 1..10 {
+            c.get(0, ptr(0)).unwrap();
+            c.put_frozen(0, ptr(i), 0, 0, &Node::empty_root(0).encode(), 1);
+            assert!(c.len() <= 3);
+        }
+        assert!(c.get(0, ptr(0)).is_some(), "hot tip entry evicted");
+        c.invalidate_tree(0);
+        assert!(c.is_empty());
+        c.put(0, ptr(1), 0, Arc::new(Node::empty_root(0)));
+        assert_eq!(c.evictions.get(), 7, "cleared slots are reused");
     }
 }

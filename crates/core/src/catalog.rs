@@ -213,13 +213,13 @@ impl CatEntry {
             .ok_or(Error::NoSuchSnapshot(sid))?;
         let mut m = Minitransaction::new();
         m.read(repl.at(home).full_range());
-        match sin.execute(&m)? {
-            Outcome::FailedCompare(_) => unreachable!("read-only minitx"),
-            Outcome::Committed(res) => {
-                let val = decode_obj(&res.data[0]);
-                Ok(CatEntry::decode(&val.data).map(|e| (val.seqno, e)))
-            }
-        }
+        let Outcome::Committed(res) = sin.execute(&m)? else {
+            return Err(Error::Internal(
+                "a compare failed in a read-only minitransaction".into(),
+            ));
+        };
+        let val = decode_obj(&res.data[0]);
+        Ok(CatEntry::decode(&val.data).map(|e| (val.seqno, e)))
     }
 }
 
@@ -249,6 +249,12 @@ impl VersionCache {
     /// Root of `sid`, if cached.
     pub fn root(&self, sid: SnapshotId) -> Option<NodePtr> {
         self.map.read().get(&sid).map(|e| e.1)
+    }
+
+    /// True if some cached snapshot has `sid` as its parent: `sid` has
+    /// been branched from, so in linear mode it is no longer the tip.
+    pub fn has_child(&self, sid: SnapshotId) -> bool {
+        self.map.read().values().any(|&(parent, _)| parent == sid)
     }
 
     /// Walks parents from `b` toward the root to decide whether `a` is an

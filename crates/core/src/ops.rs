@@ -74,7 +74,7 @@ impl Proxy {
         } else {
             tx.write(obj, payload);
         }
-        self.ncache.invalidate(tree, ptr);
+        self.ncache.forget_tip(tree, ptr);
     }
 
     /// Allocates a node slot with round-robin placement.

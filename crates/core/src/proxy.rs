@@ -18,7 +18,7 @@ use crate::ops::LeafOp;
 use crate::retry::run_tx;
 use crate::stats::ProxyStats;
 use crate::traverse::Resolved;
-use crate::tree::MinuetCluster;
+use crate::tree::{MinuetCluster, VersionMode};
 use minuet_dyntx::{CommitInfo, DynTx, SeqNo, TxKey};
 use minuet_obs::{event, span, SpanKind};
 use minuet_sinfonia::MemNodeId;
@@ -129,6 +129,10 @@ pub struct Proxy {
     /// following mutation of the same leaf stays on the fused 1-RTT
     /// path instead of paying a fetch to repopulate the cache.
     pub(crate) last_leaf_written: Option<(u32, crate::node::NodePtr, Arc<crate::node::Node>)>,
+    /// Entries per leaf in the leaves the last snapshot scan step read:
+    /// how many keys the next step expects from a leaf it has not cached.
+    /// Unknown at first, so a first step reads one leaf.
+    pub(crate) scan_fill: Option<usize>,
     /// Operation statistics.
     pub stats: ProxyStats,
 }
@@ -149,6 +153,7 @@ impl Proxy {
             chunks: ChunkCache::new(chunk, retries),
             last_leaf_assumed: None,
             last_leaf_written: None,
+            scan_fill: None,
             stats: ProxyStats::default(),
         }
     }
@@ -273,6 +278,23 @@ impl Proxy {
         let written = self.last_leaf_written.take();
         self.install_committed_leaf(&info, written);
         Ok(v)
+    }
+
+    /// Whether a leaf read at read-only snapshot `sid` may be cached
+    /// frozen ([`crate::cache::NodeCache::put_frozen`]): in linear mode,
+    /// with leaf caching on, and only when this proxy already knows that
+    /// `sid` is frozen — its cached tip is newer, or the version cache
+    /// names a snapshot branched from `sid`. It never spends a round trip
+    /// to find out; without proof the read is simply not cached.
+    pub(crate) fn may_freeze(&self, tree: u32, sid: SnapshotId) -> bool {
+        let cfg = &self.mc.cfg;
+        cfg.cache_leaves
+            && cfg.version_mode == VersionMode::Linear
+            && (self
+                .tip_cache
+                .get(&tree)
+                .is_some_and(|(_, tip)| tip.sid > sid)
+                || self.mc.shared(tree).vcache.has_child(sid))
     }
 
     /// Resolves an operation target to a snapshot id + root, pinning the

@@ -11,38 +11,50 @@
 //! never commit under a concurrent update load. The `ablation_scan`
 //! bench quantifies this.
 
-use crate::error::{Attempt, CorruptNode, Error};
+use crate::error::{Attempt, CorruptNode, Error, RetryCause};
 use crate::key::{Fence, Key, Value};
 use crate::node::{Node, NodeBody, SnapshotId};
 use crate::proxy::{OpTarget, Proxy};
-use crate::traverse::{LeafAccess, NodeCheck, PathEntry};
+use crate::traverse::{FetchStyle, LeafAccess, NodeCheck, PathEntry};
 use minuet_dyntx::DynTx;
 use std::sync::Arc;
 
-/// Most right siblings one scan step reads past the leaf it descended to.
-/// The count is derived from the leaf just read; this bounds one step's
-/// reply, and the over-fetch when that leaf is sparse (say, emptied by
-/// removes) while its siblings are full.
+/// Most right siblings one scan step reads past the leaf covering its
+/// key. The count is estimated before anything is read (see
+/// [`Proxy::scan_step`]); this bounds one step's reply, and the
+/// over-fetch when the leaves last read were sparse while these are full.
 const MAX_SIBLINGS: usize = 16;
+
+/// Where the entries with `key >= from` start.
+fn start(entries: &[(Key, Value)], from: &[u8]) -> usize {
+    entries.partition_point(|(k, _)| k.as_slice() < from)
+}
+
+/// How many of `leaf`'s entries have `key >= from`.
+fn entries_from(leaf: &Node, from: &[u8]) -> usize {
+    match &leaf.body {
+        NodeBody::Leaf { entries } => entries.len() - start(entries, from),
+        NodeBody::Internal { .. } => 0,
+    }
+}
 
 /// Appends `leaf`'s entries with `key >= from` to `out` until `out` holds
 /// `limit`, and returns the leaf's high fence. An unshared leaf (an
-/// uncached dirty read) gives up its entries; a shared one (from the node
-/// cache) is cloned from.
+/// uncached dirty read, or a frozen image decoded for this read) gives up
+/// its entries; a shared one (from the node cache) is cloned from.
 fn collect(leaf: Arc<Node>, from: &[u8], limit: usize, out: &mut Vec<(Key, Value)>) -> Fence {
-    let start = |entries: &[(Key, Value)]| entries.partition_point(|(k, _)| k.as_slice() < from);
     let room = limit.saturating_sub(out.len());
     match Arc::try_unwrap(leaf) {
         Ok(node) => {
             if let NodeBody::Leaf { mut entries } = node.body {
-                let at = start(&entries);
+                let at = start(&entries, from);
                 out.extend(entries.drain(at..).take(room));
             }
             node.high
         }
         Err(shared) => {
             if let NodeBody::Leaf { entries } = &shared.body {
-                out.extend(entries[start(entries)..].iter().take(room).cloned());
+                out.extend(entries[start(entries, from)..].iter().take(room).cloned());
             }
             shared.high.clone()
         }
@@ -70,9 +82,9 @@ fn next_key(high: Fence) -> Result<Option<Key>, Error> {
 impl Proxy {
     /// Scans up to `limit` key/value pairs starting at `start` (inclusive)
     /// from snapshot `sid`. Reads are dirty and never validated (§4.2), so
-    /// concurrent updates cannot abort the scan. Each step reads one leaf
-    /// and the siblings it needs under its own retry budget; the scan
-    /// counts as one operation.
+    /// concurrent updates cannot abort the scan. Each step reads a run of
+    /// leaves under one parent in at most one round trip per memnode,
+    /// under its own retry budget; the scan counts as one operation.
     pub fn scan_at(
         &mut self,
         tree: u32,
@@ -101,14 +113,23 @@ impl Proxy {
 
     /// One step of a snapshot scan: appends the entries from `from` on to
     /// `out` until it holds `limit`, and returns the high fence of the
-    /// last leaf read. It descends to the leaf covering `from`, then reads
-    /// that leaf's right siblings under the same parent together — one
-    /// round trip per memnode, as many as the keys still needed take at
-    /// the leaf's own fill, at most [`MAX_SIBLINGS`] — and keeps them in
-    /// key order while each passes the descent's checks
-    /// ([`Proxy::check_node`]) for the previous leaf's high fence. The
-    /// first that fails ends the step, and the next step descends from
-    /// the last accepted high fence.
+    /// last leaf read.
+    ///
+    /// It descends through the cache to the height-1 node above `from`,
+    /// whose kids from the one covering `from` onward form the step's
+    /// *run*: as many as the keys still needed take — a frozen cached
+    /// leaf counts its own entries, a miss the fill of the leaves this
+    /// proxy's last step read — at most [`MAX_SIBLINGS`] past the first,
+    /// never past the parent's last kid. Members the frozen cache serves
+    /// cost nothing; the misses are read together with one
+    /// `dirty_read_many`, one round trip per memnode with a miss. Members
+    /// are accepted in key order while each passes [`Proxy::check_node`]:
+    /// the first for `from`, following a redirect as `traverse` does,
+    /// each later one for the previous member's high fence, so an
+    /// accepted member is the leaf a descent for that key would reach.
+    /// The first later member that fails ends the step, and the next step
+    /// descends from the last accepted high fence. A root that is itself
+    /// a leaf is the whole run, read by the descent like any member.
     fn scan_step(
         &mut self,
         tx: &mut DynTx<'_>,
@@ -119,44 +140,115 @@ impl Proxy {
         out: &mut Vec<(Key, Value)>,
     ) -> Attempt<Fence> {
         let ctx = self.resolve(tx, tree, OpTarget::Snapshot(sid))?;
-        let path = self.traverse(tx, tree, &ctx, from, LeafAccess::Dirty, 0)?;
-        let (leaf, path) = split_leaf(path)?;
-        let fill = leaf.node.len().max(1);
-        // Room for this leaf and every sibling the step may read.
-        out.reserve((limit - out.len()).min(fill * (1 + MAX_SIBLINGS)));
-        let mut high = collect(leaf.node, from, limit, out);
-        // A leaf's siblings are named by the height-1 node above it.
-        let Some(parent) = path.last() else {
-            return Ok(high);
+        let path = self.traverse(tx, tree, &ctx, from, LeafAccess::Dirty, 1)?;
+        let top = path
+            .last()
+            .ok_or_else(|| Error::Internal("traverse returned an empty path".into()))?;
+        let NodeBody::Internal { seps, kids } = &top.node.body else {
+            return Ok(collect(top.node.clone(), from, limit, out));
         };
-        let NodeBody::Internal { kids, .. } = &parent.node.body else {
-            return Ok(high);
-        };
-        let Some(at) = kids.iter().position(|&k| k == leaf.link) else {
-            return Ok(high);
-        };
-        let want = (limit - out.len()).div_ceil(fill).min(MAX_SIBLINGS);
-        let sibs = &kids[at + 1..kids.len().min(at + 1 + want)];
-        if sibs.is_empty() {
-            return Ok(high);
-        }
-        let layout = *self.mc.layout(tree);
-        let objs: Vec<_> = sibs.iter().map(|&ptr| layout.node_obj(ptr)).collect();
-        for val in tx.dirty_read_many(&objs)? {
-            let Fence::Key(prev) = &high else { break };
-            if out.len() >= limit {
-                break;
-            }
-            let Ok(node) = Node::decode(&val.data) else {
-                break;
+        let fill = self.may_freeze(tree, sid);
+        let style = FetchStyle::AtSnapshot { sid, fill };
+        let parent_height = Some(top.node.height);
+        let at = seps.partition_point(|s| s.as_slice() <= from);
+
+        // Choose the run: serve what the frozen cache can, and estimate
+        // the rest, until the keys still needed are covered.
+        let mut need = limit - out.len();
+        let mut expected = 0;
+        let mut run = Vec::new();
+        for &ptr in kids[at..].iter().take(1 + MAX_SIBLINGS) {
+            let hit = self.ncache.get_at(tree, ptr, sid);
+            let gives = match (&hit, run.is_empty()) {
+                (Some((_, leaf)), true) => Some(entries_from(leaf, from)),
+                (Some((_, leaf)), false) => Some(leaf.len()),
+                // The first leaf's keys start somewhere inside it.
+                (None, true) => self.scan_fill.map(|f| f / 2),
+                (None, false) => self.scan_fill,
             };
-            let check = self.check_node(tree, &node, sid, prev, Some(parent.node.height))?;
-            if !matches!(check, NodeCheck::Accept) {
+            run.push((ptr, hit));
+            // With no estimate yet, the run ends at this leaf.
+            let Some(gives) = gives else { break };
+            expected += gives;
+            if gives >= need {
                 break;
             }
-            let prev = prev.clone();
-            high = collect(Arc::new(node), &prev, limit, out);
+            need -= gives;
         }
+        out.reserve(expected.min(limit - out.len()));
+
+        let layout = *self.mc.layout(tree);
+        let misses: Vec<_> = run
+            .iter()
+            .filter(|(_, hit)| hit.is_none())
+            .map(|&(ptr, _)| layout.node_obj(ptr))
+            .collect();
+        let mut fetched = tx.dirty_read_many(&misses)?.into_iter();
+
+        let mut key = from.to_vec();
+        let mut high = Fence::PosInf;
+        let (mut leaves, mut entries) = (0, 0);
+        for (ptr, hit) in run {
+            let first = leaves == 0;
+            // A miss keeps its image for the frozen fill.
+            let (image, entry) = match hit {
+                Some((seqno, node)) => (None, Some((seqno, node))),
+                None => match fetched.next() {
+                    Some(val) => {
+                        let node = Node::decode(&val.data).ok().map(Arc::new);
+                        (Some(val.data), node.map(|node| (val.seqno, node)))
+                    }
+                    None => (None, None),
+                },
+            };
+            let e = match entry {
+                Some((seqno, node)) => PathEntry {
+                    ptr,
+                    link: ptr,
+                    seqno,
+                    node,
+                },
+                None if first => {
+                    // A freed slot or torn image: the parent is stale.
+                    self.invalidate_path(tree, &path);
+                    return Err(RetryCause::TornRead.into());
+                }
+                None => break,
+            };
+            let e = if first {
+                match self.settle(tx, tree, e, style, sid, &key, parent_height) {
+                    Ok(e) => e,
+                    Err(abort) => {
+                        self.invalidate_path(tree, &path);
+                        return Err(abort);
+                    }
+                }
+            } else {
+                match self.check_node(tree, &e.node, sid, &key, parent_height)? {
+                    NodeCheck::Accept => e,
+                    _ => {
+                        // A member the cache served is stale: drop it.
+                        if image.is_none() {
+                            self.ncache.invalidate(tree, ptr);
+                        }
+                        break;
+                    }
+                }
+            };
+            if let Some(image) = image.filter(|_| fill && e.ptr == ptr) {
+                let created = e.node.created;
+                self.ncache
+                    .put_frozen(tree, ptr, e.seqno, created, &image, sid);
+            }
+            leaves += 1;
+            entries += e.node.len();
+            high = collect(e.node, &key, limit, out);
+            match &high {
+                Fence::Key(k) if out.len() < limit => key.clone_from(k),
+                _ => break,
+            }
+        }
+        self.scan_fill = Some(entries / leaves.max(1));
         Ok(high)
     }
 

@@ -37,6 +37,10 @@ pub(crate) enum LeafAccess {
     /// retry fetches fresh. Used by gets on writable targets.
     CachedValidated,
     /// Dirty read: reads on read-only snapshots never validate (§4.2).
+    /// A node that may be a leaf — the stop node, or a root that is still
+    /// a leaf — comes from a frozen cache entry or the wire, never from a
+    /// tip entry (`FetchStyle::AtSnapshot`), and a root shallower than the
+    /// stop level ends the descent at the root.
     Dirty,
     /// Routing probe for the batch path: the stop node is dirty-read
     /// through the proxy's node cache (so repeated routes are free), and a
@@ -60,10 +64,22 @@ pub(crate) struct PathEntry {
     pub node: Arc<Node>,
 }
 
+/// Most copy redirects one descent follows at one level before it gives
+/// up on the attempt.
+const MAX_REDIRECT_HOPS: u32 = 64;
+
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum FetchStyle {
+pub(crate) enum FetchStyle {
     DirtyCached,
-    DirtyUncached,
+    /// A dirty read at read-only snapshot `sid` of a node that may be a
+    /// leaf: a leaf comes only from a frozen cache entry that serves
+    /// `sid` ([`crate::cache::NodeCache::get_at`]), never from a tip
+    /// entry, and with `fill` a leaf fetched from the wire is cached
+    /// frozen at `sid` (see [`Proxy::may_freeze`]).
+    AtSnapshot {
+        sid: SnapshotId,
+        fill: bool,
+    },
     Transactional,
     /// Transactional with the validated-leaf-cache fast path: a cached
     /// leaf short-circuits the fetch, pinning its seqno for commit-time
@@ -203,6 +219,17 @@ impl Proxy {
                     });
                 }
             }
+            FetchStyle::AtSnapshot { sid, .. } => {
+                if let Some((seqno, node)) = self.ncache.get_at(tree, ptr, sid) {
+                    tx.note_dirty(obj, seqno);
+                    return Ok(PathEntry {
+                        ptr,
+                        link: ptr,
+                        seqno,
+                        node,
+                    });
+                }
+            }
             FetchStyle::ValidatedLeaf if cache_leaves => {
                 if let Some((seqno, node)) = self.ncache.get(tree, ptr) {
                     if node.height == 0 {
@@ -239,6 +266,12 @@ impl Proxy {
         };
         match Node::decode(&data) {
             Ok(node) => {
+                if let FetchStyle::AtSnapshot { sid, fill: true } = style {
+                    if node.height == 0 {
+                        self.ncache
+                            .put_frozen(tree, ptr, seqno, node.created, &data, sid);
+                    }
+                }
                 let node = Arc::new(node);
                 if !tracked && node.is_internal() && cache_ok {
                     self.ncache.put(tree, ptr, seqno, node.clone());
@@ -264,7 +297,46 @@ impl Proxy {
         }
     }
 
-    fn invalidate_path(&mut self, tree: u32, path: &[PathEntry]) {
+    /// Accepts `e` as the node a descent for `key` at `sid` reaches below
+    /// a node of `parent_height` ([`Proxy::check_node`]), following copy
+    /// redirects (§5.2) — a bounded chain of forwarding hops through
+    /// descendant-set entries, each fetched per `style`. A node that fails
+    /// a check leaves the cache and aborts the attempt.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn settle(
+        &mut self,
+        tx: &mut DynTx<'_>,
+        tree: u32,
+        mut e: PathEntry,
+        style: FetchStyle,
+        sid: SnapshotId,
+        key: &[u8],
+        parent_height: Option<u8>,
+    ) -> Attempt<PathEntry> {
+        let link = e.link;
+        let mut hops = 0;
+        loop {
+            match self.check_node(tree, &e.node, sid, key, parent_height)? {
+                NodeCheck::Accept => {
+                    e.link = link;
+                    return Ok(e);
+                }
+                NodeCheck::Retry(cause) => {
+                    self.ncache.invalidate(tree, e.ptr);
+                    return Err(cause.into());
+                }
+                NodeCheck::Redirect(next) => {
+                    hops += 1;
+                    if hops > MAX_REDIRECT_HOPS {
+                        return Err(RetryCause::StaleVersion.into());
+                    }
+                    e = self.fetch_node(tx, tree, next, style)?;
+                }
+            }
+        }
+    }
+
+    pub(crate) fn invalidate_path(&mut self, tree: u32, path: &[PathEntry]) {
         for e in path {
             self.ncache.invalidate(tree, e.ptr);
         }
@@ -289,6 +361,10 @@ impl Proxy {
     ) -> Attempt<Vec<PathEntry>> {
         let mode = self.mc.cfg.mode;
         let layout = *self.mc.layout(tree);
+        let snapshot = FetchStyle::AtSnapshot {
+            sid: ctx.sid,
+            fill: leaf_access == LeafAccess::Dirty && self.may_freeze(tree, ctx.sid),
+        };
         let mut path: Vec<PathEntry> = Vec::with_capacity(8);
         let mut cur = ctx.root;
         loop {
@@ -319,55 +395,34 @@ impl Proxy {
                 }
             }
 
-            let style = if expect_stop {
-                match leaf_access {
-                    LeafAccess::Transactional => FetchStyle::Transactional,
-                    LeafAccess::CachedValidated => FetchStyle::ValidatedLeaf,
-                    LeafAccess::Dirty => FetchStyle::DirtyUncached,
-                    LeafAccess::Route => FetchStyle::DirtyCached,
-                }
-            } else {
-                FetchStyle::DirtyCached
+            // A snapshot read takes a node that may be a leaf (the stop
+            // node, or a root that is still a leaf) only from a frozen
+            // entry or the wire.
+            let may_be_leaf = path.is_empty() || (expect_stop && stop_height == 0);
+            let style = match leaf_access {
+                LeafAccess::Dirty if may_be_leaf => snapshot,
+                _ if !expect_stop => FetchStyle::DirtyCached,
+                LeafAccess::Transactional => FetchStyle::Transactional,
+                LeafAccess::CachedValidated => FetchStyle::ValidatedLeaf,
+                LeafAccess::Dirty | LeafAccess::Route => FetchStyle::DirtyCached,
             };
 
-            // Fetch, following copy redirects (§5.2): a bounded chain of
-            // forwarding hops through descendant-set entries.
-            let link = cur;
-            let mut hops = 0u32;
-            let entry = loop {
-                let mut e = match self.fetch_node(tx, tree, cur, style) {
-                    Ok(e) => e,
-                    Err(abort) => {
-                        self.invalidate_path(tree, &path);
-                        return Err(abort);
-                    }
-                };
-                let parent_height = path.last().map(|p| p.node.height);
-                match self.check_node(tree, &e.node, ctx.sid, key, parent_height)? {
-                    NodeCheck::Accept => {
-                        e.link = link;
-                        break e;
-                    }
-                    NodeCheck::Retry(cause) => {
-                        self.ncache.invalidate(tree, e.ptr);
-                        self.invalidate_path(tree, &path);
-                        return Err(cause.into());
-                    }
-                    NodeCheck::Redirect(next) => {
-                        hops += 1;
-                        if hops > 64 {
-                            self.invalidate_path(tree, &path);
-                            return Err(RetryCause::StaleVersion.into());
-                        }
-                        cur = next;
-                    }
+            let parent_height = path.last().map(|p| p.node.height);
+            let entry = match self
+                .fetch_node(tx, tree, cur, style)
+                .and_then(|e| self.settle(tx, tree, e, style, ctx.sid, key, parent_height))
+            {
+                Ok(e) => e,
+                Err(abort) => {
+                    self.invalidate_path(tree, &path);
+                    return Err(abort);
                 }
             };
 
             if path.is_empty() && entry.node.height < stop_height {
-                if leaf_access == LeafAccess::Route {
-                    // Routing a tree shallower than the stop level (e.g.
-                    // the root is still a leaf): stop at the root.
+                if matches!(leaf_access, LeafAccess::Route | LeafAccess::Dirty) {
+                    // A tree shallower than the stop level (the root is
+                    // still a leaf): stop at the root.
                     path.push(entry);
                     return Ok(path);
                 }

@@ -1,6 +1,6 @@
 //! Tests for writable clones / branching versions (§5).
 
-use minuet_core::{Error, MinuetCluster, SnapshotId, TreeConfig, VersionMode};
+use minuet_core::{Error, MinuetCluster, Proxy, SnapshotId, TreeConfig, VersionMode};
 use std::collections::BTreeMap;
 
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
@@ -110,36 +110,37 @@ fn beta_limits_branches_per_snapshot() {
     ));
 }
 
-/// Builds a version tree with enough branches sharing old nodes that
-/// descendant sets overflow β and discretionary copies must happen, then
-/// verifies every version's content against a model.
-#[test]
-fn discretionary_copies_preserve_all_versions() {
-    let mc = MinuetCluster::new(3, 1, branching_cfg(2));
-    let mut p = mc.proxy();
+/// Frozen snapshots, branch tips and the mainline of a version tree.
+struct Versions {
+    frozen: Vec<(SnapshotId, Model)>,
+    branches: Vec<(SnapshotId, Model)>,
+    main: Model,
+}
 
+/// Builds a version tree with enough branches sharing old nodes that
+/// descendant sets overflow β and discretionary copies must happen.
+fn version_tree_with_discretionary_copies(p: &mut Proxy) -> Versions {
     // Base data, untouched keys will be shared by every branch: the node
     // created at snapshot 0 accumulates copies from many branches.
     let n = 60u64;
-    let mut base_model = BTreeMap::new();
+    let mut main = BTreeMap::new();
     for i in 0..n {
         p.put(0, key(i), val("base", i)).unwrap();
-        base_model.insert(key(i), val("base", i));
+        main.insert(key(i), val("base", i));
     }
 
     // Chain of snapshots; branch off each, writing in every branch so old
     // nodes get copied in many incomparable descendants.
-    let mut models: Vec<(SnapshotId, Model)> = Vec::new();
-    let mut branch_tips: Vec<(SnapshotId, Model)> = Vec::new();
-    let mut main_model = base_model.clone();
+    let mut frozen: Vec<(SnapshotId, Model)> = Vec::new();
+    let mut branches: Vec<(SnapshotId, Model)> = Vec::new();
 
     for round in 0..6u64 {
         let snap = p.create_snapshot(0).unwrap();
-        models.push((snap.frozen_sid, main_model.clone()));
+        frozen.push((snap.frozen_sid, main.clone()));
 
         // Side branch from the frozen snapshot.
         let br = p.create_branch(0, snap.frozen_sid).unwrap();
-        let mut br_model = main_model.clone();
+        let mut br_model = main.clone();
         for i in 0..n {
             if i % 6 == round % 6 {
                 let v = val(&format!("br{round}"), i);
@@ -147,14 +148,14 @@ fn discretionary_copies_preserve_all_versions() {
                 br_model.insert(key(i), v);
             }
         }
-        branch_tips.push((br, br_model));
+        branches.push((br, br_model));
 
         // Mainline writes.
         for i in 0..n {
             if i % 5 == round % 5 {
                 let v = val(&format!("m{round}"), i);
                 p.put(0, key(i), v.clone()).unwrap();
-                main_model.insert(key(i), v);
+                main.insert(key(i), v);
             }
         }
     }
@@ -163,27 +164,64 @@ fn discretionary_copies_preserve_all_versions() {
         "test must exercise discretionary copies (got {:?})",
         p.stats
     );
+    Versions {
+        frozen,
+        branches,
+        main,
+    }
+}
+
+fn rows(model: &Model) -> Vec<(Vec<u8>, Vec<u8>)> {
+    model.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+}
+
+/// Verifies every version of a tree with discretionary copies against a
+/// model.
+#[test]
+fn discretionary_copies_preserve_all_versions() {
+    let mc = MinuetCluster::new(3, 1, branching_cfg(2));
+    let mut p = mc.proxy();
+    let v = version_tree_with_discretionary_copies(&mut p);
 
     // Every frozen snapshot matches its model.
-    for (sid, model) in &models {
+    for (sid, model) in &v.frozen {
         let got = p.scan_at(0, *sid, b"", usize::MAX).unwrap();
-        let expect: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_eq!(&got, &expect, "snapshot {sid}");
+        assert_eq!(got, rows(model), "snapshot {sid}");
     }
     // Every branch tip matches its model (validated reads).
-    for (sid, model) in &branch_tips {
-        for (k, v) in model {
+    for (sid, model) in &v.branches {
+        for (k, val) in model {
             assert_eq!(
                 p.get_branch(0, *sid, k).unwrap().as_ref(),
-                Some(v),
+                Some(val),
                 "branch {sid}"
             );
         }
     }
     // Mainline matches.
-    for (k, v) in &main_model {
-        assert_eq!(p.get(0, k).unwrap().as_ref(), Some(v));
+    for (k, val) in &v.main {
+        assert_eq!(p.get(0, k).unwrap().as_ref(), Some(val));
     }
+}
+
+/// Branching mode caches no frozen leaf: a scan there, which follows the
+/// copy redirects the discretionary copies leave behind, reads every leaf
+/// from the wire, equals the model, and fills nothing for the next scan.
+#[test]
+fn scans_through_redirects_fill_no_frozen_leaf() {
+    let mc = MinuetCluster::new(3, 1, branching_cfg(2));
+    let mut p = mc.proxy();
+    let v = version_tree_with_discretionary_copies(&mut p);
+    let mut q = mc.proxy();
+    for round in 0..2 {
+        for (sid, model) in &v.frozen {
+            let got = q.scan_at(0, *sid, b"", usize::MAX).unwrap();
+            assert_eq!(got, rows(model), "snapshot {sid}, round {round}");
+        }
+    }
+    let counters = mc.sinfonia.obs().registry.snapshot();
+    assert_eq!(counters.counter("cache.frozen_hits"), Some(0));
+    assert!(counters.counter("cache.frozen_misses").unwrap_or(0) > 0);
 }
 
 #[test]

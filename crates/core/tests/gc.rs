@@ -1,6 +1,7 @@
 //! Garbage-collection tests (§4.4, §5.2).
 
-use minuet_core::{MinuetCluster, TreeConfig, VersionMode};
+use minuet_core::{occupancy, Error, Key, MinuetCluster, TreeConfig, Value, VersionMode};
+use std::collections::BTreeMap;
 
 fn key(i: u64) -> Vec<u8> {
     format!("k{:08}", i).into_bytes()
@@ -82,6 +83,81 @@ fn sweep_respects_watermark_boundary() {
         assert_eq!(p.get(0, &key(i)).unwrap(), Some(val(20_000 + i)));
     }
     let _ = snap_a;
+}
+
+/// Leaves a proxy cached frozen at a live snapshot keep answering for it
+/// after a sweep has freed an older snapshot's nodes and the freed slots
+/// have been reused. A scan at the deleted snapshot fails, by a fresh
+/// proxy exactly as it does without the frozen cache; by the warm proxy,
+/// it fails the same way or returns that snapshot's exact rows — never
+/// other rows.
+#[test]
+fn frozen_leaves_survive_gc_and_slot_reuse() {
+    let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(4));
+    let mut p = mc.proxy();
+    let mut model = BTreeMap::new();
+    for i in 0..200 {
+        p.put(0, key(i), val(i)).unwrap();
+        model.insert(key(i), val(i));
+    }
+    let old = p.create_snapshot(0).unwrap().frozen_sid;
+    let old_rows: Vec<(Key, Value)> = model.clone().into_iter().collect();
+    for i in (0..200).step_by(2) {
+        p.put(0, key(i), val(1000 + i)).unwrap();
+        model.insert(key(i), val(1000 + i));
+    }
+    let live = p.create_snapshot(0).unwrap().frozen_sid;
+    let live_rows: Vec<(Key, Value)> = model.into_iter().collect();
+    for i in 0..200 {
+        p.put(0, key(i), val(2000 + i)).unwrap();
+    }
+
+    // A fills frozen leaves at both snapshots.
+    let mut a = mc.proxy();
+    assert_eq!(a.scan_at(0, old, b"", usize::MAX).unwrap(), old_rows);
+    assert_eq!(a.scan_at(0, live, b"", usize::MAX).unwrap(), live_rows);
+
+    // The older snapshot goes, and so do the nodes only it reached.
+    p.delete_snapshot(0, old).unwrap();
+    p.set_watermark(0, live).unwrap();
+    assert!(p.gc_sweep(0).unwrap().freed > 0);
+    // Allocate until every freed slot is taken again.
+    let free = |mc: &MinuetCluster| -> u32 {
+        occupancy(mc, 0)
+            .unwrap()
+            .iter()
+            .map(|m| m.free_listed)
+            .sum()
+    };
+    let mut i = 200;
+    while free(&mc) > 0 {
+        p.put(0, key(i), val(i)).unwrap();
+        i += 1;
+        assert!(i < 20_000, "freed slots were never reused");
+    }
+    for j in i..i + 200 {
+        p.put(0, key(j), val(j)).unwrap();
+    }
+
+    for round in 0..2 {
+        assert_eq!(
+            a.scan_at(0, live, b"", usize::MAX).unwrap(),
+            live_rows,
+            "warm scan, round {round}"
+        );
+    }
+    assert_eq!(
+        mc.proxy().scan_at(0, live, b"", usize::MAX).unwrap(),
+        live_rows
+    );
+
+    let reclaimed = Error::TooManyRetries { attempts: 500 };
+    let cold = mc.proxy().scan_at(0, old, b"", usize::MAX);
+    assert_eq!(cold.unwrap_err(), reclaimed);
+    match a.scan_at(0, old, b"", usize::MAX) {
+        Ok(rows) => assert_eq!(rows, old_rows),
+        Err(e) => assert_eq!(e, reclaimed),
+    }
 }
 
 #[test]

@@ -299,9 +299,9 @@ fn scans_through_a_stale_cached_parent_match_the_model() {
     }
 }
 
-/// A scan that spans several leaves under one parent reads the leaf it
-/// descends to, then all the siblings it needs in one round trip per
-/// memnode.
+/// A scan that spans several leaves under one parent reads them all in
+/// one round trip per memnode, and a frozen snapshot is read once: the
+/// same scan again costs no round trip at all.
 #[test]
 fn a_scan_inside_one_parent_reads_its_siblings_together() {
     let memnodes = 2;
@@ -317,8 +317,82 @@ fn a_scan_inside_one_parent_reads_its_siblings_together() {
     let (rows, net) = with_op_net(|| p.scan_at(0, sid, &key(0), 40).unwrap());
     assert_eq!(rows.len(), 40);
     assert!(
-        net.round_trips <= 1 + memnodes as u64,
+        net.round_trips <= memnodes as u64,
         "{} round trips for one parent's leaves",
         net.round_trips
     );
+    let (again, net) = with_op_net(|| p.scan_at(0, sid, &key(0), 40).unwrap());
+    assert_eq!(again, rows);
+    assert_eq!(
+        net.round_trips, 0,
+        "a frozen snapshot's leaves are read once"
+    );
+}
+
+/// The frozen-leaf cache's fill rule: a leaf is cached for snapshot `S`
+/// only from a read made after the proxy knew `S` was frozen. Proxy A
+/// reads every leaf while `S` is still the tip — through its validated
+/// leaf cache and with a scan at `S` itself — then proxy B writes some of
+/// those leaves in place, takes snapshot `S`, and writes them again. A's
+/// scans and lookups at `S` must see B's first writes, also when served
+/// from the cache the second time round.
+#[test]
+fn a_leaf_read_at_the_tip_never_serves_a_frozen_snapshot() {
+    let mc = common::cluster(2, 1, TreeConfig::small_nodes(16));
+    let mut model = BTreeMap::new();
+    let mut a = mc.proxy();
+    for i in 0..100 {
+        a.put(0, key(i), vec![1]).unwrap();
+        model.insert(key(i), vec![1]);
+    }
+    let tip = a.current_tip(0).unwrap().0;
+    for i in 0..100 {
+        a.get(0, &key(i)).unwrap();
+    }
+    assert_eq!(a.scan_at(0, tip, b"", usize::MAX).unwrap().len(), 100);
+
+    let mut b = mc.proxy();
+    for i in (0..100).step_by(7) {
+        b.put(0, key(i), vec![2]).unwrap();
+        model.insert(key(i), vec![2]);
+    }
+    let sid = b.create_snapshot(0).unwrap().frozen_sid;
+    assert_eq!(sid, tip);
+    for i in (0..100).step_by(7) {
+        b.put(0, key(i), vec![3]).unwrap();
+    }
+    let want: Vec<_> = model.into_iter().collect();
+    for round in 0..2 {
+        let got = a.scan_at(0, sid, b"", usize::MAX).unwrap();
+        assert_eq!(got, want, "scan_at round {round} differs from the model");
+        for (k, v) in &want {
+            assert_eq!(a.get_at(0, sid, k).unwrap().as_ref(), Some(v));
+        }
+    }
+}
+
+/// The same rule for a tree whose root is its only leaf: A caches the
+/// root leaf at the tip with its own put, B writes it in place and then
+/// freezes it, and A's reads at the snapshot must not take the root from
+/// that tip entry.
+#[test]
+fn a_root_leaf_cached_at_the_tip_never_serves_a_frozen_snapshot() {
+    let mc = common::cluster(2, 1, TreeConfig::small_nodes(16));
+    let mut a = mc.proxy();
+    for i in 0..5 {
+        a.put(0, key(i), vec![1]).unwrap();
+    }
+    a.get(0, &key(0)).unwrap();
+    let mut b = mc.proxy();
+    b.put(0, key(1), vec![2]).unwrap();
+    let sid = b.create_snapshot(0).unwrap().frozen_sid;
+    b.put(0, key(2), vec![3]).unwrap();
+    let want: Vec<_> = (0..5)
+        .map(|i| (key(i), vec![if i == 1 { 2 } else { 1 }]))
+        .collect();
+    for round in 0..2 {
+        let got = a.scan_at(0, sid, b"", usize::MAX).unwrap();
+        assert_eq!(got, want, "scan_at round {round} differs from the model");
+        assert_eq!(a.get_at(0, sid, &key(1)).unwrap(), Some(vec![2]));
+    }
 }
