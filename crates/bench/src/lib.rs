@@ -140,7 +140,6 @@ pub fn build_minuet_durable(
 ) -> Arc<MinuetCluster> {
     let sin_cfg = minuet_sinfonia::ClusterConfig {
         memnodes: machines,
-        model_rtt: rtt(),
         inject_rtt: None,
         durability,
         ..Default::default()
@@ -180,54 +179,48 @@ pub enum ScanPolicy {
 }
 
 /// Builds a per-thread Minuet connection closure for the workload driver.
-pub fn minuet_conn(
-    mc: Arc<MinuetCluster>,
-    scan_policy: ScanPolicy,
-) -> impl FnMut(&Operation) -> Duration {
+pub fn minuet_conn(mc: Arc<MinuetCluster>, scan_policy: ScanPolicy) -> impl FnMut(&Operation) {
     let mut proxy = mc.proxy();
-    move |op: &Operation| {
-        match op {
-            Operation::Read { key } => {
-                proxy.get(0, key).unwrap();
-            }
-            Operation::Update { key, value } | Operation::Insert { key, value } => {
-                proxy.put(0, key.clone(), value.clone()).unwrap();
-            }
-            Operation::Scan { start, len } => match scan_policy {
-                ScanPolicy::SnapshotWithK(k) => {
-                    let scs = mc.scs(0);
-                    let (sid, _) = scs.snapshot_for_scan(&mut proxy, 0, k).unwrap();
-                    proxy.scan_at(0, sid, start, *len).unwrap();
-                }
-                ScanPolicy::Serializable => {
-                    proxy.scan_serializable(0, start, *len).unwrap();
-                }
-            },
-            Operation::MultiRead { keys } => {
-                let keys = keys.clone();
-                proxy
-                    .txn(|t| {
-                        for (i, k) in keys.iter().enumerate() {
-                            t.get(i as u32, k)?;
-                        }
-                        Ok(())
-                    })
-                    .unwrap();
-            }
-            Operation::MultiUpdate { keys, value } | Operation::MultiInsert { keys, value } => {
-                let keys = keys.clone();
-                let value = value.clone();
-                proxy
-                    .txn(|t| {
-                        for (i, k) in keys.iter().enumerate() {
-                            t.put(i as u32, k.clone(), value.clone())?;
-                        }
-                        Ok(())
-                    })
-                    .unwrap();
-            }
+    move |op: &Operation| match op {
+        Operation::Read { key } => {
+            proxy.get(0, key).unwrap();
         }
-        Duration::ZERO
+        Operation::Update { key, value } | Operation::Insert { key, value } => {
+            proxy.put(0, key.clone(), value.clone()).unwrap();
+        }
+        Operation::Scan { start, len } => match scan_policy {
+            ScanPolicy::SnapshotWithK(k) => {
+                let scs = mc.scs(0);
+                let (sid, _) = scs.snapshot_for_scan(&mut proxy, 0, k).unwrap();
+                proxy.scan_at(0, sid, start, *len).unwrap();
+            }
+            ScanPolicy::Serializable => {
+                proxy.scan_serializable(0, start, *len).unwrap();
+            }
+        },
+        Operation::MultiRead { keys } => {
+            let keys = keys.clone();
+            proxy
+                .txn(|t| {
+                    for (i, k) in keys.iter().enumerate() {
+                        t.get(i as u32, k)?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+        }
+        Operation::MultiUpdate { keys, value } | Operation::MultiInsert { keys, value } => {
+            let keys = keys.clone();
+            let value = value.clone();
+            proxy
+                .txn(|t| {
+                    for (i, k) in keys.iter().enumerate() {
+                        t.put(i as u32, k.clone(), value.clone())?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+        }
     }
 }
 
@@ -238,7 +231,7 @@ pub fn minuet_conn(
 /// [`minuet_workload::WorkloadSpec::batch_size`] operations. Scans and
 /// multi-index transactions (which carry their own network shapes) run
 /// individually, as in [`minuet_conn`].
-pub fn minuet_batch_conn(mc: Arc<MinuetCluster>) -> impl FnMut(&[Operation]) -> Duration {
+pub fn minuet_batch_conn(mc: Arc<MinuetCluster>) -> impl FnMut(&[Operation]) {
     let mut proxy = mc.proxy();
     let mut single = minuet_conn(mc, ScanPolicy::Serializable);
     move |ops: &[Operation]| {
@@ -261,7 +254,6 @@ pub fn minuet_batch_conn(mc: Arc<MinuetCluster>) -> impl FnMut(&[Operation]) -> 
         if !puts.is_empty() {
             proxy.multi_put(0, &puts).unwrap();
         }
-        Duration::ZERO
     }
 }
 
@@ -270,7 +262,6 @@ pub fn build_cdb(machines: usize, tables: usize) -> Arc<CdbCluster> {
     Arc::new(CdbCluster::new(CdbConfig {
         servers: machines,
         tables,
-        model_rtt: rtt(),
         scan_memory_limit: 1 << 20,
     }))
 }
@@ -287,7 +278,7 @@ pub fn preload_cdb(cdb: &Arc<CdbCluster>, tables: usize, n: u64) {
 }
 
 /// Builds a per-thread CDB connection closure.
-pub fn cdb_conn(cdb: Arc<CdbCluster>) -> impl FnMut(&Operation) -> Duration {
+pub fn cdb_conn(cdb: Arc<CdbCluster>) -> impl FnMut(&Operation) {
     move |op: &Operation| {
         match op {
             Operation::Read { key } => {
@@ -318,7 +309,6 @@ pub fn cdb_conn(cdb: Arc<CdbCluster>) -> impl FnMut(&Operation) -> Duration {
                 });
             }
         }
-        Duration::ZERO
     }
 }
 

@@ -4,7 +4,6 @@
 use crate::partition::Partition;
 use minuet_sinfonia::Transport;
 use parking_lot::Mutex;
-use std::time::Duration;
 
 /// CDB configuration.
 #[derive(Debug, Clone)]
@@ -13,8 +12,6 @@ pub struct CdbConfig {
     pub servers: usize,
     /// Number of tables.
     pub tables: usize,
-    /// RTT for modeled latency (same constant as the Minuet cluster).
-    pub model_rtt: Duration,
     /// Per-query scan buffer limit in bytes; long scans exceeding it fail
     /// (the paper: "CDB was unable to perform long scans due to internal
     /// memory limitations for individual queries").
@@ -26,7 +23,6 @@ impl Default for CdbConfig {
         CdbConfig {
             servers: 4,
             tables: 1,
-            model_rtt: Duration::from_micros(100),
             scan_memory_limit: 1 << 20,
         }
     }
@@ -89,7 +85,7 @@ impl CdbCluster {
             .map(|_| (0..cfg.servers).map(|_| Partition::new()).collect())
             .collect();
         CdbCluster {
-            transport: Transport::new(cfg.model_rtt, None),
+            transport: Transport::new(None),
             tables,
             multi_coordinator: Mutex::new(()),
             cfg,

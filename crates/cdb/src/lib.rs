@@ -16,8 +16,8 @@
 //!   long scans" on CDB (§6.3).
 //!
 //! Network costs are accounted through the same instrumented
-//! [`Transport`](minuet_sinfonia::Transport) as Minuet, so modeled
-//! latencies are directly comparable.
+//! [`Transport`](minuet_sinfonia::Transport) as Minuet, so round-trip
+//! and message counts are directly comparable.
 
 pub mod engine;
 pub mod partition;

@@ -94,8 +94,8 @@ fn parse_args() -> Result<Args, String> {
                 };
                 let endpoint = Endpoint::parse(ep).map_err(|e| format!("{spec}: {e}"))?;
                 // The transport only hosts the client-side byte counters;
-                // zero modeled latency, real sockets.
-                let transport = Arc::new(Transport::new_wire(Duration::ZERO, None));
+                // no injected latency, real sockets.
+                let transport = Arc::new(Transport::new_wire(None));
                 args.targets.push(Target {
                     label: spec.to_string(),
                     node: RemoteNode::new(

@@ -24,7 +24,7 @@
 use crate::trace::ThreadTrace;
 use std::cell::RefCell;
 use std::ops::AddAssign;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Network counters observed during one logical operation on the calling
 /// thread (e.g. one B-tree get, including all of its retries).
@@ -45,11 +45,6 @@ impl OpNet {
     /// Total bytes moved in either direction.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_out + self.bytes_in
-    }
-
-    /// Latency contribution of the network under a constant-RTT model.
-    pub fn modeled_latency(&self, rtt: Duration) -> Duration {
-        rtt * self.round_trips as u32
     }
 }
 

@@ -543,11 +543,7 @@ impl NodeRpc for RemoteNode {
         call!(self, req, Response::Single(s) => s)
     }
 
-    fn exec_batch(
-        &self,
-        items: Vec<WireBatchItem>,
-        _service: Duration,
-    ) -> Vec<Result<SingleResult, Unavailable>> {
+    fn exec_batch(&self, items: Vec<WireBatchItem>) -> Vec<Result<SingleResult, Unavailable>> {
         let n = items.len();
         let req = Request::ExecBatch { items };
         let members = call!(self, req, Response::Batch(m) if m.len() == n => m);
@@ -640,11 +636,6 @@ impl NodeRpc for RemoteNode {
 
     fn is_retiring(&self) -> bool {
         self.flags().is_none_or(|f| f.retiring)
-    }
-
-    fn occupy(&self, _d: Duration) {
-        // Remote nodes have real service time; modeled occupancy is an
-        // in-process instrument.
     }
 
     fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable> {

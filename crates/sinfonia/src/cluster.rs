@@ -51,10 +51,9 @@ pub struct ClusterConfig {
     /// Address-space capacity per memnode, in bytes. In wire mode this is
     /// validated against (not imposed on) the servers' capacity.
     pub capacity_per_node: u64,
-    /// RTT used for modeled latency reporting.
-    pub model_rtt: Duration,
-    /// If set, each round trip really sleeps this long (in-process mode;
-    /// wire round trips have real latency already).
+    /// If set, each coordinator round trip really sleeps this long, on
+    /// top of whatever the exchange itself costs — in both transport
+    /// modes (a latency fault, see [`Transport::set_inject`]).
     pub inject_rtt: Option<Duration>,
     /// How long `execute` keeps retrying a crashed participant before
     /// surfacing [`SinfoniaError::Unavailable`].
@@ -74,7 +73,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             memnodes: 4,
             capacity_per_node: 256 << 20,
-            model_rtt: Duration::from_micros(100),
             inject_rtt: None,
             unavailable_retry: Duration::from_secs(2),
             durability: DurabilityConfig::default(),
@@ -154,8 +152,6 @@ pub struct SinfoniaCluster {
     /// while growing the vector — so no replicated update can miss a
     /// just-added replica.
     membership_gate: parking_lot::RwLock<()>,
-    /// Injected per-shard service time in nanoseconds (0 = off).
-    service_ns: AtomicU64,
     ckpt_stop: Arc<AtomicBool>,
     ckpt_thread: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -182,8 +178,7 @@ impl SinfoniaCluster {
                     })
                     .collect();
                 let transport = Arc::new(
-                    Transport::new(cfg.model_rtt, cfg.inject_rtt)
-                        .with_obs(minuet_obs::ObsPlane::new(&cfg.obs)),
+                    Transport::new(cfg.inject_rtt).with_obs(minuet_obs::ObsPlane::new(&cfg.obs)),
                 );
                 Self::assemble(nodes, transport, cfg, 1)
             }
@@ -198,7 +193,7 @@ impl SinfoniaCluster {
                     "durability is server-side in wire mode: configure it on the daemons"
                 );
                 let transport = Arc::new(
-                    Transport::new_wire(cfg.model_rtt, cfg.inject_rtt)
+                    Transport::new_wire(cfg.inject_rtt)
                         .with_obs(minuet_obs::ObsPlane::new(&cfg.obs)),
                 );
                 let nodes: Vec<NodeHandle> = endpoints
@@ -257,7 +252,8 @@ impl SinfoniaCluster {
     /// minitransactions are resolved cluster-wide (commit iff every
     /// participant voted yes), and the transaction-id generator resumes
     /// above every id seen on disk. Returns the cluster and the
-    /// resolution outcome counts.
+    /// resolution outcome counts, or `InvalidInput` when `cfg` configures
+    /// no durability directory.
     ///
     /// The previous cluster object (if any) must have been dropped or
     /// fully crashed: the directory is reopened exclusively.
@@ -267,11 +263,12 @@ impl SinfoniaCluster {
             cfg.transport.is_in_process(),
             "restart_from_disk reopens local files; wire-mode recovery happens daemon-side"
         );
-        assert!(
-            cfg.durability.enabled(),
-            "restart_from_disk needs durability configured"
-        );
-        let dir = cfg.durability.dir.clone().expect("durability dir");
+        let Some(dir) = cfg.durability.dir.clone() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "restart_from_disk needs durability configured",
+            ));
+        };
         // Elastic growth is recorded on disk by the added nodes' redo
         // logs: reopen every memnode found there, not just the configured
         // count, or data migrated onto added nodes would be lost.
@@ -293,10 +290,8 @@ impl SinfoniaCluster {
             metas.push(Ok(meta));
             max_txid = max_txid.max(node_max);
         }
-        let transport = Arc::new(
-            Transport::new(cfg.model_rtt, cfg.inject_rtt)
-                .with_obs(minuet_obs::ObsPlane::new(&cfg.obs)),
-        );
+        let transport =
+            Arc::new(Transport::new(cfg.inject_rtt).with_obs(minuet_obs::ObsPlane::new(&cfg.obs)));
         let cluster = Self::assemble(nodes, transport, cfg, max_txid + 1);
         let resolution = recovery::resolve_in_doubt(&cluster, &metas);
         Ok((cluster, resolution))
@@ -353,7 +348,6 @@ impl SinfoniaCluster {
             cfg,
             txid: AtomicU64::new(first_txid),
             membership_gate: parking_lot::RwLock::new(()),
-            service_ns: AtomicU64::new(0),
             ckpt_stop,
             ckpt_thread: parking_lot::Mutex::new(ckpt_thread),
         })
@@ -407,12 +401,11 @@ impl SinfoniaCluster {
             "too many memnodes for MemNodeId"
         );
         let id = MemNodeId(nodes.len() as u16);
-        let node = if self.cfg.durability.enabled() {
+        let node = if let Some(dir) = self.cfg.durability.dir.as_ref() {
             // Persist the joining state *before* the node's durable files
             // exist: a crash mid-seed must restart the node as joining
             // (never as a readable replica). The marker is removed by
             // `finish_join`; one without a WAL is ignored by discovery.
-            let dir = self.cfg.durability.dir.as_ref().expect("durability dir");
             std::fs::create_dir_all(dir)?;
             std::fs::File::create(recovery::join_marker_path(dir, id))?.sync_all()?;
             MemNode::durable(id, self.cfg.capacity_per_node, &self.cfg.durability)?
@@ -473,25 +466,6 @@ impl SinfoniaCluster {
         let set = node.set_retiring(retiring);
         node.invalidate_cached_flags();
         set
-    }
-
-    /// Injects a modeled per-minitransaction-shard service time at every
-    /// memnode (None/zero disables). While set, each prepare /
-    /// single-phase execution / commit at a memnode sleeps this long
-    /// holding that node's service gate, so one memnode behaves as one
-    /// serial server — the load observable that makes scale-out measurable
-    /// on a single host (cf. the transport's injected RTT).
-    pub fn set_service_time(&self, d: Option<Duration>) {
-        self.service_ns.store(
-            d.map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Currently injected per-shard service time (zero when disabled).
-    #[inline]
-    pub fn service_time(&self) -> Duration {
-        Duration::from_nanos(self.service_ns.load(Ordering::Relaxed))
     }
 
     /// Takes the membership read guard. Hold this from the moment a

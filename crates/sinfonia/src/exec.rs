@@ -175,11 +175,10 @@ pub fn execute_many(
         }
     }
     groups.retain(|_, idxs| idxs.len() > 1);
-    let batched = |i: usize| matches!(ms[i].shards(), [(mem, _)] if groups.contains_key(mem));
-    let mut alone: Vec<usize> = (0..ms.len()).filter(|&i| !batched(i)).collect();
 
+    // `None` marks a member still to run alone: one outside every batch,
+    // or a batched one that met contention or a crash.
     let mut out: Vec<Option<Result<Outcome, SinfoniaError>>> = ms.iter().map(|_| None).collect();
-    let service = cluster.service_time();
     for (mem, idxs) in &groups {
         // One batched request to this memnode: one round trip carrying
         // `idxs.len()` packed minitransactions (counted as messages). In
@@ -197,7 +196,7 @@ pub fn execute_many(
         book_request(cluster, || Request::ExecBatch {
             items: items.clone(),
         });
-        let results = cluster.node(*mem).exec_batch(items, service);
+        let results = cluster.node(*mem).exec_batch(items);
         debug_assert_eq!(results.len(), idxs.len());
         book_reply(cluster, || {
             Response::Batch(
@@ -212,7 +211,7 @@ pub fn execute_many(
             match result {
                 // Contention or a crash mid-batch: retry this member alone
                 // through the standard backoff/recovery-wait machinery.
-                Err(_) | Ok(SingleResult::Busy) => alone.push(i),
+                Err(_) | Ok(SingleResult::Busy) => {}
                 Ok(SingleResult::BadCompare(idx)) => {
                     out[i] = Some(Ok(Outcome::FailedCompare(idx)));
                 }
@@ -227,12 +226,10 @@ pub fn execute_many(
 
     // A member that runs out of `unavailable_retry` or deadline here fails
     // alone: what the others did stands, and is reported.
-    for i in alone {
-        out[i] = Some(execute(cluster, &ms[i]));
-    }
     Ok(out
         .into_iter()
-        .map(|o| o.expect("outcome filled"))
+        .zip(ms)
+        .map(|(o, m)| o.unwrap_or_else(|| execute(cluster, m)))
         .collect())
 }
 
@@ -253,7 +250,6 @@ fn try_once(
     let shards = m.shards();
     let mut reads: Vec<Bytes> = vec![Bytes::new(); m.read_count()];
 
-    let service = cluster.service_time();
     if let [(mem, shard)] = shards {
         // Collapsed one-phase protocol: one round trip, locks held only
         // inside the memnode call.
@@ -263,9 +259,7 @@ fn try_once(
             policy,
             shard: shard.clone(),
         });
-        let node = cluster.node(*mem);
-        node.occupy(service);
-        let result = node.exec_single(txid, shard, policy);
+        let result = cluster.node(*mem).exec_single(txid, shard, policy);
         book_reply(cluster, || reply(result.clone(), Response::Single));
         match result {
             Err(u) => TryResult::Unavailable(u.0),
@@ -294,9 +288,9 @@ fn try_once(
                 participants: participants.iter().map(|p| p.0).collect(),
                 shard: shard.clone(),
             });
-            let node = cluster.node(*mem);
-            node.occupy(service);
-            let vote = node.prepare(txid, shard, policy, &participants);
+            let vote = cluster
+                .node(*mem)
+                .prepare(txid, shard, policy, &participants);
             book_reply(cluster, || reply(vote.clone(), Response::Vote));
             match vote {
                 Err(u) => {
@@ -327,7 +321,6 @@ fn try_once(
             for mem in &prepared {
                 book_request(cluster, || Request::Commit { txid });
                 let node = cluster.node(*mem);
-                node.occupy(service);
                 let deadline = Instant::now() + cluster.cfg.unavailable_retry;
                 loop {
                     match node.commit(txid) {

@@ -29,7 +29,7 @@ use crate::wire::WireShard;
 use crate::{checkpoint, lock};
 use minuet_faults as faults;
 use minuet_obs::{span, Counter, ObsPlane, SpanKind};
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -247,9 +247,6 @@ pub struct MemNode {
     /// True while the node is being drained for decommissioning:
     /// allocators should steer new placements elsewhere.
     retiring: AtomicBool,
-    /// Serializes modeled service time (see [`MemNode::occupy`]): one
-    /// memnode is one server, so injected service latencies queue.
-    service_gate: Mutex<()>,
     ckpt_running: AtomicBool,
     checkpoints: AtomicU64,
     /// Operation counters.
@@ -306,7 +303,6 @@ impl MemNode {
             degraded: AtomicBool::new(false),
             joining: AtomicBool::new(false),
             retiring: AtomicBool::new(false),
-            service_gate: Mutex::new(()),
             ckpt_running: AtomicBool::new(false),
             checkpoints: AtomicU64::new(0),
             stats,
@@ -426,18 +422,6 @@ impl MemNode {
     /// Marks / clears the retiring state (elastic drain).
     pub fn set_retiring(&self, retiring: bool) {
         self.retiring.store(retiring, Ordering::Release);
-    }
-
-    /// Models one server's occupancy for an injected per-request service
-    /// time: the caller sleeps `d` while holding this node's service
-    /// gate, so concurrent requests to the *same* memnode queue while
-    /// requests to different memnodes proceed in parallel — the effect
-    /// scale-out benches measure. No-op when `d` is zero.
-    pub fn occupy(&self, d: Duration) {
-        if !d.is_zero() {
-            let _g = self.service_gate.lock();
-            std::thread::sleep(d);
-        }
     }
 
     /// True if this node logs to disk.

@@ -36,7 +36,6 @@ use minuet_obs::{ObsSnapshot, Trace};
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A shared handle to a memnode, local or remote.
 pub type NodeHandle = Arc<dyn NodeRpc>;
@@ -127,23 +126,14 @@ pub trait NodeRpc: Send + Sync {
 
     /// Executes a batch of independent minitransactions destined for this
     /// node in one round trip, returning per-member results in order.
-    /// `service` is the modeled per-shard service time (zero when
-    /// disabled; ignored by remote nodes, whose service time is real).
     ///
     /// The default implementation loops [`NodeRpc::exec_single`]; the wire
     /// client overrides it to send the members, as they are, in one frame
     /// — which is why they arrive owned.
-    fn exec_batch(
-        &self,
-        items: Vec<WireBatchItem>,
-        service: Duration,
-    ) -> Vec<Result<SingleResult, Unavailable>> {
+    fn exec_batch(&self, items: Vec<WireBatchItem>) -> Vec<Result<SingleResult, Unavailable>> {
         items
             .iter()
-            .map(|it| {
-                self.occupy(service);
-                self.exec_single(it.txid, &it.shard, it.policy)
-            })
+            .map(|it| self.exec_single(it.txid, &it.shard, it.policy))
             .collect()
     }
 
@@ -189,10 +179,6 @@ pub trait NodeRpc: Send + Sync {
 
     /// True while the node is draining for decommissioning.
     fn is_retiring(&self) -> bool;
-
-    /// Models one server's occupancy for an injected service time. Remote
-    /// nodes ignore this: their service time is real.
-    fn occupy(&self, d: Duration);
 
     /// Performs one admin operation at the node. The single entry point
     /// for everything off the data plane, and fallible like the rest of
@@ -384,10 +370,6 @@ impl NodeRpc for MemNode {
 
     fn is_retiring(&self) -> bool {
         MemNode::is_retiring(self)
-    }
-
-    fn occupy(&self, d: Duration) {
-        MemNode::occupy(self, d)
     }
 
     /// The one implementation of every admin operation. It answers in any

@@ -11,9 +11,6 @@
 //! modes; bytes are the frames the socket client exchanged, or in-process
 //! what the codec says the same frames would weigh
 //! ([`Transport::bytes_are_modeled`] says which).
-//! Benchmarks report modeled latency as
-//! `measured wall time + round_trips × model_rtt`, reproducing the paper's
-//! round-trip-dominated latency shapes without physical machines.
 
 use minuet_obs::{book_net, Counter, ObsPlane};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,8 +69,6 @@ pub struct Transport {
     /// switchable so benchmark preloads can run at memory speed while the
     /// measured phase pays realistic network delays.
     inject_ns: AtomicU64,
-    /// RTT used for *modeled* latency in reports (never slept here).
-    pub model_rtt: Duration,
     /// Who feeds the byte counters through
     /// [`Transport::record_wire_bytes`]: the coordinator, pricing each
     /// in-process exchange with the codec (true), or the socket client,
@@ -87,15 +82,14 @@ pub struct Transport {
 }
 
 impl Transport {
-    /// Creates a transport with a model RTT and optional injected latency.
-    pub fn new(model_rtt: Duration, inject_rtt: Option<Duration>) -> Self {
+    /// Creates a transport, optionally injecting latency per round trip.
+    pub fn new(inject_rtt: Option<Duration>) -> Self {
         let obs = ObsPlane::disabled();
         let stats = NetStats::default();
         stats.register(&obs);
         Transport {
             stats,
             inject_ns: AtomicU64::new(inject_rtt.map_or(0, |d| d.as_nanos() as u64)),
-            model_rtt,
             modeled_bytes: true,
             obs,
         }
@@ -113,10 +107,10 @@ impl Transport {
     /// still counted per coordinator phase, but byte counters are fed by
     /// the socket client's real frame sizes instead of the coordinator's
     /// in-process ledger.
-    pub fn new_wire(model_rtt: Duration, inject_rtt: Option<Duration>) -> Self {
+    pub fn new_wire(inject_rtt: Option<Duration>) -> Self {
         Transport {
             modeled_bytes: false,
-            ..Transport::new(model_rtt, inject_rtt)
+            ..Transport::new(inject_rtt)
         }
     }
 
@@ -181,7 +175,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let t = Transport::new(Duration::from_micros(100), None);
+        let t = Transport::new(None);
         let (_, net) = with_op_net(|| {
             t.round_trip(1);
             t.record_wire_bytes(100, 40);
@@ -204,7 +198,7 @@ mod tests {
 
     #[test]
     fn op_scope_resets() {
-        let t = Transport::new(Duration::from_micros(100), None);
+        let t = Transport::new(None);
         let (_, a) = with_op_net(|| t.round_trip(1));
         let (_, b) = with_op_net(|| {
             t.round_trip(1);
@@ -224,7 +218,7 @@ mod tests {
 
     #[test]
     fn wire_mode_counts_real_bytes_only() {
-        let t = Transport::new_wire(Duration::from_micros(100), None);
+        let t = Transport::new_wire(None);
         let (_, net) = with_op_net(|| {
             // A coordinator phase counts its round trip and messages...
             t.round_trip(2);
@@ -245,16 +239,23 @@ mod tests {
     }
 
     #[test]
-    fn modeled_latency() {
-        let net = OpNet {
-            round_trips: 3,
-            messages: 5,
-            bytes_out: 0,
-            bytes_in: 0,
-        };
-        assert_eq!(
-            net.modeled_latency(Duration::from_micros(100)),
-            Duration::from_micros(300)
-        );
+    fn injected_rtt_sleeps_per_round_trip_in_both_modes() {
+        let d = Duration::from_millis(2);
+        let k = 3;
+        for t in [Transport::new(Some(d)), Transport::new_wire(Some(d))] {
+            assert_eq!(t.inject(), Some(d));
+            let start = std::time::Instant::now();
+            let (_, net) = with_op_net(|| {
+                for _ in 0..k {
+                    t.round_trip(2);
+                }
+            });
+            // Lower bounds only: a slow host may oversleep, never undersleep.
+            assert!(start.elapsed() >= d * k);
+            assert_eq!((net.round_trips, net.messages), (k as u64, 2 * k as u64));
+            assert_eq!(t.stats.snapshot(), (k as u64, 2 * k as u64));
+            t.set_inject(None);
+            assert_eq!(t.inject(), None);
+        }
     }
 }

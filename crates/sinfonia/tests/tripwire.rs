@@ -169,11 +169,11 @@ fn panic_sites_do_not_grow() {
         ("bytes.rs", 0),
         ("checkpoint.rs", 2),
         ("client.rs", 2),
-        ("cluster.rs", 5),
+        ("cluster.rs", 3),
         ("crc.rs", 0),
         ("deadline.rs", 0),
         ("error.rs", 0),
-        ("exec.rs", 1),
+        ("exec.rs", 0),
         ("lib.rs", 0),
         ("lock.rs", 0),
         ("memnode.rs", 5),

@@ -3,11 +3,9 @@
 //!
 //! **Closed loop** ([`run_closed_loop`]): `threads` workers each own a
 //! connection to the system under test and issue operations back-to-back.
-//! Latency is measured per operation; the connection may report *extra*
-//! modeled latency (e.g. network round trips × RTT from the simulated
-//! transport) which is added to the recorded value. Aggregate throughput
-//! is ops / measured window, optionally bucketed into fixed windows for
-//! time-series plots (Fig. 14).
+//! Latency is the measured wall time of each operation. Aggregate
+//! throughput is ops / measured window, optionally bucketed into fixed
+//! windows for time-series plots (Fig. 14).
 //!
 //! **Open loop** ([`run_open_loop`]): requests arrive on a fixed schedule
 //! regardless of completion, the standard methodology for measuring
@@ -86,9 +84,7 @@ struct WorkerResult {
 }
 
 /// Runs the workload closed-loop. `make_worker(thread_idx)` builds each
-/// worker's connection: a closure executing one [`Operation`] and
-/// returning the *extra* (modeled) latency to add to the measured wall
-/// time.
+/// worker's connection: a closure executing one [`Operation`].
 pub fn run_closed_loop<C, F>(
     cfg: &RunConfig,
     spec: &WorkloadSpec,
@@ -97,7 +93,7 @@ pub fn run_closed_loop<C, F>(
 ) -> RunReport
 where
     F: Fn(usize) -> C + Sync,
-    C: FnMut(&Operation) -> Duration,
+    C: FnMut(&Operation),
 {
     let nwindows = cfg
         .window
@@ -138,8 +134,8 @@ where
                     }
                     let op = gen.next_op();
                     let t0 = Instant::now();
-                    let extra = conn(&op);
-                    let lat = t0.elapsed() + extra;
+                    conn(&op);
+                    let lat = t0.elapsed();
                     let done = Instant::now();
                     if done >= measure_from && done < deadline {
                         all.record_duration(lat);
@@ -266,8 +262,7 @@ pub struct OpenLoopReport {
 /// Runs the workload open-loop: each worker issues batches of
 /// `spec.batch_size` operations on a fixed arrival schedule, recording
 /// latency from scheduled arrival to completion. `make_worker(thread_idx)`
-/// builds each worker's connection: a closure executing one batch and
-/// returning the *extra* (modeled) latency to add.
+/// builds each worker's connection: a closure executing one batch.
 pub fn run_open_loop<C, F>(
     cfg: &OpenLoopConfig,
     spec: &WorkloadSpec,
@@ -276,7 +271,7 @@ pub fn run_open_loop<C, F>(
 ) -> OpenLoopReport
 where
     F: Fn(usize) -> C + Sync,
-    C: FnMut(&[Operation]) -> Duration,
+    C: FnMut(&[Operation]),
 {
     let batch = spec.batch_size.max(1);
     // Per-worker inter-arrival gap: workers share the offered load evenly
@@ -326,7 +321,7 @@ where
                         break;
                     }
                     let request: Vec<Operation> = (0..batch).map(|_| gen.next_op()).collect();
-                    let extra = conn(&request);
+                    conn(&request);
                     let done = Instant::now();
                     // Open-loop latency: completion minus *scheduled*
                     // arrival, so waiting behind earlier requests counts.
@@ -335,7 +330,7 @@ where
                     // erase each worker's slowest request exactly in the
                     // saturation regime this driver exists to measure.
                     // Accounting: ops + backlog = all in-window arrivals.
-                    let lat = done.saturating_duration_since(scheduled) + extra;
+                    let lat = done.saturating_duration_since(scheduled);
                     if scheduled >= measure_from {
                         for _ in 0..batch {
                             hist.record_duration(lat);
@@ -389,17 +384,14 @@ mod tests {
         let cfg = RunConfig::new(4, Duration::from_millis(200));
         let report = run_closed_loop(&cfg, &spec, &shared, |_t| {
             let store = store.clone();
-            move |op: &Operation| {
-                match op {
-                    Operation::Read { key } => {
-                        store.map.lock().get(key);
-                    }
-                    Operation::Update { key, value } => {
-                        store.map.lock().insert(key.clone(), value.clone());
-                    }
-                    _ => {}
+            move |op: &Operation| match op {
+                Operation::Read { key } => {
+                    store.map.lock().get(key);
                 }
-                Duration::ZERO
+                Operation::Update { key, value } => {
+                    store.map.lock().insert(key.clone(), value.clone());
+                }
+                _ => {}
             }
         });
         assert!(report.ops > 1000, "ops {}", report.ops);
@@ -411,18 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn extra_latency_is_added() {
-        let spec = WorkloadSpec::read_only(10);
-        let shared = SharedState::new(&spec);
-        let cfg = RunConfig::new(1, Duration::from_millis(100));
-        let report = run_closed_loop(&cfg, &spec, &shared, |_t| {
-            |_op: &Operation| Duration::from_millis(5)
-        });
-        // Mean latency must reflect the 5ms modeled extra.
-        assert!(report.latency.mean_ns >= 5_000_000.0);
-    }
-
-    #[test]
     fn open_loop_tracks_offered_load() {
         let spec = WorkloadSpec::read_only(100);
         let shared = SharedState::new(&spec);
@@ -430,9 +410,7 @@ mod tests {
         // are 1 ms apart, the second staggered half a gap behind the first.
         let (threads, duration) = (2, Duration::from_millis(300));
         let cfg = OpenLoopConfig::new(threads, duration, 2000.0);
-        let report = run_open_loop(&cfg, &spec, &shared, |_t| {
-            |_ops: &[Operation]| Duration::ZERO
-        });
+        let report = run_open_loop(&cfg, &spec, &shared, |_t| |_ops: &[Operation]| {});
         // However the host schedules the workers, every arrival the
         // schedule puts inside the window is either issued or backlog.
         let interval = Duration::from_secs_f64(threads as f64 / 2000.0);
@@ -465,7 +443,6 @@ mod tests {
             let sizes = sizes.clone();
             move |ops: &[Operation]| {
                 sizes.lock().push(ops.len());
-                Duration::ZERO
             }
         });
         assert!(sizes.lock().iter().all(|&s| s == 8));
@@ -480,10 +457,7 @@ mod tests {
         // latency must blow up with queueing delay and backlog be nonzero.
         let cfg = OpenLoopConfig::new(1, Duration::from_millis(300), 1000.0);
         let report = run_open_loop(&cfg, &spec, &shared, |_t| {
-            |_ops: &[Operation]| {
-                std::thread::sleep(Duration::from_millis(5));
-                Duration::ZERO
-            }
+            |_ops: &[Operation]| std::thread::sleep(Duration::from_millis(5))
         });
         assert!(
             report.throughput < 400.0,
@@ -505,7 +479,7 @@ mod tests {
         let shared = SharedState::new(&spec);
         let cfg =
             RunConfig::new(2, Duration::from_millis(200)).with_window(Duration::from_millis(50));
-        let report = run_closed_loop(&cfg, &spec, &shared, |_t| |_op: &Operation| Duration::ZERO);
+        let report = run_closed_loop(&cfg, &spec, &shared, |_t| |_op: &Operation| {});
         assert_eq!(report.windows.len(), 4);
         assert_eq!(report.windows.iter().sum::<u64>(), report.ops);
         assert!(report.windows.iter().all(|&w| w > 0));

@@ -8,8 +8,7 @@
 //! throughput, mean and 95th-percentile latency).
 //!
 //! The driver is engine-agnostic: workers execute [`Operation`]s through a
-//! caller-provided closure, which returns any *modeled* latency (e.g.
-//! simulated network round trips) to add to the measured wall time.
+//! caller-provided closure, and latency is the wall time it measures.
 
 pub mod dist;
 pub mod driver;

@@ -24,7 +24,6 @@ use minuet::{MinuetCluster, TreeConfig};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::Arc;
-use std::time::Duration;
 
 const MEMNODES: usize = 2;
 const RECORDS: u32 = 10_000;
@@ -156,7 +155,7 @@ fn main() {
     // Clean shutdown: one Shutdown RPC per daemon, then reap the
     // processes and check their exit codes.
     drop(proxy);
-    let transport = Arc::new(Transport::new_wire(Duration::from_micros(100), None));
+    let transport = Arc::new(Transport::new_wire(None));
     for (i, ep) in endpoints.iter().enumerate() {
         let client = RemoteNode::new(
             MemNodeId(i as u16),

@@ -350,7 +350,7 @@ fn wire_remote(
     let ep = Endpoint::Unix(common::socket_path(tag));
     let server = MemNodeServer::spawn(node.clone(), &ep, ServerOptions::default()).unwrap();
     let plane = ObsPlane::new(&ObsConfig::default());
-    let transport = Arc::new(Transport::new_wire(Duration::ZERO, None).with_obs(plane.clone()));
+    let transport = Arc::new(Transport::new_wire(None).with_obs(plane.clone()));
     let remote = RemoteNode::new(MemNodeId(0), ep, wire, transport);
     (node, server, remote, plane)
 }

@@ -17,22 +17,19 @@ fn preload(mc: &std::sync::Arc<MinuetCluster>, n: u64) {
     }
 }
 
-fn minuet_worker(mc: std::sync::Arc<MinuetCluster>) -> impl FnMut(&Operation) -> Duration {
+fn minuet_worker(mc: std::sync::Arc<MinuetCluster>) -> impl FnMut(&Operation) {
     let mut p = mc.proxy();
-    move |op: &Operation| {
-        match op {
-            Operation::Read { key } => {
-                p.get(0, key).unwrap();
-            }
-            Operation::Update { key, value } | Operation::Insert { key, value } => {
-                p.put(0, key.clone(), value.clone()).unwrap();
-            }
-            Operation::Scan { start, len } => {
-                p.scan_with_snapshot(0, start, *len).unwrap();
-            }
-            _ => unreachable!("single-table spec"),
+    move |op: &Operation| match op {
+        Operation::Read { key } => {
+            p.get(0, key).unwrap();
         }
-        Duration::ZERO
+        Operation::Update { key, value } | Operation::Insert { key, value } => {
+            p.put(0, key.clone(), value.clone()).unwrap();
+        }
+        Operation::Scan { start, len } => {
+            p.scan_with_snapshot(0, start, *len).unwrap();
+        }
+        _ => unreachable!("single-table spec"),
     }
 }
 
@@ -97,17 +94,14 @@ fn cdb_runs_the_same_workload() {
         &shared,
         |_t| {
             let cdb = cdb.clone();
-            move |op: &Operation| {
-                match op {
-                    Operation::Read { key } => {
-                        cdb.get(0, key);
-                    }
-                    Operation::Update { key, value } => {
-                        cdb.put(0, key.clone(), value.clone());
-                    }
-                    _ => {}
+            move |op: &Operation| match op {
+                Operation::Read { key } => {
+                    cdb.get(0, key);
                 }
-                Duration::ZERO
+                Operation::Update { key, value } => {
+                    cdb.put(0, key.clone(), value.clone());
+                }
+                _ => {}
             }
         },
     );
