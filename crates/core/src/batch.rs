@@ -43,7 +43,7 @@
 use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{in_range, Fence, Key, Value};
 use crate::node::{Node, NodeBody, NodePtr};
-use crate::ops::LeafOp;
+use crate::ops::{LeafOp, Written};
 use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
 use crate::retry::backoff;
 use crate::traverse::{LeafAccess, PathEntry, Resolved, VersionCheck};
@@ -251,27 +251,28 @@ impl Proxy {
 
         // ---- 1. Route the sorted keys into per-leaf groups. ----
         let mut groups: BTreeMap<NodePtr, LeafGroup> = BTreeMap::new();
-        let mut route: Option<Vec<PathEntry>> = None;
+        // The last route taken; empty before the first.
+        let mut route: Vec<PathEntry> = Vec::new();
         for &i in pending {
             let key = &items[i].0;
             // A route stays valid while the key sits inside its last
             // node's fences (that node is the height-1 parent, or the root
             // itself when the whole tree is a single leaf).
-            let reusable = route.as_ref().is_some_and(|r| {
-                let p = r.last().expect("route nonempty");
-                in_range(&p.node.low, &p.node.high, key)
-            });
+            let reusable = route
+                .last()
+                .is_some_and(|p| in_range(&p.node.low, &p.node.high, key));
             if !reusable {
-                route = Some(self.traverse(&mut rtx, tree, &ctx, key, LeafAccess::Route, 1)?);
+                route = self.traverse(&mut rtx, tree, &ctx, key, LeafAccess::Route, 1)?;
             }
-            let r = route.as_ref().expect("route set");
-            let parent = r.last().expect("route nonempty");
+            let Some(parent) = route.last() else {
+                return Err(Error::Internal("a descent returned no node".into()).into());
+            };
             let (leaf_ptr, chain) = if parent.node.height == 0 {
                 // Single-level tree: the root is the leaf; no internal
                 // chain above it.
-                (parent.ptr, &r[..0])
+                (parent.ptr, &route[..0])
             } else {
-                (parent.node.child_for(key), &r[..])
+                (parent.node.child_for(key), &route[..])
             };
             groups
                 .entry(leaf_ptr)
@@ -405,14 +406,9 @@ impl Proxy {
         let mut fallback: Vec<usize> = Vec::new();
         let mut staged: Vec<StagedCommit<'_>> = Vec::new();
         // Per staged group: member indices, displaced old values, the leaf
-        // slot, and (for simple in-place writes) the staged leaf image to
-        // re-install into the validated cache once the group commits.
-        type StagedGroup = (
-            Vec<usize>,
-            Vec<Option<Value>>,
-            NodePtr,
-            Option<(u32, NodePtr, Arc<Node>)>,
-        );
+        // slot, and the node images the group staged, to install into the
+        // cache once the group commits.
+        type StagedGroup = (Vec<usize>, Vec<Option<Value>>, NodePtr, Vec<Written>);
         let mut staged_members: Vec<StagedGroup> = Vec::new();
         for (leaf_ptr, group) in groups {
             let Some(img) = leaves.get(&leaf_ptr) else {
@@ -507,16 +503,14 @@ impl Proxy {
                 node,
             });
             let level = path.len() - 1;
+            self.written.clear();
             match self.materialize(&mut gtx, tree, &ctx, &path, level, new_leaf) {
                 Ok(()) => {
-                    let written = self.last_leaf_written.take();
+                    let written = std::mem::take(&mut self.written);
                     staged.push(gtx.stage_commit());
                     staged_members.push((members, olds, leaf_ptr, written));
                 }
-                Err(TxnError::Retry(_)) => {
-                    self.last_leaf_written = None;
-                    fallback.extend(members)
-                }
+                Err(TxnError::Retry(_)) => fallback.extend(members),
                 Err(e) => return Err(e),
             }
         }
@@ -531,7 +525,7 @@ impl Proxy {
         {
             match outcome.map_err(TxnError::from) {
                 Ok(info) => {
-                    self.install_committed_leaf(&info, written);
+                    self.install_written(&info, written);
                     self.stats.ops += members.len() as u64;
                     self.stats.batched_ops += members.len() as u64;
                     for (i, old) in members.into_iter().zip(olds) {
@@ -694,19 +688,22 @@ impl Proxy {
             };
         }
 
-        if leaf_nodes.len() == 1 {
+        let leaf_nodes = match <[Node; 1]>::try_from(leaf_nodes) {
             // Everything fits in the root leaf.
-            self.write_node(tx, tree, root_ptr, &leaf_nodes[0]);
-            return Ok(());
-        }
+            Ok([root]) => {
+                self.write_node(tx, tree, root_ptr, root);
+                return Ok(());
+            }
+            Err(leaves) => leaves,
+        };
 
         // Write the leaves into fresh slots and build internal levels over
         // them until one node remains; that node becomes the root image.
         let mut level: Vec<(Fence, Fence, NodePtr)> = Vec::new();
-        for leaf in &leaf_nodes {
+        for leaf in leaf_nodes {
             let ptr = self.bulk_slot(tree, pool, &mut cursor)?;
-            self.write_node(tx, tree, ptr, leaf);
             level.push((leaf.low.clone(), leaf.high.clone(), ptr));
+            self.write_node(tx, tree, ptr, leaf);
         }
         let mut height: u8 = 1;
         loop {
@@ -749,20 +746,23 @@ impl Proxy {
                 nodes.push(node);
                 chunk_start = end;
             }
-            if nodes.len() == 1 {
+            let nodes = match <[Node; 1]>::try_from(nodes) {
                 // The single top node is the new root, written in place.
-                self.write_node(tx, tree, root_ptr, &nodes[0]);
-                return Ok(());
-            }
+                Ok([root]) => {
+                    self.write_node(tx, tree, root_ptr, root);
+                    return Ok(());
+                }
+                Err(nodes) => nodes,
+            };
             assert!(
                 nodes.len() < level.len(),
                 "bulk_load cannot shrink a level: separator keys too large \
                  for the configured node payload"
             );
-            for node in &nodes {
+            for node in nodes {
                 let ptr = self.bulk_slot(tree, pool, &mut cursor)?;
-                self.write_node(tx, tree, ptr, node);
                 next.push((node.low.clone(), node.high.clone(), ptr));
+                self.write_node(tx, tree, ptr, node);
             }
             level = next;
             height += 1;
@@ -938,6 +938,58 @@ mod tests {
             );
         }
         assert_eq!(p.get(0, &key(7)).unwrap(), Some(vec![8]));
+    }
+
+    #[test]
+    fn copy_on_write_puts_leave_what_they_wrote_cached() {
+        // A copy-on-write put writes the leaf's copy, the tagged original
+        // and the parent; its commit installs the copy and the parent. So
+        // a put to another leaf under the rewritten parent, and a second
+        // put of the key, each cost one fused round trip with nothing
+        // fetched — and so does a put after a batch group copied on write.
+        let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(8));
+        let mut p = mc.proxy();
+        // 24 keys, 8 to a leaf: three leaves under one root.
+        let pairs: Vec<_> = (0..24).map(|i| (key(i), vec![0])).collect();
+        p.bulk_load(0, pairs).unwrap();
+        p.create_snapshot(0).unwrap();
+        let one_round_trip = |p: &mut crate::proxy::Proxy, i: u32, what: &str| {
+            let misses = p.cache_stats().1;
+            let (_, net) = with_op_net(|| p.put(0, key(i), vec![2]).unwrap());
+            assert_eq!(
+                net.round_trips, 1,
+                "{what}: {} round trips",
+                net.round_trips
+            );
+            assert_eq!(p.cache_stats().1, misses, "{what}: a node was fetched");
+        };
+        // Copy the second leaf, then the first: the root is rewritten
+        // twice. Each copy takes the place of its original in the cache:
+        // a tagged original is not put back.
+        let resident = p.cache_stats().3;
+        p.put(0, key(8), vec![1]).unwrap();
+        p.put(0, key(0), vec![1]).unwrap();
+        assert_eq!(p.cache_stats().3, resident, "a tagged original was cached");
+        one_round_trip(&mut p, 8, "a put to another leaf under the rewritten root");
+        one_round_trip(&mut p, 0, "a put of the key just copied");
+        // One batch group copies the third leaf.
+        let olds = p
+            .multi_put(0, &[(key(16), vec![1]), (key(17), vec![1])])
+            .unwrap();
+        assert_eq!(olds, vec![Some(vec![0]), Some(vec![0])]);
+        assert_eq!(p.stats.batched_ops, 2, "the batch fell back");
+        one_round_trip(&mut p, 16, "a put to the leaf a batch group copied");
+        for (i, want) in [(0, 2), (1, 0), (8, 2), (16, 2), (17, 1), (23, 0)] {
+            assert_eq!(p.get(0, &key(i)).unwrap(), Some(vec![want]), "key {i}");
+        }
+        // The registry, and so `minuet-stats`, counts what was put back.
+        let installs = mc
+            .sinfonia
+            .obs()
+            .registry
+            .snapshot()
+            .counter("cache.installs");
+        assert!(installs.unwrap_or(0) > 0, "cache.installs {installs:?}");
     }
 
     #[test]

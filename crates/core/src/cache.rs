@@ -121,6 +121,8 @@ pub struct NodeCache {
     pub frozen_hits: Counter,
     /// Snapshot reads that found no entry they may use.
     pub frozen_misses: Counter,
+    /// Node images a committed write put back at the seqno it installed.
+    pub installs: Counter,
 }
 
 impl Default for NodeCache {
@@ -148,14 +150,15 @@ impl NodeCache {
             evictions: Counter::new(),
             frozen_hits: Counter::new(),
             frozen_misses: Counter::new(),
+            installs: Counter::new(),
         }
     }
 
     /// Swaps the freshly-created counters for handles shared through
     /// `plane`'s registry, so every cache attached to the same plane
     /// aggregates into one `cache.hits` / `cache.misses` /
-    /// `cache.evictions` / `cache.frozen_hits` / `cache.frozen_misses`
-    /// set and a single [`snapshot`](minuet_obs::Registry::snapshot)
+    /// `cache.evictions` / `cache.frozen_hits` / `cache.frozen_misses` /
+    /// `cache.installs` set and a single [`snapshot`](minuet_obs::Registry::snapshot)
     /// covers them all.
     pub fn attach(&mut self, plane: &ObsPlane) {
         self.hits = plane.registry.counter("cache.hits");
@@ -163,6 +166,7 @@ impl NodeCache {
         self.evictions = plane.registry.counter("cache.evictions");
         self.frozen_hits = plane.registry.counter("cache.frozen_hits");
         self.frozen_misses = plane.registry.counter("cache.frozen_misses");
+        self.installs = plane.registry.counter("cache.installs");
     }
 
     /// The configured capacity in nodes.

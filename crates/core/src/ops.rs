@@ -14,6 +14,7 @@ use crate::tree::ConcurrencyMode;
 use minuet_dyntx::DynTx;
 use minuet_obs::{span, SpanKind};
 use minuet_sinfonia::MemNodeId;
+use std::sync::Arc;
 
 /// What a single-key operation does at the leaf responsible for its key:
 /// the one description `get` / `put` / `remove`, their `_at` / `_branch`
@@ -50,12 +51,26 @@ pub(crate) struct ChildOps {
     pub insert: Option<(Vec<u8>, NodePtr)>,
 }
 
+/// A node image an attempt staged, kept for the cache: `(tree, slot,
+/// image)` ([`Proxy::install_written`]).
+pub(crate) type Written = (u32, NodePtr, Arc<Node>);
+
 impl Proxy {
     /// Stages a node image write. In FullValidation mode, internal-node
     /// writes also update the node's replicated seqno-table entry at every
     /// memnode — the all-memnode engagement that makes splits expensive in
     /// the baseline (§3).
-    pub(crate) fn write_node(&mut self, tx: &mut DynTx<'_>, tree: u32, ptr: NodePtr, node: &Node) {
+    ///
+    /// The node's cached entry is dropped, and the node itself is kept in
+    /// `written` if the cache may hold it — an internal node when
+    /// internal nodes are cached, a leaf when writable reads use the
+    /// validated leaf cache — so that a commit puts it back. A leaf whose
+    /// descendant set names a copy (the original a copy-on-write just
+    /// tagged) is not kept: the writer's tip reads the copy from now on,
+    /// a snapshot read never takes a leaf from a tip entry, and keeping
+    /// it decoded beside every copy would double the leaves the cache
+    /// holds.
+    pub(crate) fn write_node(&mut self, tx: &mut DynTx<'_>, tree: u32, ptr: NodePtr, node: Node) {
         let layout = *self.mc.layout(tree);
         let obj = layout.node_obj(ptr);
         let payload = node.encode();
@@ -75,6 +90,14 @@ impl Proxy {
             tx.write(obj, payload);
         }
         self.ncache.forget_tip(tree, ptr);
+        let cacheable = if node.is_internal() {
+            self.mc.cfg.cache_internal_nodes
+        } else {
+            self.writable_leaf_access() == LeafAccess::CachedValidated && node.desc.is_empty()
+        };
+        if cacheable {
+            self.written.push((tree, ptr, Arc::new(node)));
+        }
     }
 
     /// Allocates a node slot with round-robin placement.
@@ -173,16 +196,7 @@ impl Proxy {
 
         if in_snapshot {
             if !node.overflows(payload_cap, max_entries) {
-                self.write_node(tx, tree, orig.ptr, &node);
-                // Remember the staged leaf image so a successful commit
-                // re-installs it into the validated leaf cache (the write
-                // above invalidated the stale entry). Without this, a
-                // put-only workload would pay a fetch on every op: each
-                // write evicts the leaf the next write needs.
-                if !node.is_internal() && self.writable_leaf_access() == LeafAccess::CachedValidated
-                {
-                    self.last_leaf_written = Some((tree, orig.ptr, std::sync::Arc::new(node)));
-                }
+                self.write_node(tx, tree, orig.ptr, node);
                 return Ok(());
             }
             if level == 0 {
@@ -193,8 +207,8 @@ impl Proxy {
             self.stats.splits += 1;
             let (left, sep, right) = node.split();
             let rptr = self.alloc_any(tree)?;
-            self.write_node(tx, tree, orig.ptr, &left);
-            self.write_node(tx, tree, rptr, &right);
+            self.write_node(tx, tree, orig.ptr, left);
+            self.write_node(tx, tree, rptr, right);
             return self.bubble(
                 tx,
                 tree,
@@ -224,8 +238,8 @@ impl Proxy {
             // Tag the original with the copy (§4.2); with branching
             // versions this may trigger a discretionary copy (§5.2).
             let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, cptr)?;
-            self.write_node(tx, tree, orig.ptr, &updated_orig);
-            self.write_node(tx, tree, cptr, &copy);
+            self.write_node(tx, tree, orig.ptr, updated_orig);
+            self.write_node(tx, tree, cptr, copy);
             self.bubble(
                 tx,
                 tree,
@@ -243,9 +257,9 @@ impl Proxy {
             let lptr = self.alloc_pref(tree, orig.ptr.mem)?;
             let rptr = self.alloc_pref(tree, orig.ptr.mem)?;
             let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, lptr)?;
-            self.write_node(tx, tree, orig.ptr, &updated_orig);
-            self.write_node(tx, tree, lptr, &left);
-            self.write_node(tx, tree, rptr, &right);
+            self.write_node(tx, tree, orig.ptr, updated_orig);
+            self.write_node(tx, tree, lptr, left);
+            self.write_node(tx, tree, rptr, right);
             self.bubble(
                 tx,
                 tree,
@@ -308,8 +322,8 @@ impl Proxy {
         let (left, sep, right) = node.split();
         let lptr = self.alloc_any(tree)?;
         let rptr = self.alloc_any(tree)?;
-        self.write_node(tx, tree, lptr, &left);
-        self.write_node(tx, tree, rptr, &right);
+        self.write_node(tx, tree, lptr, left);
+        self.write_node(tx, tree, rptr, right);
         let new_root = Node {
             height: height + 1,
             created: ctx.sid,
@@ -321,7 +335,7 @@ impl Proxy {
                 kids: vec![lptr, rptr],
             },
         };
-        self.write_node(tx, tree, root_ptr, &new_root);
+        self.write_node(tx, tree, root_ptr, new_root);
         Ok(())
     }
 }

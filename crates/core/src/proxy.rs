@@ -14,7 +14,7 @@ use crate::catalog::{CatEntry, TipVal};
 use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{Key, Value};
 use crate::node::SnapshotId;
-use crate::ops::LeafOp;
+use crate::ops::{LeafOp, Written};
 use crate::retry::run_tx;
 use crate::stats::ProxyStats;
 use crate::traverse::Resolved;
@@ -122,13 +122,14 @@ pub struct Proxy {
     /// validated-leaf-cache fast path): a validation failure means this
     /// entry is the prime suspect, so `note_retry` invalidates it.
     pub(crate) last_leaf_assumed: Option<(u32, crate::node::NodePtr)>,
-    /// The leaf image the current attempt staged as a simple in-place
-    /// write (no split, no copy-on-write). On commit success it is
-    /// re-installed into the validated leaf cache at its committed
-    /// seqno — `write_node` invalidated the pre-write entry — so a
-    /// following mutation of the same leaf stays on the fused 1-RTT
-    /// path instead of paying a fetch to repopulate the cache.
-    pub(crate) last_leaf_written: Option<(u32, crate::node::NodePtr, Arc<crate::node::Node>)>,
+    /// Every node image the current attempt staged that the cache may
+    /// hold ([`Proxy::write_node`]), in write order. A commit puts them
+    /// back at the seqnos it installed ([`Proxy::install_written`]) —
+    /// `write_node` dropped the pre-write entries — so the next op finds
+    /// the leaf copy, its parent and a new root cached instead of paying
+    /// fetches to repopulate them. Cleared at the start of every attempt
+    /// (`run_attempts`, `txn`, each batch group).
+    pub(crate) written: Vec<Written>,
     /// Entries per leaf in the leaves the last snapshot scan step read:
     /// how many keys the next step expects from a leaf it has not cached.
     /// Unknown at first, so a first step reads one leaf.
@@ -152,7 +153,7 @@ impl Proxy {
             cat_cache: HashMap::new(),
             chunks: ChunkCache::new(chunk, retries),
             last_leaf_assumed: None,
-            last_leaf_written: None,
+            written: Vec::new(),
             scan_fill: None,
             stats: ProxyStats::default(),
         }
@@ -215,23 +216,35 @@ impl Proxy {
         self.cat_cache.retain(|(t, _), _| *t != tree);
     }
 
-    /// Re-installs a committed in-place leaf write into the validated
-    /// leaf cache at the seqno the commit installed, so put-after-put on
-    /// the same leaf keeps fusing into one round trip. A commit whose
-    /// `installed` set does not carry the leaf (e.g. a piggybacked
-    /// one-shot that skipped staging) simply leaves the cache cold.
-    pub(crate) fn install_committed_leaf(
+    /// Puts every node image a committed attempt wrote back into the
+    /// cache, at the seqno the commit installed for it: exactly what a
+    /// dirty read right after the commit would return. An image whose
+    /// object the commit did not install (a piggybacked one-shot that
+    /// skipped staging) stays out. A node written twice is put twice, the
+    /// later image last, as the commit wrote it.
+    pub(crate) fn install_written(
         &mut self,
         info: &CommitInfo,
-        written: Option<(u32, crate::node::NodePtr, Arc<crate::node::Node>)>,
+        written: impl IntoIterator<Item = Written>,
     ) {
-        let Some((tree, ptr, node)) = written else {
-            return;
-        };
-        let key = TxKey::Plain(self.mc.layout(tree).node_obj(ptr));
-        if let Some((_, seqno)) = info.installed.iter().find(|(k, _)| *k == key) {
-            self.ncache.put(tree, ptr, *seqno, node);
+        // `installed` is in object order (the commit walks its write set
+        // in order), so each lookup is a binary search.
+        debug_assert!(info.installed.is_sorted_by_key(|(k, _)| *k));
+        for (tree, ptr, node) in written {
+            let key = TxKey::Plain(self.mc.layout(tree).node_obj(ptr));
+            if let Ok(at) = info.installed.binary_search_by_key(&key, |(k, _)| *k) {
+                self.ncache.put(tree, ptr, info.installed[at].1, node);
+                self.ncache.installs.inc();
+            }
         }
+    }
+
+    /// [`Proxy::install_written`] for the attempt that just committed,
+    /// draining `written` in place so its capacity serves the next op.
+    fn install_attempt(&mut self, info: &CommitInfo) {
+        let mut written = std::mem::take(&mut self.written);
+        self.install_written(info, written.drain(..));
+        self.written = written;
     }
 
     /// Runs `f` as one dynamic transaction on `tree` through the crate's
@@ -271,12 +284,11 @@ impl Proxy {
     ) -> Result<T, Error> {
         let (v, info) = self.run_tx(tree, budget, |p, tx| {
             p.last_leaf_assumed = None;
-            p.last_leaf_written = None;
+            p.written.clear();
             f(p, tx)
         })?;
         self.last_leaf_assumed = None;
-        let written = self.last_leaf_written.take();
-        self.install_committed_leaf(&info, written);
+        self.install_attempt(&info);
         Ok(v)
     }
 
@@ -499,7 +511,7 @@ impl Proxy {
         // The trees this attempt's handle resolved: exactly the ones whose
         // cached tip a retry must stop trusting.
         let mut st = (&mut *self, Vec::new());
-        let (v, _) = run_tx(
+        let (v, info) = run_tx(
             &mc.sinfonia,
             mc.cfg.piggyback,
             mc.cfg.max_op_retries,
@@ -508,8 +520,12 @@ impl Proxy {
                 p.record_retry(cause);
                 trees.drain(..).for_each(|t| p.forget_meta(t));
             },
-            |(proxy, trees), tx| f(&mut Txn { proxy, tx, trees }),
+            |(proxy, trees), tx| {
+                proxy.written.clear();
+                f(&mut Txn { proxy, tx, trees })
+            },
         )?;
+        self.install_attempt(&info);
         self.stats.ops += 1;
         Ok(v)
     }

@@ -73,16 +73,16 @@ fn one_optimistic_loop() {
 #[test]
 fn panic_sites_do_not_grow() {
     // `unwrap()` / `.expect(` / `panic!` / `unreachable!` lines per file
-    // (40 in all; 68 before the one optimistic loop, 55 before `LeafOp`,
+    // (37 in all; 68 before the one optimistic loop, 55 before `LeafOp`,
     // 47 before the sibling-reading scan, 43 before the frozen-leaf
-    // cache). Lower a ceiling when you remove
-    // a site; to add one, first try a typed `Error` (`Error::CorruptMeta`,
-    // `Error::Internal`, the `From` impls in error.rs), and if it really
-    // is an invariant, comment it and raise the ceiling in the same
-    // change.
+    // cache, 40 before commits installed what they wrote). Lower a
+    // ceiling when you remove a site; to add one, first try a typed
+    // `Error` (`Error::CorruptMeta`, `Error::Internal`, the `From` impls
+    // in error.rs), and if it really is an invariant, comment it and
+    // raise the ceiling in the same change.
     const CEILING: &[(&str, usize)] = &[
         ("alloc.rs", 6),
-        ("batch.rs", 5),
+        ("batch.rs", 2),
         ("catalog.rs", 9),
         ("clone.rs", 1),
         ("migrate.rs", 3),

@@ -6,7 +6,13 @@
 //! very leaf the cache points at. Staleness must be *detected by seqno
 //! validation*, never missed by luck: the reader asserts every get against
 //! a sequential model, and a final counter check proves the cached path
-//! was actually exercised.
+//! was actually exercised. The writer reads too: its cache is filled by
+//! its own commits, which put back every node image they wrote, while
+//! snapshots, GC and migration run under it. Clusters come from
+//! `common::cluster`, so `MINUET_TRANSPORT=wire` runs the same properties
+//! over sockets.
+
+mod common;
 
 use minuet::core::alloc::AllocState;
 use minuet::dyntx::decode_obj;
@@ -43,6 +49,10 @@ enum Op {
     Get(u16),
     /// Reader: batched gets (cached leaves reused via compare items).
     MultiGet(Vec<u16>),
+    /// Writer: validated get over the images its commits installed.
+    WriterGet(u16),
+    /// Writer: batched gets over the images its commits installed.
+    WriterMultiGet(Vec<u16>),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -57,6 +67,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         5 => any::<u16>().prop_map(|k| Op::Get(k % 192)),
         2 => proptest::collection::vec(any::<u16>().prop_map(|k| k % 192), 1..24)
             .prop_map(Op::MultiGet),
+        3 => any::<u16>().prop_map(|k| Op::WriterGet(k % 192)),
+        1 => proptest::collection::vec(any::<u16>().prop_map(|k| k % 192), 1..24)
+            .prop_map(Op::WriterMultiGet),
     ]
 }
 
@@ -89,7 +102,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120)
     ) {
         // Tiny nodes: splits and multi-leaf trees from few keys.
-        let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(4));
+        let mc = common::cluster(2, 1, TreeConfig::small_nodes(4));
         let mut reader = mc.proxy();
         let mut writer = mc.proxy();
         let mut model: Model = BTreeMap::new();
@@ -139,15 +152,14 @@ proptest! {
                         writer.migrate_node(0, src, dst_mem).unwrap();
                     }
                 }
-                Op::Get(k) => {
-                    prop_assert_eq!(
-                        reader.get(0, &key(k)).unwrap(),
-                        model.get(&key(k)).cloned()
-                    );
+                Op::Get(k) | Op::WriterGet(k) => {
+                    let p = if matches!(op, Op::Get(_)) { &mut reader } else { &mut writer };
+                    prop_assert_eq!(p.get(0, &key(k)).unwrap(), model.get(&key(k)).cloned());
                 }
-                Op::MultiGet(ks) => {
+                Op::MultiGet(ref ks) | Op::WriterMultiGet(ref ks) => {
+                    let p = if matches!(op, Op::MultiGet(_)) { &mut reader } else { &mut writer };
                     let keys: Vec<Vec<u8>> = ks.iter().map(|&k| key(k)).collect();
-                    let got = reader.multi_get(0, &keys).unwrap();
+                    let got = p.multi_get(0, &keys).unwrap();
                     for (k, g) in keys.iter().zip(got) {
                         prop_assert_eq!(g, model.get(k).cloned());
                     }
@@ -155,10 +167,11 @@ proptest! {
             }
         }
 
-        // Full sweep through the (possibly stale) cache, then prove the
+        // Full sweep through both (possibly stale) caches, then prove the
         // cached path ran at all.
         for k in 0..192u16 {
             prop_assert_eq!(reader.get(0, &key(k)).unwrap(), model.get(&key(k)).cloned());
+            prop_assert_eq!(writer.get(0, &key(k)).unwrap(), model.get(&key(k)).cloned());
         }
         let scan = reader.scan_serializable(0, b"", usize::MAX).unwrap();
         let flat: Model = scan.into_iter().collect();
@@ -177,7 +190,7 @@ proptest! {
 /// exact scenario the migration subsystem creates.
 #[test]
 fn migration_invalidates_cached_leaves() {
-    let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(4));
+    let mc = common::cluster(2, 1, TreeConfig::small_nodes(4));
     let mut reader = mc.proxy();
     let mut writer = mc.proxy();
     for k in 0..64u16 {
@@ -218,7 +231,7 @@ fn migration_invalidates_cached_leaves() {
 fn concurrent_reads_never_go_backwards() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(8));
+    let mc = common::cluster(2, 1, TreeConfig::small_nodes(8));
     let nkeys: u64 = 64;
     {
         let mut w = mc.proxy();
