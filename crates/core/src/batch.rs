@@ -874,6 +874,55 @@ mod tests {
         );
     }
 
+    /// The batch's network cost, step by step: round trips, messages,
+    /// bytes out and bytes in, exactly. A change to how the batch reads or
+    /// commits its leaves that moves any of these shows here first.
+    #[test]
+    fn batch_network_ledger() {
+        let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(8));
+        let pairs: Vec<_> = (0..256).map(|i| (key(i), vec![0u8; 8])).collect();
+        mc.proxy().bulk_load(0, pairs).unwrap();
+        let mut p = mc.proxy();
+        let keys: Vec<_> = (0..256).step_by(3).map(key).collect();
+        assert_eq!(keys.len(), 86);
+        let ledger = |net: minuet_sinfonia::OpNet| {
+            (net.round_trips, net.messages, net.bytes_out, net.bytes_in)
+        };
+        let step = |p: &mut crate::proxy::Proxy, what: &str, want, f: &dyn Fn(&mut _)| {
+            let ((), net) = with_op_net(|| f(p));
+            assert_eq!(ledger(net), want, "{what}: (rt, msg, out, in)");
+        };
+        let get = |p: &mut crate::proxy::Proxy| drop(p.multi_get(0, &keys).unwrap());
+        step(&mut p, "cold multi_get", (8, 8, 896, 38_820), &get);
+        step(&mut p, "warm multi_get", (2, 2, 876, 30), &get);
+        let update: Vec<_> = keys.iter().map(|k| (k.clone(), vec![1u8; 8])).collect();
+        for _ in 0..2 {
+            let put = |p: &mut crate::proxy::Proxy| drop(p.multi_put(0, &update).unwrap());
+            step(&mut p, "multi_put update", (4, 34, 9_590, 250), &put);
+        }
+        let inserts: Vec<_> = (1000..1040).map(|i| (key(i), vec![2u8; 8])).collect();
+        let insert = |p: &mut crate::proxy::Proxy| drop(p.multi_put(0, &inserts).unwrap());
+        step(
+            &mut p,
+            "multi_put inserts",
+            (55, 75, 14_332, 1_169),
+            &insert,
+        );
+        let mut other = mc.proxy();
+        for i in [0, 90, 180] {
+            other.put(0, key(i), vec![3u8; 8]).unwrap();
+        }
+        step(
+            &mut p,
+            "multi_get after stale leaves",
+            (4, 4, 1_776, 3_204),
+            &get,
+        );
+        step(&mut p, "multi_get again", (2, 2, 900, 30), &get);
+        let remove = |p: &mut crate::proxy::Proxy| drop(p.multi_remove(0, &keys[..20]).unwrap());
+        step(&mut p, "multi_remove", (4, 10, 2_134, 106), &remove);
+    }
+
     #[test]
     fn a_dead_memnode_fails_the_batch_but_not_the_groups_that_committed() {
         use minuet_sinfonia::{ClusterConfig, MemNodeId};
