@@ -46,11 +46,10 @@ use crate::node::{Node, NodeBody, NodePtr};
 use crate::ops::{LeafOp, Written};
 use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
 use crate::retry::backoff;
-use crate::traverse::{LeafAccess, PathEntry, Resolved, VersionCheck};
+use crate::traverse::{LeafAccess, NodeCheck, PathEntry, Resolved};
 use crate::tree::ConcurrencyMode;
-use minuet_dyntx::{commit_many, DynTx, SeqNo, StagedCommit, TxKey};
+use minuet_dyntx::{commit_many, DynTx, ReadItem, StagedCommit, TxKey};
 use minuet_obs::{event, SpanKind};
-use minuet_sinfonia::{MemNodeId, Minitransaction, Outcome};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -63,21 +62,6 @@ const BATCH_ATTEMPTS: usize = 16;
 struct LeafGroup {
     route: Vec<PathEntry>,
     members: Vec<usize>,
-}
-
-/// One memnode's fetch/validate plan: the leaf ptrs its minitransaction
-/// reads in full, and `(compare index, ptr)` for the cached leaves it only
-/// revalidates (compare index 0 is always the tip).
-type FetchPlan = (Vec<NodePtr>, Vec<(usize, NodePtr)>);
-
-/// A group leaf as established by the batched fetch/validate round trip:
-/// either freshly read (`raw` holds the image for read-set pinning) or a
-/// cached image whose seqno the fetch minitransaction revalidated
-/// (`raw == None`; mutations pin the version only).
-struct LeafImage {
-    seqno: SeqNo,
-    node: Arc<Node>,
-    raw: Option<minuet_sinfonia::Bytes>,
 }
 
 /// Disposition of one batch attempt that did not abort through
@@ -239,15 +223,14 @@ impl Proxy {
         let sin = mc.sinfonia.clone();
         let layout = *mc.layout(tree);
 
-        // Routing transaction: only used for dirty-cached internal-node
-        // fetches, never committed.
+        // Routing transaction: it observes the tip, the routes and every
+        // group's leaf, and is never committed. Each mutating group
+        // stages in a fork of it.
         let mut rtx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
         let ctx = self.resolve(&mut rtx, tree, OpTarget::MainlineTip)?;
-        // The tip observation every group pins: the fetch minitransactions
-        // compare it remotely, and every group commit validates it.
-        let Some(&(tip_seq, tip_val)) = self.tip_cache.get(&tree) else {
-            return Ok(BatchOutcome::Retry);
-        };
+        let tip = TxKey::Repl(layout.tip());
+        let tip_seq = (rtx.observed_seqno(&tip))
+            .ok_or_else(|| Error::Internal("a resolved tip is not in the read set".into()))?;
 
         // ---- 1. Route the sorted keys into per-leaf groups. ----
         let mut groups: BTreeMap<NodePtr, LeafGroup> = BTreeMap::new();
@@ -285,121 +268,43 @@ impl Proxy {
         }
         self.stats.batch_groups += groups.len() as u64;
 
-        // ---- 2. Fetch or revalidate every group's leaf, one
-        // minitransaction per memnode, each pinning the tip at the
-        // observed seqno. A leaf still in the proxy's cache is not
-        // re-shipped: the minitransaction only *compares* its seqno (the
-        // validated-leaf-cache fast path), so a fully warm batched get
-        // moves tens of bytes per memnode instead of full leaf images. ----
+        // ---- 2. One read-many on the routing transaction reads every
+        // group's leaf and pins the tip on every memnode it sends to. A
+        // leaf still in the proxy's cache is not re-shipped: its version
+        // is pinned (the validated-leaf-cache fast path), so a fully warm
+        // batched get moves tens of bytes per memnode. ----
         let cache_leaves = mc.cfg.cache_leaves;
-        let mut cached: BTreeMap<NodePtr, (SeqNo, Arc<Node>)> = BTreeMap::new();
-        if cache_leaves {
-            for &ptr in groups.keys() {
-                if let Some((seqno, node)) = self.ncache.get(tree, ptr) {
-                    if node.height == 0 {
-                        cached.insert(ptr, (seqno, node));
-                    }
-                }
-            }
-        }
-        let mut by_mem: BTreeMap<MemNodeId, Vec<NodePtr>> = BTreeMap::new();
+        let mut plan = vec![ReadItem::Pin(tip, tip_seq)];
+        let mut cached = Vec::with_capacity(groups.len());
         for &ptr in groups.keys() {
-            by_mem.entry(ptr.mem).or_default().push(ptr);
+            let obj = layout.node_obj(ptr);
+            let hit = (cache_leaves.then(|| self.ncache.get(tree, ptr)).flatten())
+                .filter(|(_, node)| node.height == 0);
+            plan.push(match &hit {
+                Some((seqno, _)) => ReadItem::Pin(TxKey::Plain(obj), *seqno),
+                None => ReadItem::Read(obj),
+            });
+            cached.push(hit);
         }
-        // Per memnode: the minitransaction plus which ptr each compare
-        // index validates (index 0 is the tip) and which ptrs are read.
-        let mut plans: Vec<FetchPlan> = Vec::new();
-        let mut ms: Vec<Minitransaction> = Vec::new();
-        for (mem, ptrs) in &by_mem {
-            let mut m = Minitransaction::new();
-            m.compare(
-                layout.tip().at(*mem).seqno_range(),
-                tip_seq.to_le_bytes().to_vec(),
-            );
-            let mut read_ptrs = Vec::new();
-            let mut compare_ptrs = Vec::new();
-            for &ptr in ptrs {
-                if let Some((seqno, _)) = cached.get(&ptr) {
-                    let idx = m.compare(
-                        layout.node_obj(ptr).seqno_range(),
-                        seqno.to_le_bytes().to_vec(),
-                    );
-                    compare_ptrs.push((idx, ptr));
-                } else {
-                    m.read(layout.node_obj(ptr).full_range());
-                    read_ptrs.push(ptr);
-                }
+        let got = rtx.read_many(&plan)?;
+        // A stale cached leaf leaves the cache even when the tip failed
+        // too, or the retry would re-issue the same doomed compare.
+        for (&ptr, i) in groups.keys().zip(1..) {
+            if got.stale.contains(&i) {
+                self.ncache.invalidate(tree, ptr);
             }
-            plans.push((read_ptrs, compare_ptrs));
-            ms.push(m);
         }
-        let outcomes = sin.exec_many(&ms).map_err(Error::from)?;
-        // The first member (a memnode's fetch, a group's commit) that
+        match got.stale.first() {
+            Some(0) => return Err(RetryCause::StaleTip.into()),
+            Some(_) => {
+                self.stats.record_retry(RetryCause::Validation);
+                return Ok(BatchOutcome::Retry);
+            }
+            None => {}
+        }
+        // The first member (a memnode's read, a group's commit) that
         // failed for good; reported once the rest have been served.
-        let mut failed: Option<Error> = None;
-        let mut leaves: BTreeMap<NodePtr, LeafImage> = BTreeMap::new();
-        let mut stale_leaf = false;
-        for ((read_ptrs, compare_ptrs), outcome) in plans.iter().zip(outcomes) {
-            match outcome {
-                // This memnode's groups find no leaf below.
-                Err(e) => drop(failed.get_or_insert(e.into())),
-                Ok(Outcome::FailedCompare(idx)) => {
-                    // Distinguish a moved tip (retry everything) from stale
-                    // cached leaves (invalidate just those and retry; the
-                    // next attempt reads them fresh). Invalidate stale
-                    // leaves even when the tip also failed, or the retry
-                    // would re-issue the same doomed compares.
-                    for (ci, ptr) in compare_ptrs {
-                        if idx.contains(ci) {
-                            self.ncache.invalidate(tree, *ptr);
-                            stale_leaf = true;
-                        }
-                    }
-                    if idx.contains(&0) {
-                        return Err(RetryCause::StaleTip.into());
-                    }
-                }
-                Ok(Outcome::Committed(res)) => {
-                    for (ptr, raw) in read_ptrs.iter().zip(res.data) {
-                        let val = minuet_dyntx::decode_obj_shared(&raw);
-                        if let Ok(node) = Node::decode(&val.data) {
-                            let node = Arc::new(node);
-                            if node.height == 0 && cache_leaves {
-                                self.ncache.put(tree, *ptr, val.seqno, node.clone());
-                            }
-                            leaves.insert(
-                                *ptr,
-                                LeafImage {
-                                    seqno: val.seqno,
-                                    node,
-                                    raw: Some(val.data),
-                                },
-                            );
-                        }
-                        // Undecodable images (freed / rewritten slots) stay
-                        // absent from `leaves`; their groups fall back.
-                    }
-                    for (_, ptr) in compare_ptrs {
-                        let (seqno, node) = cached[ptr].clone();
-                        // Seqno validated in the same minitransaction as
-                        // the tip compare: the cached image is current.
-                        self.stats.leaf_cache_hits += 1;
-                        leaves.insert(
-                            *ptr,
-                            LeafImage {
-                                seqno,
-                                node,
-                                raw: None,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        if stale_leaf {
-            self.stats.record_retry(RetryCause::Validation);
-            return Ok(BatchOutcome::Retry);
-        }
+        let mut failed = got.failed.map(TxnError::from);
 
         // ---- 3. Serve each group: answer gets directly; stage mutations
         // and pipeline their commits. ----
@@ -410,24 +315,41 @@ impl Proxy {
         // cache once the group commits.
         type StagedGroup = (Vec<usize>, Vec<Option<Value>>, NodePtr, Vec<Written>);
         let mut staged_members: Vec<StagedGroup> = Vec::new();
-        for (leaf_ptr, group) in groups {
-            let Some(img) = leaves.get(&leaf_ptr) else {
-                // Freed or rewritten slot: the route was stale.
+        let leaves = cached.into_iter().zip(got.vals.into_iter().skip(1));
+        for ((leaf_ptr, group), (hit, val)) in groups.into_iter().zip(leaves) {
+            // The leaf as the read-many left it: a cached image whose
+            // version it confirmed, or the image it read. Nothing where
+            // the memnode failed; an undecodable image (a freed or
+            // rewritten slot) means the route was stale.
+            let leaf = match (hit, val) {
+                (_, None) => None,
+                (Some(hit), Some(_)) => {
+                    self.stats.leaf_cache_hits += 1;
+                    Some(hit)
+                }
+                (None, Some(val)) => Node::decode(&val.data).ok().map(|node| {
+                    let node = Arc::new(node);
+                    if node.height == 0 && cache_leaves {
+                        self.ncache.put(tree, leaf_ptr, val.seqno, node.clone());
+                    }
+                    (val.seqno, node)
+                }),
+            };
+            let Some((leaf_seq, node)) = leaf else {
                 fallback.extend(group.members);
                 continue;
             };
-            let (leaf_seq, node) = (&img.seqno, img.node.clone());
-            let covered = node.height == 0
-                && group
-                    .members
-                    .iter()
-                    .all(|&i| in_range(&node.low, &node.high, &items[i].0));
-            let current = covered
-                && matches!(
-                    self.version_check(tree, &node, ctx.sid)?,
-                    VersionCheck::Current
-                );
-            if !current {
+            // A leaf under its parent (the root, when it is the leaf)
+            // whose fences cover the group's first and last keys.
+            let parent_height = Some(group.route.last().map_or(1, |p| p.node.height));
+            let covers = |p: &Proxy, i: usize| {
+                let check = p.check_node(tree, &node, ctx.sid, &items[i].0, parent_height);
+                check.map(|c| matches!(c, NodeCheck::Accept))
+            };
+            // Members are in key order, and a group has at least one.
+            let (first, last) = (group.members[0], group.members[group.members.len() - 1]);
+            let accepted = covers(self, first)? && covers(self, last)?;
+            if !accepted {
                 fallback.extend(group.members);
                 continue;
             }
@@ -444,27 +366,14 @@ impl Proxy {
                 self.stats.batched_ops += group.members.len() as u64;
                 continue;
             }
-            let mut gtx = DynTx::with_piggyback(&sin, mc.cfg.piggyback);
-            // Pin the tip and the fetched leaf into the read set
-            // (§4.1: the cached tip joins the read set; the leaf
-            // at the version the grouped fetch observed or
-            // revalidated). Cache-served leaves pin the version
-            // only — commit still validates the seqno.
-            gtx.assume(TxKey::Repl(layout.tip()), tip_seq, tip_val.encode());
-            match &img.raw {
-                Some(raw) => gtx.assume(
-                    TxKey::Plain(layout.node_obj(leaf_ptr)),
-                    *leaf_seq,
-                    raw.clone(),
-                ),
-                None => gtx.assume_version(TxKey::Plain(layout.node_obj(leaf_ptr)), *leaf_seq),
-            }
-            // Record the routed internal chain as dirty
-            // observations so split/CoW parent rewrites promote
-            // with the right expected versions.
-            for e in &group.route {
-                gtx.note_dirty(layout.node_obj(e.ptr), e.seqno);
-            }
+            // The tip, the leaf and the route, as the routing transaction
+            // observed them: commit validates the tip and the leaf, and a
+            // split or copy-on-write promotes the parents it rewrites.
+            let route = group.route.iter().map(|e| e.ptr);
+            let objs = route
+                .chain([leaf_ptr])
+                .map(|p| TxKey::Plain(layout.node_obj(p)));
+            let mut gtx = rtx.fork(objs.chain([tip]));
 
             // Apply the members in input order (duplicates observe
             // earlier members, as sequential execution would). A
@@ -499,7 +408,7 @@ impl Proxy {
             path.push(PathEntry {
                 ptr: leaf_ptr,
                 link: leaf_ptr,
-                seqno: *leaf_seq,
+                seqno: leaf_seq,
                 node,
             });
             let level = path.len() - 1;
@@ -543,12 +452,10 @@ impl Proxy {
                     self.stats.record_retry(cause);
                     requeue.extend(members);
                 }
-                Err(TxnError::Error(e)) => drop(failed.get_or_insert(e)),
+                Err(e) => drop(failed.get_or_insert(e)),
             }
         }
-        failed.map_or(Ok(BatchOutcome::Served { fallback, requeue }), |e| {
-            Err(e.into())
-        })
+        failed.map_or(Ok(BatchOutcome::Served { fallback, requeue }), Err)
     }
 
     /// Bulk-loads an **empty** tree bottom-up: the sorted pairs are packed

@@ -16,7 +16,7 @@ use crate::key::{Fence, Key, Value};
 use crate::node::{Node, NodeBody, SnapshotId};
 use crate::proxy::{OpTarget, Proxy};
 use crate::traverse::{FetchStyle, LeafAccess, NodeCheck, PathEntry};
-use minuet_dyntx::DynTx;
+use minuet_dyntx::{DynTx, ReadItem};
 use std::sync::Arc;
 
 /// Most right siblings one scan step reads past the leaf covering its
@@ -122,7 +122,7 @@ impl Proxy {
     /// proxy's last step read — at most [`MAX_SIBLINGS`] past the first,
     /// never past the parent's last kid. Members the frozen cache serves
     /// cost nothing; the misses are read together with one
-    /// `dirty_read_many`, one round trip per memnode with a miss. Members
+    /// [`DynTx::read_many`], one round trip per memnode with a miss. Members
     /// are accepted in key order while each passes [`Proxy::check_node`]:
     /// the first for `from`, following a redirect as `traverse` does,
     /// each later one for the previous member's high fence, so an
@@ -181,9 +181,13 @@ impl Proxy {
         let misses: Vec<_> = run
             .iter()
             .filter(|(_, hit)| hit.is_none())
-            .map(|&(ptr, _)| layout.node_obj(ptr))
+            .map(|&(ptr, _)| ReadItem::Read(layout.node_obj(ptr)))
             .collect();
-        let mut fetched = tx.dirty_read_many(&misses)?.into_iter();
+        let got = tx.read_many(&misses)?;
+        if let Some(e) = got.failed {
+            return Err(e.into());
+        }
+        let mut fetched = got.vals.into_iter();
 
         let mut key = from.to_vec();
         let mut high = Fence::PosInf;
@@ -193,7 +197,7 @@ impl Proxy {
             // A miss keeps its image for the frozen fill.
             let (image, entry) = match hit {
                 Some((seqno, node)) => (None, Some((seqno, node))),
-                None => match fetched.next() {
+                None => match fetched.next().flatten() {
                     Some(val) => {
                         let node = Node::decode(&val.data).ok().map(Arc::new);
                         (Some(val.data), node.map(|node| (val.seqno, node)))

@@ -100,7 +100,7 @@ pub(crate) fn cat_immutable_fetcher(
 }
 
 /// Outcome of the version-tag check at one node (§4.2/§5.2).
-pub(crate) enum VersionCheck {
+enum VersionCheck {
     /// The node is the correct version for the target snapshot.
     Current,
     /// The node cannot serve the target snapshot and no redirect is
@@ -125,7 +125,7 @@ pub(crate) enum NodeCheck {
 impl Proxy {
     /// Checks a node's version tags against the target snapshot (§4.2 for
     /// linear snapshots, §5.2 for branching versions).
-    pub(crate) fn version_check(
+    fn version_check(
         &self,
         tree: u32,
         node: &Node,

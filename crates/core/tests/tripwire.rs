@@ -35,6 +35,16 @@ fn count(code: &[String], needles: &[&str]) -> usize {
         .count()
 }
 
+/// Whether `line` names the identifier `word` (not merely contains it).
+fn names(line: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + word.len()..].chars().next();
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
+
 #[test]
 fn dyntx_errors_convert_in_one_place() {
     for (file, code) in sources() {
@@ -50,12 +60,12 @@ fn dyntx_errors_convert_in_one_place() {
 #[test]
 fn one_optimistic_loop() {
     for (file, code) in sources() {
-        // The runner, plus the batch planner's routing and per-group
-        // staging transactions (`batch_attempt`: never `commit()`ed, they
-        // go through `stage_commit` / `commit_many`).
+        // The runner, plus the batch planner's routing transaction
+        // (`batch_attempt`: never committed; each group stages in a fork of
+        // it and goes through `stage_commit` / `commit_many`).
         let (begins, commits) = match file.as_str() {
             "retry.rs" => (1, 1),
-            "batch.rs" => (2, 0),
+            "batch.rs" => (1, 0),
             _ => (0, 0),
         };
         let b = count(&code, &["DynTx::new(", "DynTx::with_piggyback("]);
@@ -66,6 +76,28 @@ fn one_optimistic_loop() {
              transactions by hand. Hand the body to `retry::run_tx` (or `Proxy::run_tx` / \
              `Proxy::run_op`) as a closure: the runner owns budget, deadline, backoff and \
              invalidation."
+        );
+    }
+}
+
+#[test]
+fn tree_nodes_are_read_through_dyntx() {
+    // The descent, the scan step and the batch read nodes through
+    // `DynTx` (`read`, `dirty_read`, `read_many`), whose observations
+    // validate or promote; a hand-built minitransaction bypasses both.
+    for file in ["batch.rs", "scan.rs", "traverse.rs", "ops.rs", "proxy.rs"] {
+        let (_, code) = sources().into_iter().find(|(f, _)| f == file).unwrap();
+        let named = (code.iter())
+            .filter(|l| {
+                ["Minitransaction", "exec_many", "Outcome"]
+                    .iter()
+                    .any(|w| names(l, w))
+            })
+            .count();
+        assert_eq!(
+            named, 0,
+            "{file} names `Minitransaction` / `exec_many` / `Outcome` on {named} line(s). Read \
+             tree nodes through `DynTx` (`DynTx::read_many` for many at once)."
         );
     }
 }

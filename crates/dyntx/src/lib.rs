@@ -40,4 +40,4 @@ pub use epoch::{EpochConfig, EpochService};
 pub use object::{
     decode_obj, decode_obj_shared, encode_obj, ObjRef, ObjVal, ReplRef, SeqNo, OBJ_HEADER,
 };
-pub use txn::{commit_many, CommitInfo, DynTx, StagedCommit, TxError, TxKey};
+pub use txn::{commit_many, CommitInfo, DynTx, ReadItem, ReadMany, StagedCommit, TxError, TxKey};

@@ -99,6 +99,30 @@ impl From<SinfoniaError> for TxError {
     }
 }
 
+/// One member of a [`DynTx::read_many`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReadItem {
+    /// Read the object, dirty ([`DynTx::dirty_read`]).
+    Read(ObjRef),
+    /// Compare only: the object must still be at this version. A
+    /// replicated object is compared on every memnode the call sends to.
+    Pin(TxKey, SeqNo),
+}
+
+/// What one [`DynTx::read_many`] observed, member by member.
+#[derive(Debug)]
+pub struct ReadMany {
+    /// In input order, what each member's memnode answered: a read's
+    /// value, a pin's version (with no data). `None` where that memnode
+    /// failed a compare or failed outright.
+    pub vals: Vec<Option<ObjVal>>,
+    /// The pins whose compare failed, as sorted input indices.
+    pub stale: Vec<usize>,
+    /// How the first memnode that failed outright failed (unavailable,
+    /// past the deadline). The other memnodes' members were served.
+    pub failed: Option<TxError>,
+}
+
 /// Summary returned by a successful commit.
 #[derive(Debug, Default)]
 pub struct CommitInfo {
@@ -249,7 +273,7 @@ impl<'c> DynTx<'c> {
                     // (including this fetch) was valid at one instant.
                     self.fully_validated = covered_all;
                 } else {
-                    self.dirty_seen.insert(key, val.seqno);
+                    self.dirty_seen.entry(key).or_insert(val.seqno);
                 }
                 Ok(val)
             }
@@ -294,43 +318,106 @@ impl<'c> DynTx<'c> {
         }
     }
 
-    /// [`DynTx::dirty_read`] of many objects at once. The objects this
-    /// transaction does not already hold are fetched with one read-only
-    /// minitransaction per memnode, one read item per object, so objects
-    /// spread over `k` memnodes cost `k` round trips. Results come back
-    /// in input order, and every observation is remembered for promotion
-    /// exactly as `dirty_read` remembers it.
-    pub fn dirty_read_many(&mut self, objs: &[ObjRef]) -> Result<Vec<ObjVal>, TxError> {
-        let mut out = Vec::with_capacity(objs.len());
-        let mut by_mem: BTreeMap<MemNodeId, Vec<usize>> = BTreeMap::new();
-        for (i, &obj) in objs.iter().enumerate() {
-            out.push(self.held(obj).unwrap_or_else(|| {
-                by_mem.entry(obj.mem).or_default().push(i);
-                ObjVal {
-                    seqno: 0,
-                    data: Bytes::new(),
+    /// Reads many objects and pins many versions in one call: the
+    /// transaction's one multi-object read. Each memnode the call touches
+    /// gets one minitransaction holding its members — a read item per
+    /// [`ReadItem::Read`] this transaction does not already hold, a compare
+    /// per [`ReadItem::Pin`], and a compare of every replicated pin — and
+    /// all of them go out through one [`SinfoniaCluster::exec_many`], so
+    /// members spread over `k` memnodes cost `k` round trips. Memnodes
+    /// answer independently: one that fails a compare or stays unavailable
+    /// does not stop the others ([`ReadMany`]). Every observation lands in
+    /// the transaction: a read is remembered for promotion exactly as
+    /// [`DynTx::dirty_read`] remembers it, a pin joins the read set as
+    /// [`DynTx::assume_version`] does. The `Err` means nothing was sent.
+    pub fn read_many(&mut self, items: &[ReadItem]) -> Result<ReadMany, TxError> {
+        let mut vals = Vec::with_capacity(items.len());
+        let (mut repl, mut by_mem) = (Vec::new(), BTreeMap::<MemNodeId, Vec<usize>>::new());
+        for (i, &item) in items.iter().enumerate() {
+            let held = match item {
+                ReadItem::Read(obj) => self.held(obj),
+                ReadItem::Pin(key, seqno) => {
+                    self.read_set.entry(key).or_insert(seqno);
+                    self.fully_validated = false;
+                    None
                 }
-            }));
+            };
+            match item {
+                _ if held.is_some() => {}
+                ReadItem::Read(obj) | ReadItem::Pin(TxKey::Plain(obj), _) => {
+                    by_mem.entry(obj.mem).or_default().push(i)
+                }
+                ReadItem::Pin(TxKey::Repl(_), _) => repl.push(i),
+            }
+            vals.push(held);
         }
-        for idx in by_mem.into_values() {
-            let mut m = Minitransaction::new();
-            for &i in &idx {
-                m.read(objs[i].full_range());
+        // Per memnode: its members (replicated pins first) and which
+        // compare index checks which pin.
+        let mut ms = Vec::with_capacity(by_mem.len());
+        let mut plans = Vec::with_capacity(by_mem.len());
+        for (&mem, idx) in &by_mem {
+            let (mut m, mut compares) = (Minitransaction::new(), Vec::new());
+            let members: Vec<usize> = repl.iter().chain(idx).copied().collect();
+            for &i in &members {
+                match items[i] {
+                    ReadItem::Read(obj) => drop(m.read(obj.full_range())),
+                    ReadItem::Pin(key, seqno) => {
+                        let range = match key {
+                            TxKey::Plain(r) => r.seqno_range(),
+                            TxKey::Repl(r) => r.at(mem).seqno_range(),
+                        };
+                        compares.push((m.compare(range, seqno.to_le_bytes().to_vec()), i));
+                    }
+                }
             }
-            let outcome = {
+            ms.push(m);
+            plans.push((members, compares));
+        }
+        let outcomes = match ms.is_empty() {
+            true => Vec::new(),
+            false => {
                 let _fetch = span(SpanKind::Fetch);
-                self.cluster.execute(&m)?
-            };
-            // No compare item, so no compare can fail.
-            let Outcome::Committed(res) = outcome else {
-                return Err(TxError::Validation);
-            };
-            // One buffer per read item, in the order the reads were added.
-            for (&i, raw) in idx.iter().zip(&res.data) {
-                let val = decode_obj_shared(raw);
-                self.dirty_seen.insert(TxKey::Plain(objs[i]), val.seqno);
-                out[i] = val;
+                self.cluster.exec_many(&ms)?
             }
+        };
+
+        let mut out = ReadMany {
+            vals,
+            stale: Vec::new(),
+            failed: None,
+        };
+        for ((members, compares), outcome) in plans.into_iter().zip(outcomes) {
+            match outcome {
+                Err(e) => drop(out.failed.get_or_insert(e.into())),
+                Ok(Outcome::FailedCompare(failed)) => {
+                    let stale = compares.into_iter().filter(|(c, _)| failed.contains(c));
+                    out.stale.extend(stale.map(|(_, i)| i));
+                }
+                Ok(Outcome::Committed(res)) => {
+                    // One buffer per read item, in the order the reads
+                    // were added.
+                    let mut data = res.data.iter();
+                    for i in members {
+                        out.vals[i] = match items[i] {
+                            ReadItem::Read(obj) => data.next().map(|raw| {
+                                let val = decode_obj_shared(raw);
+                                self.note_dirty(obj, val.seqno);
+                                val
+                            }),
+                            ReadItem::Pin(_, seqno) => Some(ObjVal {
+                                seqno,
+                                data: Bytes::new(),
+                            }),
+                        };
+                    }
+                }
+            }
+        }
+        // A replicated pin another memnode confirmed is stale all the same.
+        out.stale.sort_unstable();
+        out.stale.dedup();
+        for &i in &out.stale {
+            out.vals[i] = None;
         }
         Ok(out)
     }
@@ -377,8 +464,32 @@ impl<'c> DynTx<'c> {
 
     /// Records a dirty-read observation served from an upper-layer cache,
     /// so a later write can promote it with the right expected version.
+    /// An object's first observation is the one kept, as for the read set:
+    /// whatever was derived from it must still hold at commit.
     pub fn note_dirty(&mut self, obj: ObjRef, seqno: SeqNo) {
-        self.dirty_seen.insert(TxKey::Plain(obj), seqno);
+        self.dirty_seen.entry(TxKey::Plain(obj)).or_insert(seqno);
+    }
+
+    /// Begins a transaction that holds this one's observations of `keys`:
+    /// read-set entries (with any value) stay in the read set, dirty
+    /// observations stay dirty. Writes and raw items are not carried. A
+    /// caller that derived several independent updates from one set of
+    /// reads stages each in its own fork and commits them apart.
+    pub fn fork(&self, keys: impl IntoIterator<Item = TxKey>) -> DynTx<'c> {
+        let mut tx = DynTx::with_piggyback(self.cluster, self.piggyback);
+        for key in keys {
+            if let Some(&seqno) = self.read_set.get(&key) {
+                tx.read_set.insert(key, seqno);
+                if let Some(v) = self.read_vals.get(&key) {
+                    tx.read_vals.insert(key, v.clone());
+                }
+            }
+            if let Some(&seqno) = self.dirty_seen.get(&key) {
+                tx.dirty_seen.insert(key, seqno);
+            }
+        }
+        tx.fully_validated = tx.read_set.is_empty();
+        tx
     }
 
     /// Transactional write of a plain object. If the object was previously
@@ -834,12 +945,20 @@ mod tests {
         objs
     }
 
+    /// Dirty-reads `objs` with one [`DynTx::read_many`], every one served.
+    fn dirty_read_many(t: &mut DynTx<'_>, objs: &[ObjRef]) -> Result<Vec<ObjVal>, TxError> {
+        let items: Vec<_> = objs.iter().map(|&o| ReadItem::Read(o)).collect();
+        let got = t.read_many(&items)?;
+        assert!(got.stale.is_empty() && got.failed.is_none());
+        Ok(got.vals.into_iter().flatten().collect())
+    }
+
     #[test]
     fn dirty_read_many_answers_in_input_order() {
         let c = cluster(2);
         let objs = alternating(&c);
         let mut t = DynTx::new(&c);
-        let vals = t.dirty_read_many(&objs).unwrap();
+        let vals = dirty_read_many(&mut t, &objs).unwrap();
         let got: Vec<Vec<u8>> = vals.iter().map(|v| v.data.to_vec()).collect();
         assert_eq!(got, (0..6u8).map(|i| vec![i]).collect::<Vec<_>>());
         assert!(vals.iter().all(|v| !v.is_unwritten()));
@@ -853,10 +972,10 @@ mod tests {
         let objs = alternating(&c);
         let mut t = DynTx::new(&c);
         let before = c.transport.stats.snapshot().0;
-        t.dirty_read_many(&objs).unwrap();
+        dirty_read_many(&mut t, &objs).unwrap();
         assert_eq!(c.transport.stats.snapshot().0 - before, 2);
         let before = c.transport.stats.snapshot().0;
-        t.dirty_read_many(&objs[..1]).unwrap();
+        dirty_read_many(&mut t, &objs[..1]).unwrap();
         assert_eq!(c.transport.stats.snapshot().0 - before, 1);
     }
 
@@ -865,7 +984,7 @@ mod tests {
         let c = cluster(2);
         let objs = alternating(&c);
         let mut t1 = DynTx::new(&c);
-        t1.dirty_read_many(&objs).unwrap();
+        dirty_read_many(&mut t1, &objs).unwrap();
         // Concurrent update of one object t1 observed.
         let mut t2 = DynTx::new(&c);
         let _ = t2.read(objs[3]).unwrap();
@@ -876,7 +995,7 @@ mod tests {
         assert_eq!(t1.commit().unwrap_err(), TxError::Validation);
         // An object observed but not updated in between commits fine.
         let mut t3 = DynTx::new(&c);
-        t3.dirty_read_many(&objs).unwrap();
+        dirty_read_many(&mut t3, &objs).unwrap();
         t3.write(objs[2], b"ok".to_vec());
         t3.commit().unwrap();
     }
@@ -886,8 +1005,104 @@ mod tests {
         let c = cluster(2);
         let mut t = DynTx::new(&c);
         let before = c.transport.stats.snapshot().0;
-        assert!(t.dirty_read_many(&[]).unwrap().is_empty());
+        assert!(dirty_read_many(&mut t, &[]).unwrap().is_empty());
         assert_eq!(c.transport.stats.snapshot().0, before);
+    }
+
+    #[test]
+    fn read_many_reports_stale_pins_and_serves_the_other_memnodes() {
+        let c = cluster(2);
+        let objs = alternating(&c);
+        let mut t0 = DynTx::new(&c);
+        let seqs: Vec<SeqNo> = (objs.iter())
+            .map(|&o| t0.dirty_read(o).unwrap().seqno)
+            .collect();
+        // Objects 1 and 3 live on memnode 1; 3 changes behind the pins.
+        let mut w = DynTx::new(&c);
+        w.write(objs[3], b"new".to_vec());
+        w.commit().unwrap();
+        let pin = |i: usize| ReadItem::Pin(TxKey::Plain(objs[i]), seqs[i]);
+        let items = [
+            ReadItem::Read(objs[0]),
+            pin(2),
+            pin(1),
+            pin(3),
+            ReadItem::Read(objs[5]),
+        ];
+        let mut t = DynTx::new(&c);
+        let (got, net) = with_op_net(|| t.read_many(&items).unwrap());
+        assert_eq!(net.round_trips, 2, "one minitransaction per memnode");
+        assert_eq!(got.stale, [3]);
+        assert!(got.failed.is_none());
+        // Memnode 0 answered both of its members; memnode 1 failed a
+        // compare, so its read and its good pin have no answer.
+        assert_eq!(got.vals[0].as_ref().unwrap().data.to_vec(), [0u8]);
+        assert_eq!(got.vals[1].as_ref().unwrap().seqno, seqs[2]);
+        assert!(got.vals[2..].iter().all(Option::is_none));
+        // Every pin joined the read set, stale or not.
+        assert_eq!(t.read_set_len(), 3);
+        assert_eq!(t.observed_seqno(&TxKey::Plain(objs[3])), Some(seqs[3]));
+    }
+
+    #[test]
+    fn read_many_compares_a_replicated_pin_on_every_memnode_it_sends_to() {
+        let c = cluster(3);
+        let r = ReplRef::new(0, 64);
+        let mut t0 = DynTx::new(&c);
+        t0.write_repl(r, b"tip".to_vec());
+        let seq = t0.commit().unwrap().installed[0].1;
+        let (a, b) = (obj(0, 4096), obj(2, 4096));
+        let items = [
+            ReadItem::Pin(TxKey::Repl(r), seq),
+            ReadItem::Read(a),
+            ReadItem::Read(b),
+        ];
+        // Piggyback off: the pin is compared all the same.
+        let mut t = DynTx::with_piggyback(&c, false);
+        let (got, net) = with_op_net(|| t.read_many(&items).unwrap());
+        assert!(got.stale.is_empty() && got.vals.iter().all(Option::is_some));
+        assert_eq!(
+            (net.round_trips, net.messages),
+            (2, 2),
+            "memnode 1 is not sent to"
+        );
+        // The object moves: both memnodes sent to report the pin, once.
+        let mut w = DynTx::new(&c);
+        w.write_repl(r, b"moved".to_vec());
+        w.commit().unwrap();
+        let got = DynTx::new(&c).read_many(&items).unwrap();
+        assert_eq!(got.stale, [0]);
+        assert!(got.vals.iter().all(Option::is_none));
+        // Pins alone send nothing.
+        let (_, net) = with_op_net(|| DynTx::new(&c).read_many(&items[..1]).unwrap());
+        assert_eq!(net.round_trips, 0);
+    }
+
+    #[test]
+    fn a_fork_holds_its_parents_observations_of_the_keys_named() {
+        let c = cluster(1);
+        let (a, b, d) = (obj(0, 0), obj(0, 64), obj(0, 128));
+        let mut t0 = DynTx::new(&c);
+        for o in [a, b, d] {
+            t0.write(o, b"0".to_vec());
+        }
+        t0.commit().unwrap();
+        let mut t = DynTx::new(&c);
+        t.read(a).unwrap();
+        t.dirty_read(b).unwrap();
+        t.dirty_read(d).unwrap();
+        let mut f = t.fork([TxKey::Plain(a), TxKey::Plain(b)]);
+        assert_eq!(f.read_set_len(), 1, "a read stays read, a dirty read dirty");
+        // The fork promotes `b` at the parent's observation...
+        let mut w = DynTx::new(&c);
+        w.write(b, b"1".to_vec());
+        w.commit().unwrap();
+        f.write(b, b"2".to_vec());
+        assert_eq!(f.commit().unwrap_err(), TxError::Validation);
+        // ...but not `d`, which it was not given: a blind write.
+        let mut f = t.fork([]);
+        f.write(d, b"2".to_vec());
+        f.commit().unwrap();
     }
 
     #[test]

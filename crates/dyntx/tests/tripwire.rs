@@ -1,8 +1,9 @@
 //! Source tripwires for `minuet-dyntx` (lint-style: reads the crate's own
 //! non-test source). They keep "how a staged commit reaches its memnodes"
 //! in one function — `txn::execute_staged` — so `commit`, `commit_many`
-//! and the epoch service cannot drift apart again, and the panic audit's
-//! count from growing. Each failure names the file and where to go.
+//! and the epoch service cannot drift apart again, batched reads in one
+//! other — `DynTx::read_many` — and the panic audit's count from growing.
+//! Each failure names the file and where to go.
 
 use std::fs;
 use std::path::Path;
@@ -59,12 +60,7 @@ fn functions_naming(needle: &str) -> Vec<String> {
 fn one_executor() {
     // The membership gate, the replica fan-out, the batched execution and
     // the `Outcome -> CommitInfo` conversion: once each, all in one place.
-    for needle in [
-        "membership_guard(",
-        "memnode_ids()",
-        ".exec_many(",
-        "CommitInfo {",
-    ] {
+    for needle in ["membership_guard(", "memnode_ids()", "CommitInfo {"] {
         assert_eq!(
             functions_naming(needle),
             ["txn.rs::execute_staged"],
@@ -73,6 +69,18 @@ fn one_executor() {
              re-spelling a step of it."
         );
     }
+}
+
+#[test]
+fn one_batched_read_one_batched_commit() {
+    // A batch of minitransactions is either staged commits or the
+    // members of one multi-object read.
+    assert_eq!(
+        functions_naming(".exec_many("),
+        ["txn.rs::read_many", "txn.rs::execute_staged"],
+        "`.exec_many(` belongs to `txn::execute_staged` (commits: hand it a `StagedCommit`) \
+         and `DynTx::read_many` (reads and version pins: hand it `ReadItem`s) alone."
+    );
 }
 
 #[test]

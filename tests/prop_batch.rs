@@ -6,7 +6,9 @@
 //! the per-key fallback path, and mid-batch conflict retries forced by
 //! concurrent writers sharing leaves.
 
-use minuet::core::{MinuetCluster, TreeConfig};
+mod common;
+
+use minuet::core::TreeConfig;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,7 +57,7 @@ proptest! {
     fn batches_equal_sequential_application(steps in proptest::collection::vec(step_strategy(), 1..24)) {
         // Tiny nodes force deep trees, splits mid-batch, and the
         // overflow-spill path.
-        let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(4));
+        let mc = common::cluster(2, 1, TreeConfig::small_nodes(4));
         let mut p = mc.proxy();
         let mut model: Model = BTreeMap::new();
 
@@ -110,7 +112,7 @@ proptest! {
     /// sequential model, and the writer's keys must all survive.
     #[test]
     fn batches_stay_sequential_under_concurrent_writers(seed in any::<u64>()) {
-        let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(5));
+        let mc = common::cluster(2, 1, TreeConfig::small_nodes(5));
         let stop = Arc::new(AtomicBool::new(false));
 
         // Background writer: single-key puts/removes on odd keys.
@@ -193,7 +195,7 @@ proptest! {
     fn bulk_load_equals_map(pairs in proptest::collection::vec(
         (any::<u16>(), any::<u8>()).prop_map(|(k, v)| (k % 2048, v)), 0..600
     )) {
-        let mc = MinuetCluster::new(3, 1, TreeConfig::small_nodes(6));
+        let mc = common::cluster(3, 1, TreeConfig::small_nodes(6));
         let mut p = mc.proxy();
         let input: Vec<(Vec<u8>, Vec<u8>)> =
             pairs.iter().map(|(k, v)| (key(*k), vec![*v])).collect();
