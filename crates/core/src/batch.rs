@@ -10,11 +10,12 @@
 //!    the cache is warm) and grouped into *per-leaf groups* by
 //!    the leaf pointers their parents name. Consecutive sorted keys reuse
 //!    the previous route while they stay inside the parent's fence keys.
-//! 2. **Grouped leaf fetches.** All group leaves on the same memnode are
-//!    fetched by a *single* minitransaction that also compares the tip's
-//!    sequence number — the batched analogue of piggy-backed validation —
-//!    executed through [`SinfoniaCluster::exec_many`], so L leaves on M
-//!    memnodes cost M round trips instead of L.
+//! 2. **One read for every leaf.** One [`DynTx::read_many`] on the
+//!    routing transaction reads the group leaves — one minitransaction
+//!    per memnode, each also pinning the tip's sequence number (the
+//!    batched analogue of piggy-backed validation) — so L leaves on M
+//!    memnodes cost M round trips instead of L. A leaf the proxy still
+//!    caches is pinned at its version instead of re-read.
 //! 3. **Pipelined commits.** Each mutating group stages its leaf update
 //!    (including any copy-on-write or split consequences) in its own
 //!    dynamic transaction, and all group commits execute as one
@@ -22,9 +23,11 @@
 //!    participant memnode for the common single-memnode leaf commits.
 //!
 //! **Fallback rules** (the invariant that keeps the batch path exactly as
-//! safe as the per-key path): a batch member is served by the fast path
-//! only if its leaf decodes, covers the key per its fence keys, and passes
-//! the version-tag check; any member whose group misses those checks, or
+//! safe as the per-key path): a group's leaf is accepted only if it
+//! decodes and passes `Proxy::check_node` — the descent's own version-tag,
+//! fence and height checks — for the group's first and last keys, and the
+//! leaf and tip land in the read set of the fork each mutating group
+//! commits from. Any member whose group misses those checks, or
 //! whose group commit fails validation against a concurrent writer, is
 //! retried through the ordinary single-key operations (`get`/`put`/
 //! `remove`), which carry their own optimistic retry loops. A stale tip
@@ -37,12 +40,10 @@
 //! Batches are **not transactions**: members commit independently, and
 //! concurrent writers may interleave between members (just as they can
 //! between loose single ops). Use [`Proxy::txn`] for multi-key atomicity.
-//!
-//! [`SinfoniaCluster::exec_many`]: minuet_sinfonia::SinfoniaCluster::exec_many
 
 use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{in_range, Fence, Key, Value};
-use crate::node::{Node, NodeBody, NodePtr};
+use crate::node::{fence_size, Node, NodeBody, NodePtr};
 use crate::ops::{LeafOp, Written};
 use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
 use crate::retry::backoff;
@@ -64,21 +65,15 @@ struct LeafGroup {
     members: Vec<usize>,
 }
 
-/// Disposition of one batch attempt that did not abort through
-/// [`TxnError::Retry`] (a stale tip or route; the caller notes the retry).
-enum BatchOutcome {
-    /// Cached leaves went stale mid-attempt (already invalidated): retry
-    /// everything still pending.
-    Retry,
-    /// The attempt ran to completion. `requeue` holds members whose group
-    /// commit lost a validation race — worth another *batched* attempt
-    /// with a fresh leaf fetch; `fallback` holds members the fast path
-    /// cannot serve (stale routes, redirects, overflow spill), which go to
-    /// the per-key path.
-    Served {
-        fallback: Vec<usize>,
-        requeue: Vec<usize>,
-    },
+/// What one batch attempt that did not abort through [`TxnError::Retry`]
+/// (a stale tip or route; the caller notes the retry) left over: members
+/// the fast path cannot serve (stale routes, redirects, overflow spill),
+/// which go to the per-key path, and members worth another *batched*
+/// attempt against fresh leaf images (their group commit lost a
+/// validation race, or a cached leaf went stale).
+struct Unserved {
+    fallback: Vec<usize>,
+    requeue: Vec<usize>,
 }
 
 impl Proxy {
@@ -149,6 +144,12 @@ impl Proxy {
             op_tag::MULTI_PUT
         };
         let _op = self.mc.sinfonia.obs().op(tag);
+        // Nothing is staged before every entry is known to fit.
+        for (key, op) in &items {
+            if let LeafOp::Put(value) = op {
+                self.check_entry(key, value)?;
+            }
+        }
         let n = items.len();
         let mut results: Vec<Option<Value>> = vec![None; n];
         if n == 0 {
@@ -169,14 +170,13 @@ impl Proxy {
             let mut attempts = 0usize;
             loop {
                 match self.batch_attempt(tree, reads, &items, &order, &mut results) {
-                    Ok(BatchOutcome::Served { fallback, requeue }) => {
+                    Ok(Unserved { fallback, requeue }) => {
                         unserved.extend(fallback);
                         order = requeue;
                         // Conflicted members re-batch against fresh leaf
                         // images; keep them key-sorted for route reuse.
                         order.sort_by(|&a, &b| items[a].0.cmp(&items[b].0).then(a.cmp(&b)));
                     }
-                    Ok(BatchOutcome::Retry) => {}
                     Err(TxnError::Retry(cause)) => self.note_retry(tree, cause),
                     Err(TxnError::Error(e)) => return Err(e),
                 }
@@ -218,7 +218,7 @@ impl Proxy {
         items: &[(Key, LeafOp)],
         pending: &[usize],
         results: &mut [Option<Value>],
-    ) -> Attempt<BatchOutcome> {
+    ) -> Attempt<Unserved> {
         let mc = self.mc.clone();
         let sin = mc.sinfonia.clone();
         let layout = *mc.layout(tree);
@@ -298,7 +298,11 @@ impl Proxy {
             Some(0) => return Err(RetryCause::StaleTip.into()),
             Some(_) => {
                 self.stats.record_retry(RetryCause::Validation);
-                return Ok(BatchOutcome::Retry);
+                let requeue = pending.to_vec();
+                return Ok(Unserved {
+                    fallback: Vec::new(),
+                    requeue,
+                });
             }
             None => {}
         }
@@ -340,16 +344,13 @@ impl Proxy {
                 continue;
             };
             // A leaf under its parent (the root, when it is the leaf)
-            // whose fences cover the group's first and last keys.
+            // whose fences cover the group's first and last keys (members
+            // are in key order, and a group has at least one).
+            let first = &items[group.members[0]].0;
+            let last = &items[group.members[group.members.len() - 1]].0;
             let parent_height = Some(group.route.last().map_or(1, |p| p.node.height));
-            let covers = |p: &Proxy, i: usize| {
-                let check = p.check_node(tree, &node, ctx.sid, &items[i].0, parent_height);
-                check.map(|c| matches!(c, NodeCheck::Accept))
-            };
-            // Members are in key order, and a group has at least one.
-            let (first, last) = (group.members[0], group.members[group.members.len() - 1]);
-            let accepted = covers(self, first)? && covers(self, last)?;
-            if !accepted {
+            let check = self.check_node(tree, &node, ctx.sid, first, parent_height)?;
+            if !matches!(check, NodeCheck::Accept) || !in_range(&node.low, &node.high, last) {
                 fallback.extend(group.members);
                 continue;
             }
@@ -405,12 +406,7 @@ impl Proxy {
             let members = applied;
 
             let mut path = group.route;
-            path.push(PathEntry {
-                ptr: leaf_ptr,
-                link: leaf_ptr,
-                seqno: leaf_seq,
-                node,
-            });
+            path.push(PathEntry::at(leaf_ptr, leaf_seq, node));
             let level = path.len() - 1;
             self.written.clear();
             match self.materialize(&mut gtx, tree, &ctx, &path, level, new_leaf) {
@@ -455,7 +451,7 @@ impl Proxy {
                 Err(e) => drop(failed.get_or_insert(e)),
             }
         }
-        failed.map_or(Ok(BatchOutcome::Served { fallback, requeue }), Err)
+        failed.map_or(Ok(Unserved { fallback, requeue }), Err)
     }
 
     /// Bulk-loads an **empty** tree bottom-up: the sorted pairs are packed
@@ -491,6 +487,9 @@ impl Proxy {
         if pairs.is_empty() {
             return Ok(0);
         }
+        for (key, value) in &pairs {
+            self.check_entry(key, value)?;
+        }
         let count = pairs.len();
 
         let layout = *self.mc.layout(tree);
@@ -523,7 +522,7 @@ impl Proxy {
         cursor: &mut usize,
     ) -> Result<NodePtr, Error> {
         if *cursor == pool.len() {
-            pool.push(self.alloc_any(tree)?);
+            pool.push(self.alloc(tree, None)?);
         }
         let ptr = pool[*cursor];
         *cursor += 1;
@@ -547,7 +546,6 @@ impl Proxy {
         let max_internal = self.mc.cfg.max_internal_entries;
         let sid = ctx.sid;
         let mut cursor = 0usize;
-        let fence_size = |f: &Fence| 1 + f.as_key().map_or(0, |k| 2 + k.len());
 
         // Pack leaves greedily up to the overflow thresholds, by running
         // encoded size (an entry adds its two length prefixes, key and
@@ -558,100 +556,81 @@ impl Proxy {
         let max_klen = pairs.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
         let pack_cap = payload_cap.saturating_sub(2 * (2 + max_klen)).max(64);
         let empty_size = Node::empty_root(sid).encoded_size();
-        let mut leaf_nodes: Vec<Node> = Vec::new();
+        // A level of the tree, as one wide internal node would hold it:
+        // child `i` covers `[seps[i - 1], seps[i])`.
+        let (mut seps, mut leaves): (Vec<Key>, Vec<Node>) = (Vec::new(), Vec::new());
         let mut cur = Node::empty_root(sid);
         let mut size = empty_size;
         for (k, v) in pairs {
             let entry = 4 + k.len() + v.len();
             if !cur.is_empty() && (cur.len() >= max_leaf || size + entry > pack_cap) {
-                leaf_nodes.push(std::mem::replace(&mut cur, Node::empty_root(sid)));
+                leaves.push(std::mem::replace(&mut cur, Node::empty_root(sid)));
+                seps.push(k.clone());
                 size = empty_size;
             }
             cur.leaf_put(k.clone(), v.clone());
             size += entry;
             debug_assert_eq!(size, cur.encoded_size());
         }
-        leaf_nodes.push(cur);
-
-        // Fences: leaf i covers [sep(i), sep(i+1)) with sep = first key.
-        let seps: Vec<Key> = leaf_nodes
-            .iter()
-            .skip(1)
-            .map(|n| match &n.body {
-                NodeBody::Leaf { entries } => entries[0].0.clone(),
-                NodeBody::Internal { .. } => unreachable!(),
-            })
-            .collect();
-        for (i, leaf) in leaf_nodes.iter_mut().enumerate() {
-            leaf.low = if i == 0 {
-                Fence::NegInf
-            } else {
-                Fence::Key(seps[i - 1].clone())
-            };
-            leaf.high = if i == seps.len() {
-                Fence::PosInf
-            } else {
-                Fence::Key(seps[i].clone())
-            };
-        }
-
-        let leaf_nodes = match <[Node; 1]>::try_from(leaf_nodes) {
+        if leaves.is_empty() {
             // Everything fits in the root leaf.
-            Ok([root]) => {
-                self.write_node(tx, tree, root_ptr, root);
-                return Ok(());
-            }
-            Err(leaves) => leaves,
+            self.write_node(tx, tree, root_ptr, cur);
+            return Ok(());
+        }
+        leaves.push(cur);
+        let low = |seps: &[Key], i: usize| match i.checked_sub(1) {
+            Some(j) => Fence::Key(seps[j].clone()),
+            None => Fence::NegInf,
         };
+        let high =
+            |seps: &[Key], i: usize| seps.get(i).map_or(Fence::PosInf, |k| Fence::Key(k.clone()));
 
         // Write the leaves into fresh slots and build internal levels over
         // them until one node remains; that node becomes the root image.
-        let mut level: Vec<(Fence, Fence, NodePtr)> = Vec::new();
-        for leaf in leaf_nodes {
+        let mut kids = Vec::with_capacity(leaves.len());
+        for (i, mut leaf) in leaves.into_iter().enumerate() {
+            (leaf.low, leaf.high) = (low(&seps, i), high(&seps, i));
             let ptr = self.bulk_slot(tree, pool, &mut cursor)?;
-            level.push((leaf.low.clone(), leaf.high.clone(), ptr));
             self.write_node(tx, tree, ptr, leaf);
+            kids.push(ptr);
         }
         let mut height: u8 = 1;
         loop {
-            let mut next: Vec<(Fence, Fence, NodePtr)> = Vec::new();
-            let mut nodes: Vec<Node> = Vec::new();
-            let mut chunk_start = 0usize;
-            while chunk_start < level.len() {
+            let (mut up, mut nodes) = (Vec::new(), Vec::new());
+            let mut start = 0usize;
+            while start < kids.len() {
                 // Grow the chunk while the encoded node fits: a child adds
                 // its separator and its pointer, and its high fence takes
                 // the place of the previous child's.
-                let mut end = chunk_start + 1;
+                let mut end = start + 1;
                 let mut node = Node {
                     height,
                     created: sid,
                     desc: Vec::new(),
-                    low: level[chunk_start].0.clone(),
-                    high: level[chunk_start].1.clone(),
+                    low: low(&seps, start),
+                    high: high(&seps, start),
                     body: NodeBody::Internal {
                         seps: Vec::new(),
-                        kids: vec![level[chunk_start].2],
+                        kids: vec![kids[start]],
                     },
                 };
                 let mut size = node.encoded_size();
-                while end < level.len() {
-                    let (low, high, kid) = &level[end];
-                    let sep = low
-                        .as_key()
-                        .expect("non-first child has a finite low fence");
-                    let grown =
-                        size + 2 + sep.len() + 6 + fence_size(high) - fence_size(&level[end - 1].1);
+                while end < kids.len() {
+                    let sep = &seps[end - 1];
+                    let grown = size + 2 + sep.len() + 6 + fence_size(&high(&seps, end))
+                        - fence_size(&high(&seps, end - 1));
                     if node.len() >= max_internal || grown > payload_cap {
                         break;
                     }
-                    node.insert_child(sep.clone(), *kid);
+                    node.insert_child(sep.clone(), kids[end]);
                     size = grown;
                     end += 1;
                 }
-                node.high = level[end - 1].1.clone();
+                node.high = high(&seps, end - 1);
                 debug_assert_eq!(size, node.encoded_size());
+                up.extend(seps.get(end - 1).cloned());
                 nodes.push(node);
-                chunk_start = end;
+                start = end;
             }
             let nodes = match <[Node; 1]>::try_from(nodes) {
                 // The single top node is the new root, written in place.
@@ -659,19 +638,19 @@ impl Proxy {
                     self.write_node(tx, tree, root_ptr, root);
                     return Ok(());
                 }
-                Err(nodes) => nodes,
+                Err(nodes) if nodes.len() < kids.len() => nodes,
+                Err(_) => {
+                    let why = "bulk_load cannot shrink a level: fewer than two children fit a node";
+                    return Err(Error::Internal(why.into()).into());
+                }
             };
-            assert!(
-                nodes.len() < level.len(),
-                "bulk_load cannot shrink a level: separator keys too large \
-                 for the configured node payload"
-            );
+            kids.clear();
             for node in nodes {
                 let ptr = self.bulk_slot(tree, pool, &mut cursor)?;
-                next.push((node.low.clone(), node.high.clone(), ptr));
                 self.write_node(tx, tree, ptr, node);
+                kids.push(ptr);
             }
-            level = next;
+            seps = up;
             height += 1;
         }
     }

@@ -74,7 +74,7 @@ impl Proxy {
         let mut dcopy = (*orig.node).clone();
         dcopy.created = z;
         dcopy.desc = vec![a, b];
-        let zptr = self.alloc_pref(tree, orig.ptr.mem)?;
+        let zptr = self.alloc(tree, Some(orig.ptr.mem))?;
         self.write_node(tx, tree, zptr, dcopy);
 
         node.desc.retain(|d| d.sid != a.sid && d.sid != b.sid);

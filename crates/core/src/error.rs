@@ -89,6 +89,14 @@ pub enum Error {
         /// The non-empty tree.
         tree: u32,
     },
+    /// A put's key is longer than [`crate::tree::TreeConfig::max_key_len`],
+    /// or key and value than [`crate::tree::TreeConfig::max_entry_len`].
+    EntryTooLarge {
+        /// Key bytes.
+        key: usize,
+        /// Value bytes.
+        value: usize,
+    },
     /// The operation's end-to-end deadline (see
     /// [`minuet_sinfonia::deadline`]) expired before it completed. The
     /// tree may be healthy — the caller's time budget ran out first.
@@ -132,6 +140,7 @@ impl fmt::Display for Error {
                     "bulk_load requires an empty tree, but tree {tree} has data"
                 )
             }
+            Error::EntryTooLarge { key, value } => write!(f, "entry too large: {key} + {value} B"),
             Error::DeadlineExceeded => write!(f, "operation deadline exceeded"),
             Error::Internal(what) => write!(f, "internal invariant broken: {what}"),
         }

@@ -206,8 +206,8 @@ impl Node {
 
     /// Encoded payload size in bytes.
     pub fn encoded_size(&self) -> usize {
-        let fence = |f: &Fence| 1 + f.as_key().map_or(0, |k| 2 + k.len());
-        let mut n = 1 + 1 + 8 + 1 + 14 * self.desc.len() + fence(&self.low) + fence(&self.high) + 2;
+        let fences = fence_size(&self.low) + fence_size(&self.high);
+        let mut n = 1 + 1 + 8 + 1 + 14 * self.desc.len() + fences + 2;
         match &self.body {
             NodeBody::Internal { seps, kids } => {
                 n += seps.iter().map(|s| 2 + s.len()).sum::<usize>();
@@ -229,71 +229,104 @@ impl Node {
         self.len() > max_entries || self.encoded_size() > payload_cap
     }
 
-    /// Splits the node in half. Returns `(left, right)`; both inherit
-    /// `created` and get empty descendant sets (they are fresh physical
-    /// nodes). The separator is `right.low`'s key.
+    /// Splits the node in two. The cut starts at the count midpoint (a
+    /// leaf's middle entry, an internal node's middle separator) and moves
+    /// toward the heavier side only while a half encodes to more than
+    /// `cap` bytes, so entries of one size split exactly in half. Returns
+    /// `(left, separator, right)`: both halves inherit `created` and get
+    /// empty descendant sets (they are fresh physical nodes); the
+    /// separator is `right.low`'s key, and an internal node promotes it
+    /// out of both halves.
     ///
     /// Panics if the node has fewer than 2 entries.
-    pub fn split(self) -> (Node, Key, Node) {
-        match self.body {
+    pub fn split(self, cap: usize) -> (Node, Key, Node) {
+        let len = self.len();
+        assert!(len >= 2, "cannot split a node with <2 entries");
+        // Cut `c` sends the first `c` entries (kids) left. `before[c]`:
+        // their bytes (an entry, or a kid with the separator before it);
+        // `sep[c]`: the length of the separator it makes.
+        let (mut before, sep, internal): (Vec<usize>, Vec<usize>, bool) = match &self.body {
             NodeBody::Leaf { entries } => {
-                assert!(entries.len() >= 2, "cannot split leaf with <2 entries");
-                let mid = entries.len() / 2;
-                let right_entries = entries[mid..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let sep = right_entries[0].0.clone();
-                let left = Node {
-                    height: 0,
-                    created: self.created,
-                    desc: Vec::new(),
-                    low: self.low,
-                    high: Fence::Key(sep.clone()),
-                    body: NodeBody::Leaf {
-                        entries: left_entries,
-                    },
-                };
-                let right = Node {
-                    height: 0,
-                    created: self.created,
-                    desc: Vec::new(),
-                    low: Fence::Key(sep.clone()),
-                    high: self.high,
-                    body: NodeBody::Leaf {
-                        entries: right_entries,
-                    },
-                };
-                (left, sep, right)
+                let entry = entries.iter().map(|(k, v)| 4 + k.len() + v.len());
+                let sep = entries.iter().map(|(k, _)| k.len()).collect();
+                ([0].into_iter().chain(entry).collect(), sep, false)
             }
-            NodeBody::Internal { seps, kids } => {
-                assert!(kids.len() >= 2, "cannot split internal with <2 kids");
-                // Promote the middle separator.
-                let m = seps.len() / 2;
-                let sep = seps[m].clone();
-                let left = Node {
-                    height: self.height,
-                    created: self.created,
-                    desc: Vec::new(),
-                    low: self.low,
-                    high: Fence::Key(sep.clone()),
-                    body: NodeBody::Internal {
-                        seps: seps[..m].to_vec(),
-                        kids: kids[..m + 1].to_vec(),
-                    },
-                };
-                let right = Node {
-                    height: self.height,
-                    created: self.created,
-                    desc: Vec::new(),
-                    low: Fence::Key(sep.clone()),
-                    high: self.high,
-                    body: NodeBody::Internal {
-                        seps: seps[m + 1..].to_vec(),
-                        kids: kids[m + 1..].to_vec(),
-                    },
-                };
-                (left, sep, right)
+            NodeBody::Internal { seps, .. } => {
+                let kid = seps.iter().map(|s| 8 + s.len());
+                let sep = [0].into_iter().chain(seps.iter().map(Vec::len)).collect();
+                ([0, 6].into_iter().chain(kid).collect(), sep, true)
             }
+        };
+        for c in 1..before.len() {
+            before[c] += before[c - 1];
         }
+        // Both halves' encoded sizes at cut `c` (13: the fixed header). An
+        // internal node's separator leaves both halves.
+        let (low, high) = (fence_size(&self.low), fence_size(&self.high));
+        let sizes = |c: usize| {
+            let fence = 3 + sep[c];
+            let promoted = if internal { 2 + sep[c] } else { 0 };
+            let right = before[len] - before[c] - promoted;
+            (13 + low + fence + before[c], 13 + fence + high + right)
+        };
+        let mut c = if internal { len.div_ceil(2) } else { len / 2 };
+        while c > 1 && sizes(c).0 > cap {
+            c -= 1;
+        }
+        while c + 1 < len && sizes(c).1 > cap {
+            c += 1;
+        }
+
+        let (lbody, sep, rbody) = match self.body {
+            NodeBody::Leaf { mut entries } => {
+                let right = entries.split_off(c);
+                let sep = right[0].0.clone();
+                (
+                    NodeBody::Leaf { entries },
+                    sep,
+                    NodeBody::Leaf { entries: right },
+                )
+            }
+            NodeBody::Internal { mut seps, mut kids } => {
+                let (right_seps, right_kids) = (seps.split_off(c), kids.split_off(c));
+                let sep = seps.swap_remove(c - 1);
+                let left = NodeBody::Internal { seps, kids };
+                let right = NodeBody::Internal {
+                    seps: right_seps,
+                    kids: right_kids,
+                };
+                (left, sep, right)
+            }
+        };
+        let (height, created) = (self.height, self.created);
+        let half = |low, high, body| Node {
+            height,
+            created,
+            desc: Vec::new(),
+            low,
+            high,
+            body,
+        };
+        let left = half(self.low, Fence::Key(sep.clone()), lbody);
+        (left, sep.clone(), half(Fence::Key(sep), self.high, rbody))
+    }
+
+    /// Splits an overflowing node into pieces that each fit `cap` bytes
+    /// and `max_entries` entries: in two ([`Node::split`]), then again any
+    /// half that still overflows, as a large entry can make one that
+    /// lands between small ones in a full node. Returns the first piece,
+    /// and every later one with its separator, in key order.
+    pub fn split_to_fit(self, cap: usize, max_entries: usize) -> (Node, Vec<(Key, Node)>) {
+        let (left, sep, right) = self.split(cap);
+        let fit = |n: Node| match n.overflows(cap, max_entries) && n.len() >= 2 {
+            true => n.split_to_fit(cap, max_entries),
+            false => (n, Vec::new()),
+        };
+        let (first, mut rest) = fit(left);
+        let (mid, tail) = fit(right);
+        rest.push((sep, mid));
+        rest.extend(tail);
+        (first, rest)
     }
 
     /// Serializes the node into an object payload.
@@ -402,6 +435,11 @@ impl Node {
             body,
         })
     }
+}
+
+/// Encoded bytes of a fence: its tag, and a finite key's length and bytes.
+pub(crate) fn fence_size(f: &Fence) -> usize {
+    1 + f.as_key().map_or(0, |k| 2 + k.len())
 }
 
 fn encode_fence(out: &mut Vec<u8>, f: &Fence) {
@@ -561,7 +599,7 @@ mod tests {
         let n = leaf(vec![("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")]);
         let high = n.high.clone();
         let low = n.low.clone();
-        let (l, sep, r) = n.split();
+        let (l, sep, r) = n.split(usize::MAX);
         assert_eq!(sep, b"c".to_vec());
         assert_eq!(l.low, low);
         assert_eq!(l.high, Fence::Key(sep.clone()));
@@ -569,6 +607,33 @@ mod tests {
         assert_eq!(r.high, high);
         assert_eq!(l.len() + r.len(), 4);
         assert!(l.desc.is_empty() && r.desc.is_empty());
+    }
+
+    #[test]
+    fn a_large_entry_mid_leaf_splits_into_three_pieces_that_fit() {
+        // 60 entries of 10 bytes, and one of 500 between the 30th and
+        // 31st: no cut leaves both halves within 600 bytes.
+        let mut n = Node::empty_root(0);
+        for i in 0..60u32 {
+            n.leaf_put(format!("{:04}", 2 * i).into_bytes(), vec![0, 0]);
+        }
+        n.leaf_put(b"0059".to_vec(), vec![1; 492]);
+        let cap = 600;
+        let (l, _, r) = n.clone().split(cap);
+        assert!(l.encoded_size() > cap || r.encoded_size() > cap);
+        let (first, rest) = n.split_to_fit(cap, usize::MAX);
+        assert_eq!(rest.len(), 2);
+        let pieces: Vec<&Node> = [&first]
+            .into_iter()
+            .chain(rest.iter().map(|(_, n)| n))
+            .collect();
+        assert!(pieces.iter().all(|n| n.encoded_size() <= cap));
+        let lens: Vec<usize> = pieces.iter().map(|n| n.len()).collect();
+        assert_eq!(lens.iter().sum::<usize>(), 61);
+        for ((sep, piece), prev) in rest.iter().zip(&pieces) {
+            assert_eq!(piece.low, Fence::Key(sep.clone()));
+            assert_eq!(prev.high, piece.low);
+        }
     }
 
     #[test]
@@ -584,7 +649,7 @@ mod tests {
                 kids: vec![ptr(0, 0), ptr(0, 1), ptr(0, 2), ptr(0, 3)],
             },
         };
-        let (l, sep, r) = n.split();
+        let (l, sep, r) = n.split(usize::MAX);
         assert_eq!(sep, b"d".to_vec());
         // The promoted separator appears in neither half.
         match (&l.body, &r.body) {

@@ -6,7 +6,7 @@
 //! check fails; nothing takes effect until the attempt's commit succeeds.
 
 use crate::error::{Attempt, Error, RetryCause};
-use crate::key::{Fence, Value};
+use crate::key::{Fence, Key, Value};
 use crate::node::{Node, NodeBody, NodePtr};
 use crate::proxy::{OpTarget, Proxy};
 use crate::traverse::{LeafAccess, PathEntry, Resolved};
@@ -47,8 +47,8 @@ pub(crate) struct ChildOps {
     /// Replace pointer `old` with `new` (after a copy-on-write or a split
     /// that relocated the child).
     pub replace: Option<(NodePtr, NodePtr)>,
-    /// Insert a new separator + child (after a split).
-    pub insert: Option<(Vec<u8>, NodePtr)>,
+    /// Insert new separators + children (after a split), in key order.
+    pub insert: Vec<(Key, NodePtr)>,
 }
 
 /// A node image an attempt staged, kept for the cache: `(tree, slot,
@@ -100,18 +100,24 @@ impl Proxy {
         }
     }
 
-    /// Allocates a node slot with round-robin placement.
-    pub(crate) fn alloc_any(&mut self, tree: u32) -> Result<NodePtr, Error> {
-        let mc = self.mc.clone();
-        self.chunks.alloc(&mc.sinfonia, mc.layout(tree), tree, None)
+    /// Refuses a put the tree cannot hold — a key longer than
+    /// [`crate::tree::TreeConfig::max_key_len`], or key and value together
+    /// longer than [`crate::tree::TreeConfig::max_entry_len`] — before
+    /// anything is staged.
+    pub(crate) fn check_entry(&self, key: &[u8], value: &[u8]) -> Result<(), Error> {
+        let cfg = &self.mc.cfg;
+        if key.len() > cfg.max_key_len() || key.len() + value.len() > cfg.max_entry_len() {
+            let (key, value) = (key.len(), value.len());
+            return Err(Error::EntryTooLarge { key, value });
+        }
+        Ok(())
     }
 
-    /// Allocates a node slot on a preferred memnode (CoW copies stay with
-    /// the original so leaf commits stay single-node).
-    pub(crate) fn alloc_pref(&mut self, tree: u32, mem: MemNodeId) -> Result<NodePtr, Error> {
+    /// Allocates a node slot: on `mem` if given (CoW copies stay with
+    /// the original so leaf commits stay single-node), else round-robin.
+    pub(crate) fn alloc(&mut self, tree: u32, mem: Option<MemNodeId>) -> Result<NodePtr, Error> {
         let mc = self.mc.clone();
-        self.chunks
-            .alloc(&mc.sinfonia, mc.layout(tree), tree, Some(mem))
+        self.chunks.alloc(&mc.sinfonia, mc.layout(tree), tree, mem)
     }
 
     fn limits(&self, node: &Node) -> (usize, usize) {
@@ -149,6 +155,9 @@ impl Proxy {
         key: &[u8],
         op: LeafOp,
     ) -> Attempt<Option<Value>> {
+        if let LeafOp::Put(value) = &op {
+            self.check_entry(key, value)?;
+        }
         let ctx = self.resolve(tx, tree, target)?;
         // On a writable target a cached, still-valid leaf skips the fetch
         // round trip: only its version is pinned. A get then commits with
@@ -202,24 +211,14 @@ impl Proxy {
             if level == 0 {
                 return self.root_split(tx, tree, ctx, orig.ptr, node);
             }
-            // Split in place: the left half keeps the slot (so the parent
-            // pointer stays valid); the right half is a fresh node.
-            self.stats.splits += 1;
-            let (left, sep, right) = node.split();
-            let rptr = self.alloc_any(tree)?;
-            self.write_node(tx, tree, orig.ptr, left);
-            self.write_node(tx, tree, rptr, right);
-            return self.bubble(
-                tx,
-                tree,
-                ctx,
-                path,
-                level - 1,
-                ChildOps {
-                    replace: None,
-                    insert: Some((sep, rptr)),
-                },
-            );
+            // Split in place: the first piece keeps the slot (so the
+            // parent pointer stays valid); the others are fresh nodes.
+            let insert = self.split_into(tx, tree, node, orig.ptr, None)?;
+            let ops = ChildOps {
+                replace: None,
+                insert,
+            };
+            return self.bubble(tx, tree, ctx, path, level - 1, ops);
         }
 
         // Copy-on-write (§4.1). The root is never CoW'd during operations
@@ -232,46 +231,48 @@ impl Proxy {
         let mut copy = node;
         copy.created = ctx.sid;
         copy.desc = Vec::new();
-
-        if !copy.overflows(payload_cap, max_entries) {
-            let cptr = self.alloc_pref(tree, orig.ptr.mem)?;
-            // Tag the original with the copy (§4.2); with branching
-            // versions this may trigger a discretionary copy (§5.2).
-            let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, cptr)?;
-            self.write_node(tx, tree, orig.ptr, updated_orig);
-            self.write_node(tx, tree, cptr, copy);
-            self.bubble(
-                tx,
-                tree,
-                ctx,
-                path,
-                level - 1,
-                ChildOps {
-                    replace: Some((orig.link, cptr)),
-                    insert: None,
-                },
-            )
+        let mem = orig.ptr.mem;
+        let cptr = self.alloc(tree, Some(mem))?;
+        // Tag the original with the copy (§4.2); with branching versions
+        // this may trigger a discretionary copy (§5.2). An overflowing
+        // copy splits: its first piece is the copy.
+        let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, cptr)?;
+        self.write_node(tx, tree, orig.ptr, updated_orig);
+        let insert = if copy.overflows(payload_cap, max_entries) {
+            self.split_into(tx, tree, copy, cptr, Some(mem))?
         } else {
-            self.stats.splits += 1;
-            let (left, sep, right) = copy.split();
-            let lptr = self.alloc_pref(tree, orig.ptr.mem)?;
-            let rptr = self.alloc_pref(tree, orig.ptr.mem)?;
-            let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, lptr)?;
-            self.write_node(tx, tree, orig.ptr, updated_orig);
-            self.write_node(tx, tree, lptr, left);
-            self.write_node(tx, tree, rptr, right);
-            self.bubble(
-                tx,
-                tree,
-                ctx,
-                path,
-                level - 1,
-                ChildOps {
-                    replace: Some((orig.link, lptr)),
-                    insert: Some((sep, rptr)),
-                },
-            )
-        }
+            self.write_node(tx, tree, cptr, copy);
+            Vec::new()
+        };
+        let ops = ChildOps {
+            replace: Some((orig.link, cptr)),
+            insert,
+        };
+        self.bubble(tx, tree, ctx, path, level - 1, ops)
+    }
+
+    /// Splits `node` into pieces that fit ([`Node::split_to_fit`]): the
+    /// first is written to `first`, the others to fresh slots (on `mem`,
+    /// if given). Returns each later piece's separator and slot, for the
+    /// parent.
+    fn split_into(
+        &mut self,
+        tx: &mut DynTx<'_>,
+        tree: u32,
+        node: Node,
+        first: NodePtr,
+        mem: Option<MemNodeId>,
+    ) -> Result<Vec<(Key, NodePtr)>, Error> {
+        self.stats.splits += 1;
+        let (payload_cap, max_entries) = self.limits(&node);
+        let (head, rest) = node.split_to_fit(payload_cap, max_entries);
+        let ptrs = (rest.iter().map(|_| self.alloc(tree, mem))).collect::<Result<Vec<_>, _>>()?;
+        self.write_node(tx, tree, first, head);
+        let placed = rest.into_iter().zip(ptrs).map(|((sep, piece), ptr)| {
+            self.write_node(tx, tree, ptr, piece);
+            (sep, ptr)
+        });
+        Ok(placed.collect())
     }
 
     /// Applies bubbled child-pointer operations to `path[level]` and
@@ -295,15 +296,16 @@ impl Proxy {
                 return Err(RetryCause::Validation.into());
             }
         }
-        if let Some((sep, ptr)) = ops.insert {
+        for (sep, ptr) in ops.insert {
             node.insert_child(sep, ptr);
         }
         self.materialize(tx, tree, ctx, path, level, node)
     }
 
-    /// Splits an overflowing root in place: its halves become fresh
-    /// children and the root (same slot, same fences) gains a level. The
-    /// root's slot never moves, so the TIP root location stays valid.
+    /// Splits an overflowing root in place: its pieces become fresh
+    /// children and the root (same slot, same fences) gains a level — or
+    /// more, while the new root itself overflows. The root's slot never
+    /// moves, so the TIP root location stays valid.
     fn root_split(
         &mut self,
         tx: &mut DynTx<'_>,
@@ -312,18 +314,15 @@ impl Proxy {
         root_ptr: NodePtr,
         node: Node,
     ) -> Attempt<()> {
-        self.stats.splits += 1;
         let height = node.height;
         let desc = node.desc.clone();
         let low = node.low.clone();
         let high = node.high.clone();
         debug_assert_eq!(low, Fence::NegInf);
         debug_assert_eq!(high, Fence::PosInf);
-        let (left, sep, right) = node.split();
-        let lptr = self.alloc_any(tree)?;
-        let rptr = self.alloc_any(tree)?;
-        self.write_node(tx, tree, lptr, left);
-        self.write_node(tx, tree, rptr, right);
+        let lptr = self.alloc(tree, None)?;
+        let (seps, kids): (Vec<Key>, Vec<NodePtr>) =
+            (self.split_into(tx, tree, node, lptr, None)?.into_iter()).unzip();
         let new_root = Node {
             height: height + 1,
             created: ctx.sid,
@@ -331,10 +330,14 @@ impl Proxy {
             low,
             high,
             body: NodeBody::Internal {
-                seps: vec![sep],
-                kids: vec![lptr, rptr],
+                seps,
+                kids: [lptr].into_iter().chain(kids).collect(),
             },
         };
+        let (payload_cap, max_entries) = self.limits(&new_root);
+        if new_root.overflows(payload_cap, max_entries) {
+            return self.root_split(tx, tree, ctx, root_ptr, new_root);
+        }
         self.write_node(tx, tree, root_ptr, new_root);
         Ok(())
     }

@@ -206,12 +206,7 @@ impl Proxy {
                 },
             };
             let e = match entry {
-                Some((seqno, node)) => PathEntry {
-                    ptr,
-                    link: ptr,
-                    seqno,
-                    node,
-                },
+                Some((seqno, node)) => PathEntry::at(ptr, seqno, node),
                 None if first => {
                     // A freed slot or torn image: the parent is stale.
                     self.invalidate_path(tree, &path);

@@ -88,7 +88,7 @@ impl Proxy {
         new_root.desc = Vec::new();
         let new_root_ptr = match *slot {
             Some(ptr) => ptr,
-            None => *slot.insert(self.alloc_any(tree)?),
+            None => *slot.insert(self.alloc(tree, None)?),
         };
         self.write_node(tx, tree, new_root_ptr, new_root);
 

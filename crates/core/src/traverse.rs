@@ -64,6 +64,19 @@ pub(crate) struct PathEntry {
     pub node: Arc<Node>,
 }
 
+impl PathEntry {
+    /// The node at `ptr`, reached without a redirect.
+    pub(crate) fn at(ptr: NodePtr, seqno: SeqNo, node: Arc<Node>) -> PathEntry {
+        let link = ptr;
+        PathEntry {
+            ptr,
+            link,
+            seqno,
+            node,
+        }
+    }
+}
+
 /// Most copy redirects one descent follows at one level before it gives
 /// up on the attempt.
 const MAX_REDIRECT_HOPS: u32 = 64;
@@ -99,18 +112,6 @@ pub(crate) fn cat_immutable_fetcher(
     }
 }
 
-/// Outcome of the version-tag check at one node (§4.2/§5.2).
-enum VersionCheck {
-    /// The node is the correct version for the target snapshot.
-    Current,
-    /// The node cannot serve the target snapshot and no redirect is
-    /// possible: abort the attempt.
-    Stale,
-    /// The node was copied at an ancestor of the target snapshot: the
-    /// traversal continues at the copy (branching mode, §5.2).
-    Redirect(NodePtr),
-}
-
 /// Outcome of [`Proxy::check_node`].
 pub(crate) enum NodeCheck {
     /// The node is the one the descent wants at this level.
@@ -123,57 +124,14 @@ pub(crate) enum NodeCheck {
 }
 
 impl Proxy {
-    /// Checks a node's version tags against the target snapshot (§4.2 for
-    /// linear snapshots, §5.2 for branching versions).
-    fn version_check(
-        &self,
-        tree: u32,
-        node: &Node,
-        sid: SnapshotId,
-    ) -> Result<VersionCheck, Error> {
-        let mc = &self.mc;
-        match mc.cfg.version_mode {
-            VersionMode::Linear => {
-                // Ancestry along a path is plain ordering. Linear
-                // traversals abort on a covering copy (§4.2): the retry
-                // re-reads the parent, whose pointer was updated in the
-                // same commit that made the copy.
-                if node.created > sid {
-                    return Ok(VersionCheck::Stale);
-                }
-                Ok(match node.desc.iter().find(|d| d.sid <= sid) {
-                    Some(_) => VersionCheck::Stale,
-                    None => VersionCheck::Current,
-                })
-            }
-            VersionMode::Branching => {
-                let shared = mc.shared(tree);
-                let mut fetch = cat_immutable_fetcher(mc.clone(), tree, self.home);
-                if !shared
-                    .vcache
-                    .is_ancestor_or_self(node.created, sid, &mut fetch)?
-                {
-                    return Ok(VersionCheck::Stale);
-                }
-                // Descendant-set entries are pairwise incomparable, so at
-                // most one can cover `sid`.
-                for d in &node.desc {
-                    if shared.vcache.is_ancestor_or_self(d.sid, sid, &mut fetch)? {
-                        return Ok(VersionCheck::Redirect(d.ptr));
-                    }
-                }
-                Ok(VersionCheck::Current)
-            }
-        }
-    }
-
     /// The checks a descent applies to every node it reaches: the version
-    /// tags at `sid` (§4.2/§5.2), fence keys that cover `key` (Fig. 5
-    /// lines 5 and 22), and a height one below `parent_height` (line 15's
-    /// fatal inconsistency; `None` at the root). A right sibling that
-    /// passes them for the previous leaf's high fence is the leaf a
-    /// descent for that key would reach, which is what lets a scan accept
-    /// it without descending (`scan.rs`).
+    /// tags at `sid` (§4.2 for linear snapshots, §5.2 for branching
+    /// versions), fence keys that cover `key` (Fig. 5 lines 5 and 22), and
+    /// a height one below `parent_height` (line 15's fatal inconsistency;
+    /// `None` at the root). A right sibling that passes them for the
+    /// previous leaf's high fence is the leaf a descent for that key would
+    /// reach, which is what lets a scan accept it without descending
+    /// (`scan.rs`), and a batch accept a group's leaf (`batch.rs`).
     pub(crate) fn check_node(
         &self,
         tree: u32,
@@ -182,10 +140,33 @@ impl Proxy {
         key: &[u8],
         parent_height: Option<u8>,
     ) -> Result<NodeCheck, Error> {
-        match self.version_check(tree, node, sid)? {
-            VersionCheck::Current => {}
-            VersionCheck::Stale => return Ok(NodeCheck::Retry(RetryCause::StaleVersion)),
-            VersionCheck::Redirect(next) => return Ok(NodeCheck::Redirect(next)),
+        let stale = NodeCheck::Retry(RetryCause::StaleVersion);
+        let mc = &self.mc;
+        match mc.cfg.version_mode {
+            // Ancestry along a path is plain ordering. Linear traversals
+            // abort on a covering copy (§4.2): the retry re-reads the
+            // parent, whose pointer was updated in the same commit that
+            // made the copy.
+            VersionMode::Linear => {
+                if node.created > sid || node.desc.iter().any(|d| d.sid <= sid) {
+                    return Ok(stale);
+                }
+            }
+            VersionMode::Branching => {
+                let shared = mc.shared(tree);
+                let mut fetch = cat_immutable_fetcher(mc.clone(), tree, self.home);
+                let mut covers = |s| shared.vcache.is_ancestor_or_self(s, sid, &mut fetch);
+                if !covers(node.created)? {
+                    return Ok(stale);
+                }
+                // Descendant-set entries are pairwise incomparable, so at
+                // most one can cover `sid`.
+                for d in &node.desc {
+                    if covers(d.sid)? {
+                        return Ok(NodeCheck::Redirect(d.ptr));
+                    }
+                }
+            }
         }
         if !in_range(&node.low, &node.high, key) {
             return Ok(NodeCheck::Retry(RetryCause::FenceViolation));
@@ -211,23 +192,13 @@ impl Proxy {
             FetchStyle::DirtyCached if cache_ok => {
                 if let Some((seqno, node)) = self.ncache.get(tree, ptr) {
                     tx.note_dirty(obj, seqno);
-                    return Ok(PathEntry {
-                        ptr,
-                        link: ptr,
-                        seqno,
-                        node,
-                    });
+                    return Ok(PathEntry::at(ptr, seqno, node));
                 }
             }
             FetchStyle::AtSnapshot { sid, .. } => {
                 if let Some((seqno, node)) = self.ncache.get_at(tree, ptr, sid) {
                     tx.note_dirty(obj, seqno);
-                    return Ok(PathEntry {
-                        ptr,
-                        link: ptr,
-                        seqno,
-                        node,
-                    });
+                    return Ok(PathEntry::at(ptr, seqno, node));
                 }
             }
             FetchStyle::ValidatedLeaf if cache_leaves => {
@@ -241,12 +212,7 @@ impl Proxy {
                         tx.assume_version(TxKey::Plain(obj), seqno);
                         self.last_leaf_assumed = Some((tree, ptr));
                         self.stats.leaf_cache_hits += 1;
-                        return Ok(PathEntry {
-                            ptr,
-                            link: ptr,
-                            seqno,
-                            node,
-                        });
+                        return Ok(PathEntry::at(ptr, seqno, node));
                     }
                 }
                 self.stats.leaf_cache_misses += 1;
@@ -281,12 +247,7 @@ impl Proxy {
                     // re-fetching.
                     self.ncache.put(tree, ptr, seqno, node.clone());
                 }
-                Ok(PathEntry {
-                    ptr,
-                    link: ptr,
-                    seqno,
-                    node,
-                })
+                Ok(PathEntry::at(ptr, seqno, node))
             }
             Err(_) => {
                 // Freed slot or torn image: the pointer that led here is

@@ -116,6 +116,23 @@ impl TreeConfig {
         (self.layout.node_payload as usize).saturating_sub(DESC_ENTRY_BYTES * self.beta)
     }
 
+    /// The longest key a tree takes: a node that overflows by one entry
+    /// of at most this many key and value bytes splits once into halves
+    /// that fit (each holds at most `(cap - 15) / 2 + 4 + n` bytes of
+    /// entries under a header of at most `13 + 2 * (3 + n)`, where `cap` is
+    /// the split payload cap). Separators are keys: it bounds them too.
+    pub fn max_key_len(&self) -> usize {
+        self.split_payload_cap().saturating_sub(31) / 6
+    }
+
+    /// The most key and value bytes one entry may hold: it fits a leaf
+    /// alone between fences of the longest key. Larger entries than the
+    /// longest key may need a second cut ([`crate::node::Node::split_to_fit`]).
+    pub fn max_entry_len(&self) -> usize {
+        self.split_payload_cap()
+            .saturating_sub(23 + 2 * self.max_key_len())
+    }
+
     /// A configuration with tiny nodes, handy for tests that need deep
     /// trees from few keys.
     pub fn small_nodes(max_entries: usize) -> Self {

@@ -1,7 +1,7 @@
 //! Property-based tests for the node binary format and split algebra.
 
 use minuet_core::node::{DescEntry, Node, NodeBody, NodePtr};
-use minuet_core::Fence;
+use minuet_core::{Fence, TreeConfig};
 use minuet_sinfonia::MemNodeId;
 use proptest::prelude::*;
 
@@ -123,7 +123,7 @@ proptest! {
             _ => unreachable!(),
         };
         let (low, high) = (node.low.clone(), node.high.clone());
-        let (l, sep, r) = node.split();
+        let (l, sep, r) = node.split(usize::MAX);
         prop_assert_eq!(&l.low, &low);
         prop_assert_eq!(&l.high, &Fence::Key(sep.clone()));
         prop_assert_eq!(&r.low, &Fence::Key(sep));
@@ -159,5 +159,73 @@ proptest! {
                 prop_assert!(key.as_slice() < seps[idx].as_slice());
             }
         }
+    }
+}
+
+/// A leaf of `cfg`'s nodes between fences of the longest key, filled
+/// with the entries `lens` sizes (keys and key+value within the bound,
+/// key `i` starting with `2i + 2`) while it fits, then overflowed by one
+/// more entry of the size that no longer fit, its key `2 * at + 1`.
+/// `None` if `lens` runs out first.
+fn overflowed_by_one(cfg: &TreeConfig, lens: &[(u16, u16)], at: u16) -> Option<Node> {
+    let (cap, bound) = (cfg.split_payload_cap(), cfg.max_key_len());
+    let entry = |i: u32, (k, v): (u16, u16)| {
+        let mut key = i.to_be_bytes().to_vec();
+        key.resize(4 + k as usize % (bound - 3), b'k');
+        let value = vec![b'v'; v as usize % (bound - key.len() + 1)];
+        (key, value)
+    };
+    let mut node = Node {
+        low: Fence::Key(vec![0; bound]),
+        high: Fence::Key(vec![0xff; bound]),
+        ..Node::empty_root(0)
+    };
+    for (i, &len) in lens.iter().enumerate() {
+        let (key, value) = entry(2 * i as u32 + 2, len);
+        let mut grown = node.clone();
+        grown.leaf_put(key, value);
+        if grown.encoded_size() <= cap {
+            node = grown;
+            continue;
+        }
+        let (key, value) = entry(2 * (at as u32 % (i as u32 + 1)) + 1, len);
+        node.leaf_put(key, value);
+        return Some(node);
+    }
+    None
+}
+
+proptest! {
+    /// Within the bound, a leaf that overflows by one entry splits once
+    /// into halves that both fit, whatever the entries' sizes.
+    #[test]
+    fn a_leaf_overflowed_by_one_entry_splits_into_halves_that_fit(
+        small in any::<bool>(),
+        lens in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..400),
+        at in any::<u16>(),
+    ) {
+        let cfg = if small { TreeConfig::small_nodes(usize::MAX) } else { TreeConfig::default() };
+        let cap = cfg.split_payload_cap();
+        let node = overflowed_by_one(&cfg, &lens, at);
+        prop_assume!(node.is_some());
+        let node = node.unwrap();
+        prop_assert!(node.encoded_size() > cap);
+        let (l, _, r) = node.split(cap);
+        prop_assert!(l.encoded_size() <= cap, "left {} > {cap}", l.encoded_size());
+        prop_assert!(r.encoded_size() <= cap, "right {} > {cap}", r.encoded_size());
+    }
+
+    /// Entries of one size split where they always have: at `len / 2`.
+    #[test]
+    fn entries_of_one_size_split_at_the_middle(
+        small in any::<bool>(),
+        len in (any::<u16>(), any::<u16>()),
+        at in any::<u16>(),
+    ) {
+        let cfg = if small { TreeConfig::small_nodes(usize::MAX) } else { TreeConfig::default() };
+        let node = overflowed_by_one(&cfg, &[len; 5000], at).unwrap();
+        let n = node.len();
+        let (l, _, r) = node.split(cfg.split_payload_cap());
+        prop_assert_eq!((l.len(), r.len()), (n / 2, n - n / 2));
     }
 }

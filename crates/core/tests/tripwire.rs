@@ -105,16 +105,16 @@ fn tree_nodes_are_read_through_dyntx() {
 #[test]
 fn panic_sites_do_not_grow() {
     // `unwrap()` / `.expect(` / `panic!` / `unreachable!` lines per file
-    // (37 in all; 68 before the one optimistic loop, 55 before `LeafOp`,
+    // (35 in all; 68 before the one optimistic loop, 55 before `LeafOp`,
     // 47 before the sibling-reading scan, 43 before the frozen-leaf
-    // cache, 40 before commits installed what they wrote). Lower a
+    // cache, 40 before commits installed what they wrote, 37 before
+    // bulk loads built levels from separators). Lower a
     // ceiling when you remove a site; to add one, first try a typed
     // `Error` (`Error::CorruptMeta`, `Error::Internal`, the `From` impls
     // in error.rs), and if it really is an invariant, comment it and
     // raise the ceiling in the same change.
     const CEILING: &[(&str, usize)] = &[
         ("alloc.rs", 6),
-        ("batch.rs", 2),
         ("catalog.rs", 9),
         ("clone.rs", 1),
         ("migrate.rs", 3),

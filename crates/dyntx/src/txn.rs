@@ -191,16 +191,6 @@ impl<'c> DynTx<'c> {
         self.read_set.len()
     }
 
-    /// Number of objects in the write set.
-    pub fn write_set_len(&self) -> usize {
-        self.write_set.len()
-    }
-
-    /// Access to the underlying cluster.
-    pub fn cluster(&self) -> &'c SinfoniaCluster {
-        self.cluster
-    }
-
     /// The version at which `key` was read into the read set, if it was.
     /// Lets callers populate caches with `(seqno, value)` pairs.
     pub fn observed_seqno(&self, key: &TxKey) -> Option<SeqNo> {
@@ -242,42 +232,33 @@ impl<'c> DynTx<'c> {
         covered_all
     }
 
-    fn fetch(&mut self, key: TxKey, obj: ObjRef, track: bool) -> Result<ObjVal, TxError> {
+    /// Reads `obj` into the read set, piggy-backing compares of the read
+    /// set's entries on its memnode.
+    fn fetch(&mut self, key: TxKey, obj: ObjRef) -> Result<Bytes, TxError> {
         let mut m = Minitransaction::new();
-        let covered_all = if track {
-            self.piggyback_compares(&mut m, obj.mem)
-        } else {
-            false
-        };
+        let covered_all = self.piggyback_compares(&mut m, obj.mem);
         m.read(obj.full_range());
         let outcome = {
             let _fetch = span(SpanKind::Fetch);
             self.cluster.execute(&m)?
         };
-        match outcome {
-            Outcome::FailedCompare(_) => Err(TxError::Validation),
-            Outcome::Committed(res) => {
-                // Zero-copy: the payload view aliases the page buffer the
-                // memnode served (and the cached value is a refcount bump).
-                let val = decode_obj_shared(&res.data[0]);
-                if track {
-                    // Never overwrite a version already pinned (e.g. by
-                    // `assume_version`): the caller derived state from that
-                    // version, so commit must keep validating it — a later
-                    // fetch observing a newer seqno would silently launder
-                    // the stale observation.
-                    self.read_set.entry(key).or_insert(val.seqno);
-                    self.read_vals.insert(key, val.data.clone());
-                    // The fetch and the compares happened atomically: if the
-                    // compares covered everything else, the entire read set
-                    // (including this fetch) was valid at one instant.
-                    self.fully_validated = covered_all;
-                } else {
-                    self.dirty_seen.entry(key).or_insert(val.seqno);
-                }
-                Ok(val)
-            }
-        }
+        let Outcome::Committed(res) = outcome else {
+            return Err(TxError::Validation);
+        };
+        // Zero-copy: the payload view aliases the page buffer the memnode
+        // served (and the cached value is a refcount bump).
+        let val = decode_obj_shared(&res.data[0]);
+        // Never overwrite a version already pinned (e.g. by
+        // `assume_version`): the caller derived state from that version,
+        // so commit must keep validating it — a later fetch observing a
+        // newer seqno would silently launder the stale observation.
+        self.read_set.entry(key).or_insert(val.seqno);
+        self.read_vals.insert(key, val.data.clone());
+        // The fetch and the compares happened atomically: if the compares
+        // covered everything else, the entire read set (including this
+        // fetch) was valid at one instant.
+        self.fully_validated = covered_all;
+        Ok(val.data)
     }
 
     /// Transactional read of a plain object. Consults the write set, then
@@ -291,7 +272,7 @@ impl<'c> DynTx<'c> {
         if let Some(v) = self.read_vals.get(&key) {
             return Ok(v.clone());
         }
-        Ok(self.fetch(key, obj, true)?.data)
+        self.fetch(key, obj)
     }
 
     /// Transactional read of a replicated object from the replica at
@@ -304,7 +285,7 @@ impl<'c> DynTx<'c> {
         if let Some(v) = self.read_vals.get(&key) {
             return Ok(v.clone());
         }
-        Ok(self.fetch(key, obj.at(prefer), true)?.data)
+        self.fetch(key, obj.at(prefer))
     }
 
     /// **Dirty read** (Minuet §3): fetches the current value of `obj`
@@ -312,27 +293,26 @@ impl<'c> DynTx<'c> {
     /// callers can populate caches; the version is remembered for
     /// promotion if the object is later written.
     pub fn dirty_read(&mut self, obj: ObjRef) -> Result<ObjVal, TxError> {
-        match self.held(obj) {
+        let got = self.read_many(&[ReadItem::Read(obj)])?;
+        match got.vals.into_iter().next().flatten() {
             Some(val) => Ok(val),
-            None => self.fetch(TxKey::Plain(obj), obj, false),
+            None => Err(got.failed.unwrap_or(TxError::Validation)),
         }
     }
 
     /// Reads many objects and pins many versions in one call: the
-    /// transaction's one multi-object read. Each memnode the call touches
-    /// gets one minitransaction holding its members — a read item per
-    /// [`ReadItem::Read`] this transaction does not already hold, a compare
-    /// per [`ReadItem::Pin`], and a compare of every replicated pin — and
-    /// all of them go out through one [`SinfoniaCluster::exec_many`], so
-    /// members spread over `k` memnodes cost `k` round trips. Memnodes
-    /// answer independently: one that fails a compare or stays unavailable
-    /// does not stop the others ([`ReadMany`]). Every observation lands in
-    /// the transaction: a read is remembered for promotion exactly as
-    /// [`DynTx::dirty_read`] remembers it, a pin joins the read set as
+    /// transaction's one multi-object read. Each memnode the members name
+    /// gets one minitransaction — a read item per [`ReadItem::Read`] this
+    /// transaction does not already hold, a compare per plain
+    /// [`ReadItem::Pin`], and a compare of every replicated pin — and all
+    /// of them go out through one [`SinfoniaCluster::exec_many`]: members
+    /// on `k` memnodes cost `k` round trips. Memnodes answer on their own
+    /// ([`ReadMany`]). Reads are remembered for promotion, as
+    /// [`DynTx::dirty_read`] remembers them; pins join the read set, as
     /// [`DynTx::assume_version`] does. The `Err` means nothing was sent.
     pub fn read_many(&mut self, items: &[ReadItem]) -> Result<ReadMany, TxError> {
-        let mut vals = Vec::with_capacity(items.len());
-        let (mut repl, mut by_mem) = (Vec::new(), BTreeMap::<MemNodeId, Vec<usize>>::new());
+        let (mut vals, mut repl) = (Vec::with_capacity(items.len()), Vec::new());
+        let mut by_mem: BTreeMap<MemNodeId, Vec<usize>> = BTreeMap::new();
         for (i, &item) in items.iter().enumerate() {
             let held = match item {
                 ReadItem::Read(obj) => self.held(obj),
@@ -344,31 +324,29 @@ impl<'c> DynTx<'c> {
             };
             match item {
                 _ if held.is_some() => {}
-                ReadItem::Read(obj) | ReadItem::Pin(TxKey::Plain(obj), _) => {
-                    by_mem.entry(obj.mem).or_default().push(i)
+                ReadItem::Read(r) | ReadItem::Pin(TxKey::Plain(r), _) => {
+                    by_mem.entry(r.mem).or_default().push(i)
                 }
                 ReadItem::Pin(TxKey::Repl(_), _) => repl.push(i),
             }
             vals.push(held);
         }
-        // Per memnode: its members (replicated pins first) and which
+        // Per memnode: its members, replicated pins first, and which
         // compare index checks which pin.
-        let mut ms = Vec::with_capacity(by_mem.len());
-        let mut plans = Vec::with_capacity(by_mem.len());
-        for (&mem, idx) in &by_mem {
+        let (mut ms, mut plans) = (Vec::new(), Vec::new());
+        for (mem, idx) in by_mem {
             let (mut m, mut compares) = (Minitransaction::new(), Vec::new());
-            let members: Vec<usize> = repl.iter().chain(idx).copied().collect();
+            let members: Vec<usize> = repl.iter().copied().chain(idx).collect();
             for &i in &members {
-                match items[i] {
-                    ReadItem::Read(obj) => drop(m.read(obj.full_range())),
-                    ReadItem::Pin(key, seqno) => {
-                        let range = match key {
-                            TxKey::Plain(r) => r.seqno_range(),
-                            TxKey::Repl(r) => r.at(mem).seqno_range(),
-                        };
-                        compares.push((m.compare(range, seqno.to_le_bytes().to_vec()), i));
+                let (range, seqno) = match items[i] {
+                    ReadItem::Read(obj) => {
+                        m.read(obj.full_range());
+                        continue;
                     }
-                }
+                    ReadItem::Pin(TxKey::Plain(r), seqno) => (r.seqno_range(), seqno),
+                    ReadItem::Pin(TxKey::Repl(r), seqno) => (r.at(mem).seqno_range(), seqno),
+                };
+                compares.push((m.compare(range, seqno.to_le_bytes().to_vec()), i));
             }
             ms.push(m);
             plans.push((members, compares));
@@ -381,24 +359,23 @@ impl<'c> DynTx<'c> {
             }
         };
 
-        let mut out = ReadMany {
+        let mut got = ReadMany {
             vals,
             stale: Vec::new(),
             failed: None,
         };
         for ((members, compares), outcome) in plans.into_iter().zip(outcomes) {
             match outcome {
-                Err(e) => drop(out.failed.get_or_insert(e.into())),
+                Err(e) => drop(got.failed.get_or_insert(e.into())),
                 Ok(Outcome::FailedCompare(failed)) => {
                     let stale = compares.into_iter().filter(|(c, _)| failed.contains(c));
-                    out.stale.extend(stale.map(|(_, i)| i));
+                    got.stale.extend(stale.map(|(_, i)| i));
                 }
                 Ok(Outcome::Committed(res)) => {
-                    // One buffer per read item, in the order the reads
-                    // were added.
+                    // One buffer per read item, in the order they were added.
                     let mut data = res.data.iter();
                     for i in members {
-                        out.vals[i] = match items[i] {
+                        got.vals[i] = match items[i] {
                             ReadItem::Read(obj) => data.next().map(|raw| {
                                 let val = decode_obj_shared(raw);
                                 self.note_dirty(obj, val.seqno);
@@ -414,12 +391,12 @@ impl<'c> DynTx<'c> {
             }
         }
         // A replicated pin another memnode confirmed is stale all the same.
-        out.stale.sort_unstable();
-        out.stale.dedup();
-        for &i in &out.stale {
-            out.vals[i] = None;
+        got.stale.sort_unstable();
+        got.stale.dedup();
+        for &i in &got.stale {
+            got.vals[i] = None;
         }
-        Ok(out)
+        Ok(got)
     }
 
     /// What a dirty read of `obj` returns without the network: this
@@ -547,11 +524,6 @@ impl<'c> DynTx<'c> {
         let payload = payload.into();
         assert!(payload.len() <= obj.payload_cap() as usize);
         self.write_set.insert(TxKey::Repl(obj), (payload, None));
-    }
-
-    /// True if the transaction has nothing to write.
-    pub fn is_read_only(&self) -> bool {
-        self.write_set.is_empty()
     }
 
     /// Commits the transaction.

@@ -4,7 +4,9 @@
 //! time — same returned previous values, same get results, same final
 //! scan — including duplicate keys within a batch, overflow spills onto
 //! the per-key fallback path, and mid-batch conflict retries forced by
-//! concurrent writers sharing leaves.
+//! concurrent writers sharing leaves. Clusters come from
+//! `common::cluster`, so `MINUET_TRANSPORT=wire` runs the same properties
+//! over sockets.
 
 mod common;
 
