@@ -43,7 +43,7 @@
 
 use crate::error::{Attempt, Error, RetryCause, TxnError};
 use crate::key::{in_range, Fence, Key, Value};
-use crate::node::{fence_size, Node, NodeBody, NodePtr};
+use crate::node::{Node, NodeBody, NodePtr};
 use crate::ops::{LeafOp, Written};
 use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
 use crate::retry::backoff;
@@ -615,10 +615,11 @@ impl Proxy {
                     },
                 };
                 let mut size = node.encoded_size();
+                // The encoded size of child `i`'s high fence.
+                let high_size = |i: usize| seps.get(i).map_or(1, |k| 3 + k.len());
                 while end < kids.len() {
                     let sep = &seps[end - 1];
-                    let grown = size + 2 + sep.len() + 6 + fence_size(&high(&seps, end))
-                        - fence_size(&high(&seps, end - 1));
+                    let grown = size + 2 + sep.len() + 6 + high_size(end) - high_size(end - 1);
                     if node.len() >= max_internal || grown > payload_cap {
                         break;
                     }

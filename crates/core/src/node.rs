@@ -438,7 +438,7 @@ impl Node {
 }
 
 /// Encoded bytes of a fence: its tag, and a finite key's length and bytes.
-pub(crate) fn fence_size(f: &Fence) -> usize {
+fn fence_size(f: &Fence) -> usize {
     1 + f.as_key().map_or(0, |k| 2 + k.len())
 }
 

@@ -163,50 +163,64 @@ proptest! {
 }
 
 /// A leaf of `cfg`'s nodes between fences of the longest key, filled
-/// with the entries `lens` sizes (keys and key+value within the bound,
-/// key `i` starting with `2i + 2`) while it fits, then overflowed by one
-/// more entry of the size that no longer fit, its key `2 * at + 1`.
-/// `None` if `lens` runs out first.
-fn overflowed_by_one(cfg: &TreeConfig, lens: &[(u16, u16)], at: u16) -> Option<Node> {
-    let (cap, bound) = (cfg.split_payload_cap(), cfg.max_key_len());
-    let entry = |i: u32, (k, v): (u16, u16)| {
+/// while it fits with entries of `sizes` (key and value lengths, within
+/// the bound; key `i` starts with `2i + 2`), then overflowed by one more
+/// entry of the size that no longer fit, its key `2 * at + 1`. `None` if
+/// `sizes` runs out first.
+fn overflowed_by_one(cfg: &TreeConfig, sizes: &[(usize, usize)], at: u16) -> Option<Node> {
+    let bound = cfg.max_key_len();
+    let entry = |i: u32, (k, v): (usize, usize)| {
         let mut key = i.to_be_bytes().to_vec();
-        key.resize(4 + k as usize % (bound - 3), b'k');
-        let value = vec![b'v'; v as usize % (bound - key.len() + 1)];
-        (key, value)
+        key.resize(k, b'k');
+        (key, vec![b'v'; v])
     };
     let mut node = Node {
         low: Fence::Key(vec![0; bound]),
         high: Fence::Key(vec![0xff; bound]),
         ..Node::empty_root(0)
     };
-    for (i, &len) in lens.iter().enumerate() {
-        let (key, value) = entry(2 * i as u32 + 2, len);
+    for (i, &size) in sizes.iter().enumerate() {
+        let (key, value) = entry(2 * i as u32 + 2, size);
         let mut grown = node.clone();
         grown.leaf_put(key, value);
-        if grown.encoded_size() <= cap {
+        if grown.encoded_size() <= cfg.split_payload_cap() {
             node = grown;
             continue;
         }
-        let (key, value) = entry(2 * (at as u32 % (i as u32 + 1)) + 1, len);
+        let (key, value) = entry(2 * (at as u32 % (i as u32 + 1)) + 1, size);
         node.leaf_put(key, value);
         return Some(node);
     }
     None
 }
 
+/// Key and value lengths within `cfg`'s bound, from two raw draws.
+fn sized(cfg: &TreeConfig, (k, v): (u16, u16)) -> (usize, usize) {
+    let bound = cfg.max_key_len();
+    let key = 4 + k as usize % (bound - 3);
+    (key, v as usize % (bound - key + 1))
+}
+
 proptest! {
     /// Within the bound, a leaf that overflows by one entry splits once
-    /// into halves that both fit, whatever the entries' sizes.
+    /// into halves that both fit, whatever the entries' sizes — even when
+    /// `tiny` small entries come first and larger ones (all of one size,
+    /// with `same`) after, so that the count midpoint leaves the large
+    /// ones all on one side.
     #[test]
     fn a_leaf_overflowed_by_one_entry_splits_into_halves_that_fit(
         small in any::<bool>(),
+        tiny in any::<u16>(),
+        same in any::<bool>(),
         lens in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..400),
         at in any::<u16>(),
     ) {
         let cfg = if small { TreeConfig::small_nodes(usize::MAX) } else { TreeConfig::default() };
         let cap = cfg.split_payload_cap();
-        let node = overflowed_by_one(&cfg, &lens, at);
+        let mut sizes = vec![(4, 0); tiny as usize % 64];
+        let lens = if same { &[lens[0]; 400][..] } else { &lens[..] };
+        sizes.extend(lens.iter().map(|&len| sized(&cfg, len)));
+        let node = overflowed_by_one(&cfg, &sizes, at);
         prop_assume!(node.is_some());
         let node = node.unwrap();
         prop_assert!(node.encoded_size() > cap);
@@ -223,7 +237,7 @@ proptest! {
         at in any::<u16>(),
     ) {
         let cfg = if small { TreeConfig::small_nodes(usize::MAX) } else { TreeConfig::default() };
-        let node = overflowed_by_one(&cfg, &[len; 5000], at).unwrap();
+        let node = overflowed_by_one(&cfg, &[sized(&cfg, len); 5000], at).unwrap();
         let n = node.len();
         let (l, _, r) = node.split(cfg.split_payload_cap());
         prop_assert_eq!((l.len(), r.len()), (n / 2, n - n / 2));
