@@ -318,9 +318,12 @@ impl Node {
     /// and every later one with its separator, in key order.
     pub fn split_to_fit(self, cap: usize, max_entries: usize) -> (Node, Vec<(Key, Node)>) {
         let (left, sep, right) = self.split(cap);
-        let fit = |n: Node| match n.overflows(cap, max_entries) && n.len() >= 2 {
-            true => n.split_to_fit(cap, max_entries),
-            false => (n, Vec::new()),
+        let fit = |n: Node| {
+            if n.overflows(cap, max_entries) && n.len() >= 2 {
+                n.split_to_fit(cap, max_entries)
+            } else {
+                (n, Vec::new())
+            }
         };
         let (first, mut rest) = fit(left);
         let (mid, tail) = fit(right);

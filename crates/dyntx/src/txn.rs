@@ -351,12 +351,11 @@ impl<'c> DynTx<'c> {
             ms.push(m);
             plans.push((members, compares));
         }
-        let outcomes = match ms.is_empty() {
-            true => Vec::new(),
-            false => {
-                let _fetch = span(SpanKind::Fetch);
-                self.cluster.exec_many(&ms)?
-            }
+        let outcomes = if ms.is_empty() {
+            Vec::new()
+        } else {
+            let _fetch = span(SpanKind::Fetch);
+            self.cluster.exec_many(&ms)?
         };
 
         let mut got = ReadMany {
