@@ -95,7 +95,7 @@ fn parse_args() -> Result<Args, String> {
                 let endpoint = Endpoint::parse(ep).map_err(|e| format!("{spec}: {e}"))?;
                 // The transport only hosts the client-side byte counters;
                 // no injected latency, real sockets.
-                let transport = Arc::new(Transport::new_wire(None));
+                let transport = Arc::new(Transport::new(None));
                 args.targets.push(Target {
                     label: spec.to_string(),
                     node: RemoteNode::new(

@@ -304,7 +304,7 @@ fn spawn_follow_loop(
     let handle = std::thread::Builder::new()
         .name("memnoded-follow".into())
         .spawn(move || {
-            let transport = Arc::new(Transport::new_wire(None));
+            let transport = Arc::new(Transport::new(None));
             let remote = RemoteNode::new(id, primary, WireConfig::default(), transport);
             while !stop2.load(Ordering::Acquire) {
                 let Ok(status) = node.repl_status() else {

@@ -41,7 +41,7 @@ fn spawn_daemon(ep: &Path, dir: &Path) -> Child {
 }
 
 fn wait_ready(ep: &Path) -> RemoteNode {
-    let transport = Arc::new(Transport::new_wire(None));
+    let transport = Arc::new(Transport::new(None));
     let node = RemoteNode::new(
         MemNodeId(0),
         Endpoint::Unix(ep.to_path_buf()),

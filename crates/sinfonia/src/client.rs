@@ -1,13 +1,15 @@
-//! Wire-transport client: a connection-pooled [`NodeRpc`] over sockets.
+//! The memnode handle: a connection-pooled [`NodeRpc`] over frames.
 //!
 //! [`RemoteNode`] implements the full memnode surface against a
-//! [`crate::server::MemNodeServer`] (or a standalone `memnoded` process):
-//! one request frame out, one response frame back, over a small pool of
-//! blocking connections with per-request timeouts.
+//! [`crate::server::MemNodeServer`] (or a standalone `memnoded` process),
+//! or a memnode in this process ([`Endpoint::Local`], whose connections
+//! run the server's step on the caller's thread): one request frame out,
+//! one response frame back, over a small pool of blocking connections
+//! with per-request timeouts. Its byte counts are those frames'.
 //!
 //! Failure model: any transport failure — dial refused, request timeout,
 //! torn frame — surfaces as [`Unavailable`], exactly like a crashed
-//! in-process memnode, so the execution layer's retry/recovery machinery
+//! memnode, so the execution layer's retry/recovery machinery
 //! ([`crate::exec`], `unavailable_retry`) covers network faults without a
 //! separate path. After a failure the client enters capped exponential
 //! backoff: requests fail fast (no dial) until the backoff window passes,
@@ -21,9 +23,10 @@ use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::deadline::OpDeadline;
 use crate::lock::TxId;
-use crate::memnode::{ReplStatus, SingleResult, Unavailable, Vote};
+use crate::memnode::{MemNode, ReplStatus, SingleResult, Unavailable, Vote};
 use crate::minitx::LockPolicy;
 use crate::rpc::NodeRpc;
+use crate::server::write_frame;
 use crate::transport::Transport;
 use crate::wire::{
     encode_traced_request, split_reply_flags, AdminOp, AdminReply, Endpoint, FrameReader,
@@ -33,7 +36,7 @@ use minuet_faults as faults;
 use minuet_obs::{absorb_spans, current_ctx, span, span_tagged, HistHandle, SpanKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,7 +104,7 @@ struct RpcHists {
 /// A pooled connection: the socket plus its inbound frame buffer.
 type Conn = FrameReader<Stream>;
 
-/// A wire-backed memnode handle (see module docs).
+/// A memnode handle (see module docs).
 pub struct RemoteNode {
     id: MemNodeId,
     endpoint: Endpoint,
@@ -330,44 +333,12 @@ impl RemoteNode {
             .clone()
     }
 
-    /// Writes the request frame, honoring an armed `wire.client.send`
-    /// failpoint: `Corrupt` flips a payload byte (the server fails the
-    /// CRC and closes), `SeverAfter(n)` writes only the first `n` bytes
-    /// then reports the cut, `Drop`/`Err` discard the frame and surface a
-    /// transport error. `Delay` has already been slept by `check_delay`.
-    fn send_frame(conn: &mut Stream, frame: &[u8]) -> io::Result<()> {
-        match faults::check_delay(faults::Site::WireClientSend) {
-            None => {}
-            Some(faults::Action::Panic) => panic!("injected panic at wire.client.send"),
-            Some(faults::Action::Corrupt) => {
-                let mut bad = frame.to_vec();
-                if let Some(b) = bad.last_mut() {
-                    *b ^= 0x40;
-                }
-                conn.write_all(&bad)?;
-                return conn.flush();
-            }
-            Some(faults::Action::SeverAfter(n)) => {
-                let n = (n as usize).min(frame.len());
-                conn.write_all(&frame[..n])?;
-                let _ = conn.flush();
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "injected sever at wire.client.send",
-                ));
-            }
-            Some(a) => return Err(faults::io_error(faults::Site::WireClientSend, a)),
-        }
-        conn.write_all(frame)?;
-        conn.flush()
-    }
-
     /// Writes `frame`, reads the reply frame, decodes it. Returns the
     /// response and the inbound frame size (header included).
     fn exchange(&self, conn: &mut Conn, frame: &[u8], req_tag: u8) -> io::Result<(Response, u64)> {
         let payload = {
             let _rtt = span_tagged(SpanKind::Rtt, req_tag);
-            Self::send_frame(conn.get_mut(), frame)?;
+            write_frame(faults::Site::WireClientSend, conn.get_mut(), frame)?;
             if let Some(a) = faults::check_delay(faults::Site::WireClientRecv) {
                 match a {
                     faults::Action::Panic => panic!("injected panic at wire.client.recv"),
@@ -646,5 +617,12 @@ impl NodeRpc for RemoteNode {
     fn invalidate_cached_flags(&self) {
         let mut c = self.flags_cache.lock();
         c.epoch = c.epoch.wrapping_add(1);
+    }
+
+    fn as_local(&self) -> Option<&MemNode> {
+        match &self.endpoint {
+            Endpoint::Local(node) => Some(&node.0),
+            _ => None,
+        }
     }
 }

@@ -6,10 +6,10 @@ use crate::error::SinfoniaError;
 use crate::memnode::{MemNode, Unavailable};
 use crate::minitx::{Minitransaction, Outcome};
 use crate::recovery::{self, Resolution};
-use crate::rpc::{NodeHandle, NodeRpc};
+use crate::rpc::NodeHandle;
 use crate::transport::Transport;
 use crate::wal::DurabilityConfig;
-use crate::wire::Endpoint;
+use crate::wire::{Endpoint, LocalNode};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,9 +18,9 @@ use std::time::{Duration, Instant};
 /// How the coordinator reaches its memnodes.
 #[derive(Debug, Clone, Default)]
 pub enum TransportMode {
-    /// Memnodes are in-process objects; an RPC is an instrumented function
-    /// call. This is the simulation mode every test and benchmark runs by
-    /// default.
+    /// Memnodes are in-process objects; an RPC is the wire exchange minus
+    /// the socket ([`crate::server::LocalConn`]). This is the simulation
+    /// mode every test and benchmark runs by default.
     #[default]
     InProcess,
     /// Memnodes are reached over real sockets via the binary wire protocol
@@ -163,24 +163,22 @@ impl SinfoniaCluster {
     /// to resume existing state.
     pub fn new(cfg: ClusterConfig) -> Arc<Self> {
         Self::check_cfg(&cfg);
-        match cfg.transport.clone() {
+        let (endpoints, wire) = match cfg.transport.clone() {
             TransportMode::InProcess => {
-                let nodes: Vec<NodeHandle> = (0..cfg.memnodes)
-                    .map(|i| {
-                        let id = MemNodeId(i as u16);
-                        let node = if cfg.durability.enabled() {
-                            MemNode::durable(id, cfg.capacity_per_node, &cfg.durability)
-                                .expect("creating durable memnode failed")
-                        } else {
-                            MemNode::new(id, cfg.capacity_per_node)
-                        };
-                        Arc::new(node) as NodeHandle
-                    })
-                    .collect();
-                let transport = Arc::new(
-                    Transport::new(cfg.inject_rtt).with_obs(minuet_obs::ObsPlane::new(&cfg.obs)),
-                );
-                Self::assemble(nodes, transport, cfg, 1)
+                let local = |i: usize| {
+                    let id = MemNodeId(i as u16);
+                    let node = if cfg.durability.enabled() {
+                        MemNode::durable(id, cfg.capacity_per_node, &cfg.durability)
+                            .expect("creating durable memnode failed")
+                    } else {
+                        MemNode::new(id, cfg.capacity_per_node)
+                    };
+                    Endpoint::Local(LocalNode(Arc::new(node)))
+                };
+                (
+                    (0..cfg.memnodes).map(local).collect(),
+                    WireConfig::default(),
+                )
             }
             TransportMode::Wire { endpoints, wire } => {
                 assert_eq!(
@@ -192,45 +190,45 @@ impl SinfoniaCluster {
                     !cfg.durability.enabled(),
                     "durability is server-side in wire mode: configure it on the daemons"
                 );
-                let transport = Arc::new(
-                    Transport::new_wire(cfg.inject_rtt)
-                        .with_obs(minuet_obs::ObsPlane::new(&cfg.obs)),
-                );
-                let nodes: Vec<NodeHandle> = endpoints
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, ep)| {
-                        let remote = RemoteNode::new(
-                            MemNodeId(i as u16),
-                            ep,
-                            wire.clone(),
-                            transport.clone(),
-                        );
-                        Self::await_hello(&remote, &cfg);
-                        Arc::new(remote) as NodeHandle
-                    })
-                    .collect();
-                Self::assemble(nodes, transport, cfg, 1)
+                (endpoints, wire)
             }
-        }
+        };
+        let transport = Self::transport(&cfg);
+        let nodes = (endpoints.into_iter().enumerate())
+            .map(|(i, ep)| Self::handle(MemNodeId(i as u16), ep, &wire, &transport, &cfg))
+            .collect();
+        Self::assemble(nodes, transport, cfg, 1)
     }
 
-    /// Eagerly handshakes a wire node, retrying for up to the
-    /// `unavailable_retry` budget (servers may still be binding), and
-    /// validates that the server's capacity covers the configured one.
-    fn await_hello(remote: &RemoteNode, cfg: &ClusterConfig) {
+    /// The cluster's transport: its counters, injected latency and
+    /// client-side observability plane.
+    fn transport(cfg: &ClusterConfig) -> Arc<Transport> {
+        Arc::new(Transport::new(cfg.inject_rtt).with_obs(minuet_obs::ObsPlane::new(&cfg.obs)))
+    }
+
+    /// The handle of memnode `id` at `endpoint` (in-process or not),
+    /// handshaken at once — retrying for up to the `unavailable_retry`
+    /// budget, as servers may still be binding — so its capacity (checked
+    /// against the configured one) and flags are cached before the first op.
+    fn handle(
+        id: MemNodeId,
+        endpoint: Endpoint,
+        wire: &WireConfig,
+        transport: &Arc<Transport>,
+        cfg: &ClusterConfig,
+    ) -> NodeHandle {
+        let remote = RemoteNode::new(id, endpoint, wire.clone(), transport.clone());
         let deadline = Instant::now() + cfg.unavailable_retry;
         let capacity = loop {
             match remote.hello() {
                 Ok(cap) => break cap,
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    panic!("memnode {} handshake failed: {e}", remote.id())
+                    panic!("memnode {id} handshake failed: {e}")
                 }
                 Err(e) => {
                     if Instant::now() >= deadline {
                         panic!(
-                            "memnode {} at {} unreachable after {:?}: {e}",
-                            remote.id(),
+                            "memnode {id} at {} unreachable after {:?}: {e}",
                             remote.endpoint(),
                             cfg.unavailable_retry
                         );
@@ -241,10 +239,10 @@ impl SinfoniaCluster {
         };
         assert!(
             capacity >= cfg.capacity_per_node,
-            "memnode {} capacity {capacity} is below the configured {}",
-            remote.id(),
+            "memnode {id} capacity {capacity} is below the configured {}",
             cfg.capacity_per_node
         );
+        Arc::new(remote)
     }
 
     /// Rebuilds a cluster from the durability directory: every memnode
@@ -273,6 +271,7 @@ impl SinfoniaCluster {
         // logs: reopen every memnode found there, not just the configured
         // count, or data migrated onto added nodes would be lost.
         let n = cfg.memnodes.max(recovery::discover_memnodes(&dir)?);
+        let transport = Self::transport(&cfg);
         let mut nodes = Vec::with_capacity(n);
         let mut metas = Vec::with_capacity(n);
         let mut max_txid = 0;
@@ -286,12 +285,17 @@ impl SinfoniaCluster {
             if recovery::join_marker_path(&dir, id).exists() {
                 node.set_joining(true);
             }
-            nodes.push(Arc::new(node) as NodeHandle);
+            let endpoint = Endpoint::Local(LocalNode(Arc::new(node)));
+            nodes.push(Self::handle(
+                id,
+                endpoint,
+                &WireConfig::default(),
+                &transport,
+                &cfg,
+            ));
             metas.push(Ok(meta));
             max_txid = max_txid.max(node_max);
         }
-        let transport =
-            Arc::new(Transport::new(cfg.inject_rtt).with_obs(minuet_obs::ObsPlane::new(&cfg.obs)));
         let cluster = Self::assemble(nodes, transport, cfg, max_txid + 1);
         let resolution = recovery::resolve_in_doubt(&cluster, &metas);
         Ok((cluster, resolution))
@@ -317,22 +321,21 @@ impl SinfoniaCluster {
             let threshold = cfg.durability.checkpoint_log_bytes;
             // The thread shares the membership vector (not the cluster),
             // so memnodes added later are checkpointed too and dropping
-            // the cluster still joins the thread.
+            // the cluster still joins the thread. It is the memnodes' own
+            // maintenance, not a client's exchange: it calls them directly
+            // (durability is in-process only) and books no bytes.
             let nodes = nodes.clone();
             let stop = ckpt_stop.clone();
             Some(std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     std::thread::sleep(CHECKPOINT_POLL);
                     let snapshot: Vec<NodeHandle> = nodes.read().clone();
-                    for node in &snapshot {
-                        // A node that cannot report its log size waits a round.
-                        if !node.is_crashed()
-                            && node.wal_retained_bytes().is_ok_and(|b| b > threshold)
-                        {
+                    for node in snapshot.iter().filter_map(|n| n.as_local()) {
+                        if !node.is_crashed() && node.wal_retained_bytes() > threshold {
                             if let Err(e) = node.checkpoint() {
                                 eprintln!(
                                     "background checkpoint of memnode {} failed: {e}",
-                                    node.id()
+                                    node.id
                                 );
                             }
                         }
@@ -364,8 +367,8 @@ impl SinfoniaCluster {
         (0..self.n() as u16).map(MemNodeId)
     }
 
-    /// Access a memnode by id (a local object or a wire client, behind the
-    /// same [`NodeRpc`] surface).
+    /// Access a memnode by id (its [`RemoteNode`], in process or over a
+    /// socket).
     #[inline]
     pub fn node(&self, id: MemNodeId) -> NodeHandle {
         self.nodes.read()[id.index()].clone()
@@ -413,7 +416,15 @@ impl SinfoniaCluster {
             MemNode::new(id, self.cfg.capacity_per_node)
         };
         node.set_joining(true);
-        nodes.push(Arc::new(node) as NodeHandle);
+        let endpoint = Endpoint::Local(LocalNode(Arc::new(node)));
+        let wire = WireConfig::default();
+        nodes.push(Self::handle(
+            id,
+            endpoint,
+            &wire,
+            &self.transport,
+            &self.cfg,
+        ));
         Ok(id)
     }
 

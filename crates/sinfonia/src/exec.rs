@@ -9,6 +9,12 @@
 //! minitransactions bound for the same memnode share one round trip, so a
 //! batch of N co-located one-phase commits costs ~1 round trip instead of
 //! N — the substrate the B-tree's multi-op API builds on.
+//!
+//! This is where round trips and messages are counted: one
+//! [`crate::transport::Transport::round_trip`] per phase, with its
+//! fan-out. Bytes are not counted here: the node handle
+//! ([`crate::client::RemoteNode`]) records the frames each call really
+//! exchanged, in process as over a socket.
 
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
@@ -18,8 +24,7 @@ use crate::error::SinfoniaError;
 use crate::lock::TxId;
 use crate::memnode::{SingleResult, Vote};
 use crate::minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
-use crate::server::reply;
-use crate::wire::{Request, Response, WireBatchItem};
+use crate::wire::WireBatchItem;
 use minuet_obs::jitter;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -51,8 +56,7 @@ pub fn backoff(attempt: u32) {
 /// Holds every share of `m` to its memnode's capacity before anything is
 /// sent. An item past the end of a space is the caller's layout bug, not
 /// a condition of the cluster: it gets a typed error and costs no round
-/// trip, instead of a refusal from the server that reads as a dead node
-/// (or, in-process, a panic inside the memnode).
+/// trip, instead of a refusal from the server that reads as a dead node.
 pub(crate) fn check_bounds(
     cluster: &SinfoniaCluster,
     m: &Minitransaction,
@@ -67,29 +71,6 @@ pub(crate) fn check_bounds(
         }
     }
     Ok(())
-}
-
-/// The in-process transport's byte ledger, request side. Over the wire
-/// the socket client records the frames it really exchanged; in-process
-/// there are none, so each exchange books the request a wire client would
-/// have sent — before the call — and ([`book_reply`]) the reply a server
-/// would have sealed around what the memnode actually answered — after
-/// it. The codec does the weighing ([`Request::wire_len`],
-/// [`Response::reply_len`]), so the two transports cannot price the same
-/// exchange differently, and nothing is built or weighed unless
-/// [`crate::transport::Transport::bytes_are_modeled`].
-fn book_request(cluster: &SinfoniaCluster, req: impl FnOnce() -> Request) {
-    if cluster.transport.bytes_are_modeled() {
-        cluster.transport.record_wire_bytes(req().wire_len(), 0);
-    }
-}
-
-/// The ledger's reply side (see [`book_request`]). What a server answers
-/// to a memnode call's outcome is the server's own [`reply`].
-fn book_reply(cluster: &SinfoniaCluster, resp: impl FnOnce() -> Response) {
-    if cluster.transport.bytes_are_modeled() {
-        cluster.transport.record_wire_bytes(0, resp().reply_len());
-    }
 }
 
 /// Puts each `(index, data)` pair where the `index`-th `read()` of the
@@ -181,9 +162,8 @@ pub fn execute_many(
     let mut out: Vec<Option<Result<Outcome, SinfoniaError>>> = ms.iter().map(|_| None).collect();
     for (mem, idxs) in &groups {
         // One batched request to this memnode: one round trip carrying
-        // `idxs.len()` packed minitransactions (counted as messages). In
-        // wire mode the whole group really is one ExecBatch frame, whose
-        // members are these values as they are.
+        // `idxs.len()` packed minitransactions (counted as messages), in
+        // one ExecBatch frame whose members are these values as they are.
         let items: Vec<WireBatchItem> = idxs
             .iter()
             .map(|&i| WireBatchItem {
@@ -193,20 +173,8 @@ pub fn execute_many(
             })
             .collect();
         cluster.transport.round_trip(idxs.len());
-        book_request(cluster, || Request::ExecBatch {
-            items: items.clone(),
-        });
         let results = cluster.node(*mem).exec_batch(items);
         debug_assert_eq!(results.len(), idxs.len());
-        book_reply(cluster, || {
-            Response::Batch(
-                results
-                    .iter()
-                    .cloned()
-                    .map(|m| m.map_err(|u| u.0 .0))
-                    .collect(),
-            )
-        });
         for (&i, result) in idxs.iter().zip(results) {
             match result {
                 // Contention or a crash mid-batch: retry this member alone
@@ -254,13 +222,7 @@ fn try_once(
         // Collapsed one-phase protocol: one round trip, locks held only
         // inside the memnode call.
         cluster.transport.round_trip(1);
-        book_request(cluster, || Request::ExecSingle {
-            txid,
-            policy,
-            shard: shard.clone(),
-        });
         let result = cluster.node(*mem).exec_single(txid, shard, policy);
-        book_reply(cluster, || reply(result.clone(), Response::Single));
         match result {
             Err(u) => TryResult::Unavailable(u.0),
             Ok(SingleResult::Busy) => TryResult::Busy,
@@ -282,16 +244,9 @@ fn try_once(
         let mut busy = false;
         let mut unavailable = None;
         for (mem, shard) in shards {
-            book_request(cluster, || Request::Prepare {
-                txid,
-                policy,
-                participants: participants.iter().map(|p| p.0).collect(),
-                shard: shard.clone(),
-            });
             let vote = cluster
                 .node(*mem)
                 .prepare(txid, shard, policy, &participants);
-            book_reply(cluster, || reply(vote.clone(), Response::Vote));
             match vote {
                 Err(u) => {
                     unavailable = Some(u.0);
@@ -319,7 +274,6 @@ fn try_once(
             // we retry commit delivery until the recovery deadline.
             cluster.transport.round_trip(prepared.len());
             for mem in &prepared {
-                book_request(cluster, || Request::Commit { txid });
                 let node = cluster.node(*mem);
                 let deadline = Instant::now() + cluster.cfg.unavailable_retry;
                 loop {
@@ -341,7 +295,6 @@ fn try_once(
                         }
                     }
                 }
-                book_reply(cluster, || Response::Unit);
             }
             return TryResult::Done(Outcome::Committed(ReadResults { data: reads }));
         }
@@ -350,9 +303,7 @@ fn try_once(
         if !prepared.is_empty() {
             cluster.transport.round_trip(prepared.len());
             for mem in &prepared {
-                book_request(cluster, || Request::Abort { txid });
-                let aborted = cluster.node(*mem).abort(txid);
-                book_reply(cluster, || reply(aborted, |()| Response::Unit));
+                let _ = cluster.node(*mem).abort(txid);
             }
         }
         if let Some(id) = unavailable {

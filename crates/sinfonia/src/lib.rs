@@ -11,18 +11,18 @@
 //! [`cluster::ClusterConfig::transport`]:
 //!
 //! - **In-process** (default): memnodes are real concurrent objects with
-//!   real lock managers; an "RPC" is a function call instrumented by
-//!   [`transport::Transport`], which counts round trips exactly (and can
-//!   inject latency), so distributed cost structure is observable without
-//!   physical machines.
+//!   real lock managers; an "RPC" is the wire exchange minus the socket
+//!   ([`server::LocalConn`]), and [`transport::Transport`] counts round
+//!   trips exactly (and can inject latency), so distributed cost
+//!   structure is observable without physical machines.
 //! - **Wire**: memnodes live behind real sockets (TCP or Unix), served by
-//!   [`server::MemNodeServer`] (or the standalone `memnoded` binary) and
-//!   reached through the length-prefixed, CRC-framed binary protocol in
-//!   [`wire`] via the pooled [`client::RemoteNode`]. The same byte
-//!   counters then report *measured* frame sizes instead of modeled ones.
+//!   [`server::MemNodeServer`] (or the standalone `memnoded` binary).
 //!
-//! Both modes sit behind the object-safe [`rpc::NodeRpc`] trait, so the
-//! whole coordinator stack runs unchanged in either. With durability
+//! Either way a memnode is reached through the length-prefixed,
+//! CRC-framed binary protocol in [`wire`] by the pooled
+//! [`client::RemoteNode`], the one implementation of the object-safe
+//! [`rpc::NodeRpc`] trait, so the whole coordinator stack runs
+//! unchanged in either mode and counts the same bytes. With durability
 //! enabled ([`wal::DurabilityConfig`]) memnodes log before applying,
 //! checkpoint in the background, and recover from disk — including
 //! in-doubt two-phase resolution after a coordinator crash

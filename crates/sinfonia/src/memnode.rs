@@ -19,6 +19,7 @@ use crate::bytes::Bytes;
 use crate::lock::{LockAcquire, LockManager, TxId};
 use crate::minitx::LockPolicy;
 use crate::recovery::{self, NodeMeta};
+use crate::rpc::NodeStats;
 use crate::space::{OutOfBounds, PagedSpace};
 use crate::state::{self, NodeState};
 use crate::wal::{
@@ -143,6 +144,9 @@ pub struct MemNodeStats {
     /// WAL append/fsync failures observed (each one degrades the node to
     /// read-only until it is recovered).
     pub wal_failures: Counter,
+    /// Requests whose handler panicked; the server answers each with an
+    /// error, so a client sees only `Unavailable`.
+    pub handler_panics: Counter,
 }
 
 impl MemNodeStats {
@@ -161,6 +165,7 @@ impl MemNodeStats {
         r.register_counter("repl.applies", &self.repl_applies);
         r.register_counter("repl.dup_skips", &self.repl_dup_skips);
         r.register_counter("memnode.wal_failures", &self.wal_failures);
+        r.register_counter("memnode.handler_panics", &self.handler_panics);
     }
 }
 
@@ -442,6 +447,31 @@ impl MemNode {
     /// Checkpoints taken since this node object was created.
     pub fn checkpoint_count(&self) -> u64 {
         self.checkpoints.load(Ordering::Relaxed)
+    }
+
+    /// Owned snapshot of this node's operation and durability counters
+    /// (what [`crate::wire::AdminOp::Stats`] answers).
+    pub fn node_stats(&self) -> NodeStats {
+        let s = &self.stats;
+        let (wal_appends, wal_bytes, wal_fsyncs) = self.wal_stats().snapshot();
+        NodeStats {
+            single_commits: s.single_commits.load(Ordering::Relaxed),
+            prepares: s.prepares.load(Ordering::Relaxed),
+            commits: s.commits.load(Ordering::Relaxed),
+            aborts: s.aborts.load(Ordering::Relaxed),
+            busy: s.busy.load(Ordering::Relaxed),
+            read_fastpath: s.read_fastpath.load(Ordering::Relaxed),
+            read_fastpath_misses: s.read_fastpath_misses.load(Ordering::Relaxed),
+            write_fastpath: s.write_fastpath.load(Ordering::Relaxed),
+            write_fastpath_misses: s.write_fastpath_misses.load(Ordering::Relaxed),
+            in_doubt: self.in_doubt() as u64,
+            wal_appends,
+            wal_bytes,
+            wal_fsyncs,
+            checkpoints: self.checkpoint_count(),
+            wal_retained_bytes: self.wal_retained_bytes(),
+            durable: self.is_durable(),
+        }
     }
 
     fn acquire(&self, spans: &[(u64, u64)], txid: TxId, policy: LockPolicy) -> LockAcquire {

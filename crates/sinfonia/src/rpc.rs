@@ -1,13 +1,15 @@
 //! The one seam between a coordinator and a memnode.
 //!
-//! [`NodeRpc`] abstracts "a memnode the coordinator can talk to": the
-//! in-process [`MemNode`] implements it directly (an RPC is a function
-//! call, instrumented by [`crate::transport::Transport`]), and
-//! [`crate::client::RemoteNode`] implements it over the binary wire
-//! protocol ([`crate::wire`]). The cluster stores [`NodeHandle`]s, so the
-//! whole coordinator stack — minitransaction execution, recovery,
-//! migration fencing, the B-tree above — runs unchanged in either mode;
-//! [`crate::cluster::ClusterConfig::transport`] is the only switch.
+//! [`NodeRpc`] abstracts "a memnode the coordinator can talk to", and
+//! [`crate::client::RemoteNode`] is its one implementation: every call is
+//! one request frame of the binary wire protocol ([`crate::wire`]) and
+//! one reply frame, over a socket or — for a memnode in this process —
+//! over a [`crate::server::LocalConn`], which answers the frame with the
+//! server's own step on the caller's thread. The cluster stores
+//! [`NodeHandle`]s, so the whole coordinator stack — minitransaction
+//! execution, recovery, migration fencing, the B-tree above — runs
+//! unchanged in either mode; [`crate::cluster::ClusterConfig::transport`]
+//! is the only switch.
 //!
 //! The trait has two parts. The **data plane** is what Sinfonia draws as
 //! one arrow: minitransaction execution, the two-phase decisions, raw
@@ -15,9 +17,9 @@
 //! required method, each with a [`crate::wire::Request`] row of its own.
 //! Everything else a memnode can be asked — fences, crash hooks,
 //! checkpoints, counters, traces, fault specs — is an [`AdminOp`] through
-//! the single fallible [`NodeRpc::admin`], implemented exactly once (by
-//! [`MemNode`]); the wire client forwards it and the server hands it
-//! straight back to the memnode. The typed conveniences below
+//! the single fallible [`NodeRpc::admin`], implemented exactly once, next
+//! to the server's dispatch; the client forwards it. The typed
+//! conveniences below
 //! ([`NodeRpc::checkpoint`], [`NodeRpc::node_stats`], …) are provided
 //! methods written once in terms of `admin`, and each says what it does
 //! when the node cannot be reached.
@@ -31,10 +33,8 @@ use crate::recovery::NodeMeta;
 use crate::wal::WalSegment;
 pub use crate::wire::{AdminOp, AdminReply};
 use crate::wire::{WireBatchItem, WireShard};
-use minuet_faults as faults;
 use minuet_obs::{ObsSnapshot, Trace};
 use std::io;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A shared handle to a memnode, local or remote.
@@ -125,17 +125,10 @@ pub trait NodeRpc: Send + Sync {
     ) -> Result<SingleResult, Unavailable>;
 
     /// Executes a batch of independent minitransactions destined for this
-    /// node in one round trip, returning per-member results in order.
-    ///
-    /// The default implementation loops [`NodeRpc::exec_single`]; the wire
-    /// client overrides it to send the members, as they are, in one frame
-    /// — which is why they arrive owned.
-    fn exec_batch(&self, items: Vec<WireBatchItem>) -> Vec<Result<SingleResult, Unavailable>> {
-        items
-            .iter()
-            .map(|it| self.exec_single(it.txid, &it.shard, it.policy))
-            .collect()
-    }
+    /// node in one round trip, returning per-member results in order. The
+    /// members travel, as they are, in one frame — which is why they
+    /// arrive owned.
+    fn exec_batch(&self, items: Vec<WireBatchItem>) -> Vec<Result<SingleResult, Unavailable>>;
 
     /// Two-phase prepare: lock, compare, stage. `participants` is the full
     /// participant set, logged for in-doubt resolution.
@@ -187,16 +180,13 @@ pub trait NodeRpc: Send + Sync {
     /// comes back as `Ok(`[`AdminReply::Error`]`)`.
     fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable>;
 
-    /// Drops any client-side cache of this node's crashed/joining/retiring
+    /// Drops the client-side cache of this node's crashed/joining/retiring
     /// flags, forcing the next check to re-learn them (membership-gate
-    /// transitions call this). In-process handles read the live atomics
-    /// directly and have nothing to drop.
-    fn invalidate_cached_flags(&self) {}
+    /// transitions call this).
+    fn invalidate_cached_flags(&self);
 
-    /// Downcast to the in-process memnode, when this handle is local.
-    fn as_local(&self) -> Option<&MemNode> {
-        None
-    }
+    /// The memnode behind this handle, when it is in this process.
+    fn as_local(&self) -> Option<&MemNode>;
 
     // -- Typed conveniences over `admin`, each written once, here. --
 
@@ -298,160 +288,8 @@ pub trait NodeRpc: Send + Sync {
     }
 
     /// Asks the process serving this node to exit cleanly (orchestration
-    /// and the CI smoke test). A no-op on an in-process node.
+    /// and the CI smoke test). An in-process node only acknowledges it.
     fn shutdown_server(&self) -> Result<(), Unavailable> {
         admin_as(self, AdminOp::Shutdown, ack)
-    }
-}
-
-impl NodeRpc for MemNode {
-    fn id(&self) -> MemNodeId {
-        self.id
-    }
-
-    fn capacity(&self) -> u64 {
-        MemNode::capacity(self)
-    }
-
-    fn exec_single(
-        &self,
-        txid: TxId,
-        shard: &WireShard,
-        policy: LockPolicy,
-    ) -> Result<SingleResult, Unavailable> {
-        MemNode::exec_single(self, txid, shard, policy)
-    }
-
-    fn prepare(
-        &self,
-        txid: TxId,
-        shard: &WireShard,
-        policy: LockPolicy,
-        participants: &[MemNodeId],
-    ) -> Result<Vote, Unavailable> {
-        MemNode::prepare(self, txid, shard, policy, participants)
-    }
-
-    fn commit(&self, txid: TxId) -> Result<(), Unavailable> {
-        MemNode::commit(self, txid)
-    }
-
-    fn abort(&self, txid: TxId) -> Result<(), Unavailable> {
-        MemNode::abort(self, txid)
-    }
-
-    fn raw_read(&self, off: u64, len: u32) -> Result<Bytes, Unavailable> {
-        MemNode::raw_read(self, off, len)
-    }
-
-    fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
-        MemNode::raw_write(self, off, data)
-    }
-
-    fn wal_fetch(&self, from: u64, max: u32) -> Result<WalSegment, Unavailable> {
-        MemNode::wal_fetch(self, from, max)
-    }
-
-    fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
-        MemNode::repl_apply(self, from, frames)
-    }
-
-    fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
-        MemNode::repl_status(self)
-    }
-
-    fn is_crashed(&self) -> bool {
-        MemNode::is_crashed(self)
-    }
-
-    fn is_joining(&self) -> bool {
-        MemNode::is_joining(self)
-    }
-
-    fn is_retiring(&self) -> bool {
-        MemNode::is_retiring(self)
-    }
-
-    /// The one implementation of every admin operation. It answers in any
-    /// state — a crashed node still reports its counters and can be told
-    /// to recover — except for `Meta`: what a crashed node staged is
-    /// unknown until it recovers, and saying "nothing" would read as a no
-    /// vote.
-    fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable> {
-        Ok(match op {
-            AdminOp::SetJoining(joining) => {
-                self.set_joining(joining);
-                AdminReply::Unit
-            }
-            AdminOp::SetRetiring(retiring) => {
-                self.set_retiring(retiring);
-                AdminReply::Unit
-            }
-            AdminOp::Crash => {
-                self.crash();
-                AdminReply::Unit
-            }
-            AdminOp::Recover => match self.recover() {
-                Ok(()) => AdminReply::Unit,
-                Err(e) => AdminReply::Error(format!("recover failed: {e}")),
-            },
-            AdminOp::Checkpoint => match self.checkpoint() {
-                Ok(took) => AdminReply::Bool(took),
-                Err(e) => AdminReply::Error(format!("checkpoint failed: {e}")),
-            },
-            AdminOp::Stats => AdminReply::Stats(self.counters()),
-            AdminOp::Meta if self.is_crashed() => return Err(Unavailable(self.id)),
-            AdminOp::Meta => AdminReply::Meta(self.node_meta()),
-            // Exiting is the serving process's business (see
-            // `server::serve_conn`); the memnode only acknowledges.
-            AdminOp::Shutdown => AdminReply::Unit,
-            AdminOp::ObsSnapshot => {
-                AdminReply::Obs(Bytes::from(self.obs.registry.snapshot().encode()))
-            }
-            AdminOp::TraceDump { max, slow } => {
-                let traces = if slow {
-                    self.obs.slow(max as usize)
-                } else {
-                    self.obs.recent(max as usize)
-                };
-                AdminReply::Traces(Bytes::from(Trace::encode_many(&traces)))
-            }
-            AdminOp::Faults { spec } => match faults::apply_spec(&spec) {
-                Ok(_) => AdminReply::Faults {
-                    armed: faults::armed_count(),
-                },
-                Err(e) => AdminReply::Error(format!("bad faults spec: {e}")),
-            },
-        })
-    }
-
-    fn as_local(&self) -> Option<&MemNode> {
-        Some(self)
-    }
-}
-
-impl MemNode {
-    /// Owned snapshot of this node's operation and durability counters.
-    fn counters(&self) -> NodeStats {
-        let s = &self.stats;
-        let (wal_appends, wal_bytes, wal_fsyncs) = self.wal_stats().snapshot();
-        NodeStats {
-            single_commits: s.single_commits.load(Ordering::Relaxed),
-            prepares: s.prepares.load(Ordering::Relaxed),
-            commits: s.commits.load(Ordering::Relaxed),
-            aborts: s.aborts.load(Ordering::Relaxed),
-            busy: s.busy.load(Ordering::Relaxed),
-            read_fastpath: s.read_fastpath.load(Ordering::Relaxed),
-            read_fastpath_misses: s.read_fastpath_misses.load(Ordering::Relaxed),
-            write_fastpath: s.write_fastpath.load(Ordering::Relaxed),
-            write_fastpath_misses: s.write_fastpath_misses.load(Ordering::Relaxed),
-            in_doubt: self.in_doubt() as u64,
-            wal_appends,
-            wal_bytes,
-            wal_fsyncs,
-            checkpoints: self.checkpoint_count(),
-            wal_retained_bytes: self.wal_retained_bytes(),
-            durable: self.is_durable(),
-        }
     }
 }

@@ -3,7 +3,9 @@
 //! [`MemNodeServer`] owns a listening socket and a bounded
 //! thread-per-connection pool. Each connection is a simple synchronous
 //! request/response loop: read one frame, decode a [`Request`], dispatch
-//! into the memnode, write one [`Response`] frame. There is no async
+//! into the memnode, write one [`Response`] frame — the one per-frame
+//! step, `serve_frame`, which a [`LocalConn`] to a memnode in the
+//! client's own process runs on the caller's thread. There is no async
 //! runtime — the protocol is std-only by design (see `crate::wire`).
 //!
 //! Robustness rules:
@@ -12,20 +14,22 @@
 //! - out-of-bounds requests are answered with [`Response::Error`] before
 //!   they reach the memnode, so a buggy or malicious client cannot panic
 //!   the server;
-//! - a panic inside dispatch is caught and answered with
-//!   [`Response::Error`] — the daemon never dies from one request.
+//! - a panic inside dispatch is caught, counted
+//!   (`memnode.handler_panics`) and answered with [`Response::Error`] —
+//!   the daemon never dies from one request, and the bug is not lost.
 
 use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::memnode::{MemNode, Unavailable};
-use crate::rpc::NodeRpc;
 use crate::wire::{
-    encode_response_payload, seal_reply, seal_traced_reply, AdminOp, Endpoint, FrameReader,
-    Listener, NodeFlags, Request, Response, Stream, PROTO_VERSION,
+    decode_frame, encode_response_payload, seal_reply, seal_traced_reply, AdminOp, AdminReply,
+    Endpoint, FrameReader, Listener, LocalNode, NodeFlags, Request, Response, Stream,
+    PROTO_VERSION,
 };
 use minuet_faults as faults;
 use minuet_obs::{note, span, with_server_trace, SpanKind, Trace};
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -231,75 +235,15 @@ fn serve_conn(conn: Stream, shared: Arc<Shared>) {
             Ok(p) => p,
             Err(_) => break, // EOF, reset, or a corrupt frame: drop the conn.
         };
-        if let Some(a) = faults::check_delay(faults::Site::WireServerRecv) {
-            match a {
-                faults::Action::Panic => panic!("injected panic at wire.server.recv"),
-                // Any other action models the inbound frame being lost
-                // after arrival: drop the connection without replying.
-                _ => break,
-            }
-        }
-        let decode_t0 = Instant::now();
-        let req = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = write_response(
-                    conn.get_mut(),
-                    &Response::Error(format!("bad request: {e}")),
-                    node_flags(&shared.node),
-                );
+        match serve_frame(&shared.node, &payload, conn.get_mut()) {
+            Then::Serve => {}
+            Then::Close => break,
+            Then::Exit => {
+                shared.shutdown_requested.store(true, Ordering::SeqCst);
+                shared.stop.store(true, Ordering::SeqCst);
+                shared.wait_cv.notify_all();
                 break;
             }
-        };
-        let decode_ns = decode_t0.elapsed().as_nanos() as u64;
-        // The one request the server itself acts on, once the memnode
-        // has acknowledged it.
-        let asks_exit = |r: &Request| matches!(r, Request::Admin(AdminOp::Shutdown));
-        let is_shutdown = match &req {
-            Request::Traced { inner, .. } => asks_exit(inner),
-            plain => asks_exit(plain),
-        };
-        let frame = if let Request::Traced { trace_id, inner } = req {
-            // Traced envelope: dispatch in a fresh operation context that
-            // holds the client's trace, so decode/lock/exec/WAL/encode
-            // stages stitch onto its span tree, then ship the spans back in
-            // the reply frame.
-            let op_tag = inner.tag_byte();
-            let node = shared.node.clone();
-            let t0 = Instant::now();
-            let ((inner_payload, total_ns), spans) = with_server_trace(trace_id, || {
-                note(SpanKind::SrvDecode, 0, decode_ns);
-                let resp = catch_unwind(AssertUnwindSafe(|| dispatch_faulted(&node, *inner)))
-                    .unwrap_or_else(|_| Response::Error("request handler panicked".to_string()));
-                let payload = {
-                    let _enc = span(SpanKind::SrvEncode);
-                    encode_response_payload(&resp)
-                };
-                (payload, t0.elapsed().as_nanos() as u64)
-            });
-            shared.node.obs.record(Trace {
-                trace_id,
-                op_tag,
-                total_ns,
-                spans: spans.clone(),
-                dropped: 0,
-            });
-            // Flags are sampled *after* dispatch so a request that mutates
-            // them (SetJoining, Crash, …) reports its own effect.
-            seal_traced_reply(&spans, &inner_payload, node_flags(&shared.node))
-        } else {
-            let resp = catch_unwind(AssertUnwindSafe(|| dispatch_faulted(&shared.node, req)))
-                .unwrap_or_else(|_| Response::Error("request handler panicked".to_string()));
-            seal_reply(&resp, node_flags(&shared.node))
-        };
-        if write_frame(conn.get_mut(), &frame).is_err() {
-            break;
-        }
-        if is_shutdown {
-            shared.shutdown_requested.store(true, Ordering::SeqCst);
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.wait_cv.notify_all();
-            break;
         }
     }
     shared.conns.lock().retain(|(id, _)| *id != conn_id);
@@ -309,8 +253,139 @@ fn serve_conn(conn: Stream, shared: Arc<Shared>) {
     shared.wait_cv.notify_all();
 }
 
-fn write_response(conn: &mut Stream, resp: &Response, flags: NodeFlags) -> io::Result<()> {
-    write_frame(conn, &seal_reply(resp, flags))
+/// What a connection does after [`serve_frame`].
+enum Then {
+    /// Read the next request.
+    Serve,
+    /// Close it: the frame was lost, undecodable, or its reply failed.
+    Close,
+    /// Close it and stop serving: the memnode acknowledged an
+    /// [`AdminOp::Shutdown`].
+    Exit,
+}
+
+/// The server's one step, whichever connection a request frame's payload
+/// came on: decode it, dispatch it (in the client's trace when it came in
+/// a [`Request::Traced`] envelope), and write the sealed reply to `out`,
+/// with the node's flags sampled *after* dispatch — so a request that
+/// mutates them (`SetJoining`, `Crash`, …) reports its own effect. The
+/// `wire.server.recv` failpoint loses the frame (no reply) and
+/// `wire.server.send` guards the write.
+fn serve_frame(node: &Arc<MemNode>, payload: &Bytes, out: &mut impl Write) -> Then {
+    if let Some(a) = faults::check_delay(faults::Site::WireServerRecv) {
+        match a {
+            faults::Action::Panic => panic!("injected panic at wire.server.recv"),
+            // Any other action models the inbound frame being lost after
+            // arrival.
+            _ => return Then::Close,
+        }
+    }
+    let decode_t0 = Instant::now();
+    let req = match Request::decode(payload) {
+        Ok(r) => r,
+        Err(e) => {
+            let resp = Response::Error(format!("bad request: {e}"));
+            let frame = seal_reply(&resp, node_flags(node));
+            let _ = write_frame(faults::Site::WireServerSend, out, &frame);
+            return Then::Close;
+        }
+    };
+    let decode_ns = decode_t0.elapsed().as_nanos() as u64;
+    // The one request the server itself acts on, once the memnode has
+    // acknowledged it.
+    let asks_exit = |r: &Request| matches!(r, Request::Admin(AdminOp::Shutdown));
+    let then = match &req {
+        Request::Traced { inner, .. } if asks_exit(inner) => Then::Exit,
+        plain if asks_exit(plain) => Then::Exit,
+        _ => Then::Serve,
+    };
+    let frame = if let Request::Traced { trace_id, inner } = req {
+        // Traced envelope: dispatch in a fresh operation context that
+        // holds the client's trace, so decode/lock/exec/WAL/encode stages
+        // stitch onto its span tree, then ship the spans back in the reply
+        // frame.
+        let op_tag = inner.tag_byte();
+        let t0 = Instant::now();
+        let ((inner_payload, total_ns), spans) = with_server_trace(trace_id, || {
+            note(SpanKind::SrvDecode, 0, decode_ns);
+            let resp = dispatch_caught(node, *inner);
+            let payload = {
+                let _enc = span(SpanKind::SrvEncode);
+                encode_response_payload(&resp)
+            };
+            (payload, t0.elapsed().as_nanos() as u64)
+        });
+        node.obs.record(Trace {
+            trace_id,
+            op_tag,
+            total_ns,
+            spans: spans.clone(),
+            dropped: 0,
+        });
+        seal_traced_reply(&spans, &inner_payload, node_flags(node))
+    } else {
+        seal_reply(&dispatch_caught(node, req), node_flags(node))
+    };
+    match write_frame(faults::Site::WireServerSend, out, &frame) {
+        Ok(()) => then,
+        Err(_) => Then::Close,
+    }
+}
+
+/// An in-process connection (see the module docs). Writing a request
+/// frame runs the server's step on the writer's thread and queues its
+/// reply for the reads that follow. The client writes each frame whole,
+/// so a write that is not one whole, intact frame is a torn or corrupt
+/// one, and like a step that closes the connection it ends this one:
+/// reads drain what was queued, then see the end of the stream.
+#[derive(Debug)]
+pub struct LocalConn {
+    node: LocalNode,
+    replies: VecDeque<u8>,
+    closed: bool,
+}
+
+impl LocalConn {
+    /// A fresh connection to `node`.
+    pub(crate) fn new(node: LocalNode) -> LocalConn {
+        LocalConn {
+            node,
+            replies: VecDeque::new(),
+            closed: false,
+        }
+    }
+}
+
+impl Write for LocalConn {
+    fn write(&mut self, frame: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        let then = match decode_frame(frame) {
+            Ok((payload, len)) if len == frame.len() => {
+                serve_frame(&self.node.0, &payload, &mut self.replies)
+            }
+            _ => Then::Close,
+        };
+        self.closed = !matches!(then, Then::Serve);
+        Ok(frame.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl io::Read for LocalConn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match (self.replies.is_empty(), self.closed) {
+            (false, _) => self.replies.read(buf),
+            (true, true) => Ok(0),
+            // Every step has run by now: a live connection with no reply
+            // queued is a socket read that would time out.
+            (true, false) => Err(io::ErrorKind::TimedOut.into()),
+        }
+    }
 }
 
 /// The node's current flag byte, piggybacked on every reply frame (v3).
@@ -322,14 +397,19 @@ fn node_flags(node: &MemNode) -> NodeFlags {
     }
 }
 
-fn write_frame(conn: &mut Stream, frame: &[u8]) -> io::Result<()> {
-    // The `wire.server.send` failpoint covers every outbound reply:
-    // `Corrupt` flips a payload byte (the client fails the CRC),
-    // `SeverAfter(n)` writes a prefix then reports the cut (the caller
-    // drops the connection), anything else loses the reply outright.
-    match faults::check_delay(faults::Site::WireServerSend) {
+/// Writes a sealed frame past its failpoint — `wire.client.send` for a
+/// request, `wire.server.send` for a reply: `Corrupt` flips a payload
+/// byte (the peer fails the CRC), `SeverAfter(n)` writes the first `n`
+/// bytes then reports the cut (the writer drops the connection), `Delay`
+/// has been slept, anything else loses the frame and reports an error.
+pub(crate) fn write_frame(
+    site: faults::Site,
+    conn: &mut impl Write,
+    frame: &[u8],
+) -> io::Result<()> {
+    match faults::check_delay(site) {
         None => {}
-        Some(faults::Action::Panic) => panic!("injected panic at wire.server.send"),
+        Some(faults::Action::Panic) => panic!("injected panic at {}", site.name()),
         Some(faults::Action::Corrupt) => {
             let mut bad = frame.to_vec();
             if let Some(b) = bad.last_mut() {
@@ -344,13 +424,24 @@ fn write_frame(conn: &mut Stream, frame: &[u8]) -> io::Result<()> {
             let _ = conn.flush();
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
-                "injected sever at wire.server.send",
+                format!("injected sever at {}", site.name()),
             ));
         }
-        Some(a) => return Err(faults::io_error(faults::Site::WireServerSend, a)),
+        Some(a) => return Err(faults::io_error(site, a)),
     }
     conn.write_all(frame)?;
     conn.flush()
+}
+
+/// [`dispatch_faulted`] with a panic caught: it is counted
+/// (`memnode.handler_panics`, so a test that only sees the resulting
+/// `Unavailable` can still tell a handler bug from a fault) and answered
+/// with [`Response::Error`].
+fn dispatch_caught(node: &Arc<MemNode>, req: Request) -> Response {
+    catch_unwind(AssertUnwindSafe(|| dispatch_faulted(node, req))).unwrap_or_else(|_| {
+        node.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+        Response::Error("request handler panicked".to_string())
+    })
 }
 
 /// [`dispatch`] behind the tagged `rpc.dispatch` failpoint: an armed fault
@@ -358,7 +449,7 @@ fn write_frame(conn: &mut Stream, frame: &[u8]) -> io::Result<()> {
 /// sees [`Response::Error`] → `Unavailable`), dispatch it *twice* while
 /// replying once (an idempotency probe — commit/abort/repl-apply must
 /// tolerate redelivery), or panic inside the handler (absorbed by the
-/// caller's `catch_unwind`, like any handler bug).
+/// `catch_unwind` in [`dispatch_caught`], like any handler bug).
 fn dispatch_faulted(node: &Arc<MemNode>, req: Request) -> Response {
     match faults::check_tag(faults::Site::RpcDispatch, req.tag_byte()) {
         None => dispatch(node, req),
@@ -387,10 +478,7 @@ fn check_extent(node: &MemNode, extent: u64) -> Result<(), String> {
 
 /// Turns a memnode call's outcome into its reply: `ok` builds the success
 /// message, a crashed node answers [`Response::Unavailable`].
-pub(crate) fn reply<T>(
-    outcome: Result<T, Unavailable>,
-    ok: impl FnOnce(T) -> Response,
-) -> Response {
+fn reply<T>(outcome: Result<T, Unavailable>, ok: impl FnOnce(T) -> Response) -> Response {
     match outcome {
         Ok(v) => ok(v),
         Err(u) => Response::Unavailable(u.0 .0),
@@ -466,9 +554,9 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             reply(node.raw_write(off, &data), |()| Response::Unit)
         }
         Request::Flags => Response::Flags(node_flags(node)),
-        // Traced envelopes are normally unwrapped in `serve_conn` (which
-        // opens the server-side trace); an envelope reaching here — e.g. via the
-        // in-process `NodeRpc` path — just dispatches its inner request.
+        // `serve_frame` unwraps the envelope (it opens the server-side
+        // trace) and the decoder refuses a nested one, so none reaches
+        // here; if one did, its inner request is what it asks.
         Request::Traced { inner, .. } => dispatch(node, *inner),
         Request::ReplFetch { from, max } => {
             reply(node.wal_fetch(from, max), |seg| Response::Frames {
@@ -482,8 +570,56 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             reply(node.repl_apply(from, &frames), Response::ReplStatus)
         }
         Request::ReplStatus => reply(node.repl_status(), Response::ReplStatus),
-        // Every admin operation, whatever it is: the memnode implements
-        // them, this only carries the call across.
-        Request::Admin(op) => reply(node.admin(op), Response::Admin),
+        Request::Admin(op) => reply(admin(node, op), Response::Admin),
     }
+}
+
+/// The one implementation of every admin operation. It answers in any
+/// state — a crashed node still reports its counters and can be told to
+/// recover — except for `Meta`: what a crashed node staged is unknown
+/// until it recovers, and saying "nothing" would read as a no vote.
+fn admin(node: &MemNode, op: AdminOp) -> Result<AdminReply, Unavailable> {
+    Ok(match op {
+        AdminOp::SetJoining(joining) => {
+            node.set_joining(joining);
+            AdminReply::Unit
+        }
+        AdminOp::SetRetiring(retiring) => {
+            node.set_retiring(retiring);
+            AdminReply::Unit
+        }
+        AdminOp::Crash => {
+            node.crash();
+            AdminReply::Unit
+        }
+        AdminOp::Recover => match node.recover() {
+            Ok(()) => AdminReply::Unit,
+            Err(e) => AdminReply::Error(format!("recover failed: {e}")),
+        },
+        AdminOp::Checkpoint => match node.checkpoint() {
+            Ok(took) => AdminReply::Bool(took),
+            Err(e) => AdminReply::Error(format!("checkpoint failed: {e}")),
+        },
+        AdminOp::Stats => AdminReply::Stats(node.node_stats()),
+        AdminOp::Meta if node.is_crashed() => return Err(Unavailable(node.id)),
+        AdminOp::Meta => AdminReply::Meta(node.node_meta()),
+        // Exiting is the serving process's business (see `serve_frame`);
+        // the memnode only acknowledges.
+        AdminOp::Shutdown => AdminReply::Unit,
+        AdminOp::ObsSnapshot => AdminReply::Obs(Bytes::from(node.obs.registry.snapshot().encode())),
+        AdminOp::TraceDump { max, slow } => {
+            let traces = if slow {
+                node.obs.slow(max as usize)
+            } else {
+                node.obs.recent(max as usize)
+            };
+            AdminReply::Traces(Bytes::from(Trace::encode_many(&traces)))
+        }
+        AdminOp::Faults { spec } => match faults::apply_spec(&spec) {
+            Ok(_) => AdminReply::Faults {
+                armed: faults::armed_count(),
+            },
+            Err(e) => AdminReply::Error(format!("bad faults spec: {e}")),
+        },
+    })
 }

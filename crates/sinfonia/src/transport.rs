@@ -1,16 +1,16 @@
 //! Instrumented transport layer.
 //!
-//! Whichever way a coordinator reaches its memnodes — a function call
-//! in-process, a socket exchange in wire mode (see [`crate::rpc`]) — this
-//! module makes the *network cost* of every operation observable: it
-//! counts round trips, messages and bytes globally and, through
-//! [`minuet_obs::book_net`], in the [`OpNet`] ledger of the calling
-//! thread's operation context (read with [`with_op_net`]), and can
-//! optionally inject real latency per round trip. Round trips and
-//! messages are counted per coordinator phase by [`crate::exec`] in both
-//! modes; bytes are the frames the socket client exchanged, or in-process
-//! what the codec says the same frames would weigh
-//! ([`Transport::bytes_are_modeled`] says which).
+//! Whichever way a coordinator reaches its memnodes — a frame answered
+//! on the caller's thread in-process, a socket exchange in wire mode (see
+//! [`crate::rpc`]) — this module makes the *network cost* of every
+//! operation observable: it counts round trips, messages and bytes
+//! globally and, through [`minuet_obs::book_net`], in the [`OpNet`]
+//! ledger of the calling thread's operation context (read with
+//! [`with_op_net`]), and can optionally inject real latency per round
+//! trip. Round trips and messages are counted per coordinator phase by
+//! [`crate::exec`]; bytes are the frames the node handle
+//! ([`crate::client::RemoteNode`]) exchanged — the same frames in both
+//! modes.
 
 use minuet_obs::{book_net, Counter, ObsPlane};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,11 +69,6 @@ pub struct Transport {
     /// switchable so benchmark preloads can run at memory speed while the
     /// measured phase pays realistic network delays.
     inject_ns: AtomicU64,
-    /// Who feeds the byte counters through
-    /// [`Transport::record_wire_bytes`]: the coordinator, pricing each
-    /// in-process exchange with the codec (true), or the socket client,
-    /// with the frames it really exchanged (false, wire mode).
-    modeled_bytes: bool,
     /// The client-side observability plane: samples root operation traces
     /// and owns the registry the transport's counters (and the wire
     /// client's per-RPC histograms) live in. Disabled by default; swap in
@@ -90,7 +85,6 @@ impl Transport {
         Transport {
             stats,
             inject_ns: AtomicU64::new(inject_rtt.map_or(0, |d| d.as_nanos() as u64)),
-            modeled_bytes: true,
             obs,
         }
     }
@@ -103,28 +97,9 @@ impl Transport {
         self
     }
 
-    /// Creates a transport for wire mode: round trips and messages are
-    /// still counted per coordinator phase, but byte counters are fed by
-    /// the socket client's real frame sizes instead of the coordinator's
-    /// in-process ledger.
-    pub fn new_wire(inject_rtt: Option<Duration>) -> Self {
-        Transport {
-            modeled_bytes: false,
-            ..Transport::new(inject_rtt)
-        }
-    }
-
-    /// True when byte counters are priced by the coordinator (in-process
-    /// mode); false when they come from real frames (wire mode).
-    pub fn bytes_are_modeled(&self) -> bool {
-        self.modeled_bytes
-    }
-
     /// Adds frame sizes to the byte counters (global and per-operation),
-    /// on the requesting thread: request bytes before an exchange, reply
-    /// bytes after it. Called by the socket client with the frames it
-    /// wrote and read, or — in-process — by the coordinator with what the
-    /// codec says those frames would weigh.
+    /// on the requesting thread. Called by the node handle, once per
+    /// exchange, with the frames it wrote and read.
     pub fn record_wire_bytes(&self, bytes_out: u64, bytes_in: u64) {
         self.stats.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
         self.stats.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
@@ -218,7 +193,7 @@ mod tests {
 
     #[test]
     fn wire_mode_counts_real_bytes_only() {
-        let t = Transport::new_wire(None);
+        let t = Transport::new(None);
         let (_, net) = with_op_net(|| {
             // A coordinator phase counts its round trip and messages...
             t.round_trip(2);
@@ -235,27 +210,27 @@ mod tests {
             }
         );
         assert_eq!(t.stats.bytes_snapshot(), (120, 36));
-        assert!(!t.bytes_are_modeled());
     }
 
     #[test]
     fn injected_rtt_sleeps_per_round_trip_in_both_modes() {
+        // One transport serves both modes: it is the same counter either
+        // way.
         let d = Duration::from_millis(2);
         let k = 3;
-        for t in [Transport::new(Some(d)), Transport::new_wire(Some(d))] {
-            assert_eq!(t.inject(), Some(d));
-            let start = std::time::Instant::now();
-            let (_, net) = with_op_net(|| {
-                for _ in 0..k {
-                    t.round_trip(2);
-                }
-            });
-            // Lower bounds only: a slow host may oversleep, never undersleep.
-            assert!(start.elapsed() >= d * k);
-            assert_eq!((net.round_trips, net.messages), (k as u64, 2 * k as u64));
-            assert_eq!(t.stats.snapshot(), (k as u64, 2 * k as u64));
-            t.set_inject(None);
-            assert_eq!(t.inject(), None);
-        }
+        let t = Transport::new(Some(d));
+        assert_eq!(t.inject(), Some(d));
+        let start = std::time::Instant::now();
+        let (_, net) = with_op_net(|| {
+            for _ in 0..k {
+                t.round_trip(2);
+            }
+        });
+        // Lower bounds only: a slow host may oversleep, never undersleep.
+        assert!(start.elapsed() >= d * k);
+        assert_eq!((net.round_trips, net.messages), (k as u64, 2 * k as u64));
+        assert_eq!(t.stats.snapshot(), (k as u64, 2 * k as u64));
+        t.set_inject(None);
+        assert_eq!(t.inject(), None);
     }
 }

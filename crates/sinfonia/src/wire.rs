@@ -33,19 +33,25 @@
 //! fully arrived costs its connection one `read`.
 //!
 //! The module is std-only: plain blocking TCP / Unix-domain sockets, no
-//! async runtime. [`Endpoint`] names a listening address in either family.
+//! async runtime. [`Endpoint`] names a listening address in either family,
+//! or a memnode in this process: a [`Stream`] to that one is a
+//! [`LocalConn`], which hands each frame to the server's own per-frame
+//! step on the caller's thread, so an in-process exchange runs this codec
+//! and its CRCs too.
 
 use crate::addr::{merge_intervals, MemNodeId};
 use crate::bytes::Bytes;
 use crate::crc::crc32;
 use crate::lock::TxId;
-use crate::memnode::{ReplStatus, SingleResult, Vote};
+use crate::memnode::{MemNode, ReplStatus, SingleResult, Vote};
 use crate::minitx::LockPolicy;
 use crate::recovery::NodeMeta;
 use crate::rpc::NodeStats;
+use crate::server::LocalConn;
 use minuet_obs::SpanRecord;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Protocol version carried in `Hello`; bumped on incompatible changes.
@@ -124,7 +130,8 @@ impl From<WireError> for io::Error {
 // Endpoints and streams
 // ---------------------------------------------------------------------------
 
-/// A listening address for a memnode server, in either socket family.
+/// Where a memnode is served: a listening address in either socket
+/// family, or an in-process memnode ([`Endpoint::Local`]).
 ///
 /// Parsed from `tcp:HOST:PORT` or `unix:/path/to.sock`:
 ///
@@ -140,6 +147,32 @@ pub enum Endpoint {
     Tcp(String),
     /// A Unix-domain socket path.
     Unix(PathBuf),
+    /// A memnode in this process. Dialing it opens a [`LocalConn`]: the
+    /// server's own per-frame step, run on the caller's thread.
+    Local(LocalNode),
+}
+
+/// The memnode behind an [`Endpoint::Local`]; two are equal when they are
+/// the same node.
+#[derive(Clone)]
+pub struct LocalNode(pub Arc<MemNode>);
+
+impl PartialEq for LocalNode {
+    fn eq(&self, other: &LocalNode) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for LocalNode {}
+
+// The server catches a handler's panic and serves on; so may its callers.
+impl std::panic::UnwindSafe for LocalNode {}
+impl std::panic::RefUnwindSafe for LocalNode {}
+
+impl std::fmt::Debug for LocalNode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "LocalNode({})", self.0.id)
+    }
 }
 
 impl Endpoint {
@@ -163,9 +196,11 @@ impl Endpoint {
     }
 
     /// Opens a listener on this endpoint. For Unix endpoints a stale
-    /// socket file from a previous run is removed first.
+    /// socket file from a previous run is removed first; an in-process
+    /// memnode has nothing to listen on.
     pub fn listen(&self) -> io::Result<Listener> {
         match self {
+            Endpoint::Local(_) => Err(io::ErrorKind::Unsupported.into()),
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(std::net::TcpListener::bind(addr)?)),
             Endpoint::Unix(path) => {
                 let _ = std::fs::remove_file(path);
@@ -193,6 +228,7 @@ impl Endpoint {
             Endpoint::Unix(path) => {
                 Ok(Stream::Unix(std::os::unix::net::UnixStream::connect(path)?))
             }
+            Endpoint::Local(node) => Ok(Stream::Local(LocalConn::new(node.clone()))),
         }
     }
 }
@@ -202,6 +238,7 @@ impl std::fmt::Display for Endpoint {
         match self {
             Endpoint::Tcp(a) => write!(f, "tcp:{a}"),
             Endpoint::Unix(p) => write!(f, "unix:{}", p.display()),
+            Endpoint::Local(node) => write!(f, "local:{}", node.0.id),
         }
     }
 }
@@ -240,13 +277,16 @@ impl Listener {
     }
 }
 
-/// A connected stream in either socket family.
+/// A connected stream in either socket family, or to an in-process
+/// memnode.
 #[derive(Debug)]
 pub enum Stream {
     /// TCP connection.
     Tcp(std::net::TcpStream),
     /// Unix-domain connection.
     Unix(std::os::unix::net::UnixStream),
+    /// In-process connection: no socket, no timeouts, no second handle.
+    Local(LocalConn),
 }
 
 impl Stream {
@@ -261,6 +301,7 @@ impl Stream {
                 s.set_read_timeout(t)?;
                 s.set_write_timeout(t)
             }
+            Stream::Local(_) => Ok(()),
         }
     }
 
@@ -269,6 +310,7 @@ impl Stream {
         Ok(match self {
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+            Stream::Local(_) => return Err(io::ErrorKind::Unsupported.into()),
         })
     }
 
@@ -278,6 +320,7 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
             Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            Stream::Local(_) => Ok(()),
         }
     }
 }
@@ -287,6 +330,7 @@ impl Read for Stream {
         match self {
             Stream::Tcp(s) => s.read(buf),
             Stream::Unix(s) => s.read(buf),
+            Stream::Local(c) => c.read(buf),
         }
     }
 }
@@ -296,6 +340,7 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Unix(s) => s.write(buf),
+            Stream::Local(c) => c.write(buf),
         }
     }
 
@@ -303,6 +348,7 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.flush(),
             Stream::Unix(s) => s.flush(),
+            Stream::Local(c) => c.flush(),
         }
     }
 }
@@ -511,43 +557,15 @@ impl<'a> Cur<'a> {
 /// as calls they cost every request ~20 ns on the server that the
 /// hand-written per-message arms did not pay.
 trait Wire: Sized {
-    fn put(&self, buf: &mut impl Sink);
+    fn put(&self, buf: &mut Vec<u8>);
     fn get(c: &mut Cur<'_>) -> Result<Self, WireError>;
-}
-
-/// Where an encoder's bytes go: into the frame being built, or onto a
-/// scale. What a frame weighs is therefore never written down — it is
-/// what its encoder says ([`Request::wire_len`], [`Response::reply_len`]).
-trait Sink {
-    fn extend_from_slice(&mut self, bytes: &[u8]);
-    #[inline(always)]
-    fn push(&mut self, byte: u8) {
-        self.extend_from_slice(&[byte]);
-    }
-}
-
-impl Sink for Vec<u8> {
-    #[inline(always)]
-    fn extend_from_slice(&mut self, bytes: &[u8]) {
-        Vec::extend_from_slice(self, bytes);
-    }
-}
-
-/// The scale: counts the bytes an encoder would have written and copies
-/// none of them.
-struct Weigh(u64);
-
-impl Sink for Weigh {
-    fn extend_from_slice(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len() as u64;
-    }
 }
 
 macro_rules! wire_int {
     ($($t:ty),+) => {$(
         impl Wire for $t {
             #[inline(always)]
-            fn put(&self, buf: &mut impl Sink) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
             #[inline(always)]
@@ -563,7 +581,7 @@ wire_int!(u8, u16, u32, u64);
 /// Item indices are `usize` in memory and `u32` on the wire.
 impl Wire for usize {
     #[inline(always)]
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (*self as u32).put(buf);
     }
     #[inline(always)]
@@ -574,7 +592,7 @@ impl Wire for usize {
 
 impl Wire for bool {
     #[inline(always)]
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         buf.push(*self as u8);
     }
     #[inline(always)]
@@ -590,7 +608,7 @@ impl Wire for bool {
 /// A length-prefixed byte payload; decoded, it aliases the frame buffer.
 impl Wire for Bytes {
     #[inline(always)]
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).put(buf);
         buf.extend_from_slice(self);
     }
@@ -604,7 +622,7 @@ impl Wire for Bytes {
 }
 
 impl Wire for String {
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).put(buf);
         buf.extend_from_slice(self.as_bytes());
     }
@@ -615,7 +633,7 @@ impl Wire for String {
 
 /// A lock-wait budget, as whole nanoseconds.
 impl Wire for Duration {
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (self.as_nanos().min(u128::from(u64::MAX)) as u64).put(buf);
     }
     fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
@@ -625,7 +643,7 @@ impl Wire for Duration {
 
 impl<T: Wire> Wire for Vec<T> {
     #[inline(always)]
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).put(buf);
         for item in self {
             item.put(buf);
@@ -646,7 +664,7 @@ macro_rules! wire_tuple {
     ($($T:ident $i:tt),+) => {
         impl<$($T: Wire),+> Wire for ($($T,)+) {
             #[inline(always)]
-            fn put(&self, buf: &mut impl Sink) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 $(self.$i.put(buf);)+
             }
             #[inline(always)]
@@ -661,7 +679,7 @@ wire_tuple!(A 0, B 1, C 2);
 
 /// A batch member: its result, or the id of the crashed node it hit.
 impl<T: Wire, E: Wire> Wire for Result<T, E> {
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Ok(v) => {
                 buf.push(0);
@@ -686,7 +704,7 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
 macro_rules! wire_struct {
     ($T:ty { $($f:tt),+ $(,)? }) => {
         impl Wire for $T {
-            fn put(&self, buf: &mut impl Sink) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 $(self.$f.put(buf);)+
             }
             fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
@@ -701,7 +719,7 @@ macro_rules! wire_struct {
 macro_rules! wire_enum {
     ($T:ident, $what:literal: $($kind:literal => $V:ident $(($i:tt: $f:ty))?),+ $(,)?) => {
         impl Wire for $T {
-            fn put(&self, buf: &mut impl Sink) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 match self {
                     $($T::$V { $($i: v)? } => {
                         buf.push($kind);
@@ -754,7 +772,7 @@ wire_enum!(Vote, "vote kind":
 /// Staged transactions and the decided set travel sorted, so equal metas
 /// are equal frames (`HashMap` iteration order is not stable).
 impl Wire for NodeMeta {
-    fn put(&self, buf: &mut impl Sink) {
+    fn put(&self, buf: &mut Vec<u8>) {
         let mut staged: Vec<(TxId, Vec<MemNodeId>)> =
             self.staged.iter().map(|(t, p)| (*t, p.clone())).collect();
         staged.sort_unstable_by_key(|(txid, _)| *txid);
@@ -781,12 +799,8 @@ fn put_spans(spans: &[SpanRecord], buf: &mut Vec<u8>) {
 /// Server-side spans ride in the obs crate's own 19-byte form, at most one
 /// trace's worth per reply.
 impl Wire for Vec<SpanRecord> {
-    fn put(&self, buf: &mut impl Sink) {
-        // The obs crate's encoder wants a `Vec`. Off the hot path: the
-        // server seals its traced replies with [`seal_traced_reply`].
-        let mut raw = Vec::new();
-        put_spans(self, &mut raw);
-        buf.extend_from_slice(&raw);
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_spans(self, buf);
     }
     fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
         let n = u32::get(c)?;
@@ -808,7 +822,7 @@ impl Wire for Vec<SpanRecord> {
 macro_rules! wire_enveloped {
     ($E:ident, $Envelope:ident, $nested:literal) => {
         impl Wire for Box<$E> {
-            fn put(&self, buf: &mut impl Sink) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 debug_assert!(!matches!(**self, $E::$Envelope { .. }), $nested);
                 (**self).put(buf);
             }
@@ -1019,7 +1033,7 @@ macro_rules! messages {
         }
 
         impl Wire for $E {
-            fn put(&self, buf: &mut impl Sink) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 match self {
                     $($E::$V { $($i: v,)? $($($f,)+)? } => {
                         buf.push($tag);
@@ -1311,15 +1325,6 @@ impl Request {
         seal(|buf| self.put(buf))
     }
 
-    /// Size of the frame [`Request::encode`] builds, without building it:
-    /// the same encoder run against a counter. How the in-process
-    /// transport prices an exchange (see [`crate::exec`]).
-    pub fn wire_len(&self) -> u64 {
-        let mut scale = Weigh(FRAME_HDR as u64);
-        self.put(&mut scale);
-        scale.0
-    }
-
     /// Decodes a request from a frame payload (as returned by
     /// [`FrameReader::read_frame`]). Write payloads alias the frame buffer.
     pub fn decode(payload: &Bytes) -> Result<Request, WireError> {
@@ -1337,14 +1342,6 @@ impl Response {
     /// frame buffer.
     pub fn decode(payload: &Bytes) -> Result<Response, WireError> {
         decode_message(payload)
-    }
-
-    /// Size of the frame [`seal_reply`] builds for this response — the
-    /// [`NodeFlags`] trailer byte included — without building it.
-    pub fn reply_len(&self) -> u64 {
-        let mut scale = Weigh(FRAME_HDR as u64 + 1);
-        self.put(&mut scale);
-        scale.0
     }
 
     /// Reads this reply as the answer to an admin operation, or hands it
@@ -1642,10 +1639,9 @@ mod tests {
         assert!(out.capacity() <= READ_BUF, "reserved {}", out.capacity());
     }
 
-    /// Frame-size conformance: what the in-process transport books for an
-    /// exchange ([`Request::wire_len`], [`Response::reply_len`]) is what
-    /// the encoders put on the wire, per RPC type — and both are the sizes
-    /// the v4 layout says, spelled out here once as the reference.
+    /// Frame-size conformance: the frames the encoders put on the wire,
+    /// per RPC type, are the sizes the v4 layout says, spelled out here
+    /// once as the reference.
     #[test]
     fn modeled_bytes_match_real_frames() {
         use crate::addr::ItemRange;
@@ -1654,12 +1650,10 @@ mod tests {
 
         let weighs = |req: &Request, want: u64, what: &str| {
             assert_eq!(req.encode().len() as u64, want, "{what}: frame");
-            assert_eq!(req.wire_len(), want, "{what}: weight");
         };
         let reply_weighs = |resp: &Response, want: u64, what: &str| {
             let frame = seal_reply(resp, NodeFlags::default());
             assert_eq!(frame.len() as u64, want, "{what}: frame");
-            assert_eq!(resp.reply_len(), want, "{what}: weight");
         };
 
         let mem = crate::addr::MemNodeId(0);

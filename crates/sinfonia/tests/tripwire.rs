@@ -1,7 +1,8 @@
 //! Source tripwires for `minuet-sinfonia` (lint-style: reads the crate's
 //! own non-test source). They keep "what a log record does to a memnode"
 //! in one place — `state.rs` — and "where the log's bytes live" in another
-//! — `wal.rs` — keep the crate's one `unsafe` in `crc.rs`, and hold every
+//! — `wal.rs` — keep the crate's one `unsafe` in `crc.rs`, keep one memnode
+//! handle that counts bytes from the frames it exchanged, and hold every
 //! file to its panic-site ceiling. Each failure names the file and the
 //! function to go through instead.
 
@@ -155,20 +156,55 @@ fn one_unsafe_in_crc() {
 }
 
 #[test]
+fn one_memnode_handle() {
+    // In process is the wire minus the socket: `RemoteNode` is the only
+    // memnode handle, and the bytes a ledger counts are the frames it
+    // exchanged — there is no second handle and no second way to price an
+    // exchange.
+    let sources = sources();
+    // Lines that use `needle`, not the one that defines it.
+    let sites = |needle: &str| -> Vec<(String, String)> {
+        let definition = format!("fn {needle}");
+        sources
+            .iter()
+            .flat_map(|(file, code)| {
+                code.iter()
+                    .filter(|l| l.contains(needle) && !l.contains(&definition))
+                    .map(move |l| (file.clone(), l.trim().to_owned()))
+            })
+            .collect()
+    };
+    let impls = sites("impl NodeRpc for");
+    assert!(
+        impls.len() == 1 && impls[0].0 == "client.rs",
+        "`NodeRpc` must have exactly one implementation, `RemoteNode` in client.rs: {impls:?}. \
+         An in-process memnode is a `RemoteNode` dialing `Endpoint::Local`."
+    );
+    let booked = sites("record_wire_bytes(");
+    assert!(
+        !booked.is_empty() && booked.iter().all(|(file, _)| file == "client.rs"),
+        "bytes are recorded only by the node handle in client.rs, from the frames it \
+         exchanged: {booked:?}"
+    );
+}
+
+#[test]
 fn panic_sites_do_not_grow() {
     // `unwrap()` / `.expect(` / `panic!` / `unreachable!` lines, per file.
     // The memnode keeps five: two injected panics (`faults::Action::Panic`),
     // the in-bounds compare and read items asserted at entry, and a raw read
     // out of bounds; `wal.rs` and `checkpoint.rs` keep only their injected
-    // panics, and the wire client its two. To add one, first try a typed
-    // error — `OutOfBounds` through `state::check`, `io::Error` through
-    // `recover`, `None` from a `Cur` read — and if it really is an
-    // invariant, comment it and raise the ceiling in the same change.
+    // panics, and the client its one (`wire.client.recv`: the send side's
+    // is in `server::write_frame`, which both ends write through). To add
+    // one, first try a typed error — `OutOfBounds` through `state::check`,
+    // `io::Error` through `recover`, `None` from a `Cur` read — and if it
+    // really is an invariant, comment it and raise the ceiling in the same
+    // change.
     const CEILING: &[(&str, usize)] = &[
         ("addr.rs", 0),
         ("bytes.rs", 0),
         ("checkpoint.rs", 2),
-        ("client.rs", 2),
+        ("client.rs", 1),
         ("cluster.rs", 3),
         ("crc.rs", 0),
         ("deadline.rs", 0),

@@ -184,7 +184,7 @@ fn main() {
     );
 
     // Clean shutdown: one Shutdown RPC per daemon, then reap.
-    let transport = Arc::new(Transport::new_wire(None));
+    let transport = Arc::new(Transport::new(None));
     for ep in [&pep, &fep2] {
         RemoteNode::new(
             MemNodeId(0),

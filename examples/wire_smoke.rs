@@ -155,7 +155,7 @@ fn main() {
     // Clean shutdown: one Shutdown RPC per daemon, then reap the
     // processes and check their exit codes.
     drop(proxy);
-    let transport = Arc::new(Transport::new_wire(None));
+    let transport = Arc::new(Transport::new(None));
     for (i, ep) in endpoints.iter().enumerate() {
         let client = RemoteNode::new(
             MemNodeId(i as u16),

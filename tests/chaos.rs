@@ -255,11 +255,13 @@ fn worker(
 // Nemesis
 // ---------------------------------------------------------------------
 
-/// The menu of (site, action) bursts the nemesis draws from. Wire-only
-/// sites are pointless in-process (nothing evaluates them), so the menu
-/// widens under `MINUET_TRANSPORT=wire`.
-fn fault_menu(wire: bool) -> Vec<(Site, Action)> {
-    let mut menu = vec![
+/// The menu of (site, action) bursts the nemesis draws from. It is the
+/// same on both transports: an in-process exchange runs the client's
+/// frame send and receive and the server's per-frame step too, so every
+/// `wire.*` and `rpc.dispatch` site fires there as over a socket. It arms
+/// no `Panic`: a handler panic is counted, and must stay at zero.
+fn fault_menu() -> Vec<(Site, Action)> {
+    vec![
         (Site::WalAppend, Action::Err),
         (Site::WalAppend, Action::NoSpace),
         (Site::WalAppend, Action::ShortWrite(5)),
@@ -270,29 +272,24 @@ fn fault_menu(wire: bool) -> Vec<(Site, Action)> {
         (Site::CkptRename, Action::Err),
         (Site::ReplFetch, Action::Err),
         (Site::ReplApply, Action::Err),
-    ];
-    if wire {
-        menu.extend([
-            (Site::WireClientSend, Action::Drop),
-            (Site::WireClientSend, Action::SeverAfter(7)),
-            (Site::WireClientSend, Action::Corrupt),
-            (Site::WireClientRecv, Action::Err),
-            (Site::WireServerSend, Action::Corrupt),
-            (Site::WireServerSend, Action::SeverAfter(9)),
-            (Site::WireServerRecv, Action::Drop),
-            (Site::RpcDispatch, Action::Err),
-            (Site::RpcDispatch, Action::Delay(Duration::from_millis(3))),
-            (Site::RpcDispatch, Action::Duplicate),
-        ]);
-    }
-    menu
+        (Site::WireClientSend, Action::Drop),
+        (Site::WireClientSend, Action::SeverAfter(7)),
+        (Site::WireClientSend, Action::Corrupt),
+        (Site::WireClientRecv, Action::Err),
+        (Site::WireServerSend, Action::Corrupt),
+        (Site::WireServerSend, Action::SeverAfter(9)),
+        (Site::WireServerRecv, Action::Drop),
+        (Site::RpcDispatch, Action::Err),
+        (Site::RpcDispatch, Action::Delay(Duration::from_millis(3))),
+        (Site::RpcDispatch, Action::Duplicate),
+    ]
 }
 
 /// Arms random bounded fault bursts and crash/recovers random memnodes
 /// until `stop`; disarms everything and heals every node on the way out.
 fn nemesis(mc: Arc<MinuetCluster>, n_mems: u16, seed: u64, stop: Arc<AtomicBool>) {
     let mut rng = Rng::new(seed ^ 0x4E4D_E515);
-    let menu = fault_menu(common::wire_mode());
+    let menu = fault_menu();
     while !stop.load(Ordering::Relaxed) {
         match rng.below(10) {
             // Fault burst: a bounded schedule that self-disarms, then an
@@ -469,6 +466,16 @@ fn chaos_run(seed: u64, opts: ChaosOpts) {
             log.ops.len() as u64,
             "snapshot value for w{w}k{k} is not the final acked write"
         );
+    }
+
+    // ---- no request handler panicked --------------------------------
+    // A handler panic reaches a worker only as an indeterminate
+    // `Unavailable`, which the model admits: the server's count is the
+    // one place it shows.
+    for i in 0..n_mems {
+        let snap = mc.sinfonia.node(MemNodeId(i as u16)).obs_snapshot();
+        let panics = snap.counter("memnode.handler_panics");
+        assert_eq!(panics, Some(0), "memnode {i}: a request handler panicked");
     }
 
     // ---- power-cycle: every acked write survives a restart ---------

@@ -16,7 +16,7 @@ use minuet::sinfonia::wire::{tag, Endpoint};
 use minuet::sinfonia::{
     ClusterConfig, DurabilityConfig, ItemRange, MemNode, MemNodeId, MemNodeServer, Minitransaction,
     NodeRpc, OpDeadline, RemoteNode, ReplConfig, Replicator, ServerOptions, SinfoniaCluster,
-    SinfoniaError, SyncMode, Transport, WireConfig,
+    SinfoniaError, SyncMode, Transport, Unavailable, WireConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -268,7 +268,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
     );
     assert!(put_slot(&c, 0, 1).unwrap()); // warm the connection pool
 
-    let commits_before = node.node_stats().unwrap().single_commits;
+    let commits_before = node.node_stats().single_commits;
     let exceeded_before = obs_counter(&c, "deadline.exceeded");
     let scope = OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter();
     let start = Instant::now();
@@ -282,7 +282,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
         "expired deadline did not fail fast ({elapsed:?})"
     );
     assert_eq!(
-        node.node_stats().unwrap().single_commits,
+        node.node_stats().single_commits,
         commits_before,
         "an RPC reached the server despite the expired deadline"
     );
@@ -350,7 +350,7 @@ fn wire_remote(
     let ep = Endpoint::Unix(common::socket_path(tag));
     let server = MemNodeServer::spawn(node.clone(), &ep, ServerOptions::default()).unwrap();
     let plane = ObsPlane::new(&ObsConfig::default());
-    let transport = Arc::new(Transport::new_wire(None).with_obs(plane.clone()));
+    let transport = Arc::new(Transport::new(None).with_obs(plane.clone()));
     let remote = RemoteNode::new(MemNodeId(0), ep, wire, transport);
     (node, server, remote, plane)
 }
@@ -383,6 +383,28 @@ fn rpc_dispatch_fails_the_nth_tagged_call() {
     assert!(remote.raw_read(0, 8).is_ok(), "count=1 must self-disarm");
     // A different RPC kind never matched the tag.
     assert!(remote.raw_write(8, &8u64.to_le_bytes()).is_ok());
+}
+
+/// A handler that panics is answered, not fatal, and counted: the call
+/// that hit it fails with `Unavailable`, the next one succeeds, and the
+/// node's `memnode.handler_panics` reads 1 — in process as over a socket,
+/// since both run the server's one per-frame step.
+#[test]
+fn a_handler_panic_is_answered_and_counted() {
+    let _g = faults::test_guard();
+    for wire in [false, true] {
+        let c = common::sinfonia_cluster_on(1, CAPACITY, wire);
+        let node = c.node(MemNodeId(0));
+        let panic_once = Arm::new(Action::Panic).on_tag(tag::RAW_READ).times(1);
+        faults::arm(Site::RpcDispatch, panic_once);
+        assert!(
+            matches!(node.raw_read(0, 8), Err(Unavailable(MemNodeId(0)))),
+            "wire={wire}: the call that panicked"
+        );
+        assert!(node.raw_read(0, 8).is_ok(), "wire={wire}: the next call");
+        let panics = node.obs_snapshot().counter("memnode.handler_panics");
+        assert_eq!(panics, Some(1), "wire={wire}");
+    }
 }
 
 fn plane_counter(plane: &ObsPlane, name: &str) -> u64 {

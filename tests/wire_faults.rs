@@ -413,7 +413,7 @@ fn breaker_fail_fast_does_not_leak_trace_slots() {
         backoff_cap: Duration::from_millis(500),
         ..WireConfig::default()
     };
-    let transport = Arc::new(Transport::new_wire(None).with_obs(plane.clone()));
+    let transport = Arc::new(Transport::new(None).with_obs(plane.clone()));
     let node = RemoteNode::new(MemNodeId(0), Endpoint::Unix(path), wire, transport);
 
     // First failure is a real timeout; the rest fail fast in the backoff
@@ -472,7 +472,7 @@ fn request_timeout_backoff_cap_and_no_fd_leak() {
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(50),
     };
-    let transport = Arc::new(Transport::new_wire(None));
+    let transport = Arc::new(Transport::new(None));
     let node = RemoteNode::new(MemNodeId(0), Endpoint::Unix(path), wire.clone(), transport);
 
     // One request: the per-request timeout bounds it.
@@ -552,7 +552,7 @@ fn killed_daemon_falls_back_to_cached_membership_flags() {
         backoff_cap: Duration::from_millis(20),
         ..WireConfig::default()
     };
-    let transport = Arc::new(Transport::new_wire(None));
+    let transport = Arc::new(Transport::new(None));
     let remote = RemoteNode::new(MemNodeId(0), ep, wire.clone(), transport.clone());
 
     remote.set_joining(true).expect("server is up");

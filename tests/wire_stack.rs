@@ -8,7 +8,8 @@
 use minuet::core::{op_tag, MinuetCluster, TreeConfig};
 use minuet::obs::{ObsConfig, SpanKind};
 use minuet::sinfonia::rpc::{AdminOp, AdminReply};
-use minuet::sinfonia::{ClusterConfig, MemNodeId, NodeRpc, WireConfig};
+use minuet::sinfonia::wire::{Endpoint, LocalNode};
+use minuet::sinfonia::{ClusterConfig, MemNodeId, NodeRpc, RemoteNode, Transport, WireConfig};
 use std::sync::Arc;
 
 mod common;
@@ -177,7 +178,6 @@ fn snapshot_isolation_holds_over_sockets() {
 #[test]
 fn wire_byte_counters_report_real_frames() {
     let mc = common::wire_cluster(2, 1, TreeConfig::small_nodes(8));
-    assert!(!mc.sinfonia.transport.bytes_are_modeled());
     let before = mc.sinfonia.transport.stats.bytes_snapshot();
     let mut p = mc.proxy();
     p.put(0, key(1), val(1)).unwrap();
@@ -211,7 +211,7 @@ fn stat_rpc_matches_server_state_over_the_wire() {
     for (i, node) in nodes.iter().enumerate() {
         let handle = mc.sinfonia.node(MemNodeId(i as u16));
         let remote = handle.node_stats().expect("daemon is up");
-        let local = NodeRpc::node_stats(node.as_ref()).expect("in-process");
+        let local = node.node_stats();
         assert_eq!(remote, local, "wire NodeStats diverges on memnode {i}");
         assert!(
             local.single_commits > 0,
@@ -252,8 +252,19 @@ fn admin_ops_answer_alike_in_process_and_over_the_wire() {
     }
     drop(p);
 
-    let local: &dyn NodeRpc = nodes[0].as_ref();
+    let local = RemoteNode::new(
+        MemNodeId(0),
+        Endpoint::Local(LocalNode(nodes[0].clone())),
+        WireConfig::default(),
+        Arc::new(Transport::new(None)),
+    );
     let remote = mc.sinfonia.node(MemNodeId(0));
+    assert!(
+        local
+            .as_local()
+            .is_some_and(|n| std::ptr::eq(n, nodes[0].as_ref())),
+        "the in-process handle reaches the served node"
+    );
     assert!(
         remote.as_local().is_none(),
         "second handle must be a wire client"
@@ -397,9 +408,9 @@ fn per_op_span_trees_have_no_flags_rpcs_and_fused_puts_are_one_rtt() {
     );
 }
 
-/// Both transports count the same bytes for the same exchanges: the
-/// in-process one prices each request and each *actual* reply with the
-/// codec, the wire one measures its frames. One script, step by step —
+/// Both transports count the same bytes for the same exchanges: each
+/// counts the frames it exchanged, answered on the caller's thread or
+/// across a socket. One script, step by step —
 /// including a failed compare, whose reply carries no read data, a batch
 /// with a failing member, and a two-phase attempt cut short by its first
 /// vote.
@@ -470,6 +481,60 @@ fn byte_counters_agree_between_transports() {
     assert!(measured[4].bytes_out < measured[2].bytes_out / 2);
 }
 
+/// What only the codec used to be asked about in process is now counted
+/// from frames there too, so it reads the same on both transports, step by
+/// step: a raw read and an admin call (exchanges outside any round trip),
+/// and a traced put, whose frames carry the trace envelope out and the
+/// server's spans back.
+#[test]
+fn raw_admin_and_traced_exchanges_count_alike_on_both_transports() {
+    use minuet::sinfonia::{with_op_net, OpNet};
+
+    let cfg = TreeConfig::small_nodes(8);
+    let run = |wire: bool| -> (Vec<OpNet>, (u64, u64)) {
+        let mut sin = ClusterConfig::with_memnodes(2).with_obs(ObsConfig::sampled(1));
+        if wire {
+            let capacity = MinuetCluster::required_node_capacity(&cfg, 1, 2);
+            let endpoints = common::spawn_servers(2, capacity);
+            sin = sin.with_wire_transport(endpoints, WireConfig::default());
+        }
+        let mc = MinuetCluster::with_cluster_config(sin, 1, cfg.clone());
+        let mut p = mc.proxy();
+        let node = mc.sinfonia.node(MemNodeId(0));
+        let before = mc.sinfonia.transport.stats.bytes_snapshot();
+
+        let mut steps = Vec::new();
+        let (data, net) = with_op_net(|| node.raw_read(0, 64).unwrap());
+        assert_eq!(data.len(), 64);
+        steps.push(net);
+        let (stats, net) = with_op_net(|| node.admin(AdminOp::Stats).unwrap());
+        assert!(matches!(stats, AdminReply::Stats(_)), "wire={wire}");
+        steps.push(net);
+        let ((), net) = with_op_net(|| p.put(0, key(1), val(1)).map(drop).unwrap());
+        steps.push(net);
+
+        let after = mc.sinfonia.transport.stats.bytes_snapshot();
+        let put = mc.sinfonia.obs().recent(16);
+        let put = put.iter().find(|t| t.op_tag == op_tag::PUT);
+        let stitched =
+            put.is_some_and(|t| t.spans.iter().any(|s| s.kind == SpanKind::SrvExec as u8));
+        assert!(stitched, "wire={wire}: the put's trace has no server span");
+        (steps, (after.0 - before.0, after.1 - before.1))
+    };
+
+    let (here, there) = (run(false), run(true));
+    let raw_read = OpNet {
+        bytes_out: 21,
+        bytes_in: 78,
+        ..OpNet::default()
+    };
+    assert_eq!(there.0[0], raw_read, "a 64-byte raw read over the wire");
+    for (step, (a, b)) in here.0.iter().zip(&there.0).enumerate() {
+        assert_eq!(a, b, "step {step}: in-process vs wire");
+    }
+    assert_eq!(here.1, there.1, "global byte counters: in-process vs wire");
+}
+
 /// The seeded index-bookkeeping property of sinfonia's `atomicity` suite,
 /// a fixed subset of it, with every share crossing a socket.
 #[test]
@@ -486,7 +551,7 @@ fn indices_survive_sharding_over_sockets() {
 fn a_commit_is_a_batch_of_one_on_the_wire() {
     use minuet::dyntx::{commit_many, DynTx, ObjRef, OBJ_HEADER};
     use minuet::sinfonia::memnode::SingleResult;
-    use minuet::sinfonia::wire::{Request, Response, WireBatchItem};
+    use minuet::sinfonia::wire::{seal_reply, NodeFlags, Request, Response, WireBatchItem};
     use minuet::sinfonia::{with_op_net, ItemRange, LockPolicy, Minitransaction, OpNet};
 
     const PAYLOAD: usize = 24;
@@ -500,6 +565,7 @@ fn a_commit_is_a_batch_of_one_on_the_wire() {
         shard: m.shards()[0].1.clone(),
     };
     let committed = || Ok(SingleResult::Committed(Vec::new()));
+    let reply_len = |resp| seal_reply(&resp, NodeFlags::default()).len() as u64;
     let single = OpNet {
         round_trips: 1,
         messages: 1,
@@ -508,8 +574,9 @@ fn a_commit_is_a_batch_of_one_on_the_wire() {
             policy: item.policy,
             shard: item.shard.clone(),
         }
-        .wire_len(),
-        bytes_in: Response::Single(SingleResult::Committed(Vec::new())).reply_len(),
+        .encode()
+        .len() as u64,
+        bytes_in: reply_len(Response::Single(SingleResult::Committed(Vec::new()))),
     };
     let batch_of_two = OpNet {
         round_trips: 1,
@@ -517,8 +584,9 @@ fn a_commit_is_a_batch_of_one_on_the_wire() {
         bytes_out: Request::ExecBatch {
             items: vec![item.clone(), item],
         }
-        .wire_len(),
-        bytes_in: Response::Batch(vec![committed(), committed()]).reply_len(),
+        .encode()
+        .len() as u64,
+        bytes_in: reply_len(Response::Batch(vec![committed(), committed()])),
     };
 
     for wire in [false, true] {
