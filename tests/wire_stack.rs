@@ -565,7 +565,7 @@ fn a_commit_is_a_batch_of_one_on_the_wire() {
         shard: m.shards()[0].1.clone(),
     };
     let committed = || Ok(SingleResult::Committed(Vec::new()));
-    let reply_len = |resp| seal_reply(&resp, NodeFlags::default()).len() as u64;
+    let sealed_len = |resp| seal_reply(&resp, NodeFlags::default()).len() as u64;
     let single = OpNet {
         round_trips: 1,
         messages: 1,
@@ -576,7 +576,7 @@ fn a_commit_is_a_batch_of_one_on_the_wire() {
         }
         .encode()
         .len() as u64,
-        bytes_in: reply_len(Response::Single(SingleResult::Committed(Vec::new()))),
+        bytes_in: sealed_len(Response::Single(SingleResult::Committed(Vec::new()))),
     };
     let batch_of_two = OpNet {
         round_trips: 1,
@@ -586,7 +586,7 @@ fn a_commit_is_a_batch_of_one_on_the_wire() {
         }
         .encode()
         .len() as u64,
-        bytes_in: reply_len(Response::Batch(vec![committed(), committed()])),
+        bytes_in: sealed_len(Response::Batch(vec![committed(), committed()])),
     };
 
     for wire in [false, true] {
