@@ -48,7 +48,7 @@
 //! wire request tag at `rpc.dispatch`). The whole spec `clear` (or an
 //! empty string) disarms every site.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -222,6 +222,9 @@ impl FailPoint {
             return None;
         }
         let action = slot.action;
+        if action == Action::Panic {
+            PANICS_FIRED.fetch_add(1, Ordering::Relaxed);
+        }
         if slot.count != u32::MAX {
             slot.count -= 1;
             if slot.count == 0 {
@@ -249,6 +252,15 @@ static REGISTRY: [FailPoint; SITES.len()] = [
     FailPoint::new(),
     FailPoint::new(),
 ];
+
+/// How many times a site has fired [`Action::Panic`] in this process.
+static PANICS_FIRED: AtomicU64 = AtomicU64::new(0);
+
+/// How many panics the failpoints have injected in this process, so a
+/// caller that catches panics can tell an injected one from a bug.
+pub fn panics_fired() -> u64 {
+    PANICS_FIRED.load(Ordering::Relaxed)
+}
 
 /// Evaluates a failpoint. Disarmed cost: one relaxed atomic load.
 /// Returns the action to take, or `None` to proceed normally.

@@ -7,7 +7,7 @@
 //! buffer when sampled, and the thread's backoff-jitter state — is one
 //! `OpCtx` in one thread-local slot. It changes in one way only: an
 //! [`OpScope`] is entered, and on drop restores what it changed, also
-//! when unwinding. Five places enter one:
+//! when unwinding. Six places enter one:
 //!
 //! | scope | entered by | puts in force |
 //! |---|---|---|
@@ -16,6 +16,7 @@
 //! | window | [`with_op_net`] | a measurement window over the ledger |
 //! | server dispatch | [`crate::with_server_trace`] | a fresh context holding the client's trace |
 //! | epoch close | `EpochService` (`minuet-dyntx`) | no deadline: the leader works for every member |
+//! | decision delivery | two-phase `exec` (`minuet-sinfonia`) | no deadline: a participant that voted yes holds its locks until it hears the outcome |
 //!
 //! Every scope starts a fresh ledger and adds it to the enclosing one on
 //! exit, so windows nest and a scope never hides a round trip from the

@@ -2,10 +2,11 @@
 //!
 //! [`RemoteNode`] implements the full memnode surface against a
 //! [`crate::server::MemNodeServer`] (or a standalone `memnoded` process),
-//! or a memnode in this process ([`Endpoint::Local`], whose connections
-//! run the server's step on the caller's thread): one request frame out,
-//! one response frame back, over a small pool of blocking connections
-//! with per-request timeouts. Its byte counts are those frames'.
+//! or a memnode in this process ([`RemoteNode::in_process`], whose
+//! connections run the server's step on the caller's thread): one request
+//! frame out, one response frame back, over a small pool of blocking
+//! connections with per-request timeouts. Its byte counts are those
+//! frames'.
 //!
 //! Failure model: any transport failure — dial refused, request timeout,
 //! torn frame — surfaces as [`Unavailable`], exactly like a crashed
@@ -26,7 +27,7 @@ use crate::lock::TxId;
 use crate::memnode::{MemNode, ReplStatus, SingleResult, Unavailable, Vote};
 use crate::minitx::LockPolicy;
 use crate::rpc::NodeRpc;
-use crate::server::write_frame;
+use crate::server::{write_frame, LocalConn};
 use crate::transport::Transport;
 use crate::wire::{
     encode_traced_request, split_reply_flags, AdminOp, AdminReply, Endpoint, FrameReader,
@@ -101,13 +102,57 @@ struct RpcHists {
     bytes_in: HistHandle,
 }
 
-/// A pooled connection: the socket plus its inbound frame buffer.
-type Conn = FrameReader<Stream>;
+/// Where a handle's memnode is.
+enum Peer {
+    Socket(Endpoint),
+    Local(Arc<MemNode>),
+}
+
+impl std::fmt::Display for Peer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Peer::Socket(endpoint) => write!(f, "at {endpoint}"),
+            Peer::Local(_) => f.write_str("in this process"),
+        }
+    }
+}
+
+/// A pooled connection: a socket with its inbound frame buffer, or an
+/// in-process one, which is handed whole frames.
+enum Conn {
+    Socket(FrameReader<Stream>),
+    Local(LocalConn),
+}
+
+impl Conn {
+    /// Writes a request frame past the `wire.client.send` failpoint.
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        let site = faults::Site::WireClientSend;
+        match self {
+            Conn::Socket(s) => write_frame(site, s.get_mut(), frame),
+            Conn::Local(c) => write_frame(site, c, frame),
+        }
+    }
+
+    fn read_frame(&mut self) -> io::Result<Bytes> {
+        match self {
+            Conn::Socket(s) => s.read_frame(),
+            Conn::Local(c) => c.read_frame(),
+        }
+    }
+
+    /// Best effort, as an in-process call has no timeouts to set.
+    fn set_timeouts(&self, t: Duration) {
+        if let Conn::Socket(s) = self {
+            let _ = s.get_ref().set_timeouts(Some(t));
+        }
+    }
+}
 
 /// A memnode handle (see module docs).
 pub struct RemoteNode {
     id: MemNodeId,
-    endpoint: Endpoint,
+    peer: Peer,
     cfg: WireConfig,
     transport: Arc<Transport>,
     idle: Mutex<Vec<Conn>>,
@@ -130,9 +175,19 @@ impl RemoteNode {
         cfg: WireConfig,
         transport: Arc<Transport>,
     ) -> RemoteNode {
+        Self::to(id, Peer::Socket(endpoint), cfg, transport)
+    }
+
+    /// A handle to `node`, a memnode in this process: a socket's frames,
+    /// each answered by the server's step on the caller's thread.
+    pub fn in_process(node: Arc<MemNode>, transport: Arc<Transport>) -> RemoteNode {
+        Self::to(node.id, Peer::Local(node), WireConfig::default(), transport)
+    }
+
+    fn to(id: MemNodeId, peer: Peer, cfg: WireConfig, transport: Arc<Transport>) -> RemoteNode {
         RemoteNode {
             id,
-            endpoint,
+            peer,
             cfg,
             transport,
             idle: Mutex::new(Vec::new()),
@@ -141,11 +196,6 @@ impl RemoteNode {
             hists: Mutex::new(HashMap::new()),
             flags_cache: Mutex::new(FlagsCache::default()),
         }
-    }
-
-    /// The endpoint this handle dials.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
     }
 
     /// Performs the `Hello` handshake, validating protocol version and
@@ -171,8 +221,8 @@ impl RemoteNode {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
-                            "endpoint {} serves memnode {node}, expected {}",
-                            self.endpoint, self.id
+                            "the memnode {} is memnode {node}, expected {}",
+                            self.peer, self.id
                         ),
                     ));
                 }
@@ -185,7 +235,7 @@ impl RemoteNode {
             )),
             Err(_) => Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
-                format!("memnode {} at {} unreachable", self.id, self.endpoint),
+                format!("memnode {} {} unreachable", self.id, self.peer),
             )),
         }
     }
@@ -214,9 +264,14 @@ impl RemoteNode {
     }
 
     fn dial(&self) -> io::Result<Conn> {
-        let s = self.endpoint.dial(self.cfg.connect_timeout)?;
-        s.set_timeouts(Some(self.cfg.request_timeout))?;
-        Ok(FrameReader::new(s))
+        match &self.peer {
+            Peer::Socket(endpoint) => {
+                let s = endpoint.dial(self.cfg.connect_timeout)?;
+                s.set_timeouts(Some(self.cfg.request_timeout))?;
+                Ok(Conn::Socket(FrameReader::new(s)))
+            }
+            Peer::Local(node) => Ok(Conn::Local(LocalConn::new(node.clone()))),
+        }
     }
 
     /// Bumps one of the `wire.breaker.*` transition counters in the
@@ -338,7 +393,7 @@ impl RemoteNode {
     fn exchange(&self, conn: &mut Conn, frame: &[u8], req_tag: u8) -> io::Result<(Response, u64)> {
         let payload = {
             let _rtt = span_tagged(SpanKind::Rtt, req_tag);
-            write_frame(faults::Site::WireClientSend, conn.get_mut(), frame)?;
+            conn.send(frame)?;
             if let Some(a) = faults::check_delay(faults::Site::WireClientRecv) {
                 match a {
                     faults::Action::Panic => panic!("injected panic at wire.client.recv"),
@@ -409,14 +464,14 @@ impl RemoteNode {
                 let t = op
                     .cap(self.cfg.request_timeout)
                     .max(Duration::from_millis(1));
-                let _ = conn.get_ref().set_timeouts(Some(t));
+                conn.set_timeouts(t);
             }
             match self.exchange(&mut conn, &frame, req_tag) {
                 Ok((resp, bytes_in)) => {
                     if capped {
                         // Restore the default before pooling so later
                         // uncapped requests keep their full timeout.
-                        let _ = conn.get_ref().set_timeouts(Some(self.cfg.request_timeout));
+                        conn.set_timeouts(self.cfg.request_timeout);
                     }
                     self.put_conn(conn);
                     self.note_success();
@@ -620,9 +675,9 @@ impl NodeRpc for RemoteNode {
     }
 
     fn as_local(&self) -> Option<&MemNode> {
-        match &self.endpoint {
-            Endpoint::Local(node) => Some(&node.0),
-            _ => None,
+        match &self.peer {
+            Peer::Local(node) => Some(node),
+            Peer::Socket(_) => None,
         }
     }
 }

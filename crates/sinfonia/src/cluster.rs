@@ -6,10 +6,10 @@ use crate::error::SinfoniaError;
 use crate::memnode::{MemNode, Unavailable};
 use crate::minitx::{Minitransaction, Outcome};
 use crate::recovery::{self, Resolution};
-use crate::rpc::NodeHandle;
+use crate::rpc::{NodeHandle, NodeRpc};
 use crate::transport::Transport;
 use crate::wal::DurabilityConfig;
-use crate::wire::{Endpoint, LocalNode};
+use crate::wire::Endpoint;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Default)]
 pub enum TransportMode {
     /// Memnodes are in-process objects; an RPC is the wire exchange minus
-    /// the socket ([`crate::server::LocalConn`]). This is the simulation
+    /// the socket ([`RemoteNode::in_process`]). This is the simulation
     /// mode every test and benchmark runs by default.
     #[default]
     InProcess,
@@ -163,9 +163,10 @@ impl SinfoniaCluster {
     /// to resume existing state.
     pub fn new(cfg: ClusterConfig) -> Arc<Self> {
         Self::check_cfg(&cfg);
-        let (endpoints, wire) = match cfg.transport.clone() {
-            TransportMode::InProcess => {
-                let local = |i: usize| {
+        let transport = Self::transport(&cfg);
+        let remotes: Vec<RemoteNode> = match &cfg.transport {
+            TransportMode::InProcess => (0..cfg.memnodes)
+                .map(|i| {
                     let id = MemNodeId(i as u16);
                     let node = if cfg.durability.enabled() {
                         MemNode::durable(id, cfg.capacity_per_node, &cfg.durability)
@@ -173,13 +174,9 @@ impl SinfoniaCluster {
                     } else {
                         MemNode::new(id, cfg.capacity_per_node)
                     };
-                    Endpoint::Local(LocalNode(Arc::new(node)))
-                };
-                (
-                    (0..cfg.memnodes).map(local).collect(),
-                    WireConfig::default(),
-                )
-            }
+                    RemoteNode::in_process(Arc::new(node), transport.clone())
+                })
+                .collect(),
             TransportMode::Wire { endpoints, wire } => {
                 assert_eq!(
                     endpoints.len(),
@@ -190,13 +187,15 @@ impl SinfoniaCluster {
                     !cfg.durability.enabled(),
                     "durability is server-side in wire mode: configure it on the daemons"
                 );
-                (endpoints, wire)
+                (endpoints.iter().enumerate())
+                    .map(|(i, ep)| {
+                        let id = MemNodeId(i as u16);
+                        RemoteNode::new(id, ep.clone(), wire.clone(), transport.clone())
+                    })
+                    .collect()
             }
         };
-        let transport = Self::transport(&cfg);
-        let nodes = (endpoints.into_iter().enumerate())
-            .map(|(i, ep)| Self::handle(MemNodeId(i as u16), ep, &wire, &transport, &cfg))
-            .collect();
+        let nodes = remotes.into_iter().map(|r| Self::handle(r, &cfg)).collect();
         Self::assemble(nodes, transport, cfg, 1)
     }
 
@@ -206,18 +205,12 @@ impl SinfoniaCluster {
         Arc::new(Transport::new(cfg.inject_rtt).with_obs(minuet_obs::ObsPlane::new(&cfg.obs)))
     }
 
-    /// The handle of memnode `id` at `endpoint` (in-process or not),
-    /// handshaken at once — retrying for up to the `unavailable_retry`
-    /// budget, as servers may still be binding — so its capacity (checked
-    /// against the configured one) and flags are cached before the first op.
-    fn handle(
-        id: MemNodeId,
-        endpoint: Endpoint,
-        wire: &WireConfig,
-        transport: &Arc<Transport>,
-        cfg: &ClusterConfig,
-    ) -> NodeHandle {
-        let remote = RemoteNode::new(id, endpoint, wire.clone(), transport.clone());
+    /// `remote` (in process or not) handshaken at once — retrying for up
+    /// to the `unavailable_retry` budget, as servers may still be binding —
+    /// so its capacity (checked against the configured one) and flags are
+    /// cached before the first op.
+    fn handle(remote: RemoteNode, cfg: &ClusterConfig) -> NodeHandle {
+        let id = remote.id();
         let deadline = Instant::now() + cfg.unavailable_retry;
         let capacity = loop {
             match remote.hello() {
@@ -227,11 +220,7 @@ impl SinfoniaCluster {
                 }
                 Err(e) => {
                     if Instant::now() >= deadline {
-                        panic!(
-                            "memnode {id} at {} unreachable after {:?}: {e}",
-                            remote.endpoint(),
-                            cfg.unavailable_retry
-                        );
+                        panic!("{e} after {:?}", cfg.unavailable_retry);
                     }
                     std::thread::sleep(Duration::from_millis(10));
                 }
@@ -285,14 +274,8 @@ impl SinfoniaCluster {
             if recovery::join_marker_path(&dir, id).exists() {
                 node.set_joining(true);
             }
-            let endpoint = Endpoint::Local(LocalNode(Arc::new(node)));
-            nodes.push(Self::handle(
-                id,
-                endpoint,
-                &WireConfig::default(),
-                &transport,
-                &cfg,
-            ));
+            let remote = RemoteNode::in_process(Arc::new(node), transport.clone());
+            nodes.push(Self::handle(remote, &cfg));
             metas.push(Ok(meta));
             max_txid = max_txid.max(node_max);
         }
@@ -416,15 +399,8 @@ impl SinfoniaCluster {
             MemNode::new(id, self.cfg.capacity_per_node)
         };
         node.set_joining(true);
-        let endpoint = Endpoint::Local(LocalNode(Arc::new(node)));
-        let wire = WireConfig::default();
-        nodes.push(Self::handle(
-            id,
-            endpoint,
-            &wire,
-            &self.transport,
-            &self.cfg,
-        ));
+        let remote = RemoteNode::in_process(Arc::new(node), self.transport.clone());
+        nodes.push(Self::handle(remote, &self.cfg));
         Ok(id)
     }
 
@@ -585,6 +561,16 @@ impl Drop for SinfoniaCluster {
         self.ckpt_stop.store(true, Ordering::Release);
         if let Some(h) = self.ckpt_thread.lock().take() {
             let _ = h.join();
+        }
+        // A handler panic is answered as a failure its caller may well
+        // tolerate; so that the bug still fails a debug build's test, a
+        // cluster that served one no failpoint injected says so here.
+        if cfg!(debug_assertions) && !std::thread::panicking() {
+            let count = |n: &MemNode| n.stats.handler_panics.load(Ordering::Relaxed);
+            let nodes = self.nodes.read();
+            let panics: u64 = nodes.iter().filter_map(|n| n.as_local()).map(count).sum();
+            let injected = minuet_faults::panics_fired();
+            debug_assert!(panics <= injected, "{panics} memnode handlers panicked");
         }
     }
 }

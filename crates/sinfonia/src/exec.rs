@@ -25,7 +25,7 @@ use crate::lock::TxId;
 use crate::memnode::{SingleResult, Vote};
 use crate::minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
 use crate::wire::WireBatchItem;
-use minuet_obs::jitter;
+use minuet_obs::{jitter, OpScope};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -268,6 +268,10 @@ fn try_once(
         }
 
         let all_prepared = prepared.len() == shards.len();
+        // Decisions go out whatever the op deadline (it ends only the retry
+        // loop): a participant that voted Ok holds its locks until told.
+        let op = OpDeadline::current();
+        let _deliver = OpScope::deadline(|_| None);
         if all_prepared {
             // Phase two: commit everywhere. A participant that crashed
             // after voting Ok must still apply the decision after recovery:
@@ -285,7 +289,7 @@ fn try_once(
                             // the delivery loop with a typed error; the
                             // durable participant lists let in-doubt
                             // resolution finish the transaction later.
-                            if OpDeadline::current().expired() {
+                            if op.expired() {
                                 return TryResult::Deadline;
                             }
                             if Instant::now() >= deadline {

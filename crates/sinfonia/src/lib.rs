@@ -12,7 +12,7 @@
 //!
 //! - **In-process** (default): memnodes are real concurrent objects with
 //!   real lock managers; an "RPC" is the wire exchange minus the socket
-//!   ([`server::LocalConn`]), and [`transport::Transport`] counts round
+//!   ([`client::RemoteNode::in_process`]), and [`transport::Transport`] counts round
 //!   trips exactly (and can inject latency), so distributed cost
 //!   structure is observable without physical machines.
 //! - **Wire**: memnodes live behind real sockets (TCP or Unix), served by

@@ -3,9 +3,9 @@
 //! [`NodeRpc`] abstracts "a memnode the coordinator can talk to", and
 //! [`crate::client::RemoteNode`] is its one implementation: every call is
 //! one request frame of the binary wire protocol ([`crate::wire`]) and
-//! one reply frame, over a socket or — for a memnode in this process —
-//! over a [`crate::server::LocalConn`], which answers the frame with the
-//! server's own step on the caller's thread. The cluster stores
+//! one reply frame, over a socket or — for a memnode in this process
+//! ([`crate::client::RemoteNode::in_process`]) — over a connection that
+//! answers the frame with the server's own step on the caller's thread. The cluster stores
 //! [`NodeHandle`]s, so the whole coordinator stack — minitransaction
 //! execution, recovery, migration fencing, the B-tree above — runs
 //! unchanged in either mode; [`crate::cluster::ClusterConfig::transport`]

@@ -4,7 +4,7 @@
 //! thread-per-connection pool. Each connection is a simple synchronous
 //! request/response loop: read one frame, decode a [`Request`], dispatch
 //! into the memnode, write one [`Response`] frame — the one per-frame
-//! step, `serve_frame`, which a [`LocalConn`] to a memnode in the
+//! step, `serve_frame`, which a `LocalConn` to a memnode in the
 //! client's own process runs on the caller's thread. There is no async
 //! runtime — the protocol is std-only by design (see `crate::wire`).
 //!
@@ -22,14 +22,12 @@ use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::memnode::{MemNode, Unavailable};
 use crate::wire::{
-    decode_frame, encode_response_payload, seal_reply, seal_traced_reply, AdminOp, AdminReply,
-    Endpoint, FrameReader, Listener, LocalNode, NodeFlags, Request, Response, Stream,
-    PROTO_VERSION,
+    encode_response_payload, open_frame, seal_reply, seal_traced_reply, AdminOp, AdminReply,
+    Endpoint, FrameReader, Listener, NodeFlags, Request, Response, Stream, PROTO_VERSION,
 };
 use minuet_faults as faults;
 use minuet_obs::{note, span, with_server_trace, SpanKind, Trace};
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -332,27 +330,33 @@ fn serve_frame(node: &Arc<MemNode>, payload: &Bytes, out: &mut impl Write) -> Th
     }
 }
 
-/// An in-process connection (see the module docs). Writing a request
-/// frame runs the server's step on the writer's thread and queues its
-/// reply for the reads that follow. The client writes each frame whole,
-/// so a write that is not one whole, intact frame is a torn or corrupt
-/// one, and like a step that closes the connection it ends this one:
-/// reads drain what was queued, then see the end of the stream.
-#[derive(Debug)]
-pub struct LocalConn {
-    node: LocalNode,
-    replies: VecDeque<u8>,
+/// An in-process connection: writing a request frame runs the server's
+/// step on the writer's thread and keeps the sealed reply to be read. A
+/// write that is not one whole, intact frame (the client writes whole
+/// ones) is torn or corrupt, and like a step that closes it, ends it.
+pub(crate) struct LocalConn {
+    node: Arc<MemNode>,
+    reply: Vec<u8>,
     closed: bool,
 }
 
 impl LocalConn {
     /// A fresh connection to `node`.
-    pub(crate) fn new(node: LocalNode) -> LocalConn {
+    pub(crate) fn new(node: Arc<MemNode>) -> LocalConn {
         LocalConn {
             node,
-            replies: VecDeque::new(),
+            reply: Vec::new(),
             closed: false,
         }
+    }
+
+    /// The reply frame's payload, checked as one off a socket but not
+    /// copied; the end of the stream if the step kept no reply.
+    pub(crate) fn read_frame(&mut self) -> io::Result<Bytes> {
+        if self.reply.is_empty() {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        Ok(open_frame(std::mem::take(&mut self.reply))?)
     }
 }
 
@@ -361,11 +365,9 @@ impl Write for LocalConn {
         if self.closed {
             return Err(io::ErrorKind::BrokenPipe.into());
         }
-        let then = match decode_frame(frame) {
-            Ok((payload, len)) if len == frame.len() => {
-                serve_frame(&self.node.0, &payload, &mut self.replies)
-            }
-            _ => Then::Close,
+        let then = match open_frame(frame.to_vec()) {
+            Ok(payload) => serve_frame(&self.node, &payload, &mut self.reply),
+            Err(_) => Then::Close,
         };
         self.closed = !matches!(then, Then::Serve);
         Ok(frame.len())
@@ -373,18 +375,6 @@ impl Write for LocalConn {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-impl io::Read for LocalConn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match (self.replies.is_empty(), self.closed) {
-            (false, _) => self.replies.read(buf),
-            (true, true) => Ok(0),
-            // Every step has run by now: a live connection with no reply
-            // queued is a socket read that would time out.
-            (true, false) => Err(io::ErrorKind::TimedOut.into()),
-        }
     }
 }
 

@@ -33,21 +33,17 @@
 //! fully arrived costs its connection one `read`.
 //!
 //! The module is std-only: plain blocking TCP / Unix-domain sockets, no
-//! async runtime. [`Endpoint`] names a listening address in either family,
-//! or a memnode in this process: a [`Stream`] to that one is a
-//! [`LocalConn`], which hands each frame to the server's own per-frame
-//! step on the caller's thread, so an in-process exchange runs this codec
-//! and its CRCs too.
+//! async runtime. [`Endpoint`] names a listening address in either family;
+//! an in-process memnode is reached with the same frames and no socket.
 
 use crate::addr::{merge_intervals, MemNodeId};
 use crate::bytes::Bytes;
 use crate::crc::crc32;
 use crate::lock::TxId;
-use crate::memnode::{MemNode, ReplStatus, SingleResult, Vote};
+use crate::memnode::{ReplStatus, SingleResult, Vote};
 use crate::minitx::LockPolicy;
 use crate::recovery::NodeMeta;
 use crate::rpc::NodeStats;
-use crate::server::LocalConn;
 use minuet_obs::SpanRecord;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -130,8 +126,7 @@ impl From<WireError> for io::Error {
 // Endpoints and streams
 // ---------------------------------------------------------------------------
 
-/// Where a memnode is served: a listening address in either socket
-/// family, or an in-process memnode ([`Endpoint::Local`]).
+/// A listening address for a memnode server, in either socket family.
 ///
 /// Parsed from `tcp:HOST:PORT` or `unix:/path/to.sock`:
 ///
@@ -147,32 +142,6 @@ pub enum Endpoint {
     Tcp(String),
     /// A Unix-domain socket path.
     Unix(PathBuf),
-    /// A memnode in this process. Dialing it opens a [`LocalConn`]: the
-    /// server's own per-frame step, run on the caller's thread.
-    Local(LocalNode),
-}
-
-/// The memnode behind an [`Endpoint::Local`]; two are equal when they are
-/// the same node.
-#[derive(Clone)]
-pub struct LocalNode(pub Arc<MemNode>);
-
-impl PartialEq for LocalNode {
-    fn eq(&self, other: &LocalNode) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for LocalNode {}
-
-// The server catches a handler's panic and serves on; so may its callers.
-impl std::panic::UnwindSafe for LocalNode {}
-impl std::panic::RefUnwindSafe for LocalNode {}
-
-impl std::fmt::Debug for LocalNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LocalNode({})", self.0.id)
-    }
 }
 
 impl Endpoint {
@@ -196,11 +165,9 @@ impl Endpoint {
     }
 
     /// Opens a listener on this endpoint. For Unix endpoints a stale
-    /// socket file from a previous run is removed first; an in-process
-    /// memnode has nothing to listen on.
+    /// socket file from a previous run is removed first.
     pub fn listen(&self) -> io::Result<Listener> {
         match self {
-            Endpoint::Local(_) => Err(io::ErrorKind::Unsupported.into()),
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(std::net::TcpListener::bind(addr)?)),
             Endpoint::Unix(path) => {
                 let _ = std::fs::remove_file(path);
@@ -228,7 +195,6 @@ impl Endpoint {
             Endpoint::Unix(path) => {
                 Ok(Stream::Unix(std::os::unix::net::UnixStream::connect(path)?))
             }
-            Endpoint::Local(node) => Ok(Stream::Local(LocalConn::new(node.clone()))),
         }
     }
 }
@@ -238,7 +204,6 @@ impl std::fmt::Display for Endpoint {
         match self {
             Endpoint::Tcp(a) => write!(f, "tcp:{a}"),
             Endpoint::Unix(p) => write!(f, "unix:{}", p.display()),
-            Endpoint::Local(node) => write!(f, "local:{}", node.0.id),
         }
     }
 }
@@ -277,16 +242,13 @@ impl Listener {
     }
 }
 
-/// A connected stream in either socket family, or to an in-process
-/// memnode.
+/// A connected stream in either socket family.
 #[derive(Debug)]
 pub enum Stream {
     /// TCP connection.
     Tcp(std::net::TcpStream),
     /// Unix-domain connection.
     Unix(std::os::unix::net::UnixStream),
-    /// In-process connection: no socket, no timeouts, no second handle.
-    Local(LocalConn),
 }
 
 impl Stream {
@@ -301,7 +263,6 @@ impl Stream {
                 s.set_read_timeout(t)?;
                 s.set_write_timeout(t)
             }
-            Stream::Local(_) => Ok(()),
         }
     }
 
@@ -310,7 +271,6 @@ impl Stream {
         Ok(match self {
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Local(_) => return Err(io::ErrorKind::Unsupported.into()),
         })
     }
 
@@ -320,7 +280,6 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
             Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Local(_) => Ok(()),
         }
     }
 }
@@ -330,7 +289,6 @@ impl Read for Stream {
         match self {
             Stream::Tcp(s) => s.read(buf),
             Stream::Unix(s) => s.read(buf),
-            Stream::Local(c) => c.read(buf),
         }
     }
 }
@@ -340,7 +298,6 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Unix(s) => s.write(buf),
-            Stream::Local(c) => c.write(buf),
         }
     }
 
@@ -348,7 +305,6 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.flush(),
             Stream::Unix(s) => s.flush(),
-            Stream::Local(c) => c.flush(),
         }
     }
 }
@@ -500,6 +456,18 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Bytes, usize), WireError> {
     let payload = buf.get(FRAME_HDR..total).ok_or(WireError::Truncated)?;
     check_crc(payload, want)?;
     Ok((Bytes::copy_from_slice(payload), total))
+}
+
+/// Opens `frame`, exactly one sealed frame, in place: header and CRC are
+/// checked as off a socket, and the payload is a view of the same buffer
+/// (how an in-process connection, handed whole frames, receives).
+pub(crate) fn open_frame(frame: Vec<u8>) -> Result<Bytes, WireError> {
+    let (len, want) = parse_header(&frame)?;
+    if FRAME_HDR + len != frame.len() {
+        return Err(WireError::BadValue("not one whole frame"));
+    }
+    check_crc(&frame[FRAME_HDR..], want)?;
+    Ok(Bytes::shared(Arc::new(frame), FRAME_HDR, len))
 }
 
 // ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ fn one_memnode_handle() {
     assert!(
         impls.len() == 1 && impls[0].0 == "client.rs",
         "`NodeRpc` must have exactly one implementation, `RemoteNode` in client.rs: {impls:?}. \
-         An in-process memnode is a `RemoteNode` dialing `Endpoint::Local`."
+         An in-process memnode is a `RemoteNode::in_process`."
     );
     let booked = sites("record_wire_bytes(");
     assert!(

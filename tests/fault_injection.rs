@@ -1,6 +1,7 @@
 //! Targeted failpoint regressions: WAL hardening (degrade-to-read-only,
 //! torn tails, ENOSPC mid-checkpoint), end-to-end deadline behavior
-//! (fail-fast, retry-loop cutoff, replication-wait caps), the tagged
+//! (fail-fast, retry-loop cutoff, replication-wait caps, decisions
+//! delivered past an expired deadline), the tagged
 //! Nth-call dispatch fault, circuit-breaker observability, and the
 //! `Faults` admin RPC.
 //!
@@ -336,6 +337,57 @@ fn deadline_caps_wait_replicated() {
         "wait_replicated ignored the deadline cap ({elapsed:?})"
     );
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A deadline that runs out inside the two-phase protocol does not strand
+/// the participants that voted yes: the coordinator still delivers their
+/// abort (the deadline ran out before the last prepare) or commit (it ran
+/// out before phase two), so no node holds a staged transaction and its
+/// locks — a running cluster makes no in-doubt pass that would free them.
+/// The delay at `wire.client.recv` spends the budget after a prepare has
+/// been answered, in process as over a socket.
+#[test]
+fn decisions_are_delivered_past_an_expired_deadline() {
+    let _g = faults::test_guard();
+    for wire in [false, true] {
+        let c = common::sinfonia_cluster_on(2, CAPACITY, wire);
+        let mut m = Minitransaction::new();
+        for mem in [MemNodeId(0), MemNodeId(1)] {
+            m.write(ItemRange::new(mem, 0, 8), 7u64.to_le_bytes().to_vec());
+        }
+        // Skip 0: the first prepare's reply waits out the deadline, so the
+        // second prepare is never sent and the first must be aborted.
+        // Skip 1: both prepares are answered, then phase two must commit.
+        for (skip, committed) in [(0, false), (1, true)] {
+            let late = Arm::new(Action::Delay(Duration::from_millis(60)))
+                .after(skip)
+                .times(1);
+            faults::arm(Site::WireClientRecv, late);
+            let scope = OpDeadline::after(Duration::from_millis(20)).enter();
+            let got = c.execute(&m);
+            drop(scope);
+            match &got {
+                Ok(o) => assert!(committed && o.committed(), "wire={wire} skip={skip}: {o:?}"),
+                Err(e) => assert!(
+                    !committed && matches!(e, SinfoniaError::DeadlineExceeded),
+                    "wire={wire} skip={skip}: {e}"
+                ),
+            }
+            for mem in [MemNodeId(0), MemNodeId(1)] {
+                assert_eq!(
+                    c.node(mem).in_doubt(),
+                    Ok(0),
+                    "wire={wire} skip={skip}: memnode {mem} still holds a staged transaction"
+                );
+            }
+            let want = if committed { 7 } else { 0 };
+            assert_eq!(read_slot(&c, 0), want, "wire={wire} skip={skip}");
+        }
+        assert!(
+            put_slot(&c, 0, 9).unwrap(),
+            "wire={wire}: the range is free"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

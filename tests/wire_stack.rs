@@ -8,7 +8,6 @@
 use minuet::core::{op_tag, MinuetCluster, TreeConfig};
 use minuet::obs::{ObsConfig, SpanKind};
 use minuet::sinfonia::rpc::{AdminOp, AdminReply};
-use minuet::sinfonia::wire::{Endpoint, LocalNode};
 use minuet::sinfonia::{ClusterConfig, MemNodeId, NodeRpc, RemoteNode, Transport, WireConfig};
 use std::sync::Arc;
 
@@ -252,12 +251,7 @@ fn admin_ops_answer_alike_in_process_and_over_the_wire() {
     }
     drop(p);
 
-    let local = RemoteNode::new(
-        MemNodeId(0),
-        Endpoint::Local(LocalNode(nodes[0].clone())),
-        WireConfig::default(),
-        Arc::new(Transport::new(None)),
-    );
+    let local = RemoteNode::in_process(nodes[0].clone(), Arc::new(Transport::new(None)));
     let remote = mc.sinfonia.node(MemNodeId(0));
     assert!(
         local
