@@ -359,11 +359,11 @@ fn decisions_are_delivered_past_an_expired_deadline() {
         // second prepare is never sent and the first must be aborted.
         // Skip 1: both prepares are answered, then phase two must commit.
         for (skip, committed) in [(0, false), (1, true)] {
-            let late = Arm::new(Action::Delay(Duration::from_millis(60)))
+            let late = Arm::new(Action::Delay(Duration::from_millis(200)))
                 .after(skip)
                 .times(1);
             faults::arm(Site::WireClientRecv, late);
-            let scope = OpDeadline::after(Duration::from_millis(20)).enter();
+            let scope = OpDeadline::after(Duration::from_millis(100)).enter();
             let got = c.execute(&m);
             drop(scope);
             match &got {
