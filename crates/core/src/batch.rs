@@ -574,7 +574,7 @@ impl Proxy {
         }
         if leaves.is_empty() {
             // Everything fits in the root leaf.
-            self.write_node(tx, tree, root_ptr, cur);
+            self.write_node(tx, tree, root_ptr, cur, None);
             return Ok(());
         }
         leaves.push(cur);
@@ -591,7 +591,7 @@ impl Proxy {
         for (i, mut leaf) in leaves.into_iter().enumerate() {
             (leaf.low, leaf.high) = (low(&seps, i), high(&seps, i));
             let ptr = self.bulk_slot(tree, pool, &mut cursor)?;
-            self.write_node(tx, tree, ptr, leaf);
+            self.write_node(tx, tree, ptr, leaf, None);
             kids.push(ptr);
         }
         let mut height: u8 = 1;
@@ -636,7 +636,7 @@ impl Proxy {
             let nodes = match <[Node; 1]>::try_from(nodes) {
                 // The single top node is the new root, written in place.
                 Ok([root]) => {
-                    self.write_node(tx, tree, root_ptr, root);
+                    self.write_node(tx, tree, root_ptr, root, None);
                     return Ok(());
                 }
                 Err(nodes) if nodes.len() < kids.len() => nodes,
@@ -648,7 +648,7 @@ impl Proxy {
             kids.clear();
             for node in nodes {
                 let ptr = self.bulk_slot(tree, pool, &mut cursor)?;
-                self.write_node(tx, tree, ptr, node);
+                self.write_node(tx, tree, ptr, node, None);
                 kids.push(ptr);
             }
             seps = up;
@@ -783,9 +783,11 @@ mod tests {
         step(&mut p, "cold multi_get", (8, 8, 896, 38_820), &get);
         step(&mut p, "warm multi_get", (2, 2, 876, 30), &get);
         let update: Vec<_> = keys.iter().map(|k| (k.clone(), vec![1u8; 8])).collect();
-        for _ in 0..2 {
+        // Each leaf ships its changed values alone; the second round
+        // rewrites the bytes already there, so it ships only seqnos.
+        for out in [7_562, 3_878] {
             let put = |p: &mut crate::proxy::Proxy| drop(p.multi_put(0, &update).unwrap());
-            step(&mut p, "multi_put update", (4, 34, 9_590, 250), &put);
+            step(&mut p, "multi_put update", (4, 34, out, 250), &put);
         }
         let inserts: Vec<_> = (1000..1040).map(|i| (key(i), vec![2u8; 8])).collect();
         let insert = |p: &mut crate::proxy::Proxy| drop(p.multi_put(0, &inserts).unwrap());
@@ -808,6 +810,27 @@ mod tests {
         step(&mut p, "multi_get again", (2, 2, 900, 30), &get);
         let remove = |p: &mut crate::proxy::Proxy| drop(p.multi_remove(0, &keys[..20]).unwrap());
         step(&mut p, "multi_remove", (4, 10, 2_134, 106), &remove);
+    }
+
+    /// A cached-leaf put of a value of the same size ships the leaf's
+    /// version compare, its new seqno and the value's changed bytes — not
+    /// the leaf. A get of the same cached leaf ships the compare alone, so
+    /// the difference is the two write items.
+    #[test]
+    fn a_same_size_put_ships_seqno_and_value() {
+        let mc = MinuetCluster::new(2, 1, TreeConfig::small_nodes(8));
+        let pairs: Vec<_> = (0..256).map(|i| (key(i), vec![0u8; 8])).collect();
+        mc.proxy().bulk_load(0, pairs).unwrap();
+        let mut p = mc.proxy();
+        p.get(0, &key(7)).unwrap();
+        let ledger = |net: minuet_sinfonia::OpNet| (net.round_trips, net.bytes_out);
+        let (_, get) = with_op_net(|| p.get(0, &key(7)).unwrap());
+        let (_, put) = with_op_net(|| p.put(0, key(7), vec![9u8; 8]).unwrap());
+        assert_eq!(ledger(get), (1, 78), "cached get: (rt, out)");
+        assert_eq!(ledger(put), (1, 126), "cached same-size put: (rt, out)");
+        // Two write items, each an index, an offset and a length (16
+        // bytes) before its data: the 8-byte seqno and the 8-byte value.
+        assert_eq!(put.bytes_out - get.bytes_out, 2 * 16 + 8 + 8);
     }
 
     #[test]

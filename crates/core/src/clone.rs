@@ -75,7 +75,7 @@ impl Proxy {
         dcopy.created = z;
         dcopy.desc = vec![a, b];
         let zptr = self.alloc(tree, Some(orig.ptr.mem))?;
-        self.write_node(tx, tree, zptr, dcopy);
+        self.write_node(tx, tree, zptr, dcopy, None);
 
         node.desc.retain(|d| d.sid != a.sid && d.sid != b.sid);
         node.desc.push(DescEntry { sid: z, ptr: zptr });

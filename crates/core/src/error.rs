@@ -16,6 +16,8 @@ pub enum CorruptNode {
     BadFenceTag(u8),
     /// A leaf's high fence is −∞: no key lies below it.
     NegInfHighFence,
+    /// Bytes left over after the last entry: this many.
+    Trailing(usize),
 }
 
 impl fmt::Display for CorruptNode {
@@ -25,6 +27,7 @@ impl fmt::Display for CorruptNode {
             CorruptNode::Truncated => write!(f, "truncated node image"),
             CorruptNode::BadFenceTag(t) => write!(f, "bad fence tag {t}"),
             CorruptNode::NegInfHighFence => write!(f, "high fence is -inf"),
+            CorruptNode::Trailing(n) => write!(f, "{n} trailing bytes after the last entry"),
         }
     }
 }

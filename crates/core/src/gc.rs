@@ -11,14 +11,18 @@
 //! The scan itself uses unsynchronized raw reads (cheap, possibly torn);
 //! every freeing decision is then *confirmed transactionally*: the slot is
 //! re-read inside a dynamic transaction, the condition re-evaluated, and
-//! the free-list push commits only if the slot was unchanged.
+//! the free-list push commits only if the slot was unchanged. Liveness is
+//! decided from a slot's node header alone ([`NodeHeader`]): a free
+//! segment or a reservation has another magic, and a freed slot is
+//! tombstoned, so a header that reads is a node's.
 
 use crate::alloc::{push_free_segment, AllocState};
 use crate::catalog::{CatEntry, GlobalVal, TipVal};
 use crate::error::Error;
-use crate::node::{Node, NodePtr, SnapshotId};
+use crate::node::{NodeHeader, NodePtr, SnapshotId};
 use crate::proxy::Proxy;
 use crate::tree::VersionMode;
+use minuet_dyntx::{ReadItem, TxKey};
 use minuet_sinfonia::MemNodeId;
 use std::collections::HashMap;
 
@@ -66,7 +70,7 @@ impl LivenessCtx {
     }
 
     /// Can any live snapshot still reach this node?
-    fn node_live(&self, ptr: NodePtr, node: &Node) -> bool {
+    fn node_live(&self, ptr: NodePtr, node: &NodeHeader) -> bool {
         if let Some(&owner) = self.roots.get(&ptr) {
             // Roots serve exactly their own snapshot (each snapshot gets a
             // fresh root copy at creation). The catalog keeps entries for
@@ -169,10 +173,9 @@ impl Proxy {
             let mut candidates: Vec<u32> = Vec::new();
             crate::stats::scan_slots(&sin, &layout, mem, &mut |slot, val| {
                 stats.scanned += 1;
-                if let Ok(node) = Node::decode(&val.data) {
-                    if !ctx.node_live(NodePtr { mem, slot }, &node) {
-                        candidates.push(slot);
-                    }
+                let header = NodeHeader::decode(&val.data);
+                if header.is_ok_and(|h| !ctx.node_live(NodePtr { mem, slot }, &h)) {
+                    candidates.push(slot);
                 }
             })?;
 
@@ -197,12 +200,21 @@ impl Proxy {
         let layout = *self.mc.layout(tree);
         let (confirmed, _) = self.run_tx(tree, self.mc.cfg.max_op_retries, |_, tx| {
             let state = AllocState::read(tx, &layout, mem)?;
-            // Re-confirm each candidate under validation.
+            // Re-confirm each candidate under validation: one read of the
+            // batch, and a pin of every slot about to be freed, so the
+            // commit frees only slots still at the version judged dead.
+            let obj = |slot| layout.node_obj(NodePtr { mem, slot });
+            let items: Vec<ReadItem> = batch.iter().map(|&s| ReadItem::Read(obj(s))).collect();
+            let got = tx.read_many(&items)?;
+            if let Some(e) = got.failed {
+                return Err(e.into());
+            }
             let mut confirmed: Vec<u32> = Vec::new();
-            for &slot in batch {
-                let ptr = NodePtr { mem, slot };
-                let raw = tx.read(layout.node_obj(ptr))?;
-                if Node::decode(&raw).is_ok_and(|node| !ctx.node_live(ptr, &node)) {
+            for (&slot, val) in batch.iter().zip(got.vals) {
+                let Some(val) = val else { continue };
+                let header = NodeHeader::decode(&val.data);
+                if header.is_ok_and(|h| !ctx.node_live(NodePtr { mem, slot }, &h)) {
+                    tx.assume_version(TxKey::Plain(obj(slot)), val.seqno);
                     confirmed.push(slot);
                 }
             }

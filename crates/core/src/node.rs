@@ -16,6 +16,7 @@ use crate::error::CorruptNode;
 use crate::key::{Fence, Key, Value};
 use minuet_sinfonia::MemNodeId;
 use std::fmt;
+use std::ops::Range;
 
 /// Snapshot identifier. Snapshot 0 is the initial (tip) version of a tree.
 pub type SnapshotId = u64;
@@ -87,6 +88,28 @@ pub struct Node {
     pub high: Fence,
     /// Entries.
     pub body: NodeBody,
+}
+
+/// The fields in front of a node image's fences: enough to tell a node
+/// from a free segment or a reservation (their magics differ) and to
+/// decide whether any live snapshot can reach it, read without decoding
+/// the body.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeHeader {
+    /// Height above the leaves (0 = leaf).
+    pub height: u8,
+    /// Snapshot id at which the node was created.
+    pub created: SnapshotId,
+    /// Descendant set.
+    pub desc: Vec<DescEntry>,
+}
+
+impl NodeHeader {
+    /// Reads the header of a node image; the rest of the image is not
+    /// looked at, so a header that reads is no proof the body would.
+    pub fn decode(raw: &[u8]) -> Result<NodeHeader, CorruptNode> {
+        decode_header(&mut Cursor { raw, pos: 0 })
+    }
 }
 
 const NODE_MAGIC: u8 = 0xB7;
@@ -204,10 +227,16 @@ impl Node {
         }
     }
 
+    /// Encoded bytes before the first separator or entry: the header,
+    /// the fences and the entry count.
+    fn body_offset(&self) -> usize {
+        let fences = fence_size(&self.low) + fence_size(&self.high);
+        1 + 1 + 8 + 1 + 14 * self.desc.len() + fences + 2
+    }
+
     /// Encoded payload size in bytes.
     pub fn encoded_size(&self) -> usize {
-        let fences = fence_size(&self.low) + fence_size(&self.high);
-        let mut n = 1 + 1 + 8 + 1 + 14 * self.desc.len() + fences + 2;
+        let mut n = self.body_offset();
         match &self.body {
             NodeBody::Internal { seps, kids } => {
                 n += seps.iter().map(|s| 2 + s.len()).sum::<usize>();
@@ -221,6 +250,55 @@ impl Node {
             }
         }
         n
+    }
+
+    /// The one byte range where `self.encode()` differs from
+    /// `base.encode()`, computed from the two nodes without encoding
+    /// either. `None` unless the two have one shape — equal header,
+    /// fences and count, and equal keys and value lengths (a leaf) or
+    /// separators (an internal node) — so that every byte sits at the
+    /// same offset in both encodings; an empty range when they are equal.
+    /// Splicing `self.encode()[range]` into `base.encode()` gives
+    /// `self.encode()`.
+    pub fn changed_range(&self, base: &Node) -> Option<Range<usize>> {
+        let fields = |n: &Node| (n.height, n.created, n.len());
+        if fields(self) != fields(base)
+            || (&self.desc, &self.low, &self.high) != (&base.desc, &base.low, &base.high)
+        {
+            return None;
+        }
+        let mut at = self.body_offset();
+        let mut changed = at..at;
+        match (&self.body, &base.body) {
+            (NodeBody::Leaf { entries }, NodeBody::Leaf { entries: old }) => {
+                for ((k, v), (old_k, old_v)) in entries.iter().zip(old) {
+                    if k != old_k || v.len() != old_v.len() {
+                        return None;
+                    }
+                    at += 4 + k.len();
+                    widen(&mut changed, at, v, old_v);
+                    at += v.len();
+                }
+            }
+            (
+                NodeBody::Internal { seps, kids },
+                NodeBody::Internal {
+                    seps: old,
+                    kids: was,
+                },
+            ) => {
+                if seps != old {
+                    return None;
+                }
+                at += seps.iter().map(|s| 2 + s.len()).sum::<usize>();
+                for (k, w) in kids.iter().zip(was) {
+                    widen(&mut changed, at, &ptr_bytes(*k), &ptr_bytes(*w));
+                    at += 6;
+                }
+            }
+            _ => return None,
+        }
+        Some(changed)
     }
 
     /// True if the node no longer fits in a slot (or exceeds the
@@ -356,8 +434,7 @@ impl Node {
                     out.extend_from_slice(s);
                 }
                 for k in kids {
-                    out.extend_from_slice(&k.mem.0.to_le_bytes());
-                    out.extend_from_slice(&k.slot.to_le_bytes());
+                    out.extend_from_slice(&ptr_bytes(*k));
                 }
             }
             NodeBody::Leaf { entries } => {
@@ -379,26 +456,11 @@ impl Node {
     /// error, never panic).
     pub fn decode(raw: &[u8]) -> Result<Node, CorruptNode> {
         let mut c = Cursor { raw, pos: 0 };
-        let magic = c.u8()?;
-        if magic != NODE_MAGIC {
-            return Err(CorruptNode::BadMagic(magic));
-        }
-        let height = c.u8()?;
-        let created = c.u64()?;
-        let ndesc = c.u8()? as usize;
-        let mut desc = Vec::with_capacity(ndesc);
-        for _ in 0..ndesc {
-            let sid = c.u64()?;
-            let mem = c.u16()?;
-            let slot = c.u32()?;
-            desc.push(DescEntry {
-                sid,
-                ptr: NodePtr {
-                    mem: MemNodeId(mem),
-                    slot,
-                },
-            });
-        }
+        let NodeHeader {
+            height,
+            created,
+            desc,
+        } = decode_header(&mut c)?;
         let low = decode_fence(&mut c)?;
         let high = decode_fence(&mut c)?;
         let count = c.u16()? as usize;
@@ -429,6 +491,11 @@ impl Node {
             }
             NodeBody::Leaf { entries }
         };
+        // Every byte is accounted for, so the image is exactly the
+        // node's encoding: a ranged write patches the image it observed.
+        if c.pos != raw.len() {
+            return Err(CorruptNode::Trailing(raw.len() - c.pos));
+        }
         Ok(Node {
             height,
             created,
@@ -438,6 +505,59 @@ impl Node {
             body,
         })
     }
+}
+
+/// Reads the magic, height, creation snapshot and descendant set.
+fn decode_header(c: &mut Cursor<'_>) -> Result<NodeHeader, CorruptNode> {
+    let magic = c.u8()?;
+    if magic != NODE_MAGIC {
+        return Err(CorruptNode::BadMagic(magic));
+    }
+    let height = c.u8()?;
+    let created = c.u64()?;
+    let ndesc = c.u8()? as usize;
+    let mut desc = Vec::with_capacity(ndesc);
+    for _ in 0..ndesc {
+        let sid = c.u64()?;
+        let mem = c.u16()?;
+        let slot = c.u32()?;
+        desc.push(DescEntry {
+            sid,
+            ptr: NodePtr {
+                mem: MemNodeId(mem),
+                slot,
+            },
+        });
+    }
+    Ok(NodeHeader {
+        height,
+        created,
+        desc,
+    })
+}
+
+/// A child pointer as encoded: memnode, then slot.
+fn ptr_bytes(p: NodePtr) -> [u8; 6] {
+    let mut out = [0; 6];
+    out[..2].copy_from_slice(&p.mem.0.to_le_bytes());
+    out[2..].copy_from_slice(&p.slot.to_le_bytes());
+    out
+}
+
+/// Widens `changed` to cover the bytes where `new` and `old`, of one
+/// length and both encoded at offset `at`, differ.
+fn widen(changed: &mut Range<usize>, at: usize, new: &[u8], old: &[u8]) {
+    let differs = |(a, b): (&u8, &u8)| a != b;
+    let Some(first) = new.iter().zip(old).position(differs) else {
+        return;
+    };
+    let last = new.iter().zip(old).rposition(differs).unwrap_or(first);
+    let (start, end) = (at + first, at + last + 1);
+    *changed = if changed.start == changed.end {
+        start..end
+    } else {
+        changed.start.min(start)..changed.end.max(end)
+    };
 }
 
 /// Encoded bytes of a fence: its tag, and a finite key's length and bytes.

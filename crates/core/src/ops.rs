@@ -61,6 +61,11 @@ impl Proxy {
     /// memnode — the all-memnode engagement that makes splits expensive in
     /// the baseline (§3).
     ///
+    /// `base` is the node this attempt observed at `ptr`, if it is
+    /// rewriting one in place: when `node` has its shape
+    /// ([`Node::changed_range`]), the commit ships only the bytes that
+    /// changed ([`DynTx::write_ranged`]).
+    ///
     /// The node's cached entry is dropped, and the node itself is kept in
     /// `written` if the cache may hold it — an internal node when
     /// internal nodes are cached, a leaf when writable reads use the
@@ -70,7 +75,14 @@ impl Proxy {
     /// a snapshot read never takes a leaf from a tip entry, and keeping
     /// it decoded beside every copy would double the leaves the cache
     /// holds.
-    pub(crate) fn write_node(&mut self, tx: &mut DynTx<'_>, tree: u32, ptr: NodePtr, node: Node) {
+    pub(crate) fn write_node(
+        &mut self,
+        tx: &mut DynTx<'_>,
+        tree: u32,
+        ptr: NodePtr,
+        node: Node,
+        base: Option<&Node>,
+    ) {
         let layout = *self.mc.layout(tree);
         let obj = layout.node_obj(ptr);
         let payload = node.encode();
@@ -86,6 +98,8 @@ impl Proxy {
             for mem in self.mc.sinfonia.memnode_ids() {
                 tx.add_raw_write(layout.seqtab_entry(ptr, mem), seqno.to_le_bytes().to_vec());
             }
+        } else if let Some(changed) = base.and_then(|b| node.changed_range(b)) {
+            tx.write_ranged(obj, payload, changed);
         } else {
             tx.write(obj, payload);
         }
@@ -205,7 +219,7 @@ impl Proxy {
 
         if in_snapshot {
             if !node.overflows(payload_cap, max_entries) {
-                self.write_node(tx, tree, orig.ptr, node);
+                self.write_node(tx, tree, orig.ptr, node, Some(&orig.node));
                 return Ok(());
             }
             if level == 0 {
@@ -237,11 +251,11 @@ impl Proxy {
         // this may trigger a discretionary copy (§5.2). An overflowing
         // copy splits: its first piece is the copy.
         let updated_orig = self.add_copy_to_desc(tx, tree, ctx, path, level, cptr)?;
-        self.write_node(tx, tree, orig.ptr, updated_orig);
+        self.write_node(tx, tree, orig.ptr, updated_orig, None);
         let insert = if copy.overflows(payload_cap, max_entries) {
             self.split_into(tx, tree, copy, cptr, Some(mem))?
         } else {
-            self.write_node(tx, tree, cptr, copy);
+            self.write_node(tx, tree, cptr, copy, None);
             Vec::new()
         };
         let ops = ChildOps {
@@ -267,9 +281,9 @@ impl Proxy {
         let (payload_cap, max_entries) = self.limits(&node);
         let (head, rest) = node.split_to_fit(payload_cap, max_entries);
         let ptrs = (rest.iter().map(|_| self.alloc(tree, mem))).collect::<Result<Vec<_>, _>>()?;
-        self.write_node(tx, tree, first, head);
+        self.write_node(tx, tree, first, head, None);
         let placed = rest.into_iter().zip(ptrs).map(|((sep, piece), ptr)| {
-            self.write_node(tx, tree, ptr, piece);
+            self.write_node(tx, tree, ptr, piece, None);
             (sep, ptr)
         });
         Ok(placed.collect())
@@ -338,7 +352,7 @@ impl Proxy {
         if new_root.overflows(payload_cap, max_entries) {
             return self.root_split(tx, tree, ctx, root_ptr, new_root);
         }
-        self.write_node(tx, tree, root_ptr, new_root);
+        self.write_node(tx, tree, root_ptr, new_root, None);
         Ok(())
     }
 }

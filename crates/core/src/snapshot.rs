@@ -90,7 +90,7 @@ impl Proxy {
             Some(ptr) => ptr,
             None => *slot.insert(self.alloc(tree, None)?),
         };
-        self.write_node(tx, tree, new_root_ptr, new_root);
+        self.write_node(tx, tree, new_root_ptr, new_root, None);
 
         // Old root bookkeeping: record the copy for GC. Roots are never
         // reached through child pointers, so this set is not consulted by
@@ -100,7 +100,7 @@ impl Proxy {
             sid: next,
             ptr: new_root_ptr,
         });
-        self.write_node(tx, tree, cat_src.root, old_root_upd);
+        self.write_node(tx, tree, cat_src.root, old_root_upd, None);
 
         // Catalog updates.
         let new_entry = CatEntry {

@@ -19,12 +19,17 @@ pub(crate) fn raw_obj(sin: &SinfoniaCluster, obj: ObjRef) -> Result<ObjVal, Erro
     Ok(minuet_dyntx::decode_obj(&raw))
 }
 
+/// Slots a scan reads with one raw read: 64 slots of a 4 KiB payload are
+/// 257 KiB, one frame.
+const SCAN_RUN: u32 = 64;
+
 /// Raw-scans every allocated slot of `mem` (0..bump), invoking
 /// `f(slot, val)` with each decoded object image, and returns the
 /// allocator state observed before the scan. The single place that knows
 /// the alloc-state/bump scan protocol — shared by [`occupancy`], the GC
-/// sweep, and migration's referencer/liveness scans. Unsynchronized, like
-/// [`raw_obj`].
+/// sweep, and migration's referencer/liveness scans. Slots are read in
+/// runs of [`SCAN_RUN`], one raw read each, and handed out as slices of
+/// the run. Unsynchronized, like [`raw_obj`].
 pub(crate) fn scan_slots(
     sin: &SinfoniaCluster,
     layout: &Layout,
@@ -32,8 +37,21 @@ pub(crate) fn scan_slots(
     f: &mut dyn FnMut(u32, ObjVal),
 ) -> Result<AllocState, Error> {
     let state = AllocState::read_raw(sin, layout, mem)?;
-    for slot in 0..state.bump {
-        f(slot, raw_obj(sin, layout.node_obj(NodePtr { mem, slot }))?);
+    let (stride, cap) = (
+        layout.slot_size(),
+        layout.node_obj(NodePtr { mem, slot: 0 }).cap,
+    );
+    for first in (0..state.bump).step_by(SCAN_RUN as usize) {
+        let n = SCAN_RUN.min(state.bump - first);
+        let off = layout.node_obj(NodePtr { mem, slot: first }).off;
+        let len = u64::from(n - 1) * stride + u64::from(cap);
+        let run = sin.node(mem).raw_read(off, len as u32)?;
+        for i in 0..n {
+            // A short reply reads as unwritten slots, never a panic.
+            let at = ((u64::from(i) * stride) as usize).min(run.len());
+            let image = run.slice(at, (cap as usize).min(run.len() - at));
+            f(first + i, minuet_dyntx::decode_obj_shared(&image));
+        }
     }
     Ok(state)
 }

@@ -243,3 +243,134 @@ proptest! {
         prop_assert_eq!((l.len(), r.len()), (n / 2, n - n / 2));
     }
 }
+
+/// `base` with same-shape `edits` applied: for each `(at, pos, mask)`, a
+/// leaf's value `at` gets byte `pos` xor-ed with `mask`, an internal
+/// node's child `at` gets slot `pos` (memnode `mask`).
+fn same_shape_edit(base: &Node, edits: &[(u16, u16, u8)]) -> Node {
+    let mut node = base.clone();
+    for &(at, pos, mask) in edits {
+        match &mut node.body {
+            NodeBody::Leaf { entries } if !entries.is_empty() => {
+                let n = entries.len();
+                let value = &mut entries[at as usize % n].1;
+                if !value.is_empty() {
+                    let i = pos as usize % value.len();
+                    value[i] ^= mask;
+                }
+            }
+            NodeBody::Internal { kids, .. } => {
+                let i = at as usize % kids.len();
+                kids[i] = NodePtr {
+                    mem: MemNodeId(u16::from(mask)),
+                    slot: u32::from(pos),
+                };
+            }
+            NodeBody::Leaf { .. } => {}
+        }
+    }
+    node
+}
+
+fn edits_strategy() -> impl Strategy<Value = Vec<(u16, u16, u8)>> {
+    proptest::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 0..4)
+}
+
+proptest! {
+    /// An image that decodes is exactly its node's encoding: a byte
+    /// changed or bytes appended either fail to decode or re-encode to
+    /// the same image. A ranged write patches the image it observed, so
+    /// the memnode must hold `encode()` of the node the writer decoded.
+    #[test]
+    fn an_image_that_decodes_re_encodes_to_itself(
+        leaf in leaf_strategy(),
+        internal in internal_strategy(),
+        at in any::<u16>(),
+        byte in any::<u8>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..3),
+    ) {
+        for node in [leaf, internal] {
+            let mut raw = node.encode();
+            let i = at as usize % raw.len();
+            raw[i] = byte;
+            raw.extend_from_slice(&tail);
+            if let Ok(decoded) = Node::decode(&raw) {
+                prop_assert_eq!(decoded.encode(), raw);
+            }
+            let mut trailing = node.encode();
+            trailing.push(byte);
+            prop_assert!(Node::decode(&trailing).is_err());
+        }
+    }
+
+    /// For a same-shape edit, splicing the computed range of the new
+    /// encoding into the base encoding gives the new encoding, and the
+    /// range is tight: its first and last bytes differ from the base's.
+    #[test]
+    fn a_same_shape_edit_splices_into_its_base(
+        leaf in leaf_strategy(),
+        internal in internal_strategy(),
+        edits in edits_strategy(),
+    ) {
+        for base in [leaf, internal] {
+            let node = same_shape_edit(&base, &edits);
+            let range = node.changed_range(&base);
+            prop_assert!(range.is_some(), "same shape, no range");
+            let range = range.unwrap();
+            let (old, new) = (base.encode(), node.encode());
+            prop_assert_eq!(old.len(), new.len());
+            let mut spliced = old.clone();
+            spliced[range.clone()].copy_from_slice(&new[range.clone()]);
+            prop_assert_eq!(&spliced, &new);
+            if range.is_empty() {
+                prop_assert_eq!(&old, &new);
+            } else {
+                prop_assert!(old[range.start] != new[range.start]);
+                prop_assert!(old[range.end - 1] != new[range.end - 1]);
+            }
+        }
+    }
+
+    /// Any change of shape yields no range: an insert, a remove, a value
+    /// of another length, a new descendant entry, or another fence.
+    #[test]
+    fn a_shape_change_yields_no_range(
+        base in leaf_strategy(),
+        change in 0u8..5,
+        key in proptest::collection::vec(any::<u8>(), 0..16),
+        at in any::<u16>(),
+    ) {
+        let mut node = base.clone();
+        let entries = match &base.body {
+            NodeBody::Leaf { entries } => entries.len(),
+            NodeBody::Internal { .. } => unreachable!(),
+        };
+        match change {
+            0 => {
+                prop_assume!(base.leaf_get(&key).is_none());
+                node.leaf_put(key, Vec::new());
+            }
+            1 | 2 => {
+                prop_assume!(entries > 0);
+                let NodeBody::Leaf { entries: e } = &mut node.body else { unreachable!() };
+                let i = at as usize % e.len();
+                if change == 1 {
+                    e.remove(i);
+                } else {
+                    e[i].1.push(0);
+                }
+            }
+            3 => node.desc.push(DescEntry {
+                sid: u64::from(at),
+                ptr: NodePtr { mem: MemNodeId(0), slot: 0 },
+            }),
+            _ => {
+                node.high = match base.high {
+                    Fence::PosInf => Fence::Key(key),
+                    _ => Fence::PosInf,
+                }
+            }
+        }
+        prop_assert!(node.changed_range(&base).is_none());
+    }
+}

@@ -135,3 +135,37 @@ fn panic_sites_do_not_grow() {
         );
     }
 }
+
+/// The code lines of `file`.
+fn source(file: &str) -> Vec<String> {
+    let found = sources().into_iter().find(|(f, _)| f == file);
+    found.map(|(_, code)| code).unwrap_or_default()
+}
+
+#[test]
+fn gc_decides_liveness_from_the_header() {
+    // A full decode materialises every entry of a slot the sweep only
+    // needs the magic, creation snapshot and descendant set of.
+    let decodes = count(&source("gc.rs"), &["Node::decode"]);
+    assert_eq!(
+        decodes, 0,
+        "gc.rs calls `Node::decode` on {decodes} line(s). Decide liveness from \
+         `NodeHeader::decode`: node, free-segment and reservation magics differ, and freed \
+         slots are tombstoned."
+    );
+}
+
+#[test]
+fn scan_slots_reads_runs_of_slots() {
+    let code = source("stats.rs");
+    let start = code.iter().position(|l| l.contains("fn scan_slots("));
+    let start = start.expect("stats.rs defines `scan_slots`");
+    let len = code[start..].iter().position(|l| l == "}");
+    let len = len.expect("`scan_slots` ends");
+    let per_slot = count(&code[start..start + len], &["raw_obj("]);
+    assert_eq!(
+        per_slot, 0,
+        "`scan_slots` calls `raw_obj` on {per_slot} line(s): one raw read per slot. Read a run \
+         of slots with one `raw_read` and slice it (`decode_obj_shared`)."
+    );
+}

@@ -20,12 +20,13 @@
 //!   later written is first *promoted* into the read set with the seqno
 //!   observed by the dirty read.
 
-use crate::object::{decode_obj_shared, encode_obj, ObjRef, ObjVal, ReplRef, SeqNo};
+use crate::object::{decode_obj_shared, encode_obj, ObjRef, ObjVal, ReplRef, SeqNo, OBJ_HEADER};
 use minuet_obs::{span, SpanKind};
 use minuet_sinfonia::{
     Bytes, ItemRange, MemNodeId, Minitransaction, Outcome, SinfoniaCluster, SinfoniaError,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Key identifying an object within a transaction's read/write sets.
@@ -133,12 +134,27 @@ pub struct CommitInfo {
     pub validation_skipped: bool,
 }
 
+/// How a staged write reaches its memnode. The write set always holds the
+/// whole new payload (for reads of one's own writes and for what a commit
+/// installs); this says which of its bytes the commit sends.
+enum Ship {
+    /// Header and whole payload, under a fresh seqno.
+    Whole,
+    /// Header and whole payload, under this pinned seqno
+    /// ([`DynTx::write_with_seqno`]).
+    Pinned(SeqNo),
+    /// A fresh seqno and the payload bytes in `changed` alone: the rest
+    /// of the payload, and its length, equal those of the version `base`
+    /// this transaction observed ([`DynTx::write_ranged`]).
+    Range { base: SeqNo, changed: Range<usize> },
+}
+
 /// A dynamic transaction over a Sinfonia cluster.
 pub struct DynTx<'c> {
     cluster: &'c SinfoniaCluster,
     read_set: BTreeMap<TxKey, SeqNo>,
     read_vals: HashMap<TxKey, Bytes>,
-    write_set: BTreeMap<TxKey, (Bytes, Option<SeqNo>)>,
+    write_set: BTreeMap<TxKey, (Bytes, Ship)>,
     dirty_seen: HashMap<TxKey, SeqNo>,
     /// Raw compare items added verbatim to fetch (same-memnode) and commit
     /// minitransactions. Used by the baseline B-tree mode to validate
@@ -474,7 +490,64 @@ impl<'c> DynTx<'c> {
     /// derived its update from. Objects never read are written blindly
     /// (fresh allocations).
     pub fn write(&mut self, obj: ObjRef, payload: impl Into<Bytes>) {
+        self.stage(obj, payload.into(), Ship::Whole);
+    }
+
+    /// Like [`DynTx::write`], for a payload of the same length as the
+    /// version this transaction observed that differs from it only in the
+    /// bytes `changed` covers — or, if this transaction already staged a
+    /// write of `obj`, from that write. The commit then sends the new
+    /// seqno and those bytes instead of the header and the whole payload.
+    /// The range is kept relative to the observed version: a second
+    /// ranged write widens the first. The write ships whole after all if
+    /// the object was never observed (a blind write has no bytes to keep),
+    /// if a whole write of it is staged, or if the observed version the
+    /// range is relative to is no longer the one commit validates.
+    pub fn write_ranged(&mut self, obj: ObjRef, payload: impl Into<Bytes>, changed: Range<usize>) {
         let payload = payload.into();
+        debug_assert!(changed.start <= changed.end && changed.end <= payload.len());
+        let key = TxKey::Plain(obj);
+        self.promote(key);
+        let base = self.read_set.get(&key).copied().filter(|&seqno| seqno != 0);
+        let ship = match (base, self.write_set.get(&key)) {
+            (Some(base), None) => Ship::Range { base, changed },
+            (_, Some((staged, Ship::Range { base, changed: was })))
+                if staged.len() == payload.len() =>
+            {
+                let changed = match (was.is_empty(), changed.is_empty()) {
+                    (true, _) => changed,
+                    (false, true) => was.clone(),
+                    (false, false) => was.start.min(changed.start)..was.end.max(changed.end),
+                };
+                Ship::Range {
+                    base: *base,
+                    changed,
+                }
+            }
+            _ => Ship::Whole,
+        };
+        self.stage(obj, payload, ship);
+    }
+
+    /// Like [`DynTx::write`], but pins the sequence number the commit will
+    /// install. Used when the new seqno must also be written elsewhere in
+    /// the same commit (the baseline's replicated seqno table, §2.3).
+    pub fn write_with_seqno(&mut self, obj: ObjRef, payload: impl Into<Bytes>, seqno: SeqNo) {
+        self.stage(obj, payload.into(), Ship::Pinned(seqno));
+    }
+
+    /// A dirty observation of `key`, if it is not in the read set, joins
+    /// it: a write must validate the version it was derived from.
+    fn promote(&mut self, key: TxKey) {
+        if !self.read_set.contains_key(&key) {
+            if let Some(&seen) = self.dirty_seen.get(&key) {
+                self.read_set.insert(key, seen);
+            }
+        }
+    }
+
+    /// Stages a write of a plain object, promoting its dirty observation.
+    fn stage(&mut self, obj: ObjRef, payload: Bytes, ship: Ship) {
         assert!(
             payload.len() <= obj.payload_cap() as usize,
             "payload {} exceeds object capacity {}",
@@ -482,27 +555,8 @@ impl<'c> DynTx<'c> {
             obj.payload_cap()
         );
         let key = TxKey::Plain(obj);
-        if !self.read_set.contains_key(&key) {
-            if let Some(&seen) = self.dirty_seen.get(&key) {
-                self.read_set.insert(key, seen);
-            }
-        }
-        self.write_set.insert(key, (payload, None));
-    }
-
-    /// Like [`DynTx::write`], but pins the sequence number the commit will
-    /// install. Used when the new seqno must also be written elsewhere in
-    /// the same commit (the baseline's replicated seqno table, §2.3).
-    pub fn write_with_seqno(&mut self, obj: ObjRef, payload: impl Into<Bytes>, seqno: SeqNo) {
-        let payload = payload.into();
-        assert!(payload.len() <= obj.payload_cap() as usize);
-        let key = TxKey::Plain(obj);
-        if !self.read_set.contains_key(&key) {
-            if let Some(&seen) = self.dirty_seen.get(&key) {
-                self.read_set.insert(key, seen);
-            }
-        }
-        self.write_set.insert(key, (payload, Some(seqno)));
+        self.promote(key);
+        self.write_set.insert(key, (payload, ship));
     }
 
     /// Adds a raw compare item evaluated both by subsequent same-memnode
@@ -522,7 +576,8 @@ impl<'c> DynTx<'c> {
     pub fn write_repl(&mut self, obj: ReplRef, payload: impl Into<Bytes>) {
         let payload = payload.into();
         assert!(payload.len() <= obj.payload_cap() as usize);
-        self.write_set.insert(TxKey::Repl(obj), (payload, None));
+        self.write_set
+            .insert(TxKey::Repl(obj), (payload, Ship::Whole));
     }
 
     /// Commits the transaction.
@@ -599,18 +654,34 @@ impl<'c> DynTx<'c> {
 
         let mut installed = Vec::with_capacity(self.write_set.len());
         let mut repl_writes = Vec::new();
-        for (key, (payload, pinned)) in &self.write_set {
-            let new_seqno = pinned.unwrap_or_else(|| cluster.next_txid());
-            let image = encode_obj(new_seqno, payload);
-            match key {
-                TxKey::Plain(r) => {
-                    let range = ItemRange::new(r.mem, r.off, image.len() as u32);
-                    m.write(range, image);
+        for (key, (payload, ship)) in &self.write_set {
+            let new_seqno = match ship {
+                Ship::Pinned(seqno) => *seqno,
+                _ => cluster.next_txid(),
+            };
+            match (key, ship) {
+                // Still relative to the version commit validates: the
+                // header's length and every byte outside `changed` stay.
+                (TxKey::Plain(r), Ship::Range { base, changed })
+                    if self.read_set.get(key) == Some(base) =>
+                {
+                    m.write(r.seqno_range(), new_seqno.to_le_bytes().to_vec());
+                    if !changed.is_empty() {
+                        let off = r.off + u64::from(OBJ_HEADER) + changed.start as u64;
+                        let range = ItemRange::new(r.mem, off, changed.len() as u32);
+                        m.write(range, payload.slice(changed.start, changed.len()));
+                    }
+                }
+                (TxKey::Plain(r), _) => {
+                    let image = encode_obj(new_seqno, payload);
+                    m.write(ItemRange::new(r.mem, r.off, image.len() as u32), image);
                 }
                 // Deferred: expanded to one write per replica at execution
                 // time, under the membership gate; one shared buffer
                 // serves every replica's write item.
-                TxKey::Repl(r) => repl_writes.push((*r, Bytes::from(image))),
+                (TxKey::Repl(r), _) => {
+                    repl_writes.push((*r, Bytes::from(encode_obj(new_seqno, payload))))
+                }
             }
             installed.push((*key, new_seqno));
         }
@@ -1318,6 +1389,117 @@ mod tests {
             results[1].as_ref().unwrap_err(),
             &TxError::Unavailable(MemNodeId(1))
         );
+    }
+
+    /// The `(offset, length)` of every write item a staged commit sends.
+    fn shipped(staged: &StagedCommit<'_>) -> Vec<(u64, usize)> {
+        let Staged::Mini { m, .. } = &staged.what else {
+            return Vec::new();
+        };
+        (m.shards().iter())
+            .flat_map(|(_, shard)| shard.writes.iter().map(|(_, off, d)| (*off, d.len())))
+            .collect()
+    }
+
+    /// `base` with bytes `at` set to `v`.
+    fn patched(base: &[u8], at: std::ops::Range<usize>, v: u8) -> Vec<u8> {
+        let mut out = base.to_vec();
+        out[at].fill(v);
+        out
+    }
+
+    /// An object at `(0, 0)` holding 40 zero bytes.
+    fn forty_zeroes(c: &SinfoniaCluster) -> ObjRef {
+        let o = obj(0, 0);
+        let mut t0 = DynTx::new(c);
+        t0.write(o, vec![0u8; 40]);
+        t0.commit().unwrap();
+        o
+    }
+
+    #[test]
+    fn two_ranged_writes_to_one_object_both_land() {
+        let c = cluster(1);
+        let o = forty_zeroes(&c);
+        let mut t = DynTx::new(&c);
+        let base = t.read(o).unwrap().to_vec();
+        let first = patched(&base, 2..4, 1);
+        t.write_ranged(o, first.clone(), 2..4);
+        // Derived from the staged write, its range relative to it: the
+        // commit must still ship the first write's bytes.
+        let second = patched(&first, 30..32, 2);
+        t.write_ranged(o, second.clone(), 30..32);
+        let staged = t.stage_commit();
+        let header = u64::from(OBJ_HEADER);
+        assert_eq!(shipped(&staged), [(0, 8), (header + 2, 30)]);
+        staged.execute().unwrap();
+        assert_eq!(DynTx::new(&c).read(o).unwrap(), second);
+    }
+
+    #[test]
+    fn a_ranged_write_after_a_whole_write_stays_whole() {
+        let c = cluster(1);
+        let o = forty_zeroes(&c);
+        let mut t = DynTx::new(&c);
+        let base = t.read(o).unwrap().to_vec();
+        let whole = patched(&base, 0..40, 3);
+        t.write(o, whole.clone());
+        let after = patched(&whole, 5..6, 4);
+        t.write_ranged(o, after.clone(), 5..6);
+        let staged = t.stage_commit();
+        assert_eq!(shipped(&staged), [(0, OBJ_HEADER as usize + 40)]);
+        staged.execute().unwrap();
+        assert_eq!(DynTx::new(&c).read(o).unwrap(), after);
+    }
+
+    #[test]
+    fn a_ranged_write_to_an_object_never_observed_ships_whole() {
+        let c = cluster(1);
+        let o = forty_zeroes(&c);
+        let mut t = DynTx::new(&c);
+        let blind = patched(&[0u8; 40], 7..9, 5);
+        t.write_ranged(o, blind.clone(), 7..9);
+        let staged = t.stage_commit();
+        assert_eq!(shipped(&staged), [(0, OBJ_HEADER as usize + 40)]);
+        staged.execute().unwrap();
+        assert_eq!(DynTx::new(&c).read(o).unwrap(), blind);
+    }
+
+    #[test]
+    fn a_ranged_write_over_a_moved_version_fails_and_changes_no_byte() {
+        let c = cluster(1);
+        let o = forty_zeroes(&c);
+        let mut t = DynTx::new(&c);
+        let base = t.read(o).unwrap().to_vec();
+        let mut w = DynTx::new(&c);
+        w.read(o).unwrap();
+        let moved = patched(&base, 10..20, 6);
+        w.write_ranged(o, moved.clone(), 10..20);
+        w.commit().unwrap();
+        t.write_ranged(o, patched(&base, 0..2, 7), 0..2);
+        assert_eq!(t.commit().unwrap_err(), TxError::Validation);
+        assert_eq!(DynTx::new(&c).read(o).unwrap(), moved);
+    }
+
+    #[test]
+    fn a_ranged_write_whose_observed_version_is_re_pinned_ships_whole() {
+        let c = cluster(1);
+        let o = forty_zeroes(&c);
+        let mut t = DynTx::new(&c);
+        let base = t.read(o).unwrap().to_vec();
+        let mut w = DynTx::new(&c);
+        w.read(o).unwrap();
+        w.write(o, patched(&base, 10..20, 6));
+        let moved = w.commit().unwrap().installed[0].1;
+        // The range is relative to the first version; the read set now
+        // validates the second, whose bytes 10..20 it would not restore.
+        let mine = patched(&base, 0..2, 7);
+        t.write_ranged(o, mine.clone(), 0..2);
+        t.assume_version(TxKey::Plain(o), moved);
+        let staged = t.stage_commit();
+        assert_eq!(shipped(&staged), [(0, OBJ_HEADER as usize + 40)]);
+        staged.execute().unwrap();
+        assert_eq!(DynTx::new(&c).read(o).unwrap(), mine);
     }
 
     #[test]
