@@ -29,6 +29,12 @@ use std::collections::HashMap;
 /// Sentinel parent for the initial snapshot (id 0).
 pub const NO_PARENT: u64 = u64::MAX;
 
+/// The `N` bytes of `raw` at offset `at`, or `None` past its end: the one
+/// fixed-width read of every decoder here.
+fn field<const N: usize>(raw: &[u8], at: usize) -> Option<[u8; N]> {
+    raw.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
 /// Payload of the replicated TIP object: the mainline tip snapshot id and
 /// its root location (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,14 +57,11 @@ impl TipVal {
 
     /// Deserializes the tip payload.
     pub fn decode(raw: &[u8]) -> Option<TipVal> {
-        if raw.len() < 14 {
-            return None;
-        }
         Some(TipVal {
-            sid: u64::from_le_bytes(raw[0..8].try_into().unwrap()),
+            sid: u64::from_le_bytes(field(raw, 0)?),
             root: NodePtr {
-                mem: MemNodeId(u16::from_le_bytes(raw[8..10].try_into().unwrap())),
-                slot: u32::from_le_bytes(raw[10..14].try_into().unwrap()),
+                mem: MemNodeId(u16::from_le_bytes(field(raw, 8)?)),
+                slot: u32::from_le_bytes(field(raw, 10)?),
             },
         })
     }
@@ -103,12 +106,9 @@ impl GlobalVal {
 
     /// Deserializes the header payload.
     pub fn decode(raw: &[u8]) -> Option<GlobalVal> {
-        if raw.len() < 16 {
-            return None;
-        }
         Some(GlobalVal {
-            next_sid: u64::from_le_bytes(raw[0..8].try_into().unwrap()),
-            lowest: u64::from_le_bytes(raw[8..16].try_into().unwrap()),
+            next_sid: u64::from_le_bytes(field(raw, 0)?),
+            lowest: u64::from_le_bytes(field(raw, 8)?),
         })
     }
 
@@ -166,18 +166,16 @@ impl CatEntry {
 
     /// Deserializes an entry; `None` for an unwritten slot.
     pub fn decode(raw: &[u8]) -> Option<CatEntry> {
-        if raw.len() < 24 {
-            return None;
-        }
+        let [nbranches, deleted] = field(raw, 22)?;
         Some(CatEntry {
             root: NodePtr {
-                mem: MemNodeId(u16::from_le_bytes(raw[0..2].try_into().unwrap())),
-                slot: u32::from_le_bytes(raw[2..6].try_into().unwrap()),
+                mem: MemNodeId(u16::from_le_bytes(field(raw, 0)?)),
+                slot: u32::from_le_bytes(field(raw, 2)?),
             },
-            parent: u64::from_le_bytes(raw[6..14].try_into().unwrap()),
-            branch_id: u64::from_le_bytes(raw[14..22].try_into().unwrap()),
-            nbranches: raw[22],
-            deleted: raw[23] != 0,
+            parent: u64::from_le_bytes(field(raw, 6)?),
+            branch_id: u64::from_le_bytes(field(raw, 14)?),
+            nbranches,
+            deleted: deleted != 0,
         })
     }
 
@@ -385,6 +383,38 @@ mod tests {
         assert!(w.is_writable());
     }
 
+    /// Every strict prefix of an encoding decodes to `None`, never a panic.
+    #[test]
+    fn short_payloads_decode_to_none() {
+        let tip = TipVal {
+            sid: 1,
+            root: ptr(2),
+        }
+        .encode();
+        let global = GlobalVal {
+            next_sid: 3,
+            lowest: 1,
+        }
+        .encode();
+        let entry = CatEntry {
+            root: ptr(4),
+            parent: 0,
+            branch_id: 0,
+            nbranches: 1,
+            deleted: false,
+        }
+        .encode();
+        for n in 0..tip.len() {
+            assert_eq!(TipVal::decode(&tip[..n]), None, "tip, {n} bytes");
+        }
+        for n in 0..global.len() {
+            assert_eq!(GlobalVal::decode(&global[..n]), None, "global, {n} bytes");
+        }
+        for n in 0..entry.len() {
+            assert_eq!(CatEntry::decode(&entry[..n]), None, "entry, {n} bytes");
+        }
+    }
+
     /// A zeroed or truncated TIP / GLOBAL image surfaces as the typed
     /// error from every entry point that reads it, not as a panic.
     #[test]
@@ -398,7 +428,7 @@ mod tests {
             let smash = |repl: ReplRef| {
                 for mem in mc.sinfonia.memnode_ids() {
                     let node = mc.sinfonia.node(mem);
-                    node.raw_write(repl.at(mem).off, image).unwrap();
+                    node.raw_write(repl.at(mem).off, image[..].into()).unwrap();
                 }
             };
             smash(layout.tip());

@@ -8,7 +8,7 @@ use crate::proxy::Proxy;
 use crate::scs::SnapshotService;
 use crate::stats::raw_obj;
 use minuet_dyntx::encode_obj;
-use minuet_sinfonia::{ClusterConfig, MemNodeId, SinfoniaCluster};
+use minuet_sinfonia::{Bytes, ClusterConfig, MemNodeId, SinfoniaCluster};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -494,7 +494,10 @@ fn bootstrap_tree(sin: &SinfoniaCluster, shared: &TreeShared, tree: u32, n_mems:
     let root = Node::empty_root(0);
     let root_obj = layout.node_obj(root_ptr);
     sin.node(root_mem)
-        .raw_write(root_obj.off, &encode_obj(sin.next_txid(), &root.encode()))
+        .raw_write(
+            root_obj.off,
+            encode_obj(sin.next_txid(), &root.encode()).into(),
+        )
         .expect("bootstrap root");
 
     // Allocator state: slot 0 consumed on the root's memnode.
@@ -506,7 +509,7 @@ fn bootstrap_tree(sin: &SinfoniaCluster, shared: &TreeShared, tree: u32, n_mems:
         };
         let obj = layout.alloc_state(mem);
         sin.node(mem)
-            .raw_write(obj.off, &encode_obj(sin.next_txid(), &st.encode()))
+            .raw_write(obj.off, encode_obj(sin.next_txid(), &st.encode()).into())
             .expect("bootstrap alloc state");
     }
 
@@ -532,10 +535,10 @@ fn bootstrap_tree(sin: &SinfoniaCluster, shared: &TreeShared, tree: u32, n_mems:
         (layout.global(), global.encode()),
         (layout.catalog_entry(0).unwrap(), cat0.encode()),
     ] {
-        let image = encode_obj(sin.next_txid(), &payload);
+        let image = Bytes::from(encode_obj(sin.next_txid(), &payload));
         for mem in sin.memnode_ids() {
             sin.node(mem)
-                .raw_write(obj.at(mem).off, &image)
+                .raw_write(obj.at(mem).off, image.clone())
                 .expect("bootstrap replicated object");
         }
     }

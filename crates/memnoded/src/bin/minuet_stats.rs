@@ -2,7 +2,7 @@
 //! dashboard of their observability plane.
 //!
 //! Each endpoint is polled over the ordinary wire protocol with three
-//! admin operations, all through the one `NodeRpc::admin` call: `Stats`
+//! admin operations, all through the one `RemoteNode::admin` call: `Stats`
 //! (the fixed `NodeStats` counters), `ObsSnapshot` (every registered
 //! counter and histogram), and `TraceDump` (recent or slow request traces
 //! recorded server-side). A node that stops answering mid-poll is reported
@@ -20,7 +20,7 @@
 
 use minuet_obs::{LatencySummary, Trace};
 use minuet_sinfonia::wire::Endpoint;
-use minuet_sinfonia::{MemNodeId, NodeRpc, RemoteNode, Transport, WireConfig};
+use minuet_sinfonia::{MemNodeId, RemoteNode, Transport, WireConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;

@@ -35,8 +35,8 @@
 
 use minuet_sinfonia::wire::Endpoint;
 use minuet_sinfonia::{
-    DurabilityConfig, MemNode, MemNodeId, MemNodeServer, NodeRpc, RemoteNode, ServerOptions,
-    SyncMode, Transport, WireConfig,
+    DurabilityConfig, MemNode, MemNodeId, MemNodeServer, RemoteNode, ServerOptions, SyncMode,
+    Transport, WireConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -307,19 +307,16 @@ fn spawn_follow_loop(
             let transport = Arc::new(Transport::new(None));
             let remote = RemoteNode::new(id, primary, WireConfig::default(), transport);
             while !stop2.load(Ordering::Acquire) {
-                let Ok(status) = node.repl_status() else {
-                    std::thread::sleep(poll);
-                    continue;
-                };
-                let Ok(seg) = remote.wal_fetch(status.watermark, MAX_FETCH) else {
-                    std::thread::sleep(poll);
-                    continue;
-                };
-                if seg.bytes.is_empty() {
-                    std::thread::sleep(poll);
-                    continue;
+                let fetched = node
+                    .repl_status()
+                    .and_then(|s| remote.wal_fetch(s.watermark, MAX_FETCH));
+                match fetched {
+                    Ok(seg) if !seg.bytes.is_empty() => {
+                        let _ = node.repl_apply(seg.from, &seg.bytes);
+                    }
+                    // Caught up, or either side is unreachable.
+                    _ => std::thread::sleep(poll),
                 }
-                let _ = node.repl_apply(seg.from, &seg.bytes);
             }
         })
         .expect("spawning follower thread failed");

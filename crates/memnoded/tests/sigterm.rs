@@ -4,8 +4,8 @@
 
 use minuet_sinfonia::wire::Endpoint;
 use minuet_sinfonia::{
-    ClusterConfig, ItemRange, MemNodeId, Minitransaction, NodeRpc, RemoteNode, SinfoniaCluster,
-    Transport, WireConfig,
+    ClusterConfig, ItemRange, MemNodeId, Minitransaction, RemoteNode, SinfoniaCluster, Transport,
+    WireConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};

@@ -1,12 +1,13 @@
-//! The memnode handle: a connection-pooled [`NodeRpc`] over frames.
+//! The one memnode handle: a connection-pooled client over frames.
 //!
-//! [`RemoteNode`] implements the full memnode surface against a
-//! [`crate::server::MemNodeServer`] (or a standalone `memnoded` process),
-//! or a memnode in this process ([`RemoteNode::in_process`], whose
-//! connections run the server's step on the caller's thread): one request
-//! frame out, one response frame back, over a small pool of blocking
-//! connections with per-request timeouts. Its byte counts are those
-//! frames'.
+//! [`RemoteNode`] is the only way a coordinator reaches a memnode — a
+//! [`crate::server::MemNodeServer`], a `memnoded` process, or a memnode in
+//! this process ([`RemoteNode::in_process`], whose connections run the
+//! server's step on the caller's thread): one request frame of the wire
+//! protocol ([`crate::wire`]) out, one reply frame back, over a small pool
+//! of blocking connections with per-request timeouts. Its byte counts are
+//! those frames'. The cluster stores `Arc<RemoteNode>`, so the stack above
+//! runs the same code, statically dispatched, in either mode.
 //!
 //! Failure model: any transport failure — dial refused, request timeout,
 //! torn frame — surfaces as [`Unavailable`], exactly like a crashed
@@ -26,15 +27,18 @@ use crate::deadline::OpDeadline;
 use crate::lock::TxId;
 use crate::memnode::{MemNode, ReplStatus, SingleResult, Unavailable, Vote};
 use crate::minitx::LockPolicy;
-use crate::rpc::NodeRpc;
+use crate::recovery::NodeMeta;
 use crate::server::{write_frame, LocalConn};
 use crate::transport::Transport;
+use crate::wal::WalSegment;
 use crate::wire::{
     encode_traced_request, split_reply_flags, AdminOp, AdminReply, Endpoint, FrameReader,
-    NodeFlags, Request, Response, Stream, WireBatchItem, WireShard, PROTO_VERSION,
+    NodeFlags, NodeStats, Request, Response, Stream, WireBatchItem, WireShard, PROTO_VERSION,
 };
 use minuet_faults as faults;
-use minuet_obs::{absorb_spans, current_ctx, span, span_tagged, HistHandle, SpanKind};
+use minuet_obs::{
+    absorb_spans, current_ctx, span, span_tagged, HistHandle, ObsSnapshot, SpanKind, Trace,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -85,7 +89,7 @@ struct Backoff {
 #[derive(Default)]
 struct FlagsCache {
     /// Invalidation epoch; bumped on transport failure and by
-    /// [`NodeRpc::invalidate_cached_flags`].
+    /// [`RemoteNode::invalidate_cached_flags`].
     epoch: u64,
     /// Epoch at which `flags` was last refreshed; the entry is *fresh*
     /// iff this equals `epoch`, and *stale-but-known* otherwise.
@@ -149,7 +153,11 @@ impl Conn {
     }
 }
 
-/// A memnode handle (see module docs).
+/// A memnode handle (see module docs). A call returns [`Unavailable`] when
+/// the node is crashed **or unreachable**: to a client the two are one. The
+/// data plane is one [`Request`] row per method; everything else is an
+/// [`AdminOp`] through [`RemoteNode::admin`], under typed conveniences that
+/// each say what they do when the node cannot be reached.
 pub struct RemoteNode {
     id: MemNodeId,
     peer: Peer,
@@ -344,8 +352,7 @@ impl RemoteNode {
         // The flag cache can no longer be trusted either: the server may
         // have restarted with different state. Keep the last value as a
         // stale fallback but force the next flag check to re-probe.
-        let mut c = self.flags_cache.lock();
-        c.epoch = c.epoch.wrapping_add(1);
+        self.invalidate_cached_flags();
     }
 
     /// Records a piggybacked flag byte, marking the cache fresh for the
@@ -522,12 +529,16 @@ impl RemoteNode {
     /// known (stale) value is returned, or `None` if the node has never
     /// been reached.
     fn flags(&self) -> Option<NodeFlags> {
-        if let Some(f) = self.fresh_flags() {
-            return Some(f);
-        }
+        self.fresh_flags()
+            .or_else(|| self.probe_flags())
+            .or_else(|| self.last_known_flags())
+    }
+
+    /// One `Flags` RPC: the node's flags, or `None` when it did not answer.
+    fn probe_flags(&self) -> Option<NodeFlags> {
         match self.request(&Request::Flags) {
             Ok(Response::Flags(f)) => Some(f),
-            _ => self.last_known_flags(),
+            _ => None,
         }
     }
 }
@@ -543,19 +554,22 @@ macro_rules! call {
     };
 }
 
-impl NodeRpc for RemoteNode {
-    fn id(&self) -> MemNodeId {
+impl RemoteNode {
+    /// This node's id.
+    pub fn id(&self) -> MemNodeId {
         self.id
     }
 
-    fn capacity(&self) -> u64 {
+    /// Address-space capacity in bytes.
+    pub fn capacity(&self) -> u64 {
         match self.capacity.load(Ordering::Relaxed) {
             0 => self.hello().unwrap_or(0),
             cap => cap,
         }
     }
 
-    fn exec_single(
+    /// One-phase (collapsed) minitransaction execution.
+    pub fn exec_single(
         &self,
         txid: TxId,
         shard: &WireShard,
@@ -569,7 +583,11 @@ impl NodeRpc for RemoteNode {
         call!(self, req, Response::Single(s) => s)
     }
 
-    fn exec_batch(&self, items: Vec<WireBatchItem>) -> Vec<Result<SingleResult, Unavailable>> {
+    /// Executes a batch of independent minitransactions destined for this
+    /// node in one round trip, returning per-member results in order. The
+    /// members travel, as they are, in one frame — which is why they
+    /// arrive owned.
+    pub fn exec_batch(&self, items: Vec<WireBatchItem>) -> Vec<Result<SingleResult, Unavailable>> {
         let n = items.len();
         let req = Request::ExecBatch { items };
         let members = call!(self, req, Response::Batch(m) if m.len() == n => m);
@@ -582,7 +600,9 @@ impl NodeRpc for RemoteNode {
         }
     }
 
-    fn prepare(
+    /// Two-phase prepare: lock, compare, stage. `participants` is the full
+    /// participant set, logged for in-doubt resolution.
+    pub fn prepare(
         &self,
         txid: TxId,
         shard: &WireShard,
@@ -598,60 +618,61 @@ impl NodeRpc for RemoteNode {
         call!(self, req, Response::Vote(v) => v)
     }
 
-    fn commit(&self, txid: TxId) -> Result<(), Unavailable> {
+    /// Two-phase commit decision (idempotent for unknown ids).
+    pub fn commit(&self, txid: TxId) -> Result<(), Unavailable> {
         call!(self, Request::Commit { txid }, Response::Unit => ())
     }
 
-    fn abort(&self, txid: TxId) -> Result<(), Unavailable> {
+    /// Two-phase abort decision (idempotent for unknown ids).
+    pub fn abort(&self, txid: TxId) -> Result<(), Unavailable> {
         call!(self, Request::Abort { txid }, Response::Unit => ())
     }
 
-    fn raw_read(&self, off: u64, len: u32) -> Result<Bytes, Unavailable> {
+    /// Unsynchronized raw read (bootstrap / GC scans).
+    pub fn raw_read(&self, off: u64, len: u32) -> Result<Bytes, Unavailable> {
         call!(self, Request::RawRead { off, len }, Response::Data(b) => b)
     }
 
-    fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
-        let data = Bytes::copy_from_slice(data);
+    /// Raw bootstrap write.
+    pub fn raw_write(&self, off: u64, data: Bytes) -> Result<(), Unavailable> {
         call!(self, Request::RawWrite { off, data }, Response::Unit => ())
     }
 
-    fn wal_fetch(&self, from: u64, max: u32) -> Result<crate::wal::WalSegment, Unavailable> {
+    /// Reads up to `max` raw framed redo-log bytes from logical offset
+    /// `from`, for replication shipping.
+    pub fn wal_fetch(&self, from: u64, max: u32) -> Result<WalSegment, Unavailable> {
         call!(
             self,
             Request::ReplFetch { from, max },
-            Response::Frames { from, base, tail, bytes } => crate::wal::WalSegment {
-                from,
-                base,
-                tail,
-                bytes: bytes.to_vec(),
-            }
+            Response::Frames { from, base, tail, bytes } => WalSegment { from, base, tail, bytes }
         )
     }
 
-    fn repl_apply(&self, from: u64, frames: &[u8]) -> Result<ReplStatus, Unavailable> {
-        let frames = Bytes::copy_from_slice(frames);
+    /// Incorporates a chunk of a primary's log stream starting at source
+    /// offset `from` (see [`MemNode::repl_apply`]); returns the follower's
+    /// status after the chunk.
+    pub fn repl_apply(&self, from: u64, frames: Bytes) -> Result<ReplStatus, Unavailable> {
         call!(self, Request::ReplApply { from, frames }, Response::ReplStatus(s) => s)
     }
 
-    fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
+    /// This node's replication status (watermark / applied txid / tail).
+    pub fn repl_status(&self) -> Result<ReplStatus, Unavailable> {
         call!(self, Request::ReplStatus, Response::ReplStatus(s) => s)
     }
 
-    fn is_crashed(&self) -> bool {
-        if let Some(f) = self.fresh_flags() {
-            return f.crashed;
-        }
-        match self.request(&Request::Flags) {
-            Ok(Response::Flags(f)) => f.crashed,
-            // An unreachable node is indistinguishable from a crashed
-            // one. Unlike joining/retiring, a stale `crashed: false`
-            // must never be trusted here — callers probe this exact
-            // question ("can I reach it right now?").
-            _ => true,
-        }
+    /// True if the node is currently crashed (or unreachable).
+    pub fn is_crashed(&self) -> bool {
+        // An unreachable node is indistinguishable from a crashed one.
+        // Unlike joining/retiring, a stale `crashed: false` must never be
+        // trusted here — callers probe this exact question ("can I reach
+        // it right now?").
+        self.fresh_flags()
+            .or_else(|| self.probe_flags())
+            .is_none_or(|f| f.crashed)
     }
 
-    fn is_joining(&self) -> bool {
+    /// True while the node's elastic join is in progress.
+    pub fn is_joining(&self) -> bool {
         // `flags()` already falls back to the last cached value when the
         // node is unreachable, so a network blip cannot flip a joining
         // node to "seeded" and let a commit bind replicated compares to
@@ -660,24 +681,156 @@ impl NodeRpc for RemoteNode {
         self.flags().is_none_or(|f| f.joining)
     }
 
-    fn is_retiring(&self) -> bool {
+    /// True while the node is draining for decommissioning.
+    pub fn is_retiring(&self) -> bool {
         self.flags().is_none_or(|f| f.retiring)
     }
 
-    fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable> {
+    /// Performs one admin operation at the node. The single entry point
+    /// for everything off the data plane, and fallible like the rest of
+    /// it: an unreachable node answers [`Unavailable`], never a default.
+    /// A failure of the operation itself, at a node that was reached,
+    /// comes back as `Ok(`[`AdminReply::Error`]`)`.
+    pub fn admin(&self, op: AdminOp) -> Result<AdminReply, Unavailable> {
         let resp = self.request(&Request::Admin(op))?;
         resp.into_admin().map_err(|other| self.unusable(&other))
     }
 
-    fn invalidate_cached_flags(&self) {
+    /// Drops the client-side cache of this node's crashed/joining/retiring
+    /// flags, forcing the next check to re-learn them (membership-gate
+    /// transitions call this).
+    pub fn invalidate_cached_flags(&self) {
         let mut c = self.flags_cache.lock();
         c.epoch = c.epoch.wrapping_add(1);
     }
 
-    fn as_local(&self) -> Option<&MemNode> {
+    /// The memnode behind this handle, when it is in this process.
+    pub fn as_local(&self) -> Option<&MemNode> {
         match &self.peer {
             Peer::Local(node) => Some(node),
             Peer::Socket(_) => None,
         }
     }
+
+    // -- Typed conveniences over `admin`. --
+
+    /// Runs `op` and picks the expected reply out of the answer. A failure
+    /// the node itself reports ([`AdminReply::Error`]) is logged and, like
+    /// a reply of the wrong kind, surfaces as [`Unavailable`]: either way
+    /// the caller did not get what it asked this node for.
+    fn admin_as<T>(
+        &self,
+        op: AdminOp,
+        pick: impl FnOnce(AdminReply) -> Option<T>,
+    ) -> Result<T, Unavailable> {
+        match self.admin(op)? {
+            AdminReply::Error(msg) => {
+                eprintln!("memnode {} admin error: {msg}", self.id);
+                Err(Unavailable(self.id))
+            }
+            reply => pick(reply).ok_or(Unavailable(self.id)),
+        }
+    }
+
+    /// Sets / clears the joining fence.
+    pub fn set_joining(&self, joining: bool) -> Result<(), Unavailable> {
+        self.admin_as(AdminOp::SetJoining(joining), ack)
+    }
+
+    /// Sets / clears the retiring fence.
+    pub fn set_retiring(&self, retiring: bool) -> Result<(), Unavailable> {
+        self.admin_as(AdminOp::SetRetiring(retiring), ack)
+    }
+
+    /// Injects a crash (volatile state dropped). Best-effort: a node that
+    /// cannot be reached is as crashed as this can make it.
+    pub fn crash(&self) {
+        let _ = self.admin(AdminOp::Crash);
+    }
+
+    /// Recovers by replaying the node's image and log. Best-effort: if the
+    /// request does not arrive, or the log cannot be replayed, the node
+    /// stays crashed, which every later call reports.
+    pub fn recover(&self) {
+        let _ = self.admin(AdminOp::Recover);
+    }
+
+    /// Takes a checkpoint; `Ok(false)` when skipped. `Unavailable` and a
+    /// checkpoint that failed at the node are both errors, the latter
+    /// with the node's message.
+    pub fn checkpoint(&self) -> io::Result<bool> {
+        match self.admin(AdminOp::Checkpoint) {
+            Ok(AdminReply::Bool(took)) => Ok(took),
+            Ok(AdminReply::Error(msg)) => Err(io::Error::other(msg)),
+            Ok(other) => Err(io::Error::other(format!(
+                "memnode {} answered a checkpoint with {}",
+                self.id,
+                other.kind_name()
+            ))),
+            Err(u) => Err(io::Error::new(io::ErrorKind::ConnectionAborted, u)),
+        }
+    }
+
+    /// Owned snapshot of the node's counters.
+    pub fn node_stats(&self) -> Result<NodeStats, Unavailable> {
+        self.admin_as(AdminOp::Stats, |r| match r {
+            AdminReply::Stats(s) => Some(s),
+            _ => None,
+        })
+    }
+
+    /// Number of currently prepared (in-doubt) transactions.
+    pub fn in_doubt(&self) -> Result<usize, Unavailable> {
+        Ok(self.node_stats()?.in_doubt as usize)
+    }
+
+    /// Recovery metadata for in-doubt resolution. Fallible on purpose: an
+    /// unreachable participant has not "voted no", it has not answered.
+    pub fn node_meta(&self) -> Result<NodeMeta, Unavailable> {
+        self.admin_as(AdminOp::Meta, |r| match r {
+            AdminReply::Meta(m) => Some(m),
+            _ => None,
+        })
+    }
+
+    /// Point-in-time snapshot of every metric the node's observability
+    /// plane registers (`memnode.*`, `wal.*`, …). Best-effort: empty when
+    /// the node cannot be reached — observability never fails its caller.
+    pub fn obs_snapshot(&self) -> ObsSnapshot {
+        match self.admin(AdminOp::ObsSnapshot) {
+            Ok(AdminReply::Obs(b)) => ObsSnapshot::decode(&b).unwrap_or_default(),
+            _ => ObsSnapshot::default(),
+        }
+    }
+
+    /// Recent traces from the node's ring buffer (the slow-op buffer when
+    /// `slow`), oldest first. Best-effort, like [`RemoteNode::obs_snapshot`].
+    pub fn trace_dump(&self, max: u32, slow: bool) -> Vec<Trace> {
+        match self.admin(AdminOp::TraceDump { max, slow }) {
+            Ok(AdminReply::Traces(b)) => Trace::decode_many(&b).unwrap_or_default(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Applies a fault-injection spec inside the node's process
+    /// (`minuet_faults::apply_spec` grammar; `"clear"` disarms all).
+    /// Returns the number of failpoints armed there afterwards; a spec the
+    /// node rejects is an error.
+    pub fn apply_faults(&self, spec: &str) -> Result<u32, Unavailable> {
+        let spec = spec.to_string();
+        self.admin_as(AdminOp::Faults { spec }, |r| match r {
+            AdminReply::Faults { armed } => Some(armed),
+            _ => None,
+        })
+    }
+
+    /// Asks the process serving this node to exit cleanly (orchestration
+    /// and the CI smoke test). An in-process node only acknowledges it.
+    pub fn shutdown_server(&self) -> Result<(), Unavailable> {
+        self.admin_as(AdminOp::Shutdown, ack)
+    }
+}
+
+fn ack(reply: AdminReply) -> Option<()> {
+    matches!(reply, AdminReply::Unit).then_some(())
 }

@@ -6,7 +6,6 @@ use crate::error::SinfoniaError;
 use crate::memnode::{MemNode, Unavailable};
 use crate::minitx::{Minitransaction, Outcome};
 use crate::recovery::{self, Resolution};
-use crate::rpc::{NodeHandle, NodeRpc};
 use crate::transport::Transport;
 use crate::wal::DurabilityConfig;
 use crate::wire::Endpoint;
@@ -138,7 +137,7 @@ const CHECKPOINT_POLL: Duration = Duration::from_millis(5);
 /// new memnode to a *running* cluster. Memnode ids stay dense and are
 /// never reused, so the membership vector only ever grows.
 pub struct SinfoniaCluster {
-    nodes: Arc<parking_lot::RwLock<Vec<NodeHandle>>>,
+    nodes: Arc<parking_lot::RwLock<Vec<Arc<RemoteNode>>>>,
     /// The instrumented transport (round-trip accounting). Shared with the
     /// wire clients in wire mode, which feed real frame sizes into it.
     pub transport: Arc<Transport>,
@@ -209,7 +208,7 @@ impl SinfoniaCluster {
     /// to the `unavailable_retry` budget, as servers may still be binding —
     /// so its capacity (checked against the configured one) and flags are
     /// cached before the first op.
-    fn handle(remote: RemoteNode, cfg: &ClusterConfig) -> NodeHandle {
+    fn handle(remote: RemoteNode, cfg: &ClusterConfig) -> Arc<RemoteNode> {
         let id = remote.id();
         let deadline = Instant::now() + cfg.unavailable_retry;
         let capacity = loop {
@@ -293,7 +292,7 @@ impl SinfoniaCluster {
     }
 
     fn assemble(
-        nodes: Vec<NodeHandle>,
+        nodes: Vec<Arc<RemoteNode>>,
         transport: Arc<Transport>,
         cfg: ClusterConfig,
         first_txid: u64,
@@ -312,7 +311,7 @@ impl SinfoniaCluster {
             Some(std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     std::thread::sleep(CHECKPOINT_POLL);
-                    let snapshot: Vec<NodeHandle> = nodes.read().clone();
+                    let snapshot: Vec<Arc<RemoteNode>> = nodes.read().clone();
                     for node in snapshot.iter().filter_map(|n| n.as_local()) {
                         if !node.is_crashed() && node.wal_retained_bytes() > threshold {
                             if let Err(e) = node.checkpoint() {
@@ -353,12 +352,12 @@ impl SinfoniaCluster {
     /// Access a memnode by id (its [`RemoteNode`], in process or over a
     /// socket).
     #[inline]
-    pub fn node(&self, id: MemNodeId) -> NodeHandle {
+    pub fn node(&self, id: MemNodeId) -> Arc<RemoteNode> {
         self.nodes.read()[id.index()].clone()
     }
 
     /// Snapshot of the current membership.
-    pub fn nodes_snapshot(&self) -> Vec<NodeHandle> {
+    pub fn nodes_snapshot(&self) -> Vec<Arc<RemoteNode>> {
         self.nodes.read().clone()
     }
 

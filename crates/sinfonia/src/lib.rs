@@ -20,13 +20,12 @@
 //!
 //! Either way a memnode is reached through the length-prefixed,
 //! CRC-framed binary protocol in [`wire`] by the pooled
-//! [`client::RemoteNode`], the one implementation of the object-safe
-//! [`rpc::NodeRpc`] trait, so the whole coordinator stack runs
-//! unchanged in either mode and counts the same bytes. With durability
-//! enabled ([`wal::DurabilityConfig`]) memnodes log before applying,
-//! checkpoint in the background, and recover from disk — including
-//! in-doubt two-phase resolution after a coordinator crash
-//! ([`recovery`]).
+//! [`client::RemoteNode`], the one memnode handle type, so the whole
+//! coordinator stack runs unchanged in either mode and counts the same
+//! bytes. With durability enabled ([`wal::DurabilityConfig`]) memnodes
+//! log before applying, checkpoint in the background, and recover from
+//! disk — including in-doubt two-phase resolution after a coordinator
+//! crash ([`recovery`]).
 //!
 //! ## Quick example
 //!
@@ -67,7 +66,6 @@ pub mod memnode;
 pub mod minitx;
 pub mod recovery;
 pub mod repl;
-pub mod rpc;
 pub mod server;
 pub mod space;
 pub mod state;
@@ -86,8 +84,7 @@ pub use memnode::{MemNode, ReplStatus, Unavailable};
 pub use minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
 pub use recovery::Resolution;
 pub use repl::{ReplConfig, ReplToken, Replicator};
-pub use rpc::{NodeHandle, NodeRpc, NodeStats};
 pub use server::{MemNodeServer, ServerOptions};
 pub use transport::{with_op_net, OpNet, Transport};
 pub use wal::{DurabilityConfig, SyncMode, WalError, WalSegment, WalStats};
-pub use wire::{Endpoint, WireError};
+pub use wire::{Endpoint, NodeStats, WireError};

@@ -19,14 +19,13 @@ use crate::bytes::Bytes;
 use crate::lock::{LockAcquire, LockManager, TxId};
 use crate::minitx::LockPolicy;
 use crate::recovery::{self, NodeMeta};
-use crate::rpc::NodeStats;
 use crate::space::{OutOfBounds, PagedSpace};
 use crate::state::{self, NodeState};
 use crate::wal::{
     parse_frames, DurabilityConfig, Record, Wal, WalAppender, WalError, WalSegment, WalStats,
     REPL_WRAP,
 };
-use crate::wire::WireShard;
+use crate::wire::{NodeStats, WireShard};
 use crate::{checkpoint, lock};
 use minuet_faults as faults;
 use minuet_obs::{span, Counter, ObsPlane, SpanKind};
@@ -168,6 +167,9 @@ impl MemNodeStats {
         r.register_counter("memnode.handler_panics", &self.handler_panics);
     }
 }
+
+/// A shard's evaluation: the read items, or the failed compares' indices.
+type Eval = Result<Vec<(usize, Bytes)>, Vec<usize>>;
 
 /// The guards of one logged mutation. The node's guard order is the log's
 /// appender first, then the state; the fields are declared in the order
@@ -486,12 +488,19 @@ impl MemNode {
     /// with [`LockManager::probe`]s (the read fast path), or it holds the
     /// state guard itself (the write fast path). Reads are zero-copy views
     /// of the resident pages.
-    fn eval(&self, shard: &WireShard) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
-        Self::eval_in(&self.state.read().space, shard)
+    ///
+    /// The crash flag is read again under the state guard: `crash` raises
+    /// it before it swaps in an empty state and `recover` lowers it after
+    /// installing the recovered one, so an evaluation that finds it down
+    /// read a live state, never a crash's zeroed one.
+    fn eval(&self, shard: &WireShard) -> Result<Eval, Unavailable> {
+        let state = self.state.read();
+        self.check_up()?;
+        Ok(Self::eval_in(&state.space, shard))
     }
 
     /// [`MemNode::eval`] against a state guard the caller already holds.
-    fn eval_in(space: &PagedSpace, shard: &WireShard) -> Result<Vec<(usize, Bytes)>, Vec<usize>> {
+    fn eval_in(space: &PagedSpace, shard: &WireShard) -> Eval {
         let mut failed = Vec::new();
         for (idx, off, expected) in &shard.compares {
             let ok = space
@@ -550,11 +559,11 @@ impl MemNode {
         let spans = shard.lock_spans();
 
         if shard.writes.is_empty() {
-            for attempt in 0..2 {
+            for _ in 0..2 {
                 let Some(s1) = self.locks.probe(&spans) else {
                     break; // a lock is held: the slow path sorts it out
                 };
-                let result = self.eval(shard);
+                let result = self.eval(shard)?;
                 if self.locks.probe(&spans) == Some(s1) {
                     self.stats.read_fastpath.fetch_add(1, Ordering::Relaxed);
                     return Ok(match result {
@@ -571,7 +580,6 @@ impl MemNode {
                 self.stats
                     .read_fastpath_misses
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = attempt;
             }
         } else {
             self.check_writable()?;
@@ -592,11 +600,12 @@ impl MemNode {
         let result = {
             let _ex = span(SpanKind::SrvExec);
             match self.eval(shard) {
-                Err(failed) => {
+                Err(down) => Err(down),
+                Ok(Err(failed)) => {
                     self.stats.aborts.fetch_add(1, Ordering::Relaxed);
                     Ok(SingleResult::BadCompare(failed))
                 }
-                Ok(reads) => {
+                Ok(Ok(reads)) => {
                     let logged = if shard.writes.is_empty() {
                         Ok(None)
                     } else {
@@ -692,11 +701,15 @@ impl MemNode {
             return Ok(Vote::Busy);
         }
         let reads = match self.eval(shard) {
-            Ok(reads) => reads,
-            Err(failed) => {
+            Ok(Ok(reads)) => reads,
+            Ok(Err(failed)) => {
                 self.locks.release(txid);
                 self.stats.aborts.fetch_add(1, Ordering::Relaxed);
                 return Ok(Vote::BadCompare(failed));
+            }
+            Err(down) => {
+                self.locks.release(txid);
+                return Err(down);
             }
         };
         let participants: Vec<u16> = participants.iter().map(|m| m.0).collect();
@@ -841,11 +854,12 @@ impl MemNode {
     /// Concurrent minitransactions may be writing; callers must confirm any
     /// decision with a proper minitransaction. Zero-copy: the returned
     /// view shares the resident page.
+    /// Like every evaluation, it looks at the crash flag under the state
+    /// guard it reads through.
     pub fn raw_read(&self, off: u64, len: u32) -> Result<Bytes, Unavailable> {
+        let state = self.state.read();
         self.check_up()?;
-        Ok(self
-            .state
-            .read()
+        Ok(state
             .space
             .read(off, len)
             .unwrap_or_else(|e| panic!("raw read out of bounds: {e}")))
@@ -854,9 +868,9 @@ impl MemNode {
     /// Raw write used only for cluster bootstrap (before any concurrent
     /// access exists). Logged like any other write (unforced), so
     /// bootstrap images survive a crash or restart.
-    pub fn raw_write(&self, off: u64, data: &[u8]) -> Result<(), Unavailable> {
+    pub fn raw_write(&self, off: u64, data: Bytes) -> Result<(), Unavailable> {
         self.check_writable()?;
-        let writes = &[(off, Bytes::copy_from_slice(data))];
+        let writes = &[(off, data)];
         let txid = lock::BOOTSTRAP_TXID;
         self.hold()?.log(None, &Record::Apply { txid, writes })?;
         Ok(())
@@ -1031,6 +1045,64 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(n.raw_read(100, 1).unwrap(), vec![0]);
+    }
+
+    /// A read racing a crash answers the data it read or `Unavailable`,
+    /// never the crash's zeroed state as committed bytes: two readers,
+    /// through the fast path, the locked path and `raw_read`, against a
+    /// crash/recover loop.
+    #[test]
+    fn reads_racing_a_crash_never_see_its_zeroed_state() {
+        let n = Arc::new(node());
+        let mut w = Minitransaction::new();
+        w.write(ItemRange::new(n.id, 64, 8), vec![0xAB; 8]);
+        assert!(matches!(single(&n, 1, &w), SingleResult::Committed(_)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (n, stop) = (n.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    let mut r = Minitransaction::new();
+                    r.read(ItemRange::new(n.id, 64, 8));
+                    let shard = only_shard(&r);
+                    let (mut good, mut zeroed) = (0u64, 0u64);
+                    let mut see = |b: &Bytes| match b.as_slice() {
+                        [0xAB, ..] => good += 1,
+                        _ => zeroed += 1,
+                    };
+                    let mut txid = 1_000 + t;
+                    while !stop.load(Ordering::Relaxed) {
+                        txid += 2;
+                        // A crash between the fast path's probes sends the
+                        // read down the locked path.
+                        let policy = LockPolicy::AbortOnBusy;
+                        if let Ok(SingleResult::Committed(reads)) =
+                            n.exec_single(txid, shard, policy)
+                        {
+                            see(&reads[0].1);
+                        }
+                        if let Ok(b) = n.raw_read(64, 8) {
+                            see(&b);
+                        }
+                    }
+                    (good, zeroed)
+                })
+            })
+            .collect();
+        let t0 = std::time::Instant::now();
+        let mut cycles = 0;
+        while t0.elapsed() < Duration::from_millis(400) {
+            n.crash();
+            n.recover().unwrap();
+            cycles += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        let (good, zeroed) = readers
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((0, 0), |(g, z), (g1, z1)| (g + g1, z + z1));
+        assert!(cycles > 0 && good > 0, "{cycles} cycles, {good} reads");
+        assert_eq!(zeroed, 0, "{zeroed} of {} reads saw zeros", good + zeroed);
     }
 
     #[test]
@@ -1240,7 +1312,7 @@ mod tests {
     /// wraps the *inner* payload, not the first follower's wrapper).
     #[test]
     fn follower_logs_the_primary_payload_verbatim() {
-        let payloads = |n: &MemNode| -> (Vec<u8>, Vec<Vec<u8>>) {
+        let payloads = |n: &MemNode| -> (Bytes, Vec<Vec<u8>>) {
             let seg = n.wal_fetch(0, u32::MAX).unwrap();
             let (frames, valid) = parse_frames(&seg.bytes);
             assert_eq!(valid as usize, seg.bytes.len());

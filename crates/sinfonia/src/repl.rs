@@ -16,7 +16,7 @@
 //! fetches from its recovered log tail. Frames arrive in log order over a
 //! sequential byte range, so gaps are impossible by construction.
 //!
-//! Everything goes through [`crate::rpc::NodeRpc`], so the two clusters
+//! Everything goes through [`crate::client::RemoteNode`], so the two clusters
 //! may be in-process objects, wire clients against `memnoded` daemons, or
 //! a mix — the replication RPC family is part of wire protocol v4.
 
@@ -81,19 +81,16 @@ impl Replicator {
                     .name(format!("repl-{id}"))
                     .spawn(move || {
                         while !stop.load(Ordering::Acquire) {
-                            let Ok(status) = dst.repl_status() else {
-                                std::thread::sleep(cfg.poll);
-                                continue;
-                            };
-                            let Ok(seg) = src.wal_fetch(status.watermark, cfg.max_bytes) else {
-                                std::thread::sleep(cfg.poll);
-                                continue;
-                            };
-                            if seg.bytes.is_empty() {
-                                std::thread::sleep(cfg.poll);
-                                continue;
+                            let fetched = dst
+                                .repl_status()
+                                .and_then(|s| src.wal_fetch(s.watermark, cfg.max_bytes));
+                            match fetched {
+                                Ok(seg) if !seg.bytes.is_empty() => {
+                                    let _ = dst.repl_apply(seg.from, seg.bytes);
+                                }
+                                // Caught up, or a side is unreachable.
+                                _ => std::thread::sleep(cfg.poll),
                             }
-                            let _ = dst.repl_apply(seg.from, &seg.bytes);
                         }
                     })
                     .expect("spawning replication thread failed")
@@ -130,10 +127,7 @@ impl SinfoniaCluster {
     /// known tail as 0 — a token taken mid-crash only gates on the nodes
     /// that answered.
     pub fn repl_token(&self) -> ReplToken {
-        self.nodes_snapshot()
-            .iter()
-            .map(|n| n.repl_status().map(|s| s.tail).unwrap_or(0))
-            .collect()
+        self.repl_statuses().iter().map(|s| s.tail).collect()
     }
 
     /// Per-memnode replication status (all-zero entries for crashed
@@ -256,14 +250,14 @@ mod tests {
         assert!(!seg.bytes.is_empty());
         let s1 = follower
             .node(MemNodeId(0))
-            .repl_apply(seg.from, &seg.bytes)
+            .repl_apply(seg.from, seg.bytes.clone())
             .unwrap();
         assert!(s1.applies > 0);
         assert_eq!(s1.dup_skips, 0);
         // Re-applying the same segment must be a no-op.
         let s2 = follower
             .node(MemNodeId(0))
-            .repl_apply(seg.from, &seg.bytes)
+            .repl_apply(seg.from, seg.bytes)
             .unwrap();
         assert_eq!(s2.applies, s1.applies);
         assert_eq!(s2.dup_skips, s1.applies);

@@ -541,7 +541,7 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             if let Err(e) = check_extent(node, off.saturating_add(data.len() as u64)) {
                 return Response::Error(e);
             }
-            reply(node.raw_write(off, &data), |()| Response::Unit)
+            reply(node.raw_write(off, data), |()| Response::Unit)
         }
         Request::Flags => Response::Flags(node_flags(node)),
         // `serve_frame` unwraps the envelope (it opens the server-side
@@ -553,7 +553,7 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
                 from: seg.from,
                 base: seg.base,
                 tail: seg.tail,
-                bytes: Bytes::from(seg.bytes),
+                bytes: seg.bytes,
             })
         }
         Request::ReplApply { from, frames } => {

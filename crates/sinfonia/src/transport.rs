@@ -2,7 +2,7 @@
 //!
 //! Whichever way a coordinator reaches its memnodes — a frame answered
 //! on the caller's thread in-process, a socket exchange in wire mode (see
-//! [`crate::rpc`]) — this module makes the *network cost* of every
+//! [`crate::client`]) — this module makes the *network cost* of every
 //! operation observable: it counts round trips, messages and bytes
 //! globally and, through [`minuet_obs::book_net`], in the [`OpNet`]
 //! ledger of the calling thread's operation context (read with

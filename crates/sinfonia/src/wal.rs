@@ -481,7 +481,7 @@ pub struct WalSegment {
     pub tail: u64,
     /// Raw framed record bytes; may end mid-frame (consumers keep only the
     /// whole-frame prefix and re-request the rest).
-    pub bytes: Vec<u8>,
+    pub bytes: Bytes,
 }
 
 // ---------------------------------------------------------------------------
@@ -1056,11 +1056,11 @@ impl Wal {
             from,
             base,
             tail,
-            bytes: Vec::new(),
+            bytes: Bytes::new(),
         };
         if (base..tail).contains(&from) {
             let to = tail.min(from + max as u64);
-            seg.bytes = self.sync.store.read(from - base, to - base)?;
+            seg.bytes = Bytes::from(self.sync.store.read(from - base, to - base)?);
         }
         Ok(seg)
     }

@@ -43,7 +43,6 @@ use crate::lock::TxId;
 use crate::memnode::{ReplStatus, SingleResult, Vote};
 use crate::minitx::LockPolicy;
 use crate::recovery::NodeMeta;
-use crate::rpc::NodeStats;
 use minuet_obs::SpanRecord;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -713,6 +712,45 @@ wire_struct!(ReplStatus {
     applies,
     dup_skips
 });
+
+/// A snapshot of a memnode's operation and durability counters, fetched in
+/// one exchange ([`AdminReply::Stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeStats {
+    /// One-phase executions that committed.
+    pub single_commits: u64,
+    /// Prepares that voted Ok.
+    pub prepares: u64,
+    /// Two-phase commits applied.
+    pub commits: u64,
+    /// Aborts processed.
+    pub aborts: u64,
+    /// Lock-busy rejections.
+    pub busy: u64,
+    /// Lock-free read fast-path hits.
+    pub read_fastpath: u64,
+    /// Fast-path attempts that fell back to the locked path.
+    pub read_fastpath_misses: u64,
+    /// Lock-free single-phase write fast-path hits.
+    pub write_fastpath: u64,
+    /// Write fast-path attempts that fell back to the locked path.
+    pub write_fastpath_misses: u64,
+    /// Currently prepared (in-doubt) transactions.
+    pub in_doubt: u64,
+    /// Redo records appended.
+    pub wal_appends: u64,
+    /// Log bytes appended (frames included).
+    pub wal_bytes: u64,
+    /// fsync calls issued.
+    pub wal_fsyncs: u64,
+    /// Checkpoints taken.
+    pub checkpoints: u64,
+    /// Log bytes currently retained.
+    pub wal_retained_bytes: u64,
+    /// True if the node logs to disk.
+    pub durable: bool,
+}
+
 wire_struct!(NodeStats {
     single_commits,
     prepares,
@@ -1132,7 +1170,7 @@ messages! {
     /// Everything a memnode does besides executing minitransactions and
     /// shipping its log: membership fences, fault and lifecycle hooks,
     /// checkpoints, and introspection. One call carries them all
-    /// ([`crate::rpc::NodeRpc::admin`]), answered by an [`AdminReply`].
+    /// ([`crate::client::RemoteNode::admin`]), answered by an [`AdminReply`].
     pub enum AdminOp, tags in admin_op_tag {
         /// Sets / clears the elastic-join fence (no replicated reads until
         /// seeded). Answered by [`AdminReply::Unit`].

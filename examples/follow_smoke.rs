@@ -19,8 +19,7 @@
 
 use minuet::sinfonia::wire::Endpoint;
 use minuet::sinfonia::{
-    ClusterConfig, ItemRange, MemNodeId, Minitransaction, NodeRpc, RemoteNode, Transport,
-    WireConfig,
+    ClusterConfig, ItemRange, MemNodeId, Minitransaction, RemoteNode, Transport, WireConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};

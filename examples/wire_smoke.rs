@@ -19,7 +19,7 @@
 
 use minuet::obs::ObsConfig;
 use minuet::sinfonia::wire::Endpoint;
-use minuet::sinfonia::{ClusterConfig, MemNodeId, NodeRpc, RemoteNode, Transport, WireConfig};
+use minuet::sinfonia::{ClusterConfig, MemNodeId, RemoteNode, Transport, WireConfig};
 use minuet::{MinuetCluster, TreeConfig};
 use std::path::PathBuf;
 use std::process::{Child, Command};

@@ -15,9 +15,9 @@ use minuet::faults::{self, Action, Arm, Site};
 use minuet::obs::{ObsConfig, ObsPlane};
 use minuet::sinfonia::wire::{tag, Endpoint};
 use minuet::sinfonia::{
-    ClusterConfig, DurabilityConfig, ItemRange, MemNode, MemNodeId, MemNodeServer, Minitransaction,
-    NodeRpc, OpDeadline, RemoteNode, ReplConfig, Replicator, ServerOptions, SinfoniaCluster,
-    SinfoniaError, SyncMode, Transport, Unavailable, WireConfig,
+    Bytes, ClusterConfig, DurabilityConfig, ItemRange, MemNode, MemNodeId, MemNodeServer,
+    Minitransaction, OpDeadline, RemoteNode, ReplConfig, Replicator, ServerOptions,
+    SinfoniaCluster, SinfoniaError, SyncMode, Transport, Unavailable, WireConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -414,7 +414,9 @@ fn rpc_dispatch_fails_the_nth_tagged_call() {
     let _g = faults::test_guard();
     let (_node, _server, remote, _plane) = wire_remote("fi-nth", WireConfig::default());
 
-    assert!(remote.raw_write(0, &7u64.to_le_bytes()).is_ok());
+    assert!(remote
+        .raw_write(0, Bytes::from(&7u64.to_le_bytes()))
+        .is_ok());
     faults::arm(
         Site::RpcDispatch,
         Arm::new(Action::Err)
@@ -434,7 +436,9 @@ fn rpc_dispatch_fails_the_nth_tagged_call() {
     assert!(remote.raw_read(0, 8).is_err(), "the 3rd call must fail");
     assert!(remote.raw_read(0, 8).is_ok(), "count=1 must self-disarm");
     // A different RPC kind never matched the tag.
-    assert!(remote.raw_write(8, &8u64.to_le_bytes()).is_ok());
+    assert!(remote
+        .raw_write(8, Bytes::from(&8u64.to_le_bytes()))
+        .is_ok());
 }
 
 /// A handler that panics is answered, not fatal, and counted: the call

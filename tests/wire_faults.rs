@@ -14,7 +14,7 @@ use minuet::obs::{tracing_active, ObsConfig, ObsPlane, SpanKind};
 use minuet::sinfonia::memnode::Vote;
 use minuet::sinfonia::{
     ClusterConfig, DurabilityConfig, Endpoint, ItemRange, LockPolicy, MemNode, MemNodeId,
-    MemNodeServer, Minitransaction, NodeRpc, RemoteNode, ServerOptions, SinfoniaCluster, SyncMode,
+    MemNodeServer, Minitransaction, RemoteNode, ServerOptions, SinfoniaCluster, SyncMode,
     Transport, WireConfig,
 };
 use std::sync::{Arc, Mutex};
@@ -620,12 +620,12 @@ fn follower_daemon_refuses_an_out_of_range_repl_frame_and_keeps_serving() {
 
     let untouched = follower.repl_status().unwrap();
     assert!(
-        follower.repl_apply(far.from, &far.bytes).is_err(),
+        follower.repl_apply(far.from, far.bytes).is_err(),
         "a record past capacity must be refused"
     );
     assert_eq!(follower.repl_status().unwrap(), untouched);
     assert_eq!(follower.raw_read(128, 4).unwrap(), vec![0; 4]);
-    let status = follower.repl_apply(near.from, &near.bytes).unwrap();
+    let status = follower.repl_apply(near.from, near.bytes).unwrap();
     assert_eq!((status.watermark, status.applies), (near.tail, 1));
     assert_eq!(follower.raw_read(128, 4).unwrap(), vec![9, 8, 7, 6]);
 

@@ -7,8 +7,8 @@
 
 use minuet::core::{op_tag, MinuetCluster, TreeConfig};
 use minuet::obs::{ObsConfig, SpanKind};
-use minuet::sinfonia::rpc::{AdminOp, AdminReply};
-use minuet::sinfonia::{ClusterConfig, MemNodeId, NodeRpc, RemoteNode, Transport, WireConfig};
+use minuet::sinfonia::wire::{AdminOp, AdminReply};
+use minuet::sinfonia::{ClusterConfig, MemNodeId, RemoteNode, Transport, WireConfig};
 use std::sync::Arc;
 
 mod common;
