@@ -24,26 +24,26 @@
 //!
 //! **Fallback rules** (the invariant that keeps the batch path exactly as
 //! safe as the per-key path): a group's leaf is accepted only if it
-//! decodes and passes `Proxy::check_node` — the descent's own version-tag,
-//! fence and height checks — for the group's first and last keys, and the
-//! leaf and tip land in the read set of the fork each mutating group
-//! commits from. Any member whose group misses those checks, or
-//! whose group commit fails validation against a concurrent writer, is
-//! retried through the ordinary single-key operations (`get`/`put`/
-//! `remove`), which carry their own optimistic retry loops. A stale tip
-//! observation retries the whole batch (a bounded number of times)
-//! before degrading to per-key execution. The result is observably
-//! equivalent to applying the same operations one at a time in input
-//! order — `tests/prop_batch.rs` checks exactly that, including under
-//! concurrent writers.
+//! reads as a page and passes `Proxy::check_node` — the descent's own
+//! version-tag, fence and height checks — for the group's first and last
+//! keys, and the leaf and tip land in the read set of the fork each
+//! mutating group commits from. Any member whose group misses those
+//! checks, or whose group commit fails validation against a concurrent
+//! writer, is retried through the ordinary single-key operations
+//! (`get`/`put`/`remove`), which carry their own optimistic retry
+//! loops. A stale tip observation retries the whole batch (a bounded
+//! number of times) before degrading to per-key execution. The result
+//! is observably equivalent to applying the same operations one at a
+//! time in input order — `tests/prop_batch.rs` checks exactly that,
+//! including under concurrent writers.
 //!
 //! Batches are **not transactions**: members commit independently, and
 //! concurrent writers may interleave between members (just as they can
 //! between loose single ops). Use [`Proxy::txn`] for multi-key atomicity.
 
 use crate::error::{Attempt, Error, RetryCause, TxnError};
-use crate::key::{in_range, Fence, Key, Value};
-use crate::node::{Node, NodeBody, NodePtr};
+use crate::key::{Fence, Key, Value};
+use crate::node::{Node, NodeBody, NodePtr, Page};
 use crate::ops::{LeafOp, Written};
 use crate::proxy::{op_tag, OpTarget, Proxy, RETRY_TAG_BATCH_FALLBACK};
 use crate::retry::backoff;
@@ -52,7 +52,6 @@ use crate::tree::ConcurrencyMode;
 use minuet_dyntx::{commit_many, DynTx, ReadItem, StagedCommit, TxKey};
 use minuet_obs::{event, SpanKind};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Whole-batch retries (stale tip / stale route) before the remaining
 /// members degrade to the per-key path, which has its own retry budget.
@@ -241,21 +240,18 @@ impl Proxy {
             // A route stays valid while the key sits inside its last
             // node's fences (that node is the height-1 parent, or the root
             // itself when the whole tree is a single leaf).
-            let reusable = route
-                .last()
-                .is_some_and(|p| in_range(&p.node.low, &p.node.high, key));
+            let reusable = route.last().is_some_and(|p| p.node.covers(key));
             if !reusable {
                 route = self.traverse(&mut rtx, tree, &ctx, key, LeafAccess::Route, 1)?;
             }
             let Some(parent) = route.last() else {
                 return Err(Error::Internal("a descent returned no node".into()).into());
             };
-            let (leaf_ptr, chain) = if parent.node.height == 0 {
+            let (leaf_ptr, chain) = match parent.node.child_for(key) {
+                Some(leaf) => (leaf, &route[..]),
                 // Single-level tree: the root is the leaf; no internal
                 // chain above it.
-                (parent.ptr, &route[..0])
-            } else {
-                (parent.node.child_for(key), &route[..])
+                None => (parent.ptr, &route[..0]),
             };
             groups
                 .entry(leaf_ptr)
@@ -279,7 +275,7 @@ impl Proxy {
         for &ptr in groups.keys() {
             let obj = layout.node_obj(ptr);
             let hit = (cache_leaves.then(|| self.ncache.get(tree, ptr)).flatten())
-                .filter(|(_, node)| node.height == 0);
+                .filter(|(_, node)| node.height() == 0);
             plan.push(match &hit {
                 Some((seqno, _)) => ReadItem::Pin(TxKey::Plain(obj), *seqno),
                 None => ReadItem::Read(obj),
@@ -331,11 +327,12 @@ impl Proxy {
                     self.stats.leaf_cache_hits += 1;
                     Some(hit)
                 }
-                (None, Some(val)) => Node::decode(&val.data).ok().map(|node| {
-                    let node = Arc::new(node);
-                    if node.height == 0 && cache_leaves {
-                        self.ncache.put(tree, leaf_ptr, val.seqno, node.clone());
-                    }
+                (None, Some(val)) => Page::new(val.data).ok().map(|node| {
+                    let node = if node.height() == 0 && cache_leaves {
+                        self.ncache.put(tree, leaf_ptr, val.seqno, node)
+                    } else {
+                        node
+                    };
                     (val.seqno, node)
                 }),
             };
@@ -348,9 +345,9 @@ impl Proxy {
             // are in key order, and a group has at least one).
             let first = &items[group.members[0]].0;
             let last = &items[group.members[group.members.len() - 1]].0;
-            let parent_height = Some(group.route.last().map_or(1, |p| p.node.height));
+            let parent_height = Some(group.route.last().map_or(1, |p| p.node.height()));
             let check = self.check_node(tree, &node, ctx.sid, first, parent_height)?;
-            if !matches!(check, NodeCheck::Accept) || !in_range(&node.low, &node.high, last) {
+            if !matches!(check, NodeCheck::Accept) || !node.covers(last) {
                 fallback.extend(group.members);
                 continue;
             }
@@ -361,7 +358,7 @@ impl Proxy {
                 // fetch point, no commit needed (the batched analogue
                 // of the fully-piggy-backed read-only fast path).
                 for &i in &group.members {
-                    results[i] = node.leaf_get(&items[i].0).cloned();
+                    results[i] = node.leaf_get(&items[i].0).map(<[u8]>::to_vec);
                 }
                 self.stats.ops += group.members.len() as u64;
                 self.stats.batched_ops += group.members.len() as u64;
@@ -388,7 +385,7 @@ impl Proxy {
             let max_entries = mc.cfg.max_leaf_entries;
             let mut members = group.members.clone();
             members.sort_unstable();
-            let mut new_leaf = (*node).clone();
+            let mut new_leaf = node.to_node();
             let mut applied: Vec<usize> = Vec::new();
             let mut olds: Vec<Option<Value>> = Vec::new();
             for (pos, &i) in members.iter().enumerate() {
@@ -501,9 +498,8 @@ impl Proxy {
             // The root must still be the fresh empty leaf of the current
             // tip version; it joins the read set, so commit validation
             // re-checks this against concurrent writers.
-            let root_raw = tx.read(layout.node_obj(ctx.root))?;
-            let root = Node::decode(&root_raw).map_err(Error::Corrupt)?;
-            if !(root.height == 0 && root.is_empty() && root.created == ctx.sid) {
+            let root = Page::new(tx.read(layout.node_obj(ctx.root))?).map_err(Error::Corrupt)?;
+            if !(root.height() == 0 && root.is_empty() && root.created() == ctx.sid) {
                 return Err(Error::TreeNotEmpty { tree }.into());
             }
             p.stage_bulk_tree(tx, tree, &ctx, ctx.root, &pairs, &mut pool)

@@ -1,4 +1,4 @@
-//! Per-proxy cache of decoded B-tree nodes.
+//! Per-proxy cache of B-tree node pages.
 //!
 //! Proxies cache internal nodes to traverse the upper levels of the tree
 //! without round trips (§2.3), and — since the hot-path overhaul — leaf
@@ -16,25 +16,27 @@
 //! later read there is served without a round trip and without any
 //! validation ([`NodeCache::get_at`]; ARCHITECTURE.md states the fill and
 //! hit rules). A snapshot read never takes a leaf from a tip entry, which
-//! may predate writes the snapshot includes. A frozen leaf is kept as its
-//! encoded image, beside the tip's decoded node when there is one, and is
-//! decoded on every hit: a scan takes the entries by value, so a decoded
-//! copy would only be cloned entry by entry, and a decoded copy kept after
-//! the tip has moved on would hold several times the memory in hundreds of
-//! small allocations.
+//! may predate writes the snapshot includes.
+//!
+//! Every entry is a [`Page`]: the node's image, read in place through an
+//! index of where its entries start, so a hit decodes nothing and hands
+//! out a reference-count bump, and an eviction frees the image and its
+//! index, not an allocation per key and per value. A pointer's slot holds
+//! a tip page, a frozen page, or both (they differ once a write at the tip
+//! moves on), and each keeps alive at most twice its own bytes: a page
+//! read as a slice of a reply that carried several objects is copied when
+//! it is installed ([`Page`]'s `detached`).
 //!
 //! The cache is **bounded**: entries above the configured capacity, frozen
 //! or not, are evicted with one CLOCK (second-chance) sweep, so large
 //! trees cannot grow a proxy's footprint without bound. Hits, misses, and
 //! evictions are counted for the bench reports.
 
-use crate::node::{Node, NodePtr, SnapshotId};
+use crate::node::{NodePtr, Page, SnapshotId};
 use minuet_dyntx::SeqNo;
 use minuet_obs::{Counter, ObsPlane};
-use minuet_sinfonia::bytes::Bytes;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Default capacity (in nodes) of a proxy's cache; see
 /// [`crate::tree::TreeConfig::node_cache_capacity`].
@@ -42,17 +44,16 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
 type Key = (u32, NodePtr);
 
-/// A frozen leaf: its encoded image, read at snapshot `sid`.
+/// A frozen leaf, read at snapshot `sid`.
 struct Frozen {
     sid: SnapshotId,
     seqno: SeqNo,
-    created: SnapshotId,
-    image: Bytes,
+    page: Page,
 }
 
-/// One cached pointer: the node a tip read saw, a frozen image, or both.
+/// One cached pointer: the page a tip read saw, a frozen page, or both.
 struct Slot {
-    tip: Option<(SeqNo, Arc<Node>)>,
+    tip: Option<(SeqNo, Page)>,
     frozen: Option<Frozen>,
     /// This entry's position on the CLOCK ring.
     ring: usize,
@@ -73,35 +74,27 @@ fn touch(ring: &mut [Option<Hand>], at: usize) {
 }
 
 impl Slot {
-    /// The node a tip read may use: the tip's, or else the frozen image,
-    /// decoded once and kept as the tip's.
-    fn tip(&mut self) -> Option<(SeqNo, Arc<Node>)> {
-        if self.tip.is_none() {
-            let f = self.frozen.as_ref()?;
-            let node = Node::decode(&f.image).ok()?;
-            self.tip = Some((f.seqno, Arc::new(node)));
-        }
-        self.tip.clone()
+    /// The page a tip read may use: the tip's, or else the frozen one.
+    fn tip(&self) -> Option<(SeqNo, Page)> {
+        let frozen = || self.frozen.as_ref().map(|f| (f.seqno, f.page.clone()));
+        self.tip.clone().or_else(frozen)
     }
 
-    /// The node a dirty read at snapshot `sid` may use: an internal node
-    /// from the tip's entry, a leaf only from a frozen image at some `S`
-    /// with `created <= sid <= S`, decoded afresh.
-    fn at(&self, sid: SnapshotId) -> Option<(SeqNo, Arc<Node>)> {
-        if let Some((seqno, node)) = &self.tip {
-            if node.is_internal() {
-                return Some((*seqno, node.clone()));
+    /// The page a dirty read at snapshot `sid` may use: an internal node
+    /// from the tip's entry, a leaf only from a frozen page at some `S`
+    /// with `created <= sid <= S`.
+    fn at(&self, sid: SnapshotId) -> Option<(SeqNo, Page)> {
+        if let Some((seqno, page)) = &self.tip {
+            if page.is_internal() {
+                return Some((*seqno, page.clone()));
             }
         }
         let f = self.frozen.as_ref()?;
-        if !(f.created <= sid && sid <= f.sid) {
-            return None;
-        }
-        Some((f.seqno, Arc::new(Node::decode(&f.image).ok()?)))
+        (f.page.created() <= sid && sid <= f.sid).then(|| (f.seqno, f.page.clone()))
     }
 }
 
-/// A per-proxy decoded-node cache keyed by `(tree, ptr)`, bounded by a
+/// A per-proxy node-page cache keyed by `(tree, ptr)`, bounded by a
 /// CLOCK eviction sweep.
 pub struct NodeCache {
     map: HashMap<Key, Slot>,
@@ -174,9 +167,9 @@ impl NodeCache {
         self.capacity
     }
 
-    /// Looks up a cached node for a tip read, which checks or validates
-    /// whatever it is served: a frozen image serves too.
-    pub fn get(&mut self, tree: u32, ptr: NodePtr) -> Option<(SeqNo, Arc<Node>)> {
+    /// Looks up a cached page for a tip read, which checks or validates
+    /// whatever it is served: a frozen page serves too.
+    pub fn get(&mut self, tree: u32, ptr: NodePtr) -> Option<(SeqNo, Page)> {
         let got = self.map.get_mut(&(tree, ptr)).and_then(|slot| {
             let got = slot.tip()?;
             touch(&mut self.ring, slot.ring);
@@ -189,57 +182,50 @@ impl NodeCache {
         got
     }
 
-    /// Looks up a node for a dirty read at snapshot `sid`. An internal
+    /// Looks up a page for a dirty read at snapshot `sid`. An internal
     /// node is served from the tip's entry: it only routes, and the
     /// descent's fence checks catch a stale one. A leaf is served only
-    /// from a frozen image at some `S` with `created <= sid <= S`; the
+    /// from a frozen page at some `S` with `created <= sid <= S`; the
     /// caller still runs the descent's checks on it.
-    pub fn get_at(
-        &mut self,
-        tree: u32,
-        ptr: NodePtr,
-        sid: SnapshotId,
-    ) -> Option<(SeqNo, Arc<Node>)> {
+    pub fn get_at(&mut self, tree: u32, ptr: NodePtr, sid: SnapshotId) -> Option<(SeqNo, Page)> {
         let got = self.map.get_mut(&(tree, ptr)).and_then(|slot| {
             let got = slot.at(sid)?;
             touch(&mut self.ring, slot.ring);
             Some(got)
         });
         match &got {
-            Some((_, node)) if node.is_internal() => self.hits.inc(),
+            Some((_, page)) if page.is_internal() => self.hits.inc(),
             Some(_) => self.frozen_hits.inc(),
             None => self.frozen_misses.inc(),
         }
         got
     }
 
-    /// Installs a node image read at the tip, evicting per CLOCK when at
-    /// capacity.
-    pub fn put(&mut self, tree: u32, ptr: NodePtr, seqno: SeqNo, node: Arc<Node>) {
-        self.update((tree, ptr), |slot| slot.tip = Some((seqno, node)));
+    /// Installs a page read or written at the tip, evicting per CLOCK
+    /// when at capacity. Returns the page as cached.
+    pub fn put(&mut self, tree: u32, ptr: NodePtr, seqno: SeqNo, page: Page) -> Page {
+        let page = page.detached();
+        let kept = page.clone();
+        self.update((tree, ptr), |slot| slot.tip = Some((seqno, page)));
+        kept
     }
 
-    /// Installs the encoded image of a leaf created at `created` and read
-    /// at snapshot `sid`, which the proxy knew was frozen before the read
-    /// went out.
+    /// Installs a leaf read at snapshot `sid`, which the proxy knew was
+    /// frozen before the read went out. Returns the page as cached.
     pub fn put_frozen(
         &mut self,
         tree: u32,
         ptr: NodePtr,
         seqno: SeqNo,
-        created: SnapshotId,
-        image: &[u8],
+        page: Page,
         sid: SnapshotId,
-    ) {
-        let image = Bytes::copy_from_slice(image);
+    ) -> Page {
+        let page = page.detached();
+        let kept = page.clone();
         self.update((tree, ptr), |slot| {
-            slot.frozen = Some(Frozen {
-                sid,
-                seqno,
-                created,
-                image,
-            })
+            slot.frozen = Some(Frozen { sid, seqno, page })
         });
+        kept
     }
 
     /// Applies `set` to `key`'s slot, creating it (evicting per CLOCK when
@@ -302,8 +288,8 @@ impl NodeCache {
         }
     }
 
-    /// Drops the tip's node, which a write at the tip has made stale. A
-    /// frozen image stays: a write at the tip cannot change what a frozen
+    /// Drops the tip's page, which a write at the tip has made stale. A
+    /// frozen page stays: a write at the tip cannot change what a frozen
     /// snapshot sees there.
     pub fn forget_tip(&mut self, tree: u32, ptr: NodePtr) {
         if let Entry::Occupied(mut e) = self.map.entry((tree, ptr)) {
@@ -344,8 +330,17 @@ impl NodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeBody;
+    use crate::node::{Node, NodeBody};
     use minuet_sinfonia::MemNodeId;
+
+    fn page(node: &Node) -> Page {
+        Page::new(node.encode().into()).unwrap()
+    }
+
+    /// A fresh tree's root, created at `sid`.
+    fn root(sid: SnapshotId) -> Page {
+        page(&Node::empty_root(sid))
+    }
 
     fn ptr(slot: u32) -> NodePtr {
         NodePtr {
@@ -358,10 +353,10 @@ mod tests {
     fn basic_cycle() {
         let mut c = NodeCache::new();
         assert!(c.get(0, ptr(1)).is_none());
-        c.put(0, ptr(1), 9, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(1), 9, root(0));
         let (seq, n) = c.get(0, ptr(1)).unwrap();
         assert_eq!(seq, 9);
-        assert_eq!(n.height, 0);
+        assert_eq!(n.height(), 0);
         c.invalidate(0, ptr(1));
         assert!(c.get(0, ptr(1)).is_none());
         assert_eq!(c.hits.get(), 1);
@@ -371,8 +366,8 @@ mod tests {
     #[test]
     fn per_tree_isolation() {
         let mut c = NodeCache::new();
-        c.put(0, ptr(1), 1, Arc::new(Node::empty_root(0)));
-        c.put(1, ptr(1), 2, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(1), 1, root(0));
+        c.put(1, ptr(1), 2, root(0));
         assert_eq!(c.len(), 2);
         c.invalidate_tree(0);
         assert!(c.get(0, ptr(1)).is_none());
@@ -383,14 +378,14 @@ mod tests {
     fn capacity_bounds_and_clock_eviction() {
         let mut c = NodeCache::with_capacity(4);
         for i in 0..4 {
-            c.put(0, ptr(i), i as u64, Arc::new(Node::empty_root(0)));
+            c.put(0, ptr(i), i as u64, root(0));
         }
         assert_eq!(c.len(), 4);
         // Touch 0 and 1 so the sweep prefers 2 or 3.
         c.get(0, ptr(0)).unwrap();
         c.get(0, ptr(1)).unwrap();
         for i in 4..40 {
-            c.put(0, ptr(i), i as u64, Arc::new(Node::empty_root(0)));
+            c.put(0, ptr(i), i as u64, root(0));
             assert!(c.len() <= 4, "capacity exceeded at insert {i}");
         }
         assert_eq!(c.evictions.get(), 36);
@@ -400,12 +395,12 @@ mod tests {
     fn second_chance_protects_hot_entries() {
         let mut c = NodeCache::with_capacity(3);
         for i in 0..3 {
-            c.put(0, ptr(i), 0, Arc::new(Node::empty_root(0)));
+            c.put(0, ptr(i), 0, root(0));
         }
         // Keep entry 0 hot; insert a stream of cold entries.
         for i in 3..10 {
             c.get(0, ptr(0)).unwrap();
-            c.put(0, ptr(i), 0, Arc::new(Node::empty_root(0)));
+            c.put(0, ptr(i), 0, root(0));
         }
         assert!(c.get(0, ptr(0)).is_some(), "hot entry evicted");
     }
@@ -413,8 +408,8 @@ mod tests {
     #[test]
     fn update_in_place_does_not_grow() {
         let mut c = NodeCache::with_capacity(2);
-        c.put(0, ptr(1), 1, Arc::new(Node::empty_root(0)));
-        c.put(0, ptr(1), 2, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(1), 1, root(0));
+        c.put(0, ptr(1), 2, root(0));
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(0, ptr(1)).unwrap().0, 2);
         assert_eq!(c.evictions.get(), 0);
@@ -423,10 +418,10 @@ mod tests {
     #[test]
     fn invalidated_slots_are_reused() {
         let mut c = NodeCache::with_capacity(2);
-        c.put(0, ptr(1), 1, Arc::new(Node::empty_root(0)));
-        c.put(0, ptr(2), 2, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(1), 1, root(0));
+        c.put(0, ptr(2), 2, root(0));
         c.invalidate(0, ptr(1));
-        c.put(0, ptr(3), 3, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(3), 3, root(0));
         assert_eq!(c.len(), 2);
         assert_eq!(
             c.evictions.get(),
@@ -438,7 +433,7 @@ mod tests {
     #[test]
     fn frozen_leaves_serve_only_their_snapshot_range() {
         let mut c = NodeCache::new();
-        c.put_frozen(0, ptr(1), 4, 3, &Node::empty_root(3).encode(), 7);
+        c.put_frozen(0, ptr(1), 4, root(3), 7);
         for sid in [3, 5, 7] {
             assert_eq!(c.get_at(0, ptr(1), sid).unwrap().0, 4, "sid {sid}");
         }
@@ -447,8 +442,8 @@ mod tests {
         assert!(c.get_at(0, ptr(1), 8).is_none());
         assert_eq!((c.frozen_hits.get(), c.frozen_misses.get()), (3, 2));
         // A tip lookup may take a frozen entry: it validates what it uses.
-        // It decodes the image once, and the entry still serves `sid`.
-        assert_eq!(c.get(0, ptr(1)).unwrap().1.created, 3);
+        // The entry still serves `sid`.
+        assert_eq!(c.get(0, ptr(1)).unwrap().1.created(), 3);
         assert!(c.get_at(0, ptr(1), 7).is_some());
         // A tip write's invalidation keeps it; a failed check's does not.
         c.forget_tip(0, ptr(1));
@@ -460,12 +455,12 @@ mod tests {
     #[test]
     fn a_snapshot_read_never_takes_a_tip_leaf() {
         let mut c = NodeCache::new();
-        c.put(0, ptr(1), 1, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(1), 1, root(0));
         assert!(c.get_at(0, ptr(1), 0).is_none());
-        // A frozen image and a tip node share a slot; neither replaces
+        // A frozen page and a tip page share a slot; neither replaces
         // the other, and a tip write drops only the tip's.
-        c.put_frozen(0, ptr(2), 1, 0, &Node::empty_root(0).encode(), 5);
-        c.put(0, ptr(2), 2, Arc::new(Node::empty_root(0)));
+        c.put_frozen(0, ptr(2), 1, root(0), 5);
+        c.put(0, ptr(2), 2, root(0));
         assert_eq!(c.get_at(0, ptr(2), 5).unwrap().0, 1);
         assert_eq!(c.get(0, ptr(2)).unwrap().0, 2);
         c.forget_tip(0, ptr(2));
@@ -480,7 +475,7 @@ mod tests {
             },
             ..Node::empty_root(0)
         };
-        c.put(0, ptr(3), 1, Arc::new(internal));
+        c.put(0, ptr(3), 1, page(&internal));
         assert!(c.get_at(0, ptr(3), 9).is_some());
         assert_eq!(c.hits.get(), 2);
     }
@@ -488,16 +483,16 @@ mod tests {
     #[test]
     fn frozen_entries_share_the_clock() {
         let mut c = NodeCache::with_capacity(3);
-        c.put(0, ptr(0), 0, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(0), 0, root(0));
         for i in 1..10 {
             c.get(0, ptr(0)).unwrap();
-            c.put_frozen(0, ptr(i), 0, 0, &Node::empty_root(0).encode(), 1);
+            c.put_frozen(0, ptr(i), 0, root(0), 1);
             assert!(c.len() <= 3);
         }
         assert!(c.get(0, ptr(0)).is_some(), "hot tip entry evicted");
         c.invalidate_tree(0);
         assert!(c.is_empty());
-        c.put(0, ptr(1), 0, Arc::new(Node::empty_root(0)));
+        c.put(0, ptr(1), 0, root(0));
         assert_eq!(c.evictions.get(), 7, "cleared slots are reused");
     }
 }

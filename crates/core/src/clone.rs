@@ -20,7 +20,7 @@
 //! is allocated per collapse — matching the paper's at-most-2× space
 //! accounting.
 
-use crate::error::{Attempt, Error};
+use crate::error::{Attempt, Error, RetryCause};
 use crate::node::{DescEntry, Node, NodePtr, SnapshotId};
 use crate::proxy::Proxy;
 use crate::traverse::{cat_immutable_fetcher, PathEntry, Resolved};
@@ -41,12 +41,18 @@ impl Proxy {
         copy_ptr: NodePtr,
     ) -> Attempt<Node> {
         let orig = &path[level];
-        let mut node = (*orig.node).clone();
+        let mut node = orig.node.to_node();
 
         if self.mc.cfg.version_mode == VersionMode::Linear {
             // Each node is copied at most once along a linear history
-            // (§4.2): any prior copy would have redirected the traversal.
-            debug_assert!(node.desc.is_empty(), "linear node copied twice");
+            // (§4.2). A node that already names a copy was read dirty and
+            // has moved on since (its copy belongs to a newer snapshot,
+            // or it is not the node the parent named any more): commit
+            // validation would refuse this attempt, so abort it now.
+            if !node.desc.is_empty() {
+                self.ncache.invalidate(tree, orig.ptr);
+                return Err(RetryCause::StaleVersion.into());
+            }
             node.desc = vec![DescEntry {
                 sid: ctx.sid,
                 ptr: copy_ptr,
@@ -65,13 +71,14 @@ impl Proxy {
 
         // Collapse two entries into their LCA and create the discretionary
         // copy there.
-        let (i, j, z) = self
-            .find_collapsible_pair(tree, &node.desc, node.created)?
-            .expect("pigeonhole guarantees a collapsible pair when β bounds branching");
+        let Some((i, j, z)) = self.find_collapsible_pair(tree, &node.desc, node.created)? else {
+            let why = "no collapsible descendant pair, though β bounds the branching (pigeonhole)";
+            return Err(Error::Internal(why.into()).into());
+        };
         let (a, b) = (node.desc[i], node.desc[j]);
 
         self.stats.discretionary_copies += 1;
-        let mut dcopy = (*orig.node).clone();
+        let mut dcopy = orig.node.to_node();
         dcopy.created = z;
         dcopy.desc = vec![a, b];
         let zptr = self.alloc(tree, Some(orig.ptr.mem))?;
@@ -103,5 +110,47 @@ impl Proxy {
             }
         }
         Ok(best)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::TxnError;
+    use crate::node::Page;
+    use crate::tree::{MinuetCluster, TreeConfig};
+    use minuet_sinfonia::MemNodeId;
+
+    fn ptr(slot: u32) -> NodePtr {
+        NodePtr {
+            mem: MemNodeId(0),
+            slot,
+        }
+    }
+
+    #[test]
+    fn a_linear_node_that_already_names_a_copy_is_retried() {
+        // A dirty read can see a node that a newer snapshot has copied:
+        // the attempt that would copy it again is stale, not broken.
+        let mc = MinuetCluster::new(1, 1, TreeConfig::default());
+        let mut p = mc.proxy();
+        let mut leaf = Node::empty_root(0);
+        leaf.desc.push(DescEntry {
+            sid: 2,
+            ptr: ptr(7),
+        });
+        let page = Page::new(leaf.encode().into()).unwrap();
+        let path = [PathEntry::at(ptr(1), 1, page)];
+        let ctx = Resolved {
+            sid: 1,
+            root: ptr(1),
+            writable: true,
+        };
+        let mut tx = DynTx::new(&mc.sinfonia);
+        let got = p.add_copy_to_desc(&mut tx, 0, &ctx, &path, 0, ptr(9));
+        assert!(
+            matches!(got, Err(TxnError::Retry(RetryCause::StaleVersion))),
+            "{got:?}"
+        );
     }
 }

@@ -64,7 +64,7 @@ pub use gc::SweepStats;
 pub use key::{Fence, Key, Value};
 pub use layout::{Layout, LayoutParams};
 pub use migrate::{RebalanceReport, Rebalancer};
-pub use node::{Node, NodeBody, NodePtr, SnapshotId};
+pub use node::{Node, NodeBody, NodePtr, Page, SnapshotId};
 pub use proxy::{op_tag, op_tag_name, Proxy, Txn};
 pub use scs::SnapshotService;
 pub use snapshot::SnapshotInfo;

@@ -54,7 +54,7 @@
 use crate::alloc::{push_free_segment, AllocState};
 use crate::catalog::{CatEntry, GlobalVal, TipVal};
 use crate::error::{Attempt, Error, RetryCause};
-use crate::node::{Node, NodePtr, SnapshotId};
+use crate::node::{Node, NodePtr, Page, SnapshotId};
 use crate::proxy::Proxy;
 use crate::stats::{occupancy, raw_obj, MemOccupancy};
 use crate::tree::{ConcurrencyMode, MinuetCluster};
@@ -197,19 +197,17 @@ impl Proxy {
         for mem in sin.memnode_ids() {
             crate::stats::scan_slots(sin, &layout, mem, &mut |slot, val| {
                 let ptr = NodePtr { mem, slot };
-                if let Ok(n) = Node::decode(&val.data) {
+                if let Ok(page) = Page::new(val.data) {
                     // Each referencing node appears once per target, even
                     // if it references that target through several
                     // pointers (the swap rewrites all of them at once).
                     let mut hit: Vec<NodePtr> = Vec::new();
-                    if let crate::node::NodeBody::Internal { kids, .. } = &n.body {
-                        for k in kids {
-                            if *k != ptr && tset.contains(k) && !hit.contains(k) {
-                                hit.push(*k);
-                            }
+                    for k in page.kids() {
+                        if k != ptr && tset.contains(&k) && !hit.contains(&k) {
+                            hit.push(k);
                         }
                     }
-                    for d in &n.desc {
+                    for d in page.desc() {
                         if d.ptr != ptr && tset.contains(&d.ptr) && !hit.contains(&d.ptr) {
                             hit.push(d.ptr);
                         }
@@ -252,7 +250,7 @@ impl Proxy {
         let home = self.home;
 
         let raw = tx.read(layout.node_obj(src))?;
-        if Node::decode(&raw).is_err() {
+        if Page::new(raw.clone()).is_err() {
             return Ok(false);
         }
 
@@ -603,7 +601,7 @@ fn live_slots(mc: &MinuetCluster, tree: u32, mem: MemNodeId) -> Result<Vec<u32>,
     let layout = *mc.layout(tree);
     let mut out = Vec::new();
     crate::stats::scan_slots(&mc.sinfonia, &layout, mem, &mut |slot, val| {
-        if Node::decode(&val.data).is_ok() {
+        if Page::new(val.data).is_ok() {
             out.push(slot);
         }
     })?;

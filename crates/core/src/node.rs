@@ -14,9 +14,11 @@
 
 use crate::error::CorruptNode;
 use crate::key::{Fence, Key, Value};
+use minuet_sinfonia::bytes::Bytes;
 use minuet_sinfonia::MemNodeId;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Snapshot identifier. Snapshot 0 is the initial (tip) version of a tree.
 pub type SnapshotId = u64;
@@ -148,17 +150,6 @@ impl Node {
         self.len() == 0
     }
 
-    /// Child responsible for `key`. Caller must have checked the fences.
-    pub fn child_for(&self, key: &[u8]) -> NodePtr {
-        match &self.body {
-            NodeBody::Internal { seps, kids } => {
-                let idx = seps.partition_point(|s| s.as_slice() <= key);
-                kids[idx]
-            }
-            NodeBody::Leaf { .. } => panic!("child_for on a leaf"),
-        }
-    }
-
     /// Looks up `key` in a leaf.
     pub fn leaf_get(&self, key: &[u8]) -> Option<&Value> {
         match &self.body {
@@ -250,55 +241,6 @@ impl Node {
             }
         }
         n
-    }
-
-    /// The one byte range where `self.encode()` differs from
-    /// `base.encode()`, computed from the two nodes without encoding
-    /// either. `None` unless the two have one shape — equal header,
-    /// fences and count, and equal keys and value lengths (a leaf) or
-    /// separators (an internal node) — so that every byte sits at the
-    /// same offset in both encodings; an empty range when they are equal.
-    /// Splicing `self.encode()[range]` into `base.encode()` gives
-    /// `self.encode()`.
-    pub fn changed_range(&self, base: &Node) -> Option<Range<usize>> {
-        let fields = |n: &Node| (n.height, n.created, n.len());
-        if fields(self) != fields(base)
-            || (&self.desc, &self.low, &self.high) != (&base.desc, &base.low, &base.high)
-        {
-            return None;
-        }
-        let mut at = self.body_offset();
-        let mut changed = at..at;
-        match (&self.body, &base.body) {
-            (NodeBody::Leaf { entries }, NodeBody::Leaf { entries: old }) => {
-                for ((k, v), (old_k, old_v)) in entries.iter().zip(old) {
-                    if k != old_k || v.len() != old_v.len() {
-                        return None;
-                    }
-                    at += 4 + k.len();
-                    widen(&mut changed, at, v, old_v);
-                    at += v.len();
-                }
-            }
-            (
-                NodeBody::Internal { seps, kids },
-                NodeBody::Internal {
-                    seps: old,
-                    kids: was,
-                },
-            ) => {
-                if seps != old {
-                    return None;
-                }
-                at += seps.iter().map(|s| 2 + s.len()).sum::<usize>();
-                for (k, w) in kids.iter().zip(was) {
-                    widen(&mut changed, at, &ptr_bytes(*k), &ptr_bytes(*w));
-                    at += 6;
-                }
-            }
-            _ => return None,
-        }
-        Some(changed)
     }
 
     /// True if the node no longer fits in a slot (or exceeds the
@@ -455,55 +397,323 @@ impl Node {
     /// may race with writers; a torn or freed image must decode to an
     /// error, never panic).
     pub fn decode(raw: &[u8]) -> Result<Node, CorruptNode> {
+        Ok(Index::parse(raw)?.node(raw))
+    }
+}
+
+/// A node image, validated and read in place. [`Page::new`] parses the
+/// header and notes where the fences and each separator or entry start,
+/// so a lookup is a binary search over the image, and nothing is copied
+/// out of it unless a caller asks ([`Page::to_node`] for a write). The
+/// image is [`Node::encode`]'s; the index lives only in memory. Cloning
+/// a page is a reference-count bump.
+#[derive(Clone, Debug)]
+pub struct Page(Arc<PageInner>);
+
+#[derive(Clone, Debug)]
+struct PageInner {
+    image: Bytes,
+    index: Index,
+}
+
+/// What one pass over a node image learns: its header, and where its
+/// fences and its body's fields start.
+#[derive(Clone, Debug)]
+struct Index {
+    header: NodeHeader,
+    /// Where the low and the high fence start (their tag bytes).
+    fences: [usize; 2],
+    /// Where each separator (internal node) or entry (leaf) starts.
+    at: Vec<u32>,
+    /// Where the child pointers start (internal node).
+    kids: usize,
+}
+
+impl Index {
+    /// Parses and validates a node image.
+    fn parse(raw: &[u8]) -> Result<Index, CorruptNode> {
         let mut c = Cursor { raw, pos: 0 };
-        let NodeHeader {
-            height,
-            created,
-            desc,
-        } = decode_header(&mut c)?;
-        let low = decode_fence(&mut c)?;
-        let high = decode_fence(&mut c)?;
+        let header = decode_header(&mut c)?;
+        let fences = [c.fence()?, c.fence()?];
         let count = c.u16()? as usize;
-        let body = if height > 0 {
-            if count == 0 {
-                return Err(CorruptNode::Truncated);
+        let internal = header.height > 0;
+        if internal && count == 0 {
+            return Err(CorruptNode::Truncated);
+        }
+        let fields = count - usize::from(internal);
+        let mut at = Vec::with_capacity(fields);
+        for _ in 0..fields {
+            at.push(c.pos as u32);
+            c.bytes_u16()?;
+            if !internal {
+                c.bytes_u16()?;
             }
-            let mut seps = Vec::with_capacity(count - 1);
-            for _ in 0..count - 1 {
-                seps.push(c.bytes_u16()?.to_vec());
-            }
-            let mut kids = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mem = c.u16()?;
-                let slot = c.u32()?;
-                kids.push(NodePtr {
-                    mem: MemNodeId(mem),
-                    slot,
-                });
-            }
-            NodeBody::Internal { seps, kids }
-        } else {
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let k = c.bytes_u16()?.to_vec();
-                let v = c.bytes_u16()?.to_vec();
-                entries.push((k, v));
-            }
-            NodeBody::Leaf { entries }
-        };
+        }
+        let kids = c.pos;
+        if internal {
+            c.take(6 * count)?;
+        }
         // Every byte is accounted for, so the image is exactly the
         // node's encoding: a ranged write patches the image it observed.
         if c.pos != raw.len() {
             return Err(CorruptNode::Trailing(raw.len() - c.pos));
         }
-        Ok(Node {
+        Ok(Index {
+            header,
+            fences,
+            at,
+            kids,
+        })
+    }
+
+    /// The node `raw`, the image this index was parsed from, encodes.
+    fn node(&self, raw: &[u8]) -> Node {
+        let NodeHeader {
             height,
             created,
-            desc,
-            low,
-            high,
+            ref desc,
+        } = self.header;
+        let body = if height > 0 {
+            let sep = |&at: &u32| field(raw, at as usize).0.to_vec();
+            NodeBody::Internal {
+                seps: self.at.iter().map(sep).collect(),
+                kids: (0..=self.at.len())
+                    .map(|i| ptr_at(raw, self.kids + 6 * i))
+                    .collect(),
+            }
+        } else {
+            let entry = |&at: &u32| {
+                let (key, value) = entry(raw, at);
+                (key.to_vec(), value.to_vec())
+            };
+            NodeBody::Leaf {
+                entries: self.at.iter().map(entry).collect(),
+            }
+        };
+        Node {
+            height,
+            created,
+            desc: desc.clone(),
+            low: fence(raw, self.fences[0]),
+            high: fence(raw, self.fences[1]),
             body,
-        })
+        }
+    }
+}
+
+impl Page {
+    /// Validates and indexes a node image. Refuses exactly the images
+    /// [`Node::decode`] refuses, with the same errors.
+    pub fn new(image: Bytes) -> Result<Page, CorruptNode> {
+        let index = Index::parse(&image)?;
+        Ok(Page(Arc::new(PageInner { image, index })))
+    }
+
+    /// The image.
+    pub fn image(&self) -> &Bytes {
+        &self.0.image
+    }
+
+    /// Height above the leaves (0 = leaf).
+    pub fn height(&self) -> u8 {
+        self.0.index.header.height
+    }
+
+    /// Snapshot id at which this physical node was created.
+    pub fn created(&self) -> SnapshotId {
+        self.0.index.header.created
+    }
+
+    /// Descendant set.
+    pub fn desc(&self) -> &[DescEntry] {
+        &self.0.index.header.desc
+    }
+
+    /// Low fence (inclusive).
+    pub fn low(&self) -> Fence {
+        fence(&self.0.image, self.0.index.fences[0])
+    }
+
+    /// High fence (exclusive).
+    pub fn high(&self) -> Fence {
+        fence(&self.0.image, self.0.index.fences[1])
+    }
+
+    /// True if `key` lies within the fences, read in place.
+    pub fn covers(&self, key: &[u8]) -> bool {
+        let (image, [low, high]) = (&self.0.image, self.0.index.fences);
+        let above_low = match image[low] {
+            0 => true,
+            1 => field(image, low + 1).0 <= key,
+            _ => false,
+        };
+        let below_high = match image[high] {
+            2 => true,
+            1 => key < field(image, high + 1).0,
+            _ => false,
+        };
+        above_low && below_high
+    }
+
+    /// True if this is an internal node.
+    pub fn is_internal(&self) -> bool {
+        self.height() > 0
+    }
+
+    /// Number of entries (children or key/value pairs).
+    pub fn len(&self) -> usize {
+        self.0.index.at.len() + usize::from(self.is_internal())
+    }
+
+    /// True if the node has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Where the separators start: none in a leaf.
+    fn sep_at(&self) -> &[u32] {
+        if self.is_internal() {
+            &self.0.index.at
+        } else {
+            &[]
+        }
+    }
+
+    /// Where the entries start: none in an internal node.
+    fn entry_at(&self) -> &[u32] {
+        if self.is_internal() {
+            &[]
+        } else {
+            &self.0.index.at
+        }
+    }
+
+    /// The separator keys, in order.
+    pub fn seps(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        self.sep_at().iter().map(|&at| self.key(at))
+    }
+
+    /// The child pointers, in key order: none in a leaf.
+    pub fn kids(&self) -> impl ExactSizeIterator<Item = NodePtr> + '_ {
+        let count = self.sep_at().len() + usize::from(self.is_internal());
+        (0..count).map(|i| ptr_at(&self.0.image, self.0.index.kids + 6 * i))
+    }
+
+    /// The children from the one responsible for `key` on, in key order:
+    /// none in a leaf. The caller must have checked the fences.
+    pub fn kids_from(&self, key: &[u8]) -> impl Iterator<Item = NodePtr> + '_ {
+        let at = self.sep_at();
+        let first = at.partition_point(|&at| self.key(at) <= key);
+        self.kids().skip(first)
+    }
+
+    /// Child responsible for `key`; `None` in a leaf. The caller must
+    /// have checked the fences.
+    pub fn child_for(&self, key: &[u8]) -> Option<NodePtr> {
+        self.kids_from(key).next()
+    }
+
+    /// The key/value pair starting at `at`.
+    fn entry(&self, at: u32) -> (&[u8], &[u8]) {
+        entry(&self.0.image, at)
+    }
+
+    /// The separator, or the entry's key, starting at `at`.
+    fn key(&self, at: u32) -> &[u8] {
+        field(&self.0.image, at as usize).0
+    }
+
+    /// The entries with a key of at least `from`, in key order: none in
+    /// an internal node.
+    pub fn entries_from(&self, from: &[u8]) -> impl ExactSizeIterator<Item = (&[u8], &[u8])> {
+        let at = self.entry_at();
+        let first = at.partition_point(|&at| self.key(at) < from);
+        at[first..].iter().map(|&at| self.entry(at))
+    }
+
+    /// The value of `key` in a leaf; `None` if absent, or in an internal
+    /// node.
+    pub fn leaf_get(&self, key: &[u8]) -> Option<&[u8]> {
+        let at = self.entry_at();
+        let i = at.binary_search_by(|&at| self.key(at).cmp(key)).ok()?;
+        Some(self.entry(at[i]).1)
+    }
+
+    /// The node, decoded to be changed: a write's starting point.
+    pub fn to_node(&self) -> Node {
+        self.0.index.node(&self.0.image)
+    }
+
+    /// This page keeping alive at most twice its own bytes: itself, or a
+    /// copy when its image is a slice of a larger buffer. Every object a
+    /// read ships fills its slot's whole capacity, so an image from a
+    /// reply that carried several is always copied; one from a reply of
+    /// its own only when the node fills less than half its slot.
+    pub(crate) fn detached(mut self) -> Page {
+        let image = &self.0.image;
+        if image.buffer_len() > 2 * image.len() {
+            let copy = Bytes::copy_from_slice(image);
+            Arc::make_mut(&mut self.0).image = copy;
+        }
+        self
+    }
+}
+
+/// The one byte range where `new` differs from `base`: `None` when their
+/// lengths differ, an empty range when they are equal. Splicing
+/// `new[range]` into `base` gives `new`.
+pub fn changed_range(new: &[u8], base: &[u8]) -> Option<Range<usize>> {
+    if new.len() != base.len() {
+        return None;
+    }
+    let start = common_prefix(new, base);
+    Some(start..new.len() - common_suffix(&new[start..], &base[start..]))
+}
+
+/// How many leading bytes `a` and `b` share, compared 16 at a time
+/// while they can be.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let blocks = a.chunks_exact(16).zip(b.chunks_exact(16));
+    let n = blocks.take_while(|(x, y)| x == y).count() * 16;
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// How many trailing bytes `a` and `b` share, as [`common_prefix`].
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let blocks = a.rchunks_exact(16).zip(b.rchunks_exact(16));
+    let n = blocks.take_while(|(x, y)| x == y).count() * 16;
+    let (a, b) = (&a[..a.len() - n], &b[..b.len() - n]);
+    n + a
+        .iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The length-prefixed field at `at` of a parsed image, and where the
+/// field after it starts.
+fn field(raw: &[u8], at: usize) -> (&[u8], usize) {
+    let end = at + 2 + usize::from(u16::from_le_bytes([raw[at], raw[at + 1]]));
+    (&raw[at + 2..end], end)
+}
+
+/// The key/value pair at `at` of a parsed leaf image.
+fn entry(raw: &[u8], at: u32) -> (&[u8], &[u8]) {
+    let (key, next) = field(raw, at as usize);
+    (key, field(raw, next).0)
+}
+
+/// The child pointer at `at` of a parsed image.
+fn ptr_at(raw: &[u8], at: usize) -> NodePtr {
+    let p = &raw[at..at + 6];
+    NodePtr {
+        mem: MemNodeId(u16::from_le_bytes([p[0], p[1]])),
+        slot: u32::from_le_bytes([p[2], p[3], p[4], p[5]]),
     }
 }
 
@@ -544,22 +754,6 @@ fn ptr_bytes(p: NodePtr) -> [u8; 6] {
     out
 }
 
-/// Widens `changed` to cover the bytes where `new` and `old`, of one
-/// length and both encoded at offset `at`, differ.
-fn widen(changed: &mut Range<usize>, at: usize, new: &[u8], old: &[u8]) {
-    let differs = |(a, b): (&u8, &u8)| a != b;
-    let Some(first) = new.iter().zip(old).position(differs) else {
-        return;
-    };
-    let last = new.iter().zip(old).rposition(differs).unwrap_or(first);
-    let (start, end) = (at + first, at + last + 1);
-    *changed = if changed.start == changed.end {
-        start..end
-    } else {
-        changed.start.min(start)..changed.end.max(end)
-    };
-}
-
 /// Encoded bytes of a fence: its tag, and a finite key's length and bytes.
 fn fence_size(f: &Fence) -> usize {
     1 + f.as_key().map_or(0, |k| 2 + k.len())
@@ -577,12 +771,12 @@ fn encode_fence(out: &mut Vec<u8>, f: &Fence) {
     }
 }
 
-fn decode_fence(c: &mut Cursor<'_>) -> Result<Fence, CorruptNode> {
-    match c.u8()? {
-        0 => Ok(Fence::NegInf),
-        1 => Ok(Fence::Key(c.bytes_u16()?.to_vec())),
-        2 => Ok(Fence::PosInf),
-        t => Err(CorruptNode::BadFenceTag(t)),
+/// The fence whose tag byte is at `at` of a parsed image.
+fn fence(raw: &[u8], at: usize) -> Fence {
+    match raw[at] {
+        0 => Fence::NegInf,
+        1 => Fence::Key(field(raw, at + 1).0.to_vec()),
+        _ => Fence::PosInf,
     }
 }
 
@@ -603,18 +797,31 @@ impl<'a> Cursor<'a> {
     fn u8(&mut self) -> Result<u8, CorruptNode> {
         Ok(self.take(1)?[0])
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CorruptNode> {
+        self.take(N)?.try_into().map_err(|_| CorruptNode::Truncated)
+    }
     fn u16(&mut self) -> Result<u16, CorruptNode> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, CorruptNode> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, CorruptNode> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn bytes_u16(&mut self) -> Result<&'a [u8], CorruptNode> {
         let n = self.u16()? as usize;
         self.take(n)
+    }
+    /// Checks a fence's tag and skips the fence; returns where it starts.
+    fn fence(&mut self) -> Result<usize, CorruptNode> {
+        let at = self.pos;
+        match self.u8()? {
+            0 | 2 => {}
+            1 => drop(self.bytes_u16()?),
+            t => return Err(CorruptNode::BadFenceTag(t)),
+        }
+        Ok(at)
     }
 }
 
@@ -627,6 +834,10 @@ mod tests {
             mem: MemNodeId(mem),
             slot,
         }
+    }
+
+    fn page(n: &Node) -> Page {
+        Page::new(n.encode().into()).unwrap()
     }
 
     fn leaf(entries: Vec<(&str, &str)>) -> Node {
@@ -675,6 +886,23 @@ mod tests {
     }
 
     #[test]
+    fn a_page_keeps_at_most_twice_its_bytes_alive() {
+        let image = leaf(vec![("a", "1"), ("b", "2")]).encode();
+        let in_buffer = |extra: usize| {
+            let buffer = Bytes::from([&image[..], &vec![0; extra]].concat());
+            (buffer.slice(0, image.len()), buffer)
+        };
+        let (short, buffer) = in_buffer(image.len() / 2);
+        let kept = Page::new(short).unwrap().detached();
+        assert!(Bytes::same_buffer(kept.image(), &buffer));
+        let (long, buffer) = in_buffer(image.len() + 1);
+        let copied = Page::new(long).unwrap().detached();
+        assert!(!Bytes::same_buffer(copied.image(), &buffer));
+        assert_eq!(copied.image().buffer_len(), image.len());
+        assert_eq!(copied.to_node(), Node::decode(&image).unwrap());
+    }
+
+    #[test]
     fn decode_garbage_fails_cleanly() {
         assert!(Node::decode(&[]).is_err());
         assert!(Node::decode(&[0u8; 40]).is_err());
@@ -696,11 +924,12 @@ mod tests {
                 kids: vec![ptr(0, 1), ptr(0, 2), ptr(0, 3)],
             },
         };
-        assert_eq!(n.child_for(b"a"), ptr(0, 1));
-        assert_eq!(n.child_for(b"g"), ptr(0, 2)); // separator belongs right
-        assert_eq!(n.child_for(b"l"), ptr(0, 2));
-        assert_eq!(n.child_for(b"m"), ptr(0, 3));
-        assert_eq!(n.child_for(b"z"), ptr(0, 3));
+        let p = page(&n);
+        assert_eq!(p.child_for(b"a"), Some(ptr(0, 1)));
+        assert_eq!(p.child_for(b"g"), Some(ptr(0, 2))); // separator belongs right
+        assert_eq!(p.child_for(b"l"), Some(ptr(0, 2)));
+        assert_eq!(p.child_for(b"m"), Some(ptr(0, 3)));
+        assert_eq!(p.child_for(b"z"), Some(ptr(0, 3)));
     }
 
     #[test]
@@ -810,9 +1039,10 @@ mod tests {
             }
             _ => unreachable!(),
         }
-        assert_eq!(n.child_for(b"a"), ptr(0, 0));
-        assert_eq!(n.child_for(b"g"), ptr(0, 9));
-        assert_eq!(n.child_for(b"x"), ptr(0, 1));
+        let p = page(&n);
+        assert_eq!(p.child_for(b"a"), Some(ptr(0, 0)));
+        assert_eq!(p.child_for(b"g"), Some(ptr(0, 9)));
+        assert_eq!(p.child_for(b"x"), Some(ptr(0, 1)));
     }
 
     #[test]
@@ -830,7 +1060,8 @@ mod tests {
         };
         assert!(n.replace_child(ptr(0, 0), ptr(1, 5)));
         assert!(!n.replace_child(ptr(0, 0), ptr(1, 6)));
-        assert_eq!(n.child_for(b"k"), ptr(1, 5));
+        let p = page(&n);
+        assert_eq!(p.child_for(b"k"), Some(ptr(1, 5)));
     }
 
     #[test]

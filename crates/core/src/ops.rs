@@ -7,14 +7,14 @@
 
 use crate::error::{Attempt, Error, RetryCause};
 use crate::key::{Fence, Key, Value};
-use crate::node::{Node, NodeBody, NodePtr};
+use crate::node::{changed_range, Node, NodeBody, NodePtr, Page};
 use crate::proxy::{OpTarget, Proxy};
 use crate::traverse::{LeafAccess, PathEntry, Resolved};
 use crate::tree::ConcurrencyMode;
 use minuet_dyntx::DynTx;
 use minuet_obs::{span, SpanKind};
+use minuet_sinfonia::bytes::Bytes;
 use minuet_sinfonia::MemNodeId;
-use std::sync::Arc;
 
 /// What a single-key operation does at the leaf responsible for its key:
 /// the one description `get` / `put` / `remove`, their `_at` / `_branch`
@@ -52,8 +52,8 @@ pub(crate) struct ChildOps {
 }
 
 /// A node image an attempt staged, kept for the cache: `(tree, slot,
-/// image)` ([`Proxy::install_written`]).
-pub(crate) type Written = (u32, NodePtr, Arc<Node>);
+/// page)` ([`Proxy::install_written`]).
+pub(crate) type Written = (u32, NodePtr, Page);
 
 impl Proxy {
     /// Stages a node image write. In FullValidation mode, internal-node
@@ -61,31 +61,30 @@ impl Proxy {
     /// memnode — the all-memnode engagement that makes splits expensive in
     /// the baseline (§3).
     ///
-    /// `base` is the node this attempt observed at `ptr`, if it is
-    /// rewriting one in place: when `node` has its shape
-    /// ([`Node::changed_range`]), the commit ships only the bytes that
-    /// changed ([`DynTx::write_ranged`]).
+    /// `base` is the page this attempt observed at `ptr`, if it is
+    /// rewriting one in place: when the new image has its length, the
+    /// commit ships only the bytes that changed ([`changed_range`],
+    /// [`DynTx::write_ranged`]).
     ///
-    /// The node's cached entry is dropped, and the node itself is kept in
-    /// `written` if the cache may hold it — an internal node when
-    /// internal nodes are cached, a leaf when writable reads use the
+    /// The node's cached entry is dropped, and the new image is kept in
+    /// `written` as a page if the cache may hold it — an internal node
+    /// when internal nodes are cached, a leaf when writable reads use the
     /// validated leaf cache — so that a commit puts it back. A leaf whose
     /// descendant set names a copy (the original a copy-on-write just
     /// tagged) is not kept: the writer's tip reads the copy from now on,
     /// a snapshot read never takes a leaf from a tip entry, and keeping
-    /// it decoded beside every copy would double the leaves the cache
-    /// holds.
+    /// it beside every copy would double the leaves the cache holds.
     pub(crate) fn write_node(
         &mut self,
         tx: &mut DynTx<'_>,
         tree: u32,
         ptr: NodePtr,
         node: Node,
-        base: Option<&Node>,
+        base: Option<&Page>,
     ) {
         let layout = *self.mc.layout(tree);
         let obj = layout.node_obj(ptr);
-        let payload = node.encode();
+        let payload = Bytes::from(node.encode());
         debug_assert!(
             payload.len() <= layout.params.node_payload as usize,
             "node exceeds payload capacity: {} > {}",
@@ -94,14 +93,14 @@ impl Proxy {
         );
         if self.mc.cfg.mode == ConcurrencyMode::FullValidation && node.is_internal() {
             let seqno = self.mc.sinfonia.next_txid();
-            tx.write_with_seqno(obj, payload, seqno);
+            tx.write_with_seqno(obj, payload.clone(), seqno);
             for mem in self.mc.sinfonia.memnode_ids() {
                 tx.add_raw_write(layout.seqtab_entry(ptr, mem), seqno.to_le_bytes().to_vec());
             }
-        } else if let Some(changed) = base.and_then(|b| node.changed_range(b)) {
-            tx.write_ranged(obj, payload, changed);
+        } else if let Some(changed) = base.and_then(|b| changed_range(&payload, b.image())) {
+            tx.write_ranged(obj, payload.clone(), changed);
         } else {
-            tx.write(obj, payload);
+            tx.write(obj, payload.clone());
         }
         self.ncache.forget_tip(tree, ptr);
         let cacheable = if node.is_internal() {
@@ -110,7 +109,9 @@ impl Proxy {
             self.writable_leaf_access() == LeafAccess::CachedValidated && node.desc.is_empty()
         };
         if cacheable {
-            self.written.push((tree, ptr, Arc::new(node)));
+            if let Ok(page) = Page::new(payload) {
+                self.written.push((tree, ptr, page));
+            }
         }
     }
 
@@ -191,11 +192,11 @@ impl Proxy {
         };
         let leaf_level = path.len() - 1;
         if let LeafOp::Get = op {
-            return Ok(path[leaf_level].node.leaf_get(key).cloned());
+            return Ok(path[leaf_level].node.leaf_get(key).map(<[u8]>::to_vec));
         }
         debug_assert!(ctx.writable);
         let _apply = span(SpanKind::Apply);
-        let mut new_leaf = (*path[leaf_level].node).clone();
+        let mut new_leaf = path[leaf_level].node.to_node();
         let old = op.apply(&mut new_leaf, key);
         self.materialize(tx, tree, &ctx, &path, leaf_level, new_leaf)?;
         Ok(old)
@@ -215,7 +216,7 @@ impl Proxy {
     ) -> Attempt<()> {
         let orig = &path[level];
         let (payload_cap, max_entries) = self.limits(&node);
-        let in_snapshot = orig.node.created == ctx.sid;
+        let in_snapshot = orig.node.created() == ctx.sid;
 
         if in_snapshot {
             if !node.overflows(payload_cap, max_entries) {
@@ -301,7 +302,7 @@ impl Proxy {
         ops: ChildOps,
     ) -> Attempt<()> {
         let orig = &path[level];
-        let mut node = (*orig.node).clone();
+        let mut node = orig.node.to_node();
         if let Some((old, new)) = ops.replace {
             if !node.replace_child(old, new) {
                 // Our (possibly cached) parent image no longer references

@@ -13,11 +13,10 @@
 
 use crate::error::{Attempt, CorruptNode, Error, RetryCause};
 use crate::key::{Fence, Key, Value};
-use crate::node::{Node, NodeBody, SnapshotId};
+use crate::node::{Page, SnapshotId};
 use crate::proxy::{OpTarget, Proxy};
 use crate::traverse::{FetchStyle, LeafAccess, NodeCheck, PathEntry};
 use minuet_dyntx::{DynTx, ReadItem};
-use std::sync::Arc;
 
 /// Most right siblings one scan step reads past the leaf covering its
 /// key. The count is estimated before anything is read (see
@@ -25,40 +24,13 @@ use std::sync::Arc;
 /// over-fetch when the leaves last read were sparse while these are full.
 const MAX_SIBLINGS: usize = 16;
 
-/// Where the entries with `key >= from` start.
-fn start(entries: &[(Key, Value)], from: &[u8]) -> usize {
-    entries.partition_point(|(k, _)| k.as_slice() < from)
-}
-
-/// How many of `leaf`'s entries have `key >= from`.
-fn entries_from(leaf: &Node, from: &[u8]) -> usize {
-    match &leaf.body {
-        NodeBody::Leaf { entries } => entries.len() - start(entries, from),
-        NodeBody::Internal { .. } => 0,
-    }
-}
-
 /// Appends `leaf`'s entries with `key >= from` to `out` until `out` holds
-/// `limit`, and returns the leaf's high fence. An unshared leaf (an
-/// uncached dirty read, or a frozen image decoded for this read) gives up
-/// its entries; a shared one (from the node cache) is cloned from.
-fn collect(leaf: Arc<Node>, from: &[u8], limit: usize, out: &mut Vec<(Key, Value)>) -> Fence {
+/// `limit`, and returns the leaf's high fence.
+fn collect(leaf: &Page, from: &[u8], limit: usize, out: &mut Vec<(Key, Value)>) -> Fence {
     let room = limit.saturating_sub(out.len());
-    match Arc::try_unwrap(leaf) {
-        Ok(node) => {
-            if let NodeBody::Leaf { mut entries } = node.body {
-                let at = start(&entries, from);
-                out.extend(entries.drain(at..).take(room));
-            }
-            node.high
-        }
-        Err(shared) => {
-            if let NodeBody::Leaf { entries } = &shared.body {
-                out.extend(entries[start(entries, from)..].iter().take(room).cloned());
-            }
-            shared.high.clone()
-        }
-    }
+    let entries = leaf.entries_from(from).take(room);
+    out.extend(entries.map(|(k, v)| (k.to_vec(), v.to_vec())));
+    leaf.high()
 }
 
 /// The leaf a traversal ended at, and the path above it.
@@ -144,23 +116,22 @@ impl Proxy {
         let top = path
             .last()
             .ok_or_else(|| Error::Internal("traverse returned an empty path".into()))?;
-        let NodeBody::Internal { seps, kids } = &top.node.body else {
-            return Ok(collect(top.node.clone(), from, limit, out));
-        };
+        if !top.node.is_internal() {
+            return Ok(collect(&top.node, from, limit, out));
+        }
         let fill = self.may_freeze(tree, sid);
         let style = FetchStyle::AtSnapshot { sid, fill };
-        let parent_height = Some(top.node.height);
-        let at = seps.partition_point(|s| s.as_slice() <= from);
+        let parent_height = Some(top.node.height());
 
         // Choose the run: serve what the frozen cache can, and estimate
         // the rest, until the keys still needed are covered.
         let mut need = limit - out.len();
         let mut expected = 0;
         let mut run = Vec::new();
-        for &ptr in kids[at..].iter().take(1 + MAX_SIBLINGS) {
+        for ptr in top.node.kids_from(from).take(1 + MAX_SIBLINGS) {
             let hit = self.ncache.get_at(tree, ptr, sid);
             let gives = match (&hit, run.is_empty()) {
-                (Some((_, leaf)), true) => Some(entries_from(leaf, from)),
+                (Some((_, leaf)), true) => Some(leaf.entries_from(from).len()),
                 (Some((_, leaf)), false) => Some(leaf.len()),
                 // The first leaf's keys start somewhere inside it.
                 (None, true) => self.scan_fill.map(|f| f / 2),
@@ -194,17 +165,11 @@ impl Proxy {
         let (mut leaves, mut entries) = (0, 0);
         for (ptr, hit) in run {
             let first = leaves == 0;
-            // A miss keeps its image for the frozen fill.
-            let (image, entry) = match hit {
-                Some((seqno, node)) => (None, Some((seqno, node))),
-                None => match fetched.next().flatten() {
-                    Some(val) => {
-                        let node = Node::decode(&val.data).ok().map(Arc::new);
-                        (Some(val.data), node.map(|node| (val.seqno, node)))
-                    }
-                    None => (None, None),
-                },
-            };
+            let missed = hit.is_none();
+            let entry = hit.or_else(|| {
+                let val = fetched.next().flatten()?;
+                Some((val.seqno, Page::new(val.data).ok()?))
+            });
             let e = match entry {
                 Some((seqno, node)) => PathEntry::at(ptr, seqno, node),
                 None if first => {
@@ -227,21 +192,21 @@ impl Proxy {
                     NodeCheck::Accept => e,
                     _ => {
                         // A member the cache served is stale: drop it.
-                        if image.is_none() {
+                        if !missed {
                             self.ncache.invalidate(tree, ptr);
                         }
                         break;
                     }
                 }
             };
-            if let Some(image) = image.filter(|_| fill && e.ptr == ptr) {
-                let created = e.node.created;
-                self.ncache
-                    .put_frozen(tree, ptr, e.seqno, created, &image, sid);
-            }
+            let leaf = if missed && fill && e.ptr == ptr {
+                self.ncache.put_frozen(tree, ptr, e.seqno, e.node, sid)
+            } else {
+                e.node
+            };
             leaves += 1;
-            entries += e.node.len();
-            high = collect(e.node, &key, limit, out);
+            entries += leaf.len();
+            high = collect(&leaf, &key, limit, out);
             match &high {
                 Fence::Key(k) if out.len() < limit => key.clone_from(k),
                 _ => break,
@@ -269,7 +234,7 @@ impl Proxy {
             loop {
                 let path = p.traverse(tx, tree, &ctx, &cur, LeafAccess::Transactional, 0)?;
                 let (leaf, _) = split_leaf(path)?;
-                let high = collect(leaf.node, &cur, limit, &mut out);
+                let high = collect(&leaf.node, &cur, limit, &mut out);
                 if out.len() >= limit {
                     return Ok(out);
                 }

@@ -5,7 +5,7 @@
 use crate::alloc::AllocState;
 use crate::error::{Error, RetryCause};
 use crate::layout::Layout;
-use crate::node::{Node, NodePtr};
+use crate::node::{NodePtr, Page};
 use crate::tree::MinuetCluster;
 use minuet_dyntx::{ObjRef, ObjVal};
 use minuet_sinfonia::{MemNodeId, SinfoniaCluster};
@@ -158,7 +158,7 @@ pub fn occupancy(mc: &MinuetCluster, tree: u32) -> Result<Vec<MemOccupancy>, Err
     for mem in sin.memnode_ids() {
         let (mut live, mut migrating) = (0, 0);
         let state = scan_slots(sin, &layout, mem, &mut |_, val| {
-            if Node::decode(&val.data).is_ok() {
+            if Page::new(val.data.clone()).is_ok() {
                 live += 1;
             } else if crate::migrate::is_reservation(&val.data) {
                 migrating += 1;

@@ -5,8 +5,7 @@
 
 use crate::catalog::CatEntry;
 use crate::error::{Attempt, Error, RetryCause};
-use crate::key::in_range;
-use crate::node::{Node, NodePtr, SnapshotId};
+use crate::node::{NodePtr, Page, SnapshotId};
 use crate::proxy::Proxy;
 use crate::tree::{ConcurrencyMode, MinuetCluster, VersionMode};
 use minuet_dyntx::{DynTx, SeqNo, TxKey};
@@ -60,13 +59,13 @@ pub(crate) struct PathEntry {
     pub link: NodePtr,
     /// Version observed.
     pub seqno: SeqNo,
-    /// Decoded image.
-    pub node: Arc<Node>,
+    /// The image, read in place.
+    pub node: Page,
 }
 
 impl PathEntry {
     /// The node at `ptr`, reached without a redirect.
-    pub(crate) fn at(ptr: NodePtr, seqno: SeqNo, node: Arc<Node>) -> PathEntry {
+    pub(crate) fn at(ptr: NodePtr, seqno: SeqNo, node: Page) -> PathEntry {
         let link = ptr;
         PathEntry {
             ptr,
@@ -135,7 +134,7 @@ impl Proxy {
     pub(crate) fn check_node(
         &self,
         tree: u32,
-        node: &Node,
+        node: &Page,
         sid: SnapshotId,
         key: &[u8],
         parent_height: Option<u8>,
@@ -148,7 +147,7 @@ impl Proxy {
             // parent, whose pointer was updated in the same commit that
             // made the copy.
             VersionMode::Linear => {
-                if node.created > sid || node.desc.iter().any(|d| d.sid <= sid) {
+                if node.created() > sid || node.desc().iter().any(|d| d.sid <= sid) {
                     return Ok(stale);
                 }
             }
@@ -156,22 +155,22 @@ impl Proxy {
                 let shared = mc.shared(tree);
                 let mut fetch = cat_immutable_fetcher(mc.clone(), tree, self.home);
                 let mut covers = |s| shared.vcache.is_ancestor_or_self(s, sid, &mut fetch);
-                if !covers(node.created)? {
+                if !covers(node.created())? {
                     return Ok(stale);
                 }
                 // Descendant-set entries are pairwise incomparable, so at
                 // most one can cover `sid`.
-                for d in &node.desc {
+                for d in node.desc() {
                     if covers(d.sid)? {
                         return Ok(NodeCheck::Redirect(d.ptr));
                     }
                 }
             }
         }
-        if !in_range(&node.low, &node.high, key) {
+        if !node.covers(key) {
             return Ok(NodeCheck::Retry(RetryCause::FenceViolation));
         }
-        if parent_height.is_some_and(|h| h.checked_sub(1) != Some(node.height)) {
+        if parent_height.is_some_and(|h| h.checked_sub(1) != Some(node.height())) {
             return Ok(NodeCheck::Retry(RetryCause::HeightMismatch));
         }
         Ok(NodeCheck::Accept)
@@ -203,7 +202,7 @@ impl Proxy {
             }
             FetchStyle::ValidatedLeaf if cache_leaves => {
                 if let Some((seqno, node)) = self.ncache.get(tree, ptr) {
-                    if node.height == 0 {
+                    if node.height() == 0 {
                         // Serve the image from the cache; pin only its
                         // version — commit revalidates with a compare-only
                         // minitransaction, and a stale entry surfaces as a
@@ -230,32 +229,29 @@ impl Proxy {
                 (val.seqno, val.data, false)
             }
         };
-        match Node::decode(&data) {
-            Ok(node) => {
-                if let FetchStyle::AtSnapshot { sid, fill: true } = style {
-                    if node.height == 0 {
-                        self.ncache
-                            .put_frozen(tree, ptr, seqno, node.created, &data, sid);
-                    }
-                }
-                let node = Arc::new(node);
-                if !tracked && node.is_internal() && cache_ok {
-                    self.ncache.put(tree, ptr, seqno, node.clone());
-                } else if tracked && node.height == 0 && cache_leaves {
-                    // Leaves observed at a validated version enter the
-                    // cache so the next get revalidates instead of
-                    // re-fetching.
-                    self.ncache.put(tree, ptr, seqno, node.clone());
-                }
-                Ok(PathEntry::at(ptr, seqno, node))
+        let Ok(page) = Page::new(data) else {
+            // Freed slot or torn image: the pointer that led here is
+            // stale.
+            self.ncache.invalidate(tree, ptr);
+            return Err(RetryCause::TornRead.into());
+        };
+        // Internal nodes read dirty enter the cache to route later
+        // descents; leaves observed at a validated version enter it so
+        // the next get revalidates instead of re-fetching.
+        let leaf = page.height() == 0;
+        let cache = if leaf {
+            tracked && cache_leaves
+        } else {
+            !tracked && cache_ok
+        };
+        let page = match style {
+            FetchStyle::AtSnapshot { sid, fill: true } if leaf => {
+                self.ncache.put_frozen(tree, ptr, seqno, page, sid)
             }
-            Err(_) => {
-                // Freed slot or torn image: the pointer that led here is
-                // stale.
-                self.ncache.invalidate(tree, ptr);
-                Err(RetryCause::TornRead.into())
-            }
-        }
+            _ if cache => self.ncache.put(tree, ptr, seqno, page),
+            _ => page,
+        };
+        Ok(PathEntry::at(ptr, seqno, page))
     }
 
     /// Accepts `e` as the node a descent for `key` at `sid` reaches below
@@ -331,7 +327,7 @@ impl Proxy {
         loop {
             let expect_stop = path
                 .last()
-                .map(|p| p.node.height == stop_height + 1)
+                .map(|p| p.node.height() == stop_height + 1)
                 .unwrap_or(false);
 
             // Baseline mode validates the whole path at the leaf's memnode:
@@ -368,7 +364,7 @@ impl Proxy {
                 LeafAccess::Dirty | LeafAccess::Route => FetchStyle::DirtyCached,
             };
 
-            let parent_height = path.last().map(|p| p.node.height);
+            let parent_height = path.last().map(|p| p.node.height());
             let entry = match self
                 .fetch_node(tx, tree, cur, style)
                 .and_then(|e| self.settle(tx, tree, e, style, ctx.sid, key, parent_height))
@@ -380,7 +376,7 @@ impl Proxy {
                 }
             };
 
-            if path.is_empty() && entry.node.height < stop_height {
+            if path.is_empty() && entry.node.height() < stop_height {
                 if matches!(leaf_access, LeafAccess::Route | LeafAccess::Dirty) {
                     // A tree shallower than the stop level (the root is
                     // still a leaf): stop at the root.
@@ -392,7 +388,7 @@ impl Proxy {
                 return Err(RetryCause::StaleTip.into());
             }
 
-            let at_stop = entry.node.height == stop_height;
+            let at_stop = entry.node.height() == stop_height;
             if at_stop
                 && path.is_empty()
                 && matches!(
@@ -415,20 +411,22 @@ impl Proxy {
                         tx.assume_version(TxKey::Plain(obj), entry.seqno);
                         self.last_leaf_assumed = Some((tree, entry.ptr));
                     } else {
-                        tx.assume(TxKey::Plain(obj), entry.seqno, entry.node.encode());
+                        tx.assume(TxKey::Plain(obj), entry.seqno, entry.node.image().clone());
                     }
                 }
             }
 
-            let next = if at_stop {
-                None
-            } else {
-                Some(entry.node.child_for(key))
-            };
+            // Above the stop height, a node is internal: the height
+            // checks have seen to it.
+            let next = (!at_stop).then(|| entry.node.child_for(key));
             path.push(entry);
             match next {
                 None => return Ok(path),
-                Some(ptr) => cur = ptr,
+                Some(None) => {
+                    self.invalidate_path(tree, &path);
+                    return Err(RetryCause::HeightMismatch.into());
+                }
+                Some(Some(ptr)) => cur = ptr,
             }
         }
     }

@@ -1,9 +1,15 @@
-//! Property-based tests for the node binary format and split algebra.
+//! Property-based tests for the node binary format, the page that reads
+//! it in place, and the split algebra.
 
-use minuet_core::node::{DescEntry, Node, NodeBody, NodePtr};
+use minuet_core::key::in_range;
+use minuet_core::node::{changed_range, DescEntry, Node, NodeBody, NodePtr, Page};
 use minuet_core::{Fence, TreeConfig};
 use minuet_sinfonia::MemNodeId;
 use proptest::prelude::*;
+
+fn page(node: &Node) -> Page {
+    Page::new(node.encode().into()).unwrap()
+}
 
 fn fence_strategy() -> impl Strategy<Value = Fence> {
     prop_oneof![
@@ -147,7 +153,7 @@ proptest! {
     #[test]
     fn child_routing_consistent(node in internal_strategy(), key in proptest::collection::vec(any::<u8>(), 0..10)) {
         prop_assume!(matches!(&node.body, NodeBody::Internal { seps, .. } if !seps.is_empty()));
-        let ptr = node.child_for(&key);
+        let ptr = page(&node).child_for(&key).unwrap();
         if let NodeBody::Internal { seps, kids } = &node.body {
             let idx = seps.partition_point(|s| s.as_slice() <= key.as_slice());
             prop_assert_eq!(ptr, kids[idx]);
@@ -303,9 +309,10 @@ proptest! {
         }
     }
 
-    /// For a same-shape edit, splicing the computed range of the new
-    /// encoding into the base encoding gives the new encoding, and the
-    /// range is tight: its first and last bytes differ from the base's.
+    /// For a same-shape edit, splicing the byte range where the new
+    /// image differs from the base image into the base gives the new
+    /// image, and the range is tight: its first and last bytes differ
+    /// from the base's.
     #[test]
     fn a_same_shape_edit_splices_into_its_base(
         leaf in leaf_strategy(),
@@ -314,10 +321,10 @@ proptest! {
     ) {
         for base in [leaf, internal] {
             let node = same_shape_edit(&base, &edits);
-            let range = node.changed_range(&base);
+            let (old, new) = (base.encode(), node.encode());
+            let range = changed_range(&new, &old);
             prop_assert!(range.is_some(), "same shape, no range");
             let range = range.unwrap();
-            let (old, new) = (base.encode(), node.encode());
             prop_assert_eq!(old.len(), new.len());
             let mut spliced = old.clone();
             spliced[range.clone()].copy_from_slice(&new[range.clone()]);
@@ -331,8 +338,9 @@ proptest! {
         }
     }
 
-    /// Any change of shape yields no range: an insert, a remove, a value
-    /// of another length, a new descendant entry, or another fence.
+    /// A change of length yields no range: an insert, a remove, a value
+    /// of another length, a new descendant entry, or a fence of another
+    /// length.
     #[test]
     fn a_shape_change_yields_no_range(
         base in leaf_strategy(),
@@ -366,11 +374,119 @@ proptest! {
             }),
             _ => {
                 node.high = match base.high {
-                    Fence::PosInf => Fence::Key(key),
-                    _ => Fence::PosInf,
+                    Fence::Key(_) => Fence::PosInf,
+                    _ => Fence::Key(key),
                 }
             }
         }
-        prop_assert!(node.changed_range(&base).is_none());
+        prop_assert!(changed_range(&node.encode(), &base.encode()).is_none());
+    }
+}
+
+/// The keys a lookup, a routing decision or a fence check turns on:
+/// every key or separator of `node` and its finite fences, each also one
+/// byte shorter and one byte longer, the empty key, and `extra`.
+fn probes(node: &Node, extra: &[u8]) -> Vec<Vec<u8>> {
+    let mut keys: Vec<Vec<u8>> = match &node.body {
+        NodeBody::Leaf { entries } => entries.iter().map(|(k, _)| k.clone()).collect(),
+        NodeBody::Internal { seps, .. } => seps.clone(),
+    };
+    keys.extend(
+        [&node.low, &node.high]
+            .into_iter()
+            .filter_map(|f| f.as_key().cloned()),
+    );
+    let mut out = vec![Vec::new(), extra.to_vec()];
+    for key in keys {
+        out.push(key[..key.len().saturating_sub(1)].to_vec());
+        out.push([&key[..], &[0]].concat());
+        out.push(key);
+    }
+    out
+}
+
+/// Asserts that `page` reads what `node` holds, through every accessor,
+/// at every key of `probes`. Lookups are the binary searches a decoded
+/// node's own are, so they agree even on a node whose keys are out of
+/// order (a bit flip can make one).
+fn assert_reads_as(page: &Page, node: &Node, probes: &[Vec<u8>]) {
+    assert_eq!(page.to_node(), *node);
+    assert_eq!(&page.image()[..], &node.encode()[..]);
+    assert_eq!(
+        (page.height(), page.created(), page.desc()),
+        (node.height, node.created, &node.desc[..])
+    );
+    assert_eq!(
+        (page.low(), page.high()),
+        (node.low.clone(), node.high.clone())
+    );
+    assert_eq!((page.len(), page.is_empty()), (node.len(), node.is_empty()));
+    assert_eq!(page.is_internal(), node.is_internal());
+    let (seps, kids, entries) = match &node.body {
+        NodeBody::Internal { seps, kids } => (&seps[..], &kids[..], &[][..]),
+        NodeBody::Leaf { entries } => (&[][..], &[][..], &entries[..]),
+    };
+    assert!(page.seps().eq(seps.iter().map(Vec::as_slice)));
+    assert!(page.kids().eq(kids.iter().copied()));
+    for key in probes {
+        let key = key.as_slice();
+        assert_eq!(page.covers(key), in_range(&node.low, &node.high, key));
+        let child = seps.partition_point(|s| s.as_slice() <= key);
+        assert!(page.kids_from(key).eq(kids.iter().skip(child).copied()));
+        assert_eq!(page.child_for(key), kids.get(child).copied());
+        let got = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key));
+        assert_eq!(page.leaf_get(key), got.ok().map(|i| &entries[i].1[..]));
+        let from = &entries[entries.partition_point(|(k, _)| k.as_slice() < key)..];
+        assert!(page
+            .entries_from(key)
+            .eq(from.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))));
+    }
+}
+
+proptest! {
+    /// A page agrees with the node it encodes on every accessor: the
+    /// header, the fences, the separators and kids, present and absent
+    /// keys, routing at every boundary, and entries from any key.
+    #[test]
+    fn a_page_reads_what_its_node_holds(
+        leaf in leaf_strategy(),
+        internal in internal_strategy(),
+        key in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        for node in [leaf, internal] {
+            assert_reads_as(&page(&node), &node, &probes(&node, &key));
+        }
+    }
+
+    /// `Page::new` is total on truncated and bit-flipped images: it
+    /// refuses exactly the images `Node::decode` refuses, with the same
+    /// error, and reads an image it accepts as `decode` does.
+    #[test]
+    fn a_page_refuses_what_decode_refuses(
+        leaf in leaf_strategy(),
+        internal in internal_strategy(),
+        cut in any::<u16>(),
+        flip in any::<u16>(),
+        mask in any::<u8>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..3),
+    ) {
+        for node in [leaf, internal] {
+            let raw = node.encode();
+            let cut = raw[..cut as usize % (raw.len() + 1)].to_vec();
+            let mut flipped = raw.clone();
+            flipped[flip as usize % raw.len()] ^= mask;
+            let longer = [&raw[..], &tail].concat();
+            for image in [cut, flipped, longer] {
+                match (Page::new(image.clone().into()), Node::decode(&image)) {
+                    (Ok(page), Ok(decoded)) => {
+                        assert_reads_as(&page, &decoded, &probes(&decoded, &[]))
+                    }
+                    (Err(refused), Err(too)) => prop_assert_eq!(refused, too),
+                    (page, decoded) => {
+                        panic!("page {:?} but decode {:?}", page.is_ok(), decoded.is_ok())
+                    }
+                }
+            }
+        }
     }
 }

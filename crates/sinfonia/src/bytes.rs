@@ -88,6 +88,11 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
+    /// Length of the whole buffer the view keeps alive.
+    pub fn buffer_len(&self) -> usize {
+        self.buf.len()
+    }
+
     /// True if both views share one underlying buffer — the zero-copy
     /// tests' witness that no hidden deep copy happened.
     pub fn same_buffer(a: &Bytes, b: &Bytes) -> bool {
@@ -214,6 +219,7 @@ mod tests {
         let s = b.slice(2, 3);
         assert_eq!(&*s, &[2, 3, 4]);
         assert!(Bytes::same_buffer(&b, &s));
+        assert_eq!((s.len(), s.buffer_len()), (3, 6));
         let s2 = s.slice(1, 1);
         assert_eq!(&*s2, &[3]);
         assert!(Bytes::same_buffer(&b, &s2));
