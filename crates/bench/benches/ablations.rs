@@ -288,7 +288,8 @@ fn ablation_durability(n: u64) {
             }
         };
         hb::preload_minuet(&mc, 0, n);
-        let before = mc.sinfonia.durability_stats();
+        let total = |name| mc.sinfonia.memnode_total(name).unwrap();
+        let (fsyncs0, bytes0) = (total("wal.fsyncs"), total("wal.bytes"));
         // Measured phase: closed-loop updates, injection off so the log's
         // cost (not the modeled network) dominates.
         let ops = std::sync::atomic::AtomicU64::new(0);
@@ -315,15 +316,14 @@ fn ablation_durability(n: u64) {
             stop_ref.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         let secs = t0.elapsed().as_secs_f64();
-        let after = mc.sinfonia.durability_stats();
         let ops = ops.load(std::sync::atomic::Ordering::Relaxed);
-        let fsyncs = after.fsyncs - before.fsyncs;
+        let fsyncs = total("wal.fsyncs") - fsyncs0;
         rows.push(vec![
             name.to_string(),
             fmt_count(ops as f64 / secs),
             format!("{:.3}", fsyncs as f64 / ops.max(1) as f64),
-            fmt_bytes((after.bytes - before.bytes) as f64),
-            after.checkpoints.to_string(),
+            fmt_bytes((total("wal.bytes") - bytes0) as f64),
+            total("wal.checkpoints").to_string(),
         ]);
         drop(mc);
         if let Some(d) = dir {

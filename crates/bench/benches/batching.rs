@@ -50,7 +50,7 @@ fn measure(mc: &Arc<MinuetCluster>, nrecords: u64, batch: usize) -> Point {
     let stop = Arc::new(AtomicBool::new(false));
     let ops = Arc::new(AtomicU64::new(0));
     let window = bench_secs();
-    let (rt0, _) = mc.sinfonia.transport.stats.snapshot();
+    let rt0 = mc.sinfonia.transport.stats.round_trips.get();
     let hist = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..CLIENTS {
@@ -90,7 +90,7 @@ fn measure(mc: &Arc<MinuetCluster>, nrecords: u64, batch: usize) -> Point {
         }
         hist
     });
-    let (rt1, _) = mc.sinfonia.transport.stats.snapshot();
+    let rt1 = mc.sinfonia.transport.stats.round_trips.get();
     let done = ops.load(Ordering::Relaxed);
     Point {
         batch,
@@ -181,12 +181,18 @@ fn main() {
     let rows: Vec<Vec<String>> = offered
         .iter()
         .map(|&load| {
-            let (rt0, _) = mc.sinfonia.transport.stats.snapshot();
-            let (bo0, bi0) = mc.sinfonia.transport.stats.bytes_snapshot();
+            let rt0 = mc.sinfonia.transport.stats.round_trips.get();
+            let (bo0, bi0) = (
+                mc.sinfonia.transport.stats.bytes_out.get(),
+                mc.sinfonia.transport.stats.bytes_in.get(),
+            );
             let cfg = OpenLoopConfig::new(CLIENTS, bench_secs(), load);
             let report = run_open_loop(&cfg, &spec, &shared, |_t| minuet_batch_conn(mc.clone()));
-            let (rt1, _) = mc.sinfonia.transport.stats.snapshot();
-            let (bo1, bi1) = mc.sinfonia.transport.stats.bytes_snapshot();
+            let rt1 = mc.sinfonia.transport.stats.round_trips.get();
+            let (bo1, bi1) = (
+                mc.sinfonia.transport.stats.bytes_out.get(),
+                mc.sinfonia.transport.stats.bytes_in.get(),
+            );
             let rts_per_op = (rt1 - rt0) as f64 / report.ops.max(1) as f64;
             let bytes_per_op = ((bo1 - bo0) + (bi1 - bi0)) as f64 / report.ops.max(1) as f64;
             load_latency_row(

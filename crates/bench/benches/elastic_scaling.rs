@@ -15,7 +15,6 @@
 
 use minuet_bench::{bench_secs, bench_tree_config, records};
 use minuet_core::{occupancy, MinuetCluster, TreeConfig};
-use minuet_sinfonia::NodeStats;
 use minuet_workload::{encode_key, fmt_count, load_keys, occupancy_row, print_table};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,18 +52,25 @@ impl Window {
     }
 }
 
-/// A request served: a one-phase execution, a prepare or a decision,
-/// whatever its outcome.
-fn served(s: &NodeStats) -> u64 {
-    s.single_commits + s.prepares + s.commits + s.aborts + s.busy
-}
+/// The series that count a request served: a one-phase execution, a
+/// prepare or a decision, whatever its outcome.
+const SERVED: [&str; 5] = [
+    "memnode.single_commits",
+    "memnode.prepares",
+    "memnode.commits",
+    "memnode.aborts",
+    "memnode.busy",
+];
 
 /// Requests served so far by each memnode, by id.
 fn requests(mc: &Arc<MinuetCluster>) -> Vec<u64> {
     mc.sinfonia
         .nodes_snapshot()
         .iter()
-        .map(|n| served(&n.node_stats().unwrap()))
+        .map(|n| {
+            let snap = n.obs_snapshot().unwrap();
+            SERVED.iter().map(|name| snap.counter(name).unwrap()).sum()
+        })
         .collect()
 }
 
@@ -192,12 +198,17 @@ fn main() {
         ],
         &[row("before", 1, &before), row("after", GROW_TO, &after)],
     );
+    let migrate = |name| mc.sinfonia.obs().registry.counter(name).get();
     println!(
-        "grow+rebalance: {} nodes migrated in {:.2?} ({} rounds); migration stats: {:?}",
+        "grow+rebalance: {} nodes migrated in {:.2?} ({} rounds); migrations: {} started, \
+         {} completed, {} aborted, {} retries",
         report.moved,
         grow_time,
         report.rounds,
-        mc.migration.snapshot()
+        migrate("migrate.started"),
+        migrate("migrate.completed"),
+        migrate("migrate.aborted"),
+        migrate("migrate.retries"),
     );
     let speedup = after.modeled_ops_per_s() / before.modeled_ops_per_s();
     assert!(

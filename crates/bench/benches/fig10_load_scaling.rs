@@ -29,11 +29,11 @@ fn load_throughput(machines: usize, mode: ConcurrencyMode) -> (f64, f64) {
     let spec = WorkloadSpec::insert_only(0);
     let shared = SharedState::new(&spec);
     let run = RunConfig::new(machines * hb::clients_per_machine(), hb::bench_secs());
-    let (_, msgs0) = mc.sinfonia.transport.stats.snapshot();
+    let msgs0 = mc.sinfonia.transport.stats.messages.get();
     let report = run_closed_loop(&run, &spec, &shared, |_t| {
         hb::minuet_conn(mc.clone(), hb::ScanPolicy::Serializable)
     });
-    let (_, msgs1) = mc.sinfonia.transport.stats.snapshot();
+    let msgs1 = mc.sinfonia.transport.stats.messages.get();
     (
         report.throughput,
         (msgs1 - msgs0) as f64 / report.ops.max(1) as f64,

@@ -41,13 +41,19 @@ fn xorshift(rng: &mut u64) -> u64 {
 
 /// Wire bytes per get over one pass of `n` uniform keys.
 fn bytes_per_get(mc: &Arc<MinuetCluster>, p: &mut minuet_core::Proxy, n: u64, ops: u64) -> f64 {
-    let (bo0, bi0) = mc.sinfonia.transport.stats.bytes_snapshot();
+    let (bo0, bi0) = (
+        mc.sinfonia.transport.stats.bytes_out.get(),
+        mc.sinfonia.transport.stats.bytes_in.get(),
+    );
     let mut rng = 0x9E3779B97F4A7C15u64;
     for _ in 0..ops {
         let k = encode_key(xorshift(&mut rng) % n);
         p.get(0, &k).unwrap();
     }
-    let (bo1, bi1) = mc.sinfonia.transport.stats.bytes_snapshot();
+    let (bo1, bi1) = (
+        mc.sinfonia.transport.stats.bytes_out.get(),
+        mc.sinfonia.transport.stats.bytes_in.get(),
+    );
     ((bo1 - bo0) + (bi1 - bi0)) as f64 / ops as f64
 }
 
@@ -125,7 +131,7 @@ fn main() {
     let h0 = p.stats.leaf_cache_hits;
     let warm = bytes_per_get(&mc, &mut p, n, probe_ops);
     let hits = p.stats.leaf_cache_hits - h0;
-    let (ch, cm, ce, cr) = p.cache_stats();
+    let cache = |name| mc.sinfonia.obs().registry.counter(name).get();
     print_table(
         "bytes per get, uniform keys",
         &["leaf cache", "B/get", "leaf hits/pass"],
@@ -139,10 +145,10 @@ fn main() {
         &CACHE_HEADERS,
         &[cache_row(
             "probe",
-            ch,
-            cm,
-            ce,
-            cr as u64,
+            cache("cache.hits"),
+            cache("cache.misses"),
+            cache("cache.evictions"),
+            p.cached_nodes() as u64,
             p.stats.leaf_cache_hits,
         )],
     );
@@ -159,12 +165,8 @@ fn main() {
         &[100, 95, 50]
     };
 
-    let fp0: u64 = mc
-        .sinfonia
-        .nodes_snapshot()
-        .iter()
-        .map(|nd| nd.node_stats().expect("in-process node").read_fastpath)
-        .sum();
+    let read_fastpath = || mc.sinfonia.memnode_total("memnode.read_fastpath").unwrap();
+    let fp0 = read_fastpath();
     mc.sinfonia.transport.set_inject(Some(SCALING_RTT));
     let mut table: Vec<Vec<String>> = Vec::new();
     let mut read_only: Vec<(usize, f64)> = Vec::new();
@@ -180,12 +182,7 @@ fn main() {
         table.push(row);
     }
     mc.sinfonia.transport.set_inject(None);
-    let fp1: u64 = mc
-        .sinfonia
-        .nodes_snapshot()
-        .iter()
-        .map(|nd| nd.node_stats().expect("in-process node").read_fastpath)
-        .sum();
+    let fp1 = read_fastpath();
 
     let headers: Vec<String> = std::iter::once("clients".to_string())
         .chain(fracs.iter().map(|f| format!("ops/s @{f}% read")))

@@ -69,13 +69,13 @@ fn measure_commit(c: &Arc<SinfoniaCluster>, n: u64, rtt: Duration) -> CommitPoin
     // one.
     let staged = stage_batch(c, n, 0xA5A5);
     c.transport.set_inject(Some(rtt));
-    let rt0 = c.transport.stats.snapshot().0;
+    let rt0 = c.transport.stats.round_trips.get();
     let t0 = Instant::now();
     for s in staged {
         commit_many(vec![s]).unwrap().remove(0).unwrap();
     }
     let percommit_ms = t0.elapsed().as_secs_f64() * 1e3 / n as f64;
-    let percommit_rts = (c.transport.stats.snapshot().0 - rt0) as f64 / n as f64;
+    let percommit_rts = (c.transport.stats.round_trips.get() - rt0) as f64 / n as f64;
     c.transport.set_inject(None);
 
     // Epoch-batched: the same workload enrolls in one epoch and validates
@@ -89,7 +89,7 @@ fn measure_commit(c: &Arc<SinfoniaCluster>, n: u64, rtt: Duration) -> CommitPoin
         },
     );
     c.transport.set_inject(Some(rtt));
-    let rt0 = c.transport.stats.snapshot().0;
+    let rt0 = c.transport.stats.round_trips.get();
     let t0 = Instant::now();
     std::thread::scope(|s| {
         let handles: Vec<_> = staged
@@ -101,7 +101,7 @@ fn measure_commit(c: &Arc<SinfoniaCluster>, n: u64, rtt: Duration) -> CommitPoin
         }
     });
     let epoch_ms = t0.elapsed().as_secs_f64() * 1e3 / n as f64;
-    let epoch_rts = (c.transport.stats.snapshot().0 - rt0) as f64 / n as f64;
+    let epoch_rts = (c.transport.stats.round_trips.get() - rt0) as f64 / n as f64;
     c.transport.set_inject(None);
 
     CommitPoint {

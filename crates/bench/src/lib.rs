@@ -418,8 +418,9 @@ pub fn run_mixed(
     use std::sync::atomic::AtomicU64;
 
     mc.scs(0).set_borrowing(borrowing);
-    let created0 = mc.scs(0).stats.created.load(Ordering::Relaxed);
-    let borrowed0 = mc.scs(0).stats.borrowed.load(Ordering::Relaxed);
+    // The cluster's `scs.*` series: one tree, so its service's counts.
+    let scs = |name| mc.sinfonia.obs().registry.counter(name).get();
+    let (created0, borrowed0) = (scs("scs.created"), scs("scs.borrowed"));
     mc.sinfonia.transport.set_inject(Some(rtt()));
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -496,8 +497,8 @@ pub fn run_mixed(
         scan_tput: scans.load(Ordering::Relaxed) as f64 / secs,
         keys_scanned_per_s: keys_scanned.load(Ordering::Relaxed) as f64 / secs,
         scan_mean_ms: hist_mean_ms(&scan_hist),
-        snapshots_created: mc.scs(0).stats.created.load(Ordering::Relaxed) - created0,
-        snapshots_borrowed: mc.scs(0).stats.borrowed.load(Ordering::Relaxed) - borrowed0,
+        snapshots_created: scs("scs.created") - created0,
+        snapshots_borrowed: scs("scs.borrowed") - borrowed0,
     }
 }
 

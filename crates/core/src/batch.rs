@@ -909,22 +909,22 @@ mod tests {
         p.bulk_load(0, pairs).unwrap();
         p.create_snapshot(0).unwrap();
         let one_round_trip = |p: &mut crate::proxy::Proxy, i: u32, what: &str| {
-            let misses = p.cache_stats().1;
+            let misses = p.ncache.misses.get();
             let (_, net) = with_op_net(|| p.put(0, key(i), vec![2]).unwrap());
             assert_eq!(
                 net.round_trips, 1,
                 "{what}: {} round trips",
                 net.round_trips
             );
-            assert_eq!(p.cache_stats().1, misses, "{what}: a node was fetched");
+            assert_eq!(p.ncache.misses.get(), misses, "{what}: a node was fetched");
         };
         // Copy the second leaf, then the first: the root is rewritten
         // twice. Each copy takes the place of its original in the cache:
         // a tagged original is not put back.
-        let resident = p.cache_stats().3;
+        let resident = p.ncache.len();
         p.put(0, key(8), vec![1]).unwrap();
         p.put(0, key(0), vec![1]).unwrap();
-        assert_eq!(p.cache_stats().3, resident, "a tagged original was cached");
+        assert_eq!(p.ncache.len(), resident, "a tagged original was cached");
         one_round_trip(&mut p, 8, "a put to another leaf under the rewritten root");
         one_round_trip(&mut p, 0, "a put of the key just copied");
         // One batch group copies the third leaf.

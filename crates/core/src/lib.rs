@@ -68,7 +68,7 @@ pub use node::{Node, NodeBody, NodePtr, Page, SnapshotId};
 pub use proxy::{op_tag, op_tag_name, Proxy, Txn};
 pub use scs::SnapshotService;
 pub use snapshot::SnapshotInfo;
-pub use stats::{occupancy, MemOccupancy, MigrationCounters, MigrationSnapshot, ProxyStats};
+pub use stats::{occupancy, MemOccupancy, ProxyStats};
 pub use tree::{ConcurrencyMode, MinuetCluster, TreeConfig, VersionMode};
 
 impl MinuetCluster {

@@ -60,7 +60,6 @@ use crate::stats::{occupancy, raw_obj, MemOccupancy};
 use crate::tree::{ConcurrencyMode, MinuetCluster};
 use minuet_dyntx::{DynTx, SeqNo, TxKey};
 use minuet_sinfonia::MemNodeId;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Leading byte of a migration reservation marker. Distinct from the
@@ -354,7 +353,7 @@ impl Proxy {
         if src.mem == dst_mem {
             return Ok(None);
         }
-        mc.migration.started.fetch_add(1, Ordering::Relaxed);
+        mc.migration.started.inc();
 
         let mut target: Option<NodePtr> = None;
         let result = self.migrate_attempts(tree, src, dst_mem, hint, &mut target);
@@ -388,7 +387,7 @@ impl Proxy {
         let mut retrying = false;
         let (swapped, info) = self.run_tx(tree, MIGRATE_RETRIES, |p, tx| {
             if std::mem::replace(&mut retrying, true) {
-                mc.migration.retries.fetch_add(1, Ordering::Relaxed);
+                mc.migration.retries.inc();
             }
             let (refs, pristine) = match hint.take() {
                 Some(h) => (h, true), // batch-scanned hint: first attempt only
@@ -410,10 +409,10 @@ impl Proxy {
                 .then_some((tgt, refs, pristine)))
         })?;
         let Some((tgt, refs, pristine)) = swapped else {
-            mc.migration.aborted.fetch_add(1, Ordering::Relaxed);
+            mc.migration.aborted.inc();
             return Ok(None);
         };
-        mc.migration.completed.fetch_add(1, Ordering::Relaxed);
+        mc.migration.completed.inc();
         self.ncache.invalidate(tree, src);
         // Process-local version cache: swapped catalog roots must be
         // re-pointed or snapshot resolution would chase the freed slot

@@ -159,15 +159,10 @@ impl Proxy {
         }
     }
 
-    /// Node-cache counters `(hits, misses, evictions, resident)` — the
-    /// observability handle for the cache-bounding satellite.
-    pub fn cache_stats(&self) -> (u64, u64, u64, usize) {
-        (
-            self.ncache.hits.get(),
-            self.ncache.misses.get(),
-            self.ncache.evictions.get(),
-            self.ncache.len(),
-        )
+    /// Nodes this proxy's cache holds now. Its hits, misses and evictions
+    /// are the cluster-wide `cache.*` series (`NodeCache::attach`).
+    pub fn cached_nodes(&self) -> usize {
+        self.ncache.len()
     }
 
     /// The proxy's preferred memnode for replicated reads.

@@ -12,6 +12,7 @@
 use crate::error::Error;
 use crate::node::{NodePtr, SnapshotId};
 use crate::proxy::Proxy;
+use minuet_obs::{Counter, ObsPlane};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -23,41 +24,34 @@ struct LastSnapshot {
     created_at: Instant,
 }
 
-/// Counters exposed for tests and benches.
-#[derive(Debug, Default)]
-pub struct ScsStats {
-    /// Requests served by creating a fresh snapshot.
-    pub created: AtomicU64,
-    /// Requests served by borrowing (Fig. 7's fast path).
-    pub borrowed: AtomicU64,
-    /// Requests served stale under the k-staleness policy (§6.3).
-    pub reused_stale: AtomicU64,
-}
-
 /// Snapshot creation service; one per tree, shared by all proxies
 /// ("all proxies should route snapshot requests to the same server").
 pub struct SnapshotService {
     state: Mutex<Option<LastSnapshot>>,
     num_snapshots: AtomicU64,
     borrowing: AtomicBool,
-    /// Counters.
-    pub stats: ScsStats,
-}
-
-impl Default for SnapshotService {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Requests served by creating a fresh snapshot (`scs.created`).
+    created: Counter,
+    /// Requests served by borrowing, Fig. 7's fast path (`scs.borrowed`).
+    borrowed: Counter,
+    /// Requests served stale under the k-staleness policy, §6.3
+    /// (`scs.reused_stale`).
+    reused_stale: Counter,
 }
 
 impl SnapshotService {
-    /// Creates the service with borrowing enabled.
-    pub fn new() -> Self {
+    /// Creates the service with borrowing enabled. Its counters are the
+    /// `scs.*` series of `plane` (the cluster's), summed over every tree
+    /// whose service shares the plane.
+    pub fn new(plane: &ObsPlane) -> Self {
+        let r = &plane.registry;
         SnapshotService {
             state: Mutex::new(None),
             num_snapshots: AtomicU64::new(0),
             borrowing: AtomicBool::new(true),
-            stats: ScsStats::default(),
+            created: r.counter("scs.created"),
+            borrowed: r.counter("scs.borrowed"),
+            reused_stale: r.counter("scs.reused_stale"),
         }
     }
 
@@ -80,7 +74,7 @@ impl SnapshotService {
             // were waiting: its snapshot reflects a moment within our
             // request window. Borrow it.
             let last = guard.expect("counter >= 2 implies a stored snapshot");
-            self.stats.borrowed.fetch_add(1, Ordering::Relaxed);
+            self.borrowed.inc();
             return Ok((last.sid, last.root));
         }
         let info = proxy.create_snapshot(tree)?;
@@ -90,7 +84,7 @@ impl SnapshotService {
             created_at: Instant::now(),
         });
         self.num_snapshots.fetch_add(1, Ordering::SeqCst);
-        self.stats.created.fetch_add(1, Ordering::Relaxed);
+        self.created.inc();
         Ok((info.frozen_sid, info.frozen_root))
     }
 
@@ -108,7 +102,7 @@ impl SnapshotService {
             let guard = self.state.lock();
             if let Some(last) = *guard {
                 if last.created_at.elapsed() < k {
-                    self.stats.reused_stale.fetch_add(1, Ordering::Relaxed);
+                    self.reused_stale.inc();
                     return Ok((last.sid, last.root));
                 }
             }

@@ -8,8 +8,8 @@ use crate::layout::Layout;
 use crate::node::{NodePtr, Page};
 use crate::tree::MinuetCluster;
 use minuet_dyntx::{ObjRef, ObjVal};
+use minuet_obs::{Counter, ObsPlane};
 use minuet_sinfonia::{MemNodeId, SinfoniaCluster};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unsynchronized read of one object image (a raw read: no locks, no
 /// read set). Concurrent writers may be observed mid-flight; callers must
@@ -176,44 +176,32 @@ pub fn occupancy(mc: &MinuetCluster, tree: u32) -> Result<Vec<MemOccupancy>, Err
     Ok(out)
 }
 
-/// Cluster-wide migration counters, updated by [`crate::migrate`] and
-/// surfaced through `MinuetCluster::migration`.
-#[derive(Debug, Default)]
-pub struct MigrationCounters {
+/// Cluster-wide migration counters, updated by [`crate::migrate`]: the
+/// `migrate.*` series of the cluster's plane ([`SinfoniaCluster::obs`]),
+/// one set shared by every tree.
+pub(crate) struct MigrationCounters {
     /// Migrations attempted (including retried ones, counted once).
-    pub started: AtomicU64,
+    pub(crate) started: Counter,
     /// Migrations that committed: node copied, referencers swapped,
     /// source slot freed.
-    pub completed: AtomicU64,
+    pub(crate) completed: Counter,
     /// Migrations abandoned because the source slot stopped being a live
     /// node (freed or rewritten concurrently).
-    pub aborted: AtomicU64,
+    pub(crate) aborted: Counter,
     /// Optimistic retries across all migrations (validation conflicts,
     /// referencer rescans, reclaimed reservations).
-    pub retries: AtomicU64,
-}
-
-/// A point-in-time copy of [`MigrationCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrationSnapshot {
-    /// Migrations attempted.
-    pub started: u64,
-    /// Migrations that committed.
-    pub completed: u64,
-    /// Migrations abandoned (source gone).
-    pub aborted: u64,
-    /// Optimistic retries across all migrations.
-    pub retries: u64,
+    pub(crate) retries: Counter,
 }
 
 impl MigrationCounters {
-    /// Reads all counters at once.
-    pub fn snapshot(&self) -> MigrationSnapshot {
-        MigrationSnapshot {
-            started: self.started.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
+    /// The `migrate.*` handles of `plane`'s registry.
+    pub(crate) fn new(plane: &ObsPlane) -> Self {
+        let r = &plane.registry;
+        MigrationCounters {
+            started: r.counter("migrate.started"),
+            completed: r.counter("migrate.completed"),
+            aborted: r.counter("migrate.aborted"),
+            retries: r.counter("migrate.retries"),
         }
     }
 }

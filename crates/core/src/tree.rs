@@ -6,7 +6,7 @@ use crate::layout::{Layout, LayoutParams};
 use crate::node::{Node, NodePtr};
 use crate::proxy::Proxy;
 use crate::scs::SnapshotService;
-use crate::stats::raw_obj;
+use crate::stats::{raw_obj, MigrationCounters};
 use minuet_dyntx::encode_obj;
 use minuet_sinfonia::{Bytes, ClusterConfig, MemNodeId, SinfoniaCluster};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -189,8 +189,9 @@ pub struct MinuetCluster {
     /// Serializes [`MinuetCluster::add_memnode`] calls (capacity check +
     /// membership growth + seeding as one step).
     join_lock: parking_lot::Mutex<()>,
-    /// Migration / elasticity counters (see [`crate::stats`]).
-    pub migration: crate::stats::MigrationCounters,
+    /// Migration / elasticity counters: the `migrate.*` series of the
+    /// cluster's plane.
+    pub(crate) migration: MigrationCounters,
     proxy_rr: AtomicUsize,
 }
 
@@ -214,26 +215,38 @@ impl MinuetCluster {
         let max_mems = Self::layout_mems(&cfg, n_mems);
         sin_cfg.capacity_per_node = Self::capacity_for(&cfg, n_trees, max_mems);
         let sinfonia = SinfoniaCluster::new(sin_cfg);
+        Self::assemble(sinfonia, cfg, n_trees, max_mems, |sin, shared, t| {
+            bootstrap_tree(sin, shared, t, n_mems)
+        })
+    }
 
-        let mut trees = Vec::with_capacity(n_trees as usize);
-        for t in 0..n_trees {
-            let layout = Layout::new(t, cfg.layout, max_mems);
-            let shared = TreeShared {
-                layout,
-                vcache: VersionCache::new(),
-                scs: SnapshotService::new(),
-            };
-            bootstrap_tree(&sinfonia, &shared, t, n_mems);
-            trees.push(shared);
-        }
-
+    /// The cluster over `sinfonia`: each tree's shared state, `open`ed
+    /// (bootstrapped or reopened), and the counters in the cluster's plane.
+    fn assemble(
+        sinfonia: Arc<SinfoniaCluster>,
+        cfg: TreeConfig,
+        n_trees: u32,
+        max_mems: usize,
+        open: impl Fn(&SinfoniaCluster, &TreeShared, u32),
+    ) -> Arc<MinuetCluster> {
+        let trees = (0..n_trees)
+            .map(|t| {
+                let shared = TreeShared {
+                    layout: Layout::new(t, cfg.layout, max_mems),
+                    vcache: VersionCache::new(),
+                    scs: SnapshotService::new(sinfonia.obs()),
+                };
+                open(&sinfonia, &shared, t);
+                shared
+            })
+            .collect();
         Arc::new(MinuetCluster {
+            migration: MigrationCounters::new(sinfonia.obs()),
             sinfonia,
             cfg,
             trees,
             max_mems,
             join_lock: parking_lot::Mutex::new(()),
-            migration: crate::stats::MigrationCounters::default(),
             proxy_rr: AtomicUsize::new(0),
         })
     }
@@ -263,31 +276,10 @@ impl MinuetCluster {
              restart with the original TreeConfig::max_memnodes",
             sinfonia.n()
         );
-
-        let mut trees = Vec::with_capacity(n_trees as usize);
-        for t in 0..n_trees {
-            let layout = Layout::new(t, cfg.layout, max_mems);
-            let shared = TreeShared {
-                layout,
-                vcache: VersionCache::new(),
-                scs: SnapshotService::new(),
-            };
-            reopen_tree(&sinfonia, &shared);
-            trees.push(shared);
-        }
-
-        Ok((
-            Arc::new(MinuetCluster {
-                sinfonia,
-                cfg,
-                trees,
-                max_mems,
-                join_lock: parking_lot::Mutex::new(()),
-                migration: crate::stats::MigrationCounters::default(),
-                proxy_rr: AtomicUsize::new(0),
-            }),
-            resolution,
-        ))
+        let mc = Self::assemble(sinfonia, cfg, n_trees, max_mems, |sin, shared, _| {
+            reopen_tree(sin, shared)
+        });
+        Ok((mc, resolution))
     }
 
     /// Opens a Minuet view over an **existing** Sinfonia cluster without
@@ -316,25 +308,8 @@ impl MinuetCluster {
             "attached cluster has {} memnodes but the layout is sized for {max_mems}",
             sinfonia.n()
         );
-        let mut trees = Vec::with_capacity(n_trees as usize);
-        for t in 0..n_trees {
-            let layout = Layout::new(t, cfg.layout, max_mems);
-            let shared = TreeShared {
-                layout,
-                vcache: VersionCache::new(),
-                scs: SnapshotService::new(),
-            };
-            reopen_tree(&sinfonia, &shared);
-            trees.push(shared);
-        }
-        Arc::new(MinuetCluster {
-            sinfonia,
-            cfg,
-            trees,
-            max_mems,
-            join_lock: parking_lot::Mutex::new(()),
-            migration: crate::stats::MigrationCounters::default(),
-            proxy_rr: AtomicUsize::new(0),
+        Self::assemble(sinfonia, cfg, n_trees, max_mems, |sin, shared, _| {
+            reopen_tree(sin, shared)
         })
     }
 

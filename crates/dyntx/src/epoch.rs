@@ -329,13 +329,13 @@ mod tests {
         let on @ (c, svc) = leaked_service(1, 2, 50);
         let b = commit_on_a_thread(on, obj(0, 0), || {});
         await_enrolled(svc, 1);
-        let before = c.transport.stats.snapshot().0;
+        let before = c.transport.stats.round_trips.get();
         let a = commit_on_a_thread(on, obj(0, 64), || {
             std::mem::forget(OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter());
         });
         assert_eq!(outcome(&a).unwrap().unwrap_err(), TxError::DeadlineExceeded);
         // A cost no RPC and never enrolled: B closes alone, on the interval.
-        assert_eq!(c.transport.stats.snapshot().0, before);
+        assert_eq!(c.transport.stats.round_trips.get(), before);
         assert_eq!(outcome(&b).unwrap().unwrap().installed.len(), 1);
         assert_eq!(
             svc.batch_size.summary().max_ns,
@@ -533,7 +533,7 @@ mod tests {
                 tx.stage_commit()
             })
             .collect();
-        let before = c.transport.stats.snapshot().0;
+        let before = c.transport.stats.round_trips.get();
         std::thread::scope(|s| {
             let handles: Vec<_> = staged
                 .into_iter()
@@ -543,7 +543,7 @@ mod tests {
                 h.join().unwrap();
             }
         });
-        let spent = c.transport.stats.snapshot().0 - before;
+        let spent = c.transport.stats.round_trips.get() - before;
         assert!(
             spent <= 2,
             "8 epoch-batched commits cost {spent} round trips"

@@ -1013,12 +1013,12 @@ mod tests {
         let c = cluster(2);
         let objs = alternating(&c);
         let mut t = DynTx::new(&c);
-        let before = c.transport.stats.snapshot().0;
+        let before = c.transport.stats.round_trips.get();
         dirty_read_many(&mut t, &objs).unwrap();
-        assert_eq!(c.transport.stats.snapshot().0 - before, 2);
-        let before = c.transport.stats.snapshot().0;
+        assert_eq!(c.transport.stats.round_trips.get() - before, 2);
+        let before = c.transport.stats.round_trips.get();
         dirty_read_many(&mut t, &objs[..1]).unwrap();
-        assert_eq!(c.transport.stats.snapshot().0 - before, 1);
+        assert_eq!(c.transport.stats.round_trips.get() - before, 1);
     }
 
     #[test]
@@ -1046,9 +1046,9 @@ mod tests {
     fn dirty_read_many_of_nothing_sends_nothing() {
         let c = cluster(2);
         let mut t = DynTx::new(&c);
-        let before = c.transport.stats.snapshot().0;
+        let before = c.transport.stats.round_trips.get();
         assert!(dirty_read_many(&mut t, &[]).unwrap().is_empty());
-        assert_eq!(c.transport.stats.snapshot().0, before);
+        assert_eq!(c.transport.stats.round_trips.get(), before);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! `minuet-stats` — poll running memnode daemons and render a text
 //! dashboard of their observability plane.
 //!
-//! Each endpoint is polled over the ordinary wire protocol with three
-//! admin operations, all through the one `RemoteNode::admin` call: `Stats`
-//! (the fixed `NodeStats` counters), `ObsSnapshot` (every registered
-//! counter and histogram), and `TraceDump` (recent or slow request traces
-//! recorded server-side). A node that stops answering mid-poll is reported
-//! as unreachable, never rendered as a row of zeros.
+//! Each endpoint is polled over the ordinary wire protocol with one admin
+//! exchange, `ObsSnapshot` (every series the node exports), plus
+//! `TraceDump` (recent or slow request traces recorded server-side) when
+//! `--traces` asks for it. The `ops:` and `wal:` summary lines are read
+//! from that one snapshot. A node that cannot be reached, or stops
+//! answering mid-poll, is reported as unreachable, never rendered as a
+//! row of zeros.
 //!
 //! ```text
 //! minuet-stats tcp:127.0.0.1:7400 1@tcp:127.0.0.1:7401
@@ -132,34 +133,39 @@ fn render_hist(name: &str, s: &LatencySummary) -> String {
 
 fn poll(t: &Target, traces: u32, slow: bool) {
     println!("== {} ==", t.label);
-    if let Err(e) = t.node.hello() {
-        println!("  unreachable: {e}");
-        return;
-    }
-    let s = match t.node.node_stats() {
-        Ok(s) => s,
+    let snap = match t.node.hello() {
+        Ok(_) => t.node.obs_snapshot().map_err(|e| e.to_string()),
+        Err(e) => Err(e.to_string()),
+    };
+    let snap = match snap {
+        Ok(snap) => snap,
         Err(e) => {
             println!("  unreachable: {e}");
             return;
         }
     };
+    let v = |name: &str| snap.counter(name).unwrap_or(0);
     println!(
         "  ops: single_commits={} prepares={} commits={} aborts={} busy={} \
          fastpath={}/{} in_doubt={}",
-        s.single_commits,
-        s.prepares,
-        s.commits,
-        s.aborts,
-        s.busy,
-        s.read_fastpath,
-        s.read_fastpath + s.read_fastpath_misses,
-        s.in_doubt,
+        v("memnode.single_commits"),
+        v("memnode.prepares"),
+        v("memnode.commits"),
+        v("memnode.aborts"),
+        v("memnode.busy"),
+        v("memnode.read_fastpath"),
+        v("memnode.read_fastpath") + v("memnode.read_fastpath_misses"),
+        v("memnode.in_doubt"),
     );
     println!(
         "  wal: appends={} bytes={} fsyncs={} retained={} checkpoints={} durable={}",
-        s.wal_appends, s.wal_bytes, s.wal_fsyncs, s.wal_retained_bytes, s.checkpoints, s.durable,
+        v("wal.appends"),
+        v("wal.bytes"),
+        v("wal.fsyncs"),
+        v("wal.retained_bytes"),
+        v("wal.checkpoints"),
+        v("wal.durable") == 1,
     );
-    let snap = t.node.obs_snapshot();
     if !snap.counters.is_empty() {
         println!("  counters:");
         for (name, v) in &snap.counters {

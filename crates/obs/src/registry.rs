@@ -147,17 +147,18 @@ impl<'a> Cur<'a> {
         self.pos += n;
         Some(s)
     }
+    /// The next `N` bytes as an array: the one fixed-size read.
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
     fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
     fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
     fn str(&mut self) -> Option<String> {
         let n = self.u16()? as usize;

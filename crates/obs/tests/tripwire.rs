@@ -1,7 +1,7 @@
 //! Source tripwires for `minuet-obs` (lint-style: reads non-test source).
 //! They keep an operation's per-thread state in one place — the one
-//! `OpCtx` of `ctx.rs`, changed only through `OpScope` — and the trace
-//! decoders free of panic sites. Each failure names where to go instead.
+//! `OpCtx` of `ctx.rs`, changed only through `OpScope` — and the trace and
+//! registry decoders free of panic sites. Each failure names where to go instead.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -71,9 +71,10 @@ fn one_thread_local() {
 fn panic_sites_do_not_grow() {
     // `unwrap()` / `.expect(` / `panic!` / `unreachable!` lines per file:
     // `trace.rs` had 8 (seven fixed-width decodes, "active implies armed")
-    // before `take` and the one context. A decoder returns `None` on a
-    // short buffer; to add a site anywhere, first try that.
-    const CEILING: &[(&str, usize)] = &[("trace.rs", 0), ("ctx.rs", 0)];
+    // before `take` and the one context, `registry.rs` 3 before its
+    // `Cur::array`. A decoder returns `None` on a short buffer; to add a
+    // site anywhere, first try that.
+    const CEILING: &[(&str, usize)] = &[("trace.rs", 0), ("ctx.rs", 0), ("registry.rs", 0)];
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     for (file, ceiling) in CEILING {
         let sites = count(

@@ -33,7 +33,7 @@ use crate::transport::Transport;
 use crate::wal::WalSegment;
 use crate::wire::{
     encode_traced_request, split_reply_flags, AdminOp, AdminReply, Endpoint, FrameReader,
-    NodeFlags, NodeStats, Request, Response, Stream, WireBatchItem, WireShard, PROTO_VERSION,
+    NodeFlags, Request, Response, Stream, WireBatchItem, WireShard, PROTO_VERSION,
 };
 use minuet_faults as faults;
 use minuet_obs::{
@@ -771,17 +771,11 @@ impl RemoteNode {
         }
     }
 
-    /// Owned snapshot of the node's counters.
-    pub fn node_stats(&self) -> Result<NodeStats, Unavailable> {
-        self.admin_as(AdminOp::Stats, |r| match r {
-            AdminReply::Stats(s) => Some(s),
-            _ => None,
-        })
-    }
-
-    /// Number of currently prepared (in-doubt) transactions.
+    /// Number of currently prepared (in-doubt) transactions: the
+    /// `memnode.in_doubt` series of the node's snapshot.
     pub fn in_doubt(&self) -> Result<usize, Unavailable> {
-        Ok(self.node_stats()?.in_doubt as usize)
+        let n = self.obs_snapshot()?.counter("memnode.in_doubt");
+        n.map(|n| n as usize).ok_or(Unavailable(self.id))
     }
 
     /// Recovery metadata for in-doubt resolution. Fallible on purpose: an
@@ -793,18 +787,20 @@ impl RemoteNode {
         })
     }
 
-    /// Point-in-time snapshot of every metric the node's observability
-    /// plane registers (`memnode.*`, `wal.*`, …). Best-effort: empty when
-    /// the node cannot be reached — observability never fails its caller.
-    pub fn obs_snapshot(&self) -> ObsSnapshot {
-        match self.admin(AdminOp::ObsSnapshot) {
-            Ok(AdminReply::Obs(b)) => ObsSnapshot::decode(&b).unwrap_or_default(),
-            _ => ObsSnapshot::default(),
-        }
+    /// Point-in-time snapshot of every series the node exports
+    /// ([`MemNode::obs_snapshot`]: `memnode.*`, `wal.*`, `repl.*`). A node
+    /// that cannot be reached, or a snapshot that does not decode, is an
+    /// error, never an empty snapshot that would read as zeros.
+    pub fn obs_snapshot(&self) -> Result<ObsSnapshot, Unavailable> {
+        self.admin_as(AdminOp::ObsSnapshot, |r| match r {
+            AdminReply::Obs(b) => ObsSnapshot::decode(&b),
+            _ => None,
+        })
     }
 
     /// Recent traces from the node's ring buffer (the slow-op buffer when
-    /// `slow`), oldest first. Best-effort, like [`RemoteNode::obs_snapshot`].
+    /// `slow`), oldest first. Best-effort: empty when the node cannot be
+    /// reached.
     pub fn trace_dump(&self, max: u32, slow: bool) -> Vec<Trace> {
         match self.admin(AdminOp::TraceDump { max, slow }) {
             Ok(AdminReply::Traces(b)) => Trace::decode_many(&b).unwrap_or_default(),

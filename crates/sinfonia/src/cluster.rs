@@ -111,22 +111,6 @@ impl ClusterConfig {
     }
 }
 
-/// Aggregated durability counters across all memnodes, in the spirit of
-/// [`crate::transport::NetStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurSnapshot {
-    /// Redo records appended.
-    pub appends: u64,
-    /// Log bytes appended (frames included).
-    pub bytes: u64,
-    /// fsync calls issued.
-    pub fsyncs: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Log bytes currently retained.
-    pub retained_bytes: u64,
-}
-
 /// How often the background checkpointer polls log sizes.
 const CHECKPOINT_POLL: Duration = Duration::from_millis(5);
 
@@ -535,23 +519,17 @@ impl SinfoniaCluster {
         recovery::resolve_in_doubt(self, &metas)
     }
 
-    /// Aggregated log counters. With durability off the logs live in
-    /// memory: they append and checkpoint, but never fsync.
-    pub fn durability_stats(&self) -> DurSnapshot {
-        let mut s = DurSnapshot::default();
-        // Best-effort: a node that cannot be reached contributes nothing.
-        for ns in self
-            .nodes_snapshot()
-            .iter()
-            .filter_map(|n| n.node_stats().ok())
-        {
-            s.appends += ns.wal_appends;
-            s.bytes += ns.wal_bytes;
-            s.fsyncs += ns.wal_fsyncs;
-            s.checkpoints += ns.checkpoints;
-            s.retained_bytes += ns.wal_retained_bytes;
+    /// The series `name` summed over every memnode's snapshot
+    /// ([`RemoteNode::obs_snapshot`]), e.g. `wal.fsyncs` for the cluster's
+    /// fsyncs. With durability off the logs live in memory: they append
+    /// and checkpoint, but never fsync. A memnode that cannot be reached
+    /// is an error, not a zero.
+    pub fn memnode_total(&self, name: &str) -> Result<u64, Unavailable> {
+        let mut total = 0;
+        for node in self.nodes_snapshot().iter() {
+            total += node.obs_snapshot()?.counter(name).unwrap_or(0);
         }
-        s
+        Ok(total)
     }
 }
 
@@ -599,7 +577,7 @@ mod tests {
         let out = c.execute(&r).unwrap().into_reads();
         assert_eq!(out.data[0], vec![1, 2, 3, 4]);
         // One-phase: exactly one round trip each.
-        assert_eq!(c.transport.stats.snapshot().0, 2);
+        assert_eq!(c.transport.stats.round_trips.get(), 2);
     }
 
     #[test]
@@ -614,7 +592,7 @@ mod tests {
             assert_eq!(c.node(MemNodeId(i)).raw_read(10, 1).unwrap(), vec![7]);
         }
         // Two-phase: prepare + commit round trips.
-        assert_eq!(c.transport.stats.snapshot().0, 2);
+        assert_eq!(c.transport.stats.round_trips.get(), 2);
     }
 
     #[test]

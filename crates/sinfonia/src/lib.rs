@@ -76,7 +76,7 @@ pub mod wire;
 pub use addr::{ItemRange, MemNodeId};
 pub use bytes::Bytes;
 pub use client::{RemoteNode, WireConfig};
-pub use cluster::{ClusterConfig, DurSnapshot, SinfoniaCluster, TransportMode};
+pub use cluster::{ClusterConfig, SinfoniaCluster, TransportMode};
 pub use deadline::OpDeadline;
 pub use error::SinfoniaError;
 pub use exec::backoff;
@@ -87,4 +87,4 @@ pub use repl::{ReplConfig, ReplToken, Replicator};
 pub use server::{MemNodeServer, ServerOptions};
 pub use transport::{with_op_net, OpNet, Transport};
 pub use wal::{DurabilityConfig, SyncMode, WalError, WalSegment, WalStats};
-pub use wire::{Endpoint, NodeStats, WireError};
+pub use wire::{Endpoint, WireError};

@@ -25,13 +25,13 @@ use crate::wal::{
     parse_frames, DurabilityConfig, Record, Wal, WalAppender, WalError, WalSegment, WalStats,
     REPL_WRAP,
 };
-use crate::wire::{NodeStats, WireShard};
+use crate::wire::WireShard;
 use crate::{checkpoint, lock};
 use minuet_faults as faults;
-use minuet_obs::{span, Counter, ObsPlane, SpanKind};
+use minuet_obs::{span, Counter, ObsPlane, ObsSnapshot, SpanKind};
 use parking_lot::{RwLock, RwLockWriteGuard};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,7 +111,7 @@ pub struct PreparedTx {
 /// [`ObsPlane`] registry exposes the same series under `memnode.*` names,
 /// so one registry snapshot covers them.
 #[derive(Default)]
-pub struct MemNodeStats {
+pub struct MemNodeCounters {
     /// One-phase executions that committed.
     pub single_commits: Counter,
     /// Prepares that voted Ok.
@@ -148,7 +148,7 @@ pub struct MemNodeStats {
     pub handler_panics: Counter,
 }
 
-impl MemNodeStats {
+impl MemNodeCounters {
     /// Registers every counter under `memnode.*` in `plane`'s registry.
     fn register(&self, plane: &ObsPlane) {
         let r = &plane.registry;
@@ -255,9 +255,8 @@ pub struct MemNode {
     /// allocators should steer new placements elsewhere.
     retiring: AtomicBool,
     ckpt_running: AtomicBool,
-    checkpoints: AtomicU64,
     /// Operation counters.
-    pub stats: MemNodeStats,
+    pub stats: MemNodeCounters,
     /// This node's observability plane: its registry exposes the
     /// `memnode.*` counters and the `wal.*` series; its trace buffer holds
     /// server-side traces recorded for wire clients.
@@ -297,7 +296,7 @@ impl MemNode {
 
     fn build(id: MemNodeId, state: NodeState, wal: Wal) -> Self {
         let obs = ObsPlane::disabled();
-        let stats = MemNodeStats::default();
+        let stats = MemNodeCounters::default();
         stats.register(&obs);
         wal.stats.register(&obs);
         let node = MemNode {
@@ -311,7 +310,6 @@ impl MemNode {
             joining: AtomicBool::new(false),
             retiring: AtomicBool::new(false),
             ckpt_running: AtomicBool::new(false),
-            checkpoints: AtomicU64::new(0),
             stats,
             obs,
         };
@@ -446,34 +444,23 @@ impl MemNode {
         self.wal.retained_bytes()
     }
 
-    /// Checkpoints taken since this node object was created.
-    pub fn checkpoint_count(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-
-    /// Owned snapshot of this node's operation and durability counters
-    /// (what [`crate::wire::AdminOp::Stats`] answers).
-    pub fn node_stats(&self) -> NodeStats {
-        let s = &self.stats;
-        let (wal_appends, wal_bytes, wal_fsyncs) = self.wal_stats().snapshot();
-        NodeStats {
-            single_commits: s.single_commits.load(Ordering::Relaxed),
-            prepares: s.prepares.load(Ordering::Relaxed),
-            commits: s.commits.load(Ordering::Relaxed),
-            aborts: s.aborts.load(Ordering::Relaxed),
-            busy: s.busy.load(Ordering::Relaxed),
-            read_fastpath: s.read_fastpath.load(Ordering::Relaxed),
-            read_fastpath_misses: s.read_fastpath_misses.load(Ordering::Relaxed),
-            write_fastpath: s.write_fastpath.load(Ordering::Relaxed),
-            write_fastpath_misses: s.write_fastpath_misses.load(Ordering::Relaxed),
-            in_doubt: self.in_doubt() as u64,
-            wal_appends,
-            wal_bytes,
-            wal_fsyncs,
-            checkpoints: self.checkpoint_count(),
-            wal_retained_bytes: self.wal_retained_bytes(),
-            durable: self.is_durable(),
-        }
+    /// Every series this node exports, at one instant: the registry's
+    /// counters and histograms, plus three values read from the node as
+    /// the snapshot is taken — `memnode.in_doubt` (prepared transactions),
+    /// `wal.retained_bytes` and `wal.durable` (1 when the log is on disk).
+    /// This is what [`crate::wire::AdminOp::ObsSnapshot`] answers, in any
+    /// state: a crashed node holds nothing in doubt.
+    pub fn obs_snapshot(&self) -> ObsSnapshot {
+        let mut snap = self.obs.registry.snapshot();
+        let read = [
+            ("memnode.in_doubt", self.in_doubt() as u64),
+            ("wal.durable", u64::from(self.is_durable())),
+            ("wal.retained_bytes", self.wal_retained_bytes()),
+        ];
+        snap.counters
+            .extend(read.map(|(name, v)| (name.to_string(), v)));
+        snap.counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        snap
     }
 
     fn acquire(&self, spans: &[(u64, u64)], txid: TxId, policy: LockPolicy) -> LockAcquire {
@@ -846,7 +833,6 @@ impl MemNode {
             frozen.repl_watermark,
         );
         self.wal.install_image(image, upto)?;
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -1292,7 +1278,7 @@ mod tests {
         }
         let before = n.wal_retained_bytes();
         assert!(n.checkpoint().unwrap());
-        assert_eq!(n.checkpoint_count(), 1);
+        assert_eq!(n.wal_stats().checkpoints.get(), 1);
         assert!(n.wal_retained_bytes() < before);
         // Post-checkpoint writes land in the (shrunk) log.
         let mut m = Minitransaction::new();

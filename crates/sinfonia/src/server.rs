@@ -590,13 +590,12 @@ fn admin(node: &MemNode, op: AdminOp) -> Result<AdminReply, Unavailable> {
             Ok(took) => AdminReply::Bool(took),
             Err(e) => AdminReply::Error(format!("checkpoint failed: {e}")),
         },
-        AdminOp::Stats => AdminReply::Stats(node.node_stats()),
         AdminOp::Meta if node.is_crashed() => return Err(Unavailable(node.id)),
         AdminOp::Meta => AdminReply::Meta(node.node_meta()),
         // Exiting is the serving process's business (see `serve_frame`);
         // the memnode only acknowledges.
         AdminOp::Shutdown => AdminReply::Unit,
-        AdminOp::ObsSnapshot => AdminReply::Obs(Bytes::from(node.obs.registry.snapshot().encode())),
+        AdminOp::ObsSnapshot => AdminReply::Obs(Bytes::from(node.obs_snapshot().encode())),
         AdminOp::TraceDump { max, slow } => {
             let traces = if slow {
                 node.obs.slow(max as usize)

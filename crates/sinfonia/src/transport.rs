@@ -42,22 +42,6 @@ impl NetStats {
         r.register_counter("net.bytes_out", &self.bytes_out);
         r.register_counter("net.bytes_in", &self.bytes_in);
     }
-
-    /// Snapshot of `(round_trips, messages)`.
-    pub fn snapshot(&self) -> (u64, u64) {
-        (
-            self.round_trips.load(Ordering::Relaxed),
-            self.messages.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot of `(bytes_out, bytes_in)`.
-    pub fn bytes_snapshot(&self) -> (u64, u64) {
-        (
-            self.bytes_out.load(Ordering::Relaxed),
-            self.bytes_in.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// The instrumented transport: every coordinator phase goes through
@@ -166,8 +150,8 @@ mod tests {
                 bytes_in: 40,
             }
         );
-        assert_eq!(t.stats.snapshot(), (2, 4));
-        assert_eq!(t.stats.bytes_snapshot(), (110, 40));
+        assert_eq!((t.stats.round_trips.get(), t.stats.messages.get()), (2, 4));
+        assert_eq!((t.stats.bytes_out.get(), t.stats.bytes_in.get()), (110, 40));
         assert_eq!(net.bytes_total(), 150);
     }
 
@@ -209,7 +193,7 @@ mod tests {
                 bytes_in: 36,
             }
         );
-        assert_eq!(t.stats.bytes_snapshot(), (120, 36));
+        assert_eq!((t.stats.bytes_out.get(), t.stats.bytes_in.get()), (120, 36));
     }
 
     #[test]
@@ -229,7 +213,10 @@ mod tests {
         // Lower bounds only: a slow host may oversleep, never undersleep.
         assert!(start.elapsed() >= d * k);
         assert_eq!((net.round_trips, net.messages), (k as u64, 2 * k as u64));
-        assert_eq!(t.stats.snapshot(), (k as u64, 2 * k as u64));
+        assert_eq!(
+            (t.stats.round_trips.get(), t.stats.messages.get()),
+            (k as u64, 2 * k as u64)
+        );
         t.set_inject(None);
         assert_eq!(t.inject(), None);
     }

@@ -553,6 +553,8 @@ pub struct WalStats {
     /// fsync calls issued (by any path: sync, group leader, flusher,
     /// checkpoint rotation).
     pub fsyncs: Counter,
+    /// Checkpoint images installed ([`Wal::install_image`]).
+    pub checkpoints: Counter,
     /// Wall-clock latency of each fsync, in nanoseconds.
     pub fsync_ns: HistHandle,
     /// Records covered per commit-path fsync (recorded by the
@@ -565,21 +567,13 @@ pub struct WalStats {
 }
 
 impl WalStats {
-    /// Snapshot `(appends, bytes, fsyncs)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.appends.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-            self.fsyncs.load(Ordering::Relaxed),
-        )
-    }
-
     /// Registers every series under `wal.*` in `plane`'s registry.
     pub fn register(&self, plane: &ObsPlane) {
         let r = &plane.registry;
         r.register_counter("wal.appends", &self.appends);
         r.register_counter("wal.bytes", &self.bytes);
         r.register_counter("wal.fsyncs", &self.fsyncs);
+        r.register_counter("wal.checkpoints", &self.checkpoints);
         r.register_histogram("wal.fsync_ns", &self.fsync_ns);
         r.register_histogram("wal.group_batch", &self.group_batch);
     }
@@ -1040,6 +1034,7 @@ impl Wal {
         self.sync.store.install(image)?;
         self.drop_prefix(upto)?;
         self.due.store(due, Ordering::Relaxed);
+        self.stats.checkpoints.inc();
         Ok(())
     }
 
@@ -1349,8 +1344,8 @@ mod tests {
             a.append(&Record::Commit { txid: 2 }).unwrap()
         };
         wal.wait_durable(end).unwrap();
-        assert_eq!(wal.stats.snapshot().0, 2);
-        assert!(wal.stats.snapshot().2 >= 1);
+        assert_eq!(wal.stats.appends.get(), 2);
+        assert!(wal.stats.fsyncs.get() >= 1);
         drop(wal);
 
         let buf = std::fs::read(&path).unwrap();
@@ -1450,7 +1445,7 @@ mod tests {
                 });
             }
         });
-        let (appends, _, fsyncs) = wal.stats.snapshot();
+        let (appends, fsyncs) = (wal.stats.appends.get(), wal.stats.fsyncs.get());
         assert_eq!(appends, 8);
         assert!((1..8).contains(&fsyncs), "fsyncs {fsyncs} not batched");
     }
@@ -1485,7 +1480,7 @@ mod tests {
                 });
             }
         });
-        let (appends, _, fsyncs) = wal.stats.snapshot();
+        let (appends, fsyncs) = (wal.stats.appends.get(), wal.stats.fsyncs.get());
         assert_eq!(appends, 8);
         assert!(
             (1..=2).contains(&fsyncs),

@@ -9,7 +9,7 @@
 //!
 //! The codec is written **per field type, not per message**. A private
 //! `Wire` trait says once how a `u64`, a `Bytes`, a `Vec<T>`, a
-//! [`WireShard`] or a [`NodeStats`] travels; each direction's messages are
+//! [`WireShard`] or a [`ReplStatus`] travels; each direction's messages are
 //! then one table (`messages!`), one row per message — tag byte, tag
 //! constant, kind name, variant and fields — from which the enum, the
 //! [`tag`] constants, `kind_name`, `tag_byte`, the encoder and the decoder
@@ -713,62 +713,6 @@ wire_struct!(ReplStatus {
     dup_skips
 });
 
-/// A snapshot of a memnode's operation and durability counters, fetched in
-/// one exchange ([`AdminReply::Stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// One-phase executions that committed.
-    pub single_commits: u64,
-    /// Prepares that voted Ok.
-    pub prepares: u64,
-    /// Two-phase commits applied.
-    pub commits: u64,
-    /// Aborts processed.
-    pub aborts: u64,
-    /// Lock-busy rejections.
-    pub busy: u64,
-    /// Lock-free read fast-path hits.
-    pub read_fastpath: u64,
-    /// Fast-path attempts that fell back to the locked path.
-    pub read_fastpath_misses: u64,
-    /// Lock-free single-phase write fast-path hits.
-    pub write_fastpath: u64,
-    /// Write fast-path attempts that fell back to the locked path.
-    pub write_fastpath_misses: u64,
-    /// Currently prepared (in-doubt) transactions.
-    pub in_doubt: u64,
-    /// Redo records appended.
-    pub wal_appends: u64,
-    /// Log bytes appended (frames included).
-    pub wal_bytes: u64,
-    /// fsync calls issued.
-    pub wal_fsyncs: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Log bytes currently retained.
-    pub wal_retained_bytes: u64,
-    /// True if the node logs to disk.
-    pub durable: bool,
-}
-
-wire_struct!(NodeStats {
-    single_commits,
-    prepares,
-    commits,
-    aborts,
-    busy,
-    read_fastpath,
-    read_fastpath_misses,
-    write_fastpath,
-    write_fastpath_misses,
-    in_doubt,
-    wal_appends,
-    wal_bytes,
-    wal_fsyncs,
-    checkpoints,
-    wal_retained_bytes,
-    durable,
-});
 wire_enum!(LockPolicy, "lock policy": 0 => AbortOnBusy, 1 => Block(0: Duration));
 wire_enum!(SingleResult, "single result kind":
     0 => Committed(0: Vec<(usize, Bytes)>), 1 => BadCompare(0: Vec<usize>), 2 => Busy);
@@ -1185,8 +1129,9 @@ messages! {
         /// Take a checkpoint now. Answered by [`AdminReply::Bool`] (false
         /// when skipped) or [`AdminReply::Error`].
         0x0D CHECKPOINT "checkpoint" => Checkpoint,
-        /// Fetch operation / durability counters ([`AdminReply::Stats`]).
-        0x0E STATS "stats" => Stats,
+        // 0x0E was `Stats` (a fixed row of counters that `ObsSnapshot`
+        // also carries): retired, never to be reused. A v4 peer that still
+        // sends it gets a bad-tag refusal.
         /// Fetch recovery metadata: in-doubt transactions and the decided
         /// set ([`AdminReply::Meta`]).
         0x10 META "meta" => Meta,
@@ -1196,8 +1141,9 @@ messages! {
         /// Ask the server process to exit cleanly after replying. A no-op
         /// on an in-process memnode.
         0x12 SHUTDOWN "shutdown" => Shutdown,
-        /// Fetch the full metrics snapshot — every registered counter and
-        /// histogram ([`AdminReply::Obs`]).
+        /// Fetch every series the node exports — its registry plus the
+        /// values read as the snapshot is taken
+        /// ([`crate::memnode::MemNode::obs_snapshot`], [`AdminReply::Obs`]).
         0x14 OBS_SNAPSHOT "obs_snapshot" => ObsSnapshot,
         /// Fetch recent traces from the node's buffer
         /// ([`AdminReply::Traces`]).
@@ -1290,8 +1236,8 @@ messages! {
         0x85 R_ADMIN_UNIT "unit" => Unit,
         /// Boolean result (checkpoint taken).
         0x87 R_BOOL "bool" => Bool(0: bool),
-        /// Operation / durability counters.
-        0x88 R_STATS "stats" => Stats(0: NodeStats),
+        // 0x88 was `Stats`, the reply to the retired `AdminOp::Stats`:
+        // retired with it, never to be reused.
         /// Recovery metadata.
         0x8A R_META "meta" => Meta(0: NodeMeta),
         /// The operation reached the node and failed there, as text.
@@ -1555,13 +1501,13 @@ mod tests {
 
     #[test]
     fn nested_trace_envelopes_rejected() {
-        // Hand-build a Traced(Traced(Stats)) payload: 0x13 id 0x13 id 0x0E.
+        // Hand-build a Traced(Traced(Checkpoint)) payload: 0x13 id 0x13 id 0x0D.
         let frame = seal(|buf| {
             buf.push(tag::TRACED);
             1u64.put(buf);
             buf.push(tag::TRACED);
             2u64.put(buf);
-            buf.push(tag::STATS);
+            buf.push(tag::CHECKPOINT);
         });
         let (payload, _) = decode_frame(&frame).unwrap();
         assert_eq!(

@@ -17,7 +17,7 @@ use minuet_sinfonia::wire::{
     split_reply_flags, AdminOp, AdminReply, NodeFlags, Request, Response, WireBatchItem, WireShard,
     PROTO_VERSION,
 };
-use minuet_sinfonia::{Bytes, LockPolicy, MemNodeId, NodeStats, ReplStatus};
+use minuet_sinfonia::{Bytes, LockPolicy, MemNodeId, ReplStatus};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -36,7 +36,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("req.crash", "010000000536d0450b"),
     ("req.recover", "01000000a6a3b4db0c"),
     ("req.checkpoint", "010000003093b3ac0d"),
-    ("req.stats", "010000008ac2ba350e"),
     ("req.flags", "010000001cf2bd420f"),
     ("req.meta", "01000000e9ffb5cf10"),
     ("req.shutdown", "01000000c59ebb2112"),
@@ -47,7 +46,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("req.repl_status", "010000004d4769b619"),
     ("req.faults", "1a000000be3ea39d1a1500000077616c2e6673796e633d6572723a636f756e743d33"),
     ("req.traced_commit", "12000000e92b4aaf13efbeadde00000000050a00000000000000"),
-    ("req.traced_stats", "0a000000d53a3c821305000000000000000e"),
+    ("req.traced_obs_snapshot", "0a000000afc35e7f13050000000000000014"),
     ("resp.hello", "0e0000009dd4a7708104000300000000400000000006"),
     ("resp.single_committed", "1d00000047fb4e648200020000000100000006000000aaaaaaaaaaaa040000000000000006"),
     ("resp.single_badcmp", "0f00000015c94262820102000000000000000300000006"),
@@ -59,7 +58,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("resp.unit", "02000000c4db4eee8506"),
     ("resp.data", "0b000000f353ce228605000000010203040506"),
     ("resp.bool", "03000000634043eb870106"),
-    ("resp.stats", "7b000000f1b87805880100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f000000000000000106"),
     ("resp.flags", "05000000efd610328901000106"),
     ("resp.meta", "38000000294bad528a0200000007000000000000000100000001002a000000000000000200000000000200020000000500000000000000640000000000000006"),
     ("resp.unavailable", "04000000a137f2f68b060006"),
@@ -153,7 +151,6 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("req.crash", admin(AdminOp::Crash)),
         ("req.recover", admin(AdminOp::Recover)),
         ("req.checkpoint", admin(AdminOp::Checkpoint)),
-        ("req.stats", admin(AdminOp::Stats)),
         ("req.flags", Request::Flags),
         ("req.meta", admin(AdminOp::Meta)),
         ("req.shutdown", admin(AdminOp::Shutdown)),
@@ -187,34 +184,13 @@ fn requests() -> Vec<(&'static str, Request)> {
             }),
         ),
         (
-            "req.traced_stats",
+            "req.traced_obs_snapshot",
             Request::Traced {
                 trace_id: 5,
-                inner: Box::new(admin(AdminOp::Stats)),
+                inner: Box::new(admin(AdminOp::ObsSnapshot)),
             },
         ),
     ]
-}
-
-fn stats() -> NodeStats {
-    NodeStats {
-        single_commits: 1,
-        prepares: 2,
-        commits: 3,
-        aborts: 4,
-        busy: 5,
-        read_fastpath: 6,
-        read_fastpath_misses: 7,
-        write_fastpath: 8,
-        write_fastpath_misses: 9,
-        in_doubt: 10,
-        wal_appends: 11,
-        wal_bytes: 12,
-        wal_fsyncs: 13,
-        checkpoints: 14,
-        wal_retained_bytes: 15,
-        durable: true,
-    }
 }
 
 fn replies() -> Vec<(&'static str, Response)> {
@@ -263,7 +239,6 @@ fn replies() -> Vec<(&'static str, Response)> {
             Response::Data(Bytes::from(vec![1, 2, 3, 4, 5])),
         ),
         ("resp.bool", admin(AdminReply::Bool(true))),
-        ("resp.stats", admin(AdminReply::Stats(stats()))),
         (
             "resp.flags",
             Response::Flags(NodeFlags {
@@ -374,7 +349,7 @@ fn every_v4_frame_is_byte_identical() {
 }
 
 /// The admin pair the acceptance criteria name, spelled out: a `Checkpoint`
-/// request answered by `Bool`, a `Stats` request answered by `Stats`.
+/// request answered by `Bool`, an `ObsSnapshot` request answered by `Obs`.
 #[test]
 fn admin_frames_each_way() {
     let golden: HashMap<&str, &str> = GOLDEN.iter().copied().collect();
@@ -386,10 +361,10 @@ fn admin_frames_each_way() {
             "resp.bool",
         ),
         (
-            AdminOp::Stats,
-            "req.stats",
-            AdminReply::Stats(stats()),
-            "resp.stats",
+            AdminOp::ObsSnapshot,
+            "req.obs_snapshot",
+            AdminReply::Obs(Bytes::from(vec![1, 2, 3])),
+            "resp.obs",
         ),
     ] {
         assert_eq!(hex(&Request::Admin(op).encode()), golden[req_row]);

@@ -75,7 +75,7 @@ fn restart_preserves_committed_minitransactions() {
     for i in 0..20u64 {
         write_both(&c, i, (i + 1) as u8);
     }
-    let fsyncs = c.durability_stats().fsyncs;
+    let fsyncs = c.memnode_total("wal.fsyncs").unwrap();
     assert!(
         fsyncs >= 70,
         "sync mode must fsync per commit, got {fsyncs}"
@@ -234,13 +234,12 @@ fn background_checkpoints_bound_log_and_restart_recovers() {
         // Give the background checkpointer a chance to run.
         std::thread::sleep(Duration::from_millis(2));
     }
-    let stats = c.durability_stats();
-    assert!(stats.checkpoints > 0, "no background checkpoint ran");
+    let total = |name| c.memnode_total(name).unwrap();
+    assert!(total("wal.checkpoints") > 0, "no background checkpoint ran");
+    let (retained, bytes) = (total("wal.retained_bytes"), total("wal.bytes"));
     assert!(
-        stats.retained_bytes < stats.bytes,
-        "log was never truncated: retained {} of {} appended",
-        stats.retained_bytes,
-        stats.bytes
+        retained < bytes,
+        "log was never truncated: retained {retained} of {bytes} appended"
     );
     drop(c);
 
@@ -426,7 +425,7 @@ fn an_in_memory_log_stays_bounded() {
     for _ in 0..3 * bound / LEN as u64 + 1 {
         write(&node);
     }
-    let taken = node.checkpoint_count();
+    let taken = node.wal_stats().checkpoints.get();
     assert!(taken >= 2, "{taken} checkpoints over three bounds of log");
 
     // With the image write failing, the log outgrows its bound...
@@ -436,7 +435,7 @@ fn an_in_memory_log_stays_bounded() {
     );
     while write(&node) <= bound {}
     faults::disarm_all();
-    assert_eq!(node.checkpoint_count(), taken);
+    assert_eq!(node.wal_stats().checkpoints.get(), taken);
     // ...and a read leaves it there, where a write takes the checkpoint.
     let before = node.wal_retained_bytes();
     let mut read = Minitransaction::new();
@@ -445,10 +444,14 @@ fn an_in_memory_log_stays_bounded() {
         exec(&node, 0, &read),
         Ok(SingleResult::Committed(_))
     ));
-    assert_eq!(node.checkpoint_count(), taken, "a read took a checkpoint");
+    assert_eq!(
+        node.wal_stats().checkpoints.get(),
+        taken,
+        "a read took a checkpoint"
+    );
     assert_eq!(node.wal_retained_bytes(), before);
     assert!(write(&node) < bound);
-    assert_eq!(node.checkpoint_count(), taken + 1);
+    assert_eq!(node.wal_stats().checkpoints.get(), taken + 1);
 
     node.crash();
     node.recover().unwrap();

@@ -144,10 +144,10 @@ pub const CACHE_HEADERS: [&str; 6] = [
     "leaf hits",
 ];
 
-/// Builds one row of the node-cache table from
-/// `minuet_core::Proxy::cache_stats` plus the proxy's leaf-cache-hit
-/// operation counter. Plain integers keep this crate decoupled from the
-/// core types.
+/// Builds one row of the node-cache table from the cluster's `cache.*`
+/// series, `minuet_core::Proxy::cached_nodes` and the proxy's
+/// leaf-cache-hit operation counter. Plain integers keep this crate
+/// decoupled from the core types.
 pub fn cache_row(
     name: &str,
     hits: u64,

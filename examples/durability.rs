@@ -49,10 +49,13 @@ fn main() {
             )
             .unwrap();
     }
-    let d = cluster.sinfonia.durability_stats();
+    let total = |name| cluster.sinfonia.memnode_total(name).expect("memnodes up");
     println!(
         "logged {} records ({} bytes), {} fsyncs, {} checkpoints",
-        d.appends, d.bytes, d.fsyncs, d.checkpoints
+        total("wal.appends"),
+        total("wal.bytes"),
+        total("wal.fsyncs"),
+        total("wal.checkpoints"),
     );
 
     // Power off: drop every in-memory structure. Only the directory of

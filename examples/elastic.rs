@@ -93,10 +93,15 @@ fn main() {
 
     stop.store(true, Ordering::Relaxed);
     worker.join().unwrap();
+    let migrate = |name| mc.sinfonia.obs().registry.counter(name).get();
     println!(
-        "\nworkload ran {} ops concurrently; migration stats: {:?}",
+        "\nworkload ran {} ops concurrently; migrations: {} started, {} completed, \
+         {} aborted, {} retries",
         ops.load(Ordering::Relaxed),
-        mc.migration.snapshot()
+        migrate("migrate.started"),
+        migrate("migrate.completed"),
+        migrate("migrate.aborted"),
+        migrate("migrate.retries"),
     );
 
     // Everything still reads.

@@ -55,6 +55,7 @@ fn main() {
     println!("tip sees updated values; snapshot stayed immutable");
 
     // Network cost accounting from the simulated transport.
-    let (rts, msgs) = cluster.sinfonia.transport.stats.snapshot();
+    let net = &cluster.sinfonia.transport.stats;
+    let (rts, msgs) = (net.round_trips.get(), net.messages.get());
     println!("total network round trips: {rts}, messages: {msgs}");
 }

@@ -120,7 +120,10 @@ fn main() {
     assert_eq!(rows[0].0, b"key004200".to_vec());
     let v = proxy.get(0, b"key009999").expect("get").expect("present");
     assert_eq!(u32::from_le_bytes(v.try_into().unwrap()), 9_999);
-    let (bytes_out, bytes_in) = mc.sinfonia.transport.stats.bytes_snapshot();
+    let (bytes_out, bytes_in) = (
+        mc.sinfonia.transport.stats.bytes_out.get(),
+        mc.sinfonia.transport.stats.bytes_in.get(),
+    );
     println!("scan + point reads verified; {bytes_out} B out / {bytes_in} B in of real frames");
 
     // Tracing was armed for every op: the last trace must stitch server

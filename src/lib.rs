@@ -43,7 +43,7 @@ pub use minuet_sinfonia as sinfonia;
 pub use minuet_workload as workload;
 
 pub use minuet_core::{
-    occupancy, ConcurrencyMode, Error, Fence, Key, LayoutParams, MemOccupancy, MigrationSnapshot,
-    MinuetCluster, Node, NodePtr, Proxy, RebalanceReport, Rebalancer, SnapshotId, SnapshotInfo,
-    SnapshotService, TreeConfig, Txn, TxnError, Value, VersionMode,
+    occupancy, ConcurrencyMode, Error, Fence, Key, LayoutParams, MemOccupancy, MinuetCluster, Node,
+    NodePtr, Proxy, RebalanceReport, Rebalancer, SnapshotId, SnapshotInfo, SnapshotService,
+    TreeConfig, Txn, TxnError, Value, VersionMode,
 };

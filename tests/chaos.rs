@@ -474,8 +474,12 @@ fn chaos_run(seed: u64, opts: ChaosOpts) {
     // one place it shows.
     for i in 0..n_mems {
         let snap = mc.sinfonia.node(MemNodeId(i as u16)).obs_snapshot();
-        let panics = snap.counter("memnode.handler_panics");
-        assert_eq!(panics, Some(0), "memnode {i}: a request handler panicked");
+        let panics = snap.map(|s| s.counter("memnode.handler_panics"));
+        assert_eq!(
+            panics,
+            Ok(Some(0)),
+            "memnode {i}: a request handler panicked"
+        );
     }
 
     // ---- power-cycle: every acked write survives a restart ---------

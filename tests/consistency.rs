@@ -102,7 +102,7 @@ fn borrowed_snapshots_respect_happens_before() {
     // Borrowing should actually have occurred for this test to be
     // meaningful under contention; don't fail if timing prevented it,
     // but report.
-    let borrowed = mc.scs(0).stats.borrowed.load(Ordering::Relaxed);
+    let borrowed = mc.sinfonia.obs().registry.counter("scs.borrowed").get();
     println!("borrowed {borrowed} snapshots during the test");
 }
 

@@ -116,8 +116,9 @@ fn restart_after_unclean_shutdown_keeps_acked_puts() {
     }
     let all = p.scan_serializable(0, b"", usize::MAX).unwrap();
     assert_eq!(all.len(), 150);
-    // fsync accounting is visible at the cluster level.
-    let _ = mc2.sinfonia.durability_stats();
+    // Every memnode reports its log on disk, at the cluster level.
+    let n = mc2.sinfonia.n() as u64;
+    assert_eq!(mc2.sinfonia.memnode_total("wal.durable"), Ok(n));
     drop(p);
     drop(mc2);
     h.cleanup();

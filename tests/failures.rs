@@ -191,7 +191,7 @@ fn out_of_range_items_are_typed_errors_that_cost_no_round_trip() {
         let mut in_range = Minitransaction::new();
         in_range.write(ItemRange::new(mem, 64, 8), vec![1; 8]);
 
-        let before = c.transport.stats.snapshot().0;
+        let before = c.transport.stats.round_trips.get();
         let results = [
             c.execute(&read).map(|_| ()),
             c.execute(&cmp_write).map(|_| ()),
@@ -203,7 +203,11 @@ fn out_of_range_items_are_typed_errors_that_cost_no_round_trip() {
                 other => panic!("expected OutOfBounds, got {other:?}"),
             }
         }
-        assert_eq!(c.transport.stats.snapshot().0, before, "round trips spent");
+        assert_eq!(
+            c.transport.stats.round_trips.get(),
+            before,
+            "round trips spent"
+        );
         assert_eq!(c.node(mem).raw_read(64, 8).unwrap(), vec![0; 8]);
 
         // The memnode is as healthy as before: its last bytes still write.

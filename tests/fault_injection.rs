@@ -269,7 +269,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
     );
     assert!(put_slot(&c, 0, 1).unwrap()); // warm the connection pool
 
-    let commits_before = node.node_stats().single_commits;
+    let commits_before = node.stats.single_commits.get();
     let exceeded_before = obs_counter(&c, "deadline.exceeded");
     let scope = OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter();
     let start = Instant::now();
@@ -283,7 +283,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
         "expired deadline did not fail fast ({elapsed:?})"
     );
     assert_eq!(
-        node.node_stats().single_commits,
+        node.stats.single_commits.get(),
         commits_before,
         "an RPC reached the server despite the expired deadline"
     );
@@ -458,7 +458,10 @@ fn a_handler_panic_is_answered_and_counted() {
             "wire={wire}: the call that panicked"
         );
         assert!(node.raw_read(0, 8).is_ok(), "wire={wire}: the next call");
-        let panics = node.obs_snapshot().counter("memnode.handler_panics");
+        let panics = node
+            .obs_snapshot()
+            .unwrap()
+            .counter("memnode.handler_panics");
         assert_eq!(panics, Some(1), "wire={wire}");
     }
 }

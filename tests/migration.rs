@@ -130,7 +130,14 @@ fn rebalance_stress_matches_model() {
         occ[2].live > 0 && occ[3].live > 0,
         "added memnodes absorbed no load: {occ:?}"
     );
-    assert!(mc.migration.snapshot().completed > 0);
+    assert!(
+        mc.sinfonia
+            .obs()
+            .registry
+            .counter("migrate.completed")
+            .get()
+            > 0
+    );
 }
 
 #[test]

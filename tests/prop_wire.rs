@@ -12,7 +12,7 @@ use minuet::sinfonia::wire::{
     decode_frame, AdminOp, AdminReply, FrameReader, NodeFlags, Request, Response, WireBatchItem,
     WireError, WireShard,
 };
-use minuet::sinfonia::{Bytes, LockPolicy, MemNodeId, NodeStats, ReplStatus};
+use minuet::sinfonia::{Bytes, LockPolicy, MemNodeId, ReplStatus};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
@@ -103,34 +103,6 @@ fn arb_meta() -> impl Strategy<Value = NodeMeta> {
         })
 }
 
-fn arb_stats() -> impl Strategy<Value = NodeStats> {
-    (
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<bool>()),
-    )
-        .prop_map(
-            |((a, b, c, d), (e, f, g, h), (i, j, k, durable))| NodeStats {
-                single_commits: a as u64,
-                prepares: b as u64,
-                commits: c as u64,
-                aborts: d as u64,
-                busy: e as u64,
-                read_fastpath: f as u64,
-                read_fastpath_misses: g as u64,
-                write_fastpath: (c ^ j) as u64,
-                write_fastpath_misses: (d ^ k) as u64,
-                in_doubt: h as u64,
-                wal_appends: i as u64,
-                wal_bytes: j as u64,
-                wal_fsyncs: k as u64,
-                checkpoints: (a ^ e) as u64,
-                wal_retained_bytes: (b ^ f) as u64,
-                durable,
-            },
-        )
-}
-
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         any::<u16>().prop_map(|version| Request::Hello { version }),
@@ -196,7 +168,6 @@ fn arb_admin_op() -> impl Strategy<Value = AdminOp> {
         Just(AdminOp::Crash),
         Just(AdminOp::Recover),
         Just(AdminOp::Checkpoint),
-        Just(AdminOp::Stats),
         Just(AdminOp::Meta),
         Just(AdminOp::Shutdown),
         Just(AdminOp::ObsSnapshot),
@@ -269,7 +240,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
 fn arb_admin_reply() -> impl Strategy<Value = AdminReply> {
     prop_oneof![
         any::<bool>().prop_map(AdminReply::Bool),
-        arb_stats().prop_map(AdminReply::Stats),
         arb_meta().prop_map(AdminReply::Meta),
         arb_bytes().prop_map(AdminReply::Obs),
         arb_bytes().prop_map(AdminReply::Traces),
@@ -466,7 +436,6 @@ fn every_admin_op() -> Vec<AdminOp> {
         AdminOp::Crash,
         AdminOp::Recover,
         AdminOp::Checkpoint,
-        AdminOp::Stats,
         AdminOp::Meta,
         AdminOp::Shutdown,
         AdminOp::ObsSnapshot,
@@ -539,13 +508,6 @@ fn every_admin_reply() -> Vec<AdminReply> {
     vec![
         AdminReply::Unit,
         AdminReply::Bool(true),
-        AdminReply::Stats(NodeStats {
-            single_commits: 1,
-            in_doubt: 10,
-            wal_retained_bytes: 15,
-            durable: true,
-            ..NodeStats::default()
-        }),
         AdminReply::Meta(meta),
         AdminReply::Error("checkpoint failed: nope".into()),
         AdminReply::Obs(Bytes::from(vec![1, 2, 3])),

@@ -177,18 +177,19 @@ fn snapshot_isolation_holds_over_sockets() {
 #[test]
 fn wire_byte_counters_report_real_frames() {
     let mc = common::wire_cluster(2, 1, TreeConfig::small_nodes(8));
-    let before = mc.sinfonia.transport.stats.bytes_snapshot();
+    let net = &mc.sinfonia.transport.stats;
+    let before = (net.bytes_out.get(), net.bytes_in.get());
     let mut p = mc.proxy();
     p.put(0, key(1), val(1)).unwrap();
-    let after = mc.sinfonia.transport.stats.bytes_snapshot();
-    assert!(after.0 > before.0, "no request bytes recorded");
-    assert!(after.1 > before.1, "no response bytes recorded");
+    assert!(net.bytes_out.get() > before.0, "no request bytes recorded");
+    assert!(net.bytes_in.get() > before.1, "no response bytes recorded");
 }
 
-/// The `Stats` admin RPC must report exactly what the daemon's own
-/// counters say: fetch `NodeStats` over the wire and compare it
-/// field-for-field against the served `MemNode`, and do the same for the
-/// full registry snapshot behind the `ObsSnapshot` RPC.
+/// The `ObsSnapshot` admin RPC must report exactly what the daemon's own
+/// node says: the wire snapshot's counters — the values read as it is
+/// taken (`memnode.in_doubt`, `wal.retained_bytes`, `wal.durable`) and a
+/// checkpoint's `wal.checkpoints` among them — equal the served
+/// `MemNode`'s snapshot, and those read values equal the node's own.
 #[test]
 fn stat_rpc_matches_server_state_over_the_wire() {
     let cfg = TreeConfig::small_nodes(8);
@@ -209,28 +210,30 @@ fn stat_rpc_matches_server_state_over_the_wire() {
 
     for (i, node) in nodes.iter().enumerate() {
         let handle = mc.sinfonia.node(MemNodeId(i as u16));
-        let remote = handle.node_stats().expect("daemon is up");
-        let local = node.node_stats();
-        assert_eq!(remote, local, "wire NodeStats diverges on memnode {i}");
-        assert!(
-            local.single_commits > 0,
-            "workload left no trace on memnode {i}"
-        );
-
-        let remote_snap = handle.obs_snapshot();
-        let local_snap = node.obs.registry.snapshot();
+        assert!(handle.checkpoint().expect("daemon is up"));
+        let remote = handle.obs_snapshot().expect("daemon is up");
+        let local = node.obs_snapshot();
         assert_eq!(
-            remote_snap.counters, local_snap.counters,
+            remote.counters, local.counters,
             "ObsSnapshot counters diverge on memnode {i}"
         );
         assert_eq!(
-            remote_snap.hists.len(),
-            local_snap.hists.len(),
+            remote.hists.len(),
+            local.hists.len(),
             "ObsSnapshot histograms diverge on memnode {i}"
         );
+        let read = [
+            ("memnode.in_doubt", node.in_doubt() as u64),
+            ("wal.retained_bytes", node.wal_retained_bytes()),
+            ("wal.durable", u64::from(node.is_durable())),
+            ("wal.checkpoints", 1),
+        ];
+        for (name, want) in read {
+            assert_eq!(remote.counter(name), Some(want), "{name} on memnode {i}");
+        }
         assert!(
-            remote_snap.counter("memnode.single_commits").unwrap_or(0) > 0,
-            "snapshot missing memnode counters"
+            remote.counter("memnode.single_commits").unwrap_or(0) > 0,
+            "workload left no trace on memnode {i}"
         );
     }
 }
@@ -266,17 +269,17 @@ fn admin_ops_answer_alike_in_process_and_over_the_wire() {
     for op in [
         AdminOp::SetRetiring(true),
         AdminOp::Checkpoint,
-        AdminOp::Stats,
+        AdminOp::ObsSnapshot,
         AdminOp::Meta,
     ] {
         let here = local.admin(op.clone()).expect("in-process");
         let there = remote.admin(op.clone()).expect("daemon is up");
         assert_eq!(here, there, "{} answered differently", op.kind_name());
     }
-    assert!(matches!(
-        remote.admin(AdminOp::Stats),
-        Ok(AdminReply::Stats(s)) if s.single_commits > 0
-    ));
+    let served = remote.obs_snapshot().expect("daemon is up");
+    assert!(served
+        .counter("memnode.single_commits")
+        .is_some_and(|n| n > 0));
     assert!(remote.is_retiring() && local.is_retiring());
 }
 
@@ -495,19 +498,21 @@ fn raw_admin_and_traced_exchanges_count_alike_on_both_transports() {
         let mc = MinuetCluster::with_cluster_config(sin, 1, cfg.clone());
         let mut p = mc.proxy();
         let node = mc.sinfonia.node(MemNodeId(0));
-        let before = mc.sinfonia.transport.stats.bytes_snapshot();
+        let net_stats = &mc.sinfonia.transport.stats;
+        let bytes = || (net_stats.bytes_out.get(), net_stats.bytes_in.get());
+        let before = bytes();
 
         let mut steps = Vec::new();
         let (data, net) = with_op_net(|| node.raw_read(0, 64).unwrap());
         assert_eq!(data.len(), 64);
         steps.push(net);
-        let (stats, net) = with_op_net(|| node.admin(AdminOp::Stats).unwrap());
-        assert!(matches!(stats, AdminReply::Stats(_)), "wire={wire}");
+        let (unit, net) = with_op_net(|| node.admin(AdminOp::SetJoining(false)).unwrap());
+        assert_eq!(unit, AdminReply::Unit, "wire={wire}");
         steps.push(net);
         let ((), net) = with_op_net(|| p.put(0, key(1), val(1)).map(drop).unwrap());
         steps.push(net);
 
-        let after = mc.sinfonia.transport.stats.bytes_snapshot();
+        let after = bytes();
         let put = mc.sinfonia.obs().recent(16);
         let put = put.iter().find(|t| t.op_tag == op_tag::PUT);
         let stitched =
